@@ -59,5 +59,4 @@ from .verify import (
     check_24ii,
     check_32,
     check_roundtrip,
-    naturally_weakly_equivalent,
 )

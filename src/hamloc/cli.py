@@ -22,7 +22,6 @@ from .hammock import hammock_localization, homotopy_category_of_localization
 from .jsonio import DiskCache, canonical_dumps, content_key, load_json
 from .relcat import RelativeCategory, oracle_ho_category, validate_relative
 from .scat import (
-    RelativeSimplicialCategory,
     TruncatedSimplicialCategory,
     check_dk,
     is_neglectable,
@@ -252,7 +251,7 @@ def _cmd_dk_check(args):
     source = TruncatedSimplicialCategory.from_json(resolve(data["source"]))
     target = TruncatedSimplicialCategory.from_json(resolve(data["target"]))
     fun = simplicial_functor_from_json(data, source, target)
-    cert = check_dk(fun, args.budget)
+    cert = check_dk(fun)
     _emit(args, cert.to_json(), f"certificate: {cert.verdict}")
     if cert.verdict == "pass_partial":
         return PASS
@@ -278,7 +277,7 @@ _VERDICT_EXIT = {"pass": PASS, "fail": FAIL, "inapplicable": INVALID, "undetermi
 def _cmd_verify(args):
     data = load_json(args.file)
     bounds = Bounds(truncation=args.truncation, width=args.width,
-                    equiv_budget=args.equiv_budget, dk_budget=args.dk_budget)
+                    equiv_budget=args.equiv_budget)
 
     def compute():
         if args.claim == "2.4i":
@@ -354,7 +353,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("dk-check", help="DK-equivalence certificate for a functor")
     p.add_argument("file")
-    p.add_argument("--budget", type=int, default=2_000_000)
     common(p)
 
     p = sub.add_parser("neglectable", help="neglectability of a marked subobject")
@@ -367,7 +365,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--truncation", type=int, default=1)
     p.add_argument("--width", type=int, default=4)
     p.add_argument("--equiv-budget", type=int, default=2_000_000)
-    p.add_argument("--dk-budget", type=int, default=2_000_000)
     common(p)
 
     return parser
@@ -405,3 +402,7 @@ def run(argv=None) -> int:
 
 def main() -> None:
     sys.exit(run())
+
+
+if __name__ == "__main__":
+    main()

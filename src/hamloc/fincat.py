@@ -7,7 +7,6 @@ Values are immutable after construction, so they are safe to share.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 from .errors import CompositionUnavailable, InputError

@@ -13,12 +13,18 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .errors import CompositionUnavailable, InputError
+from .errors import InputError
 from .fincat import CatFunctor, FiniteCategory, close_morphisms, validate_functor
-from .hammock import Localization, embed_morphism, width_zero
+from .hammock import Localization, embed_morphism
 from .relcat import RelativeCategory, RelativeFunctor
 from .scat import SimplicialFunctor, TruncatedSimplicialCategory
-from .simplicial import SimplicialOperator, apply_operator, compose_operators, monotone_maps
+from .simplicial import (
+    SimplicialOperator,
+    apply_operator,
+    compose_operators,
+    monotone_maps,
+    operator_steps,
+)
 
 
 def flat_object_name(base, level):
@@ -109,9 +115,8 @@ def flatten(a: TruncatedSimplicialCategory) -> Flattening:
             if (fb2, fn2) != (gb1, gn1):
                 continue
             carried = apply_operator(a.homs[(fb1, fb2)], gq, fa)
-            try:
-                simplex = a.compose(fb1, fb2, gb2, gn2, ga, carried)
-            except CompositionUnavailable:
+            simplex = a.composite(fb1, fb2, gb2, gn2, ga, carried)
+            if simplex is None:
                 overflows += 1
                 continue
             operator = compose_operators(gq, fq)
@@ -216,34 +221,16 @@ def operator_functor(d: SimplicialDiagram, op: SimplicialOperator) -> CatFunctor
     functor levels[target_dim] -> levels[source_dim]."""
     if op.target_dim > d.truncation or op.source_dim > d.truncation:
         raise InputError("operator exceeds diagram truncation")
-    current = None
-    level = op.target_dim
-
-    def apply(fun):
-        nonlocal current
-        current = fun if current is None else CatFunctor(
+    ident = d.levels[op.target_dim]
+    current = CatFunctor(ident, ident, {x: x for x in ident.objects},
+                         {m: m for m in ident.morphisms})
+    for kind, level, i in operator_steps(op):
+        fun = (d.face_functors if kind == "d" else d.degeneracy_functors)[(level, i)]
+        current = CatFunctor(
             current.source, fun.target,
             {x: fun.object_map[y] for x, y in current.object_map.items()},
             {m: fun.morphism_map[n] for m, n in current.morphism_map.items()},
         )
-
-    hit = sorted(set(op.images))
-    for j in sorted(set(range(op.target_dim + 1)) - set(hit), reverse=True):
-        apply(d.face_functors[(level, j)])
-        level -= 1
-    epi = [hit.index(v) for v in op.images]
-    degen_indices = []
-    while len(epi) > level + 1:
-        i = next(idx for idx in range(len(epi) - 1) if epi[idx] == epi[idx + 1])
-        degen_indices.append(i)
-        del epi[i + 1]
-    for i in reversed(degen_indices):
-        apply(d.degeneracy_functors[(level, i)])
-        level += 1
-    if current is None:
-        ident = d.levels[level]
-        current = CatFunctor(ident, ident, {x: x for x in ident.objects},
-                             {m: m for m in ident.morphisms})
     return current
 
 

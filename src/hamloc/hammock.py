@@ -229,6 +229,21 @@ def compose_hammocks(r: RelativeCategory, h2: Hammock, h1: Hammock) -> Hammock:
     return reduce_hammock(r, raw)
 
 
+def bounded_composite(r: RelativeCategory, g: Hammock, f: Hammock, w_max, enumerated):
+    """Name of the reduced composite of ``g`` after ``f``, or None when it
+    needs a composite ``r`` lacks or is wider than ``w_max``.  A result
+    missing from ``enumerated`` (the target's names) is inconsistent."""
+    try:
+        composed = compose_hammocks(r, g, f)
+    except CompositionUnavailable:
+        return None
+    if composed.width > w_max:
+        return None
+    if composed.name not in enumerated:
+        raise ConsistencyError("composite missing from enumeration")
+    return composed.name
+
+
 def embed_morphism(r: RelativeCategory, m, height: int = 0) -> Hammock:
     """The width-<=1 forward hammock on a morphism, degenerately tall."""
     if r.cat.is_identity(m):
@@ -674,7 +689,19 @@ def _degeneracy(ctx, h: Hammock, i) -> Hammock:
 # --- localization ------------------------------------------------------------
 
 
-class Localization:
+class _Bounded:
+    """The bounds block shared by both kinds of localization."""
+
+    def bounds_json(self):
+        return {
+            "truncation": self.truncation,
+            "width": self.w_max,
+            "verdict": self.verdict,
+            "overflows": self.overflows,
+        }
+
+
+class Localization(_Bounded):
     """Hammock localization data at a fixed truncation and width bound.
 
     Composition is materialized on demand (composites whose reduced form
@@ -714,22 +741,18 @@ class Localization:
     def pair(self, x, y) -> MappingSpace:
         return self.pairs[(x, y)]
 
-    def compose_simplices(self, x, y, z, level, g_name, f_name):
+    def composite(self, x, y, z, g_name, f_name):
         """Name of the composite simplex, or None on width overflow."""
-        f_h = self.pairs[(x, y)].by_name[f_name]
-        g_h = self.pairs[(y, z)].by_name[g_name]
-        try:
-            composed = compose_hammocks(self.relcat, g_h, f_h)
-        except CompositionUnavailable:
+        return bounded_composite(self.relcat, self.pairs[(y, z)].by_name[g_name],
+                                 self.pairs[(x, y)].by_name[f_name], self.w_max,
+                                 self.pairs[(x, z)].by_name)
+
+    def compose_simplices(self, x, y, z, level, g_name, f_name):
+        """As :meth:`composite`, counting overflows."""
+        name = self.composite(x, y, z, g_name, f_name)
+        if name is None:
             self.overflows += 1
-            return None
-        if composed.width > self.w_max:
-            self.overflows += 1
-            return None
-        target = self.pairs[(x, z)]
-        if composed.name not in target.by_name:
-            raise ConsistencyError("composite missing from enumeration")
-        return composed.name
+        return name
 
     def scat(self) -> scat_mod.TruncatedSimplicialCategory:
         if self.detail != "full":
@@ -745,17 +768,10 @@ class Localization:
             )
         return self._scat
 
-    def bounds_json(self):
-        return {
-            "truncation": self.truncation,
-            "width": self.w_max,
-            "verdict": self.verdict,
-            "overflows": self.overflows,
-        }
-
     def to_json(self, include_compose=True):
         """Simplicial-category JSON plus the bounds block.  Composites the
-        width bound cannot represent are omitted and counted."""
+        width bound cannot represent are omitted from the table, and the
+        bounds block counts them."""
         if self.detail != "full":
             raise InputError("serialization needs detail='full'")
         objects = [x for x in self.relcat.cat.objects]
@@ -769,25 +785,25 @@ class Localization:
         for (x, y), ms in sorted(self.pairs.items()):
             data["homs"][f"{x}|{y}"] = ms.sset.to_json()
             data["homs"][f"{x}|{y}"]["verdict"] = ms.verdict
+        omitted = 0
         if include_compose:
             compose = {}
-            for x in objects:
-                for y in objects:
-                    for z in objects:
-                        if (x, y) not in self.pairs or (y, z) not in self.pairs \
-                                or (x, z) not in self.pairs:
-                            continue
-                        for level in range(self.truncation + 1):
-                            for g in self.pairs[(y, z)].sset.level(level):
-                                for f in self.pairs[(x, y)].sset.level(level):
-                                    h = self.compose_simplices(x, y, z, level, g, f)
-                                    if h is None:
-                                        continue
-                                    compose.setdefault(f"{x}|{y}|{z}", {}).setdefault(
-                                        str(level), []
-                                    ).append([g, f, h])
+            for x, y, z in itertools.product(objects, repeat=3):
+                if (x, y) not in self.pairs or (y, z) not in self.pairs \
+                        or (x, z) not in self.pairs:
+                    continue
+                for level in range(self.truncation + 1):
+                    for g in self.pairs[(y, z)].sset.level(level):
+                        for f in self.pairs[(x, y)].sset.level(level):
+                            h = self.composite(x, y, z, g, f)
+                            if h is None:
+                                omitted += 1
+                                continue
+                            compose.setdefault(f"{x}|{y}|{z}", {}).setdefault(
+                                str(level), []
+                            ).append([g, f, h])
             data["compose"] = compose
-        data["bounds"] = self.bounds_json()
+        data["bounds"] = dict(self.bounds_json(), overflows=omitted)
         return data
 
 
@@ -797,65 +813,20 @@ def hammock_localization(r: RelativeCategory, truncation: int, w_max: int,
 
 
 def homotopy_category_of_localization(loc: Localization, wellcheck_cap: int = 6):
-    """Category of components of a localization, built from vertex
-    partitions; class composites come from minimal-width representatives
-    that stay inside the width bound."""
-    r = loc.relcat
-    objects = r.cat.objects
-    parts = {pair: ms.partition for pair, ms in loc.pairs.items()}
-
-    names, dom, cod, morphisms = {}, {}, {}, []
-    for x in objects:
-        for y in objects:
-            for k in range(len(parts[(x, y)].classes)):
-                name = f"{x}->{y}#{k}"
-                names[(x, y, k)] = name
-                morphisms.append(name)
-                dom[name] = x
-                cod[name] = y
-    identity = {}
-    for x in objects:
-        ident_class = parts[(x, x)].class_of[width_zero(x).name]
-        identity[x] = names[(x, x, ident_class)]
-
-    def reps(x, y, k):
-        ms = loc.pairs[(x, y)]
-        chosen = [h for h in ms.vertices if parts[(x, y)].class_of[h.name] == k]
-        return chosen[:wellcheck_cap]
-
-    table = {}
-    for x, y, z in itertools.product(objects, repeat=3):
-        part_xz = parts[(x, z)]
-        for k2 in range(len(parts[(y, z)].classes)):
-            for k1 in range(len(parts[(x, y)].classes)):
-                targets = set()
-                for g in reps(y, z, k2):
-                    for f in reps(x, y, k1):
-                        try:
-                            composed = compose_hammocks(r, g, f)
-                        except CompositionUnavailable:
-                            continue
-                        if composed.width > loc.w_max:
-                            continue
-                        targets.add(part_xz.class_of[composed.name])
-                if not targets:
-                    loc.overflows += 1
-                    raise CompositionUnavailable(
-                        f"no representative composite within width {loc.w_max} "
-                        f"at ({x},{y},{z})"
-                    )
-                if len(targets) > 1:
-                    raise ConsistencyError(
-                        f"component composition ill-defined at ({x},{y},{z})"
-                    )
-                table[(names[(y, z, k2)], names[(x, y, k1)])] = names[(x, z, targets.pop())]
-
-    cat = FiniteCategory(objects, morphisms, dom, cod, identity, table)
-    classmap = {
-        (x, y, h.name): names[(x, y, parts[(x, y)].class_of[h.name])]
-        for x in objects for y in objects for h in loc.pairs[(x, y)].vertices
-    }
-    return cat, classmap
+    """Category of components of a localization (see
+    :func:`scat.component_category`); class composites come from
+    representatives whose composite stays inside the width bound."""
+    try:
+        return scat_mod.component_category(
+            loc.relcat.cat.objects,
+            {pair: ms.partition for pair, ms in loc.pairs.items()},
+            {pair: [h.name for h in ms.vertices] for pair, ms in loc.pairs.items()},
+            {x: width_zero(x).name for x in loc.relcat.cat.objects},
+            loc.composite, wellcheck_cap,
+        )
+    except CompositionUnavailable:
+        loc.overflows += 1
+        raise
 
 
 def embed(r: RelativeCategory, loc: Localization) -> scat_mod.SimplicialFunctor:
@@ -885,7 +856,7 @@ def _map_hammock(rel_target: RelativeCategory, morphism_map, h: Hammock) -> Hamm
     return reduce_hammock(rel_target, raw)
 
 
-class RelscatLocalization:
+class RelscatLocalization(_Bounded):
     """Dimensionwise hammock localization of (ambient, sub), assembled as
     the diagonal of the level-by-level mapping spaces."""
 
@@ -962,16 +933,14 @@ class RelscatLocalization:
                 else "bound_limited")
 
     def compose_simplices(self, x, y, z, level, g_name, f_name):
-        rel = self.level_rel[level]
-        f_h = self.row_spaces[(x, y, level)].by_name[f_name]
-        g_h = self.row_spaces[(y, z, level)].by_name[g_name]
-        composed = compose_hammocks(rel, g_h, f_h)
-        if composed.width > self.w_max:
+        name = bounded_composite(
+            self.level_rel[level], self.row_spaces[(y, z, level)].by_name[g_name],
+            self.row_spaces[(x, y, level)].by_name[f_name], self.w_max,
+            self.row_spaces[(x, z, level)].by_name,
+        )
+        if name is None:
             self.overflows += 1
-            return None
-        if composed.name not in self.row_spaces[(x, z, level)].by_name:
-            raise ConsistencyError("composite missing from enumeration")
-        return composed.name
+        return name
 
     def scat(self) -> scat_mod.TruncatedSimplicialCategory:
         if self._scat is None:
@@ -981,14 +950,6 @@ class RelscatLocalization:
                 identities, composer=self.compose_simplices,
             )
         return self._scat
-
-    def bounds_json(self):
-        return {
-            "truncation": self.truncation,
-            "width": self.w_max,
-            "verdict": self.verdict,
-            "overflows": self.overflows,
-        }
 
 
 def hammock_localization_relscat(rs, truncation: int, w_max: int) -> RelscatLocalization:

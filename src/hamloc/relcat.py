@@ -12,7 +12,6 @@ from .fincat import (
     FiniteCategory,
     close_morphisms,
     validate_functor,
-    wide_subcategory_violations,
 )
 
 

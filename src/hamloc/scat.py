@@ -9,7 +9,7 @@ are the n-fold degeneracies of the level-0 identity.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import CompositionUnavailable, ConsistencyError, InputError
 from .fincat import (
@@ -17,11 +17,9 @@ from .fincat import (
     FiniteCategory,
     equivalence_from_functor,
     is_isomorphism,
-    iso_classes,
     validate_functor,
 )
 from .simplicial import (
-    Partition,
     TruncatedSimplicialSet,
     boundary_matrix,
     homology,
@@ -70,29 +68,22 @@ class TruncatedSimplicialCategory:
     def has_table(self) -> bool:
         return self.table is not None
 
-    def compose(self, x, y, z, level, g, f) -> str:
-        """g in hom(y,z)_level after f in hom(x,y)_level."""
-        if self.table is not None:
-            try:
-                return self.table[(x, y, z, level, g, f)]
-            except KeyError:
-                raise CompositionUnavailable(
-                    f"no composite at ({x},{y},{z}) level {level}"
-                ) from None
+    def composite(self, x, y, z, level, g, f):
+        """g in hom(y,z)_level after f in hom(x,y)_level, or None when the
+        composite is not represented."""
         key = (x, y, z, level, g, f)
+        if self.table is not None:
+            return self.table.get(key)
         if key not in self._cache:
-            self._cache[key] = self._composer(x, y, z, level, g, f)
-        result = self._cache[key]
+            self._cache[key] = self._composer(*key)
+        return self._cache[key]
+
+    def compose(self, x, y, z, level, g, f) -> str:
+        """As :meth:`composite`, raising CompositionUnavailable for None."""
+        result = self.composite(x, y, z, level, g, f)
         if result is None:
             raise CompositionUnavailable(f"no composite at ({x},{y},{z}) level {level}")
         return result
-
-    def composition_defined(self, x, y, z, level, g, f) -> bool:
-        try:
-            self.compose(x, y, z, level, g, f)
-            return True
-        except CompositionUnavailable:
-            return False
 
     def to_json(self):
         if self.table is None:
@@ -122,10 +113,15 @@ class TruncatedSimplicialCategory:
                 for level_str, entries in per_level.items():
                     for g, f, h in entries:
                         table[(x, y, z, int(level_str), g, f)] = h
-            return TruncatedSimplicialCategory(
-                data["objects"], data["truncation"], homs, data["identities"], table
-            )
-        except (KeyError, TypeError, ValueError) as exc:
+            args = (data["objects"], data["truncation"], homs, data["identities"])
+            if data.get("bounds", {}).get("overflows", 0) > 0:
+                # a width-bounded localization omits the composites it
+                # cannot represent: absent means not represented
+                return TruncatedSimplicialCategory(
+                    *args, composer=lambda *key: table.get(key)
+                )
+            return TruncatedSimplicialCategory(*args, table)
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
             raise InputError(f"malformed simplicial-category JSON: {exc}") from exc
 
 
@@ -155,7 +151,10 @@ def promote(c: FiniteCategory, truncation: int = 2) -> TruncatedSimplicialCatego
 
 def validate_scat(a: TruncatedSimplicialCategory) -> list[str]:
     """Hom presheaves, levelwise category laws, and the requirement that
-    composition is a simplicial map.  Table-backed only."""
+    composition is a simplicial map.  A table-backed category must compose
+    every composable pair; a composer-backed one (a width-bounded
+    localization) represents only some composites, and the laws are
+    checked wherever every composite involved is present."""
     report = []
     for x in a.objects:
         for y in a.objects:
@@ -164,16 +163,19 @@ def validate_scat(a: TruncatedSimplicialCategory) -> list[str]:
                 continue
             for line in validate_sset(a.homs[(x, y)]):
                 report.append(f"hom ({x},{y}): {line}")
-    if report or not a.has_table():
+    if report:
         return report
     N = a.truncation
+    comp = a.composite
     for x, y, z in itertools.product(a.objects, repeat=3):
         for level in range(N + 1):
             for g in a.homs[(y, z)].level(level):
                 for f in a.homs[(x, y)].level(level):
-                    h = a.table.get((x, y, z, level, g, f))
+                    h = comp(x, y, z, level, g, f)
                     if h is None:
-                        report.append(f"missing composite ({x},{y},{z}) level {level}: ({g},{f})")
+                        if a.has_table():
+                            report.append(
+                                f"missing composite ({x},{y},{z}) level {level}: ({g},{f})")
                     elif not a.homs[(x, z)].has_simplex(level, h):
                         report.append(f"composite not in hom ({x},{z}) level {level}: ({g},{f})")
     if report:
@@ -183,43 +185,48 @@ def validate_scat(a: TruncatedSimplicialCategory) -> list[str]:
             idx = a.identity_at(x, level)
             idy = a.identity_at(y, level)
             for f in a.homs[(x, y)].level(level):
-                if a.table[(x, y, y, level, idy, f)] != f:
+                if comp(x, y, y, level, idy, f) not in (None, f):
                     report.append(f"unit: id.{f} at ({x},{y}) level {level}")
-                if a.table[(x, x, y, level, f, idx)] != f:
+                if comp(x, x, y, level, f, idx) not in (None, f):
                     report.append(f"unit: {f}.id at ({x},{y}) level {level}")
     for w, x, y, z in itertools.product(a.objects, repeat=4):
         for level in range(N + 1):
             for h in a.homs[(y, z)].level(level):
                 for g in a.homs[(x, y)].level(level):
-                    hg = a.table[(x, y, z, level, h, g)]
+                    hg = comp(x, y, z, level, h, g)
                     for f in a.homs[(w, x)].level(level):
-                        gf = a.table[(w, x, y, level, g, f)]
-                        if a.table[(w, x, z, level, hg, f)] != a.table[(w, y, z, level, h, gf)]:
+                        gf = comp(w, x, y, level, g, f)
+                        if hg is None or gf is None:
+                            continue
+                        left = comp(w, x, z, level, hg, f)
+                        right = comp(w, y, z, level, h, gf)
+                        if None not in (left, right) and left != right:
                             report.append(f"associativity at level {level}: ({h},{g},{f})")
     for x, y, z in itertools.product(a.objects, repeat=3):
         hom_xy, hom_yz, hom_xz = a.homs[(x, y)], a.homs[(y, z)], a.homs[(x, z)]
         for level in range(1, N + 1):
             for g in hom_yz.level(level):
                 for f in hom_xy.level(level):
-                    h = a.table[(x, y, z, level, g, f)]
+                    h = comp(x, y, z, level, g, f)
+                    if h is None:
+                        continue
                     for i in range(level + 1):
-                        expect = a.table[
-                            (x, y, z, level - 1, hom_yz.face(level, i, g), hom_xy.face(level, i, f))
-                        ]
-                        if hom_xz.face(level, i, h) != expect:
+                        expect = comp(x, y, z, level - 1,
+                                      hom_yz.face(level, i, g), hom_xy.face(level, i, f))
+                        if expect is not None and hom_xz.face(level, i, h) != expect:
                             report.append(
                                 f"composition not simplicial (d_{i}) at ({x},{y},{z}) level {level}"
                             )
         for level in range(N):
             for g in hom_yz.level(level):
                 for f in hom_xy.level(level):
-                    h = a.table[(x, y, z, level, g, f)]
+                    h = comp(x, y, z, level, g, f)
+                    if h is None:
+                        continue
                     for i in range(level + 1):
-                        expect = a.table[
-                            (x, y, z, level + 1,
-                             hom_yz.degeneracy(level, i, g), hom_xy.degeneracy(level, i, f))
-                        ]
-                        if hom_xz.degeneracy(level, i, h) != expect:
+                        expect = comp(x, y, z, level + 1,
+                                      hom_yz.degeneracy(level, i, g), hom_xy.degeneracy(level, i, f))
+                        if expect is not None and hom_xz.degeneracy(level, i, h) != expect:
                             report.append(
                                 f"composition not simplicial (s_{i}) at ({x},{y},{z}) level {level}"
                             )
@@ -229,58 +236,47 @@ def validate_scat(a: TruncatedSimplicialCategory) -> list[str]:
 # --- homotopy category ------------------------------------------------------
 
 
-def _class_name(x, y, k):
-    return f"{x}->{y}#{k}"
-
-
-def homotopy_category_data(a: TruncatedSimplicialCategory, wellcheck_cap: int = 8):
+def component_category(objects, parts, members, identities, compose, wellcheck_cap):
     """The category of components, plus the simplex-to-class map.
 
-    Composition on classes is induced from representatives; every pair of
-    representatives up to ``wellcheck_cap`` per class is checked to land
-    in the same class (ill-definedness raises ConsistencyError, missing
-    composites raise CompositionUnavailable).
+    ``parts[(x, y)]`` partitions the level-0 simplices ``members[(x, y)]``
+    (in order) of hom(x, y); ``identities[x]`` is the identity simplex of
+    x; ``compose(x, y, z, g, f)`` names the level-0 composite, or is None
+    when it is not represented.  Composition on classes is induced from
+    the first ``wellcheck_cap`` members per class; all their composites
+    must land in one class (ill-definedness raises ConsistencyError, no
+    represented composite raises CompositionUnavailable).
     """
-    if a.truncation < 1:
-        raise InputError("homotopy category needs truncation >= 1")
-    parts = {}
-    for x in a.objects:
-        for y in a.objects:
-            parts[(x, y)] = pi0(a.homs[(x, y)])
-
     names, dom, cod, morphisms = {}, {}, {}, []
-    for x in a.objects:
-        for y in a.objects:
+    reps = {}
+    for x in objects:
+        for y in objects:
+            class_of = parts[(x, y)].class_of
             for k in range(len(parts[(x, y)].classes)):
-                name = _class_name(x, y, k)
+                name = f"{x}->{y}#{k}"
                 names[(x, y, k)] = name
                 morphisms.append(name)
                 dom[name] = x
                 cod[name] = y
-    identity = {
-        x: names[(x, x, parts[(x, x)].class_of[a.identities[x]])] for x in a.objects
-    }
-
-    def reps(x, y, k):
-        members = [s for s in a.homs[(x, y)].level(0) if parts[(x, y)].class_of[s] == k]
-        return members[:wellcheck_cap]
+                reps[(x, y, k)] = []
+            for s in members[(x, y)]:
+                chosen = reps[(x, y, class_of[s])]
+                if len(chosen) < wellcheck_cap:
+                    chosen.append(s)
+    identity = {x: names[(x, x, parts[(x, x)].class_of[identities[x]])] for x in objects}
 
     table = {}
-    for x, y, z in itertools.product(a.objects, repeat=3):
-        part_xz = parts[(x, z)]
+    for x, y, z in itertools.product(objects, repeat=3):
+        class_of = parts[(x, z)].class_of
         for k2 in range(len(parts[(y, z)].classes)):
             for k1 in range(len(parts[(x, y)].classes)):
                 targets = set()
-                composed_any = False
-                for g in reps(y, z, k2):
-                    for f in reps(x, y, k1):
-                        try:
-                            h = a.compose(x, y, z, 0, g, f)
-                        except CompositionUnavailable:
-                            continue
-                        composed_any = True
-                        targets.add(part_xz.class_of[h])
-                if not composed_any:
+                for g in reps[(y, z, k2)]:
+                    for f in reps[(x, y, k1)]:
+                        h = compose(x, y, z, g, f)
+                        if h is not None:
+                            targets.add(class_of[h])
+                if not targets:
                     raise CompositionUnavailable(
                         f"no representative composite at ({x},{y},{z}) classes ({k2},{k1})"
                     )
@@ -290,11 +286,26 @@ def homotopy_category_data(a: TruncatedSimplicialCategory, wellcheck_cap: int = 
                     )
                 table[(names[(y, z, k2)], names[(x, y, k1)])] = names[(x, z, targets.pop())]
 
-    cat = FiniteCategory(a.objects, morphisms, dom, cod, identity, table)
+    cat = FiniteCategory(objects, morphisms, dom, cod, identity, table)
     classmap = {
         (x, y, s): names[(x, y, parts[(x, y)].class_of[s])]
-        for x in a.objects for y in a.objects for s in a.homs[(x, y)].level(0)
+        for x in objects for y in objects for s in members[(x, y)]
     }
+    return cat, classmap
+
+
+def homotopy_category_data(a: TruncatedSimplicialCategory, wellcheck_cap: int = 8):
+    """The category of components, the simplex-to-class map and the
+    per-pair partitions (see :func:`component_category`)."""
+    if a.truncation < 1:
+        raise InputError("homotopy category needs truncation >= 1")
+    parts = {(x, y): pi0(a.homs[(x, y)]) for x in a.objects for y in a.objects}
+
+    members = {pair: a.homs[pair].level(0) for pair in parts}
+    cat, classmap = component_category(
+        a.objects, parts, members, a.identities,
+        lambda x, y, z, g, f: a.composite(x, y, z, 0, g, f), wellcheck_cap,
+    )
     return cat, classmap, parts
 
 
@@ -507,18 +518,16 @@ def validate_simplicial_functor(fun: SimplicialFunctor, composition_cap: int = 4
                 for f in src.homs[(x, y)].level(level):
                     if checked >= composition_cap:
                         return report
-                    try:
-                        h = src.compose(x, y, z, level, g, f)
-                    except CompositionUnavailable:
+                    h = src.composite(x, y, z, level, g, f)
+                    if h is None:
                         continue
                     checked += 1
-                    try:
-                        image = tgt.compose(
-                            fx, fy, fz, level,
-                            fun.simplex_map[(y, z, level, g)],
-                            fun.simplex_map[(x, y, level, f)],
-                        )
-                    except CompositionUnavailable:
+                    image = tgt.composite(
+                        fx, fy, fz, level,
+                        fun.simplex_map[(y, z, level, g)],
+                        fun.simplex_map[(x, y, level, f)],
+                    )
+                    if image is None:
                         report.append(
                             f"composite not representable in target at ({x},{y},{z}) level {level}"
                         )
@@ -765,9 +774,8 @@ def level_category(a: TruncatedSimplicialCategory, n: int) -> FiniteCategory:
     for x, y, z in itertools.product(a.objects, repeat=3):
         for g in a.homs[(y, z)].level(n):
             for f in a.homs[(x, y)].level(n):
-                try:
-                    h = a.compose(x, y, z, n, g, f)
-                except CompositionUnavailable:
+                h = a.composite(x, y, z, n, g, f)
+                if h is None:
                     continue
                 table[(level_morphism_name(y, z, g), level_morphism_name(x, y, f))] = (
                     level_morphism_name(x, z, h)

@@ -12,7 +12,6 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
 
 from .errors import InputError
 from .fincat import CatFunctor, FiniteCategory
@@ -225,21 +224,16 @@ def validate_sset(x: TruncatedSimplicialSet) -> list[str]:
     return report
 
 
-def apply_operator(x: TruncatedSimplicialSet, op: SimplicialOperator, name):
-    """Act on a level-``target_dim`` simplex, landing in ``source_dim``.
-
-    Factors the operator as faces (largest missing vertex first) followed
-    by degeneracies, the canonical epi-mono decomposition.
-    """
-    if op.target_dim > x.truncation or op.source_dim > x.truncation:
-        raise InputError("operator exceeds truncation")
-    if not x.has_simplex(op.target_dim, name):
-        raise InputError(f"unknown simplex {name!r} at level {op.target_dim}")
+def operator_steps(op: SimplicialOperator) -> list:
+    """The canonical epi-mono factorization of ``op`` as generator steps
+    ``(kind, level, i)`` in the order they act: faces ``"d"`` (largest
+    missing vertex first), then degeneracies ``"s"``; ``level`` is the
+    dimension the step acts on."""
     hit = sorted(set(op.images))
-    current = name
+    steps = []
     k = op.target_dim
     for j in sorted(set(range(op.target_dim + 1)) - set(hit), reverse=True):
-        current = x.face(k, j, current)
+        steps.append(("d", k, j))
         k -= 1
     epi = [hit.index(v) for v in op.images]
     degen_indices = []
@@ -248,9 +242,20 @@ def apply_operator(x: TruncatedSimplicialSet, op: SimplicialOperator, name):
         degen_indices.append(i)
         del epi[i + 1]
     for i in reversed(degen_indices):
-        current = x.degeneracy(k, i, current)
+        steps.append(("s", k, i))
         k += 1
-    return current
+    return steps
+
+
+def apply_operator(x: TruncatedSimplicialSet, op: SimplicialOperator, name):
+    """Act on a level-``target_dim`` simplex, landing in ``source_dim``."""
+    if op.target_dim > x.truncation or op.source_dim > x.truncation:
+        raise InputError("operator exceeds truncation")
+    if not x.has_simplex(op.target_dim, name):
+        raise InputError(f"unknown simplex {name!r} at level {op.target_dim}")
+    for kind, k, i in operator_steps(op):
+        name = x.face(k, i, name) if kind == "d" else x.degeneracy(k, i, name)
+    return name
 
 
 # --- nerve ----------------------------------------------------------------
@@ -390,15 +395,6 @@ def pi0(x: TruncatedSimplicialSet) -> Partition:
 
 
 # --- integral homology ----------------------------------------------------
-
-
-def _xgcd(a, b):
-    x0, x1, y0, y1 = 1, 0, 0, 1
-    while b:
-        q, a, b = a // b, b, a % b
-        x0, x1 = x1, x0 - q * x1
-        y0, y1 = y1, y0 - q * y1
-    return a, x0, y0
 
 
 def smith_diagonal(rows: list) -> list:

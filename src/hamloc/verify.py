@@ -15,12 +15,10 @@ stability verdicts in the outcomes as approximation caveats.
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import CompositionUnavailable, ConsistencyError, InputError
 from .fincat import (
-    CatFunctor,
     FiniteCategory,
     find_equivalence,
     subcategory_span,
@@ -29,15 +27,14 @@ from .fincat import (
 )
 from .flatten import flatten, relativization_unit
 from .hammock import (
-    embed,
     embed_morphism,
     embed_relscat,
     hammock_localization,
     hammock_localization_relscat,
     homotopy_category_of_localization,
 )
-from .jsonio import canonical_dumps, content_key
-from .relcat import RelativeCategory, RelativeFunctor, validate_relative, validate_relative_functor
+from .jsonio import content_key
+from .relcat import RelativeCategory, validate_relative, validate_relative_functor
 from .scat import (
     RelativeSimplicialCategory,
     SimplicialFunctor,
@@ -54,7 +51,6 @@ class Bounds:
     width: int = 4
     equiv_budget: int = 2_000_000
     dk_budget: int = 2_000_000
-    zigzag_bound: int = 3
 
     def to_json(self):
         return {
@@ -62,7 +58,6 @@ class Bounds:
             "width": self.width,
             "equiv_budget": self.equiv_budget,
             "dk_budget": self.dk_budget,
-            "zigzag_bound": self.zigzag_bound,
         }
 
 
@@ -332,160 +327,3 @@ def check_32(r: RelativeCategory, bounds: Bounds) -> ExperimentReport:
     witness = cert.to_json() if cert.verdict == "fail" else None
     return ExperimentReport("3.2", inputs, bounds.to_json(), outcomes, verdict, witness)
 
-
-# --- natural weak equivalence search -----------------------------------------
-
-
-def _all_relative_functors(source: RelativeCategory, target: RelativeCategory, budget):
-    """Every weak-equivalence-preserving functor source -> target, by
-    backtracking; stops raising _Exhausted when the budget runs out."""
-    src, tgt = source.cat, target.cat
-    found = []
-    spent = [0]
-
-    def spend():
-        spent[0] += 1
-        if spent[0] > budget:
-            raise _SearchBudget
-
-    def object_maps(k, omap):
-        if k == len(src.objects):
-            yield dict(omap)
-            return
-        x = src.objects[k]
-        for y in tgt.objects:
-            spend()
-            omap[x] = y
-            yield from object_maps(k + 1, omap)
-            del omap[x]
-
-    for omap in object_maps(0, {}):
-        mmap = {}
-        for x in src.objects:
-            mmap[src.identity[x]] = tgt.identity[omap[x]]
-        order = [m for m in src.morphisms if m not in mmap]
-
-        def assign(k):
-            if k == len(order):
-                fun = CatFunctor(src, tgt, dict(omap), dict(mmap))
-                rf = RelativeFunctor(fun, source, target)
-                if not validate_relative_functor(rf):
-                    found.append(rf)
-                return
-            m = order[k]
-            for t in tgt.hom(omap[src.dom[m]], omap[src.cod[m]]):
-                spend()
-                if m in source.weq and t not in target.weq:
-                    continue
-                mmap[m] = t
-                ok = True
-                for n, nv in list(mmap.items()):
-                    for a, b, av, bv in ((m, n, t, nv), (n, m, nv, t)):
-                        if src.cod[b] == src.dom[a]:
-                            comp = src.table[(a, b)]
-                            if comp in mmap and mmap[comp] != tgt.table[(av, bv)]:
-                                ok = False
-                if ok:
-                    assign(k + 1)
-                del mmap[m]
-
-        assign(0)
-    return found
-
-
-class _SearchBudget(Exception):
-    pass
-
-
-def _weq_transformation_exists(source, target, f: RelativeFunctor, g: RelativeFunctor, budget_cell):
-    """Is there a natural transformation f => g with every component a
-    weak equivalence?"""
-    src, tgt = source.cat, target.cat
-    objs = src.objects
-
-    def candidates(x):
-        return [
-            w for w in tgt.hom(f.underlying.object_map[x], g.underlying.object_map[x])
-            if w in target.weq
-        ]
-
-    def assign(k, eta):
-        if k == len(objs):
-            return True
-        x = objs[k]
-        for w in candidates(x):
-            budget_cell[0] += 1
-            if budget_cell[0] > budget_cell[1]:
-                raise _SearchBudget
-            eta[x] = w
-            ok = True
-            for m in src.morphisms:
-                a, b = src.dom[m], src.cod[m]
-                if a in eta and b in eta:
-                    lhs = tgt.table[(eta[b], f.underlying.morphism_map[m])]
-                    rhs = tgt.table[(g.underlying.morphism_map[m], eta[a])]
-                    if lhs != rhs:
-                        ok = False
-                        break
-            if ok and assign(k + 1, eta):
-                return True
-            del eta[x]
-        return False
-
-    return assign(0, {})
-
-
-def naturally_weakly_equivalent(f: RelativeFunctor, g: RelativeFunctor,
-                                zigzag_bound: int = 3, budget: int = 200_000):
-    """Breadth-first search for a finite zigzag of natural weak
-    equivalences connecting two relative functors."""
-    if f.source != g.source or f.target != g.target:
-        raise InputError("functors must share source and target")
-    for name, fun in (("f", f), ("g", g)):
-        bad = validate_relative_functor(fun)
-        if bad:
-            raise InputError(f"{name} is not a relative functor: {bad[0]}")
-
-    def key(rf):
-        return (tuple(sorted(rf.underlying.object_map.items())),
-                tuple(sorted(rf.underlying.morphism_map.items())))
-
-    if key(f) == key(g):
-        return {"status": "found", "length": 0, "chain": [key(f)]}
-
-    try:
-        functors = _all_relative_functors(f.source, f.target, budget)
-    except _SearchBudget:
-        return {"status": "not-found-within-bounds", "reason": "functor enumeration budget"}
-    by_key = {key(rf): rf for rf in functors}
-    by_key.setdefault(key(f), f)
-    by_key.setdefault(key(g), g)
-
-    budget_cell = [0, budget]
-    frontier = [key(f)]
-    seen = {key(f): [key(f)]}
-    try:
-        for _ in range(zigzag_bound):
-            fresh = []
-            for current in frontier:
-                for other in by_key:
-                    if other in seen:
-                        continue
-                    cf, co = by_key[current], by_key[other]
-                    linked = (
-                        _weq_transformation_exists(f.source, f.target, cf, co, budget_cell)
-                        or _weq_transformation_exists(f.source, f.target, co, cf, budget_cell)
-                    )
-                    if linked:
-                        seen[other] = seen[current] + [other]
-                        if other == key(g):
-                            return {"status": "found",
-                                    "length": len(seen[other]) - 1,
-                                    "chain": list(seen[other])}
-                        fresh.append(other)
-            frontier = fresh
-            if not frontier:
-                break
-    except _SearchBudget:
-        return {"status": "not-found-within-bounds", "reason": "transformation budget"}
-    return {"status": "not-found-within-bounds", "reason": "no zigzag within bounds"}

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -66,6 +69,33 @@ class TestValidate:
     def test_missing_file_exits_two(self, files):
         assert run(["validate", files["dir"] + "/nope.json"]) == 2
 
+    def test_localize_output_validates(self, files, tmp_path):
+        out = str(tmp_path / "loc.json")
+        assert run(["localize", files["walking-weq.json"], "--truncation", "1",
+                    "--width", "4", "--out", out]) == 0
+        assert run(["validate", out]) == 0
+
+    def test_scat_missing_one_composite_exits_two(self, tmp_path, capsys):
+        data = promote(inst.walking_arrow(), 1).to_json()
+        data["compose"]["X|X|Y"]["0"].pop()
+        path = tmp_path / "partial.json"
+        write_canonical(path, data)
+        assert run(["validate", str(path)]) == 2
+        assert "missing composite" in _capture(capsys)
+        assert run(["flatten", str(path)]) == 2
+
+
+class TestModuleEntryPoint:
+    @pytest.mark.parametrize("module", ["hamloc", "hamloc.cli"])
+    def test_python_m_runs_the_cli(self, files, module):
+        env = dict(os.environ)
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        for name, code in (("terminal.json", 0), ("broken.json", 2)):
+            done = subprocess.run([sys.executable, "-m", module, "validate", files[name]],
+                                  env=env, capture_output=True, text=True)
+            assert done.returncode == code, done.stderr
+
 
 class TestLocalize:
     def test_width_one_is_bound_limited(self, files):
@@ -128,6 +158,14 @@ class TestSimplicialCommands:
         data = json.loads(_capture(capsys))
         assert "provenance" in data
         assert data["provenance"]["truncation"] == 1
+
+    def test_flatten_accepts_localize_output(self, files, tmp_path, capsys):
+        out = str(tmp_path / "loc.json")
+        assert run(["localize", files["walking-weq.json"], "--truncation", "1",
+                    "--width", "4", "--out", out]) == 0
+        _capture(capsys)
+        assert run(["flatten", out]) == 0
+        assert json.loads(_capture(capsys))["provenance"]["overflows"] > 0
 
 
 class TestDkAndNeglectable:

@@ -5,6 +5,7 @@ import pytest
 from hamloc import instances as inst
 from hamloc.errors import InputError
 from hamloc.fincat import find_equivalence, is_isomorphism, validate_category
+from hamloc.flatten import flatten
 from hamloc.hammock import (
     Hammock,
     compose_hammocks,
@@ -210,6 +211,14 @@ class TestLocalization:
             )
             assert got == fun.simplex_map[(x, z, 0, h)]
         assert loc.overflows == 0
+
+    def test_serialized_overflows_do_not_depend_on_history(self):
+        loc = hammock_localization(inst.walking_weq(), 1, 4)
+        first = loc.to_json()["bounds"]["overflows"]
+        second = loc.to_json()["bounds"]["overflows"]
+        flatten(loc.scat())
+        third = loc.to_json()["bounds"]["overflows"]
+        assert first == second == third == 232
 
     def test_terminal_localization_terminal(self):
         loc = hammock_localization(inst.terminal_relative(), 2, 3)

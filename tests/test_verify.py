@@ -2,9 +2,8 @@ import pytest
 
 from hamloc import instances as inst
 from hamloc.errors import InputError
-from hamloc.fincat import CatFunctor, FiniteCategory
 from hamloc.jsonio import canonical_dumps
-from hamloc.relcat import RelativeCategory, RelativeFunctor
+from hamloc.relcat import RelativeCategory
 from hamloc.scat import RelativeSimplicialCategory, promote, sub_from_morphisms
 from hamloc.verify import (
     Bounds,
@@ -12,7 +11,6 @@ from hamloc.verify import (
     check_24ii,
     check_32,
     check_roundtrip,
-    naturally_weakly_equivalent,
 )
 
 BOUNDS = Bounds(truncation=1, width=4)
@@ -123,59 +121,12 @@ class TestCheck32:
         assert by_check["DK certificate"] == "pass_partial"
 
 
-def _functor_to(ww, obj, mor):
-    term = inst.terminal_relative()
-    fun = CatFunctor(term.cat, ww.cat, {"*": obj}, {"id*": mor})
-    return RelativeFunctor(fun, term, ww)
-
-
-class TestNaturallyWeaklyEquivalent:
-    def test_equal_functors_zigzag_zero(self):
-        ww = inst.walking_weq()
-        f = _functor_to(ww, "X", "idX")
-        out = naturally_weakly_equivalent(f, f)
-        assert out["status"] == "found"
-        assert out["length"] == 0
-
-    def test_weq_component_connects_endpoints(self):
-        ww = inst.walking_weq()
-        f = _functor_to(ww, "X", "idX")
-        g = _functor_to(ww, "Y", "idY")
-        out = naturally_weakly_equivalent(f, g)
-        assert out["status"] == "found"
-        assert out["length"] == 1
-
-    def test_discrete_targets_disconnected(self):
-        c = inst.discrete(2)
-        target = RelativeCategory(c, c.identity.values())
-        term = inst.terminal_relative()
-        f = RelativeFunctor(CatFunctor(term.cat, c, {"*": "X0"}, {"id*": "idX0"}),
-                            term, target)
-        g = RelativeFunctor(CatFunctor(term.cat, c, {"*": "X1"}, {"id*": "idX1"}),
-                            term, target)
-        out = naturally_weakly_equivalent(f, g)
-        assert out["status"] == "not-found-within-bounds"
-
-    def test_arrow_without_marking_disconnects(self):
-        wa = inst.walking_arrow_relative()  # weq = ids only
-        f = _functor_to(wa, "X", "idX")
-        g = _functor_to(wa, "Y", "idY")
-        out = naturally_weakly_equivalent(f, g)
-        assert out["status"] == "not-found-within-bounds"
-
-    def test_source_target_mismatch_rejected(self):
-        ww = inst.walking_weq()
-        f = _functor_to(ww, "X", "idX")
-        g = _functor_to(inst.walking_arrow_relative(), "X", "idX")
-        with pytest.raises(InputError):
-            naturally_weakly_equivalent(f, g)
-
-
 class TestReportShape:
     def test_bounds_recorded(self):
         report = check_32(inst.terminal_relative(), BOUNDS)
         assert report.bounds["truncation"] == 1
         assert report.bounds["width"] == 4
+        assert "zigzag_bound" not in report.bounds
 
     def test_render_mentions_verdict(self):
         report = check_roundtrip(inst.terminal_relative(), BOUNDS)
