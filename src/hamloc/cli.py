@@ -248,8 +248,12 @@ def _cmd_dk_check(args):
             return load_json(base / ref)
         return ref
 
-    source = TruncatedSimplicialCategory.from_json(resolve(data["source"]))
-    target = TruncatedSimplicialCategory.from_json(resolve(data["target"]))
+    try:
+        source_ref, target_ref = data["source"], data["target"]
+    except (KeyError, TypeError) as exc:
+        raise InputError(f"a functor file needs source and target: {exc!r}") from exc
+    source = TruncatedSimplicialCategory.from_json(resolve(source_ref))
+    target = TruncatedSimplicialCategory.from_json(resolve(target_ref))
     fun = simplicial_functor_from_json(data, source, target)
     cert = check_dk(fun)
     _emit(args, cert.to_json(), f"certificate: {cert.verdict}")

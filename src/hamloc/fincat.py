@@ -487,6 +487,12 @@ def find_equivalence(c1: FiniteCategory, c2: FiniteCategory, budget: int = 1_000
         mmap = {}
         used = {}  # (x, y) -> set of used targets in that source cell
 
+        def undo(done):
+            for dd in done:
+                cell = (c1.dom[dd], c1.cod[dd])
+                used[cell].discard(mmap[dd])
+                del mmap[dd]
+
         def forced(m, val):
             """Assign with propagation; returns rollback list or None on clash."""
             stack = [(m, val)]
@@ -495,24 +501,13 @@ def find_equivalence(c1: FiniteCategory, c2: FiniteCategory, budget: int = 1_000
                 mm, vv = stack.pop()
                 if mm in mmap:
                     if mmap[mm] != vv:
-                        for dd in done:
-                            cell = (c1.dom[dd], c1.cod[dd])
-                            used[cell].discard(mmap[dd])
-                            del mmap[dd]
+                        undo(done)
                         return None
                     continue
                 cell = (c1.dom[mm], c1.cod[mm])
-                if c2.dom[vv] != omap[cell[0]] or c2.cod[vv] != omap[cell[1]]:
-                    vvok = False
-                elif vv in used.setdefault(cell, set()):
-                    vvok = False
-                else:
-                    vvok = True
-                if not vvok:
-                    for dd in done:
-                        dcell = (c1.dom[dd], c1.cod[dd])
-                        used[dcell].discard(mmap[dd])
-                        del mmap[dd]
+                if c2.dom[vv] != omap[cell[0]] or c2.cod[vv] != omap[cell[1]] \
+                        or vv in used.setdefault(cell, set()):
+                    undo(done)
                     return None
                 mmap[mm] = vv
                 used[cell].add(vv)
@@ -523,19 +518,10 @@ def find_equivalence(c1: FiniteCategory, c2: FiniteCategory, budget: int = 1_000
                             comp = c1.table[(a, b)]
                             tcomp = c2.table.get((av, bv))
                             if tcomp is None:
-                                for dd in done:
-                                    dcell = (c1.dom[dd], c1.cod[dd])
-                                    used[dcell].discard(mmap[dd])
-                                    del mmap[dd]
+                                undo(done)
                                 return None
                             stack.append((comp, tcomp))
             return done
-
-        def undo(done):
-            for dd in done:
-                cell = (c1.dom[dd], c1.cod[dd])
-                used[cell].discard(mmap[dd])
-                del mmap[dd]
 
         seed = []
         for x in c1.objects:

@@ -7,6 +7,14 @@ and end triangle commutes.  Reduced hammocks (no all-identity column,
 adjacent columns alternate) are the canonical forms; the k-simplices of
 a mapping space are the reduced hammocks of height k.
 
+One routine, :func:`_normal_form`, reduces grids (Dwyer-Kan: delete
+all-identity columns, merge equal-direction neighbours).  It works on
+plain ``(directions, rows, layers)`` tuples; composition, faces, the
+entrywise maps of the dimensionwise localization and the ``pi0`` row
+cache call it, and only its results become :class:`Hammock` objects.
+Along an alternating pattern a grid is reduced exactly when the identity
+bitmasks of its rows (:func:`_identity_mask`) share no bit.
+
 Width is the one genuine approximation: enumeration is exhaustive up to
 ``w_max`` columns, faces and reduction only shrink width, and a
 stabilization verdict (component partitions agree at w_max-1 and w_max)
@@ -48,7 +56,7 @@ class Hammock:
             if len(layer) != max(width - 1, 0):
                 raise InputError("vertical layer width mismatch")
         self.key = (self.source, self.sink, self.directions, self.rows, self.verticals)
-        self.name = repr((self.directions, self.rows, self.verticals))
+        self.name = hammock_name(self.directions, self.rows, self.verticals)
         self._hash = hash(self.key)
 
     @property
@@ -67,6 +75,11 @@ class Hammock:
 
     def __repr__(self):
         return f"Hammock({self.source}->{self.sink}, w={self.width}, h={self.height})"
+
+
+def hammock_name(directions, rows, verticals) -> str:
+    """The simplex name of a hammock with these (tuple) entries."""
+    return repr((directions, rows, verticals))
 
 
 def width_zero(x, height=0) -> Hammock:
@@ -143,71 +156,64 @@ def validate_hammock(r: RelativeCategory, h: Hammock) -> list[str]:
     return report
 
 
-def _delete_column(c: FiniteCategory, h: Hammock, col) -> Hammock:
-    width = h.width
-    directions = h.directions[:col] + h.directions[col + 1:]
-    rows = tuple(row[:col] + row[col + 1:] for row in h.rows)
-    if width == 1:
-        verticals = tuple(() for _ in h.verticals)
-    elif col == 0:
-        for layer in h.verticals:
-            if not c.is_identity(layer[0]):
-                raise ConsistencyError("boundary identity column with non-identity vertical")
-        verticals = tuple(layer[1:] for layer in h.verticals)
-    elif col == width - 1:
-        for layer in h.verticals:
-            if not c.is_identity(layer[-1]):
-                raise ConsistencyError("boundary identity column with non-identity vertical")
-        verticals = tuple(layer[:-1] for layer in h.verticals)
-    else:
-        for layer in h.verticals:
-            if layer[col - 1] != layer[col]:
-                raise ConsistencyError("identity column flanked by unequal verticals")
-        verticals = tuple(layer[:col] + layer[col + 1:] for layer in h.verticals)
-    source = h.source
-    if width == 1:
-        # the single remaining vertex line collapses onto the shared ends
-        return Hammock(source, source, directions, rows, verticals)
-    return Hammock(source, h.sink, directions, rows, verticals)
-
-
-def _merge_columns(c: FiniteCategory, h: Hammock, col) -> Hammock:
-    d = h.directions[col]
-    directions = h.directions[:col] + (d,) + h.directions[col + 2:]
-    rows = []
-    for row in h.rows:
-        if d == "f":
-            merged = c.compose(row[col + 1], row[col])
+def _normal_form(cat: FiniteCategory, directions, rows, layers, strategy="leftmost"):
+    """The reduced normal form of a grid given as plain tuples: delete
+    all-identity columns and merge equal-direction neighbours until
+    neither applies.  The move is the leftmost one (a deletion before a
+    merge at the same column) or the rightmost one (a merge first); the
+    normal form does not depend on the order.  ``layers`` may be empty,
+    which skips the vertical checks: verticals never change the width.
+    A merge whose composite ``cat`` lacks raises CompositionUnavailable."""
+    leftmost = strategy == "leftmost"
+    directions = list(directions)
+    rows = [list(row) for row in rows]
+    layers = [list(layer) for layer in layers]
+    while True:
+        width = len(directions)
+        move = None
+        for col in (range(width) if leftmost else reversed(range(width))):
+            mergeable = col + 1 < width and directions[col] == directions[col + 1]
+            if mergeable and not leftmost:
+                move = (col, True)
+            elif all(cat.is_identity(row[col]) for row in rows):
+                move = (col, False)
+            elif mergeable:
+                move = (col, True)
+            if move is not None:
+                break
+        if move is None:
+            return tuple(directions), tuple(map(tuple, rows)), tuple(map(tuple, layers))
+        col, merge = move
+        if merge:
+            forward = directions[col] == "f"
+            for row in rows:
+                a, b = row[col], row.pop(col + 1)
+                row[col] = cat.compose(b, a) if forward else cat.compose(a, b)
+            del directions[col + 1]
+            for layer in layers:
+                del layer[col]
         else:
-            merged = c.compose(row[col], row[col + 1])
-        rows.append(row[:col] + (merged,) + row[col + 2:])
-    verticals = tuple(layer[:col] + layer[col + 1:] for layer in h.verticals)
-    return Hammock(h.source, h.sink, directions, rows, verticals)
+            # the two vertex lines of the deleted column become one
+            boundary = col in (0, width - 1)
+            at = col - 1 if col == width - 1 else col
+            for layer in layers if width > 1 else ():
+                if boundary and not cat.is_identity(layer[at]):
+                    raise ConsistencyError("boundary identity column with non-identity vertical")
+                if not boundary and layer[col - 1] != layer[col]:
+                    raise ConsistencyError("identity column flanked by unequal verticals")
+                del layer[at]
+            del directions[col]
+            for row in rows:
+                del row[col]
 
 
 def reduce_hammock(r: RelativeCategory, h: Hammock, strategy: str = "leftmost") -> Hammock:
-    """Normal form: delete all-identity columns and merge equal-direction
-    neighbours until neither applies.  Move order is a strategy knob so
-    confluence can be tested; the normal form does not depend on it."""
-    c = r.cat
+    """The normal form of ``h`` (see :func:`_normal_form`).  The move order
+    is a strategy knob so confluence can be tested."""
     if strategy not in ("leftmost", "rightmost"):
         raise InputError("strategy must be leftmost or rightmost")
-    current = h
-    while True:
-        width = current.width
-        moves = []
-        for col in range(width):
-            if all(c.is_identity(row[col]) for row in current.rows):
-                moves.append((col, 0, "del"))
-            if col + 1 < width and current.directions[col] == current.directions[col + 1]:
-                moves.append((col, 1, "merge"))
-        if not moves:
-            return current
-        col, _, kind = min(moves) if strategy == "leftmost" else max(moves)
-        if kind == "del":
-            current = _delete_column(c, current, col)
-        else:
-            current = _merge_columns(c, current, col)
+    return Hammock(h.source, h.sink,
+                   *_normal_form(r.cat, h.directions, h.rows, h.verticals, strategy))
 
 
 def compose_hammocks(r: RelativeCategory, h2: Hammock, h1: Hammock) -> Hammock:
@@ -216,17 +222,15 @@ def compose_hammocks(r: RelativeCategory, h2: Hammock, h1: Hammock) -> Hammock:
         raise InputError(f"hammocks not composable: {h1.sink} vs {h2.source}")
     if h1.height != h2.height:
         raise InputError("hammocks must have equal heights")
-    if h1.width == 0:
-        return reduce_hammock(r, h2)
-    if h2.width == 0:
-        return reduce_hammock(r, h1)
-    junction = r.cat.identity[h1.sink]
-    rows = tuple(a + b for a, b in zip(h1.rows, h2.rows))
-    verticals = tuple(
-        a + (junction,) + b for a, b in zip(h1.verticals, h2.verticals)
-    )
-    raw = Hammock(h1.source, h2.sink, h1.directions + h2.directions, rows, verticals)
-    return reduce_hammock(r, raw)
+    if h1.width == 0 or h2.width == 0:
+        h = h2 if h1.width == 0 else h1
+        grid = (h.directions, h.rows, h.verticals)
+    else:
+        junction = r.cat.identity[h1.sink]
+        grid = (h1.directions + h2.directions,
+                tuple(a + b for a, b in zip(h1.rows, h2.rows)),
+                tuple(a + (junction,) + b for a, b in zip(h1.verticals, h2.verticals)))
+    return Hammock(h1.source, h2.sink, *_normal_form(r.cat, *grid))
 
 
 def bounded_composite(r: RelativeCategory, g: Hammock, f: Hammock, w_max, enumerated):
@@ -262,7 +266,6 @@ class _Context:
 
     def __init__(self, r: RelativeCategory):
         c = r.cat
-        self.rc = r
         self.cat = c
         self.weq = set(r.weq)
         self.from_any = {x: tuple(c.from_object(x)) for x in c.objects}
@@ -412,13 +415,6 @@ def _patterns(w_max):
     return pats
 
 
-def _is_reduced_grid(cat, rows, width):
-    for col in range(width):
-        if all(cat.is_identity(row[col]) for row in rows):
-            return False
-    return True
-
-
 @dataclass
 class MappingSpace:
     """Reduced hammocks from x to y as a truncated simplicial set.
@@ -562,56 +558,36 @@ def _mapping_space(ctx: _Context, x, y, truncation, w_max, detail) -> MappingSpa
                         tuple(vertices), partition, sset, by_name)
 
 
-def _reduced_pair_width(cat, directions, row0, row1):
-    """Width of the reduced two-row grid; None when a composite is not
-    representable.  Verticals never affect the reduced width."""
-    cols = list(zip(directions, row0, row1))
-    table = cat.table
-    while True:
-        move = None
-        for idx, (d, a, b) in enumerate(cols):
-            if cat.is_identity(a) and cat.is_identity(b):
-                move = ("del", idx)
-                break
-            if idx + 1 < len(cols) and d == cols[idx + 1][0]:
-                move = ("merge", idx)
-                break
-        if move is None:
-            return len(cols)
-        kind, idx = move
-        if kind == "del":
-            del cols[idx]
-            continue
-        d, a, b = cols[idx]
-        _, a2, b2 = cols[idx + 1]
-        if d == "f":
-            fused = (table.get((a2, a)), table.get((b2, b)))
-        else:
-            fused = (table.get((a, a2)), table.get((b, b2)))
-        if fused[0] is None or fused[1] is None:
-            return None
-        cols[idx:idx + 2] = [(d, fused[0], fused[1])]
+def _identity_mask(cat, row):
+    """Bit ``col`` is set when ``row[col]`` is an identity.  A grid along
+    an alternating pattern is reduced exactly when the masks of its rows
+    have no bit in common."""
+    mask = 0
+    for col, m in enumerate(row):
+        if cat.is_identity(m):
+            mask |= 1 << col
+    return mask
 
 
 def _pi0_edges(ctx, x, y, pattern, rows0, edge_pairs, sub_edge_pairs, w_max):
     """Component edges from all two-row grids, deduplicated per row pair.
 
     Only the vertex partition is needed, so vertical witnesses are not
-    materialized; reduction of rows is cached.  Holes in a partially
-    represented composition table drop the affected edge."""
+    materialized; the normal-form name and identity mask of each row are
+    cached for this call.  Holes in a partially represented composition
+    table drop the affected edge."""
     cat = ctx.cat
-    rc = ctx.rc
     width = len(pattern)
     if width == 0:
         return
-    sink = y
     red_cache = {}
 
     def reduced_of(row):
         got = red_cache.get(row)
         if got is None:
             try:
-                got = reduce_hammock(rc, Hammock(x, sink, pattern, (row,), ()))
+                got = (hammock_name(*_normal_form(cat, pattern, (row,), ())),
+                       _identity_mask(cat, row))
             except CompositionUnavailable:
                 got = False
             red_cache[row] = got
@@ -619,21 +595,27 @@ def _pi0_edges(ctx, x, y, pattern, rows0, edge_pairs, sub_edge_pairs, w_max):
 
     narrow = width <= w_max - 1
     for row in rows0:
-        upper = reduced_of(row)
-        if upper is False:
+        got = reduced_of(row)
+        if got is False:
             continue
+        upper, mask = got
         vs = row_vertices(cat, x, pattern, row)
         for row2 in ctx.extension_rows(pattern, row, vs):
-            lower = reduced_of(row2)
-            if lower is False:
+            got = reduced_of(row2)
+            if got is False:
                 continue
-            edge_pairs.append((upper.name, lower.name))
+            lower, mask2 = got
+            edge_pairs.append((upper, lower))
             if narrow:
-                sub_edge_pairs.append((upper.name, lower.name))
-            elif not _is_reduced_grid(cat, (row, row2), width):
-                reduced_width = _reduced_pair_width(cat, pattern, row, row2)
-                if reduced_width is not None and reduced_width <= w_max - 1:
-                    sub_edge_pairs.append((upper.name, lower.name))
+                sub_edge_pairs.append((upper, lower))
+            elif mask & mask2:
+                # the grid is not reduced; verticals never change its width
+                try:
+                    sub_width = len(_normal_form(cat, pattern, (row, row2), ())[0])
+                except CompositionUnavailable:
+                    continue
+                if sub_width <= w_max - 1:
+                    sub_edge_pairs.append((upper, lower))
 
 
 def _grow(ctx, x, y, pattern, rows, grids, layers, truncation, note_simplex):
@@ -641,8 +623,12 @@ def _grow(ctx, x, y, pattern, rows, grids, layers, truncation, note_simplex):
     cat = ctx.cat
     width = len(pattern)
     height = len(rows) - 1
-    if height >= 1 and _is_reduced_grid(cat, rows, width):
-        note_simplex(height, Hammock(x, y if width else x, pattern, rows, layers))
+    if height >= 1:
+        common = -1
+        for row in rows:
+            common &= _identity_mask(cat, row)
+        if not common:
+            note_simplex(height, Hammock(x, y if width else x, pattern, rows, layers))
     if height == truncation:
         return
     for vacc, row2 in ctx.extensions(pattern, rows[-1], grids[-1]):
@@ -673,8 +659,7 @@ def _face(ctx, h: Hammock, i) -> Hammock:
             for j in range(len(h.verticals[i]))
         )
         layers = h.verticals[:i - 1] + (fused,) + h.verticals[i + 1:]
-    raw = Hammock(h.source, h.sink, h.directions, rows, layers)
-    return reduce_hammock(ctx.rc, raw)
+    return Hammock(h.source, h.sink, *_normal_form(cat, h.directions, rows, layers))
 
 
 def _degeneracy(ctx, h: Hammock, i) -> Hammock:
@@ -852,8 +837,8 @@ def embed(r: RelativeCategory, loc: Localization) -> scat_mod.SimplicialFunctor:
 def _map_hammock(rel_target: RelativeCategory, morphism_map, h: Hammock) -> Hammock:
     rows = tuple(tuple(morphism_map[m] for m in row) for row in h.rows)
     verticals = tuple(tuple(morphism_map[v] for v in layer) for layer in h.verticals)
-    raw = Hammock(h.source, h.sink, h.directions, rows, verticals)
-    return reduce_hammock(rel_target, raw)
+    return Hammock(h.source, h.sink,
+                   *_normal_form(rel_target.cat, h.directions, rows, verticals))
 
 
 class RelscatLocalization(_Bounded):
@@ -889,38 +874,34 @@ class RelscatLocalization(_Bounded):
                         self.level_ctx[n], x, y, truncation, w_max, "full"
                     )
 
+        # face and degeneracy maps on level-morphism names, once each
+        faces = {n: [scat_mod.level_map(ambient, n, "d", i) for i in range(n + 1)]
+                 for n in range(1, truncation + 1)}
+        degens = {n: [scat_mod.level_map(ambient, n, "s", i) for i in range(n + 1)]
+                  for n in range(truncation)}
         self.diag_homs = {}
-        self.diag_names = {}
         for x in objects:
             for y in objects:
                 rows = [self.row_spaces[(x, y, n)].sset for n in range(truncation + 1)]
-                outer_faces = {}
-                outer_degens = {}
-                for n in range(1, truncation + 1):
-                    maps = []
-                    for i in range(n + 1):
-                        maps.append(self._entrywise_map(x, y, n, n - 1, "d", i))
-                    outer_faces[n] = maps
-                for n in range(truncation):
-                    maps = []
-                    for i in range(n + 1):
-                        maps.append(self._entrywise_map(x, y, n, n + 1, "s", i))
-                    outer_degens[n] = maps
+                outer_faces = {n: [self._entrywise_map(x, y, n, n - 1, names)
+                                   for names in maps] for n, maps in faces.items()}
+                outer_degens = {n: [self._entrywise_map(x, y, n, n + 1, names)
+                                    for names in maps] for n, maps in degens.items()}
                 bis = BisimplicialSet(truncation, rows, outer_faces, outer_degens)
                 self.diag_homs[(x, y)] = diagonal(bis, truncation)
 
         self._scat = None
 
-    def _entrywise_map(self, x, y, n_from, n_to, kind, i):
-        ambient = self.rs.ambient
-        functor = scat_mod.level_functor(ambient, n_from, kind, i)
+    def _entrywise_map(self, x, y, n_from, n_to, names):
+        """Apply a level map ``names`` entrywise to the hammocks of
+        level ``n_from`` from x to y."""
         rel_to = self.level_rel[n_to]
         source_space = self.row_spaces[(x, y, n_from)]
         target_space = self.row_spaces[(x, y, n_to)]
         mapping = {}
         for level in range(self.truncation + 1):
             for name in source_space.sset.level(level):
-                image = _map_hammock(rel_to, functor.morphism_map, source_space.by_name[name])
+                image = _map_hammock(rel_to, names, source_space.by_name[name])
                 if image.name not in target_space.by_name:
                     raise ConsistencyError("entrywise image missing from enumeration")
                 mapping[(level, name)] = image.name

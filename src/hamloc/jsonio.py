@@ -13,6 +13,8 @@ import tempfile
 import time
 from pathlib import Path
 
+from .errors import InputError
+
 
 def canonical_dumps(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"), ensure_ascii=False) + "\n"
@@ -30,7 +32,11 @@ def write_canonical(path, obj) -> None:
 
 
 def load_json(path):
-    return json.loads(Path(path).read_text(encoding="utf-8"))
+    """Parse a UTF-8 JSON file; malformed content is an InputError."""
+    try:
+        return json.loads(Path(path).read_text(encoding="utf-8"))
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise InputError(f"{path}: not UTF-8 JSON: {exc}") from exc
 
 
 class DiskCache:

@@ -406,15 +406,22 @@ def validate_relscat(rs: RelativeSimplicialCategory) -> list[str]:
                         report.append(f"sub ({x},{y}): degeneracy s_{i} of {s} escapes")
     if report:
         return report
-    if a.has_table():
-        for x, y, z in itertools.product(a.objects, repeat=3):
-            for level in range(N + 1):
-                for g in sorted(rs.sub[(y, z)][level]):
-                    for f in sorted(rs.sub[(x, y)][level]):
-                        if a.compose(x, y, z, level, g, f) not in rs.sub[(x, z)][level]:
+    # a table-backed ambient must compose every pair; a composer-backed
+    # one (a width-bounded localization) is checked where it composes
+    for x, y, z in itertools.product(a.objects, repeat=3):
+        for level in range(N + 1):
+            for g in sorted(rs.sub[(y, z)][level]):
+                for f in sorted(rs.sub[(x, y)][level]):
+                    h = a.composite(x, y, z, level, g, f)
+                    if h is None:
+                        if a.has_table():
                             report.append(
-                                f"sub not closed under composition at ({x},{y},{z}) level {level}"
-                            )
+                                f"sub pair ({g},{f}) has no composite at ({x},{y},{z}) "
+                                f"level {level}")
+                    elif h not in rs.sub[(x, z)][level]:
+                        report.append(
+                            f"sub not closed under composition at ({x},{y},{z}) level {level}"
+                        )
     return report
 
 
@@ -783,12 +790,9 @@ def level_category(a: TruncatedSimplicialCategory, n: int) -> FiniteCategory:
     return FiniteCategory(a.objects, morphisms, dom, cod, identity, table)
 
 
-def level_functor(a: TruncatedSimplicialCategory, source_level: int, kind: str, i: int) -> CatFunctor:
-    """The face (kind='d') or degeneracy (kind='s') functor between level
-    categories, acting on morphism simplices."""
-    src = level_category(a, source_level)
-    target_level = source_level - 1 if kind == "d" else source_level + 1
-    tgt = level_category(a, target_level)
+def level_map(a: TruncatedSimplicialCategory, source_level: int, kind: str, i: int) -> dict:
+    """The face (kind='d') or degeneracy (kind='s') map on level-morphism
+    names, read off the hom simplicial sets."""
     mmap = {}
     for x in a.objects:
         for y in a.objects:
@@ -797,4 +801,12 @@ def level_functor(a: TruncatedSimplicialCategory, source_level: int, kind: str, 
                 img = (sset.face(source_level, i, s) if kind == "d"
                        else sset.degeneracy(source_level, i, s))
                 mmap[level_morphism_name(x, y, s)] = level_morphism_name(x, y, img)
-    return CatFunctor(src, tgt, {x: x for x in a.objects}, mmap)
+    return mmap
+
+
+def level_functor(a: TruncatedSimplicialCategory, source_level: int, kind: str, i: int) -> CatFunctor:
+    """The face (kind='d') or degeneracy (kind='s') functor between level
+    categories, acting on morphism simplices as :func:`level_map`."""
+    target_level = source_level - 1 if kind == "d" else source_level + 1
+    return CatFunctor(level_category(a, source_level), level_category(a, target_level),
+                      {x: x for x in a.objects}, level_map(a, source_level, kind, i))

@@ -41,7 +41,7 @@ from .scat import (
     check_dk,
     is_neglectable,
     validate_relscat,
-    validate_simplicial_functor,
+    validate_scat,
 )
 
 
@@ -116,6 +116,16 @@ def _embedded_sub(rel: RelativeCategory, loc_scat, morphisms):
     return sub
 
 
+def _comparison_certificate(fun, bounds: Bounds):
+    """The DK certificate of a comparison map the pipeline built itself;
+    ``check_dk`` validates it, and a map that fails is an inconsistency
+    of the pipeline, not an input error."""
+    try:
+        return check_dk(fun, bounds.dk_budget)
+    except InputError as exc:
+        raise ConsistencyError(f"comparison map invalid: {exc}") from exc
+
+
 def check_24i(a: FiniteCategory, u, v, bounds: Bounds) -> ExperimentReport:
     """Localizing at a span of marked subcategories: when the second
     subcategory is neglectable in the localization at the first, the
@@ -182,7 +192,7 @@ def check_24i(a: FiniteCategory, u, v, bounds: Bounds) -> ExperimentReport:
 def check_24ii(rs: RelativeSimplicialCategory, bounds: Bounds) -> ExperimentReport:
     """The comparison map into the dimensionwise localization at a
     neglectable subobject must be a DK-equivalence."""
-    bad = validate_relscat(rs)
+    bad = validate_scat(rs.ambient) + validate_relscat(rs)
     if bad:
         raise InputError(f"invalid relative simplicial category: {bad[0]}")
     inputs = _describe({"objects": list(rs.ambient.objects),
@@ -202,11 +212,7 @@ def check_24ii(rs: RelativeSimplicialCategory, bounds: Bounds) -> ExperimentRepo
 
     rsloc = hammock_localization_relscat(rs, bounds.truncation, bounds.width)
     outcomes.append({"check": "localization stability", "result": rsloc.verdict})
-    fun = embed_relscat(rs, rsloc)
-    bad = validate_simplicial_functor(fun)
-    if bad:
-        raise ConsistencyError(f"comparison map invalid: {bad[0]}")
-    cert = check_dk(fun, bounds.dk_budget)
+    cert = _comparison_certificate(embed_relscat(rs, rsloc), bounds)
     outcomes.append({"check": "DK certificate", "result": cert.verdict})
 
     if cert.verdict == "fail":
@@ -308,11 +314,7 @@ def check_32(r: RelativeCategory, bounds: Bounds) -> ExperimentReport:
     rsloc = hammock_localization_relscat(rs, bounds.truncation, bounds.width)
     outcomes.append({"check": "relocalization stability (approximation caveat)",
                      "result": rsloc.verdict})
-    fun = embed_relscat(rs, rsloc)
-    bad = validate_simplicial_functor(fun)
-    if bad:
-        raise ConsistencyError(f"comparison map invalid: {bad[0]}")
-    cert = check_dk(fun, bounds.dk_budget)
+    cert = _comparison_certificate(embed_relscat(rs, rsloc), bounds)
     outcomes.append({"check": "DK certificate", "result": cert.verdict})
 
     # the relocalized stage is doubly approximate (it localizes data that

@@ -206,6 +206,59 @@ class TestDkAndNeglectable:
         assert run(["neglectable", files["relscat-arrow.json"]]) == 1
 
 
+def _walking_iso_without_vu(mors):
+    """The promoted walking iso with a sub, minus the composite v.u at
+    level 0: the ambient lacks a composite its sub needs."""
+    iso = inst.walking_iso()
+    p = promote(iso, 1)
+    data = relscat_to_json(RelativeSimplicialCategory(p, sub_from_morphisms(p, iso, mors)))
+    entries = data["compose"]["X|Y|X"]["0"]
+    data["compose"]["X|Y|X"]["0"] = [e for e in entries if e[:2] != ["v", "u"]]
+    assert len(data["compose"]["X|Y|X"]["0"]) == len(entries) - 1
+    return data
+
+
+TRUNCATED = b'{"objects": ["X"], "morphisms": ["idX"'
+NOT_UTF8 = b'{"objects": ["\xff\xfe"]}'
+
+
+@pytest.mark.parametrize("argv,content", [
+    (["validate", "F"], TRUNCATED),
+    (["localize", "F", "--width", "2"], TRUNCATED),
+    (["ho", "F", "--width", "2"], TRUNCATED),
+    (["flatten", "F"], TRUNCATED),
+    (["neglectable", "F"], TRUNCATED),
+    (["dk-check", "F"], TRUNCATED),
+    (["verify", "3.1", "F"], TRUNCATED),
+    (["validate", "F"], NOT_UTF8),
+    (["pi0", "F"], NOT_UTF8),
+    (["verify", "2.4ii", "F"], NOT_UTF8),
+    (["dk-check", "F"], json.dumps({"target": {}, "object_map": {}, "simplex_map": {}}).encode()),
+    (["dk-check", "F"], json.dumps({"source": {}, "object_map": {}, "simplex_map": {}}).encode()),
+    (["dk-check", "F"], b"[]"),
+], ids=["truncated-validate", "truncated-localize", "truncated-ho", "truncated-flatten",
+        "truncated-neglectable", "truncated-dk-check", "truncated-verify",
+        "not-utf8-validate", "not-utf8-pi0", "not-utf8-verify",
+        "dk-check-without-source", "dk-check-without-target", "dk-check-not-an-object"])
+def test_malformed_input_exits_two(tmp_path, capsys, argv, content):
+    """Exit 2, never 1, for input that does not parse or lacks a key;
+    ``F`` stands for the input file."""
+    path = tmp_path / "input.json"
+    path.write_bytes(content)
+    assert run([str(path) if a == "F" else a for a in argv]) == 2
+    assert capsys.readouterr().err.startswith("input error:")
+
+
+@pytest.mark.parametrize("argv", [["validate"], ["neglectable"], ["verify", "2.4ii"]])
+@pytest.mark.parametrize("mors", [["idX", "idY", "u", "v"], ["idX", "idY", "u"]],
+                         ids=["both-arrows", "one-arrow"])
+def test_sub_composite_missing_from_ambient_exits_two(tmp_path, capsys, argv, mors):
+    path = tmp_path / "relscat.json"
+    write_canonical(path, _walking_iso_without_vu(mors))
+    assert run(argv + [str(path)]) == 2
+    assert "bounds insufficient" not in capsys.readouterr().err
+
+
 class TestVerify:
     def test_claim_31_walking_arrow_passes(self, files, capsys):
         assert run(["verify", "3.1", files["walking-arrow.json"],

@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hamloc import instances as inst
 from hamloc.errors import InputError
@@ -19,6 +20,7 @@ from hamloc.hammock import (
     reduce_hammock,
     validate_hammock,
     width_zero,
+    _normal_form,
 )
 from hamloc.relcat import RelativeCategory, oracle_localized_homset
 from hamloc.scat import (
@@ -310,6 +312,23 @@ class TestRelscatLocalization:
         ho_direct, _ = homotopy_category_of_localization(direct)
         assert find_equivalence(ho_rl, ho_direct, 100_000).found
 
+    def test_level_categories_built_once_per_level(self, monkeypatch):
+        from hamloc import scat
+
+        built = []
+        original = scat.level_category
+
+        def counted(a, n):
+            built.append(n)
+            return original(a, n)
+
+        monkeypatch.setattr(scat, "level_category", counted)
+        iso = inst.walking_iso()
+        p = promote(iso, 1)
+        rs = RelativeSimplicialCategory(p, sub_from_morphisms(p, iso, iso.morphisms))
+        hammock_localization_relscat(rs, 1, 3)
+        assert built == [0, 1]
+
     def test_terminal_input_terminal_output(self):
         p = promote(inst.terminal(), 1)
         rs = RelativeSimplicialCategory(p, sub_from_morphisms(p, inst.terminal(), ["id*"]))
@@ -325,3 +344,60 @@ class TestRelscatLocalization:
         rl = hammock_localization_relscat(rs, 1, 4)
         for pair, sset in rl.diag_homs.items():
             assert validate_sset(sset) == [], pair
+
+
+def _closed_weq(c, rng):
+    """Identities plus a random morphism set, closed under composition."""
+    weq = set(c.identity.values()) | {m for m in c.morphisms if rng.random() < 0.4}
+    grown = True
+    while grown:
+        grown = False
+        for (g, f), h in c.table.items():
+            if g in weq and f in weq and h not in weq:
+                weq.add(h)
+                grown = True
+    return RelativeCategory(c, sorted(weq))
+
+
+class TestPi0AgainstFull:
+    """The pi0 enumerator (row sets, masks, widths of normal forms) must
+    reproduce the partition and verdict that the full simplicial sets give."""
+
+    @staticmethod
+    def _agree(r, x, y, width):
+        full = mapping_space(r, x, y, 1, width, "full")
+        slim = mapping_space(r, x, y, 1, width, "pi0")
+        assert [h.name for h in slim.vertices] == [h.name for h in full.vertices]
+        assert slim.partition.class_of == full.partition.class_of
+        return full, slim
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), width=st.integers(1, 3))
+    def test_random_relative_categories(self, seed, width):
+        rng = random.Random(seed)
+        r = _closed_weq(inst.random_dag_category(rng), rng)
+        for x in r.cat.objects:
+            for y in r.cat.objects:
+                full, slim = self._agree(r, x, y, width)
+                assert slim.verdict == full.verdict, (x, y)
+
+    def test_partial_flattening_of_walking_weq(self):
+        fl = flatten(hammock_localization(inst.walking_weq(), 1, 2).scat())
+        assert fl.overflows > 0
+        for x in fl.rel.cat.objects:
+            for y in fl.rel.cat.objects:
+                for width in (1, 2):
+                    self._agree(fl.rel, x, y, width)
+
+    def test_sub_width_ignores_verticals(self):
+        suite = [r for _, r in inst.oracle_suite()]
+        rng = random.Random(20261018)
+        checked = 0
+        while checked < 200:
+            r = rng.choice(suite)
+            h = inst.random_hammock(rng, r, w_max=5, h_max=1)
+            if h.height != 1:
+                continue
+            checked += 1
+            sub_width = len(_normal_form(r.cat, h.directions, h.rows, ())[0])
+            assert sub_width == reduce_hammock(r, h).width

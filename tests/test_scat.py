@@ -160,6 +160,18 @@ class TestNeglectable:
         )
         assert validate_relscat(bad)
 
+    def test_closure_check_reads_composites_without_raising(self):
+        iso = inst.walking_iso()
+        p = promote(iso, 1)
+        sub = sub_from_morphisms(p, iso, iso.morphisms)
+        table = {key: h for key, h in p.table.items() if key != ("X", "Y", "X", 0, "v", "u")}
+        args = (p.objects, 1, p.homs, p.identities)
+        # a full table must hold the composite; a bounded one may omit it
+        tabled = RelativeSimplicialCategory(TruncatedSimplicialCategory(*args, table), sub)
+        assert validate_relscat(tabled) == ["sub pair (v,u) has no composite at (X,Y,X) level 0"]
+        composed = TruncatedSimplicialCategory(*args, composer=lambda *key: table.get(key))
+        assert validate_relscat(RelativeSimplicialCategory(composed, sub)) == []
+
 
 def _collapse_functor():
     iso = inst.walking_iso()

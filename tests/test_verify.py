@@ -1,7 +1,8 @@
 import pytest
 
 from hamloc import instances as inst
-from hamloc.errors import InputError
+from hamloc import verify
+from hamloc.errors import ConsistencyError, InputError
 from hamloc.jsonio import canonical_dumps
 from hamloc.relcat import RelativeCategory
 from hamloc.scat import RelativeSimplicialCategory, promote, sub_from_morphisms
@@ -14,6 +15,22 @@ from hamloc.verify import (
 )
 
 BOUNDS = Bounds(truncation=1, width=4)
+
+
+def test_invalid_comparison_map_is_an_inconsistency(monkeypatch):
+    """check_dk validates the comparison map once; a map the pipeline
+    built wrongly is a ConsistencyError (exit 3), not an input error."""
+    def rejects(fun, budget):
+        raise InputError("invalid simplicial functor: planted")
+
+    monkeypatch.setattr(verify, "check_dk", rejects)
+    iso = inst.walking_iso()
+    p = promote(iso, 1)
+    rs = RelativeSimplicialCategory(p, sub_from_morphisms(p, iso, iso.morphisms))
+    with pytest.raises(ConsistencyError, match="comparison map invalid"):
+        check_24ii(rs, BOUNDS)
+    with pytest.raises(ConsistencyError, match="comparison map invalid"):
+        check_32(inst.walking_arrow_relative(), BOUNDS)
 
 
 def ids(c):
