@@ -19,7 +19,7 @@ from .errors import CompositionUnavailable, ConsistencyError, InputError
 from .fincat import FiniteCategory, validate_category
 from .flatten import flatten
 from .hammock import hammock_localization, homotopy_category_of_localization
-from .jsonio import DiskCache, canonical_dumps, content_key, load_json
+from .jsonio import DiskCache, canonical_dumps, content_key, load_json, source_digest
 from .relcat import RelativeCategory, oracle_ho_category, validate_relative
 from .scat import (
     TruncatedSimplicialCategory,
@@ -74,15 +74,23 @@ def _cache(args):
     return DiskCache(root) if root else None
 
 
+def _is_envelope(hit) -> bool:
+    """Whether a cache hit has the shape ``_cached`` stores; any other
+    entry is a miss and gets rewritten."""
+    return (isinstance(hit, dict) and type(hit.get("exit")) is int
+            and hit["exit"] in (PASS, FAIL, INVALID, UNDETERMINED) and "output" in hit
+            and isinstance(hit.get("human"), (str, type(None))))
+
+
 def _cached(args, operation, payload, bounds, compute):
     """Run ``compute`` through the content-addressed cache; the envelope
     stores the exit code so hits reproduce byte-identical output."""
     cache = _cache(args)
-    key = content_key(operation, payload, bounds, __version__)
     if cache is not None:
+        key = content_key(operation, payload, bounds, f"{__version__}+{source_digest()}")
         hit = cache.get(key)
-        if hit is not None:
-            _emit(args, hit["output"], hit.get("human"))
+        if _is_envelope(hit):
+            _emit(args, hit["output"], hit["human"])
             return hit["exit"]
     code, output, human = compute()
     if cache is not None:
@@ -115,7 +123,7 @@ def _cmd_validate(args):
         report = validate_scat(TruncatedSimplicialCategory.from_json(data))
     else:
         rs = relscat_from_json(data)
-        report = validate_scat(rs.ambient) + validate_relscat(rs)
+        report = validate_scat(rs.ambient) or validate_relscat(rs)
     _emit(args, {"kind": kind, "violations": report},
           f"{kind}: {'ok' if not report else f'{len(report)} violation(s)'}")
     return PASS if not report else INVALID
@@ -266,13 +274,25 @@ def _cmd_dk_check(args):
 
 def _cmd_neglectable(args):
     rs = relscat_from_json(load_json(args.file))
-    bad = validate_scat(rs.ambient) + validate_relscat(rs)
+    bad = validate_scat(rs.ambient) or validate_relscat(rs)
     if bad:
         raise InputError(f"invalid relative simplicial category: {bad[0]}")
     ok, witness = is_neglectable(rs)
     _emit(args, {"neglectable": ok, "witness": list(witness) if witness else None},
           f"neglectable: {ok}")
     return PASS if ok else FAIL
+
+
+def _claim_24i_input(data):
+    """The category and the two morphism lists of a 2.4i input file."""
+    try:
+        category, u, v = data["category"], data["u"], data["v"]
+    except (KeyError, TypeError) as exc:
+        raise InputError(f"a 2.4i file needs category, u and v: {exc!r}") from exc
+    for part in (u, v):
+        if not isinstance(part, list) or not all(isinstance(m, str) for m in part):
+            raise InputError("u and v must be lists of morphism names")
+    return FiniteCategory.from_json(category), u, v
 
 
 _VERDICT_EXIT = {"pass": PASS, "fail": FAIL, "inapplicable": INVALID, "undetermined": UNDETERMINED}
@@ -285,8 +305,7 @@ def _cmd_verify(args):
 
     def compute():
         if args.claim == "2.4i":
-            c = FiniteCategory.from_json(data["category"])
-            report = check_24i(c, data["u"], data["v"], bounds)
+            report = check_24i(*_claim_24i_input(data), bounds)
         elif args.claim == "2.4ii":
             report = check_24ii(relscat_from_json(data), bounds)
         elif args.claim == "3.1":

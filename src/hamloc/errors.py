@@ -13,3 +13,8 @@ class ConsistencyError(RuntimeError):
 class CompositionUnavailable(RuntimeError):
     """A composite was requested that the width-bounded data cannot
     represent; the caller decides whether that is fatal."""
+
+
+# What walking a JSON document of the wrong shape raises; the loaders
+# turn these into InputError.
+MALFORMED = (AttributeError, IndexError, KeyError, OverflowError, TypeError, ValueError)

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import CompositionUnavailable, InputError
+from .errors import MALFORMED, CompositionUnavailable, InputError
 
 
 class FiniteCategory:
@@ -130,9 +130,49 @@ class FiniteCategory:
             dom = {m["name"]: m["dom"] for m in data["morphisms"]}
             cod = {m["name"]: m["cod"] for m in data["morphisms"]}
             table = {(g, f): h for g, f, h in data["compose"]}
+            names = (data["objects"], morphisms, dom.values(), cod.values(),
+                     data["identities"].values(), [n for entry in data["compose"] for n in entry])
+            if not all(isinstance(n, str) for group in names for n in group):
+                raise InputError("object and morphism names must be strings")
             return FiniteCategory(data["objects"], morphisms, dom, cod, data["identities"], table)
-        except (KeyError, TypeError) as exc:
+        except InputError:
+            raise
+        except MALFORMED as exc:
             raise InputError(f"malformed category JSON: {exc}") from exc
+
+
+class UnionFind:
+    """Disjoint sets of hashable items.  ``union(a, b)`` keeps the root of
+    ``a``; ``find`` of an item that was never added raises KeyError."""
+
+    __slots__ = ("parent",)
+
+    def __init__(self, items=()):
+        self.parent = {a: a for a in items}
+
+    def add(self, a):
+        self.parent.setdefault(a, a)
+
+    def find(self, a):
+        parent = self.parent
+        root = a
+        while parent[root] != root:
+            root = parent[root]
+        while parent[a] != root:
+            parent[a], a = root, parent[a]
+        return root
+
+    def union(self, a, b):
+        ra, rb = self.find(a), self.find(b)
+        if ra != rb:
+            self.parent[rb] = ra
+
+    def groups(self, items) -> dict:
+        """Root -> members among ``items``, both in first-occurrence order."""
+        groups = {}
+        for a in items:
+            groups.setdefault(self.find(a), []).append(a)
+        return groups
 
 
 def validate_category(c: FiniteCategory) -> list[str]:
@@ -197,23 +237,13 @@ def is_isomorphism(c: FiniteCategory, m) -> bool:
 
 
 def iso_classes(c: FiniteCategory) -> list[frozenset]:
-    """Partition of objects by isomorphism."""
-    parent = {x: x for x in c.objects}
-
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
+    """Partition of objects by isomorphism, ordered by the index of each
+    class's root."""
+    uf = UnionFind(c.objects)
     for m in c.morphisms:
         if is_isomorphism(c, m):
-            ra, rb = find(c.dom[m]), find(c.cod[m])
-            if ra != rb:
-                parent[rb] = ra
-    groups = {}
-    for x in c.objects:
-        groups.setdefault(find(x), []).append(x)
+            uf.union(c.dom[m], c.cod[m])
+    groups = uf.groups(c.objects)
     return [frozenset(groups[r]) for r in sorted(groups, key=c.obj_index.get)]
 
 

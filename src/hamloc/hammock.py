@@ -16,9 +16,9 @@ Along an alternating pattern a grid is reduced exactly when the identity
 bitmasks of its rows (:func:`_identity_mask`) share no bit.
 
 Width is the one genuine approximation: enumeration is exhaustive up to
-``w_max`` columns, faces and reduction only shrink width, and a
-stabilization verdict (component partitions agree at w_max-1 and w_max)
-is carried on every result.
+``w_max`` columns, faces and reduction only shrink width, and every
+result carries a stabilization verdict: one union-find, grown in order
+of width, has the same components at w_max-1 as at w_max.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ import itertools
 from dataclasses import dataclass, field
 
 from .errors import CompositionUnavailable, ConsistencyError, InputError
-from .fincat import FiniteCategory
+from .fincat import FiniteCategory, UnionFind
 from .relcat import RelativeCategory
 from .simplicial import BisimplicialSet, Partition, TruncatedSimplicialSet, diagonal
 from . import scat as scat_mod
@@ -419,9 +419,9 @@ def _patterns(w_max):
 class MappingSpace:
     """Reduced hammocks from x to y as a truncated simplicial set.
 
-    ``verdict`` is "stable" when the component partition is unchanged
-    between width bounds w_max-1 and w_max, else "bound_limited".  In
-    "pi0" detail mode only the vertices and their partition are kept.
+    ``verdict`` is "stable" when the components at width bound w_max are
+    those a run at w_max-1 finds, else (or after pruning in "full" mode)
+    "bound_limited".  "pi0" detail keeps only vertices and partition.
     """
 
     x: str
@@ -439,13 +439,13 @@ class MappingSpace:
         return self.verdict == "stable"
 
 
-def _stability(partition, sub_names, sub_pairs):
-    """Compare the partition against the one width bound lower."""
-    sub_partition = Partition.from_pairs(sub_names, sub_pairs)
-    full_sub_ok = partition.restricted_equals(sub_partition)
-    sub_set = set(sub_names)
-    coverage = all(cls & sub_set for cls in partition.classes)
-    return "stable" if (full_sub_ok and coverage) else "bound_limited"
+def _stability(partition, sub):
+    """"stable" when each class of ``partition`` holds exactly one class of
+    ``sub``, an earlier snapshot of the same union-find.  Unions only
+    merge, so that is: as many classes, and each one meets ``sub``."""
+    same = len(partition.classes) == len(sub.classes) and all(
+        not cls.isdisjoint(sub.class_of) for cls in partition.classes)
+    return "stable" if same else "bound_limited"
 
 
 def mapping_space(r: RelativeCategory, x, y, truncation: int, w_max: int,
@@ -464,29 +464,32 @@ def mapping_space(r: RelativeCategory, x, y, truncation: int, w_max: int,
 def _mapping_space(ctx: _Context, x, y, truncation, w_max, detail) -> MappingSpace:
     cat = ctx.cat
     vertices = []
+    components = UnionFind()
+    sub = None
     simplices = [dict() for _ in range(truncation + 1)] if detail == "full" else None
-
-    def note_vertex(h):
-        vertices.append(h)
-        if detail == "full":
-            simplices[0][h.name] = h
 
     def note_simplex(level, h):
         simplices[level][h.name] = h
 
-    edge_pairs = []
-    sub_edge_pairs = []
     for pattern in _patterns(w_max):
         width = len(pattern)
         if width == 0 and x != y:
             continue
+        if width == w_max and detail == "pi0" and sub is None:
+            # every narrower edge is in: the partition of a run at w_max-1
+            sub = Partition.of(components, [h.name for h in vertices])
         rows0 = ctx.paths(x, y, pattern)
         for row in rows0:
             if width == 0 or all(not cat.is_identity(m) for m in row):
-                note_vertex(Hammock(x, y if width else x, pattern, (row,), ()))
+                h = Hammock(x, y if width else x, pattern, (row,), ())
+                vertices.append(h)
+                components.add(h.name)
+                if detail == "full":
+                    simplices[0][h.name] = h
 
         if detail == "pi0":
-            _pi0_edges(ctx, x, y, pattern, rows0, edge_pairs, sub_edge_pairs, w_max)
+            for upper, lower in _pi0_edges(ctx, x, pattern, rows0):
+                components.union(upper, lower)
         else:
             for row in rows0:
                 vs = row_vertices(cat, x, pattern, row) if width else (x,)
@@ -494,13 +497,11 @@ def _mapping_space(ctx: _Context, x, y, truncation, w_max, detail) -> MappingSpa
 
     vertices.sort(key=lambda h: (h.width, h.name))
     vertex_names = [h.name for h in vertices]
-    sub_names = [h.name for h in vertices if h.width <= w_max - 1]
 
     if detail == "pi0":
+        partition = Partition.of(components, vertex_names)
         by_name = {h.name: h for h in vertices}
-        partition = Partition.from_pairs(vertex_names, edge_pairs)
-        verdict = _stability(partition, sub_names, sub_edge_pairs)
-        return MappingSpace(x, y, truncation, w_max, verdict,
+        return MappingSpace(x, y, truncation, w_max, _stability(partition, sub),
                             tuple(vertices), partition, None, by_name)
 
     # Keep only simplices all of whose iterated faces are representable:
@@ -543,17 +544,17 @@ def _mapping_space(ctx: _Context, x, y, truncation, w_max, detail) -> MappingSpa
     sset = TruncatedSimplicialSet(truncation, levels, face_cache, degeneracies)
     by_name = {h.name: h for level in kept for h in level.values()}
 
-    partition = Partition.from_pairs(
-        vertex_names,
-        [(face_cache[(1, s, 1)], face_cache[(1, s, 0)]) for s in levels[1]],
-    )
-    sub_pairs = [
-        (face_cache[(1, s, 1)], face_cache[(1, s, 0)])
-        for s in levels[1] if by_name[s].width <= w_max - 1
-    ]
-    verdict = _stability(partition, sub_names, sub_pairs)
-    if pruned:
-        verdict = "bound_limited"
+    # levels[1] is sorted by width: the snapshot before the first edge of
+    # width w_max is the partition one width bound lower
+    sub_names = [h.name for h in vertices if h.width < w_max]
+    for s in levels[1]:
+        if sub is None and by_name[s].width == w_max:
+            sub = Partition.of(components, sub_names)
+        components.union(face_cache[(1, s, 1)], face_cache[(1, s, 0)])
+    if sub is None:
+        sub = Partition.of(components, sub_names)
+    partition = Partition.of(components, vertex_names)
+    verdict = "bound_limited" if pruned else _stability(partition, sub)
     return MappingSpace(x, y, truncation, w_max, verdict,
                         tuple(vertices), partition, sset, by_name)
 
@@ -569,53 +570,38 @@ def _identity_mask(cat, row):
     return mask
 
 
-def _pi0_edges(ctx, x, y, pattern, rows0, edge_pairs, sub_edge_pairs, w_max):
-    """Component edges from all two-row grids, deduplicated per row pair.
+def _pi0_edges(ctx, x, pattern, rows0):
+    """The (upper, lower) vertex names of the two-row grids along
+    ``pattern``, one per pair of rows.
 
     Only the vertex partition is needed, so vertical witnesses are not
-    materialized; the normal-form name and identity mask of each row are
-    cached for this call.  Holes in a partially represented composition
-    table drop the affected edge."""
+    materialized; the normal-form name of each row is cached for this
+    call.  Holes in a partially represented composition table drop the
+    affected edge."""
     cat = ctx.cat
-    width = len(pattern)
-    if width == 0:
+    if not pattern:
         return
-    red_cache = {}
+    names = {}
 
-    def reduced_of(row):
-        got = red_cache.get(row)
-        if got is None:
+    def name_of(row):
+        name = names.get(row)
+        if name is None:
             try:
-                got = (hammock_name(*_normal_form(cat, pattern, (row,), ())),
-                       _identity_mask(cat, row))
+                name = hammock_name(*_normal_form(cat, pattern, (row,), ()))
             except CompositionUnavailable:
-                got = False
-            red_cache[row] = got
-        return got
+                name = False
+            names[row] = name
+        return name
 
-    narrow = width <= w_max - 1
     for row in rows0:
-        got = reduced_of(row)
-        if got is False:
+        upper = name_of(row)
+        if upper is False:
             continue
-        upper, mask = got
         vs = row_vertices(cat, x, pattern, row)
         for row2 in ctx.extension_rows(pattern, row, vs):
-            got = reduced_of(row2)
-            if got is False:
-                continue
-            lower, mask2 = got
-            edge_pairs.append((upper, lower))
-            if narrow:
-                sub_edge_pairs.append((upper, lower))
-            elif mask & mask2:
-                # the grid is not reduced; verticals never change its width
-                try:
-                    sub_width = len(_normal_form(cat, pattern, (row, row2), ())[0])
-                except CompositionUnavailable:
-                    continue
-                if sub_width <= w_max - 1:
-                    sub_edge_pairs.append((upper, lower))
+            lower = name_of(row2)
+            if lower is not False:
+                yield upper, lower
 
 
 def _grow(ctx, x, y, pattern, rows, grids, layers, truncation, note_simplex):
@@ -674,25 +660,12 @@ def _degeneracy(ctx, h: Hammock, i) -> Hammock:
 # --- localization ------------------------------------------------------------
 
 
-class _Bounded:
-    """The bounds block shared by both kinds of localization."""
-
-    def bounds_json(self):
-        return {
-            "truncation": self.truncation,
-            "width": self.w_max,
-            "verdict": self.verdict,
-            "overflows": self.overflows,
-        }
-
-
-class Localization(_Bounded):
+class Localization:
     """Hammock localization data at a fixed truncation and width bound.
 
-    Composition is materialized on demand (composites whose reduced form
-    exceeds the width bound are recorded as overflows); the result's
-    simplicial category is only total when no requested composite
-    overflows.
+    Composition is materialized on demand; a composite wider than the
+    bound is not represented.  ``overflows`` counts the component-category
+    builds that found no representative composite.
     """
 
     def __init__(self, r: RelativeCategory, truncation, w_max, detail="full",
@@ -726,18 +699,20 @@ class Localization(_Bounded):
     def pair(self, x, y) -> MappingSpace:
         return self.pairs[(x, y)]
 
-    def composite(self, x, y, z, g_name, f_name):
-        """Name of the composite simplex, or None on width overflow."""
+    def bounds_json(self):
+        return {
+            "truncation": self.truncation,
+            "width": self.w_max,
+            "verdict": self.verdict,
+            "overflows": self.overflows,
+        }
+
+    def composite(self, x, y, z, level, g_name, f_name):
+        """Name of the composite simplex, or None on width overflow (a
+        simplex name carries its level)."""
         return bounded_composite(self.relcat, self.pairs[(y, z)].by_name[g_name],
                                  self.pairs[(x, y)].by_name[f_name], self.w_max,
                                  self.pairs[(x, z)].by_name)
-
-    def compose_simplices(self, x, y, z, level, g_name, f_name):
-        """As :meth:`composite`, counting overflows."""
-        name = self.composite(x, y, z, g_name, f_name)
-        if name is None:
-            self.overflows += 1
-        return name
 
     def scat(self) -> scat_mod.TruncatedSimplicialCategory:
         if self.detail != "full":
@@ -749,7 +724,7 @@ class Localization(_Bounded):
             self._scat = scat_mod.TruncatedSimplicialCategory(
                 self.relcat.cat.objects, self.truncation,
                 {pair: ms.sset for pair, ms in self.pairs.items()},
-                identities, composer=self.compose_simplices,
+                identities, composer=self.composite,
             )
         return self._scat
 
@@ -780,7 +755,7 @@ class Localization(_Bounded):
                 for level in range(self.truncation + 1):
                     for g in self.pairs[(y, z)].sset.level(level):
                         for f in self.pairs[(x, y)].sset.level(level):
-                            h = self.composite(x, y, z, g, f)
+                            h = self.composite(x, y, z, level, g, f)
                             if h is None:
                                 omitted += 1
                                 continue
@@ -807,7 +782,7 @@ def homotopy_category_of_localization(loc: Localization, wellcheck_cap: int = 6)
             {pair: ms.partition for pair, ms in loc.pairs.items()},
             {pair: [h.name for h in ms.vertices] for pair, ms in loc.pairs.items()},
             {x: width_zero(x).name for x in loc.relcat.cat.objects},
-            loc.composite, wellcheck_cap,
+            lambda x, y, z, g, f: loc.composite(x, y, z, 0, g, f), wellcheck_cap,
         )
     except CompositionUnavailable:
         loc.overflows += 1
@@ -841,7 +816,7 @@ def _map_hammock(rel_target: RelativeCategory, morphism_map, h: Hammock) -> Hamm
                    *_normal_form(rel_target.cat, h.directions, rows, verticals))
 
 
-class RelscatLocalization(_Bounded):
+class RelscatLocalization:
     """Dimensionwise hammock localization of (ambient, sub), assembled as
     the diagonal of the level-by-level mapping spaces."""
 
@@ -852,7 +827,6 @@ class RelscatLocalization(_Bounded):
         self.rs = rs
         self.truncation = truncation
         self.w_max = w_max
-        self.overflows = 0
 
         self.level_rel = []
         for n in range(truncation + 1):
@@ -913,22 +887,20 @@ class RelscatLocalization(_Bounded):
                 if all(ms.stable for ms in self.row_spaces.values())
                 else "bound_limited")
 
-    def compose_simplices(self, x, y, z, level, g_name, f_name):
-        name = bounded_composite(
+    def composite(self, x, y, z, level, g_name, f_name):
+        """Name of the composite simplex, or None on width overflow."""
+        return bounded_composite(
             self.level_rel[level], self.row_spaces[(y, z, level)].by_name[g_name],
             self.row_spaces[(x, y, level)].by_name[f_name], self.w_max,
             self.row_spaces[(x, z, level)].by_name,
         )
-        if name is None:
-            self.overflows += 1
-        return name
 
     def scat(self) -> scat_mod.TruncatedSimplicialCategory:
         if self._scat is None:
             identities = {x: width_zero(x).name for x in self.rs.ambient.objects}
             self._scat = scat_mod.TruncatedSimplicialCategory(
                 self.rs.ambient.objects, self.truncation, self.diag_homs,
-                identities, composer=self.compose_simplices,
+                identities, composer=self.composite,
             )
         return self._scat
 

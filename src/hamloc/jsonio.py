@@ -27,6 +27,16 @@ def content_key(operation: str, payload, bounds=None, version: str = "") -> str:
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
+def source_digest() -> str:
+    """sha256 of the package's module sources, so that a cache key
+    changes with the code even when the version does not."""
+    digest = hashlib.sha256()
+    for path in sorted(Path(__file__).parent.glob("*.py")):
+        data = path.read_bytes()
+        digest.update(f"{path.name}:{len(data)}\n".encode("utf-8") + data)
+    return digest.hexdigest()
+
+
 def write_canonical(path, obj) -> None:
     Path(path).write_text(canonical_dumps(obj), encoding="utf-8")
 
@@ -54,11 +64,13 @@ class DiskCache:
         return self.root / f"{key}.json"
 
     def get(self, key: str):
-        path = self._path(key)
-        if not path.exists():
+        """The stored output, or None on a miss.  An entry that does not
+        parse or lacks its output (say, a write cut short) is a miss, and
+        the next ``put`` replaces it."""
+        try:
+            return json.loads(self._path(key).read_text(encoding="utf-8"))["output"]
+        except (FileNotFoundError, ValueError, KeyError, TypeError):
             return None
-        entry = json.loads(path.read_text(encoding="utf-8"))
-        return entry["output"]
 
     def put(self, key: str, output, operation: str, version: str) -> None:
         entry = {

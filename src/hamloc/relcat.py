@@ -10,6 +10,7 @@ from .errors import InputError
 from .fincat import (
     CatFunctor,
     FiniteCategory,
+    UnionFind,
     close_morphisms,
     validate_functor,
 )
@@ -34,7 +35,10 @@ class RelativeCategory:
         cat = FiniteCategory.from_json(data)
         if "weq" not in data:
             raise InputError("missing weq")
-        return RelativeCategory(cat, data["weq"])
+        weq = data["weq"]
+        if not isinstance(weq, list) or not all(isinstance(m, str) for m in weq):
+            raise InputError("weq must be a list of morphism names")
+        return RelativeCategory(cat, weq)
 
 
 def validate_relative(r: RelativeCategory) -> list[str]:
@@ -119,28 +123,6 @@ def word_endpoints(c: FiniteCategory, word):
         if b != a2:
             raise InputError("word does not typecheck")
     return points[0][0], points[-1][1]
-
-
-class _UnionFind:
-    def __init__(self):
-        self.parent = {}
-
-    def add(self, a):
-        self.parent.setdefault(a, a)
-
-    def find(self, a):
-        parent = self.parent
-        root = a
-        while parent[root] != root:
-            root = parent[root]
-        while parent[a] != root:
-            parent[a], a = root, parent[a]
-        return root
-
-    def union(self, a, b):
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[rb] = ra
 
 
 class _RewriteTables:
@@ -274,12 +256,8 @@ def oracle_localized_homset(r: RelativeCategory, x, y, max_len: int) -> OracleHo
     words = _enumerate_words(tables, x, y, big_bound)
     wordset = set(words)
 
-    uf_small = _UnionFind()
-    uf_big = _UnionFind()
-    for w in words:
-        uf_big.add(w)
-        if len(w) <= max_len:
-            uf_small.add(w)
+    uf_small = UnionFind(w for w in words if len(w) <= max_len)
+    uf_big = UnionFind(words)
     for w in words:
         short = len(w) <= max_len
         for target in _word_rewrites(tables, w):
@@ -289,9 +267,7 @@ def oracle_localized_homset(r: RelativeCategory, x, y, max_len: int) -> OracleHo
             if short and len(target) <= max_len:
                 uf_small.union(w, target)
 
-    groups_big = {}
-    for w in words:
-        groups_big.setdefault(uf_big.find(w), set()).add(w)
+    groups_big = uf_big.groups(words)
 
     determined = True
     for members in groups_big.values():

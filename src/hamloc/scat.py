@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .errors import CompositionUnavailable, ConsistencyError, InputError
+from .errors import MALFORMED, CompositionUnavailable, ConsistencyError, InputError
 from .fincat import (
     CatFunctor,
     FiniteCategory,
@@ -121,7 +121,7 @@ class TruncatedSimplicialCategory:
                     *args, composer=lambda *key: table.get(key)
                 )
             return TruncatedSimplicialCategory(*args, table)
-        except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        except MALFORMED as exc:
             raise InputError(f"malformed simplicial-category JSON: {exc}") from exc
 
 
@@ -354,9 +354,14 @@ def relscat_from_json(data) -> RelativeSimplicialCategory:
     if "sub" not in data:
         raise InputError("missing sub")
     sub = {}
-    for key, levels in data["sub"].items():
-        x, y = key.split("|")
-        sub[(x, y)] = tuple(frozenset(level) for level in levels)
+    try:
+        for key, levels in data["sub"].items():
+            x, y = key.split("|")
+            if (x, y) not in ambient.homs:
+                raise InputError(f"unknown hom {key!r}")
+            sub[(x, y)] = tuple(frozenset(level) for level in levels)
+    except MALFORMED as exc:
+        raise InputError(f"malformed sub: {exc}") from exc
     return RelativeSimplicialCategory(ambient, sub)
 
 
@@ -369,7 +374,7 @@ def simplicial_functor_from_json(data, source, target) -> "SimplicialFunctor":
                 for s, t in entries.items():
                     smap[(x, y, int(level_str), s)] = t
         return SimplicialFunctor(source, target, data["object_map"], smap)
-    except (KeyError, TypeError, ValueError) as exc:
+    except MALFORMED as exc:
         raise InputError(f"malformed functor JSON: {exc}") from exc
 
 

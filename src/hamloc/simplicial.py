@@ -13,8 +13,8 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import InputError
-from .fincat import CatFunctor, FiniteCategory
+from .errors import MALFORMED, InputError
+from .fincat import CatFunctor, FiniteCategory, UnionFind
 
 
 @dataclass(frozen=True)
@@ -164,7 +164,7 @@ class TruncatedSimplicialSet:
                     for i, img in enumerate(imgs):
                         degeneracies[(k, name, i)] = img
             return TruncatedSimplicialSet(truncation, levels, faces, degeneracies)
-        except (KeyError, TypeError, ValueError) as exc:
+        except MALFORMED as exc:
             raise InputError(f"malformed simplicial-set JSON: {exc}") from exc
 
 
@@ -340,47 +340,21 @@ class Partition:
     @staticmethod
     def from_pairs(elements, pairs) -> "Partition":
         elements = tuple(elements)
-        parent = {e: e for e in elements}
-
-        def find(a):
-            while parent[a] != a:
-                parent[a] = parent[parent[a]]
-                a = parent[a]
-            return a
-
+        uf = UnionFind(elements)
         for a, b in pairs:
-            ra, rb = find(a), find(b)
-            if ra != rb:
-                parent[rb] = ra
-        order = {}
-        groups = {}
-        for e in elements:
-            r = find(e)
-            if r not in order:
-                order[r] = len(order)
-            groups.setdefault(r, []).append(e)
-        classes = tuple(
-            frozenset(groups[r]) for r in sorted(order, key=order.get)
-        )
-        class_of = {}
-        for idx, cls in enumerate(classes):
-            for e in cls:
-                class_of[e] = idx
+            uf.union(a, b)
+        return Partition.of(uf, elements)
+
+    @staticmethod
+    def of(uf: UnionFind, elements) -> "Partition":
+        """The classes of ``uf`` on ``elements``, by first occurrence."""
+        elements = tuple(elements)
+        classes = tuple(frozenset(g) for g in uf.groups(elements).values())
+        class_of = {e: idx for idx, cls in enumerate(classes) for e in cls}
         return Partition(elements, class_of, classes)
 
     def same(self, a, b) -> bool:
         return self.class_of[a] == self.class_of[b]
-
-    def restricted_equals(self, other: "Partition") -> bool:
-        """Same equivalence on other's elements (which must be a subset)."""
-        for cls in self.classes:
-            sub = [e for e in cls if e in other.class_of]
-            if sub and len({other.class_of[e] for e in sub}) > 1:
-                return False
-        for cls in other.classes:
-            if len({self.class_of[e] for e in cls}) > 1:
-                return False
-        return True
 
 
 def pi0(x: TruncatedSimplicialSet) -> Partition:

@@ -192,7 +192,7 @@ def check_24i(a: FiniteCategory, u, v, bounds: Bounds) -> ExperimentReport:
 def check_24ii(rs: RelativeSimplicialCategory, bounds: Bounds) -> ExperimentReport:
     """The comparison map into the dimensionwise localization at a
     neglectable subobject must be a DK-equivalence."""
-    bad = validate_scat(rs.ambient) + validate_relscat(rs)
+    bad = validate_scat(rs.ambient) or validate_relscat(rs)
     if bad:
         raise InputError(f"invalid relative simplicial category: {bad[0]}")
     inputs = _describe({"objects": list(rs.ambient.objects),
@@ -234,7 +234,7 @@ def check_roundtrip(r: RelativeCategory, bounds: Bounds) -> ExperimentReport:
     width-bounded localization cannot represent all composites (the exact
     flattening is infinite), so the re-localized stages are approximations
     whose stability verdicts are recorded as caveats rather than gates."""
-    bad = validate_relative(r)
+    bad = validate_category(r.cat) + validate_relative(r)
     if bad:
         raise InputError(f"invalid relative category: {bad[0]}")
     inputs = _describe(r.to_json(), "relcat")
@@ -289,7 +289,7 @@ def check_32(r: RelativeCategory, bounds: Bounds) -> ExperimentReport:
     """The localization comparison map from a localization into the
     dimensionwise localization of itself at the image of the weak
     equivalences must be a DK-equivalence."""
-    bad = validate_relative(r)
+    bad = validate_category(r.cat) + validate_relative(r)
     if bad:
         raise InputError(f"invalid relative category: {bad[0]}")
     inputs = _describe(r.to_json(), "relcat")

@@ -222,6 +222,24 @@ TRUNCATED = b'{"objects": ["X"], "morphisms": ["idX"'
 NOT_UTF8 = b'{"objects": ["\xff\xfe"]}'
 
 
+def _edited(data, **changes):
+    return json.dumps(dict(data, **changes)).encode()
+
+
+WEQ = inst.walking_weq().to_json()
+TWO_ITEM_COMPOSE = _edited(WEQ, compose=WEQ["compose"] + [["idX", "idX"]])
+WEQ_NOT_A_LIST = _edited(WEQ, weq=5)
+# a well-formed file whose category lacks the composite w.idX
+MISSING_COMPOSITE = _edited(WEQ, compose=[e for e in WEQ["compose"] if e != ["w", "idX", "w"]])
+ISO1 = promote(inst.walking_iso(), 1)
+RELSCAT = relscat_to_json(RelativeSimplicialCategory(
+    ISO1, sub_from_morphisms(ISO1, inst.walking_iso(), ["idX", "idY"])))
+INTEGER_NAME = json.dumps(RelativeCategory(inst.chain3(), ["idX", "idY", "idZ"]).to_json()).replace(
+    '"gf"', "7").encode()
+SUB_KEY_THREE_OBJECTS = _edited(RELSCAT, sub=dict(RELSCAT["sub"], **{"X|Y|Z": [[], []]}))
+SUB_LEVEL_NOT_A_LIST = _edited(RELSCAT, sub=dict(RELSCAT["sub"], **{"X|Y": [5, []]}))
+
+
 @pytest.mark.parametrize("argv,content", [
     (["validate", "F"], TRUNCATED),
     (["localize", "F", "--width", "2"], TRUNCATED),
@@ -236,10 +254,29 @@ NOT_UTF8 = b'{"objects": ["\xff\xfe"]}'
     (["dk-check", "F"], json.dumps({"target": {}, "object_map": {}, "simplex_map": {}}).encode()),
     (["dk-check", "F"], json.dumps({"source": {}, "object_map": {}, "simplex_map": {}}).encode()),
     (["dk-check", "F"], b"[]"),
+    (["validate", "F"], TWO_ITEM_COMPOSE),
+    (["validate", "F"], WEQ_NOT_A_LIST),
+    (["ho", "F", "--width", "2"], WEQ_NOT_A_LIST),
+    (["verify", "3.1", "F"], WEQ_NOT_A_LIST),
+    (["validate", "F"], SUB_KEY_THREE_OBJECTS),
+    (["validate", "F"], SUB_LEVEL_NOT_A_LIST),
+    (["verify", "2.4i", "F"], b"{}"),
+    (["verify", "2.4i", "F"], b"[1,2]"),
+    (["ho", "F", "--width", "2"], MISSING_COMPOSITE),
+    (["localize", "F", "--width", "2"], MISSING_COMPOSITE),
+    (["verify", "3.1", "F"], MISSING_COMPOSITE),
+    (["verify", "3.2", "F"], MISSING_COMPOSITE),
+    (["verify", "3.1", "F"], INTEGER_NAME),
 ], ids=["truncated-validate", "truncated-localize", "truncated-ho", "truncated-flatten",
         "truncated-neglectable", "truncated-dk-check", "truncated-verify",
         "not-utf8-validate", "not-utf8-pi0", "not-utf8-verify",
-        "dk-check-without-source", "dk-check-without-target", "dk-check-not-an-object"])
+        "dk-check-without-source", "dk-check-without-target", "dk-check-not-an-object",
+        "two-item-compose-validate", "weq-not-a-list-validate", "weq-not-a-list-ho",
+        "weq-not-a-list-verify", "sub-key-three-objects", "sub-level-not-a-list",
+        "verify-2.4i-empty-object", "verify-2.4i-list",
+        "missing-composite-ho", "missing-composite-localize",
+        "missing-composite-verify-3.1", "missing-composite-verify-3.2",
+        "integer-morphism-name"])
 def test_malformed_input_exits_two(tmp_path, capsys, argv, content):
     """Exit 2, never 1, for input that does not parse or lacks a key;
     ``F`` stands for the input file."""
@@ -257,6 +294,14 @@ def test_sub_composite_missing_from_ambient_exits_two(tmp_path, capsys, argv, mo
     write_canonical(path, _walking_iso_without_vu(mors))
     assert run(argv + [str(path)]) == 2
     assert "bounds insufficient" not in capsys.readouterr().err
+
+
+def test_missing_sub_composite_is_reported_once(tmp_path, capsys):
+    path = tmp_path / "relscat.json"
+    write_canonical(path, _walking_iso_without_vu(["idX", "idY", "u", "v"]))
+    assert run(["validate", str(path)]) == 2
+    assert json.loads(capsys.readouterr().out)["violations"] == [
+        "missing composite (X,Y,X) level 0: (v,u)"]
 
 
 class TestVerify:
@@ -323,6 +368,41 @@ class TestDeterminismAndCache:
         cold = _capture(capsys)
         assert run(argv) == 0
         assert cold == _capture(capsys)
+
+    @pytest.mark.parametrize("entry", [b'{"exit": 0, "output": {"cla', b'{"output": 5}'],
+                             ids=["truncated", "wrong-shape"])
+    def test_corrupt_entry_is_a_miss_and_rewritten(self, files, tmp_path, capsys, entry):
+        cache = tmp_path / "cache4"
+        argv = ["--cache-dir", str(cache), "ho", files["walking-weq.json"], "--width", "2"]
+        assert run(argv) == 0
+        cold = _capture(capsys)
+        (path,) = cache.glob("*.json")
+        path.write_bytes(entry)
+        assert run(argv) == 0
+        assert _capture(capsys) == cold
+        assert json.loads(path.read_text())["output"]["exit"] == 0
+        assert run(argv) == 0
+        assert _capture(capsys) == cold
+
+    def test_cache_key_includes_source_digest(self, files, tmp_path, capsys, monkeypatch):
+        import hamloc.cli
+
+        cache = tmp_path / "cache5"
+        argv = ["--cache-dir", str(cache), "ho", files["walking-weq.json"], "--width", "2"]
+        assert run(argv) == 0
+        monkeypatch.setattr(hamloc.cli, "source_digest", lambda: "edited sources")
+        assert run(argv) == 0
+        assert len(list(cache.glob("*.json"))) == 2
+
+    def test_source_digest_only_with_cache(self, files, monkeypatch):
+        import hamloc.cli
+
+        def unreachable():
+            raise AssertionError("digest computed with the cache off")
+
+        monkeypatch.setattr(hamloc.cli, "source_digest", unreachable)
+        monkeypatch.delenv("HAMLOC_CACHE_DIR", raising=False)
+        assert run(["ho", files["walking-weq.json"], "--width", "2"]) == 0
 
 
 class TestVerbose:

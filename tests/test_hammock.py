@@ -207,7 +207,7 @@ class TestLocalization:
         assert validate_simplicial_functor(fun) == []
         for (g, f), h in r.cat.table.items():
             x, y, z = r.cat.dom[f], r.cat.cod[f], r.cat.cod[g]
-            got = loc.compose_simplices(
+            got = loc.composite(
                 x, y, z, 0,
                 fun.simplex_map[(y, z, 0, g)], fun.simplex_map[(x, y, 0, f)],
             )
@@ -401,3 +401,40 @@ class TestPi0AgainstFull:
             checked += 1
             sub_width = len(_normal_form(r.cat, h.directions, h.rows, ())[0])
             assert sub_width == reduce_hammock(r, h).width
+
+
+class TestVerdictIsOneWidthLower:
+    """The pi0 verdict at width w says exactly whether the components at
+    w-1 and at w agree: every class at w meets the vertices of width
+    below w, and on those vertices the two partitions are the same."""
+
+    @staticmethod
+    def _check(r, x, y, width):
+        lower = mapping_space(r, x, y, 1, width - 1, "pi0")
+        upper = mapping_space(r, x, y, 1, width, "pi0")
+        narrow = frozenset(h.name for h in upper.vertices if h.width < width)
+        assert narrow == frozenset(h.name for h in lower.vertices)
+        traces = [cls & narrow for cls in upper.partition.classes]
+        agree = (len(traces) == len(lower.partition.classes)
+                 and set(traces) == set(lower.partition.classes))
+        assert upper.verdict == ("stable" if agree else "bound_limited"), (x, y, width)
+
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), width=st.integers(2, 3))
+    def test_random_relative_categories(self, seed, width):
+        rng = random.Random(seed)
+        r = _closed_weq(inst.random_dag_category(rng), rng)
+        for x in r.cat.objects:
+            for y in r.cat.objects:
+                self._check(r, x, y, width)
+
+    def test_partial_flattening_of_walking_weq(self):
+        fl = flatten(hammock_localization(inst.walking_weq(), 1, 2).scat())
+        assert fl.overflows > 0
+        verdicts = set()
+        for x in fl.rel.cat.objects:
+            for y in fl.rel.cat.objects:
+                for width in (2, 3):
+                    self._check(fl.rel, x, y, width)
+                    verdicts.add(mapping_space(fl.rel, x, y, 1, width, "pi0").verdict)
+        assert verdicts == {"stable", "bound_limited"}

@@ -1,0 +1,92 @@
+"""Every JSON loader answers a malformed document with InputError or a
+value, never with another exception (which the CLI would report as exit
+1, "claim violated")."""
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from hamloc import instances as inst
+from hamloc.errors import InputError
+from hamloc.fincat import FiniteCategory
+from hamloc.hammock import hammock_localization
+from hamloc.relcat import RelativeCategory
+from hamloc.scat import (
+    RelativeSimplicialCategory,
+    TruncatedSimplicialCategory,
+    identity_simplicial_functor,
+    promote,
+    relscat_from_json,
+    relscat_to_json,
+    simplicial_functor_from_json,
+    sub_from_morphisms,
+)
+from hamloc.simplicial import TruncatedSimplicialSet, nerve
+
+ARROW = promote(inst.walking_arrow(), 1)
+ISO = inst.walking_iso()
+
+# (loader, a valid document it reads)
+LOADERS = {
+    "fincat": (FiniteCategory.from_json, ISO.to_json()),
+    "relcat": (RelativeCategory.from_json, inst.walking_weq().to_json()),
+    "sset": (TruncatedSimplicialSet.from_json, nerve(inst.walking_arrow(), 1).to_json()),
+    "scat": (TruncatedSimplicialCategory.from_json, ARROW.to_json()),
+    "scat-partial": (TruncatedSimplicialCategory.from_json,
+                     hammock_localization(inst.walking_weq(), 1, 2).to_json()),
+    "relscat": (relscat_from_json, relscat_to_json(RelativeSimplicialCategory(
+        promote(ISO, 1), sub_from_morphisms(promote(ISO, 1), ISO, ["idX", "idY", "u"])))),
+    "functor": (lambda data: simplicial_functor_from_json(data, ARROW, ARROW),
+                identity_simplicial_functor(ARROW).to_json()),
+}
+
+NAMES = ["X", "Y", "idX", "idY", "w", "u", "X|Y", "X|Y|X", "X|X|Y", "0", "1", "f", "b"]
+SCALARS = (st.none() | st.booleans() | st.integers(-2, 3) | st.floats(allow_nan=False)
+           | st.sampled_from(NAMES) | st.text(max_size=2))
+JSON = st.recursive(
+    SCALARS,
+    lambda inner: (st.lists(inner, max_size=4)
+                   | st.dictionaries(st.sampled_from(NAMES) | st.text(max_size=2), inner,
+                                     max_size=3)),
+    max_leaves=6,
+)
+
+
+def _mutate(draw, data):
+    """``data`` with one subtree replaced by arbitrary JSON or deleted."""
+    if not isinstance(data, (dict, list)) or not data or draw(st.integers(0, 3)) == 0:
+        return draw(JSON)
+    out = dict(data) if isinstance(data, dict) else list(data)
+    at = draw(st.sampled_from(sorted(out) if isinstance(out, dict) else range(len(out))))
+    if draw(st.integers(0, 5)) == 0:
+        del out[at]
+    else:
+        out[at] = _mutate(draw, out[at])
+    return out
+
+
+@pytest.mark.parametrize("kind", sorted(LOADERS))
+def test_valid_documents_load(kind):
+    loader, document = LOADERS[kind]
+    assert loader(document) is not None
+
+
+@pytest.mark.parametrize("kind", sorted(LOADERS))
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_mutated_documents_raise_input_error_or_load(kind, data):
+    loader, document = LOADERS[kind]
+    mutated = _mutate(data.draw, document)
+    try:
+        loader(mutated)
+    except InputError:
+        pass
+
+
+@pytest.mark.parametrize("kind", sorted(LOADERS))
+@settings(max_examples=50, deadline=None)
+@given(value=JSON)
+def test_arbitrary_json_raises_input_error_or_loads(kind, value):
+    try:
+        LOADERS[kind][0](value)
+    except InputError:
+        pass
