@@ -109,6 +109,14 @@ def _load_relcat(path) -> RelativeCategory:
     return r
 
 
+def _load_scat(data) -> TruncatedSimplicialCategory:
+    a = TruncatedSimplicialCategory.from_json(data)
+    bad = validate_scat(a)
+    if bad:
+        raise InputError(f"invalid simplicial category: {bad[0]}")
+    return a
+
+
 def _cmd_validate(args):
     data = load_json(args.file)
     kind = _sniff_kind(data)
@@ -232,11 +240,7 @@ def _cmd_homology(args):
 
 def _cmd_flatten(args):
     data = load_json(args.file)
-    a = TruncatedSimplicialCategory.from_json(data)
-    bad = validate_scat(a)
-    if bad:
-        raise InputError(f"invalid simplicial category: {bad[0]}")
-    result = flatten(a)
+    result = flatten(_load_scat(data))
     output = result.rel.to_json()
     output["provenance"] = {
         "source_hash": content_key("scat", data),
@@ -260,8 +264,7 @@ def _cmd_dk_check(args):
         source_ref, target_ref = data["source"], data["target"]
     except (KeyError, TypeError) as exc:
         raise InputError(f"a functor file needs source and target: {exc!r}") from exc
-    source = TruncatedSimplicialCategory.from_json(resolve(source_ref))
-    target = TruncatedSimplicialCategory.from_json(resolve(target_ref))
+    source, target = _load_scat(resolve(source_ref)), _load_scat(resolve(target_ref))
     fun = simplicial_functor_from_json(data, source, target)
     cert = check_dk(fun)
     _emit(args, cert.to_json(), f"certificate: {cert.verdict}")
@@ -415,7 +418,7 @@ def run(argv=None) -> int:
     except InputError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return INVALID
-    except FileNotFoundError as exc:
+    except OSError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return INVALID
     except (CompositionUnavailable, ConsistencyError) as exc:

@@ -817,8 +817,9 @@ def _map_hammock(rel_target: RelativeCategory, morphism_map, h: Hammock) -> Hamm
 
 
 class RelscatLocalization:
-    """Dimensionwise hammock localization of (ambient, sub), assembled as
-    the diagonal of the level-by-level mapping spaces."""
+    """Dimensionwise hammock localization of (ambient, sub): one
+    :class:`Localization` per level of the ambient, assembled as the
+    diagonal of the level-by-level mapping spaces."""
 
     def __init__(self, rs, truncation, w_max):
         ambient = rs.ambient
@@ -826,7 +827,6 @@ class RelscatLocalization:
             raise InputError("ambient truncation too small")
         self.rs = rs
         self.truncation = truncation
-        self.w_max = w_max
 
         self.level_rel = []
         for n in range(truncation + 1):
@@ -837,17 +837,11 @@ class RelscatLocalization:
                     for s in rs.sub[(x, y)][n]:
                         weq.add(scat_mod.level_morphism_name(x, y, s))
             self.level_rel.append(RelativeCategory(level_cat, weq))
-        self.level_ctx = [_Context(rel) for rel in self.level_rel]
+        self.levels = [Localization(rel, truncation, w_max) for rel in self.level_rel]
+        self.row_spaces = {(x, y, n): ms for n, loc in enumerate(self.levels)
+                           for (x, y), ms in loc.pairs.items()}
 
         objects = ambient.objects
-        self.row_spaces = {}
-        for x in objects:
-            for y in objects:
-                for n in range(truncation + 1):
-                    self.row_spaces[(x, y, n)] = _mapping_space(
-                        self.level_ctx[n], x, y, truncation, w_max, "full"
-                    )
-
         # face and degeneracy maps on level-morphism names, once each
         faces = {n: [scat_mod.level_map(ambient, n, "d", i) for i in range(n + 1)]
                  for n in range(1, truncation + 1)}
@@ -884,16 +878,12 @@ class RelscatLocalization:
     @property
     def verdict(self):
         return ("stable"
-                if all(ms.stable for ms in self.row_spaces.values())
+                if all(loc.verdict == "stable" for loc in self.levels)
                 else "bound_limited")
 
     def composite(self, x, y, z, level, g_name, f_name):
         """Name of the composite simplex, or None on width overflow."""
-        return bounded_composite(
-            self.level_rel[level], self.row_spaces[(y, z, level)].by_name[g_name],
-            self.row_spaces[(x, y, level)].by_name[f_name], self.w_max,
-            self.row_spaces[(x, z, level)].by_name,
-        )
+        return self.levels[level].composite(x, y, z, level, g_name, f_name)
 
     def scat(self) -> scat_mod.TruncatedSimplicialCategory:
         if self._scat is None:

@@ -42,11 +42,15 @@ def write_canonical(path, obj) -> None:
 
 
 def load_json(path):
-    """Parse a UTF-8 JSON file; malformed content is an InputError."""
+    """Parse a UTF-8 JSON file; a file that cannot be read or parsed is
+    an InputError."""
     try:
         return json.loads(Path(path).read_text(encoding="utf-8"))
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise InputError(f"{path}: not UTF-8 JSON: {exc}") from exc
+    except (OSError, ValueError) as exc:
+        # a missing file, a directory, or a NUL byte in the name
+        raise InputError(f"cannot read {path}: {exc}") from exc
 
 
 class DiskCache:

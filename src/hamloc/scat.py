@@ -112,6 +112,8 @@ class TruncatedSimplicialCategory:
                 x, y, z = key.split("|")
                 for level_str, entries in per_level.items():
                     for g, f, h in entries:
+                        if not all(isinstance(n, str) for n in (g, f, h)):
+                            raise InputError("composition entries must be simplex names")
                         table[(x, y, z, int(level_str), g, f)] = h
             args = (data["objects"], data["truncation"], homs, data["identities"])
             if data.get("bounds", {}).get("overflows", 0) > 0:
@@ -360,6 +362,8 @@ def relscat_from_json(data) -> RelativeSimplicialCategory:
             if (x, y) not in ambient.homs:
                 raise InputError(f"unknown hom {key!r}")
             sub[(x, y)] = tuple(frozenset(level) for level in levels)
+            if not all(isinstance(s, str) for level in sub[(x, y)] for s in level):
+                raise InputError(f"sub {key!r} names a simplex by a non-string")
     except MALFORMED as exc:
         raise InputError(f"malformed sub: {exc}") from exc
     return RelativeSimplicialCategory(ambient, sub)
@@ -373,7 +377,10 @@ def simplicial_functor_from_json(data, source, target) -> "SimplicialFunctor":
             for level_str, entries in per_level.items():
                 for s, t in entries.items():
                     smap[(x, y, int(level_str), s)] = t
-        return SimplicialFunctor(source, target, data["object_map"], smap)
+        object_map = dict(data["object_map"])
+        if not all(isinstance(t, str) for t in (*object_map.values(), *smap.values())):
+            raise InputError("functor images must be names (strings)")
+        return SimplicialFunctor(source, target, object_map, smap)
     except MALFORMED as exc:
         raise InputError(f"malformed functor JSON: {exc}") from exc
 
@@ -670,10 +677,13 @@ def _induced_homology_iso(fun, x, y, level, src_hom, tgt_hom, src_report, tgt_re
 def check_dk(fun: SimplicialFunctor, budget: int = 1_000_000) -> DkCertificate:
     """Necessary-condition certificate that ``fun`` is a DK-equivalence.
 
-    Per object pair the component sets must biject and homology through
-    degree truncation-1 must agree (ranks, torsion, and an induced iso
-    over Q); the induced functor on component categories must be fully
-    faithful and essentially surjective.
+    Expects valid simplicial categories (``validate_scat``); the functor
+    itself is validated here.  Per object pair the component sets must
+    biject and homology in degrees 1..truncation-1 must agree (ranks,
+    torsion, and an induced iso over Q); the induced functor on component
+    categories must be fully faithful and essentially surjective.  Degree
+    0 needs no homology: normalized H_0 is free on the components, so it
+    agrees exactly when the components biject.
     """
     bad = validate_simplicial_functor(fun)
     if bad:
@@ -702,26 +712,16 @@ def check_dk(fun: SimplicialFunctor, budget: int = 1_000_000) -> DkCertificate:
                 "target_classes": len(tp.classes), "injective": injective,
             }
 
-            hom_ok = True
-            hom_witness = None
-            src_hom, tgt_hom = src.homs[(x, y)], tgt.homs[(fx, fy)]
-            if N >= 1:
-                src_report = homology(src_hom)
-                tgt_report = homology(tgt_hom)
-                for level in range(N):
-                    if level == 0:
-                        ok = pi0_ok and (
-                            src_report.group(0).free_rank == tgt_report.group(0).free_rank
-                            and src_report.group(0).torsion == tgt_report.group(0).torsion
-                        )
-                    else:
-                        ok = _induced_homology_iso(
-                            fun, x, y, level, src_hom, tgt_hom, src_report, tgt_report
-                        )
-                    if not ok:
-                        hom_ok = False
+            hom_witness = None if pi0_ok else {"pair": [x, y], "degree": 0}
+            if pi0_ok and N >= 2:
+                src_hom, tgt_hom = src.homs[(x, y)], tgt.homs[(fx, fy)]
+                src_report, tgt_report = homology(src_hom), homology(tgt_hom)
+                for level in range(1, N):
+                    if not _induced_homology_iso(
+                            fun, x, y, level, src_hom, tgt_hom, src_report, tgt_report):
                         hom_witness = {"pair": [x, y], "degree": level}
                         break
+            hom_ok = hom_witness is None
             pairs[(x, y)] = PairComparison(pi0_ok, pi0_witness, hom_ok, hom_witness)
             if not (pi0_ok and hom_ok):
                 verdict = "fail"

@@ -163,6 +163,10 @@ class TruncatedSimplicialSet:
                 for name, imgs in entries.items():
                     for i, img in enumerate(imgs):
                         degeneracies[(k, name, i)] = img
+            names = (*(n for level in levels for n in level), *faces.values(),
+                     *degeneracies.values())
+            if not all(isinstance(n, str) for n in names):
+                raise InputError("simplex names must be strings")
             return TruncatedSimplicialSet(truncation, levels, faces, degeneracies)
         except MALFORMED as exc:
             raise InputError(f"malformed simplicial-set JSON: {exc}") from exc

@@ -126,6 +126,39 @@ def _comparison_certificate(fun, bounds: Bounds):
         raise ConsistencyError(f"comparison map invalid: {exc}") from exc
 
 
+def _neglectability_stop(claim, inputs, bounds: Bounds, outcomes, rs, check, refuted):
+    """Record whether the sub of ``rs`` is neglectable.  Returns the
+    finished report when the pipeline stops here: "undetermined" when
+    the bounds cannot decide, ``refuted`` when it is not neglectable;
+    else None."""
+    try:
+        neglectable, witness = is_neglectable(rs)
+    except (CompositionUnavailable, ConsistencyError) as exc:
+        return ExperimentReport(claim, inputs, bounds.to_json(),
+                                outcomes + [{"check": "neglectability", "result": "undetermined"}],
+                                "undetermined", str(exc))
+    outcomes.append({"check": check, "result": "yes" if neglectable else "no"})
+    if not neglectable:
+        return ExperimentReport(claim, inputs, bounds.to_json(), outcomes, refuted, list(witness))
+    return None
+
+
+def _certified(claim, inputs, bounds: Bounds, outcomes, fun, stable: bool) -> ExperimentReport:
+    """The report gated on the comparison certificate of ``fun``: a failed
+    certificate fails the claim; an undetermined one, or primary data
+    that is not ``stable``, leaves it undetermined."""
+    cert = _comparison_certificate(fun, bounds)
+    outcomes.append({"check": "DK certificate", "result": cert.verdict})
+    if cert.verdict == "fail":
+        verdict = "fail"
+    elif cert.verdict == "undetermined" or not stable:
+        verdict = "undetermined"
+    else:
+        verdict = "pass"
+    witness = cert.to_json() if cert.verdict == "fail" else None
+    return ExperimentReport(claim, inputs, bounds.to_json(), outcomes, verdict, witness)
+
+
 def check_24i(a: FiniteCategory, u, v, bounds: Bounds) -> ExperimentReport:
     """Localizing at a span of marked subcategories: when the second
     subcategory is neglectable in the localization at the first, the
@@ -145,17 +178,10 @@ def check_24i(a: FiniteCategory, u, v, bounds: Bounds) -> ExperimentReport:
     outcomes.append({"check": "localization(u) stability", "result": loc_u.verdict})
 
     rs = RelativeSimplicialCategory(loc_u.scat(), _embedded_sub(ru, loc_u.scat(), v))
-    try:
-        neglectable, witness = is_neglectable(rs)
-    except (CompositionUnavailable, ConsistencyError) as exc:
-        return ExperimentReport("2.4i", inputs, bounds.to_json(),
-                                outcomes + [{"check": "neglectability", "result": "undetermined"}],
-                                "undetermined", str(exc))
-    outcomes.append({"check": "v neglectable in localization(u)",
-                     "result": "yes" if neglectable else "no"})
-    if not neglectable:
-        return ExperimentReport("2.4i", inputs, bounds.to_json(), outcomes,
-                                "inapplicable", list(witness))
+    stop = _neglectability_stop("2.4i", inputs, bounds, outcomes, rs,
+                                "v neglectable in localization(u)", "inapplicable")
+    if stop is not None:
+        return stop
 
     span = subcategory_span(a, u, v)
     ruv = RelativeCategory(a, span.morphisms)
@@ -174,19 +200,8 @@ def check_24i(a: FiniteCategory, u, v, bounds: Bounds) -> ExperimentReport:
                     smap[(x, y, level, name)] = name
     induced = SimplicialFunctor(loc_u.scat(), loc_uv.scat(),
                                 {x: x for x in a.objects}, smap)
-    cert = check_dk(induced, bounds.dk_budget)
-    outcomes.append({"check": "DK certificate", "result": cert.verdict})
-
-    if cert.verdict == "fail":
-        verdict = "fail"
-    elif cert.verdict == "undetermined":
-        verdict = "undetermined"
-    elif loc_u.verdict != "stable" or loc_uv.verdict != "stable":
-        verdict = "undetermined"
-    else:
-        verdict = "pass"
-    witness = cert.to_json() if cert.verdict == "fail" else None
-    return ExperimentReport("2.4i", inputs, bounds.to_json(), outcomes, verdict, witness)
+    return _certified("2.4i", inputs, bounds, outcomes, induced,
+                      loc_u.verdict == "stable" and loc_uv.verdict == "stable")
 
 
 def check_24ii(rs: RelativeSimplicialCategory, bounds: Bounds) -> ExperimentReport:
@@ -199,30 +214,15 @@ def check_24ii(rs: RelativeSimplicialCategory, bounds: Bounds) -> ExperimentRepo
                         "truncation": rs.ambient.truncation},
                        "claim-24ii-input")
     outcomes = []
-    try:
-        neglectable, witness = is_neglectable(rs)
-    except (CompositionUnavailable, ConsistencyError) as exc:
-        return ExperimentReport("2.4ii", inputs, bounds.to_json(),
-                                [{"check": "neglectability", "result": "undetermined"}],
-                                "undetermined", str(exc))
-    outcomes.append({"check": "sub neglectable", "result": "yes" if neglectable else "no"})
-    if not neglectable:
-        return ExperimentReport("2.4ii", inputs, bounds.to_json(), outcomes,
-                                "inapplicable", list(witness))
+    stop = _neglectability_stop("2.4ii", inputs, bounds, outcomes, rs,
+                                "sub neglectable", "inapplicable")
+    if stop is not None:
+        return stop
 
     rsloc = hammock_localization_relscat(rs, bounds.truncation, bounds.width)
     outcomes.append({"check": "localization stability", "result": rsloc.verdict})
-    cert = _comparison_certificate(embed_relscat(rs, rsloc), bounds)
-    outcomes.append({"check": "DK certificate", "result": cert.verdict})
-
-    if cert.verdict == "fail":
-        verdict = "fail"
-    elif cert.verdict == "undetermined" or rsloc.verdict != "stable":
-        verdict = "undetermined"
-    else:
-        verdict = "pass"
-    witness = cert.to_json() if cert.verdict == "fail" else None
-    return ExperimentReport("2.4ii", inputs, bounds.to_json(), outcomes, verdict, witness)
+    return _certified("2.4ii", inputs, bounds, outcomes, embed_relscat(rs, rsloc),
+                      rsloc.verdict == "stable")
 
 
 def check_roundtrip(r: RelativeCategory, bounds: Bounds) -> ExperimentReport:
@@ -298,34 +298,19 @@ def check_32(r: RelativeCategory, bounds: Bounds) -> ExperimentReport:
     loc = hammock_localization(r, bounds.truncation, bounds.width)
     outcomes.append({"check": "localization stability", "result": loc.verdict})
     rs = RelativeSimplicialCategory(loc.scat(), _embedded_sub(r, loc.scat(), r.weq))
-    try:
-        neglectable, witness = is_neglectable(rs)
-    except (CompositionUnavailable, ConsistencyError) as exc:
-        return ExperimentReport("3.2", inputs, bounds.to_json(),
-                                outcomes + [{"check": "neglectability", "result": "undetermined"}],
-                                "undetermined", str(exc))
-    outcomes.append({"check": "image of weq neglectable", "result": "yes" if neglectable else "no"})
-    if not neglectable:
-        # inverting the weak equivalences must make them neglectable; a
-        # failure here is a width artifact, not a refutation
-        return ExperimentReport("3.2", inputs, bounds.to_json(), outcomes,
-                                "undetermined", list(witness))
+    # inverting the weak equivalences must make them neglectable; a
+    # failure here is a width artifact, not a refutation
+    stop = _neglectability_stop("3.2", inputs, bounds, outcomes, rs,
+                                "image of weq neglectable", "undetermined")
+    if stop is not None:
+        return stop
 
     rsloc = hammock_localization_relscat(rs, bounds.truncation, bounds.width)
     outcomes.append({"check": "relocalization stability (approximation caveat)",
                      "result": rsloc.verdict})
-    cert = _comparison_certificate(embed_relscat(rs, rsloc), bounds)
-    outcomes.append({"check": "DK certificate", "result": cert.verdict})
-
     # the relocalized stage is doubly approximate (it localizes data that
     # is itself width-bounded); its verdict is reported above but the gate
     # is the certificate over the stable primary localization
-    if cert.verdict == "fail":
-        verdict = "fail"
-    elif cert.verdict == "undetermined" or loc.verdict != "stable":
-        verdict = "undetermined"
-    else:
-        verdict = "pass"
-    witness = cert.to_json() if cert.verdict == "fail" else None
-    return ExperimentReport("3.2", inputs, bounds.to_json(), outcomes, verdict, witness)
+    return _certified("3.2", inputs, bounds, outcomes, embed_relscat(rs, rsloc),
+                      loc.verdict == "stable")
 

@@ -9,7 +9,13 @@ from hamloc import instances as inst
 from hamloc.cli import run
 from hamloc.jsonio import write_canonical
 from hamloc.relcat import RelativeCategory
-from hamloc.scat import promote, relscat_to_json, sub_from_morphisms, RelativeSimplicialCategory
+from hamloc.scat import (
+    RelativeSimplicialCategory,
+    identity_simplicial_functor,
+    promote,
+    relscat_to_json,
+    sub_from_morphisms,
+)
 
 
 @pytest.fixture
@@ -238,6 +244,19 @@ INTEGER_NAME = json.dumps(RelativeCategory(inst.chain3(), ["idX", "idY", "idZ"])
     '"gf"', "7").encode()
 SUB_KEY_THREE_OBJECTS = _edited(RELSCAT, sub=dict(RELSCAT["sub"], **{"X|Y|Z": [[], []]}))
 SUB_LEVEL_NOT_A_LIST = _edited(RELSCAT, sub=dict(RELSCAT["sub"], **{"X|Y": [5, []]}))
+SUB_NAME_NOT_A_STRING = _edited(RELSCAT, sub=dict(RELSCAT["sub"], **{"X|Y": [["u", True], []]}))
+ARROW1 = promote(inst.walking_arrow(), 1)
+IDENTITY_ARROW1 = identity_simplicial_functor(ARROW1).to_json()
+CUT_FACE = ARROW1.to_json()
+CUT_FACE["homs"]["X|Y"]["faces"]["1"]["f"] = ["f"]
+# the identity simplex map on a source whose simplex f lacks the face d_1
+DK_SOURCE_MISSING_FACE = _edited(IDENTITY_ARROW1, source=CUT_FACE, target=ARROW1.to_json())
+# a source "resolved next to the functor file" that is a directory
+DK_SOURCE_IS_A_DIRECTORY = _edited(IDENTITY_ARROW1, source=".", target=ARROW1.to_json())
+DICT_COMPOSITE = ARROW1.to_json()
+DICT_COMPOSITE["compose"]["X|X|Y"]["0"][0][2] = {}
+DICT_FACE = ARROW1.homs[("X", "Y")].to_json()
+DICT_FACE["faces"]["1"]["f"] = [{}, "f"]
 
 
 @pytest.mark.parametrize("argv,content", [
@@ -267,6 +286,13 @@ SUB_LEVEL_NOT_A_LIST = _edited(RELSCAT, sub=dict(RELSCAT["sub"], **{"X|Y": [5, [
     (["verify", "3.1", "F"], MISSING_COMPOSITE),
     (["verify", "3.2", "F"], MISSING_COMPOSITE),
     (["verify", "3.1", "F"], INTEGER_NAME),
+    (["dk-check", "F"], DK_SOURCE_MISSING_FACE),
+    (["dk-check", "F"], DK_SOURCE_IS_A_DIRECTORY),
+    (["validate", "F"], json.dumps(DICT_COMPOSITE).encode()),
+    (["pi0", "F"], json.dumps(DICT_FACE).encode()),
+    (["neglectable", "F"], SUB_NAME_NOT_A_STRING),
+    (["verify", "2.4ii", "F", "--truncation", "0"], json.dumps(RELSCAT).encode()),
+    (["verify", "2.4ii", "F", "--width", "0"], json.dumps(RELSCAT).encode()),
 ], ids=["truncated-validate", "truncated-localize", "truncated-ho", "truncated-flatten",
         "truncated-neglectable", "truncated-dk-check", "truncated-verify",
         "not-utf8-validate", "not-utf8-pi0", "not-utf8-verify",
@@ -276,7 +302,10 @@ SUB_LEVEL_NOT_A_LIST = _edited(RELSCAT, sub=dict(RELSCAT["sub"], **{"X|Y": [5, [
         "verify-2.4i-empty-object", "verify-2.4i-list",
         "missing-composite-ho", "missing-composite-localize",
         "missing-composite-verify-3.1", "missing-composite-verify-3.2",
-        "integer-morphism-name"])
+        "integer-morphism-name", "dk-check-source-missing-face",
+        "dk-check-source-is-a-directory", "dict-composite-validate", "dict-face-pi0",
+        "sub-name-not-a-string",
+        "verify-2.4ii-truncation-zero", "verify-2.4ii-width-zero"])
 def test_malformed_input_exits_two(tmp_path, capsys, argv, content):
     """Exit 2, never 1, for input that does not parse or lacks a key;
     ``F`` stands for the input file."""

@@ -3,8 +3,8 @@
 Every case runs one ``hamloc`` command on a stock instance and compares
 the exit code and the canonical output with a fixture in ``tests/golden``.
 Large outputs are stored as their sha256 only.  The fixtures were
-recorded at commit c86405b; a fixture changes only together with a
-stated change of the report bytes.  To record them again with the
+recorded at commit c86405b (the ``dk-check`` ones at 2fbdaea); a
+fixture changes only together with a stated change of the report bytes.  To record them again with the
 package on ``PYTHONPATH``:
 
     python tests/test_golden.py record
@@ -23,7 +23,14 @@ from hamloc import instances as inst
 from hamloc.cli import run
 from hamloc.fincat import disjoint_union
 from hamloc.jsonio import canonical_dumps, write_canonical
-from hamloc.scat import RelativeSimplicialCategory, promote, relscat_to_json, sub_from_morphisms
+from hamloc.scat import (
+    RelativeSimplicialCategory,
+    SimplicialFunctor,
+    identity_simplicial_functor,
+    promote,
+    relscat_to_json,
+    sub_from_morphisms,
+)
 
 GOLDEN = Path(__file__).with_name("golden")
 
@@ -73,6 +80,29 @@ def _spans():
     }
 
 
+def _collapse(source, target):
+    """The functor sending every simplex of ``source`` to the identity of
+    the one-object ``target`` at its level."""
+    (point,) = target.objects
+    smap = {(x, y, level, s): target.identity_at(point, level)
+            for (x, y), hom in source.homs.items()
+            for level in range(source.truncation + 1) for s in hom.level(level)}
+    return SimplicialFunctor(source, target, {x: point for x in source.objects}, smap)
+
+
+def _functors():
+    """Simplicial functors for ``dk-check``: one certificate that passes,
+    one that fails in degree 1 (the Z/2 torsion of the involution nerve)
+    and one that fails in degree 0."""
+    z2 = inst.z2_nerve_scat(2)
+    return {
+        "identity-z2-nerve": identity_simplicial_functor(z2),
+        "z2-nerve-onto-point": _collapse(z2, promote(inst.terminal(), 2)),
+        "two-points-onto-point": _collapse(promote(inst.discrete(2), 1),
+                                           promote(inst.terminal(), 1)),
+    }
+
+
 def inputs():
     """Input payloads by file name."""
     payloads = {f"{name}.json": r.to_json() for name, r in inst.oracle_suite()}
@@ -82,6 +112,9 @@ def inputs():
         payloads[f"span-{name}.json"] = {"category": c.to_json(), "u": u, "v": v}
     payloads["scat-walking-arrow.json"] = promote(inst.walking_arrow(), 1).to_json()
     payloads["scat-z2-nerve.json"] = inst.z2_nerve_scat(1).to_json()
+    for name, fun in _functors().items():
+        payloads[f"functor-{name}.json"] = dict(
+            fun.to_json(), source=fun.source.to_json(), target=fun.target.to_json())
     return payloads
 
 
@@ -107,6 +140,8 @@ def cases():
     out.append(("ho-walking-weq-width1", ["ho", "walking-weq.json", "--width", "1"], False))
     for name in ("walking-arrow", "z2-nerve"):
         out.append((f"flatten-{name}", ["flatten", f"scat-{name}.json"], False))
+    for name in _functors():
+        out.append((f"dk-check-{name}", ["dk-check", f"functor-{name}.json"], False))
     for name in ("walking-weq", "span-one-leg", "chain-head-weq"):
         out.append((f"localize-{name}",
                     ["localize", f"{name}.json", "--truncation", "2", "--width", "4"], True))

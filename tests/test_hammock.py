@@ -312,6 +312,18 @@ class TestRelscatLocalization:
         ho_direct, _ = homotopy_category_of_localization(direct)
         assert find_equivalence(ho_rl, ho_direct, 100_000).found
 
+    def test_one_localization_per_level(self):
+        r = inst.walking_weq()
+        p = promote(r.cat, 1)
+        rs = RelativeSimplicialCategory(p, sub_from_morphisms(p, r.cat, sorted(r.weq)))
+        rl = hammock_localization_relscat(rs, 1, 3)
+        assert [loc.relcat for loc in rl.levels] == rl.level_rel
+        for (x, y, n), ms in rl.row_spaces.items():
+            assert ms is rl.levels[n].pair(x, y)
+            fresh = mapping_space(rl.level_rel[n], x, y, 1, 3)
+            assert [h.name for h in ms.vertices] == [h.name for h in fresh.vertices]
+            assert ms.verdict == fresh.verdict
+
     def test_level_categories_built_once_per_level(self, monkeypatch):
         from hamloc import scat
 

@@ -1,14 +1,19 @@
 """Every JSON loader answers a malformed document with InputError or a
 value, never with another exception (which the CLI would report as exit
-1, "claim violated")."""
+1, "claim violated"); so does ``hamloc dk-check`` end to end."""
+
+import contextlib
+import io
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from hamloc import instances as inst
+from hamloc.cli import run
 from hamloc.errors import InputError
 from hamloc.fincat import FiniteCategory
 from hamloc.hammock import hammock_localization
+from hamloc.jsonio import write_canonical
 from hamloc.relcat import RelativeCategory
 from hamloc.scat import (
     RelativeSimplicialCategory,
@@ -90,3 +95,44 @@ def test_arbitrary_json_raises_input_error_or_loads(kind, value):
         LOADERS[kind][0](value)
     except InputError:
         pass
+
+
+def _dk_check_files():
+    """The two functor files of ``test_cli.TestDkAndNeglectable``: the
+    identity on the promoted walking arrow, whose source and target are
+    file names resolved next to the functor file, and the collapse of two
+    points onto one, with both categories inline."""
+    identity = dict(identity_simplicial_functor(ARROW).to_json(),
+                    source="scat-arrow.json", target="scat-arrow.json")
+    collapse = {
+        "source": promote(inst.discrete(2), 1).to_json(),
+        "target": promote(inst.terminal(), 1).to_json(),
+        "object_map": {"X0": "*", "X1": "*"},
+        "simplex_map": {
+            "X0|X0": {"0": {"idX0": "id*"}, "1": {"idX0": "id*"}},
+            "X1|X1": {"0": {"idX1": "id*"}, "1": {"idX1": "id*"}},
+        },
+    }
+    return {"identity": identity, "collapse": collapse}
+
+
+DK_CHECK_FILES = _dk_check_files()
+
+
+@pytest.fixture(scope="module")
+def dk_dir(tmp_path_factory):
+    directory = tmp_path_factory.mktemp("dk-check")
+    write_canonical(directory / "scat-arrow.json", ARROW.to_json())
+    return directory
+
+
+@pytest.mark.parametrize("name", sorted(DK_CHECK_FILES))
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_mutated_dk_check_files_exit_with_a_verdict(dk_dir, name, data):
+    """``hamloc dk-check`` end to end on a mutated functor file: a
+    verdict or an input error (exit 0-3), never an exception."""
+    path = dk_dir / f"functor-{name}.json"
+    write_canonical(path, _mutate(data.draw, DK_CHECK_FILES[name]))
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        assert run(["dk-check", str(path)]) in (0, 1, 2, 3)

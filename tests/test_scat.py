@@ -3,6 +3,7 @@ import itertools
 import pytest
 
 from hamloc import instances as inst
+from hamloc import scat
 from hamloc.errors import ConsistencyError, InputError
 from hamloc.fincat import disjoint_union, validate_category
 from hamloc.scat import (
@@ -212,6 +213,16 @@ class TestCheckDk:
     def test_collapse_of_walking_iso_passes(self):
         cert = check_dk(_collapse_functor())
         assert cert.verdict == "pass_partial"
+
+    def test_truncation_one_runs_no_smith_normal_form(self, monkeypatch):
+        """At truncation 1 degree 0 is the only homology degree, and the
+        component bijection decides it."""
+        def raises(x):
+            raise AssertionError("homology computed at truncation 1")
+
+        monkeypatch.setattr(scat, "homology", raises)
+        assert check_dk(_collapse_functor()).verdict == "pass_partial"
+        assert check_dk(_point_inclusion()).verdict == "fail"
 
     def test_invalid_functor_rejected(self):
         fun = _collapse_functor()

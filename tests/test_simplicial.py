@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from hamloc import instances as inst
 from hamloc.errors import InputError
 from hamloc.fincat import CatFunctor, compose_functors, disjoint_union, identity_functor
+from hamloc.hammock import hammock_localization
 from hamloc.simplicial import (
     BisimplicialSet,
     Partition,
@@ -294,3 +295,26 @@ class TestSsetJson:
         faces[(2, "idX|f", 1)] = "idX"  # wrong: d_1 must compose to f
         broken = TruncatedSimplicialSet(2, x.levels, faces, x.degeneracies)
         assert validate_sset(broken)
+
+
+def _assert_h0_free_on_components(x):
+    """Normalized H_0 is free on the components and has no torsion; the
+    DK certificate reads degree 0 off the component bijection for this."""
+    h0 = homology(x).group(0)
+    assert h0.free_rank == len(pi0(x).classes)
+    assert h0.torsion == ()
+
+
+class TestDegreeZeroHomologyIsFreeOnComponents:
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_nerves_of_random_categories(self, seed):
+        x = nerve(inst.random_dag_category(random.Random(seed)), 2)
+        assert validate_sset(x) == []
+        _assert_h0_free_on_components(x)
+
+    @pytest.mark.parametrize("width", [2, 3, 4])
+    def test_hammock_mapping_spaces(self, width):
+        for _, r in inst.oracle_suite():
+            for ms in hammock_localization(r, 2, width).pairs.values():
+                _assert_h0_free_on_components(ms.sset)
