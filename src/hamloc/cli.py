@@ -4,7 +4,8 @@ Exit codes: 0 success/pass, 1 fail (claim violated or certificate
 failed), 2 invalid input, 3 undetermined or width-limited.  Machine
 output is canonical JSON on stdout (or --out), deterministically
 byte-identical for identical inputs and bounds; --verbose sends per-pair
-progress to stderr.
+progress of every localization that ``localize``, ``ho`` and ``verify``
+(all four claims) build to stderr, never to the output.
 """
 
 from __future__ import annotations
@@ -62,9 +63,12 @@ def _progress(args):
     if not args.verbose:
         return None
 
-    def report(x, y, ms):
-        print(f"pair ({x},{y}): {len(ms.vertices)} vertices, "
-              f"{len(ms.partition.classes)} components, {ms.verdict}", file=sys.stderr)
+    def report(x, y, ms, stage=None):
+        line = (f"pair ({x},{y}): {len(ms.vertices)} vertices, "
+                f"{len(ms.partition.classes)} components, {ms.verdict}, {ms.grids} grids")
+        if ms.fallback_rows is not None:
+            line += f", {ms.fallback_rows} fallback rows"
+        print(f"{stage}: {line}" if stage else line, file=sys.stderr)
 
     return report
 
@@ -307,16 +311,15 @@ def _cmd_verify(args):
                     equiv_budget=args.equiv_budget)
 
     def compute():
+        progress = _progress(args)
         if args.claim == "2.4i":
-            report = check_24i(*_claim_24i_input(data), bounds)
+            report = check_24i(*_claim_24i_input(data), bounds, progress)
         elif args.claim == "2.4ii":
-            report = check_24ii(relscat_from_json(data), bounds)
+            report = check_24ii(relscat_from_json(data), bounds, progress)
         elif args.claim == "3.1":
-            r = RelativeCategory.from_json(data)
-            report = check_roundtrip(r, bounds)
+            report = check_roundtrip(RelativeCategory.from_json(data), bounds, progress)
         else:
-            r = RelativeCategory.from_json(data)
-            report = check_32(r, bounds)
+            report = check_32(RelativeCategory.from_json(data), bounds, progress)
         return _VERDICT_EXIT[report.verdict], report.to_json(), report.render()
 
     return _cached(args, f"verify-{args.claim}", data, bounds.to_json(), compute)
@@ -332,7 +335,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="content-addressed cache directory "
                              "(default: $HAMLOC_CACHE_DIR)")
     parser.add_argument("--verbose", action="store_true",
-                        help="per-pair progress on stderr")
+                        help="per-pair progress on stderr (localize, ho, verify)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p):

@@ -167,6 +167,15 @@ class UnionFind:
         if ra != rb:
             self.parent[rb] = ra
 
+    def union_all(self, a, bs):
+        """``union(a, b)`` for each ``b`` in ``bs``, finding ``a``'s root once."""
+        ra = self.find(a)
+        find, parent = self.find, self.parent
+        for b in bs:
+            rb = find(b)
+            if rb != ra:
+                parent[rb] = ra
+
     def groups(self, items) -> dict:
         """Root -> members among ``items``, both in first-occurrence order."""
         groups = {}

@@ -275,6 +275,10 @@ class _Context:
         self.weq_from = {
             x: tuple(m for m in c.from_object(x) if m in r.weq) for x in c.objects
         }
+        self.identities = frozenset(c.identity.values())
+        self.weq_moves = {
+            x: tuple(m for m in self.weq_from[x] if not c.is_identity(m)) for x in c.objects
+        }
         self.fwd_adj = {x: {c.cod[m] for m in self.from_any[x]} for x in c.objects}
         self.weq_src_adj = {x: {c.dom[m] for m in self.weq_into[x]} for x in c.objects}
         table = c.table
@@ -363,45 +367,6 @@ class _Context:
 
         yield from rec(0, cat.identity[vertices[0]], (), ())
 
-    def extension_rows(self, directions, row, vertices):
-        """Distinct next rows below ``row`` (vertical witnesses dropped)."""
-        width = len(directions)
-        cat = self.cat
-        table_get = cat.table.get
-        right_get = self.right_factor.get
-        weq = self.weq
-        weq_from = self.weq_from
-        out = set()
-        row_local = row
-        dirs_local = directions
-
-        def rec(col, vprev, racc):
-            if col == width:
-                out.add(racc)
-                return
-            if col + 1 == width:
-                candidates = (cat.identity[vertices[width]],)
-            else:
-                candidates = weq_from[vertices[col + 1]]
-            h = row_local[col]
-            forward = dirs_local[col] == "f"
-            for vnext in candidates:
-                if forward:
-                    target = table_get((vnext, h))
-                    if target is None:
-                        continue
-                    sols = right_get((vprev, target), ())
-                else:
-                    target = table_get((vprev, h))
-                    if target is None:
-                        continue
-                    sols = [s for s in right_get((vnext, target), ()) if s in weq]
-                for h2 in sols:
-                    rec(col + 1, vnext, racc + (h2,))
-
-        rec(0, cat.identity[vertices[0]], ())
-        return out
-
 
 def _alternating(width, start):
     return tuple(("f" if (start + i) % 2 == 0 else "b") for i in range(width))
@@ -421,7 +386,16 @@ class MappingSpace:
 
     ``verdict`` is "stable" when the components at width bound w_max are
     those a run at w_max-1 finds, else (or after pruning in "full" mode)
-    "bound_limited".  "pi0" detail keeps only vertices and partition.
+    "bound_limited".  "pi0" detail keeps only vertices and partition; it
+    joins them along generator grids (see :func:`_pi0_edges`), while
+    "full" detail joins them along its kept 1-simplices.
+
+    ``grids`` counts the joins handed to the union-find: the kept
+    1-simplices in "full" detail; in "pi0" detail, the distinct vertex
+    names each live row is joined to, summed over the rows.
+    ``fallback_rows`` ("pi0" detail only) counts the live rows with a
+    dead generator neighbour, from which the fallback walked on.  Both
+    are deterministic counts for progress output, never report bytes.
     """
 
     x: str
@@ -433,6 +407,8 @@ class MappingSpace:
     partition: Partition
     sset: TruncatedSimplicialSet | None
     by_name: dict = field(repr=False)
+    grids: int = 0
+    fallback_rows: int | None = None
 
     @property
     def stable(self):
@@ -467,6 +443,7 @@ def _mapping_space(ctx: _Context, x, y, truncation, w_max, detail) -> MappingSpa
     components = UnionFind()
     sub = None
     simplices = [dict() for _ in range(truncation + 1)] if detail == "full" else None
+    grids = fallback_rows = 0
 
     def note_simplex(level, h):
         simplices[level][h.name] = h
@@ -488,8 +465,10 @@ def _mapping_space(ctx: _Context, x, y, truncation, w_max, detail) -> MappingSpa
                     simplices[0][h.name] = h
 
         if detail == "pi0":
-            for upper, lower in _pi0_edges(ctx, x, pattern, rows0):
-                components.union(upper, lower)
+            for upper, lowers, fallback in _pi0_edges(ctx, pattern, rows0):
+                grids += len(lowers)
+                fallback_rows += fallback
+                components.union_all(upper, lowers)
         else:
             for row in rows0:
                 vs = row_vertices(cat, x, pattern, row) if width else (x,)
@@ -502,7 +481,7 @@ def _mapping_space(ctx: _Context, x, y, truncation, w_max, detail) -> MappingSpa
         partition = Partition.of(components, vertex_names)
         by_name = {h.name: h for h in vertices}
         return MappingSpace(x, y, truncation, w_max, _stability(partition, sub),
-                            tuple(vertices), partition, None, by_name)
+                            tuple(vertices), partition, None, by_name, grids, fallback_rows)
 
     # Keep only simplices all of whose iterated faces are representable:
     # over a partially represented ambient category a face can need a
@@ -556,7 +535,7 @@ def _mapping_space(ctx: _Context, x, y, truncation, w_max, detail) -> MappingSpa
     partition = Partition.of(components, vertex_names)
     verdict = "bound_limited" if pruned else _stability(partition, sub)
     return MappingSpace(x, y, truncation, w_max, verdict,
-                        tuple(vertices), partition, sset, by_name)
+                        tuple(vertices), partition, sset, by_name, len(levels[1]))
 
 
 def _identity_mask(cat, row):
@@ -570,38 +549,94 @@ def _identity_mask(cat, row):
     return mask
 
 
-def _pi0_edges(ctx, x, pattern, rows0):
-    """The (upper, lower) vertex names of the two-row grids along
-    ``pattern``, one per pair of rows.
+def _pi0_edges(ctx, pattern, rows0):
+    """For each live row of ``rows0`` (one whose normal form the table can
+    name): its vertex name, the names of the live rows it is joined to
+    along ``pattern``, and whether it took the fallback.
 
-    Only the vertex partition is needed, so vertical witnesses are not
-    materialized; the normal-form name of each row is cached for this
-    call.  Holes in a partially represented composition table drop the
-    affected edge."""
+    Only the partition is needed, and a generating set of two-row grids
+    gives it (Dwyer-Kan): the grids with one non-identity vertical ``v``,
+    a weak equivalence out of an interior vertex ``X_i``.  At a sink
+    (``-> X_i <-``) the lower entries are ``v.h[i-1]`` and ``v.h[i]`` (a
+    weak equivalence: the weak equivalences are closed under the
+    composites the table has); at a source (``<- X_i ->``) they are right
+    factors through ``v`` of ``h[i-1]`` (a weak equivalence) and ``h[i]``.
+
+    Every grid factors into generator grids: apply its sink verticals one
+    at a time, then its source verticals.  Each column has one sink end
+    and one source end, so the steps touch disjoint columns, and the grid
+    looks up every entry of the intermediate rows, so those rows exist
+    even over a partially represented table.  Conversely, a chain of
+    generator steps at distinct vertices, sinks before sources, composes
+    into one grid (the table has every composite with an identity, which
+    the other verticals of that grid need).  An intermediate row can still be *dead*: its normal
+    form needs a composite the table lacks, so it is no vertex.  The
+    fallback is at dead rows: from a live row, chains are followed
+    through dead rows, and the row is joined to the first live row on
+    each.  The live rows along any grid's chain are then joined in turn,
+    and every join is a grid, so the components, pattern by pattern, are
+    those of all grids, and so is the snapshot one width lower."""
     cat = ctx.cat
-    if not pattern:
+    width = len(pattern)
+    if not width:
         return
+    dom, cod, table_get = cat.dom, cat.cod, cat.table.get
+    right_get = ctx.right_factor.get
+    weq, moves, identities = ctx.weq, ctx.weq_moves, ctx.identities
     names = {}
 
     def name_of(row):
         name = names.get(row)
         if name is None:
-            try:
-                name = hammock_name(*_normal_form(cat, pattern, (row,), ()))
-            except CompositionUnavailable:
-                name = False
+            if identities.isdisjoint(row):
+                # no identity entry along an alternating pattern: reduced
+                name = hammock_name(pattern, (row,), ())
+            else:
+                try:
+                    name = hammock_name(*_normal_form(cat, pattern, (row,), ()))
+                except CompositionUnavailable:
+                    name = False
             names[row] = name
         return name
 
+    interior = tuple(range(1, width))
     for row in rows0:
         upper = name_of(row)
         if upper is False:
             continue
-        vs = row_vertices(cat, x, pattern, row)
-        for row2 in ctx.extension_rows(pattern, row, vs):
-            lower = name_of(row2)
-            if lower is not False:
-                yield upper, lower
+        # chains of generator steps from ``row``, each vertex used once
+        # and no sink after a source, followed through dead rows only
+        lowers, seen = set(), set()
+        chains = [(row, interior)]
+        while chains:
+            at, free = chains.pop()
+            for i in free:
+                left, right = at[i - 1], at[i]
+                head, tail = at[:i - 1], at[i + 1:]
+                sink = pattern[i - 1] == "f"
+                if sink:
+                    lows = []
+                    for v in moves[cod[left]]:
+                        a, b = table_get((v, left)), table_get((v, right))
+                        if a is not None and b is not None:
+                            lows.append(head + (a, b) + tail)
+                else:
+                    lows = [head + (a, b) + tail for v in moves[dom[left]]
+                            for a in right_get((v, left), ()) if a in weq
+                            for b in right_get((v, right), ())]
+                rest = None
+                for row2 in lows:
+                    name = name_of(row2)
+                    if name is not False:
+                        lowers.add(name)
+                        continue
+                    if rest is None:
+                        rest = tuple(j for j in free
+                                     if j != i and (sink or pattern[j - 1] == "b"))
+                    if (row2, rest) not in seen:
+                        seen.add((row2, rest))
+                        chains.append((row2, rest))
+        yield upper, lowers, bool(seen)
 
 
 def _grow(ctx, x, y, pattern, rows, grids, layers, truncation, note_simplex):
@@ -772,6 +807,15 @@ def hammock_localization(r: RelativeCategory, truncation: int, w_max: int,
     return Localization(r, truncation, w_max, detail, pair_filter, progress)
 
 
+def staged(progress, stage):
+    """The per-pair callback ``progress(x, y, ms, stage)`` with its pairs
+    tagged by ``stage`` (after any tag of an inner stage); None stays None."""
+    if progress is None:
+        return None
+    return lambda x, y, ms, inner=None: progress(
+        x, y, ms, stage if inner is None else f"{stage} {inner}")
+
+
 def homotopy_category_of_localization(loc: Localization, wellcheck_cap: int = 6):
     """Category of components of a localization (see
     :func:`scat.component_category`); class composites come from
@@ -821,7 +865,7 @@ class RelscatLocalization:
     :class:`Localization` per level of the ambient, assembled as the
     diagonal of the level-by-level mapping spaces."""
 
-    def __init__(self, rs, truncation, w_max):
+    def __init__(self, rs, truncation, w_max, progress=None):
         ambient = rs.ambient
         if ambient.truncation < truncation:
             raise InputError("ambient truncation too small")
@@ -837,7 +881,9 @@ class RelscatLocalization:
                     for s in rs.sub[(x, y)][n]:
                         weq.add(scat_mod.level_morphism_name(x, y, s))
             self.level_rel.append(RelativeCategory(level_cat, weq))
-        self.levels = [Localization(rel, truncation, w_max) for rel in self.level_rel]
+        self.levels = [Localization(rel, truncation, w_max,
+                                    progress=staged(progress, f"level {n}"))
+                       for n, rel in enumerate(self.level_rel)]
         self.row_spaces = {(x, y, n): ms for n, loc in enumerate(self.levels)
                            for (x, y), ms in loc.pairs.items()}
 
@@ -895,8 +941,9 @@ class RelscatLocalization:
         return self._scat
 
 
-def hammock_localization_relscat(rs, truncation: int, w_max: int) -> RelscatLocalization:
-    return RelscatLocalization(rs, truncation, w_max)
+def hammock_localization_relscat(rs, truncation: int, w_max: int,
+                                 progress=None) -> RelscatLocalization:
+    return RelscatLocalization(rs, truncation, w_max, progress)
 
 
 def embed_relscat(rs, rsloc: RelscatLocalization) -> scat_mod.SimplicialFunctor:

@@ -11,6 +11,10 @@ returns a deterministic ExperimentReport.  Verdicts:
 Doubly approximate stages (re-localizing a flattening, whose composition
 is only partially representable inside any width bound) carry their own
 stability verdicts in the outcomes as approximation caveats.
+
+Each checker takes an optional per-pair ``progress`` callback; every
+localization it builds reports to it, tagged by its stage (see
+:func:`hammock.staged`).  Progress never enters a report.
 """
 
 from __future__ import annotations
@@ -32,6 +36,7 @@ from .hammock import (
     hammock_localization,
     hammock_localization_relscat,
     homotopy_category_of_localization,
+    staged,
 )
 from .jsonio import content_key
 from .relcat import RelativeCategory, validate_relative, validate_relative_functor
@@ -159,7 +164,7 @@ def _certified(claim, inputs, bounds: Bounds, outcomes, fun, stable: bool) -> Ex
     return ExperimentReport(claim, inputs, bounds.to_json(), outcomes, verdict, witness)
 
 
-def check_24i(a: FiniteCategory, u, v, bounds: Bounds) -> ExperimentReport:
+def check_24i(a: FiniteCategory, u, v, bounds: Bounds, progress=None) -> ExperimentReport:
     """Localizing at a span of marked subcategories: when the second
     subcategory is neglectable in the localization at the first, the
     induced comparison functor must be a DK-equivalence."""
@@ -174,7 +179,8 @@ def check_24i(a: FiniteCategory, u, v, bounds: Bounds) -> ExperimentReport:
     inputs = _describe({"category": a.to_json(), "u": sorted(u), "v": sorted(v)}, "claim-24i-input")
     outcomes = []
     ru = RelativeCategory(a, u)
-    loc_u = hammock_localization(ru, bounds.truncation, bounds.width)
+    loc_u = hammock_localization(ru, bounds.truncation, bounds.width,
+                                 progress=staged(progress, "u"))
     outcomes.append({"check": "localization(u) stability", "result": loc_u.verdict})
 
     rs = RelativeSimplicialCategory(loc_u.scat(), _embedded_sub(ru, loc_u.scat(), v))
@@ -185,7 +191,8 @@ def check_24i(a: FiniteCategory, u, v, bounds: Bounds) -> ExperimentReport:
 
     span = subcategory_span(a, u, v)
     ruv = RelativeCategory(a, span.morphisms)
-    loc_uv = hammock_localization(ruv, bounds.truncation, bounds.width)
+    loc_uv = hammock_localization(ruv, bounds.truncation, bounds.width,
+                                  progress=staged(progress, "u+v"))
     outcomes.append({"check": "localization(u+v) stability", "result": loc_uv.verdict})
 
     smap = {}
@@ -204,7 +211,8 @@ def check_24i(a: FiniteCategory, u, v, bounds: Bounds) -> ExperimentReport:
                       loc_u.verdict == "stable" and loc_uv.verdict == "stable")
 
 
-def check_24ii(rs: RelativeSimplicialCategory, bounds: Bounds) -> ExperimentReport:
+def check_24ii(rs: RelativeSimplicialCategory, bounds: Bounds,
+               progress=None) -> ExperimentReport:
     """The comparison map into the dimensionwise localization at a
     neglectable subobject must be a DK-equivalence."""
     bad = validate_scat(rs.ambient) or validate_relscat(rs)
@@ -219,13 +227,14 @@ def check_24ii(rs: RelativeSimplicialCategory, bounds: Bounds) -> ExperimentRepo
     if stop is not None:
         return stop
 
-    rsloc = hammock_localization_relscat(rs, bounds.truncation, bounds.width)
+    rsloc = hammock_localization_relscat(rs, bounds.truncation, bounds.width,
+                                         staged(progress, "dimensionwise"))
     outcomes.append({"check": "localization stability", "result": rsloc.verdict})
     return _certified("2.4ii", inputs, bounds, outcomes, embed_relscat(rs, rsloc),
                       rsloc.verdict == "stable")
 
 
-def check_roundtrip(r: RelativeCategory, bounds: Bounds) -> ExperimentReport:
+def check_roundtrip(r: RelativeCategory, bounds: Bounds, progress=None) -> ExperimentReport:
     """Compare the homotopy categories of a relative category, of its
     flattened localization with the image of the weak equivalences
     adjoined, and of the flattened localization itself.
@@ -240,7 +249,8 @@ def check_roundtrip(r: RelativeCategory, bounds: Bounds) -> ExperimentReport:
     inputs = _describe(r.to_json(), "relcat")
     outcomes = []
 
-    loc = hammock_localization(r, bounds.truncation, bounds.width)
+    loc = hammock_localization(r, bounds.truncation, bounds.width,
+                               progress=staged(progress, "input"))
     outcomes.append({"check": "localization stability", "result": loc.verdict})
 
     fl = flatten(loc.scat())
@@ -251,8 +261,10 @@ def check_roundtrip(r: RelativeCategory, bounds: Bounds) -> ExperimentReport:
     middle = unit.target
 
     try:
-        loc_mid = hammock_localization(middle, bounds.truncation, bounds.width, detail="pi0")
-        loc_flat = hammock_localization(fl.rel, bounds.truncation, bounds.width, detail="pi0")
+        loc_mid = hammock_localization(middle, bounds.truncation, bounds.width, detail="pi0",
+                                       progress=staged(progress, "middle"))
+        loc_flat = hammock_localization(fl.rel, bounds.truncation, bounds.width, detail="pi0",
+                                        progress=staged(progress, "flattening"))
         outcomes.append({"check": "relocalization(middle) stability (approximation caveat)",
                          "result": loc_mid.verdict})
         outcomes.append({"check": "relocalization(flattening) stability (approximation caveat)",
@@ -285,7 +297,7 @@ def check_roundtrip(r: RelativeCategory, bounds: Bounds) -> ExperimentReport:
     return ExperimentReport("3.1", inputs, bounds.to_json(), outcomes, verdict, witness)
 
 
-def check_32(r: RelativeCategory, bounds: Bounds) -> ExperimentReport:
+def check_32(r: RelativeCategory, bounds: Bounds, progress=None) -> ExperimentReport:
     """The localization comparison map from a localization into the
     dimensionwise localization of itself at the image of the weak
     equivalences must be a DK-equivalence."""
@@ -295,7 +307,8 @@ def check_32(r: RelativeCategory, bounds: Bounds) -> ExperimentReport:
     inputs = _describe(r.to_json(), "relcat")
     outcomes = []
 
-    loc = hammock_localization(r, bounds.truncation, bounds.width)
+    loc = hammock_localization(r, bounds.truncation, bounds.width,
+                               progress=staged(progress, "input"))
     outcomes.append({"check": "localization stability", "result": loc.verdict})
     rs = RelativeSimplicialCategory(loc.scat(), _embedded_sub(r, loc.scat(), r.weq))
     # inverting the weak equivalences must make them neglectable; a
@@ -305,7 +318,8 @@ def check_32(r: RelativeCategory, bounds: Bounds) -> ExperimentReport:
     if stop is not None:
         return stop
 
-    rsloc = hammock_localization_relscat(rs, bounds.truncation, bounds.width)
+    rsloc = hammock_localization_relscat(rs, bounds.truncation, bounds.width,
+                                         staged(progress, "dimensionwise"))
     outcomes.append({"check": "relocalization stability (approximation caveat)",
                      "result": rsloc.verdict})
     # the relocalized stage is doubly approximate (it localizes data that

@@ -441,3 +441,23 @@ class TestVerbose:
         captured = capsys.readouterr()
         assert "pair (" in captured.err
         assert "pair (" not in captured.out
+
+    @pytest.mark.parametrize("claim, name, stages", [
+        ("3.1", "walking-weq.json", ("input", "middle", "flattening")),
+        ("3.2", "walking-weq.json", ("input", "dimensionwise level 0", "dimensionwise level 1")),
+        ("2.4ii", "relscat-iso.json", ("dimensionwise level 0", "dimensionwise level 1")),
+        ("2.4i", "claim24i.json", ("u", "u+v")),
+    ])
+    def test_verify_progress_leaves_stdout_alone(self, files, capsys, claim, name, stages):
+        argv = ["verify", claim, files[name], "--width", "2"]
+        quiet = run(argv)
+        plain = capsys.readouterr()
+        assert plain.err == ""
+        assert run(["--verbose"] + argv) == quiet
+        loud = capsys.readouterr()
+        assert loud.out == plain.out
+        for stage in stages:
+            assert f"{stage}: pair (" in loud.err
+        if claim == "3.1":
+            # the re-localizations run in pi0 detail and count their fallback
+            assert "grids, " in loud.err and " fallback rows" in loud.err

@@ -372,8 +372,9 @@ def _closed_weq(c, rng):
 
 
 class TestPi0AgainstFull:
-    """The pi0 enumerator (row sets, masks, widths of normal forms) must
-    reproduce the partition and verdict that the full simplicial sets give."""
+    """The pi0 enumerator (generator grids, with the walk through dead rows
+    as fallback) must reproduce the partition and verdict that the full
+    simplicial sets give."""
 
     @staticmethod
     def _agree(r, x, y, width):
@@ -381,6 +382,7 @@ class TestPi0AgainstFull:
         slim = mapping_space(r, x, y, 1, width, "pi0")
         assert [h.name for h in slim.vertices] == [h.name for h in full.vertices]
         assert slim.partition.class_of == full.partition.class_of
+        assert full.fallback_rows is None and full.grids == len(full.sset.level(1))
         return full, slim
 
     @settings(max_examples=40, deadline=None)
@@ -394,12 +396,21 @@ class TestPi0AgainstFull:
                 assert slim.verdict == full.verdict, (x, y)
 
     def test_partial_flattening_of_walking_weq(self):
+        """Over the partially represented flattening some generator
+        neighbours are dead, so at width 3 the fallback must run; the
+        generator joins stay fewer than the full grids."""
         fl = flatten(hammock_localization(inst.walking_weq(), 1, 2).scat())
         assert fl.overflows > 0
-        for x in fl.rel.cat.objects:
-            for y in fl.rel.cat.objects:
-                for width in (1, 2):
-                    self._agree(fl.rel, x, y, width)
+        for width in (1, 2, 3):
+            fallback_rows = slim_grids = full_grids = 0
+            for x in fl.rel.cat.objects:
+                for y in fl.rel.cat.objects:
+                    full, slim = self._agree(fl.rel, x, y, width)
+                    fallback_rows += slim.fallback_rows
+                    slim_grids += slim.grids
+                    full_grids += full.grids
+            assert slim_grids < full_grids
+        assert fallback_rows > 0
 
     def test_sub_width_ignores_verticals(self):
         suite = [r for _, r in inst.oracle_suite()]

@@ -1,6 +1,7 @@
 """Every JSON loader answers a malformed document with InputError or a
 value, never with another exception (which the CLI would report as exit
-1, "claim violated"); so does ``hamloc dk-check`` end to end."""
+1, "claim violated"); so does every ``hamloc`` command that reads a
+document, end to end."""
 
 import contextlib
 import io
@@ -56,17 +57,29 @@ JSON = st.recursive(
 )
 
 
-def _mutate(draw, data):
-    """``data`` with one subtree replaced by arbitrary JSON or deleted."""
+def _mutate(draw, data, replacements=JSON):
+    """``data`` with one subtree replaced by a draw from ``replacements``
+    (arbitrary JSON by default) or deleted."""
     if not isinstance(data, (dict, list)) or not data or draw(st.integers(0, 3)) == 0:
-        return draw(JSON)
+        return draw(replacements)
     out = dict(data) if isinstance(data, dict) else list(data)
     at = draw(st.sampled_from(sorted(out) if isinstance(out, dict) else range(len(out))))
     if draw(st.integers(0, 5)) == 0:
         del out[at]
     else:
-        out[at] = _mutate(draw, out[at])
+        out[at] = _mutate(draw, out[at], replacements)
     return out
+
+
+def _strings(data):
+    """The set of strings in a JSON document, keys included."""
+    if isinstance(data, str):
+        return {data}
+    if isinstance(data, dict):
+        return set(data).union(*map(_strings, data.values()))
+    if isinstance(data, list):
+        return set().union(*map(_strings, data))
+    return set()
 
 
 @pytest.mark.parametrize("kind", sorted(LOADERS))
@@ -136,3 +149,44 @@ def test_mutated_dk_check_files_exit_with_a_verdict(dk_dir, name, data):
     write_canonical(path, _mutate(data.draw, DK_CHECK_FILES[name]))
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         assert run(["dk-check", str(path)]) in (0, 1, 2, 3)
+
+
+RELSCAT_ISO = LOADERS["relscat"][1]
+WALKING_WEQ = LOADERS["relcat"][1]
+
+# command line before and after the file, the stock document it reads,
+# and the exit codes it may give: only a command with a "fail" verdict
+# may exit 1, so a crash reported as 1 is caught too
+COMMANDS = {
+    "validate": (["validate"], [], RELSCAT_ISO, (0, 2)),
+    "nerve": (["nerve"], ["--truncation", "1"], ISO.to_json(), (0, 2)),
+    "ho": (["ho"], ["--width", "2"], WALKING_WEQ, (0, 2, 3)),
+    "oracle-ho": (["oracle-ho"], ["--max-len", "4"], WALKING_WEQ, (0, 2, 3)),
+    "pi0": (["pi0"], [], nerve(ISO, 1).to_json(), (0, 2)),
+    "homology": (["homology"], [], nerve(inst.walking_arrow(), 2).to_json(), (0, 2)),
+    "flatten": (["flatten"], [], ARROW.to_json(), (0, 2, 3)),
+    "neglectable": (["neglectable"], [], RELSCAT_ISO, (0, 1, 2)),
+    "verify-3.2": (["verify", "3.2"], ["--width", "2"], WALKING_WEQ, (0, 1, 2, 3)),
+    "verify-2.4ii": (["verify", "2.4ii"], ["--width", "2"], RELSCAT_ISO, (0, 1, 2, 3)),
+}
+
+
+@pytest.fixture(scope="module")
+def command_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("commands")
+
+
+@pytest.mark.parametrize("command", sorted(COMMANDS))
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_mutated_documents_exit_with_a_verdict(command_dir, command, data):
+    """Each command end to end on a mutated stock document: an exit code
+    it may give (0-3), never an exception.  Replacements are drawn from
+    the document's own names as well as arbitrary JSON, so that some
+    mutants get past the loaders to the command itself."""
+    before, after, document, codes = COMMANDS[command]
+    path = command_dir / f"{command}.json"
+    names = st.sampled_from(sorted(_strings(document)))
+    write_canonical(path, _mutate(data.draw, document, names | JSON))
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        assert run(before + [str(path)] + after) in codes
