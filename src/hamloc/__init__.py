@@ -17,16 +17,13 @@ from .relcat import (
     RelativeCategory,
     RelativeFunctor,
     oracle_localized_homset,
-    union_weq,
     validate_relative,
 )
 from .simplicial import (
-    BisimplicialSet,
     ChainComplexReport,
     SimplicialOperator,
     TruncatedSimplicialSet,
     compose_operators,
-    diagonal,
     homology,
     nerve,
     pi0,
@@ -51,7 +48,7 @@ from .hammock import (
     mapping_space,
     reduce_hammock,
 )
-from .flatten import Flattening, flatten, grothendieck, relativization_unit
+from .flatten import Flattening, flatten, relativization_unit
 from .verify import (
     Bounds,
     ExperimentReport,

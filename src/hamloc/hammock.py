@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 from .errors import CompositionUnavailable, ConsistencyError, InputError
 from .fincat import FiniteCategory, UnionFind
 from .relcat import RelativeCategory
-from .simplicial import BisimplicialSet, Partition, TruncatedSimplicialSet, diagonal
+from .simplicial import Partition, TruncatedSimplicialSet
 from . import scat as scat_mod
 
 
@@ -424,15 +424,19 @@ def _stability(partition, sub):
     return "stable" if same else "bound_limited"
 
 
-def mapping_space(r: RelativeCategory, x, y, truncation: int, w_max: int,
-                  detail: str = "full") -> MappingSpace:
-    """Exhaustive reduced-hammock enumeration with bound accounting."""
+def _check_bounds(truncation, w_max, detail):
     if truncation < 1:
         raise InputError("truncation must be >= 1")
     if w_max < 1:
         raise InputError("width bound must be >= 1")
     if detail not in ("full", "pi0"):
         raise InputError("detail must be full or pi0")
+
+
+def mapping_space(r: RelativeCategory, x, y, truncation: int, w_max: int,
+                  detail: str = "full") -> MappingSpace:
+    """Exhaustive reduced-hammock enumeration with bound accounting."""
+    _check_bounds(truncation, w_max, detail)
     ctx = _Context(r)
     return _mapping_space(ctx, x, y, truncation, w_max, detail)
 
@@ -456,16 +460,19 @@ def _mapping_space(ctx: _Context, x, y, truncation, w_max, detail) -> MappingSpa
             # every narrower edge is in: the partition of a run at w_max-1
             sub = Partition.of(components, [h.name for h in vertices])
         rows0 = ctx.paths(x, y, pattern)
+        names = {}
         for row in rows0:
-            if width == 0 or all(not cat.is_identity(m) for m in row):
+            # no identity entry along an alternating pattern: reduced
+            if ctx.identities.isdisjoint(row):
                 h = Hammock(x, y if width else x, pattern, (row,), ())
                 vertices.append(h)
                 components.add(h.name)
+                names[row] = h.name
                 if detail == "full":
                     simplices[0][h.name] = h
 
         if detail == "pi0":
-            for upper, lowers, fallback in _pi0_edges(ctx, pattern, rows0):
+            for upper, lowers, fallback in _pi0_edges(ctx, pattern, rows0, names):
                 grids += len(lowers)
                 fallback_rows += fallback
                 components.union_all(upper, lowers)
@@ -549,10 +556,11 @@ def _identity_mask(cat, row):
     return mask
 
 
-def _pi0_edges(ctx, pattern, rows0):
+def _pi0_edges(ctx, pattern, rows0, names):
     """For each live row of ``rows0`` (one whose normal form the table can
     name): its vertex name, the names of the live rows it is joined to
-    along ``pattern``, and whether it took the fallback.
+    along ``pattern``, and whether it took the fallback.  ``names`` holds
+    the vertex name of each reduced row; it caches the other rows' names.
 
     Only the partition is needed, and a generating set of two-row grids
     gives it (Dwyer-Kan): the grids with one non-identity vertical ``v``,
@@ -582,20 +590,15 @@ def _pi0_edges(ctx, pattern, rows0):
         return
     dom, cod, table_get = cat.dom, cat.cod, cat.table.get
     right_get = ctx.right_factor.get
-    weq, moves, identities = ctx.weq, ctx.weq_moves, ctx.identities
-    names = {}
+    weq, moves = ctx.weq, ctx.weq_moves
 
     def name_of(row):
         name = names.get(row)
         if name is None:
-            if identities.isdisjoint(row):
-                # no identity entry along an alternating pattern: reduced
-                name = hammock_name(pattern, (row,), ())
-            else:
-                try:
-                    name = hammock_name(*_normal_form(cat, pattern, (row,), ()))
-                except CompositionUnavailable:
-                    name = False
+            try:
+                name = hammock_name(*_normal_form(cat, pattern, (row,), ()))
+            except CompositionUnavailable:
+                name = False
             names[row] = name
         return name
 
@@ -705,10 +708,7 @@ class Localization:
 
     def __init__(self, r: RelativeCategory, truncation, w_max, detail="full",
                  pair_filter=None, progress=None):
-        if truncation < 1:
-            raise InputError("truncation must be >= 1")
-        if w_max < 1:
-            raise InputError("width bound must be >= 1")
+        _check_bounds(truncation, w_max, detail)
         self.relcat = r
         self.truncation = truncation
         self.w_max = w_max
@@ -862,8 +862,14 @@ def _map_hammock(rel_target: RelativeCategory, morphism_map, h: Hammock) -> Hamm
 
 class RelscatLocalization:
     """Dimensionwise hammock localization of (ambient, sub): one
-    :class:`Localization` per level of the ambient, assembled as the
-    diagonal of the level-by-level mapping spaces."""
+    :class:`Localization` per level n of the ambient (``levels``, over
+    the level categories ``level_rel``), and hom by hom their diagonal
+    (Dwyer-Kan).  Level n of ``diag_homs[(x, y)]`` is inner level n of
+    the level-n localization.  A face or degeneracy of a diagonal simplex
+    maps its one hammock through the outer level map, then takes the
+    inner face or degeneracy; the off-diagonal entries are never mapped.
+    ``row_spaces[(x, y, n)]`` is the mapping space of the level-n
+    localization."""
 
     def __init__(self, rs, truncation, w_max, progress=None):
         ambient = rs.ambient
@@ -887,39 +893,31 @@ class RelscatLocalization:
         self.row_spaces = {(x, y, n): ms for n, loc in enumerate(self.levels)
                            for (x, y), ms in loc.pairs.items()}
 
-        objects = ambient.objects
         # face and degeneracy maps on level-morphism names, once each
-        faces = {n: [scat_mod.level_map(ambient, n, "d", i) for i in range(n + 1)]
-                 for n in range(1, truncation + 1)}
-        degens = {n: [scat_mod.level_map(ambient, n, "s", i) for i in range(n + 1)]
-                  for n in range(truncation)}
-        self.diag_homs = {}
-        for x in objects:
-            for y in objects:
-                rows = [self.row_spaces[(x, y, n)].sset for n in range(truncation + 1)]
-                outer_faces = {n: [self._entrywise_map(x, y, n, n - 1, names)
-                                   for names in maps] for n, maps in faces.items()}
-                outer_degens = {n: [self._entrywise_map(x, y, n, n + 1, names)
-                                    for names in maps] for n, maps in degens.items()}
-                bis = BisimplicialSet(truncation, rows, outer_faces, outer_degens)
-                self.diag_homs[(x, y)] = diagonal(bis, truncation)
-
+        outer = {(n, "d", i): scat_mod.level_map(ambient, n, "d", i)
+                 for n in range(1, truncation + 1) for i in range(n + 1)}
+        outer.update({(n, "s", i): scat_mod.level_map(ambient, n, "s", i)
+                      for n in range(truncation) for i in range(n + 1)})
+        self.diag_homs = {(x, y): self._diagonal(x, y, outer)
+                          for x in ambient.objects for y in ambient.objects}
         self._scat = None
 
-    def _entrywise_map(self, x, y, n_from, n_to, names):
-        """Apply a level map ``names`` entrywise to the hammocks of
-        level ``n_from`` from x to y."""
-        rel_to = self.level_rel[n_to]
-        source_space = self.row_spaces[(x, y, n_from)]
-        target_space = self.row_spaces[(x, y, n_to)]
-        mapping = {}
-        for level in range(self.truncation + 1):
-            for name in source_space.sset.level(level):
-                image = _map_hammock(rel_to, names, source_space.by_name[name])
-                if image.name not in target_space.by_name:
+    def _diagonal(self, x, y, outer):
+        spaces = [self.row_spaces[(x, y, n)] for n in range(self.truncation + 1)]
+        levels = [ms.sset.level(n) for n, ms in enumerate(spaces)]
+        faces, degeneracies = {}, {}
+        for (n, kind, i), names in outer.items():
+            m = n - 1 if kind == "d" else n + 1
+            rel, target = self.level_rel[m], spaces[m]
+            for name in levels[n]:
+                image = _map_hammock(rel, names, spaces[n].by_name[name])
+                if image.name not in target.by_name:
                     raise ConsistencyError("entrywise image missing from enumeration")
-                mapping[(level, name)] = image.name
-        return mapping
+                if kind == "d":
+                    faces[(n, name, i)] = target.sset.face(n, i, image.name)
+                else:
+                    degeneracies[(n, name, i)] = target.sset.degeneracy(n, i, image.name)
+        return TruncatedSimplicialSet(self.truncation, levels, faces, degeneracies)
 
     @property
     def verdict(self):

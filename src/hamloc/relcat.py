@@ -11,7 +11,6 @@ from .fincat import (
     CatFunctor,
     FiniteCategory,
     UnionFind,
-    close_morphisms,
     validate_functor,
 )
 
@@ -73,14 +72,6 @@ def validate_relative_functor(rf: RelativeFunctor) -> list[str]:
         if rf.underlying.morphism_map[w] not in rf.target.weq:
             report.append(f"weak equivalence not preserved: {w}")
     return report
-
-
-def union_weq(r: RelativeCategory, extra) -> RelativeCategory:
-    """Adjoin morphisms to the weak equivalences and close up."""
-    extra = set(extra)
-    if not extra <= set(r.cat.morphisms):
-        raise InputError("extra morphisms not in the category")
-    return RelativeCategory(r.cat, close_morphisms(r.cat, set(r.weq) | extra))
 
 
 # --- localized hom-set oracle -------------------------------------------

@@ -807,11 +807,3 @@ def level_map(a: TruncatedSimplicialCategory, source_level: int, kind: str, i: i
                        else sset.degeneracy(source_level, i, s))
                 mmap[level_morphism_name(x, y, s)] = level_morphism_name(x, y, img)
     return mmap
-
-
-def level_functor(a: TruncatedSimplicialCategory, source_level: int, kind: str, i: int) -> CatFunctor:
-    """The face (kind='d') or degeneracy (kind='s') functor between level
-    categories, acting on morphism simplices as :func:`level_map`."""
-    target_level = source_level - 1 if kind == "d" else source_level + 1
-    return CatFunctor(level_category(a, source_level), level_category(a, target_level),
-                      {x: x for x in a.objects}, level_map(a, source_level, kind, i))

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import MALFORMED, InputError
-from .fincat import CatFunctor, FiniteCategory, UnionFind
+from .fincat import FiniteCategory, UnionFind
 
 
 @dataclass(frozen=True)
@@ -314,22 +314,6 @@ def nerve(c: FiniteCategory, truncation: int) -> TruncatedSimplicialSet:
     return TruncatedSimplicialSet(truncation, levels, faces, degeneracies)
 
 
-def nerve_map(fun: CatFunctor, truncation: int) -> dict:
-    """Levelwise simplex map induced on nerves; keys are (level, name)."""
-    c = fun.source
-    mapping = {}
-    for x in c.objects:
-        mapping[(0, x)] = fun.object_map[x]
-    chains = [(m,) for m in c.morphisms]
-    for k in range(1, truncation + 1):
-        for chain in chains:
-            mapping[(k, _chain_name(chain))] = _chain_name(
-                tuple(fun.morphism_map[m] for m in chain)
-            )
-        chains = [ch + (m,) for ch in chains for m in c.from_object(c.cod[ch[-1]])]
-    return mapping
-
-
 # --- components -----------------------------------------------------------
 
 
@@ -437,48 +421,38 @@ def smith_diagonal(rows: list) -> list:
     return divisors
 
 
-def rational_rank(rows: list) -> int:
+def _rational_echelon(rows: list):
+    """Reduced row echelon form over Q by Gaussian elimination: the
+    reduced rows and the pivot column of each nonzero one, in order."""
     A = [[Fraction(v) for v in r] for r in rows]
-    m = len(A)
     n = len(A[0]) if A else 0
-    rank = 0
-    col = 0
-    for col in range(n):
-        piv = next((i for i in range(rank, m) if A[i][col]), None)
-        if piv is None:
-            continue
-        A[rank], A[piv] = A[piv], A[rank]
-        inv = A[rank][col]
-        for i in range(m):
-            if i != rank and A[i][col]:
-                factor = A[i][col] / inv
-                A[i] = [a - factor * b for a, b in zip(A[i], A[rank])]
-        rank += 1
-        if rank == m:
-            break
-    return rank
-
-
-def rational_kernel_basis(rows: list) -> list:
-    """Basis of the rational kernel (list of column vectors as lists)."""
-    m = len(rows)
-    n = len(rows[0]) if rows else 0
-    A = [[Fraction(v) for v in r] for r in rows]
     pivots = []
-    rank = 0
     for col in range(n):
-        piv = next((i for i in range(rank, m) if A[i][col]), None)
+        rank = len(pivots)
+        piv = next((i for i in range(rank, len(A)) if A[i][col]), None)
         if piv is None:
             continue
         A[rank], A[piv] = A[piv], A[rank]
         scale = A[rank][col]
         A[rank] = [a / scale for a in A[rank]]
-        for i in range(m):
-            if i != rank and A[i][col]:
-                factor = A[i][col]
-                A[i] = [a - factor * b for a, b in zip(A[i], A[rank])]
+        for i, row in enumerate(A):
+            if i != rank and row[col]:
+                factor = row[col]
+                A[i] = [a - factor * b for a, b in zip(row, A[rank])]
         pivots.append(col)
-        rank += 1
+        if len(pivots) == len(A):
+            break
+    return A, pivots
+
+
+def rational_rank(rows: list) -> int:
+    return len(_rational_echelon(rows)[1])
+
+
+def rational_kernel_basis(rows: list) -> list:
+    """Basis of the rational kernel (list of column vectors as lists)."""
+    A, pivots = _rational_echelon(rows)
+    n = len(A[0]) if A else 0
     free = [j for j in range(n) if j not in pivots]
     basis = []
     for j in free:
@@ -550,81 +524,3 @@ def homology(x: TruncatedSimplicialSet) -> ChainComplexReport:
         torsion = tuple(d for d in snf[k + 1] if d > 1)
         groups.append(HomologyGroup(free, torsion))
     return ChainComplexReport(N, tuple(groups))
-
-
-# --- bisimplicial sets and the diagonal ------------------------------------
-
-
-class BisimplicialSet:
-    """A simplicial object in truncated simplicial sets.
-
-    ``rows[p]`` is the simplicial set in the inner direction at outer
-    level p; outer faces/degeneracies are levelwise simplex maps keyed
-    by (inner level, name).
-    """
-
-    __slots__ = ("outer_truncation", "rows", "outer_faces", "outer_degeneracies")
-
-    def __init__(self, outer_truncation, rows, outer_faces, outer_degeneracies):
-        self.outer_truncation = int(outer_truncation)
-        self.rows = tuple(rows)
-        self.outer_faces = {k: tuple(maps) for k, maps in outer_faces.items()}
-        self.outer_degeneracies = {k: tuple(maps) for k, maps in outer_degeneracies.items()}
-        if len(self.rows) != self.outer_truncation + 1:
-            raise InputError("rows must cover outer levels 0..truncation")
-
-
-def validate_bisimplicial(b: BisimplicialSet) -> list[str]:
-    report = []
-    P = b.outer_truncation
-    for p in range(1, P + 1):
-        maps = b.outer_faces.get(p)
-        if maps is None or len(maps) != p + 1:
-            report.append(f"outer faces missing at level {p}")
-            continue
-        for i, mp in enumerate(maps):
-            for k in range(b.rows[p].truncation + 1):
-                for name in b.rows[p].level(k):
-                    img = mp.get((k, name))
-                    if img is None or not b.rows[p - 1].has_simplex(k, img):
-                        report.append(f"outer d_{i} bad at ({p},{k},{name})")
-    for p in range(0, P):
-        maps = b.outer_degeneracies.get(p)
-        if maps is None or len(maps) != p + 1:
-            report.append(f"outer degeneracies missing at level {p}")
-    if report:
-        return report
-    for p in range(1, P + 1):
-        source = b.rows[p]
-        target = b.rows[p - 1]
-        for i, mp in enumerate(b.outer_faces[p]):
-            for k in range(1, source.truncation + 1):
-                for name in source.level(k):
-                    for j in range(k + 1):
-                        if mp[(k - 1, source.face(k, j, name))] != target.face(k, j, mp[(k, name)]):
-                            report.append(f"outer d_{i} not simplicial at ({p},{k},{name})")
-    return report
-
-
-def diagonal(b: BisimplicialSet, truncation: int) -> TruncatedSimplicialSet:
-    """Level n of the diagonal is level (n, n); operators act in both
-    coordinates."""
-    if b.outer_truncation < truncation:
-        raise InputError("outer truncation too small")
-    for p in range(truncation + 1):
-        if b.rows[p].truncation < truncation:
-            raise InputError("inner truncation too small")
-    levels = [b.rows[n].level(n) for n in range(truncation + 1)]
-    faces = {}
-    degeneracies = {}
-    for n in range(1, truncation + 1):
-        for name in levels[n]:
-            for i in range(n + 1):
-                outer = b.outer_faces[n][i][(n, name)]
-                faces[(n, name, i)] = b.rows[n - 1].face(n, i, outer)
-    for n in range(0, truncation):
-        for name in levels[n]:
-            for i in range(n + 1):
-                outer = b.outer_degeneracies[n][i][(n, name)]
-                degeneracies[(n, name, i)] = b.rows[n + 1].degeneracy(n, i, outer)
-    return TruncatedSimplicialSet(truncation, levels, faces, degeneracies)

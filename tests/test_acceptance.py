@@ -13,7 +13,7 @@ import pytest
 
 from hamloc import instances as inst
 from hamloc.cli import run
-from hamloc.fincat import disjoint_union, find_equivalence, is_isomorphism, validate_category
+from hamloc.fincat import find_equivalence, is_isomorphism, validate_category
 from hamloc.flatten import flatten
 from hamloc.hammock import (
     embed_morphism,
@@ -25,14 +25,10 @@ from hamloc.hammock import (
 )
 from hamloc.jsonio import canonical_dumps, write_canonical
 from hamloc.relcat import oracle_localized_homset, validate_relative
-from hamloc.scat import (
-    RelativeSimplicialCategory,
-    promote,
-    sub_from_morphisms,
-    validate_scat,
-)
+from hamloc.scat import promote, validate_scat
 from hamloc.simplicial import homology, nerve, pi0, validate_sset
 from hamloc.verify import Bounds, check_24ii, check_roundtrip
+from oracles import neglectable_instances
 
 
 def _report(number, description, elapsed):
@@ -141,41 +137,12 @@ def test_criterion_4_flattening_count_law():
             time.monotonic() - start)
 
 
-def _neglectable_instances():
-    iso = inst.walking_iso()
-    two_isos = disjoint_union(inst.walking_iso(), inst.walking_iso())
-    z2 = inst.group_z2()
-    chain = inst.chain3()
-    instances = []
-    p = promote(iso, 1)
-    instances.append(("walking-iso-both-arrows",
-                      RelativeSimplicialCategory(p, sub_from_morphisms(p, iso, iso.morphisms))))
-    instances.append(("walking-iso-one-arrow",
-                      RelativeSimplicialCategory(p, sub_from_morphisms(p, iso, ["idX", "idY", "u"]))))
-    p2 = promote(two_isos, 1)
-    instances.append(("two-walking-isos",
-                      RelativeSimplicialCategory(p2, sub_from_morphisms(p2, two_isos, two_isos.morphisms))))
-    p3 = promote(z2, 1)
-    instances.append(("involution-group",
-                      RelativeSimplicialCategory(p3, sub_from_morphisms(p3, z2, z2.morphisms))))
-    p4 = promote(chain, 1)
-    instances.append(("chain-identities",
-                      RelativeSimplicialCategory(p4, sub_from_morphisms(p4, chain, chain.identity.values()))))
-    z2s = inst.z2_nerve_scat(1)
-    full_sub = {("o", "o"): tuple(
-        frozenset(z2s.homs[("o", "o")].level(level)) for level in range(2)
-    )}
-    instances.append(("involution-nerve-category",
-                      RelativeSimplicialCategory(z2s, full_sub)))
-    return instances
-
-
 def test_criterion_5_neglectable_comparison_passes():
     """The comparison map into the dimensionwise localization is
     certified on every neglectable instance; no Fail verdicts."""
     start = time.monotonic()
     bounds = Bounds(truncation=1, width=4)
-    instances = _neglectable_instances()
+    instances = neglectable_instances()
     assert len(instances) >= 5
     for name, rs in instances:
         report = check_24ii(rs, bounds)

