@@ -5,7 +5,8 @@ failed), 2 invalid input, 3 undetermined or width-limited.  Machine
 output is canonical JSON on stdout (or --out), deterministically
 byte-identical for identical inputs and bounds; --verbose sends per-pair
 progress of every localization that ``localize``, ``ho`` and ``verify``
-(all four claims) build to stderr, never to the output.
+(all four claims) build to stderr, never to the output, and ``localize``
+adds one line of composite-request counts.
 """
 
 from __future__ import annotations
@@ -158,6 +159,11 @@ def _cmd_localize(args):
         loc = hammock_localization(r, args.truncation, args.width,
                                    pair_filter=pair_filter, progress=_progress(args))
         output = loc.to_json(include_compose=pair_filter is None)
+        if args.verbose:
+            counts = loc.compose_counts
+            print(f"compose: {counts.requests} requests, {counts.composites} composites, "
+                  f"{counts.junction_overflows} overflows known at the junction, "
+                  f"{counts.cascade_overflows} found by the cascade", file=sys.stderr)
         code = PASS if loc.verdict == "stable" else UNDETERMINED
         return code, output, f"localization: {loc.verdict}"
 

@@ -9,9 +9,14 @@ a mapping space are the reduced hammocks of height k.
 
 One routine, :func:`_normal_form`, reduces grids (Dwyer-Kan: delete
 all-identity columns, merge equal-direction neighbours).  It works on
-plain ``(directions, rows, layers)`` tuples; composition, faces, the
-entrywise maps of the dimensionwise localization and the ``pi0`` row
-cache call it, and only its results become :class:`Hammock` objects.
+plain ``(directions, rows, layers)`` tuples; faces, the entrywise face
+maps of the dimensionwise localization and the ``pi0`` row cache call
+it.  Composition reduces only where two reduced hammocks can reduce, at
+their junction (the cascade of :func:`_junction`), and an entrywise
+degeneracy map keeps a hammock reduced, so neither takes the normal
+form.  Faces, degeneracies and composites are carried as names
+(:func:`hammock_name`); a :class:`Hammock` is built only for an
+enumerated simplex or on request.
 Along an alternating pattern a grid is reduced exactly when the identity
 bitmasks of its rows (:func:`_identity_mask`) share no bit.
 
@@ -216,36 +221,125 @@ def reduce_hammock(r: RelativeCategory, h: Hammock, strategy: str = "leftmost") 
                    *_normal_form(r.cat, h.directions, h.rows, h.verticals, strategy))
 
 
-def compose_hammocks(r: RelativeCategory, h2: Hammock, h1: Hammock) -> Hammock:
-    """Widthwise concatenation (h1 then h2) followed by reduction."""
-    if h1.sink != h2.source:
-        raise InputError(f"hammocks not composable: {h1.sink} vs {h2.source}")
-    if h1.height != h2.height:
+def _check_composable(g: Hammock, f: Hammock):
+    if f.sink != g.source:
+        raise InputError(f"hammocks not composable: {f.sink} vs {g.source}")
+    if f.height != g.height:
         raise InputError("hammocks must have equal heights")
+
+
+def _junction(cat: FiniteCategory, g: Hammock, f: Hammock, w_max=None):
+    """The normal form of ``f`` then ``g`` (reduced, of positive width) as
+    plain tuples, or None when it is wider than ``w_max``.
+
+    Two reduced hammocks can reduce only at their junction.  When the
+    junction columns differ in direction nothing reduces.  Otherwise they
+    merge; the merged column's neighbours both point the other way, so the
+    only further move is to delete it when it is all identities, which
+    brings the next pair of columns together.  This cascade is the one
+    move sequence :func:`_normal_form` makes on the concatenated grid,
+    with the same checks on verticals; a missing composite raises
+    CompositionUnavailable.  The width is known before any row is built."""
+    d1, d2 = f.directions, g.directions
+    w1, w2 = len(d1), len(d2)
+    rows1, rows2 = f.rows, g.rows
+    layers1, layers2 = f.verticals, g.verticals
+    if d1[-1] != d2[0]:
+        if w_max is not None and w1 + w2 > w_max:
+            return None
+        junction = (cat.identity[f.sink],)
+        return (d1 + d2, tuple(a + b for a, b in zip(rows1, rows2)),
+                tuple(a + junction + b for a, b in zip(layers1, layers2)))
+    compose, is_identity = cat.compose, cat.is_identity
+    forward = d2[0] == "f"
+    left, right = w1 - 1, 0  # the columns f[left] and g[right] merge
+    while True:
+        if forward:
+            merged = tuple(compose(b[right], a[left]) for a, b in zip(rows1, rows2))
+        else:
+            merged = tuple(compose(a[left], b[right]) for a, b in zip(rows1, rows2))
+        if not all(map(is_identity, merged)):
+            break
+        # delete the merged column: its two vertex lines become one
+        if left and right + 1 < w2:
+            for a, b in zip(layers1, layers2):
+                if a[left - 1] != b[right]:
+                    raise ConsistencyError("identity column flanked by unequal verticals")
+            left, right, forward = left - 1, right + 1, not forward
+            continue
+        # at a boundary the one vertex line that stays must be identities
+        if left:
+            ends = [a[left - 1] for a in layers1]
+        elif right + 1 < w2:
+            ends = [b[right] for b in layers2]
+        else:
+            ends = ()
+        if not all(map(is_identity, ends)):
+            raise ConsistencyError("boundary identity column with non-identity vertical")
+        if w_max is not None and left + w2 - right - 1 > w_max:
+            return None
+        if left:
+            return (d1[:left], tuple(a[:left] for a in rows1),
+                    tuple(a[:left - 1] for a in layers1))
+        return (d2[right + 1:], tuple(b[right + 1:] for b in rows2),
+                tuple(b[right + 1:] for b in layers2))
+    if w_max is not None and left + w2 - right > w_max:
+        return None
+    return (d1[:left] + d2[right:],
+            tuple(a[:left] + (m,) + b[right + 1:] for a, m, b in zip(rows1, merged, rows2)),
+            tuple(a[:left] + b[right:] for a, b in zip(layers1, layers2)))
+
+
+def compose_hammocks(r: RelativeCategory, h2: Hammock, h1: Hammock) -> Hammock:
+    """Widthwise concatenation (h1 then h2), reduced at the junction."""
+    _check_composable(h2, h1)
     if h1.width == 0 or h2.width == 0:
-        h = h2 if h1.width == 0 else h1
-        grid = (h.directions, h.rows, h.verticals)
-    else:
-        junction = r.cat.identity[h1.sink]
-        grid = (h1.directions + h2.directions,
-                tuple(a + b for a, b in zip(h1.rows, h2.rows)),
-                tuple(a + (junction,) + b for a, b in zip(h1.verticals, h2.verticals)))
-    return Hammock(h1.source, h2.sink, *_normal_form(r.cat, *grid))
+        return h2 if h1.width == 0 else h1
+    return Hammock(h1.source, h2.sink, *_junction(r.cat, h2, h1))
 
 
-def bounded_composite(r: RelativeCategory, g: Hammock, f: Hammock, w_max, enumerated):
-    """Name of the reduced composite of ``g`` after ``f``, or None when it
-    needs a composite ``r`` lacks or is wider than ``w_max``.  A result
+@dataclass
+class ComposeCounts:
+    """Composite requests by outcome: a representable composite, an
+    overflow known from the junction directions alone (width ``w1 + w2``
+    over the bound), or an overflow the junction cascade found (too wide,
+    or a composite the table lacks).  Deterministic counts for progress
+    output, never report bytes."""
+
+    composites: int = 0
+    junction_overflows: int = 0
+    cascade_overflows: int = 0
+
+    @property
+    def requests(self):
+        return self.composites + self.junction_overflows + self.cascade_overflows
+
+
+def bounded_composite(r: RelativeCategory, g: Hammock, f: Hammock, w_max, enumerated,
+                      counts: ComposeCounts):
+    """Name of the reduced composite of ``g`` after ``f`` (reduced, each at
+    most ``w_max`` wide), or None when it needs a composite ``r`` lacks or
+    is wider than ``w_max``; ``counts`` tallies the outcome.  A result
     missing from ``enumerated`` (the target's names) is inconsistent."""
-    try:
-        composed = compose_hammocks(r, g, f)
-    except CompositionUnavailable:
-        return None
-    if composed.width > w_max:
-        return None
-    if composed.name not in enumerated:
+    _check_composable(g, f)
+    if f.width == 0 or g.width == 0:
+        name = g.name if f.width == 0 else f.name
+    else:
+        try:
+            grid = _junction(r.cat, g, f, w_max)
+        except CompositionUnavailable:
+            grid = None
+        if grid is None:
+            if f.directions[-1] != g.directions[0]:
+                counts.junction_overflows += 1
+            else:
+                counts.cascade_overflows += 1
+            return None
+        name = hammock_name(*grid)
+    if name not in enumerated:
         raise ConsistencyError("composite missing from enumeration")
-    return composed.name
+    counts.composites += 1
+    return name
 
 
 def embed_morphism(r: RelativeCategory, m, height: int = 0) -> Hammock:
@@ -500,17 +594,15 @@ def _mapping_space(ctx: _Context, x, y, truncation, w_max, detail) -> MappingSpa
     for k in range(1, truncation + 1):
         level_kept = {}
         for name, h in simplices[k].items():
-            images = []
             try:
-                for i in range(k + 1):
-                    images.append(_face(ctx, h, i))
+                images = [_face(ctx, h, i) for i in range(k + 1)]
             except CompositionUnavailable:
                 pruned = True
                 continue
-            if all(img.name in kept[k - 1] for img in images):
+            if all(img in kept[k - 1] for img in images):
                 level_kept[name] = h
                 for i, img in enumerate(images):
-                    face_cache[(k, name, i)] = img.name
+                    face_cache[(k, name, i)] = img
             else:
                 pruned = True
         kept.append(level_kept)
@@ -524,9 +616,9 @@ def _mapping_space(ctx: _Context, x, y, truncation, w_max, detail) -> MappingSpa
         for name, h in kept[k].items():
             for i in range(k + 1):
                 img = _degeneracy(ctx, h, i)
-                if img.name not in kept[k + 1]:
+                if img not in kept[k + 1]:
                     raise ConsistencyError("degeneracy left the kept set")
-                degeneracies[(k, name, i)] = img.name
+                degeneracies[(k, name, i)] = img
     sset = TruncatedSimplicialSet(truncation, levels, face_cache, degeneracies)
     by_name = {h.name: h for level in kept for h in level.values()}
 
@@ -669,7 +761,9 @@ def _with_ends(ctx, grid, vacc, width):
     return (cat.identity[grid[0]],) + tuple(vacc) + (cat.identity[grid[width]],)
 
 
-def _face(ctx, h: Hammock, i) -> Hammock:
+def _face(ctx, h: Hammock, i) -> str:
+    """The name of the i-th face of ``h``: drop row i, compose the two
+    vertical layers at it, and reduce."""
     cat = ctx.cat
     k = h.height
     rows = h.rows[:i] + h.rows[i + 1:]
@@ -683,16 +777,18 @@ def _face(ctx, h: Hammock, i) -> Hammock:
             for j in range(len(h.verticals[i]))
         )
         layers = h.verticals[:i - 1] + (fused,) + h.verticals[i + 1:]
-    return Hammock(h.source, h.sink, *_normal_form(cat, h.directions, rows, layers))
+    return hammock_name(*_normal_form(cat, h.directions, rows, layers))
 
 
-def _degeneracy(ctx, h: Hammock, i) -> Hammock:
+def _degeneracy(ctx, h: Hammock, i) -> str:
+    """The name of the i-th degeneracy of ``h``: repeat row i with an
+    identity layer.  Its rows are those of ``h``, so it is reduced."""
     cat = ctx.cat
     rows = h.rows[:i + 1] + (h.rows[i],) + h.rows[i + 1:]
     vertices = row_vertices(cat, h.source, h.directions, h.rows[i]) if h.width else (h.source,)
     identity_layer = tuple(cat.identity[v] for v in vertices[1:-1]) if h.width else ()
     layers = h.verticals[:i] + (identity_layer,) + h.verticals[i:]
-    return Hammock(h.source, h.sink, h.directions, rows, layers)
+    return hammock_name(h.directions, rows, layers)
 
 
 # --- localization ------------------------------------------------------------
@@ -703,7 +799,8 @@ class Localization:
 
     Composition is materialized on demand; a composite wider than the
     bound is not represented.  ``overflows`` counts the component-category
-    builds that found no representative composite.
+    builds that found no representative composite; ``compose_counts``
+    tallies the composite requests (:class:`ComposeCounts`).
     """
 
     def __init__(self, r: RelativeCategory, truncation, w_max, detail="full",
@@ -725,6 +822,7 @@ class Localization:
                 if progress is not None:
                     progress(x, y, self.pairs[(x, y)])
         self.overflows = 0
+        self.compose_counts = ComposeCounts()
         self._scat = None
 
     @property
@@ -747,7 +845,7 @@ class Localization:
         simplex name carries its level)."""
         return bounded_composite(self.relcat, self.pairs[(y, z)].by_name[g_name],
                                  self.pairs[(x, y)].by_name[f_name], self.w_max,
-                                 self.pairs[(x, z)].by_name)
+                                 self.pairs[(x, z)].by_name, self.compose_counts)
 
     def scat(self) -> scat_mod.TruncatedSimplicialCategory:
         if self.detail != "full":
@@ -853,11 +951,14 @@ def embed(r: RelativeCategory, loc: Localization) -> scat_mod.SimplicialFunctor:
 # --- localization of relative simplicial categories -------------------------
 
 
-def _map_hammock(rel_target: RelativeCategory, morphism_map, h: Hammock) -> Hammock:
+def _map_hammock(rel_target: RelativeCategory, morphism_map, h: Hammock, reduced) -> str:
+    """The name of the entrywise image of ``h``.  ``reduced`` says that the
+    map keeps the image reduced, so no normal form is taken."""
     rows = tuple(tuple(morphism_map[m] for m in row) for row in h.rows)
     verticals = tuple(tuple(morphism_map[v] for v in layer) for layer in h.verticals)
-    return Hammock(h.source, h.sink,
-                   *_normal_form(rel_target.cat, h.directions, rows, verticals))
+    if reduced:
+        return hammock_name(h.directions, rows, verticals)
+    return hammock_name(*_normal_form(rel_target.cat, h.directions, rows, verticals))
 
 
 class RelscatLocalization:
@@ -868,6 +969,9 @@ class RelscatLocalization:
     the level-n localization.  A face or degeneracy of a diagonal simplex
     maps its one hammock through the outer level map, then takes the
     inner face or degeneracy; the off-diagonal entries are never mapped.
+    An outer degeneracy is injective and sends identities to identities,
+    so the image of a reduced hammock is reduced and is named as it is;
+    the image under an outer face is reduced first.
     ``row_spaces[(x, y, n)]`` is the mapping space of the level-n
     localization."""
 
@@ -910,13 +1014,13 @@ class RelscatLocalization:
             m = n - 1 if kind == "d" else n + 1
             rel, target = self.level_rel[m], spaces[m]
             for name in levels[n]:
-                image = _map_hammock(rel, names, spaces[n].by_name[name])
-                if image.name not in target.by_name:
+                image = _map_hammock(rel, names, spaces[n].by_name[name], kind == "s")
+                if image not in target.by_name:
                     raise ConsistencyError("entrywise image missing from enumeration")
                 if kind == "d":
-                    faces[(n, name, i)] = target.sset.face(n, i, image.name)
+                    faces[(n, name, i)] = target.sset.face(n, i, image)
                 else:
-                    degeneracies[(n, name, i)] = target.sset.degeneracy(n, i, image.name)
+                    degeneracies[(n, name, i)] = target.sset.degeneracy(n, i, image)
         return TruncatedSimplicialSet(self.truncation, levels, faces, degeneracies)
 
     @property

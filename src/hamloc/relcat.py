@@ -201,6 +201,9 @@ def _enumerate_words(tables: _RewriteTables, x, y, bound):
                 extend(w2, nxt)
 
     extend((), x)
+    # the recursive closure is a reference cycle: break it, so that its
+    # cells (``words``, ``reach``) are freed now, not at a later collection
+    del extend
     return words
 
 

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -441,6 +442,22 @@ class TestVerbose:
         captured = capsys.readouterr()
         assert "pair (" in captured.err
         assert "pair (" not in captured.out
+
+    def test_localize_counts_composite_requests(self, files, capsys):
+        argv = ["localize", files["walking-weq.json"], "--truncation", "2", "--width", "3"]
+        quiet = run(argv)
+        plain = capsys.readouterr()
+        assert plain.err == ""
+        assert run(["--verbose"] + argv) == quiet
+        loud = capsys.readouterr()
+        assert loud.out == plain.out
+        line = [ln for ln in loud.err.splitlines() if ln.startswith("compose: ")]
+        requests, composites, junction, cascade = map(int, re.findall(r"\d+", line[0]))
+        output = json.loads(plain.out)
+        assert composites == sum(len(entries) for per_level in output["compose"].values()
+                                 for entries in per_level.values())
+        assert requests - composites == junction + cascade == output["bounds"]["overflows"]
+        assert junction > 0
 
     @pytest.mark.parametrize("claim, name, stages", [
         ("3.1", "walking-weq.json", ("input", "middle", "flattening")),

@@ -4,22 +4,27 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hamloc import instances as inst
-from hamloc.errors import InputError
+from hamloc import scat
+from hamloc.errors import CompositionUnavailable, ConsistencyError, InputError
 from hamloc.fincat import find_equivalence, is_isomorphism, validate_category
 from hamloc.flatten import flatten
 from hamloc.hammock import (
+    ComposeCounts,
     Hammock,
+    bounded_composite,
     compose_hammocks,
     embed,
     embed_morphism,
     embed_relscat,
     hammock_localization,
     hammock_localization_relscat,
+    hammock_name,
     homotopy_category_of_localization,
     mapping_space,
     reduce_hammock,
     validate_hammock,
     width_zero,
+    _map_hammock,
     _normal_form,
 )
 from hamloc.relcat import RelativeCategory, oracle_localized_homset
@@ -366,15 +371,138 @@ class TestRelscatLocalization:
         # criterion 5's neglectable instances, and the relative simplicial
         # categories check_32 localizes dimensionwise
         cases += [(name, rs, 3) for name, rs in neglectable_instances()]
-        for name, r in inst.oracle_suite():
-            loc = hammock_localization(r, 1, 2)
-            cases.append((f"3.2 {name}", RelativeSimplicialCategory(
-                loc.scat(), _embedded_sub(r, loc.scat(), r.weq)), 2))
+        cases += [(name, rs, 2) for name, rs in _check_32_relscats()]
         for name, rs, width in cases:
             rl = hammock_localization_relscat(rs, 1, width)
             for pair, sset in rl.diag_homs.items():
                 assert validate_sset(sset) == [], (name, pair)
             assert validate_scat(rl.scat()) == [], name
+
+    def test_degeneracy_images_are_reduced(self):
+        """An outer degeneracy maps a reduced hammock to a reduced one, so
+        the diagonal names its image without a normal form."""
+        cases = neglectable_instances() + _check_32_relscats()
+        mapped = 0
+        for name, rs in cases:
+            rl = hammock_localization_relscat(rs, 1, 2)
+            for n in range(rl.truncation):
+                for i in range(n + 1):
+                    names = scat.level_map(rs.ambient, n, "s", i)
+                    rel = rl.level_rel[n + 1]
+                    for (x, y, level), ms in rl.row_spaces.items():
+                        if level != n:
+                            continue
+                        for simplex in ms.sset.level(n):
+                            h = ms.by_name[simplex]
+                            direct = _map_hammock(rel, names, h, True)
+                            assert direct == _map_hammock(rel, names, h, False), (name, simplex)
+                            assert direct in rl.row_spaces[(x, y, n + 1)].by_name
+                            mapped += 1
+        assert mapped > 100
+
+
+def _check_32_relscats():
+    """The relative simplicial categories check_32 localizes
+    dimensionwise, from localizations of the oracle suite at width 2."""
+    cases = []
+    for name, r in inst.oracle_suite():
+        loc = hammock_localization(r, 1, 2)
+        cases.append((f"3.2 {name}", RelativeSimplicialCategory(
+            loc.scat(), _embedded_sub(r, loc.scat(), r.weq))))
+    return cases
+
+
+class TestJunctionCascade:
+    """``bounded_composite`` reduces two reduced hammocks only at their
+    junction; it must agree with the normal form of the concatenated grid,
+    including a missing composite, the width bound and the checks on
+    verticals."""
+
+    @staticmethod
+    def _reduced(rng, r, count):
+        out = {}
+        for _ in range(count):
+            try:
+                h = reduce_hammock(r, inst.random_hammock(rng, r, w_max=4, h_max=2))
+            except CompositionUnavailable:
+                continue
+            out[h.key] = h
+        return list(out.values())
+
+    @staticmethod
+    def _expected(r, g, f, w_max):
+        """The name of the normal form of ``f`` then ``g``, None when it
+        needs a missing composite or is wider than ``w_max``."""
+        if f.width == 0 or g.width == 0:
+            h = g if f.width == 0 else f
+            grid = (h.directions, h.rows, h.verticals)
+        else:
+            junction = (r.cat.identity[f.sink],)
+            grid = (f.directions + g.directions,
+                    tuple(a + b for a, b in zip(f.rows, g.rows)),
+                    tuple(a + junction + b for a, b in zip(f.verticals, g.verticals)))
+        try:
+            directions, rows, layers = _normal_form(r.cat, *grid)
+        except CompositionUnavailable:
+            return None
+        return hammock_name(directions, rows, layers) if len(directions) <= w_max else None
+
+    @staticmethod
+    def _tampered(rng, r, h):
+        """``h`` with one interior vertical replaced by a random morphism."""
+        spots = [(t, j) for t, layer in enumerate(h.verticals) for j in range(len(layer))]
+        if not spots:
+            return None
+        t, j = rng.choice(spots)
+        layers = [list(layer) for layer in h.verticals]
+        layers[t][j] = rng.choice(r.cat.morphisms)
+        return Hammock(h.source, h.sink, h.directions, h.rows, layers)
+
+    def test_against_normal_form(self):
+        fl = flatten(hammock_localization(inst.walking_weq(), 1, 2).scat())
+        assert fl.overflows > 0
+        cases = list(inst.oracle_suite()) + [("flattening of walking-weq", fl.rel)]
+        rng = random.Random(20261018)
+        counts = ComposeCounts()
+        missing = deleted = inconsistent = 0
+        for name, r in cases:
+            hammocks = self._reduced(rng, r, 150)
+            by_source = {}
+            for g in hammocks:
+                by_source.setdefault((g.source, g.height), []).append(g)
+            pairs = [(g, f) for f in hammocks for g in by_source.get((f.sink, f.height), ())]
+            for g, f in rng.sample(pairs, min(len(pairs), 600)):
+                # the inputs are enumerated simplices, at most w_max wide
+                w_max = rng.randint(max(f.width, g.width, 1), 6)
+                want = self._expected(r, g, f, w_max)
+                enumerated = {want} if want is not None else set()
+                assert bounded_composite(r, g, f, w_max, enumerated, counts) == want, name
+                try:
+                    composed = compose_hammocks(r, g, f)
+                except CompositionUnavailable:
+                    missing += 1
+                    assert self._expected(r, g, f, 99) is None
+                    continue
+                assert composed.name == self._expected(r, g, f, 99)
+                deleted += f.width and g.width and composed.width < f.width + g.width - 1
+                if want is not None:
+                    with pytest.raises(ConsistencyError, match="missing from enumeration"):
+                        bounded_composite(r, g, f, w_max, set(), ComposeCounts())
+                # a tampered vertical meets the same checks in both routines
+                g2, f2 = self._tampered(rng, r, g) or g, self._tampered(rng, r, f) or f
+                try:
+                    want2 = self._expected(r, g2, f2, w_max)
+                except ConsistencyError as exc:
+                    inconsistent += 1
+                    with pytest.raises(ConsistencyError, match=str(exc)):
+                        bounded_composite(r, g2, f2, w_max, set(), ComposeCounts())
+                    continue
+                enumerated = {want2} if want2 is not None else set()
+                assert bounded_composite(r, g2, f2, w_max, enumerated,
+                                         ComposeCounts()) == want2, name
+        # every way out of the cascade was taken
+        assert counts.composites and counts.junction_overflows and counts.cascade_overflows
+        assert missing and deleted and inconsistent
 
 
 def _closed_weq(c, rng):
@@ -443,6 +571,34 @@ class TestPi0AgainstFull:
             checked += 1
             sub_width = len(_normal_form(r.cat, h.directions, h.rows, ())[0])
             assert sub_width == reduce_hammock(r, h).width
+
+
+def test_stable_components_match_word_oracle_on_random_relative_categories():
+    """The class-by-class comparison of acceptance criterion 2, on random
+    relative categories: wherever the pi0 mapping space at width 3 is
+    stable and the word oracle at length 6 is determined, the vertex rows,
+    read as words, lie in oracle classes that match the components one to
+    one."""
+    checked = 0
+    for seed in range(30):
+        rng = random.Random(seed)
+        r = _closed_weq(inst.random_dag_category(rng, max_objects=3, max_nonid=6), rng)
+        for x in r.cat.objects:
+            for y in r.cat.objects:
+                ms = mapping_space(r, x, y, 1, 3, "pi0")
+                hs = oracle_localized_homset(r, x, y, 6)
+                if not (ms.stable and hs.determined):
+                    continue
+                checked += 1
+                assert len(ms.partition.classes) == hs.class_count(), (seed, x, y)
+                index_of = {}
+                for h in ms.vertices:
+                    oracle_class = hs.class_index(tuple(zip(h.directions, h.rows[0])))
+                    assert oracle_class is not None, (seed, x, y, h.name)
+                    mine = ms.partition.class_of[h.name]
+                    assert index_of.setdefault(mine, oracle_class) == oracle_class
+                assert len(set(index_of.values())) == len(index_of)
+    assert checked >= 60
 
 
 class TestVerdictIsOneWidthLower:

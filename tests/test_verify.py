@@ -5,7 +5,7 @@ from hamloc import verify
 from hamloc.errors import ConsistencyError, InputError
 from hamloc.jsonio import canonical_dumps
 from hamloc.relcat import RelativeCategory
-from hamloc.scat import RelativeSimplicialCategory, promote, sub_from_morphisms
+from hamloc.scat import DkCertificate, RelativeSimplicialCategory, promote, sub_from_morphisms
 from hamloc.verify import (
     Bounds,
     check_24i,
@@ -136,6 +136,46 @@ class TestCheck32:
         by_check = {o["check"]: o["result"] for o in report.outcomes}
         assert by_check["image of weq neglectable"] == "yes"
         assert by_check["DK certificate"] == "pass_partial"
+
+    def test_failed_certificate_over_bound_limited_relocalization_is_undetermined(self):
+        """On span-one-leg at truncation 2, width 3 the relocalization is
+        bound_limited and the certificate differs only in H_1 of hom(X, Y):
+        a width artifact, not a refutation.  At width 4 the claim passes."""
+        r = dict(inst.oracle_suite())["span-one-leg"]
+        report = check_32(r, Bounds(truncation=2, width=3))
+        by_check = {o["check"]: o["result"] for o in report.outcomes}
+        assert by_check["localization stability"] == "stable"
+        assert by_check["relocalization stability (approximation caveat)"] == "bound_limited"
+        assert by_check["DK certificate"] == "fail"
+        assert report.verdict == "undetermined"
+        # the certificate stays as the witness
+        assert report.witness["verdict"] == "fail"
+        bad = {pair: cmp for pair, cmp in report.witness["pairs"].items()
+               if not (cmp["pi0_ok"] and cmp["homology_ok"])}
+        assert list(bad) == ["X|Y"] and bad["X|Y"]["pi0_ok"]
+        assert "'degree': 1" in bad["X|Y"]["homology_witness"]
+
+    def test_failed_certificate_over_stable_data_fails(self, monkeypatch):
+        """A valid input never refutes the theorem, so the certificate's
+        verdict is planted: over stable localizations a failed certificate
+        still fails the claim (exit 1)."""
+        planted = DkCertificate(truncation=1, pairs={}, ho_ok=False, ho_witness="planted",
+                                verdict="fail", reason="planted")
+        monkeypatch.setattr(verify, "check_dk", lambda fun, budget: planted)
+        report = check_32(inst.walking_arrow_relative(), BOUNDS)
+        by_check = {o["check"]: o["result"] for o in report.outcomes}
+        assert by_check["localization stability"] == "stable"
+        assert by_check["relocalization stability (approximation caveat)"] == "stable"
+        assert report.verdict == "fail"
+        assert report.witness == planted.to_json()
+        iso = inst.walking_iso()
+        p = promote(iso, 1)
+        rs = RelativeSimplicialCategory(p, sub_from_morphisms(p, iso, iso.morphisms))
+        report = check_24ii(rs, BOUNDS)
+        assert {"check": "localization stability", "result": "stable"} in report.outcomes
+        assert report.verdict == "fail"
+        c = inst.chain3()
+        assert check_24i(c, ids(c), ids(c), BOUNDS).verdict == "fail"
 
 
 class TestReportShape:
