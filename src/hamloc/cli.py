@@ -5,8 +5,9 @@ failed), 2 invalid input, 3 undetermined or width-limited.  Machine
 output is canonical JSON on stdout (or --out), deterministically
 byte-identical for identical inputs and bounds; --verbose sends per-pair
 progress of every localization that ``localize``, ``ho`` and ``verify``
-(all four claims) build to stderr, never to the output, and ``localize``
-adds one line of composite-request counts.
+(all four claims) build to stderr, never to the output, ``localize``
+adds one line of composite-request counts, and ``oracle-ho`` prints the
+word and rewrite-edge counts of each pair it saturates.
 """
 
 from __future__ import annotations
@@ -70,6 +71,18 @@ def _progress(args):
         if ms.fallback_rows is not None:
             line += f", {ms.fallback_rows} fallback rows"
         print(f"{stage}: {line}" if stage else line, file=sys.stderr)
+
+    return report
+
+
+def _oracle_progress(args):
+    if not args.verbose:
+        return None
+
+    def report(x, y, hs, edges):
+        print(f"pair ({x},{y}): {len(hs.class_of)} words, {edges} rewrite edges, "
+              f"{hs.class_count()} classes, "
+              f"{'determined' if hs.determined else 'undetermined'}", file=sys.stderr)
 
     return report
 
@@ -195,7 +208,7 @@ def _cmd_oracle_ho(args):
     bounds = {"max_len": args.max_len}
 
     def compute():
-        result = oracle_ho_category(r, args.max_len)
+        result = oracle_ho_category(r, args.max_len, progress=_oracle_progress(args))
         classes = {
             f"{x}|{y}": [
                 [".".join(f"{d}:{m}" for (d, m) in w) for w in sorted(cls)]
@@ -341,7 +354,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="content-addressed cache directory "
                              "(default: $HAMLOC_CACHE_DIR)")
     parser.add_argument("--verbose", action="store_true",
-                        help="per-pair progress on stderr (localize, ho, verify)")
+                        help="per-pair progress on stderr (localize, ho, oracle-ho, verify)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p):

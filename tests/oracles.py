@@ -5,7 +5,10 @@ The general Grothendieck construction of a contravariant diagram of
 finite categories over the levels 0..N is the oracle for
 :func:`hamloc.flatten.flatten`: flattening a simplicial category is the
 Grothendieck construction of its diagram of level categories
-(:func:`level_diagram`).
+(:func:`level_diagram`).  The word oracle's earlier saturation, two
+union-finds over string words, is the reference for
+:func:`hamloc.relcat.oracle_localized_homset`
+(:func:`reference_localized_homset`).
 """
 
 from __future__ import annotations
@@ -14,7 +17,14 @@ from dataclasses import dataclass
 
 from hamloc import instances as inst
 from hamloc.errors import InputError
-from hamloc.fincat import CatFunctor, FiniteCategory, disjoint_union, validate_functor
+from hamloc.fincat import (
+    CatFunctor,
+    FiniteCategory,
+    UnionFind,
+    disjoint_union,
+    validate_functor,
+)
+from hamloc.relcat import OracleHomSet, RelativeCategory
 from hamloc.scat import (
     RelativeSimplicialCategory,
     TruncatedSimplicialCategory,
@@ -236,3 +246,195 @@ def neglectable_instances():
     instances.append(("involution-nerve-category",
                       RelativeSimplicialCategory(z2s, full_sub)))
     return instances
+
+
+def closed_weq(c: FiniteCategory, rng) -> RelativeCategory:
+    """``c`` with its identities plus a random morphism set, closed under
+    composition, as weak equivalences."""
+    weq = set(c.identity.values()) | {m for m in c.morphisms if rng.random() < 0.4}
+    grown = True
+    while grown:
+        grown = False
+        for (g, f), h in c.table.items():
+            if g in weq and f in weq and h not in weq:
+                weq.add(h)
+                grown = True
+    return RelativeCategory(c, sorted(weq))
+
+
+# --- the word oracle's saturation before the snapshot ----------------------
+#
+# The reference for ``hamloc.relcat.oracle_localized_homset``: two
+# union-finds over string words, one at ``max_len`` and one at
+# ``max_len + 2``, with every rewrite recomputed per word.
+
+
+class _ReferenceTables:
+    """Per-category lookup tables used by the reference saturation."""
+
+    def __init__(self, r: RelativeCategory):
+        c = r.cat
+        self.cat = c
+        self.weq = r.weq
+        self.fwd = {
+            x: tuple(m for m in c.from_object(x) if not c.is_identity(m)) for x in c.objects
+        }
+        self.bwd = {
+            x: tuple(w for w in c.to_object(x) if w in r.weq and not c.is_identity(w))
+            for x in c.objects
+        }
+        # slide (f g)(b w) <-> (b v)(f g2) whenever g.v == w.g2 with v, w weq
+        self.slide_fb = {}
+        self.slide_bf = {}
+        for g in c.morphisms:
+            for w in r.weq:
+                if c.cod[g] != c.cod[w]:
+                    continue
+                hits = []
+                for v in r.weq:
+                    if c.cod[v] != c.dom[g]:
+                        continue
+                    gv = c.compose(g, v)
+                    for g2 in c.hom(c.dom[v], c.dom[w]):
+                        if c.compose(w, g2) == gv:
+                            hits.append((v, g2))
+                if hits:
+                    self.slide_fb[(g, w)] = tuple(hits)
+                    for v, g2 in hits:
+                        self.slide_bf.setdefault((v, g2), []).append((g, w))
+        self.slide_bf = {k: tuple(vs) for k, vs in self.slide_bf.items()}
+
+    def reach_table(self, y, max_len):
+        """reach[k] = objects from which y is reachable in <= k letters."""
+        c = self.cat
+        reach = [set() for _ in range(max_len + 1)]
+        reach[0] = {y}
+        fwd_pred = {o: set() for o in c.objects}
+        bwd_pred = {o: set() for o in c.objects}
+        for x in c.objects:
+            for m in self.fwd[x]:
+                fwd_pred[c.cod[m]].add(x)
+            for w in self.bwd[x]:
+                bwd_pred[c.dom[w]].add(x)
+        for k in range(1, max_len + 1):
+            acc = set(reach[k - 1])
+            for o in reach[k - 1]:
+                acc |= fwd_pred[o]
+                acc |= bwd_pred[o]
+            reach[k] = acc
+        return reach
+
+
+def _reference_words(tables: _ReferenceTables, x, y, bound):
+    """All identity-free typed words x ~> y with length <= bound."""
+    c = tables.cat
+    reach = tables.reach_table(y, bound)
+    words = []
+    if x == y:
+        words.append(())
+
+    def extend(word, at):
+        depth = len(word)
+        if depth >= bound:
+            return
+        remaining = bound - depth - 1
+        for m in tables.fwd[at]:
+            nxt = c.cod[m]
+            if nxt in reach[remaining]:
+                w2 = word + (("f", m),)
+                if nxt == y:
+                    words.append(w2)
+                extend(w2, nxt)
+        for w in tables.bwd[at]:
+            nxt = c.dom[w]
+            if nxt in reach[remaining]:
+                w2 = word + (("b", w),)
+                if nxt == y:
+                    words.append(w2)
+                extend(w2, nxt)
+
+    extend((), x)
+    # the recursive closure is a reference cycle: break it, so that its
+    # cells (``words``, ``reach``) are freed now, not at a later collection
+    del extend
+    return words
+
+
+def _strip_identities(c: FiniteCategory, letters):
+    return tuple(l for l in letters if not c.is_identity(l[1]))
+
+
+def _reference_rewrites(tables: _ReferenceTables, word):
+    """Target words of all single rewrites at any position of ``word``."""
+    c = tables.cat
+    out = []
+    for i in range(len(word) - 1):
+        (d1, m1), (d2, m2) = word[i], word[i + 1]
+        head, tail = word[:i], word[i + 2:]
+        if d1 == "f" and d2 == "f":
+            out.append(head + _strip_identities(c, (("f", c.compose(m2, m1)),)) + tail)
+        elif d1 == "b" and d2 == "b":
+            out.append(head + _strip_identities(c, (("b", c.compose(m1, m2)),)) + tail)
+        else:
+            if m1 == m2:
+                out.append(head + tail)
+            if d1 == "f" and d2 == "b":
+                for v, g2 in tables.slide_fb.get((m1, m2), ()):
+                    mid = _strip_identities(c, (("b", v), ("f", g2)))
+                    out.append(head + mid + tail)
+            else:
+                for g, w in tables.slide_bf.get((m1, m2), ()):
+                    mid = _strip_identities(c, (("f", g), ("b", w)))
+                    out.append(head + mid + tail)
+    return out
+
+
+def reference_localized_homset(r: RelativeCategory, x, y, max_len: int) -> OracleHomSet:
+    """Zigzag-word classes from x to y in the localization, or Undetermined.
+
+    Saturates at ``max_len`` and again at ``max_len + 2``; the answer is
+    only reported when the class structure of the shorter-word fragment is
+    unchanged by the extra slack (a heuristic, surfaced as ``determined``).
+    """
+    if x not in r.cat.obj_index or y not in r.cat.obj_index:
+        raise InputError("unknown object")
+    tables = _ReferenceTables(r)
+    big_bound = max_len + 2
+    words = _reference_words(tables, x, y, big_bound)
+    wordset = set(words)
+
+    uf_small = UnionFind(w for w in words if len(w) <= max_len)
+    uf_big = UnionFind(words)
+    for w in words:
+        short = len(w) <= max_len
+        for target in _reference_rewrites(tables, w):
+            if target not in wordset:
+                raise RuntimeError("rewrite left the enumerated set")  # pragma: no cover
+            uf_big.union(w, target)
+            if short and len(target) <= max_len:
+                uf_small.union(w, target)
+
+    groups_big = uf_big.groups(words)
+
+    determined = True
+    for members in groups_big.values():
+        short_members = [w for w in members if len(w) <= max_len]
+        if not short_members:
+            determined = False
+            break
+        roots = {uf_small.find(w) for w in short_members}
+        if len(roots) > 1:
+            determined = False
+            break
+
+    classes = tuple(
+        sorted(
+            (frozenset(g) for g in groups_big.values()),
+            key=lambda g: min((len(w), w) for w in g),
+        )
+    )
+    class_of = {}
+    for idx, cls in enumerate(classes):
+        for w in cls:
+            class_of[w] = idx
+    return OracleHomSet(x, y, max_len, determined, classes, class_of)

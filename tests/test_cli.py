@@ -148,6 +148,11 @@ class TestHoAndOracle:
         write_canonical(path, inst.span_one_leg_inverted().to_json())
         assert run(["oracle-ho", str(path), "--max-len", "1"]) == 3
 
+    @pytest.mark.parametrize("max_len", ["-1", "-3"])
+    def test_oracle_ho_negative_bound_is_invalid_input(self, files, capsys, max_len):
+        assert run(["oracle-ho", files["walking-weq.json"], "--max-len", max_len]) == 2
+        assert "max_len must be >= 0" in capsys.readouterr().err
+
 
 class TestSimplicialCommands:
     def test_nerve_pi0_homology_chain(self, files, tmp_path, capsys):
@@ -458,6 +463,32 @@ class TestVerbose:
                                  for entries in per_level.values())
         assert requests - composites == junction + cascade == output["bounds"]["overflows"]
         assert junction > 0
+
+    @pytest.mark.parametrize("name, max_len, code", [
+        ("walking-weq", "4", 0),
+        ("span-one-leg", "1", 3),
+    ])
+    def test_oracle_ho_counts_words_and_edges(self, tmp_path, capsys, name, max_len, code):
+        path = tmp_path / f"{name}.json"
+        write_canonical(path, dict(inst.oracle_suite())[name].to_json())
+        argv = ["oracle-ho", str(path), "--max-len", max_len]
+        assert run(argv) == code
+        plain = capsys.readouterr()
+        assert plain.err == ""
+        assert run(["--verbose"] + argv) == code
+        loud = capsys.readouterr()
+        assert loud.out == plain.out
+        classes = json.loads(plain.out)["classes"]
+        # one line per pair saturated, up to the first undetermined one
+        lines = loud.err.splitlines()
+        assert len(lines) == len(classes)
+        for line in lines:
+            x, y, words, edges, count, verdict = re.fullmatch(
+                r"pair \((\w+),(\w+)\): (\d+) words, (\d+) rewrite edges, "
+                r"(\d+) classes, (determined|undetermined)", line).groups()
+            assert int(count) == len(classes[f"{x}|{y}"])
+            assert int(words) == sum(map(len, classes[f"{x}|{y}"]))
+        assert lines[-1].endswith(", undetermined") == (code == 3)
 
     @pytest.mark.parametrize("claim, name, stages", [
         ("3.1", "walking-weq.json", ("input", "middle", "flattening")),

@@ -3,8 +3,9 @@
 Every case runs one ``hamloc`` command on a stock instance and compares
 the exit code and the canonical output with a fixture in ``tests/golden``.
 Large outputs are stored as their sha256 only.  The fixtures were
-recorded at commit c86405b (the ``dk-check`` ones at 2fbdaea); a
-fixture changes only together with a stated change of the report bytes.  To record them again with the
+recorded at commit c86405b (the ``dk-check`` ones at 2fbdaea, the
+``oracle-ho`` ones at ac466f4); a fixture changes only together with a
+stated change of the report bytes.  To record them again with the
 package on ``PYTHONPATH``:
 
     python tests/test_golden.py record
@@ -142,6 +143,12 @@ def cases():
         out.append((f"flatten-{name}", ["flatten", f"scat-{name}.json"], False))
     for name in _functors():
         out.append((f"dk-check-{name}", ["dk-check", f"functor-{name}.json"], False))
+    for name in suite:
+        out.append((f"oracle-ho-{name}", ["oracle-ho", f"{name}.json", "--max-len", "8"],
+                    name in ("chain-weq", "retract", "z2-groupoid")))
+    # undetermined: X -> Y needs the two-letter word through the span
+    out.append(("oracle-ho-span-one-leg-max-len1",
+                ["oracle-ho", "span-one-leg.json", "--max-len", "1"], False))
     for name in ("walking-weq", "span-one-leg", "chain-head-weq"):
         out.append((f"localize-{name}",
                     ["localize", f"{name}.json", "--truncation", "2", "--width", "4"], True))

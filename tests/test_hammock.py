@@ -38,7 +38,7 @@ from hamloc.scat import (
 )
 from hamloc.simplicial import pi0, validate_sset
 from hamloc.verify import _embedded_sub
-from oracles import neglectable_instances
+from oracles import closed_weq, neglectable_instances
 
 
 class TestReduce:
@@ -505,19 +505,6 @@ class TestJunctionCascade:
         assert missing and deleted and inconsistent
 
 
-def _closed_weq(c, rng):
-    """Identities plus a random morphism set, closed under composition."""
-    weq = set(c.identity.values()) | {m for m in c.morphisms if rng.random() < 0.4}
-    grown = True
-    while grown:
-        grown = False
-        for (g, f), h in c.table.items():
-            if g in weq and f in weq and h not in weq:
-                weq.add(h)
-                grown = True
-    return RelativeCategory(c, sorted(weq))
-
-
 class TestPi0AgainstFull:
     """The pi0 enumerator (generator grids, with the walk through dead rows
     as fallback) must reproduce the partition and verdict that the full
@@ -536,7 +523,7 @@ class TestPi0AgainstFull:
     @given(seed=st.integers(0, 2**32 - 1), width=st.integers(1, 3))
     def test_random_relative_categories(self, seed, width):
         rng = random.Random(seed)
-        r = _closed_weq(inst.random_dag_category(rng), rng)
+        r = closed_weq(inst.random_dag_category(rng), rng)
         for x in r.cat.objects:
             for y in r.cat.objects:
                 full, slim = self._agree(r, x, y, width)
@@ -582,7 +569,7 @@ def test_stable_components_match_word_oracle_on_random_relative_categories():
     checked = 0
     for seed in range(30):
         rng = random.Random(seed)
-        r = _closed_weq(inst.random_dag_category(rng, max_objects=3, max_nonid=6), rng)
+        r = closed_weq(inst.random_dag_category(rng, max_objects=3, max_nonid=6), rng)
         for x in r.cat.objects:
             for y in r.cat.objects:
                 ms = mapping_space(r, x, y, 1, 3, "pi0")
@@ -621,7 +608,7 @@ class TestVerdictIsOneWidthLower:
     @given(seed=st.integers(0, 2**32 - 1), width=st.integers(2, 3))
     def test_random_relative_categories(self, seed, width):
         rng = random.Random(seed)
-        r = _closed_weq(inst.random_dag_category(rng), rng)
+        r = closed_weq(inst.random_dag_category(rng), rng)
         for x in r.cat.objects:
             for y in r.cat.objects:
                 self._check(r, x, y, width)

@@ -15,7 +15,7 @@ from hamloc.errors import InputError
 from hamloc.fincat import FiniteCategory
 from hamloc.hammock import hammock_localization
 from hamloc.jsonio import write_canonical
-from hamloc.relcat import RelativeCategory
+from hamloc.relcat import RelativeCategory, validate_relative
 from hamloc.scat import (
     RelativeSimplicialCategory,
     TruncatedSimplicialCategory,
@@ -188,5 +188,33 @@ def test_mutated_documents_exit_with_a_verdict(command_dir, command, data):
     path = command_dir / f"{command}.json"
     names = st.sampled_from(sorted(_strings(document)))
     write_canonical(path, _mutate(data.draw, document, names | JSON))
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        assert run(before + [str(path)] + after) in codes
+
+
+@st.composite
+def _drop_one_weq(draw):
+    """A stock relative category with one non-identity weak equivalence
+    dropped; the identities stay, so the mutant is valid exactly when the
+    rest is still closed under composition."""
+    stock = [(name, r) for name, r in inst.oracle_suite()
+             if any(not r.cat.is_identity(w) for w in r.weq)]
+    name, r = draw(st.sampled_from(stock))
+    dropped = draw(st.sampled_from(sorted(w for w in r.weq if not r.cat.is_identity(w))))
+    return name, RelativeCategory(r.cat, r.weq - {dropped})
+
+
+VALID_MUTANTS = _drop_one_weq().filter(lambda mutant: not validate_relative(mutant[1]))
+
+
+@pytest.mark.parametrize("command", ["ho", "oracle-ho"])
+@settings(max_examples=25, deadline=None)
+@given(mutant=VALID_MUTANTS)
+def test_valid_mutants_exit_with_a_verdict(command_dir, command, mutant):
+    """Mutants that pass validation reach the localization (``ho``) and
+    the word oracle (``oracle-ho``): a verdict, never exit 1."""
+    before, after, _, codes = COMMANDS[command]
+    path = command_dir / f"valid-{command}.json"
+    write_canonical(path, mutant[1].to_json())
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         assert run(before + [str(path)] + after) in codes

@@ -1,4 +1,7 @@
+import random
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hamloc import instances as inst
 from hamloc.errors import InputError
@@ -7,12 +10,17 @@ from hamloc.relcat import (
     OracleHomSet,
     RelativeCategory,
     RelativeFunctor,
+    _enumerate_words,
+    _RewriteTables,
     oracle_ho_category,
     oracle_localized_homset,
     validate_relative,
     validate_relative_functor,
     word_endpoints,
 )
+from oracles import closed_weq, reference_localized_homset
+
+SUITE = dict(inst.oracle_suite())
 
 
 class TestValidation:
@@ -173,6 +181,13 @@ class TestOracle:
         with pytest.raises(InputError):
             oracle_localized_homset(inst.walking_weq(), "ghost", "X", 3)
 
+    @pytest.mark.parametrize("max_len", [-1, -3])
+    def test_negative_bound_rejected(self, max_len):
+        with pytest.raises(InputError, match="max_len"):
+            oracle_localized_homset(inst.walking_weq(), "X", "X", max_len)
+        with pytest.raises(InputError, match="max_len"):
+            oracle_ho_category(inst.walking_weq(), max_len)
+
 
 class TestOracleHoCategory:
     def test_walking_weq_gives_walking_iso_shape(self):
@@ -194,3 +209,85 @@ class TestOracleHoCategory:
     def test_undetermined_at_tiny_bound(self):
         result = oracle_ho_category(inst.span_one_leg_inverted(), 1)
         assert result.status == "undetermined"
+
+
+def _random_relative(seed):
+    rng = random.Random(seed)
+    return closed_weq(inst.random_dag_category(rng, max_objects=3, max_nonid=6), rng)
+
+
+def _agree(r, x, y, max_len):
+    """The saturation and the reference give the same classes, class
+    indices and verdict; the verdict is returned."""
+    got = oracle_localized_homset(r, x, y, max_len)
+    ref = reference_localized_homset(r, x, y, max_len)
+    assert got.classes == ref.classes, (x, y, max_len)
+    assert got.class_of == ref.class_of, (x, y, max_len)
+    assert got.determined == ref.determined, (x, y, max_len)
+    return got.determined
+
+
+class TestSaturationAgainstReference:
+    """One union-find with the shorter bound as a snapshot against the
+    earlier two union-finds (``tests/oracles.py``)."""
+
+    @pytest.mark.parametrize("name", sorted(SUITE))
+    def test_oracle_suite(self, name):
+        r = SUITE[name]
+        for max_len in range(7):
+            for x in r.cat.objects:
+                for y in r.cat.objects:
+                    _agree(r, x, y, max_len)
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), max_len=st.integers(0, 6))
+    def test_random_relative_categories(self, seed, max_len):
+        r = _random_relative(seed)
+        for x in r.cat.objects:
+            for y in r.cat.objects:
+                _agree(r, x, y, max_len)
+
+    @pytest.mark.parametrize("name, x, y, max_len", [
+        ("z2-groupoid", "*", "*", 1),
+        ("z2-groupoid", "*", "*", 2),
+        ("retract", "B", "A", 1),
+        ("retract", "B", "B", 1),
+        ("walking-iso-one-arrow", "Y", "X", 1),
+        ("walking-iso-one-arrow", "Y", "X", 2),
+    ])
+    def test_long_word_merging_short_classes_is_undetermined(self, name, x, y, max_len):
+        """A word longer than ``max_len`` joins two classes of the shorter
+        words, so the snapshot taken before the long words' edges tells
+        them apart and the answer is undetermined."""
+        r = SUITE[name]
+        assert not _agree(r, x, y, max_len)
+        # every class holds a short word, so only a merge can undetermine it
+        hs = oracle_localized_homset(r, x, y, max_len)
+        assert all(any(len(w) <= max_len for w in cls) for cls in hs.classes)
+
+
+class TestRewritesNeverLengthen:
+    """The snapshot rests on this: no single rewrite of a word is longer
+    than the word, so the shorter words' edges stay among them."""
+
+    @staticmethod
+    def _check(r, bound):
+        tables = _RewriteTables(r)
+        for x in r.cat.objects:
+            for y in r.cat.objects:
+                words = _enumerate_words(tables, x, y, bound)
+                assert [len(w) for w in words] == sorted(len(w) for w in words)
+                enumerated = set(words)
+                for word in words:
+                    for target in tables.rewrites(word):
+                        assert len(target) <= len(word), (x, y, word, target)
+                        assert target in enumerated
+
+    @pytest.mark.parametrize("name", sorted(SUITE))
+    def test_oracle_suite(self, name):
+        self._check(SUITE[name], 6)
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_random_relative_categories(self, seed):
+        self._check(_random_relative(seed), 6)
