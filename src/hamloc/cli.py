@@ -5,7 +5,9 @@ failed), 2 invalid input, 3 undetermined or width-limited.  Machine
 output is canonical JSON on stdout (or --out), deterministically
 byte-identical for identical inputs and bounds; --verbose sends per-pair
 progress of every localization that ``localize``, ``ho`` and ``verify``
-(all four claims) build to stderr, never to the output, ``localize``
+(all four claims) build to stderr, never to the output (in full detail
+with the count of face normal forms), ``verify 3.2`` and ``2.4ii`` add
+the image and normal-form counts of each diagonal hom, ``localize``
 adds one line of composite-request counts, and ``oracle-ho`` prints the
 word and rewrite-edge counts of each pair it saturates.
 """
@@ -21,7 +23,7 @@ from . import __version__
 from .errors import CompositionUnavailable, ConsistencyError, InputError
 from .fincat import FiniteCategory, validate_category
 from .flatten import flatten
-from .hammock import hammock_localization, homotopy_category_of_localization
+from .hammock import DiagonalCounts, hammock_localization, homotopy_category_of_localization
 from .jsonio import DiskCache, canonical_dumps, content_key, load_json, source_digest
 from .relcat import RelativeCategory, oracle_ho_category, validate_relative
 from .scat import (
@@ -66,10 +68,15 @@ def _progress(args):
         return None
 
     def report(x, y, ms, stage=None):
-        line = (f"pair ({x},{y}): {len(ms.vertices)} vertices, "
-                f"{len(ms.partition.classes)} components, {ms.verdict}, {ms.grids} grids")
-        if ms.fallback_rows is not None:
-            line += f", {ms.fallback_rows} fallback rows"
+        if isinstance(ms, DiagonalCounts):
+            line = f"diagonal ({x},{y}): {ms.images} images, {ms.normal_forms} normal forms"
+        else:
+            line = (f"pair ({x},{y}): {len(ms.vertices)} vertices, "
+                    f"{len(ms.partition.classes)} components, {ms.verdict}, {ms.grids} grids")
+            if ms.fallback_rows is not None:
+                line += f", {ms.fallback_rows} fallback rows"
+            if ms.face_normal_forms is not None:
+                line += f", {ms.face_normal_forms} face normal forms"
         print(f"{stage}: {line}" if stage else line, file=sys.stderr)
 
     return report

@@ -11,14 +11,17 @@ One routine, :func:`_normal_form`, reduces grids (Dwyer-Kan: delete
 all-identity columns, merge equal-direction neighbours).  It works on
 plain ``(directions, rows, layers)`` tuples; faces, the entrywise face
 maps of the dimensionwise localization and the ``pi0`` row cache call
-it.  Composition reduces only where two reduced hammocks can reduce, at
-their junction (the cascade of :func:`_junction`), and an entrywise
-degeneracy map keeps a hammock reduced, so neither takes the normal
-form.  Faces, degeneracies and composites are carried as names
-(:func:`hammock_name`); a :class:`Hammock` is built only for an
-enumerated simplex or on request.
+it, each distinct grid once per mapping space or diagonal hom (memos
+that live for that one call).  Composition reduces only where two
+reduced hammocks can reduce, at their junction (the cascade of
+:func:`_junction`), and an entrywise degeneracy map keeps a hammock
+reduced, so neither takes the normal form.  Faces, degeneracies and
+composites are carried as names (:func:`hammock_name`); a
+:class:`Hammock` is built only for an enumerated simplex or on request.
 Along an alternating pattern a grid is reduced exactly when the identity
-bitmasks of its rows (:func:`_identity_mask`) share no bit.
+bitmasks of its rows (:func:`_identity_mask`) share no bit, so the
+full-detail enumeration builds a grid's last row only with non-identity
+entries in the columns its other rows leave as identities.
 
 Width is the one genuine approximation: enumeration is exhaustive up to
 ``w_max`` columns, faces and reduction only shrink width, and every
@@ -422,8 +425,12 @@ class _Context:
         walk(0, x, ())
         return out
 
-    def extensions(self, directions, row, vertices):
-        """All (interior verticals, next row) pairs below ``row``."""
+    def extensions(self, directions, row, vertices, nonidentity):
+        """All (interior verticals, next row) pairs below ``row`` whose next
+        row has no identity entry in the columns of the bitmask
+        ``nonidentity`` (0: every pair).  With the columns in which every
+        row of a grid is an identity, the next rows are exactly those that
+        make the taller grid reduced (:func:`_identity_mask`)."""
         width = len(directions)
         if width == 0:
             yield (), ()
@@ -432,6 +439,7 @@ class _Context:
         table = cat.table
         right = self.right_factor
         weq = self.weq
+        identities = self.identities
         id_end = cat.identity[vertices[width]]
 
         def rec(col, vprev, vacc, racc):
@@ -453,6 +461,8 @@ class _Context:
                     sols = tuple(
                         s for s in right.get((vnext, target), ()) if s in weq
                     ) if target is not None else ()
+                if nonidentity >> col & 1:
+                    sols = [s for s in sols if s not in identities]
                 if not sols:
                     continue
                 vacc2 = vacc if col + 1 == width else vacc + (vnext,)
@@ -488,8 +498,10 @@ class MappingSpace:
     1-simplices in "full" detail; in "pi0" detail, the distinct vertex
     names each live row is joined to, summed over the rows.
     ``fallback_rows`` ("pi0" detail only) counts the live rows with a
-    dead generator neighbour, from which the fallback walked on.  Both
-    are deterministic counts for progress output, never report bytes.
+    dead generator neighbour, from which the fallback walked on.
+    ``face_normal_forms`` ("full" detail only) counts the distinct
+    dropped grids the faces reduced.  All three are deterministic counts
+    for progress output, never report bytes.
     """
 
     x: str
@@ -503,6 +515,7 @@ class MappingSpace:
     by_name: dict = field(repr=False)
     grids: int = 0
     fallback_rows: int | None = None
+    face_normal_forms: int | None = None
 
     @property
     def stable(self):
@@ -541,6 +554,9 @@ def _mapping_space(ctx: _Context, x, y, truncation, w_max, detail) -> MappingSpa
     components = UnionFind()
     sub = None
     simplices = [dict() for _ in range(truncation + 1)] if detail == "full" else None
+    # "full" detail: pattern -> row -> name of its normal form, or False
+    # when that needs a missing composite (the faces of 1-simplices)
+    row_names = {}
     grids = fallback_rows = 0
 
     def note_simplex(level, h):
@@ -571,9 +587,11 @@ def _mapping_space(ctx: _Context, x, y, truncation, w_max, detail) -> MappingSpa
                 fallback_rows += fallback
                 components.union_all(upper, lowers)
         else:
+            row_names[pattern] = names
             for row in rows0:
                 vs = row_vertices(cat, x, pattern, row) if width else (x,)
-                _grow(ctx, x, y, pattern, [row], [vs], [], truncation, note_simplex)
+                _grow(ctx, x, y, pattern, [row], [vs], [], _identity_mask(cat, row),
+                      truncation, note_simplex)
 
     vertices.sort(key=lambda h: (h.width, h.name))
     vertex_names = [h.name for h in vertices]
@@ -590,12 +608,13 @@ def _mapping_space(ctx: _Context, x, y, truncation, w_max, detail) -> MappingSpa
     # carried in the truncated data.
     kept = [dict(simplices[0])]
     face_cache = {}
+    grid_names = {}
     pruned = False
     for k in range(1, truncation + 1):
         level_kept = {}
         for name, h in simplices[k].items():
             try:
-                images = [_face(ctx, h, i) for i in range(k + 1)]
+                images = [_face(ctx, h, i, row_names, grid_names) for i in range(k + 1)]
             except CompositionUnavailable:
                 pruned = True
                 continue
@@ -633,8 +652,12 @@ def _mapping_space(ctx: _Context, x, y, truncation, w_max, detail) -> MappingSpa
         sub = Partition.of(components, sub_names)
     partition = Partition.of(components, vertex_names)
     verdict = "bound_limited" if pruned else _stability(partition, sub)
+    # every memo entry but the seeded vertex names is one reduced face
+    face_normal_forms = (sum(map(len, row_names.values())) - len(vertices)
+                         + len(grid_names))
     return MappingSpace(x, y, truncation, w_max, verdict,
-                        tuple(vertices), partition, sset, by_name, len(levels[1]))
+                        tuple(vertices), partition, sset, by_name, len(levels[1]),
+                        face_normal_forms=face_normal_forms)
 
 
 def _identity_mask(cat, row):
@@ -734,26 +757,35 @@ def _pi0_edges(ctx, pattern, rows0, names):
         yield upper, lowers, bool(seen)
 
 
-def _grow(ctx, x, y, pattern, rows, grids, layers, truncation, note_simplex):
-    """Extend the grid one row at a time, recording reduced simplices."""
+def _grow(ctx, x, y, pattern, rows, grids, layers, common, truncation, note_simplex):
+    """Extend the grid one row at a time, recording reduced simplices.
+
+    ``common`` is the AND of the rows' identity masks (:func:`_identity_mask`),
+    so the grid is reduced when it is 0; each new row's mask is computed
+    once.  A grid unreduced at height h can become reduced at h+1, so a row
+    that is not the last is extended unfiltered.  The last row (height
+    ``truncation``) is built only where the grid is then reduced: the
+    columns of ``common`` must get non-identity entries, which is the mask
+    :meth:`_Context.extensions` takes, and those grids are noted as they
+    come."""
     cat = ctx.cat
     width = len(pattern)
     height = len(rows) - 1
-    if height >= 1:
-        common = -1
-        for row in rows:
-            common &= _identity_mask(cat, row)
-        if not common:
-            note_simplex(height, Hammock(x, y if width else x, pattern, rows, layers))
-    if height == truncation:
+    sink = y if width else x
+    if height + 1 == truncation:
+        for vacc, row2 in ctx.extensions(pattern, rows[-1], grids[-1], common):
+            note_simplex(height + 1, Hammock(x, sink, pattern, rows + [row2], layers + [vacc]))
         return
-    for vacc, row2 in ctx.extensions(pattern, rows[-1], grids[-1]):
+    for vacc, row2 in ctx.extensions(pattern, rows[-1], grids[-1], 0):
+        common2 = common & _identity_mask(cat, row2)
+        if not common2:
+            note_simplex(height + 1, Hammock(x, sink, pattern, rows + [row2], layers + [vacc]))
         if width:
             grid2 = tuple(cat.cod[v] for v in _with_ends(ctx, grids[-1], vacc, width))
         else:
             grid2 = (x,)
         _grow(ctx, x, y, pattern, rows + [row2], grids + [grid2], layers + [vacc],
-              truncation, note_simplex)
+              common2, truncation, note_simplex)
 
 
 def _with_ends(ctx, grid, vacc, width):
@@ -761,23 +793,41 @@ def _with_ends(ctx, grid, vacc, width):
     return (cat.identity[grid[0]],) + tuple(vacc) + (cat.identity[grid[width]],)
 
 
-def _face(ctx, h: Hammock, i) -> str:
+def _face(ctx, h: Hammock, i, row_names, grid_names) -> str:
     """The name of the i-th face of ``h``: drop row i, compose the two
-    vertical layers at it, and reduce."""
+    vertical layers at it, and reduce.  Each distinct dropped grid is
+    reduced once: a one-row grid's name is kept in ``row_names[pattern]``
+    under its row (the vertex names and the ``pi0`` row cache), a taller
+    one in ``grid_names`` under the grid.  A grid whose normal form needs a
+    missing composite is kept as False and raises CompositionUnavailable
+    each time."""
     cat = ctx.cat
     k = h.height
     rows = h.rows[:i] + h.rows[i + 1:]
-    if i == 0:
-        layers = h.verticals[1:]
-    elif i == k:
-        layers = h.verticals[:-1]
+    if k == 1:
+        memo, key, layers = row_names[h.directions], rows[0], ()
     else:
-        fused = tuple(
-            cat.compose(h.verticals[i][j], h.verticals[i - 1][j])
-            for j in range(len(h.verticals[i]))
-        )
-        layers = h.verticals[:i - 1] + (fused,) + h.verticals[i + 1:]
-    return hammock_name(*_normal_form(cat, h.directions, rows, layers))
+        if i == 0:
+            layers = h.verticals[1:]
+        elif i == k:
+            layers = h.verticals[:-1]
+        else:
+            fused = tuple(
+                cat.compose(h.verticals[i][j], h.verticals[i - 1][j])
+                for j in range(len(h.verticals[i]))
+            )
+            layers = h.verticals[:i - 1] + (fused,) + h.verticals[i + 1:]
+        memo, key = grid_names, (h.directions, rows, layers)
+    name = memo.get(key)
+    if name is None:
+        try:
+            name = hammock_name(*_normal_form(cat, h.directions, rows, layers))
+        except CompositionUnavailable:
+            name = False
+        memo[key] = name
+    if name is False:
+        raise CompositionUnavailable("face needs a composite the table lacks")
+    return name
 
 
 def _degeneracy(ctx, h: Hammock, i) -> str:
@@ -811,6 +861,10 @@ class Localization:
         self.w_max = w_max
         self.detail = detail
         self.context = _Context(r)
+        if pair_filter is not None:
+            unknown = sorted({name for pair in pair_filter for name in pair} - set(r.cat.objects))
+            if unknown:
+                raise InputError(f"pair filter names an unknown object: {unknown[0]}")
         self.pairs = {}
         for x in r.cat.objects:
             for y in r.cat.objects:
@@ -951,14 +1005,23 @@ def embed(r: RelativeCategory, loc: Localization) -> scat_mod.SimplicialFunctor:
 # --- localization of relative simplicial categories -------------------------
 
 
-def _map_hammock(rel_target: RelativeCategory, morphism_map, h: Hammock, reduced) -> str:
-    """The name of the entrywise image of ``h``.  ``reduced`` says that the
-    map keeps the image reduced, so no normal form is taken."""
+def _map_hammock(morphism_map, h: Hammock):
+    """The entrywise image of ``h`` as a plain ``(directions, rows,
+    layers)`` grid, not reduced."""
     rows = tuple(tuple(morphism_map[m] for m in row) for row in h.rows)
     verticals = tuple(tuple(morphism_map[v] for v in layer) for layer in h.verticals)
-    if reduced:
-        return hammock_name(h.directions, rows, verticals)
-    return hammock_name(*_normal_form(rel_target.cat, h.directions, rows, verticals))
+    return h.directions, rows, verticals
+
+
+@dataclass
+class DiagonalCounts:
+    """Work of one diagonal hom of a :class:`RelscatLocalization`: the
+    entrywise images taken, under every outer face and degeneracy, and
+    the distinct face images reduced.  Deterministic counts for progress
+    output, never report bytes."""
+
+    images: int
+    normal_forms: int
 
 
 class RelscatLocalization:
@@ -971,9 +1034,11 @@ class RelscatLocalization:
     inner face or degeneracy; the off-diagonal entries are never mapped.
     An outer degeneracy is injective and sends identities to identities,
     so the image of a reduced hammock is reduced and is named as it is;
-    the image under an outer face is reduced first.
-    ``row_spaces[(x, y, n)]`` is the mapping space of the level-n
-    localization."""
+    the image under an outer face is reduced first, once per distinct
+    image grid.  ``row_spaces[(x, y, n)]`` is the mapping space of the
+    level-n localization.  ``progress`` gets each pair of each level,
+    tagged ``level n``, then the :class:`DiagonalCounts` of each diagonal
+    hom."""
 
     def __init__(self, rs, truncation, w_max, progress=None):
         ambient = rs.ambient
@@ -1002,26 +1067,41 @@ class RelscatLocalization:
                  for n in range(1, truncation + 1) for i in range(n + 1)}
         outer.update({(n, "s", i): scat_mod.level_map(ambient, n, "s", i)
                       for n in range(truncation) for i in range(n + 1)})
-        self.diag_homs = {(x, y): self._diagonal(x, y, outer)
-                          for x in ambient.objects for y in ambient.objects}
+        self.diag_homs = {}
+        for x in ambient.objects:
+            for y in ambient.objects:
+                self.diag_homs[(x, y)], counts = self._diagonal(x, y, outer)
+                if progress is not None:
+                    progress(x, y, counts)
         self._scat = None
 
     def _diagonal(self, x, y, outer):
+        """The diagonal hom from x to y and its :class:`DiagonalCounts`."""
         spaces = [self.row_spaces[(x, y, n)] for n in range(self.truncation + 1)]
         levels = [ms.sset.level(n) for n, ms in enumerate(spaces)]
         faces, degeneracies = {}, {}
+        reduced = {}  # (target level, image grid) -> name of its normal form
+        images = 0
         for (n, kind, i), names in outer.items():
             m = n - 1 if kind == "d" else n + 1
-            rel, target = self.level_rel[m], spaces[m]
+            cat, target = self.level_rel[m].cat, spaces[m]
             for name in levels[n]:
-                image = _map_hammock(rel, names, spaces[n].by_name[name], kind == "s")
+                grid = _map_hammock(names, spaces[n].by_name[name])
+                images += 1
+                if kind == "s":
+                    image = hammock_name(*grid)
+                else:
+                    image = reduced.get((m, grid))
+                    if image is None:
+                        image = reduced[(m, grid)] = hammock_name(*_normal_form(cat, *grid))
                 if image not in target.by_name:
                     raise ConsistencyError("entrywise image missing from enumeration")
                 if kind == "d":
                     faces[(n, name, i)] = target.sset.face(n, i, image)
                 else:
                     degeneracies[(n, name, i)] = target.sset.degeneracy(n, i, image)
-        return TruncatedSimplicialSet(self.truncation, levels, faces, degeneracies)
+        sset = TruncatedSimplicialSet(self.truncation, levels, faces, degeneracies)
+        return sset, DiagonalCounts(images, len(reduced))
 
     @property
     def verdict(self):

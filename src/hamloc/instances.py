@@ -312,7 +312,7 @@ def random_hammock(rng: random.Random, r: RelativeCategory, w_max=5, h_max=2):
     height = rng.randint(0, h_max)
     for _ in range(height):
         vertices = row_vertices(c, x, directions, rows[-1]) if directions else (x,)
-        options = list(ctx.extensions(directions, rows[-1], vertices))
+        options = list(ctx.extensions(directions, rows[-1], vertices, 0))
         if not options:
             break
         vacc, nxt = rng.choice(options)

@@ -15,7 +15,9 @@ stability verdicts in the outcomes as approximation caveats.
 
 Each checker takes an optional per-pair ``progress`` callback; every
 localization it builds reports to it, tagged by its stage (see
-:func:`hammock.staged`).  Progress never enters a report.
+:func:`hammock.staged`), and a dimensionwise localization also reports
+the :class:`hammock.DiagonalCounts` of each diagonal hom.  Progress
+never enters a report.
 """
 
 from __future__ import annotations

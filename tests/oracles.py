@@ -8,7 +8,11 @@ Grothendieck construction of its diagram of level categories
 (:func:`level_diagram`).  The word oracle's earlier saturation, two
 union-finds over string words, is the reference for
 :func:`hamloc.relcat.oracle_localized_homset`
-(:func:`reference_localized_homset`).
+(:func:`reference_localized_homset`).  The full-detail hammock
+enumeration that builds every grid and reduces every face and diagonal
+image anew is the reference for the one that builds only last rows
+that can reduce and reduces each distinct grid once
+(:func:`reference_mapping_space`, :func:`reference_diagonal`).
 """
 
 from __future__ import annotations
@@ -16,13 +20,27 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from hamloc import instances as inst
-from hamloc.errors import InputError
+from hamloc.errors import CompositionUnavailable, ConsistencyError, InputError
 from hamloc.fincat import (
     CatFunctor,
     FiniteCategory,
     UnionFind,
     disjoint_union,
     validate_functor,
+)
+from hamloc.hammock import (
+    Hammock,
+    MappingSpace,
+    _Context,
+    _degeneracy,
+    _identity_mask,
+    _map_hammock,
+    _normal_form,
+    _patterns,
+    _stability,
+    _with_ends,
+    hammock_name,
+    row_vertices,
 )
 from hamloc.relcat import OracleHomSet, RelativeCategory
 from hamloc.scat import (
@@ -33,7 +51,14 @@ from hamloc.scat import (
     promote,
     sub_from_morphisms,
 )
-from hamloc.simplicial import SimplicialOperator, compose_operators, monotone_maps, operator_steps
+from hamloc.simplicial import (
+    Partition,
+    SimplicialOperator,
+    TruncatedSimplicialSet,
+    compose_operators,
+    monotone_maps,
+    operator_steps,
+)
 
 
 def level_functor(a: TruncatedSimplicialCategory, source_level: int, kind: str, i: int) -> CatFunctor:
@@ -438,3 +463,169 @@ def reference_localized_homset(r: RelativeCategory, x, y, max_len: int) -> Oracl
         for w in cls:
             class_of[w] = idx
     return OracleHomSet(x, y, max_len, determined, classes, class_of)
+
+
+# --- full-detail hammock enumeration without the last-row mask or memos ----
+#
+# The reference for ``hamloc.hammock._mapping_space`` in "full" detail and
+# for ``RelscatLocalization._diagonal``: every grid is grown row by row and
+# checked for reducedness at every height, and every face and every
+# diagonal face image is reduced anew.  The three enumeration routines are
+# the earlier ones with the "pi0" branch left out; the diagonal is the
+# earlier method body as a function.
+
+
+def reference_mapping_space(r: RelativeCategory, x, y, truncation, w_max) -> MappingSpace:
+    """The "full" detail mapping space from ``x`` to ``y``."""
+    return _reference_mapping_space(_Context(r), x, y, truncation, w_max)
+
+
+def _reference_mapping_space(ctx: _Context, x, y, truncation, w_max) -> MappingSpace:
+    cat = ctx.cat
+    vertices = []
+    components = UnionFind()
+    sub = None
+    simplices = [dict() for _ in range(truncation + 1)]
+
+    def note_simplex(level, h):
+        simplices[level][h.name] = h
+
+    for pattern in _patterns(w_max):
+        width = len(pattern)
+        if width == 0 and x != y:
+            continue
+        rows0 = ctx.paths(x, y, pattern)
+        for row in rows0:
+            # no identity entry along an alternating pattern: reduced
+            if ctx.identities.isdisjoint(row):
+                h = Hammock(x, y if width else x, pattern, (row,), ())
+                vertices.append(h)
+                components.add(h.name)
+                simplices[0][h.name] = h
+        for row in rows0:
+            vs = row_vertices(cat, x, pattern, row) if width else (x,)
+            _reference_grow(ctx, x, y, pattern, [row], [vs], [], truncation, note_simplex)
+
+    vertices.sort(key=lambda h: (h.width, h.name))
+    vertex_names = [h.name for h in vertices]
+
+    # Keep only simplices all of whose iterated faces are representable:
+    # over a partially represented ambient category a face can need a
+    # composite outside the width bound, and such simplices cannot be
+    # carried in the truncated data.
+    kept = [dict(simplices[0])]
+    face_cache = {}
+    pruned = False
+    for k in range(1, truncation + 1):
+        level_kept = {}
+        for name, h in simplices[k].items():
+            try:
+                images = [_reference_face(ctx, h, i) for i in range(k + 1)]
+            except CompositionUnavailable:
+                pruned = True
+                continue
+            if all(img in kept[k - 1] for img in images):
+                level_kept[name] = h
+                for i, img in enumerate(images):
+                    face_cache[(k, name, i)] = img
+            else:
+                pruned = True
+        kept.append(level_kept)
+
+    levels = [
+        tuple(sorted(kept[k], key=lambda n: (kept[k][n].width, n)))
+        for k in range(truncation + 1)
+    ]
+    degeneracies = {}
+    for k in range(truncation):
+        for name, h in kept[k].items():
+            for i in range(k + 1):
+                img = _degeneracy(ctx, h, i)
+                if img not in kept[k + 1]:
+                    raise ConsistencyError("degeneracy left the kept set")
+                degeneracies[(k, name, i)] = img
+    sset = TruncatedSimplicialSet(truncation, levels, face_cache, degeneracies)
+    by_name = {h.name: h for level in kept for h in level.values()}
+
+    # levels[1] is sorted by width: the snapshot before the first edge of
+    # width w_max is the partition one width bound lower
+    sub_names = [h.name for h in vertices if h.width < w_max]
+    for s in levels[1]:
+        if sub is None and by_name[s].width == w_max:
+            sub = Partition.of(components, sub_names)
+        components.union(face_cache[(1, s, 1)], face_cache[(1, s, 0)])
+    if sub is None:
+        sub = Partition.of(components, sub_names)
+    partition = Partition.of(components, vertex_names)
+    verdict = "bound_limited" if pruned else _stability(partition, sub)
+    return MappingSpace(x, y, truncation, w_max, verdict,
+                        tuple(vertices), partition, sset, by_name, len(levels[1]))
+
+
+def _reference_grow(ctx, x, y, pattern, rows, grids, layers, truncation, note_simplex):
+    """Extend the grid one row at a time, recording reduced simplices."""
+    cat = ctx.cat
+    width = len(pattern)
+    height = len(rows) - 1
+    if height >= 1:
+        common = -1
+        for row in rows:
+            common &= _identity_mask(cat, row)
+        if not common:
+            note_simplex(height, Hammock(x, y if width else x, pattern, rows, layers))
+    if height == truncation:
+        return
+    for vacc, row2 in ctx.extensions(pattern, rows[-1], grids[-1], 0):
+        if width:
+            grid2 = tuple(cat.cod[v] for v in _with_ends(ctx, grids[-1], vacc, width))
+        else:
+            grid2 = (x,)
+        _reference_grow(ctx, x, y, pattern, rows + [row2], grids + [grid2], layers + [vacc],
+                        truncation, note_simplex)
+
+
+def _reference_face(ctx, h: Hammock, i) -> str:
+    """The name of the i-th face of ``h``: drop row i, compose the two
+    vertical layers at it, and reduce."""
+    cat = ctx.cat
+    k = h.height
+    rows = h.rows[:i] + h.rows[i + 1:]
+    if i == 0:
+        layers = h.verticals[1:]
+    elif i == k:
+        layers = h.verticals[:-1]
+    else:
+        fused = tuple(
+            cat.compose(h.verticals[i][j], h.verticals[i - 1][j])
+            for j in range(len(h.verticals[i]))
+        )
+        layers = h.verticals[:i - 1] + (fused,) + h.verticals[i + 1:]
+    return hammock_name(*_normal_form(cat, h.directions, rows, layers))
+
+
+def reference_diagonal(rl, x, y) -> TruncatedSimplicialSet:
+    """The diagonal hom from ``x`` to ``y`` of the dimensionwise
+    localization ``rl``, each outer face image reduced anew."""
+    ambient = rl.rs.ambient
+    outer = {(n, "d", i): level_map(ambient, n, "d", i)
+             for n in range(1, rl.truncation + 1) for i in range(n + 1)}
+    outer.update({(n, "s", i): level_map(ambient, n, "s", i)
+                  for n in range(rl.truncation) for i in range(n + 1)})
+    spaces = [rl.row_spaces[(x, y, n)] for n in range(rl.truncation + 1)]
+    levels = [ms.sset.level(n) for n, ms in enumerate(spaces)]
+    faces, degeneracies = {}, {}
+    for (n, kind, i), names in outer.items():
+        m = n - 1 if kind == "d" else n + 1
+        rel, target = rl.level_rel[m], spaces[m]
+        for name in levels[n]:
+            grid = _map_hammock(names, spaces[n].by_name[name])
+            if kind == "d":
+                grid = _normal_form(rel.cat, *grid)
+            image = hammock_name(*grid)
+            if image not in target.by_name:
+                raise ConsistencyError("entrywise image missing from enumeration")
+            if kind == "d":
+                faces[(n, name, i)] = target.sset.face(n, i, image)
+            else:
+                degeneracies[(n, name, i)] = target.sset.degeneracy(n, i, image)
+    return TruncatedSimplicialSet(rl.truncation, levels, faces, degeneracies)

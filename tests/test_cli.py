@@ -299,6 +299,8 @@ DICT_FACE["faces"]["1"]["f"] = [{}, "f"]
     (["neglectable", "F"], SUB_NAME_NOT_A_STRING),
     (["verify", "2.4ii", "F", "--truncation", "0"], json.dumps(RELSCAT).encode()),
     (["verify", "2.4ii", "F", "--width", "0"], json.dumps(RELSCAT).encode()),
+    (["localize", "F", "--width", "2", "--pairs", "Q,R"],
+     json.dumps(inst.walking_weq().to_json()).encode()),
 ], ids=["truncated-validate", "truncated-localize", "truncated-ho", "truncated-flatten",
         "truncated-neglectable", "truncated-dk-check", "truncated-verify",
         "not-utf8-validate", "not-utf8-pi0", "not-utf8-verify",
@@ -311,7 +313,8 @@ DICT_FACE["faces"]["1"]["f"] = [{}, "f"]
         "integer-morphism-name", "dk-check-source-missing-face",
         "dk-check-source-is-a-directory", "dict-composite-validate", "dict-face-pi0",
         "sub-name-not-a-string",
-        "verify-2.4ii-truncation-zero", "verify-2.4ii-width-zero"])
+        "verify-2.4ii-truncation-zero", "verify-2.4ii-width-zero",
+        "localize-unknown-pair-object"])
 def test_malformed_input_exits_two(tmp_path, capsys, argv, content):
     """Exit 2, never 1, for input that does not parse or lacks a key;
     ``F`` stands for the input file."""
@@ -489,6 +492,30 @@ class TestVerbose:
             assert int(count) == len(classes[f"{x}|{y}"])
             assert int(words) == sum(map(len, classes[f"{x}|{y}"]))
         assert lines[-1].endswith(", undetermined") == (code == 3)
+
+    @pytest.mark.parametrize("claim, name, objects", [
+        ("3.2", "walking-weq.json", ("X", "Y")),
+        ("2.4ii", "relscat-iso.json", ("X", "Y")),
+    ])
+    def test_dimensionwise_counts_face_normal_forms_and_diagonal_images(
+            self, files, capsys, claim, name, objects):
+        argv = ["verify", claim, files[name], "--width", "2"]
+        quiet = run(argv)
+        plain = capsys.readouterr()
+        assert run(["--verbose"] + argv) == quiet
+        loud = capsys.readouterr()
+        assert loud.out == plain.out
+        lines = loud.err.splitlines()
+        # every localization here is in full detail
+        pairs = [ln for ln in lines if ": pair (" in ln]
+        assert pairs and all(re.search(r" grids, \d+ face normal forms$", ln) for ln in pairs)
+        diagonal = [re.fullmatch(r"dimensionwise: diagonal \((\w+),(\w+)\): "
+                                 r"(\d+) images, (\d+) normal forms", ln)
+                    for ln in lines if "diagonal (" in ln]
+        assert [m.group(1, 2) for m in diagonal] == [(x, y) for x in objects for y in objects]
+        for m in diagonal:
+            images, normal_forms = int(m.group(3)), int(m.group(4))
+            assert 0 < normal_forms < images
 
     @pytest.mark.parametrize("claim, name, stages", [
         ("3.1", "walking-weq.json", ("input", "middle", "flattening")),

@@ -4,7 +4,8 @@ Every case runs one ``hamloc`` command on a stock instance and compares
 the exit code and the canonical output with a fixture in ``tests/golden``.
 Large outputs are stored as their sha256 only.  The fixtures were
 recorded at commit c86405b (the ``dk-check`` ones at 2fbdaea, the
-``oracle-ho`` ones at ac466f4); a fixture changes only together with a
+``oracle-ho`` ones at ac466f4, ``verify 3.2`` on chain-weq and
+z2-groupoid and at truncation 2 at 2057a8f); a fixture changes only together with a
 stated change of the report bytes.  To record them again with the
 package on ``PYTHONPATH``:
 
@@ -127,10 +128,14 @@ def cases():
         out.append((f"verify-3.1-{name}",
                     ["verify", "3.1", f"{name}.json", "--truncation", "1", "--width", "3"], False))
     for name in suite:
-        if name not in ("chain-weq", "z2-groupoid"):
-            out.append((f"verify-3.2-{name}",
-                        ["verify", "3.2", f"{name}.json", "--truncation", "1", "--width", "3"],
-                        False))
+        out.append((f"verify-3.2-{name}",
+                    ["verify", "3.2", f"{name}.json", "--truncation", "1", "--width", "3"],
+                    False))
+    # span-one-leg is undetermined here: its relocalization is bound-limited
+    for name in ("walking-weq", "span-one-leg"):
+        out.append((f"verify-3.2-{name}-truncation2",
+                    ["verify", "3.2", f"{name}.json", "--truncation", "2", "--width", "3"],
+                    False))
     for name in _spans():
         out.append((f"verify-2.4i-{name}", ["verify", "2.4i", f"span-{name}.json"], False))
     for name in _relscats():

@@ -38,7 +38,13 @@ from hamloc.scat import (
 )
 from hamloc.simplicial import pi0, validate_sset
 from hamloc.verify import _embedded_sub
-from oracles import closed_weq, neglectable_instances
+import oracles
+from oracles import (
+    closed_weq,
+    neglectable_instances,
+    reference_diagonal,
+    reference_mapping_space,
+)
 
 
 class TestReduce:
@@ -203,6 +209,12 @@ class TestMappingSpace:
 
 
 class TestLocalization:
+    def test_pair_filter_names_known_objects(self):
+        r = inst.walking_weq()
+        with pytest.raises(InputError, match="unknown object: Q"):
+            hammock_localization(r, 1, 2, pair_filter={("X", "Y"), ("Q", "R")})
+        assert set(hammock_localization(r, 1, 2, pair_filter={("X", "Y")}).pairs) == {("X", "Y")}
+
     @pytest.mark.parametrize("truncation, w_max, detail", [
         (0, 2, "full"), (1, 0, "full"), (1, 2, "bogus")])
     def test_bounds_validated(self, truncation, w_max, detail):
@@ -283,6 +295,31 @@ class TestLocalization:
         assert data["bounds"]["verdict"] == "stable"
         assert data["bounds"]["truncation"] == 1
         assert data["bounds"]["width"] == 4
+
+
+def _ho_outcome(loc, wellcheck_cap):
+    """The component category and class map, or the exception's type and
+    message."""
+    try:
+        cat, classmap = homotopy_category_of_localization(loc, wellcheck_cap=wellcheck_cap)
+    except (CompositionUnavailable, ConsistencyError) as exc:
+        return type(exc).__name__, str(exc)
+    return cat.to_json(), classmap
+
+
+def test_uncapped_well_definedness_check_agrees_with_the_default_cap():
+    """Composition of classes is checked on the first ``wellcheck_cap``
+    members of each class (6 by default).  Checking every member gives
+    the same category, or the same exception, on the oracle suite; the
+    cap bites on at least one class there."""
+    biggest = 0
+    for name, r in inst.oracle_suite():
+        for width in (2, 3, 4):
+            loc = hammock_localization(r, 1, width)
+            assert _ho_outcome(loc, 6) == _ho_outcome(loc, 10**9), (name, width)
+            biggest = max(biggest, *(len(cls) for ms in loc.pairs.values()
+                                     for cls in ms.partition.classes))
+    assert biggest > 6
 
 
 class TestConfluence:
@@ -378,6 +415,26 @@ class TestRelscatLocalization:
                 assert validate_sset(sset) == [], (name, pair)
             assert validate_scat(rl.scat()) == [], name
 
+    def test_diagonal_counts(self):
+        """Each diagonal hom counts one image per simplex and outer map,
+        and one normal form per distinct face image."""
+        for name, rs in _check_32_relscats():
+            reported = {}
+
+            def diagonal_only(x, y, counts, stage=None):
+                if stage is None:  # the level localizations' pairs are staged
+                    reported[(x, y)] = counts
+
+            rl = hammock_localization_relscat(rs, 1, 2, progress=diagonal_only)
+            assert set(reported) == set(rl.diag_homs)
+            faces = [scat.level_map(rs.ambient, 1, "d", i) for i in range(2)]
+            for (x, y), counts in reported.items():
+                level0, level1 = rl.diag_homs[(x, y)].levels
+                assert counts.images == 2 * len(level1) + len(level0), (name, x, y)
+                by_name = rl.row_spaces[(x, y, 1)].by_name
+                distinct = {_map_hammock(names, by_name[s]) for names in faces for s in level1}
+                assert counts.normal_forms == len(distinct), (name, x, y)
+
     def test_degeneracy_images_are_reduced(self):
         """An outer degeneracy maps a reduced hammock to a reduced one, so
         the diagonal names its image without a normal form."""
@@ -393,9 +450,10 @@ class TestRelscatLocalization:
                         if level != n:
                             continue
                         for simplex in ms.sset.level(n):
-                            h = ms.by_name[simplex]
-                            direct = _map_hammock(rel, names, h, True)
-                            assert direct == _map_hammock(rel, names, h, False), (name, simplex)
+                            grid = _map_hammock(names, ms.by_name[simplex])
+                            direct = hammock_name(*grid)
+                            assert direct == hammock_name(*_normal_form(rel.cat, *grid)), \
+                                (name, simplex)
                             assert direct in rl.row_spaces[(x, y, n + 1)].by_name
                             mapped += 1
         assert mapped > 100
@@ -410,6 +468,116 @@ def _check_32_relscats():
         cases.append((f"3.2 {name}", RelativeSimplicialCategory(
             loc.scat(), _embedded_sub(r, loc.scat(), r.weq))))
     return cases
+
+
+def _same_sset(got, want, where):
+    assert got.levels == want.levels, where
+    assert got.faces == want.faces, where
+    assert got.degeneracies == want.degeneracies, where
+
+
+class TestFullDetailAgainstReference:
+    """Full detail builds only the last rows that make a grid reduced and
+    reduces each distinct face and diagonal image once; the simplicial
+    sets, partitions and verdicts must be those of the enumeration that
+    builds every grid and reduces every image anew (``tests/oracles.py``)."""
+
+    @staticmethod
+    def _agree(r, x, y, truncation, width):
+        got = mapping_space(r, x, y, truncation, width, "full")
+        want = reference_mapping_space(r, x, y, truncation, width)
+        where = (x, y, truncation, width)
+        _same_sset(got.sset, want.sset, where)
+        assert [h.name for h in got.vertices] == [h.name for h in want.vertices], where
+        assert got.partition.class_of == want.partition.class_of, where
+        assert got.verdict == want.verdict, where
+        assert got.grids == want.grids, where
+        return got
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), truncation=st.integers(1, 2),
+           width=st.integers(1, 3))
+    def test_random_relative_categories(self, seed, truncation, width):
+        rng = random.Random(seed)
+        r = closed_weq(inst.random_dag_category(rng), rng)
+        for x in r.cat.objects:
+            for y in r.cat.objects:
+                self._agree(r, x, y, truncation, width)
+
+    def test_random_relative_categories_at_truncation_two(self):
+        """Grids whose first two rows share an identity column but whose
+        third row clears it: the mask may only filter the last row."""
+        reduced_late = 0
+        for seed in range(12):
+            rng = random.Random(seed)
+            r = closed_weq(inst.random_dag_category(rng), rng)
+            for x in r.cat.objects:
+                for y in r.cat.objects:
+                    ms = self._agree(r, x, y, 2, 3)
+                    reduced_late += sum(
+                        1 for name in ms.sset.level(2)
+                        if _identity_mask_of(r, ms.by_name[name].rows[:2]))
+        assert reduced_late > 0
+
+    def test_partial_flattening_of_walking_weq(self, monkeypatch):
+        """Over the partially represented flattening some faces need a
+        missing composite, and those simplices are pruned."""
+        fl = flatten(hammock_localization(inst.walking_weq(), 1, 2).scat())
+        unavailable = []
+        reference_face = oracles._reference_face
+
+        def counted(ctx, h, i):
+            try:
+                return reference_face(ctx, h, i)
+            except CompositionUnavailable:
+                unavailable.append(h.name)
+                raise
+
+        monkeypatch.setattr(oracles, "_reference_face", counted)
+        for truncation, width in ((1, 1), (1, 2), (1, 3), (2, 1), (2, 2)):
+            for x in fl.rel.cat.objects:
+                for y in fl.rel.cat.objects:
+                    self._agree(fl.rel, x, y, truncation, width)
+        assert unavailable
+
+    @pytest.mark.parametrize("width", [2, 3])
+    def test_check_32_level_categories_and_diagonals(self, width):
+        for name, rs in _check_32_relscats():
+            rl = hammock_localization_relscat(rs, 1, width)
+            for (x, y, n), ms in rl.row_spaces.items():
+                self._agree(rl.level_rel[n], x, y, 1, width)
+            for (x, y), sset in rl.diag_homs.items():
+                _same_sset(sset, reference_diagonal(rl, x, y), (name, x, y))
+
+
+def test_face_normal_forms_count_distinct_dropped_grids():
+    """Without pruning, every face of every simplex is taken, and each
+    distinct dropped grid that is not a vertex row is reduced once."""
+    r = inst.walking_weq()
+    for x in r.cat.objects:
+        for y in r.cat.objects:
+            ms = mapping_space(r, x, y, 2, 3)
+            assert ms.stable
+            vertex_rows = {(h.directions, h.rows[0]) for h in ms.vertices}
+            rows, grids = set(), set()
+            for name in ms.sset.level(1):
+                h = ms.by_name[name]
+                rows.update((h.directions, row) for row in h.rows)
+            for name in ms.sset.level(2):
+                h = ms.by_name[name]
+                v0, v1 = h.verticals
+                fused = tuple(r.cat.compose(b, a) for a, b in zip(v0, v1))
+                for i, layers in enumerate(((v1,), (fused,), (v0,))):
+                    grids.add((h.directions, h.rows[:i] + h.rows[i + 1:], layers))
+            assert ms.face_normal_forms == len(rows - vertex_rows) + len(grids), (x, y)
+
+
+def _identity_mask_of(r, rows):
+    """The columns in which every one of ``rows`` has an identity."""
+    common = -1
+    for row in rows:
+        common &= sum(1 << col for col, m in enumerate(row) if r.cat.is_identity(m))
+    return common
 
 
 class TestJunctionCascade:
