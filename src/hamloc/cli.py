@@ -7,9 +7,10 @@ byte-identical for identical inputs and bounds; --verbose sends per-pair
 progress of every localization that ``localize``, ``ho`` and ``verify``
 (all four claims) build to stderr, never to the output (in full detail
 with the count of face normal forms), ``verify 3.2`` and ``2.4ii`` add
-the image and normal-form counts of each diagonal hom, ``localize``
-adds one line of composite-request counts, and ``oracle-ho`` prints the
-word and rewrite-edge counts of each pair it saturates.
+the image and normal-form counts of each diagonal hom, ``verify 3.1``
+notes a flattening stage that reuses the middle's re-localization,
+``localize`` adds one line of composite-request counts, and
+``oracle-ho`` prints the word and rewrite-edge counts of each pair.
 """
 
 from __future__ import annotations
@@ -68,7 +69,9 @@ def _progress(args):
         return None
 
     def report(x, y, ms, stage=None):
-        if isinstance(ms, DiagonalCounts):
+        if isinstance(ms, str):
+            line = ms
+        elif isinstance(ms, DiagonalCounts):
             line = f"diagonal ({x},{y}): {ms.images} images, {ms.normal_forms} normal forms"
         else:
             line = (f"pair ({x},{y}): {len(ms.vertices)} vertices, "

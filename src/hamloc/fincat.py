@@ -374,20 +374,6 @@ def validate_functor(fun: CatFunctor) -> list[str]:
     return report
 
 
-def identity_functor(c: FiniteCategory) -> CatFunctor:
-    return CatFunctor(c, c, {x: x for x in c.objects}, {m: m for m in c.morphisms})
-
-
-def compose_functors(g: CatFunctor, f: CatFunctor) -> CatFunctor:
-    if f.target is not g.source and f.target != g.source:
-        raise InputError("functors not composable")
-    return CatFunctor(
-        f.source, g.target,
-        {x: g.object_map[y] for x, y in f.object_map.items()},
-        {m: g.morphism_map[n] for m, n in f.morphism_map.items()},
-    )
-
-
 @dataclass
 class EquivalenceWitness:
     """An equivalence of categories with all the data spelled out.

@@ -9,13 +9,14 @@ a mapping space are the reduced hammocks of height k.
 
 One routine, :func:`_normal_form`, reduces grids (Dwyer-Kan: delete
 all-identity columns, merge equal-direction neighbours).  It works on
-plain ``(directions, rows, layers)`` tuples; faces, the entrywise face
-maps of the dimensionwise localization and the ``pi0`` row cache call
-it, each distinct grid once per mapping space or diagonal hom (memos
-that live for that one call).  Composition reduces only where two
-reduced hammocks can reduce, at their junction (the cascade of
-:func:`_junction`), and an entrywise degeneracy map keeps a hammock
-reduced, so neither takes the normal form.  Faces, degeneracies and
+plain ``(directions, rows, layers)`` tuples; faces and the entrywise
+face maps of the dimensionwise localization call it, each distinct grid
+once per mapping space or diagonal hom (memos that live for that one
+call).  ``pi0`` detail numbers rows densely (:class:`_Numbered`, with the
+same moves on one row) and names only its vertices.  Composition reduces
+only where two reduced hammocks can reduce, at their junction (the
+cascade of :func:`_junction`), and an entrywise degeneracy map keeps a
+hammock reduced, so neither takes the normal form.  Faces, degeneracies and
 composites are carried as names (:func:`hammock_name`); a
 :class:`Hammock` is built only for an enumerated simplex or on request.
 Along an alternating pattern a grid is reduced exactly when the identity
@@ -33,6 +34,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .errors import CompositionUnavailable, ConsistencyError, InputError
 from .fincat import FiniteCategory, UnionFind
@@ -108,60 +110,6 @@ def row_vertices(c: FiniteCategory, source, directions, row):
                 raise InputError(f"backward entry {m} does not end at {at}")
             vertices.append(c.dom[m])
     return tuple(vertices)
-
-
-def validate_hammock(r: RelativeCategory, h: Hammock) -> list[str]:
-    c = r.cat
-    report = []
-    if any(d not in ("f", "b") for d in h.directions):
-        return [f"bad direction tuple {h.directions}"]
-    grids = []
-    for idx, row in enumerate(h.rows):
-        try:
-            vs = row_vertices(c, h.source, h.directions, row)
-        except InputError as exc:
-            report.append(f"row {idx}: {exc}")
-            continue
-        if vs[-1] != h.sink:
-            report.append(f"row {idx}: ends at {vs[-1]}, not {h.sink}")
-            continue
-        grids.append(vs)
-    if report or len(grids) != len(h.rows):
-        return report
-    for idx, row in enumerate(h.rows):
-        for col, (d, m) in enumerate(zip(h.directions, row)):
-            if d == "b" and m not in r.weq:
-                report.append(f"row {idx} column {col}: backward entry {m} not a weq")
-    width = h.width
-    for layer_idx, layer in enumerate(h.verticals):
-        upper, lower = grids[layer_idx], grids[layer_idx + 1]
-        for j, v in enumerate(layer, start=1):
-            if v not in r.weq:
-                report.append(f"layer {layer_idx} vertex {j}: vertical {v} not a weq")
-            elif c.dom[v] != upper[j] or c.cod[v] != lower[j]:
-                report.append(f"layer {layer_idx} vertex {j}: vertical {v} mistyped")
-    if report:
-        return report
-
-    def vert(layer, j):
-        if j == 0:
-            return c.identity[h.source]
-        if j == width:
-            return c.identity[h.sink]
-        return h.verticals[layer][j - 1]
-
-    for layer in range(len(h.verticals)):
-        up, down = h.rows[layer], h.rows[layer + 1]
-        for col in range(width):
-            if h.directions[col] == "f":
-                lhs = c.compose(vert(layer, col + 1), up[col])
-                rhs = c.compose(down[col], vert(layer, col))
-            else:
-                lhs = c.compose(vert(layer, col), up[col])
-                rhs = c.compose(down[col], vert(layer, col + 1))
-            if lhs != rhs:
-                report.append(f"square at layer {layer}, column {col} does not commute")
-    return report
 
 
 def _normal_form(cat: FiniteCategory, directions, rows, layers, strategy="leftmost"):
@@ -373,16 +321,21 @@ class _Context:
             x: tuple(m for m in c.from_object(x) if m in r.weq) for x in c.objects
         }
         self.identities = frozenset(c.identity.values())
-        self.weq_moves = {
-            x: tuple(m for m in self.weq_from[x] if not c.is_identity(m)) for x in c.objects
-        }
         self.fwd_adj = {x: {c.cod[m] for m in self.from_any[x]} for x in c.objects}
         self.weq_src_adj = {x: {c.dom[m] for m in self.weq_into[x]} for x in c.objects}
-        table = c.table
+
+    @cached_property
+    def right_factor(self):
+        """(f, h) -> the g with g after f equal to h ("full" detail)."""
         right = {}
-        for (g, f), h in table.items():
+        for (g, f), h in self.cat.table.items():
             right.setdefault((f, h), []).append(g)
-        self.right_factor = {k: tuple(v) for k, v in right.items()}
+        return {k: tuple(v) for k, v in right.items()}
+
+    @cached_property
+    def numbered(self):
+        """The tables of "pi0" detail, on morphism numbers."""
+        return _Numbered(self)
 
     def paths(self, x, y, directions):
         """All rows (identity entries allowed) from x to y along the
@@ -495,8 +448,8 @@ class MappingSpace:
     "full" detail joins them along its kept 1-simplices.
 
     ``grids`` counts the joins handed to the union-find: the kept
-    1-simplices in "full" detail; in "pi0" detail, the distinct vertex
-    names each live row is joined to, summed over the rows.
+    1-simplices in "full" detail; in "pi0" detail, the distinct vertices
+    each live row is joined to, summed over the rows.
     ``fallback_rows`` ("pi0" detail only) counts the live rows with a
     dead generator neighbour, from which the fallback walked on.
     ``face_normal_forms`` ("full" detail only) counts the distinct
@@ -549,15 +502,15 @@ def mapping_space(r: RelativeCategory, x, y, truncation: int, w_max: int,
 
 
 def _mapping_space(ctx: _Context, x, y, truncation, w_max, detail) -> MappingSpace:
+    if detail == "pi0":
+        return _pi0_mapping_space(ctx, x, y, truncation, w_max)
     cat = ctx.cat
     vertices = []
     components = UnionFind()
-    sub = None
-    simplices = [dict() for _ in range(truncation + 1)] if detail == "full" else None
-    # "full" detail: pattern -> row -> name of its normal form, or False
-    # when that needs a missing composite (the faces of 1-simplices)
+    simplices = [dict() for _ in range(truncation + 1)]
+    # pattern -> row -> name of its normal form, or False when that needs
+    # a missing composite (the faces of 1-simplices)
     row_names = {}
-    grids = fallback_rows = 0
 
     def note_simplex(level, h):
         simplices[level][h.name] = h
@@ -566,11 +519,8 @@ def _mapping_space(ctx: _Context, x, y, truncation, w_max, detail) -> MappingSpa
         width = len(pattern)
         if width == 0 and x != y:
             continue
-        if width == w_max and detail == "pi0" and sub is None:
-            # every narrower edge is in: the partition of a run at w_max-1
-            sub = Partition.of(components, [h.name for h in vertices])
         rows0 = ctx.paths(x, y, pattern)
-        names = {}
+        names = row_names[pattern] = {}
         for row in rows0:
             # no identity entry along an alternating pattern: reduced
             if ctx.identities.isdisjoint(row):
@@ -578,29 +528,14 @@ def _mapping_space(ctx: _Context, x, y, truncation, w_max, detail) -> MappingSpa
                 vertices.append(h)
                 components.add(h.name)
                 names[row] = h.name
-                if detail == "full":
-                    simplices[0][h.name] = h
-
-        if detail == "pi0":
-            for upper, lowers, fallback in _pi0_edges(ctx, pattern, rows0, names):
-                grids += len(lowers)
-                fallback_rows += fallback
-                components.union_all(upper, lowers)
-        else:
-            row_names[pattern] = names
-            for row in rows0:
-                vs = row_vertices(cat, x, pattern, row) if width else (x,)
-                _grow(ctx, x, y, pattern, [row], [vs], [], _identity_mask(cat, row),
-                      truncation, note_simplex)
+                simplices[0][h.name] = h
+        for row in rows0:
+            vs = row_vertices(cat, x, pattern, row) if width else (x,)
+            _grow(ctx, x, y, pattern, [row], [vs], [], _identity_mask(cat, row),
+                  truncation, note_simplex)
 
     vertices.sort(key=lambda h: (h.width, h.name))
     vertex_names = [h.name for h in vertices]
-
-    if detail == "pi0":
-        partition = Partition.of(components, vertex_names)
-        by_name = {h.name: h for h in vertices}
-        return MappingSpace(x, y, truncation, w_max, _stability(partition, sub),
-                            tuple(vertices), partition, None, by_name, grids, fallback_rows)
 
     # Keep only simplices all of whose iterated faces are representable:
     # over a partially represented ambient category a face can need a
@@ -643,6 +578,7 @@ def _mapping_space(ctx: _Context, x, y, truncation, w_max, detail) -> MappingSpa
 
     # levels[1] is sorted by width: the snapshot before the first edge of
     # width w_max is the partition one width bound lower
+    sub = None
     sub_names = [h.name for h in vertices if h.width < w_max]
     for s in levels[1]:
         if sub is None and by_name[s].width == w_max:
@@ -671,11 +607,102 @@ def _identity_mask(cat, row):
     return mask
 
 
-def _pi0_edges(ctx, pattern, rows0, names):
+class _Numbered:
+    """"pi0" detail's tables on morphism numbers (``FiniteCategory.mor_index``):
+    ``post[g][f]`` is g after f; ``right[f][h]`` lists the g with g after f
+    equal to h, ``right_weq[f][h]`` the weak equivalences among them; and
+    ``sink_moves[m]`` / ``source_moves[m]`` are the non-identity weak
+    equivalences out of the codomain / domain of m."""
+
+    def __init__(self, ctx: _Context):
+        c = ctx.cat
+        index = c.mor_index
+        weq = {index[m] for m in ctx.weq}
+        self.identities = frozenset(index[m] for m in ctx.identities)
+        self.post = [{} for _ in c.morphisms]
+        self.right = [{} for _ in c.morphisms]
+        self.right_weq = [{} for _ in c.morphisms]
+        for (g, f), h in c.table.items():
+            g, f, h = index[g], index[f], index[h]
+            self.post[g][f] = h
+            self.right[f].setdefault(h, []).append(g)
+            if g in weq:
+                self.right_weq[f].setdefault(h, []).append(g)
+        moves = {x: tuple(index[m] for m in ctx.weq_from[x] if not c.is_identity(m))
+                 for x in c.objects}
+        self.sink_moves = [moves[c.cod[m]] for m in c.morphisms]
+        self.source_moves = [moves[c.dom[m]] for m in c.morphisms]
+
+    def normal_form(self, directions, row):
+        """:func:`_normal_form` of the one-row grid ``row``, or None when a
+        merge needs a missing composite.  After a move at column ``col``
+        no column left of ``col - 1`` admits one, so the scan resumes there."""
+        post, identities = self.post, self.identities
+        directions, row = list(directions), list(row)
+        col = 0
+        while col < len(row):
+            if row[col] in identities:
+                del directions[col], row[col]
+                col = max(col - 1, 0)
+            elif col + 1 < len(row) and directions[col] == directions[col + 1]:
+                a, b = row[col], row.pop(col + 1)
+                row[col] = post[b].get(a) if directions[col] == "f" else post[a].get(b)
+                if row[col] is None:
+                    return None
+                del directions[col + 1]
+            else:
+                col += 1
+        return tuple(directions), tuple(row)
+
+
+def _pi0_mapping_space(ctx: _Context, x, y, truncation, w_max) -> MappingSpace:
+    """Vertices and partition, joined along generator grids (:func:`_pi0_edges`)
+    by a union-find over vertex numbers; vertices are named at the end."""
+    numbered = ctx.numbered
+    index = ctx.cat.mor_index
+    found = []  # vertex number -> (pattern, row)
+    components = UnionFind()
+    row_numbers = {}  # pattern -> row -> vertex number of its normal form, -1 if dead
+    sub = None
+    grids = fallback_rows = 0
+    for pattern in _patterns(w_max):
+        width = len(pattern)
+        if width == 0 and x != y:
+            continue
+        if width == w_max and sub is None:
+            # every narrower edge is in: the partition of a run at w_max-1
+            sub = Partition.of(components, range(len(found)))
+        rows0 = [tuple(map(index.__getitem__, row)) for row in ctx.paths(x, y, pattern)]
+        numbers = row_numbers[pattern] = {}
+        for row in rows0:
+            # no identity entry along an alternating pattern: reduced
+            if numbered.identities.isdisjoint(row):
+                numbers[row] = len(found)
+                components.add(len(found))
+                found.append((pattern, row))
+        for upper, lowers, fallback in _pi0_edges(numbered, pattern, rows0, row_numbers):
+            grids += len(lowers)
+            fallback_rows += fallback
+            components.union_all(upper, lowers)
+
+    morphisms = ctx.cat.morphisms
+    hammocks = [Hammock(x, y if pattern else x, pattern,
+                        (tuple(morphisms[m] for m in row),), ())
+                for pattern, row in found]
+    order = sorted(range(len(found)), key=lambda n: (hammocks[n].width, hammocks[n].name))
+    partition = Partition.of(components, order)
+    vertices = tuple(hammocks[n] for n in order)
+    return MappingSpace(x, y, truncation, w_max, _stability(partition, sub), vertices,
+                        partition.renamed([h.name for h in hammocks]), None,
+                        {h.name: h for h in vertices}, grids, fallback_rows)
+
+
+def _pi0_edges(numbered: _Numbered, pattern, rows0, row_numbers):
     """For each live row of ``rows0`` (one whose normal form the table can
-    name): its vertex name, the names of the live rows it is joined to
-    along ``pattern``, and whether it took the fallback.  ``names`` holds
-    the vertex name of each reduced row; it caches the other rows' names.
+    name): its vertex number, the numbers of the live rows it is joined
+    to along ``pattern``, and whether it took the fallback.
+    ``row_numbers[p][row]`` is the vertex number of a row's normal form
+    along pattern ``p``, or -1 for a dead row.
 
     Only the partition is needed, and a generating set of two-row grids
     gives it (Dwyer-Kan): the grids with one non-identity vertical ``v``,
@@ -699,28 +726,25 @@ def _pi0_edges(ctx, pattern, rows0, names):
     each.  The live rows along any grid's chain are then joined in turn,
     and every join is a grid, so the components, pattern by pattern, are
     those of all grids, and so is the snapshot one width lower."""
-    cat = ctx.cat
     width = len(pattern)
     if not width:
         return
-    dom, cod, table_get = cat.dom, cat.cod, cat.table.get
-    right_get = ctx.right_factor.get
-    weq, moves = ctx.weq, ctx.weq_moves
+    post, right, right_weq = numbered.post, numbered.right, numbered.right_weq
+    sink_moves, source_moves = numbered.sink_moves, numbered.source_moves
+    numbers = row_numbers[pattern]
 
-    def name_of(row):
-        name = names.get(row)
-        if name is None:
-            try:
-                name = hammock_name(*_normal_form(cat, pattern, (row,), ()))
-            except CompositionUnavailable:
-                name = False
-            names[row] = name
-        return name
+    def number_of(row):
+        number = numbers.get(row)
+        if number is None:
+            reduced = numbered.normal_form(pattern, row)
+            number = -1 if reduced is None else row_numbers[reduced[0]][reduced[1]]
+            numbers[row] = number
+        return number
 
     interior = tuple(range(1, width))
     for row in rows0:
-        upper = name_of(row)
-        if upper is False:
+        upper = number_of(row)
+        if upper < 0:
             continue
         # chains of generator steps from ``row``, each vertex used once
         # and no sink after a source, followed through dead rows only
@@ -729,24 +753,26 @@ def _pi0_edges(ctx, pattern, rows0, names):
         while chains:
             at, free = chains.pop()
             for i in free:
-                left, right = at[i - 1], at[i]
+                left, right_entry = at[i - 1], at[i]
                 head, tail = at[:i - 1], at[i + 1:]
                 sink = pattern[i - 1] == "f"
                 if sink:
                     lows = []
-                    for v in moves[cod[left]]:
-                        a, b = table_get((v, left)), table_get((v, right))
+                    for v in sink_moves[left]:
+                        a, b = post[v].get(left), post[v].get(right_entry)
                         if a is not None and b is not None:
                             lows.append(head + (a, b) + tail)
                 else:
-                    lows = [head + (a, b) + tail for v in moves[dom[left]]
-                            for a in right_get((v, left), ()) if a in weq
-                            for b in right_get((v, right), ())]
+                    lows = [head + (a, b) + tail for v in source_moves[left]
+                            for a in right_weq[v].get(left, ())
+                            for b in right[v].get(right_entry, ())]
                 rest = None
                 for row2 in lows:
-                    name = name_of(row2)
-                    if name is not False:
-                        lowers.add(name)
+                    number = numbers.get(row2)
+                    if number is None:
+                        number = number_of(row2)
+                    if number >= 0:
+                        lowers.add(number)
                         continue
                     if rest is None:
                         rest = tuple(j for j in free
@@ -797,7 +823,7 @@ def _face(ctx, h: Hammock, i, row_names, grid_names) -> str:
     """The name of the i-th face of ``h``: drop row i, compose the two
     vertical layers at it, and reduce.  Each distinct dropped grid is
     reduced once: a one-row grid's name is kept in ``row_names[pattern]``
-    under its row (the vertex names and the ``pi0`` row cache), a taller
+    under its row (seeded with the vertex names), a taller
     one in ``grid_names`` under the grid.  A grid whose normal form needs a
     missing composite is kept as False and raises CompositionUnavailable
     each time."""

@@ -100,22 +100,6 @@ class OracleHomSet:
         return self.class_of.get(word)
 
 
-def word_endpoints(c: FiniteCategory, word):
-    """(start, end) of a typed word; InputError when not composable."""
-    if not word:
-        raise InputError("empty word has no intrinsic endpoints")
-    points = []
-    for d, m in word:
-        if d == "f":
-            points.append((c.dom[m], c.cod[m]))
-        else:
-            points.append((c.cod[m], c.dom[m]))
-    for (a, b), (a2, b2) in zip(points, points[1:]):
-        if b != a2:
-            raise InputError("word does not typecheck")
-    return points[0][0], points[-1][1]
-
-
 class _RewriteTables:
     """Per-category lookup tables of the oracle, shared by every pair of one
     call.  Letters are numbered densely: ``letters[k]`` is ``("f", m)`` or

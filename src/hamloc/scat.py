@@ -558,16 +558,6 @@ def validate_simplicial_functor(fun: SimplicialFunctor, composition_cap: int = 4
     return report
 
 
-def identity_simplicial_functor(a: TruncatedSimplicialCategory) -> SimplicialFunctor:
-    smap = {}
-    for x in a.objects:
-        for y in a.objects:
-            for level in range(a.truncation + 1):
-                for s in a.homs[(x, y)].level(level):
-                    smap[(x, y, level, s)] = s
-    return SimplicialFunctor(a, a, {x: x for x in a.objects}, smap)
-
-
 @dataclass
 class PairComparison:
     pi0_ok: bool

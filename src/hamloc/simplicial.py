@@ -77,14 +77,6 @@ def monotone_maps(m, n):
     ]
 
 
-def all_operators(max_dim):
-    ops = []
-    for m in range(max_dim + 1):
-        for n in range(max_dim + 1):
-            ops.extend(monotone_maps(m, n))
-    return ops
-
-
 class TruncatedSimplicialSet:
     """Simplex names per level 0..N with generator face/degeneracy maps.
 
@@ -343,6 +335,12 @@ class Partition:
 
     def same(self, a, b) -> bool:
         return self.class_of[a] == self.class_of[b]
+
+    def renamed(self, name) -> "Partition":
+        """The same partition with each element ``e`` written ``name[e]``."""
+        return Partition(tuple(name[e] for e in self.elements),
+                         {name[e]: idx for e, idx in self.class_of.items()},
+                         tuple(frozenset(name[e] for e in cls) for cls in self.classes))
 
 
 def pi0(x: TruncatedSimplicialSet) -> Partition:

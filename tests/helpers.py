@@ -1,0 +1,120 @@
+"""Test helpers: small constructions and checks that only the tests use.
+
+A hammock validator (every row typechecks, backward entries and
+verticals are weak equivalences, every square commutes), identity and
+composite functors, the list of all simplicial operators up to a
+dimension, the endpoints of a typed word and the identity simplicial
+functor.  No command calls them, so they live here rather than in
+``src/hamloc``.
+"""
+
+from __future__ import annotations
+
+from hamloc.errors import InputError
+from hamloc.fincat import CatFunctor, FiniteCategory
+from hamloc.hammock import Hammock, row_vertices
+from hamloc.relcat import RelativeCategory
+from hamloc.scat import SimplicialFunctor, TruncatedSimplicialCategory
+from hamloc.simplicial import monotone_maps
+
+
+def validate_hammock(r: RelativeCategory, h: Hammock) -> list[str]:
+    c = r.cat
+    report = []
+    if any(d not in ("f", "b") for d in h.directions):
+        return [f"bad direction tuple {h.directions}"]
+    grids = []
+    for idx, row in enumerate(h.rows):
+        try:
+            vs = row_vertices(c, h.source, h.directions, row)
+        except InputError as exc:
+            report.append(f"row {idx}: {exc}")
+            continue
+        if vs[-1] != h.sink:
+            report.append(f"row {idx}: ends at {vs[-1]}, not {h.sink}")
+            continue
+        grids.append(vs)
+    if report or len(grids) != len(h.rows):
+        return report
+    for idx, row in enumerate(h.rows):
+        for col, (d, m) in enumerate(zip(h.directions, row)):
+            if d == "b" and m not in r.weq:
+                report.append(f"row {idx} column {col}: backward entry {m} not a weq")
+    width = h.width
+    for layer_idx, layer in enumerate(h.verticals):
+        upper, lower = grids[layer_idx], grids[layer_idx + 1]
+        for j, v in enumerate(layer, start=1):
+            if v not in r.weq:
+                report.append(f"layer {layer_idx} vertex {j}: vertical {v} not a weq")
+            elif c.dom[v] != upper[j] or c.cod[v] != lower[j]:
+                report.append(f"layer {layer_idx} vertex {j}: vertical {v} mistyped")
+    if report:
+        return report
+
+    def vert(layer, j):
+        if j == 0:
+            return c.identity[h.source]
+        if j == width:
+            return c.identity[h.sink]
+        return h.verticals[layer][j - 1]
+
+    for layer in range(len(h.verticals)):
+        up, down = h.rows[layer], h.rows[layer + 1]
+        for col in range(width):
+            if h.directions[col] == "f":
+                lhs = c.compose(vert(layer, col + 1), up[col])
+                rhs = c.compose(down[col], vert(layer, col))
+            else:
+                lhs = c.compose(vert(layer, col), up[col])
+                rhs = c.compose(down[col], vert(layer, col + 1))
+            if lhs != rhs:
+                report.append(f"square at layer {layer}, column {col} does not commute")
+    return report
+
+
+def identity_functor(c: FiniteCategory) -> CatFunctor:
+    return CatFunctor(c, c, {x: x for x in c.objects}, {m: m for m in c.morphisms})
+
+
+def compose_functors(g: CatFunctor, f: CatFunctor) -> CatFunctor:
+    if f.target is not g.source and f.target != g.source:
+        raise InputError("functors not composable")
+    return CatFunctor(
+        f.source, g.target,
+        {x: g.object_map[y] for x, y in f.object_map.items()},
+        {m: g.morphism_map[n] for m, n in f.morphism_map.items()},
+    )
+
+
+def all_operators(max_dim):
+    ops = []
+    for m in range(max_dim + 1):
+        for n in range(max_dim + 1):
+            ops.extend(monotone_maps(m, n))
+    return ops
+
+
+def word_endpoints(c: FiniteCategory, word):
+    """(start, end) of a typed word; InputError when not composable."""
+    if not word:
+        raise InputError("empty word has no intrinsic endpoints")
+    points = []
+    for d, m in word:
+        if d == "f":
+            points.append((c.dom[m], c.cod[m]))
+        else:
+            points.append((c.cod[m], c.dom[m]))
+    for (a, b), (a2, b2) in zip(points, points[1:]):
+        if b != a2:
+            raise InputError("word does not typecheck")
+    return points[0][0], points[-1][1]
+
+
+def identity_simplicial_functor(a: TruncatedSimplicialCategory) -> SimplicialFunctor:
+    smap = {}
+    for x in a.objects:
+        for y in a.objects:
+            for level in range(a.truncation + 1):
+                for s in a.homs[(x, y)].level(level):
+                    smap[(x, y, level, s)] = s
+    return SimplicialFunctor(a, a, {x: x for x in a.objects}, smap)

@@ -12,7 +12,10 @@ union-finds over string words, is the reference for
 enumeration that builds every grid and reduces every face and diagonal
 image anew is the reference for the one that builds only last rows
 that can reduce and reduces each distinct grid once
-(:func:`reference_mapping_space`, :func:`reference_diagonal`).
+(:func:`reference_mapping_space`, :func:`reference_diagonal`).  The
+"pi0" enumeration on string-keyed rows, with a union-find over vertex
+names, is the reference for the one on morphism and vertex numbers
+(:func:`reference_pi0_mapping_space`).
 """
 
 from __future__ import annotations
@@ -629,3 +632,111 @@ def reference_diagonal(rl, x, y) -> TruncatedSimplicialSet:
             else:
                 degeneracies[(n, name, i)] = target.sset.degeneracy(n, i, image)
     return TruncatedSimplicialSet(rl.truncation, levels, faces, degeneracies)
+
+
+# --- pi0 mapping space on string-keyed rows -------------------------------
+#
+# The reference for ``hamloc.hammock._mapping_space`` in "pi0" detail:
+# rows are tuples of morphism names, the union-find runs over vertex
+# names, every row's name (or False for a dead row) is cached, and
+# composites and right factors are looked up in tuple-keyed tables.  It
+# is the earlier "pi0" branch and ``_pi0_edges``, unchanged.
+
+
+def reference_pi0_mapping_space(r: RelativeCategory, x, y, truncation, w_max) -> MappingSpace:
+    """The "pi0" detail mapping space from ``x`` to ``y``."""
+    ctx = _Context(r)
+    c = ctx.cat
+    moves = {z: tuple(m for m in c.from_object(z) if m in ctx.weq and not c.is_identity(m))
+             for z in c.objects}
+    vertices = []
+    components = UnionFind()
+    sub = None
+    grids = fallback_rows = 0
+    for pattern in _patterns(w_max):
+        width = len(pattern)
+        if width == 0 and x != y:
+            continue
+        if width == w_max and sub is None:
+            # every narrower edge is in: the partition of a run at w_max-1
+            sub = Partition.of(components, [h.name for h in vertices])
+        rows0 = ctx.paths(x, y, pattern)
+        names = {}
+        for row in rows0:
+            # no identity entry along an alternating pattern: reduced
+            if ctx.identities.isdisjoint(row):
+                h = Hammock(x, y if width else x, pattern, (row,), ())
+                vertices.append(h)
+                components.add(h.name)
+                names[row] = h.name
+        for upper, lowers, fallback in _reference_pi0_edges(ctx, moves, pattern, rows0, names):
+            grids += len(lowers)
+            fallback_rows += fallback
+            components.union_all(upper, lowers)
+
+    vertices.sort(key=lambda h: (h.width, h.name))
+    partition = Partition.of(components, [h.name for h in vertices])
+    by_name = {h.name: h for h in vertices}
+    return MappingSpace(x, y, truncation, w_max, _stability(partition, sub),
+                        tuple(vertices), partition, None, by_name, grids, fallback_rows)
+
+
+def _reference_pi0_edges(ctx, moves, pattern, rows0, names):
+    """For each live row of ``rows0``: its vertex name, the names of the
+    live rows it is joined to along generator grids (following chains of
+    generator steps through dead rows), and whether it took that
+    fallback.  ``names`` caches each row's name, False for a dead row."""
+    cat = ctx.cat
+    width = len(pattern)
+    if not width:
+        return
+    dom, cod, table_get = cat.dom, cat.cod, cat.table.get
+    right_get = ctx.right_factor.get
+    weq = ctx.weq
+
+    def name_of(row):
+        name = names.get(row)
+        if name is None:
+            try:
+                name = hammock_name(*_normal_form(cat, pattern, (row,), ()))
+            except CompositionUnavailable:
+                name = False
+            names[row] = name
+        return name
+
+    interior = tuple(range(1, width))
+    for row in rows0:
+        upper = name_of(row)
+        if upper is False:
+            continue
+        lowers, seen = set(), set()
+        chains = [(row, interior)]
+        while chains:
+            at, free = chains.pop()
+            for i in free:
+                left, right = at[i - 1], at[i]
+                head, tail = at[:i - 1], at[i + 1:]
+                sink = pattern[i - 1] == "f"
+                if sink:
+                    lows = []
+                    for v in moves[cod[left]]:
+                        a, b = table_get((v, left)), table_get((v, right))
+                        if a is not None and b is not None:
+                            lows.append(head + (a, b) + tail)
+                else:
+                    lows = [head + (a, b) + tail for v in moves[dom[left]]
+                            for a in right_get((v, left), ()) if a in weq
+                            for b in right_get((v, right), ())]
+                rest = None
+                for row2 in lows:
+                    name = name_of(row2)
+                    if name is not False:
+                        lowers.add(name)
+                        continue
+                    if rest is None:
+                        rest = tuple(j for j in free
+                                     if j != i and (sink or pattern[j - 1] == "b"))
+                    if (row2, rest) not in seen:
+                        seen.add((row2, rest))
+                        chains.append((row2, rest))
+        yield upper, lowers, bool(seen)

@@ -21,13 +21,13 @@ from hamloc.hammock import (
     homotopy_category_of_localization,
     mapping_space,
     reduce_hammock,
-    validate_hammock,
 )
 from hamloc.jsonio import canonical_dumps, write_canonical
 from hamloc.relcat import oracle_localized_homset, validate_relative
 from hamloc.scat import promote, validate_scat
 from hamloc.simplicial import homology, nerve, pi0, validate_sset
 from hamloc.verify import Bounds, check_24ii, check_roundtrip
+from helpers import validate_hammock
 from oracles import neglectable_instances
 
 

@@ -12,11 +12,11 @@ from hamloc.jsonio import write_canonical
 from hamloc.relcat import RelativeCategory
 from hamloc.scat import (
     RelativeSimplicialCategory,
-    identity_simplicial_functor,
     promote,
     relscat_to_json,
     sub_from_morphisms,
 )
+from helpers import identity_simplicial_functor
 
 
 @pytest.fixture
@@ -516,6 +516,22 @@ class TestVerbose:
         for m in diagonal:
             images, normal_forms = int(m.group(3)), int(m.group(4))
             assert 0 < normal_forms < images
+
+    @pytest.mark.parametrize("name, shared", [
+        ("walking-arrow.json", True),
+        ("walking-weq.json", False),
+    ])
+    def test_roundtrip_reports_a_shared_relocalization(self, files, capsys, name, shared):
+        argv = ["verify", "3.1", files[name], "--width", "2"]
+        quiet = run(argv)
+        plain = capsys.readouterr()
+        assert run(["--verbose"] + argv) == quiet
+        loud = capsys.readouterr()
+        assert loud.out == plain.out
+        lines = loud.err.splitlines()
+        note = "flattening: same weak equivalences as middle, relocalization shared"
+        assert lines.count(note) == (1 if shared else 0)
+        assert any(ln.startswith("flattening: pair (") for ln in lines) != shared
 
     @pytest.mark.parametrize("claim, name, stages", [
         ("3.1", "walking-weq.json", ("input", "middle", "flattening")),

@@ -9,11 +9,9 @@ from hamloc.fincat import (
     CatFunctor,
     FiniteCategory,
     close_morphisms,
-    compose_functors,
     disjoint_union,
     equivalence_from_functor,
     find_equivalence,
-    identity_functor,
     inverse,
     is_isomorphism,
     iso_classes,
@@ -22,6 +20,7 @@ from hamloc.fincat import (
     validate_functor,
     wide_subcategory_violations,
 )
+from helpers import compose_functors, identity_functor
 
 
 def small_categories():

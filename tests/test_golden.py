@@ -28,11 +28,11 @@ from hamloc.jsonio import canonical_dumps, write_canonical
 from hamloc.scat import (
     RelativeSimplicialCategory,
     SimplicialFunctor,
-    identity_simplicial_functor,
     promote,
     relscat_to_json,
     sub_from_morphisms,
 )
+from helpers import identity_simplicial_functor
 
 GOLDEN = Path(__file__).with_name("golden")
 

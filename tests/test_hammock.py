@@ -7,7 +7,7 @@ from hamloc import instances as inst
 from hamloc import scat
 from hamloc.errors import CompositionUnavailable, ConsistencyError, InputError
 from hamloc.fincat import find_equivalence, is_isomorphism, validate_category
-from hamloc.flatten import flatten
+from hamloc.flatten import flatten, relativization_unit
 from hamloc.hammock import (
     ComposeCounts,
     Hammock,
@@ -22,7 +22,6 @@ from hamloc.hammock import (
     homotopy_category_of_localization,
     mapping_space,
     reduce_hammock,
-    validate_hammock,
     width_zero,
     _map_hammock,
     _normal_form,
@@ -38,12 +37,14 @@ from hamloc.scat import (
 )
 from hamloc.simplicial import pi0, validate_sset
 from hamloc.verify import _embedded_sub
+from helpers import validate_hammock
 import oracles
 from oracles import (
     closed_weq,
     neglectable_instances,
     reference_diagonal,
     reference_mapping_space,
+    reference_pi0_mapping_space,
 )
 
 
@@ -726,6 +727,53 @@ class TestPi0AgainstFull:
             checked += 1
             sub_width = len(_normal_form(r.cat, h.directions, h.rows, ())[0])
             assert sub_width == reduce_hammock(r, h).width
+
+
+def _stock_middles_and_flattenings():
+    """The middle and the flattening of claim 3.1 for each stock relative
+    category, from its localization at width 2."""
+    for label, r in inst.oracle_suite():
+        loc = hammock_localization(r, 1, 2)
+        fl = flatten(loc.scat())
+        yield label, "middle", relativization_unit(r, loc, fl).target
+        yield label, "flattening", fl.rel
+
+
+class TestPi0AgainstReference:
+    """The pi0 detail on morphism numbers must give what the enumeration
+    on string-keyed rows gives (``tests/oracles.py``): the vertex names in
+    order, the classes, the verdict and the join and fallback counts."""
+
+    @staticmethod
+    def _agree(got, want, where):
+        assert [h.name for h in got.vertices] == [h.name for h in want.vertices], where
+        assert got.partition.classes == want.partition.classes, where
+        assert got.verdict == want.verdict, where
+        assert (got.grids, got.fallback_rows) == (want.grids, want.fallback_rows), where
+
+    @pytest.mark.parametrize("width", [2, 3])
+    def test_stock_middles_and_flattenings(self, width):
+        spaces = fallback_rows = 0
+        for label, stage, r in _stock_middles_and_flattenings():
+            loc = hammock_localization(r, 1, width, detail="pi0")
+            for (x, y), got in loc.pairs.items():
+                want = reference_pi0_mapping_space(r, x, y, 1, width)
+                self._agree(got, want, (label, stage, x, y))
+                spaces += 1
+                fallback_rows += got.fallback_rows
+        assert spaces == 392
+        if width == 3:
+            assert fallback_rows > 0
+
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), width=st.integers(1, 3))
+    def test_random_relative_categories(self, seed, width):
+        rng = random.Random(seed)
+        r = closed_weq(inst.random_dag_category(rng), rng)
+        for x in r.cat.objects:
+            for y in r.cat.objects:
+                self._agree(mapping_space(r, x, y, 1, width, "pi0"),
+                            reference_pi0_mapping_space(r, x, y, 1, width), (x, y))
 
 
 def test_stable_components_match_word_oracle_on_random_relative_categories():

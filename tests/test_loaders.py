@@ -19,7 +19,6 @@ from hamloc.relcat import RelativeCategory, validate_relative
 from hamloc.scat import (
     RelativeSimplicialCategory,
     TruncatedSimplicialCategory,
-    identity_simplicial_functor,
     promote,
     relscat_from_json,
     relscat_to_json,
@@ -27,6 +26,7 @@ from hamloc.scat import (
     sub_from_morphisms,
 )
 from hamloc.simplicial import TruncatedSimplicialSet, nerve
+from helpers import identity_simplicial_functor
 
 ARROW = promote(inst.walking_arrow(), 1)
 ISO = inst.walking_iso()

@@ -16,8 +16,8 @@ from hamloc.relcat import (
     oracle_localized_homset,
     validate_relative,
     validate_relative_functor,
-    word_endpoints,
 )
+from helpers import word_endpoints
 from oracles import closed_weq, reference_localized_homset
 
 SUITE = dict(inst.oracle_suite())

@@ -13,7 +13,6 @@ from hamloc.scat import (
     check_dk,
     homotopy_category,
     homotopy_category_data,
-    identity_simplicial_functor,
     is_neglectable,
     level_category,
     promote,
@@ -26,6 +25,7 @@ from hamloc.scat import (
     validate_simplicial_functor,
 )
 from hamloc.simplicial import TruncatedSimplicialSet
+from helpers import identity_simplicial_functor
 from oracles import level_functor
 
 

@@ -13,7 +13,6 @@ from hamloc.simplicial import (
     Partition,
     SimplicialOperator,
     TruncatedSimplicialSet,
-    all_operators,
     apply_operator,
     boundary_matrix,
     compose_operators,
@@ -26,6 +25,7 @@ from hamloc.simplicial import (
     smith_diagonal,
     validate_sset,
 )
+from helpers import all_operators
 
 
 class TestOperators:

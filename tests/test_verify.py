@@ -3,6 +3,7 @@ import pytest
 from hamloc import instances as inst
 from hamloc import verify
 from hamloc.errors import ConsistencyError, InputError
+from hamloc.hammock import hammock_localization
 from hamloc.jsonio import canonical_dumps
 from hamloc.relcat import RelativeCategory
 from hamloc.scat import DkCertificate, RelativeSimplicialCategory, promote, sub_from_morphisms
@@ -119,6 +120,35 @@ class TestRoundtrip:
     def test_pass_requires_stable_primary_localization(self):
         report = check_roundtrip(inst.walking_arrow_relative(), Bounds(truncation=1, width=1))
         assert report.verdict != "pass"
+
+
+    @pytest.mark.parametrize("name, shared", [
+        ("terminal", True),
+        ("walking-arrow-ids", True),
+        ("parallel-ids", True),
+        ("walking-weq", False),
+        ("span-one-leg", False),
+    ])
+    def test_flattening_shares_the_middle_relocalization_when_w_is_identities(
+            self, monkeypatch, name, shared):
+        r = dict(inst.oracle_suite())[name]
+        assert shared == all(r.cat.is_identity(w) for w in r.weq)
+        built = []
+
+        def counted(rel, *args, **kwargs):
+            loc = hammock_localization(rel, *args, **kwargs)
+            built.append(loc.detail)
+            return loc
+
+        monkeypatch.setattr(verify, "hammock_localization", counted)
+        events = []
+        check_roundtrip(r, Bounds(truncation=1, width=2),
+                        lambda x, y, ms, stage: events.append((stage, ms)))
+        assert built.count("pi0") == (1 if shared else 2)
+        tags = [stage for stage, ms in events if not isinstance(ms, str)]
+        notes = [(stage, ms) for stage, ms in events if isinstance(ms, str)]
+        assert "middle" in tags and ("flattening" in tags) != shared
+        assert notes == ([("flattening", verify.SHARED_NOTE)] if shared else [])
 
 
 class TestCheck32:
