@@ -42,7 +42,6 @@ from .hammock import (
     Hammock,
     MappingSpace,
     compose_hammocks,
-    embed,
     hammock_localization,
     hammock_localization_relscat,
     mapping_space,

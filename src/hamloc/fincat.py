@@ -324,12 +324,6 @@ class CatFunctor:
         self.object_map = dict(object_map)
         self.morphism_map = dict(morphism_map)
 
-    def on_object(self, x):
-        return self.object_map[x]
-
-    def on_morphism(self, m):
-        return self.morphism_map[m]
-
     def __eq__(self, other):
         if not isinstance(other, CatFunctor):
             return NotImplemented

@@ -7,22 +7,25 @@ and end triangle commutes.  Reduced hammocks (no all-identity column,
 adjacent columns alternate) are the canonical forms; the k-simplices of
 a mapping space are the reduced hammocks of height k.
 
-One routine, :func:`_normal_form`, reduces grids (Dwyer-Kan: delete
-all-identity columns, merge equal-direction neighbours).  It works on
-plain ``(directions, rows, layers)`` tuples; faces and the entrywise
-face maps of the dimensionwise localization call it, each distinct grid
-once per mapping space or diagonal hom (memos that live for that one
-call).  ``pi0`` detail numbers rows densely (:class:`_Numbered`, with the
-same moves on one row) and names only its vertices.  Composition reduces
-only where two reduced hammocks can reduce, at their junction (the
-cascade of :func:`_junction`), and an entrywise degeneracy map keeps a
-hammock reduced, so neither takes the normal form.  Faces, degeneracies and
-composites are carried as names (:func:`hammock_name`); a
-:class:`Hammock` is built only for an enumerated simplex or on request.
-Along an alternating pattern a grid is reduced exactly when the identity
-bitmasks of its rows (:func:`_identity_mask`) share no bit, so the
-full-detail enumeration builds a grid's last row only with non-identity
-entries in the columns its other rows leave as identities.
+Enumeration runs on morphism numbers (``FiniteCategory.mor_index``):
+one :class:`_Context` per relative category holds the numbered
+composition and right-factor tables, and grids are plain ``(directions,
+rows, layers)`` tuples of numbers.  One routine, :func:`_normal_form`,
+reduces them (Dwyer-Kan: delete all-identity columns, merge
+equal-direction neighbours): a vertex row in ``pi0`` detail, a face in
+``full`` detail, an outer face image of the dimensionwise localization
+and :func:`reduce_hammock`, each distinct grid once per mapping space or
+diagonal hom (memos that live for that one call).  Names
+(:func:`hammock_name`) and :class:`Hammock` objects are made once per
+kept simplex, or per vertex in ``pi0`` detail, and carry faces,
+degeneracies and composites from there on.  Composition reduces only
+where two reduced hammocks can reduce, at their junction (the cascade of
+:func:`_junction`, on names), and an entrywise degeneracy map keeps a
+hammock reduced, so neither takes the normal form.  Along an alternating
+pattern a grid is reduced exactly when the identity bitmasks of its rows
+(:func:`_identity_mask`) share no bit, so the full-detail enumeration
+builds a grid's last row only with non-identity entries in the columns
+its other rows leave as identities.
 
 Width is the one genuine approximation: enumeration is exhaustive up to
 ``w_max`` columns, faces and reduction only shrink width, and every
@@ -34,7 +37,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from functools import cached_property
 
 from .errors import CompositionUnavailable, ConsistencyError, InputError
 from .fincat import FiniteCategory, UnionFind
@@ -96,64 +98,31 @@ def width_zero(x, height=0) -> Hammock:
     return Hammock(x, x, (), ((),) * (height + 1), ((),) * height)
 
 
-def row_vertices(c: FiniteCategory, source, directions, row):
-    """Vertex objects 0..width of one row; InputError if it typechecks badly."""
-    vertices = [source]
-    for d, m in zip(directions, row):
-        at = vertices[-1]
-        if d == "f":
-            if c.dom[m] != at:
-                raise InputError(f"forward entry {m} does not start at {at}")
-            vertices.append(c.cod[m])
-        else:
-            if c.cod[m] != at:
-                raise InputError(f"backward entry {m} does not end at {at}")
-            vertices.append(c.dom[m])
-    return tuple(vertices)
-
-
-def _normal_form(cat: FiniteCategory, directions, rows, layers, strategy="leftmost"):
-    """The reduced normal form of a grid given as plain tuples: delete
-    all-identity columns and merge equal-direction neighbours until
-    neither applies.  The move is the leftmost one (a deletion before a
-    merge at the same column) or the rightmost one (a merge first); the
-    normal form does not depend on the order.  ``layers`` may be empty,
-    which skips the vertical checks: verticals never change the width.
-    A merge whose composite ``cat`` lacks raises CompositionUnavailable."""
-    leftmost = strategy == "leftmost"
+def _normal_form(post, identities, directions, rows, layers):
+    """The reduced normal form of a grid of morphism numbers, given as
+    plain ``(directions, rows, layers)`` tuples: delete all-identity
+    columns and merge equal-direction neighbours until neither applies,
+    taking the leftmost move (a deletion before a merge at the same
+    column); the normal form does not depend on the order.  ``post[g][f]``
+    is g after f and ``identities`` holds the identity numbers.  After a
+    move at column ``col`` no column left of ``col - 1`` admits one, so the
+    scan resumes there.  ``layers`` may be empty, which skips the vertical
+    checks: verticals never change the width.  None when a merge needs a
+    composite the table lacks."""
     directions = list(directions)
-    rows = [list(row) for row in rows]
-    layers = [list(layer) for layer in layers]
-    while True:
+    rows = list(map(list, rows))
+    layers = list(map(list, layers))
+    first, others = rows[0], rows[1:]
+    col = 0
+    while col < len(directions):
         width = len(directions)
-        move = None
-        for col in (range(width) if leftmost else reversed(range(width))):
-            mergeable = col + 1 < width and directions[col] == directions[col + 1]
-            if mergeable and not leftmost:
-                move = (col, True)
-            elif all(cat.is_identity(row[col]) for row in rows):
-                move = (col, False)
-            elif mergeable:
-                move = (col, True)
-            if move is not None:
-                break
-        if move is None:
-            return tuple(directions), tuple(map(tuple, rows)), tuple(map(tuple, layers))
-        col, merge = move
-        if merge:
-            forward = directions[col] == "f"
-            for row in rows:
-                a, b = row[col], row.pop(col + 1)
-                row[col] = cat.compose(b, a) if forward else cat.compose(a, b)
-            del directions[col + 1]
-            for layer in layers:
-                del layer[col]
-        else:
+        if first[col] in identities and (
+                not others or all(row[col] in identities for row in others)):
             # the two vertex lines of the deleted column become one
             boundary = col in (0, width - 1)
             at = col - 1 if col == width - 1 else col
             for layer in layers if width > 1 else ():
-                if boundary and not cat.is_identity(layer[at]):
+                if boundary and layer[at] not in identities:
                     raise ConsistencyError("boundary identity column with non-identity vertical")
                 if not boundary and layer[col - 1] != layer[col]:
                     raise ConsistencyError("identity column flanked by unequal verticals")
@@ -161,15 +130,55 @@ def _normal_form(cat: FiniteCategory, directions, rows, layers, strategy="leftmo
             del directions[col]
             for row in rows:
                 del row[col]
+            col = max(col - 1, 0)
+        elif col + 1 < width and directions[col] == directions[col + 1]:
+            forward = directions[col] == "f"
+            for row in rows:
+                a, b = row[col], row.pop(col + 1)
+                m = post[b].get(a) if forward else post[a].get(b)
+                if m is None:
+                    return None
+                row[col] = m
+            del directions[col + 1]
+            for layer in layers:
+                del layer[col]
+        else:
+            col += 1
+    return tuple(directions), tuple(map(tuple, rows)), tuple(map(tuple, layers))
 
 
-def reduce_hammock(r: RelativeCategory, h: Hammock, strategy: str = "leftmost") -> Hammock:
-    """The normal form of ``h`` (see :func:`_normal_form`).  The move order
-    is a strategy knob so confluence can be tested."""
-    if strategy not in ("leftmost", "rightmost"):
-        raise InputError("strategy must be leftmost or rightmost")
-    return Hammock(h.source, h.sink,
-                   *_normal_form(r.cat, h.directions, h.rows, h.verticals, strategy))
+def _numbered(index, rows):
+    return tuple(tuple(index[m] for m in row) for row in rows)
+
+
+def _named(morphisms, rows):
+    name = morphisms.__getitem__
+    return tuple(tuple(map(name, row)) for row in rows)
+
+
+def _hammock(morphisms, x, y, grid) -> Hammock:
+    """The :class:`Hammock` from x to y of a grid of morphism numbers."""
+    directions, rows, layers = grid
+    return Hammock(x, y if directions else x, directions, _named(morphisms, rows),
+                   _named(morphisms, layers))
+
+
+def _reduce(ctx, grid):
+    """:func:`_normal_form` of a grid of morphism numbers with the tables
+    of ``ctx``; CompositionUnavailable when a merge needs a missing
+    composite."""
+    reduced = _normal_form(ctx.post, ctx.identities, *grid)
+    if reduced is None:
+        raise CompositionUnavailable("reduction needs a composite the table lacks")
+    return reduced
+
+
+def reduce_hammock(r: RelativeCategory, h: Hammock) -> Hammock:
+    """The normal form of ``h`` (see :func:`_normal_form`), numbered and
+    named again at this boundary."""
+    index = r.cat.mor_index
+    grid = (h.directions, _numbered(index, h.rows), _numbered(index, h.verticals))
+    return _hammock(r.cat.morphisms, h.source, h.sink, _reduce(_Context(r), grid))
 
 
 def _check_composable(g: Hammock, f: Hammock):
@@ -307,35 +316,51 @@ def embed_morphism(r: RelativeCategory, m, height: int = 0) -> Hammock:
 
 
 class _Context:
-    """Per-relative-category lookup tables for hammock enumeration."""
+    """Per-relative-category lookup tables for hammock enumeration, on
+    morphism numbers (``FiniteCategory.mor_index``); objects keep their
+    names.  ``post[g][f]`` is g after f; ``right[f][h]`` lists the g with
+    g after f equal to h, ``right_weq[f][h]`` the weak equivalences among
+    them; ``dom``/``cod`` are indexed by number, ``identity[x]`` is the
+    number of x's identity (``identities`` holds them all); ``from_any``, ``weq_into`` and ``weq_from`` list an object's morphisms
+    out, weak equivalences in and weak equivalences out; and
+    ``sink_moves[m]`` / ``source_moves[m]`` are the non-identity weak
+    equivalences out of the codomain / domain of m."""
 
     def __init__(self, r: RelativeCategory):
         c = r.cat
+        index = c.mor_index
+        weq = {index[m] for m in r.weq}
         self.cat = c
-        self.weq = set(r.weq)
-        self.from_any = {x: tuple(c.from_object(x)) for x in c.objects}
-        self.weq_into = {
-            x: tuple(m for m in c.to_object(x) if m in r.weq) for x in c.objects
-        }
-        self.weq_from = {
-            x: tuple(m for m in c.from_object(x) if m in r.weq) for x in c.objects
-        }
-        self.identities = frozenset(c.identity.values())
-        self.fwd_adj = {x: {c.cod[m] for m in self.from_any[x]} for x in c.objects}
-        self.weq_src_adj = {x: {c.dom[m] for m in self.weq_into[x]} for x in c.objects}
+        self.dom = [c.dom[m] for m in c.morphisms]
+        self.cod = [c.cod[m] for m in c.morphisms]
+        self.identity = {x: index[m] for x, m in c.identity.items()}
+        self.identities = frozenset(self.identity.values())
+        self.from_any = {x: tuple(index[m] for m in c.from_object(x)) for x in c.objects}
+        self.weq_into = {x: tuple(index[m] for m in c.to_object(x) if index[m] in weq)
+                         for x in c.objects}
+        self.weq_from = {x: tuple(m for m in self.from_any[x] if m in weq) for x in c.objects}
+        self.fwd_adj = {x: {self.cod[m] for m in self.from_any[x]} for x in c.objects}
+        self.weq_src_adj = {x: {self.dom[m] for m in self.weq_into[x]} for x in c.objects}
+        self.post = [{} for _ in c.morphisms]
+        self.right = [{} for _ in c.morphisms]
+        self.right_weq = [{} for _ in c.morphisms]
+        for (g, f), h in c.table.items():
+            g, f, h = index[g], index[f], index[h]
+            self.post[g][f] = h
+            self.right[f].setdefault(h, []).append(g)
+            if g in weq:
+                self.right_weq[f].setdefault(h, []).append(g)
+        moves = {x: tuple(m for m in self.weq_from[x] if m not in self.identities)
+                 for x in c.objects}
+        self.sink_moves = [moves[x] for x in self.cod]
+        self.source_moves = [moves[x] for x in self.dom]
 
-    @cached_property
-    def right_factor(self):
-        """(f, h) -> the g with g after f equal to h ("full" detail)."""
-        right = {}
-        for (g, f), h in self.cat.table.items():
-            right.setdefault((f, h), []).append(g)
-        return {k: tuple(v) for k, v in right.items()}
-
-    @cached_property
-    def numbered(self):
-        """The tables of "pi0" detail, on morphism numbers."""
-        return _Numbered(self)
+    def row_objects(self, x, directions, row):
+        """The objects 0..width along a row that starts at ``x``."""
+        objects = [x]
+        for d, m in zip(directions, row):
+            objects.append(self.cod[m] if d == "f" else self.dom[m])
+        return tuple(objects)
 
     def paths(self, x, y, directions):
         """All rows (identity entries allowed) from x to y along the
@@ -343,20 +368,15 @@ class _Context:
         width = len(directions)
         if width == 0:
             return [()] if x == y else []
+        objects = self.cat.objects
         feasible = [set() for _ in range(width + 1)]
         feasible[width] = {y}
         for col in range(width - 1, -1, -1):
-            if directions[col] == "f":
-                feasible[col] = {
-                    u for u in self.cat.objects if self.fwd_adj[u] & feasible[col + 1]
-                }
-            else:
-                feasible[col] = {
-                    u for u in self.cat.objects if self.weq_src_adj[u] & feasible[col + 1]
-                }
+            adj = self.fwd_adj if directions[col] == "f" else self.weq_src_adj
+            feasible[col] = {u for u in objects if adj[u] & feasible[col + 1]}
         if x not in feasible[0]:
             return []
-        cat = self.cat
+        dom, cod = self.dom, self.cod
         out = []
 
         def walk(col, at, row):
@@ -366,34 +386,32 @@ class _Context:
                 return
             if directions[col] == "f":
                 for m in self.from_any[at]:
-                    nxt = cat.cod[m]
+                    nxt = cod[m]
                     if nxt in feasible[col + 1]:
                         walk(col + 1, nxt, row + (m,))
             else:
                 for m in self.weq_into[at]:
-                    nxt = cat.dom[m]
+                    nxt = dom[m]
                     if nxt in feasible[col + 1]:
                         walk(col + 1, nxt, row + (m,))
 
         walk(0, x, ())
         return out
 
-    def extensions(self, directions, row, vertices, nonidentity):
-        """All (interior verticals, next row) pairs below ``row`` whose next
-        row has no identity entry in the columns of the bitmask
-        ``nonidentity`` (0: every pair).  With the columns in which every
-        row of a grid is an identity, the next rows are exactly those that
-        make the taller grid reduced (:func:`_identity_mask`)."""
+    def extensions(self, directions, row, objects, nonidentity):
+        """All (interior verticals, next row) pairs below ``row``, whose
+        objects are ``objects``, whose next row has no identity entry in
+        the columns of the bitmask ``nonidentity`` (0: every pair).  With
+        the columns in which every row of a grid is an identity, the next
+        rows are exactly those that make the taller grid reduced
+        (:func:`_identity_mask`)."""
         width = len(directions)
         if width == 0:
             yield (), ()
             return
-        cat = self.cat
-        table = cat.table
-        right = self.right_factor
-        weq = self.weq
+        post, right, right_weq = self.post, self.right, self.right_weq
         identities = self.identities
-        id_end = cat.identity[vertices[width]]
+        id_end = self.identity[objects[width]]
 
         def rec(col, vprev, vacc, racc):
             if col == width:
@@ -402,18 +420,14 @@ class _Context:
             if col + 1 == width:
                 candidates = (id_end,)
             else:
-                candidates = self.weq_from[vertices[col + 1]]
+                candidates = self.weq_from[objects[col + 1]]
             h = row[col]
             forward = directions[col] == "f"
             for vnext in candidates:
                 if forward:
-                    target = table.get((vnext, h))
-                    sols = right.get((vprev, target), ()) if target is not None else ()
+                    sols = right[vprev].get(post[vnext].get(h), ())
                 else:
-                    target = table.get((vprev, h))
-                    sols = tuple(
-                        s for s in right.get((vnext, target), ()) if s in weq
-                    ) if target is not None else ()
+                    sols = right_weq[vnext].get(post[vprev].get(h), ())
                 if nonidentity >> col & 1:
                     sols = [s for s in sols if s not in identities]
                 if not sols:
@@ -422,7 +436,7 @@ class _Context:
                 for h2 in sols:
                     yield from rec(col + 1, vnext, vacc2, racc + (h2,))
 
-        yield from rec(0, cat.identity[vertices[0]], (), ())
+        yield from rec(0, self.identity[objects[0]], (), ())
 
 
 def _alternating(width, start):
@@ -504,80 +518,66 @@ def mapping_space(r: RelativeCategory, x, y, truncation: int, w_max: int,
 def _mapping_space(ctx: _Context, x, y, truncation, w_max, detail) -> MappingSpace:
     if detail == "pi0":
         return _pi0_mapping_space(ctx, x, y, truncation, w_max)
-    cat = ctx.cat
-    vertices = []
-    components = UnionFind()
-    simplices = [dict() for _ in range(truncation + 1)]
-    # pattern -> row -> name of its normal form, or False when that needs
-    # a missing composite (the faces of 1-simplices)
-    row_names = {}
-
-    def note_simplex(level, h):
-        simplices[level][h.name] = h
-
+    identities = ctx.identities
+    # the enumerated grids of morphism numbers, by height
+    simplices = [[] for _ in range(truncation + 1)]
     for pattern in _patterns(w_max):
         width = len(pattern)
         if width == 0 and x != y:
             continue
         rows0 = ctx.paths(x, y, pattern)
-        names = row_names[pattern] = {}
         for row in rows0:
             # no identity entry along an alternating pattern: reduced
-            if ctx.identities.isdisjoint(row):
-                h = Hammock(x, y if width else x, pattern, (row,), ())
-                vertices.append(h)
-                components.add(h.name)
-                names[row] = h.name
-                simplices[0][h.name] = h
+            if identities.isdisjoint(row):
+                simplices[0].append((pattern, (row,), ()))
         for row in rows0:
-            vs = row_vertices(cat, x, pattern, row) if width else (x,)
-            _grow(ctx, x, y, pattern, [row], [vs], [], _identity_mask(cat, row),
-                  truncation, note_simplex)
+            _grow(ctx, x, y, pattern, (row,), ctx.row_objects(x, pattern, row), (),
+                  _identity_mask(identities, row), truncation, simplices)
 
-    vertices.sort(key=lambda h: (h.width, h.name))
-    vertex_names = [h.name for h in vertices]
-
+    morphisms = ctx.cat.morphisms
     # Keep only simplices all of whose iterated faces are representable:
     # over a partially represented ambient category a face can need a
     # composite outside the width bound, and such simplices cannot be
-    # carried in the truncated data.
-    kept = [dict(simplices[0])]
+    # carried in the truncated data.  ``kept[k]`` maps a grid to its
+    # Hammock; ``memo`` maps a dropped grid to its normal form, or False
+    # when that needs a missing composite, seeded with the vertices.
+    kept = [{grid: _hammock(morphisms, x, y, grid) for grid in simplices[0]}]
+    memo = {grid: grid for grid in simplices[0]}
     face_cache = {}
-    grid_names = {}
     pruned = False
     for k in range(1, truncation + 1):
-        level_kept = {}
-        for name, h in simplices[k].items():
+        below, level_kept = kept[k - 1], {}
+        for grid in simplices[k]:
             try:
-                images = [_face(ctx, h, i, row_names, grid_names) for i in range(k + 1)]
+                images = [_face(ctx, grid, i, memo) for i in range(k + 1)]
             except CompositionUnavailable:
                 pruned = True
                 continue
-            if all(img in kept[k - 1] for img in images):
-                level_kept[name] = h
+            if all(img in below for img in images):
+                h = level_kept[grid] = _hammock(morphisms, x, y, grid)
                 for i, img in enumerate(images):
-                    face_cache[(k, name, i)] = img
+                    face_cache[(k, h.name, i)] = below[img].name
             else:
                 pruned = True
         kept.append(level_kept)
 
-    levels = [
-        tuple(sorted(kept[k], key=lambda n: (kept[k][n].width, n)))
-        for k in range(truncation + 1)
-    ]
+    levels = [tuple(h.name for h in sorted(level.values(), key=lambda h: (h.width, h.name)))
+              for level in kept]
     degeneracies = {}
     for k in range(truncation):
-        for name, h in kept[k].items():
+        for grid, h in kept[k].items():
             for i in range(k + 1):
-                img = _degeneracy(ctx, h, i)
-                if img not in kept[k + 1]:
+                img = kept[k + 1].get(_degeneracy(ctx, x, grid, i))
+                if img is None:
                     raise ConsistencyError("degeneracy left the kept set")
-                degeneracies[(k, name, i)] = img
+                degeneracies[(k, h.name, i)] = img.name
     sset = TruncatedSimplicialSet(truncation, levels, face_cache, degeneracies)
     by_name = {h.name: h for level in kept for h in level.values()}
+    vertices = tuple(by_name[name] for name in levels[0])
 
     # levels[1] is sorted by width: the snapshot before the first edge of
     # width w_max is the partition one width bound lower
+    components = UnionFind(levels[0])
     sub = None
     sub_names = [h.name for h in vertices if h.width < w_max]
     for s in levels[1]:
@@ -586,80 +586,27 @@ def _mapping_space(ctx: _Context, x, y, truncation, w_max, detail) -> MappingSpa
         components.union(face_cache[(1, s, 1)], face_cache[(1, s, 0)])
     if sub is None:
         sub = Partition.of(components, sub_names)
-    partition = Partition.of(components, vertex_names)
+    partition = Partition.of(components, levels[0])
     verdict = "bound_limited" if pruned else _stability(partition, sub)
-    # every memo entry but the seeded vertex names is one reduced face
-    face_normal_forms = (sum(map(len, row_names.values())) - len(vertices)
-                         + len(grid_names))
-    return MappingSpace(x, y, truncation, w_max, verdict,
-                        tuple(vertices), partition, sset, by_name, len(levels[1]),
-                        face_normal_forms=face_normal_forms)
+    return MappingSpace(x, y, truncation, w_max, verdict, vertices, partition, sset,
+                        by_name, len(levels[1]),
+                        face_normal_forms=len(memo) - len(simplices[0]))
 
 
-def _identity_mask(cat, row):
+def _identity_mask(identities, row):
     """Bit ``col`` is set when ``row[col]`` is an identity.  A grid along
     an alternating pattern is reduced exactly when the masks of its rows
     have no bit in common."""
     mask = 0
     for col, m in enumerate(row):
-        if cat.is_identity(m):
+        if m in identities:
             mask |= 1 << col
     return mask
-
-
-class _Numbered:
-    """"pi0" detail's tables on morphism numbers (``FiniteCategory.mor_index``):
-    ``post[g][f]`` is g after f; ``right[f][h]`` lists the g with g after f
-    equal to h, ``right_weq[f][h]`` the weak equivalences among them; and
-    ``sink_moves[m]`` / ``source_moves[m]`` are the non-identity weak
-    equivalences out of the codomain / domain of m."""
-
-    def __init__(self, ctx: _Context):
-        c = ctx.cat
-        index = c.mor_index
-        weq = {index[m] for m in ctx.weq}
-        self.identities = frozenset(index[m] for m in ctx.identities)
-        self.post = [{} for _ in c.morphisms]
-        self.right = [{} for _ in c.morphisms]
-        self.right_weq = [{} for _ in c.morphisms]
-        for (g, f), h in c.table.items():
-            g, f, h = index[g], index[f], index[h]
-            self.post[g][f] = h
-            self.right[f].setdefault(h, []).append(g)
-            if g in weq:
-                self.right_weq[f].setdefault(h, []).append(g)
-        moves = {x: tuple(index[m] for m in ctx.weq_from[x] if not c.is_identity(m))
-                 for x in c.objects}
-        self.sink_moves = [moves[c.cod[m]] for m in c.morphisms]
-        self.source_moves = [moves[c.dom[m]] for m in c.morphisms]
-
-    def normal_form(self, directions, row):
-        """:func:`_normal_form` of the one-row grid ``row``, or None when a
-        merge needs a missing composite.  After a move at column ``col``
-        no column left of ``col - 1`` admits one, so the scan resumes there."""
-        post, identities = self.post, self.identities
-        directions, row = list(directions), list(row)
-        col = 0
-        while col < len(row):
-            if row[col] in identities:
-                del directions[col], row[col]
-                col = max(col - 1, 0)
-            elif col + 1 < len(row) and directions[col] == directions[col + 1]:
-                a, b = row[col], row.pop(col + 1)
-                row[col] = post[b].get(a) if directions[col] == "f" else post[a].get(b)
-                if row[col] is None:
-                    return None
-                del directions[col + 1]
-            else:
-                col += 1
-        return tuple(directions), tuple(row)
 
 
 def _pi0_mapping_space(ctx: _Context, x, y, truncation, w_max) -> MappingSpace:
     """Vertices and partition, joined along generator grids (:func:`_pi0_edges`)
     by a union-find over vertex numbers; vertices are named at the end."""
-    numbered = ctx.numbered
-    index = ctx.cat.mor_index
     found = []  # vertex number -> (pattern, row)
     components = UnionFind()
     row_numbers = {}  # pattern -> row -> vertex number of its normal form, -1 if dead
@@ -672,22 +619,21 @@ def _pi0_mapping_space(ctx: _Context, x, y, truncation, w_max) -> MappingSpace:
         if width == w_max and sub is None:
             # every narrower edge is in: the partition of a run at w_max-1
             sub = Partition.of(components, range(len(found)))
-        rows0 = [tuple(map(index.__getitem__, row)) for row in ctx.paths(x, y, pattern)]
+        rows0 = ctx.paths(x, y, pattern)
         numbers = row_numbers[pattern] = {}
         for row in rows0:
             # no identity entry along an alternating pattern: reduced
-            if numbered.identities.isdisjoint(row):
+            if ctx.identities.isdisjoint(row):
                 numbers[row] = len(found)
                 components.add(len(found))
                 found.append((pattern, row))
-        for upper, lowers, fallback in _pi0_edges(numbered, pattern, rows0, row_numbers):
+        for upper, lowers, fallback in _pi0_edges(ctx, pattern, rows0, row_numbers):
             grids += len(lowers)
             fallback_rows += fallback
             components.union_all(upper, lowers)
 
-    morphisms = ctx.cat.morphisms
-    hammocks = [Hammock(x, y if pattern else x, pattern,
-                        (tuple(morphisms[m] for m in row),), ())
+    name = ctx.cat.morphisms.__getitem__
+    hammocks = [Hammock(x, y if pattern else x, pattern, (tuple(map(name, row)),), ())
                 for pattern, row in found]
     order = sorted(range(len(found)), key=lambda n: (hammocks[n].width, hammocks[n].name))
     partition = Partition.of(components, order)
@@ -697,7 +643,7 @@ def _pi0_mapping_space(ctx: _Context, x, y, truncation, w_max) -> MappingSpace:
                         {h.name: h for h in vertices}, grids, fallback_rows)
 
 
-def _pi0_edges(numbered: _Numbered, pattern, rows0, row_numbers):
+def _pi0_edges(ctx: _Context, pattern, rows0, row_numbers):
     """For each live row of ``rows0`` (one whose normal form the table can
     name): its vertex number, the numbers of the live rows it is joined
     to along ``pattern``, and whether it took the fallback.
@@ -729,15 +675,16 @@ def _pi0_edges(numbered: _Numbered, pattern, rows0, row_numbers):
     width = len(pattern)
     if not width:
         return
-    post, right, right_weq = numbered.post, numbered.right, numbered.right_weq
-    sink_moves, source_moves = numbered.sink_moves, numbered.source_moves
+    post, right, right_weq = ctx.post, ctx.right, ctx.right_weq
+    sink_moves, source_moves = ctx.sink_moves, ctx.source_moves
+    identities = ctx.identities
     numbers = row_numbers[pattern]
 
     def number_of(row):
         number = numbers.get(row)
         if number is None:
-            reduced = numbered.normal_form(pattern, row)
-            number = -1 if reduced is None else row_numbers[reduced[0]][reduced[1]]
+            reduced = _normal_form(post, identities, pattern, (row,), ())
+            number = -1 if reduced is None else row_numbers[reduced[0]][reduced[1][0]]
             numbers[row] = number
         return number
 
@@ -783,88 +730,72 @@ def _pi0_edges(numbered: _Numbered, pattern, rows0, row_numbers):
         yield upper, lowers, bool(seen)
 
 
-def _grow(ctx, x, y, pattern, rows, grids, layers, common, truncation, note_simplex):
-    """Extend the grid one row at a time, recording reduced simplices.
+def _grow(ctx, x, y, pattern, rows, objects, layers, common, truncation, simplices):
+    """Extend the grid of morphism numbers one row at a time, appending
+    its reduced simplices to ``simplices`` by height.
 
-    ``common`` is the AND of the rows' identity masks (:func:`_identity_mask`),
-    so the grid is reduced when it is 0; each new row's mask is computed
-    once.  A grid unreduced at height h can become reduced at h+1, so a row
-    that is not the last is extended unfiltered.  The last row (height
-    ``truncation``) is built only where the grid is then reduced: the
-    columns of ``common`` must get non-identity entries, which is the mask
-    :meth:`_Context.extensions` takes, and those grids are noted as they
-    come."""
-    cat = ctx.cat
-    width = len(pattern)
+    ``objects`` are those of the last row (:meth:`_Context.row_objects`),
+    and ``common`` is the AND of the rows' identity masks
+    (:func:`_identity_mask`), so the grid is reduced when it is 0; each new
+    row's mask is computed once.  A grid unreduced at height h can become
+    reduced at h+1, so a row that is not the last is extended unfiltered.
+    The last row (height ``truncation``) is built only where the grid is
+    then reduced: the columns of ``common`` must get non-identity entries,
+    which is the mask :meth:`_Context.extensions` takes."""
     height = len(rows) - 1
-    sink = y if width else x
     if height + 1 == truncation:
-        for vacc, row2 in ctx.extensions(pattern, rows[-1], grids[-1], common):
-            note_simplex(height + 1, Hammock(x, sink, pattern, rows + [row2], layers + [vacc]))
+        last = simplices[truncation]
+        for vacc, row2 in ctx.extensions(pattern, rows[-1], objects, common):
+            last.append((pattern, rows + (row2,), layers + (vacc,)))
         return
-    for vacc, row2 in ctx.extensions(pattern, rows[-1], grids[-1], 0):
-        common2 = common & _identity_mask(cat, row2)
+    cod = ctx.cod
+    for vacc, row2 in ctx.extensions(pattern, rows[-1], objects, 0):
+        common2 = common & _identity_mask(ctx.identities, row2)
+        rows2, layers2 = rows + (row2,), layers + (vacc,)
         if not common2:
-            note_simplex(height + 1, Hammock(x, sink, pattern, rows + [row2], layers + [vacc]))
-        if width:
-            grid2 = tuple(cat.cod[v] for v in _with_ends(ctx, grids[-1], vacc, width))
-        else:
-            grid2 = (x,)
-        _grow(ctx, x, y, pattern, rows + [row2], grids + [grid2], layers + [vacc],
-              common2, truncation, note_simplex)
+            simplices[height + 1].append((pattern, rows2, layers2))
+        # the objects of the next row: the codomains of the verticals
+        objects2 = (x,) + tuple(cod[v] for v in vacc) + (y,) if pattern else (x,)
+        _grow(ctx, x, y, pattern, rows2, objects2, layers2, common2, truncation, simplices)
 
 
-def _with_ends(ctx, grid, vacc, width):
-    cat = ctx.cat
-    return (cat.identity[grid[0]],) + tuple(vacc) + (cat.identity[grid[width]],)
-
-
-def _face(ctx, h: Hammock, i, row_names, grid_names) -> str:
-    """The name of the i-th face of ``h``: drop row i, compose the two
-    vertical layers at it, and reduce.  Each distinct dropped grid is
-    reduced once: a one-row grid's name is kept in ``row_names[pattern]``
-    under its row (seeded with the vertex names), a taller
-    one in ``grid_names`` under the grid.  A grid whose normal form needs a
-    missing composite is kept as False and raises CompositionUnavailable
-    each time."""
-    cat = ctx.cat
-    k = h.height
-    rows = h.rows[:i] + h.rows[i + 1:]
-    if k == 1:
-        memo, key, layers = row_names[h.directions], rows[0], ()
+def _face(ctx, grid, i, memo):
+    """The i-th face of a grid of morphism numbers: drop row i, compose
+    the two vertical layers at it, and reduce.  Each distinct dropped grid
+    is reduced once: ``memo`` keeps its normal form, or False when that
+    needs a missing composite, which raises CompositionUnavailable each
+    time, as does a missing composite of verticals."""
+    directions, rows, layers = grid
+    k = len(rows) - 1
+    rows = rows[:i] + rows[i + 1:]
+    if i == 0:
+        layers = layers[1:]
+    elif i == k:
+        layers = layers[:-1]
     else:
-        if i == 0:
-            layers = h.verticals[1:]
-        elif i == k:
-            layers = h.verticals[:-1]
-        else:
-            fused = tuple(
-                cat.compose(h.verticals[i][j], h.verticals[i - 1][j])
-                for j in range(len(h.verticals[i]))
-            )
-            layers = h.verticals[:i - 1] + (fused,) + h.verticals[i + 1:]
-        memo, key = grid_names, (h.directions, rows, layers)
-    name = memo.get(key)
-    if name is None:
-        try:
-            name = hammock_name(*_normal_form(cat, h.directions, rows, layers))
-        except CompositionUnavailable:
-            name = False
-        memo[key] = name
-    if name is False:
+        post = ctx.post
+        fused = tuple(post[b].get(a) for a, b in zip(layers[i - 1], layers[i]))
+        if None in fused:
+            raise CompositionUnavailable("face needs a composite the table lacks")
+        layers = layers[:i - 1] + (fused,) + layers[i + 1:]
+    key = (directions, rows, layers)
+    reduced = memo.get(key)
+    if reduced is None:
+        reduced = memo[key] = _normal_form(ctx.post, ctx.identities, *key) or False
+    if reduced is False:
         raise CompositionUnavailable("face needs a composite the table lacks")
-    return name
+    return reduced
 
 
-def _degeneracy(ctx, h: Hammock, i) -> str:
-    """The name of the i-th degeneracy of ``h``: repeat row i with an
-    identity layer.  Its rows are those of ``h``, so it is reduced."""
-    cat = ctx.cat
-    rows = h.rows[:i + 1] + (h.rows[i],) + h.rows[i + 1:]
-    vertices = row_vertices(cat, h.source, h.directions, h.rows[i]) if h.width else (h.source,)
-    identity_layer = tuple(cat.identity[v] for v in vertices[1:-1]) if h.width else ()
-    layers = h.verticals[:i] + (identity_layer,) + h.verticals[i:]
-    return hammock_name(h.directions, rows, layers)
+def _degeneracy(ctx, x, grid, i):
+    """The i-th degeneracy of a grid of morphism numbers from ``x``: repeat
+    row i with an identity layer.  Its rows are those of the grid, so it is
+    reduced when the grid is."""
+    directions, rows, layers = grid
+    objects = ctx.row_objects(x, directions, rows[i])
+    identity_layer = tuple(ctx.identity[o] for o in objects[1:-1])
+    return (directions, rows[:i + 1] + (rows[i],) + rows[i + 1:],
+            layers[:i] + (identity_layer,) + layers[i:])
 
 
 # --- localization ------------------------------------------------------------
@@ -1011,23 +942,6 @@ def homotopy_category_of_localization(loc: Localization, wellcheck_cap: int = 6)
         raise
 
 
-def embed(r: RelativeCategory, loc: Localization) -> scat_mod.SimplicialFunctor:
-    """The natural embedding of the underlying category into its
-    localization: a morphism goes to its forward one-column hammock,
-    degenerately in all levels.  Strictly functorial (columns merge)."""
-    source = scat_mod.promote(r.cat, loc.truncation)
-    target = loc.scat()
-    smap = {}
-    for x in r.cat.objects:
-        for y in r.cat.objects:
-            for level in range(loc.truncation + 1):
-                for m in r.cat.hom(x, y):
-                    smap[(x, y, level, m)] = embed_morphism(r, m, level).name
-    return scat_mod.SimplicialFunctor(
-        source, target, {x: x for x in r.cat.objects}, smap
-    )
-
-
 # --- localization of relative simplicial categories -------------------------
 
 
@@ -1088,9 +1002,15 @@ class RelscatLocalization:
         self.row_spaces = {(x, y, n): ms for n, loc in enumerate(self.levels)
                            for (x, y), ms in loc.pairs.items()}
 
-        # face and degeneracy maps on level-morphism names, once each
-        outer = {(n, "d", i): scat_mod.level_map(ambient, n, "d", i)
-                 for n in range(1, truncation + 1) for i in range(n + 1)}
+        # face and degeneracy maps, once each: a face sends level-morphism
+        # names to the numbers of the level below, where its images are
+        # reduced; a degeneracy's images are reduced, so it keeps names
+        outer = {}
+        for n in range(1, truncation + 1):
+            index = self.level_rel[n - 1].cat.mor_index
+            for i in range(n + 1):
+                outer[(n, "d", i)] = {a: index[b] for a, b
+                                      in scat_mod.level_map(ambient, n, "d", i).items()}
         outer.update({(n, "s", i): scat_mod.level_map(ambient, n, "s", i)
                       for n in range(truncation) for i in range(n + 1)})
         self.diag_homs = {}
@@ -1108,18 +1028,21 @@ class RelscatLocalization:
         faces, degeneracies = {}, {}
         reduced = {}  # (target level, image grid) -> name of its normal form
         images = 0
-        for (n, kind, i), names in outer.items():
+        for (n, kind, i), image_of in outer.items():
             m = n - 1 if kind == "d" else n + 1
-            cat, target = self.level_rel[m].cat, spaces[m]
+            ctx, target = self.levels[m].context, spaces[m]
+            morphisms = ctx.cat.morphisms
             for name in levels[n]:
-                grid = _map_hammock(names, spaces[n].by_name[name])
+                grid = _map_hammock(image_of, spaces[n].by_name[name])
                 images += 1
                 if kind == "s":
                     image = hammock_name(*grid)
                 else:
                     image = reduced.get((m, grid))
                     if image is None:
-                        image = reduced[(m, grid)] = hammock_name(*_normal_form(cat, *grid))
+                        directions, rows, layers = _reduce(ctx, grid)
+                        image = reduced[(m, grid)] = hammock_name(
+                            directions, _named(morphisms, rows), _named(morphisms, layers))
                 if image not in target.by_name:
                     raise ConsistencyError("entrywise image missing from enumeration")
                 if kind == "d":

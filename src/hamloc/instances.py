@@ -285,7 +285,7 @@ def random_hammock(rng: random.Random, r: RelativeCategory, w_max=5, h_max=2):
     """A random valid hammock over ``r``: an arbitrary direction tuple,
     a random typed first row (identities allowed), then random vertical
     extensions.  Not reduced in general."""
-    from .hammock import Hammock, _Context, row_vertices
+    from .hammock import Hammock, _Context, _named
 
     ctx = _Context(r)
     c = r.cat
@@ -305,21 +305,21 @@ def random_hammock(rng: random.Random, r: RelativeCategory, w_max=5, h_max=2):
         m = rng.choice(candidates)
         directions.append("f" if forward else "b")
         row.append(m)
-        at = c.cod[m] if forward else c.dom[m]
+        at = ctx.cod[m] if forward else ctx.dom[m]
     directions = tuple(directions)
     rows = [tuple(row)]
     layers = []
     height = rng.randint(0, h_max)
     for _ in range(height):
-        vertices = row_vertices(c, x, directions, rows[-1]) if directions else (x,)
-        options = list(ctx.extensions(directions, rows[-1], vertices, 0))
+        objects = ctx.row_objects(x, directions, rows[-1])
+        options = list(ctx.extensions(directions, rows[-1], objects, 0))
         if not options:
             break
         vacc, nxt = rng.choice(options)
         layers.append(vacc)
         rows.append(nxt)
     sink = at if directions else x
-    return Hammock(x, sink, directions, rows, layers)
+    return Hammock(x, sink, directions, _named(c.morphisms, rows), _named(c.morphisms, layers))
 
 
 def oracle_suite():

@@ -119,9 +119,6 @@ class TruncatedSimplicialSet:
     def nondegenerate(self, k):
         return tuple(s for s in self.levels[k] if s not in self._degenerate[k])
 
-    def is_degenerate(self, k, name):
-        return name in self._degenerate[k]
-
     def to_json(self):
         return {
             "truncation": self.truncation,

@@ -61,6 +61,11 @@ class Bounds:
     equiv_budget: int = 2_000_000
     dk_budget: int = 2_000_000
 
+    def __post_init__(self):
+        # a negative budget would report "budget exhausted" (undetermined)
+        if self.equiv_budget < 0:
+            raise InputError("equiv_budget must be >= 0")
+
     def to_json(self):
         return {
             "truncation": self.truncation,

@@ -1,10 +1,11 @@
 """Test helpers: small constructions and checks that only the tests use.
 
-A hammock validator (every row typechecks, backward entries and
-verticals are weak equivalences, every square commutes), identity and
-composite functors, the list of all simplicial operators up to a
-dimension, the endpoints of a typed word and the identity simplicial
-functor.  No command calls them, so they live here rather than in
+The objects along a row of a hammock, a hammock validator (every row
+typechecks, backward entries and verticals are weak equivalences, every
+square commutes), the embedding of a category into its hammock
+localization, identity and composite functors, the list of all
+simplicial operators up to a dimension, the endpoints of a typed word
+and the identity simplicial functor.  No command calls them, so they live here rather than in
 ``src/hamloc``.
 """
 
@@ -12,10 +13,26 @@ from __future__ import annotations
 
 from hamloc.errors import InputError
 from hamloc.fincat import CatFunctor, FiniteCategory
-from hamloc.hammock import Hammock, row_vertices
+from hamloc.hammock import Hammock, Localization, embed_morphism
 from hamloc.relcat import RelativeCategory
-from hamloc.scat import SimplicialFunctor, TruncatedSimplicialCategory
+from hamloc.scat import SimplicialFunctor, TruncatedSimplicialCategory, promote
 from hamloc.simplicial import monotone_maps
+
+
+def row_vertices(c: FiniteCategory, source, directions, row):
+    """Vertex objects 0..width of one row; InputError if it typechecks badly."""
+    vertices = [source]
+    for d, m in zip(directions, row):
+        at = vertices[-1]
+        if d == "f":
+            if c.dom[m] != at:
+                raise InputError(f"forward entry {m} does not start at {at}")
+            vertices.append(c.cod[m])
+        else:
+            if c.cod[m] != at:
+                raise InputError(f"backward entry {m} does not end at {at}")
+            vertices.append(c.dom[m])
+    return tuple(vertices)
 
 
 def validate_hammock(r: RelativeCategory, h: Hammock) -> list[str]:
@@ -70,6 +87,23 @@ def validate_hammock(r: RelativeCategory, h: Hammock) -> list[str]:
             if lhs != rhs:
                 report.append(f"square at layer {layer}, column {col} does not commute")
     return report
+
+
+def embed(r: RelativeCategory, loc: Localization) -> SimplicialFunctor:
+    """The natural embedding of the underlying category into its
+    localization: a morphism goes to its forward one-column hammock,
+    degenerately in all levels.  Strictly functorial (columns merge)."""
+    source = promote(r.cat, loc.truncation)
+    target = loc.scat()
+    smap = {}
+    for x in r.cat.objects:
+        for y in r.cat.objects:
+            for level in range(loc.truncation + 1):
+                for m in r.cat.hom(x, y):
+                    smap[(x, y, level, m)] = embed_morphism(r, m, level).name
+    return SimplicialFunctor(
+        source, target, {x: x for x in r.cat.objects}, smap
+    )
 
 
 def identity_functor(c: FiniteCategory) -> CatFunctor:

@@ -15,12 +15,17 @@ that can reduce and reduces each distinct grid once
 (:func:`reference_mapping_space`, :func:`reference_diagonal`).  The
 "pi0" enumeration on string-keyed rows, with a union-find over vertex
 names, is the reference for the one on morphism and vertex numbers
-(:func:`reference_pi0_mapping_space`).
+(:func:`reference_pi0_mapping_space`).  All of them run on the earlier
+routines on morphism names (:class:`_NamedContext`, :func:`_normal_form`
+with its leftmost and rightmost move orders, :func:`_degeneracy`), not on
+the library's numbered ones; :func:`reference_reduce_hammock` is the
+reduction the confluence checks compare with.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from hamloc import instances as inst
 from hamloc.errors import CompositionUnavailable, ConsistencyError, InputError
@@ -34,16 +39,10 @@ from hamloc.fincat import (
 from hamloc.hammock import (
     Hammock,
     MappingSpace,
-    _Context,
-    _degeneracy,
-    _identity_mask,
     _map_hammock,
-    _normal_form,
     _patterns,
     _stability,
-    _with_ends,
     hammock_name,
-    row_vertices,
 )
 from hamloc.relcat import OracleHomSet, RelativeCategory
 from hamloc.scat import (
@@ -62,6 +61,7 @@ from hamloc.simplicial import (
     monotone_maps,
     operator_steps,
 )
+from helpers import row_vertices
 
 
 def level_functor(a: TruncatedSimplicialCategory, source_level: int, kind: str, i: int) -> CatFunctor:
@@ -468,6 +468,222 @@ def reference_localized_homset(r: RelativeCategory, x, y, max_len: int) -> Oracl
     return OracleHomSet(x, y, max_len, determined, classes, class_of)
 
 
+# --- the enumeration routines on morphism names ----------------------------
+#
+# The earlier ``hamloc.hammock`` routines on rows of morphism names, which
+# the references below use so that none of them calls a numbered routine:
+# the enumeration context (``paths``, ``extensions`` and ``right_factor``),
+# the normal form with both move orders, the degeneracy, the identity mask
+# and ``_with_ends``, unchanged.
+
+
+def _normal_form(cat: FiniteCategory, directions, rows, layers, strategy="leftmost"):
+    """The reduced normal form of a grid given as plain tuples: delete
+    all-identity columns and merge equal-direction neighbours until
+    neither applies.  The move is the leftmost one (a deletion before a
+    merge at the same column) or the rightmost one (a merge first); the
+    normal form does not depend on the order.  ``layers`` may be empty,
+    which skips the vertical checks: verticals never change the width.
+    A merge whose composite ``cat`` lacks raises CompositionUnavailable."""
+    leftmost = strategy == "leftmost"
+    directions = list(directions)
+    rows = [list(row) for row in rows]
+    layers = [list(layer) for layer in layers]
+    while True:
+        width = len(directions)
+        move = None
+        for col in (range(width) if leftmost else reversed(range(width))):
+            mergeable = col + 1 < width and directions[col] == directions[col + 1]
+            if mergeable and not leftmost:
+                move = (col, True)
+            elif all(cat.is_identity(row[col]) for row in rows):
+                move = (col, False)
+            elif mergeable:
+                move = (col, True)
+            if move is not None:
+                break
+        if move is None:
+            return tuple(directions), tuple(map(tuple, rows)), tuple(map(tuple, layers))
+        col, merge = move
+        if merge:
+            forward = directions[col] == "f"
+            for row in rows:
+                a, b = row[col], row.pop(col + 1)
+                row[col] = cat.compose(b, a) if forward else cat.compose(a, b)
+            del directions[col + 1]
+            for layer in layers:
+                del layer[col]
+        else:
+            # the two vertex lines of the deleted column become one
+            boundary = col in (0, width - 1)
+            at = col - 1 if col == width - 1 else col
+            for layer in layers if width > 1 else ():
+                if boundary and not cat.is_identity(layer[at]):
+                    raise ConsistencyError("boundary identity column with non-identity vertical")
+                if not boundary and layer[col - 1] != layer[col]:
+                    raise ConsistencyError("identity column flanked by unequal verticals")
+                del layer[at]
+            del directions[col]
+            for row in rows:
+                del row[col]
+
+
+
+class _NamedContext:
+    """Per-relative-category lookup tables for hammock enumeration."""
+
+    def __init__(self, r: RelativeCategory):
+        c = r.cat
+        self.cat = c
+        self.weq = set(r.weq)
+        self.from_any = {x: tuple(c.from_object(x)) for x in c.objects}
+        self.weq_into = {
+            x: tuple(m for m in c.to_object(x) if m in r.weq) for x in c.objects
+        }
+        self.weq_from = {
+            x: tuple(m for m in c.from_object(x) if m in r.weq) for x in c.objects
+        }
+        self.identities = frozenset(c.identity.values())
+        self.fwd_adj = {x: {c.cod[m] for m in self.from_any[x]} for x in c.objects}
+        self.weq_src_adj = {x: {c.dom[m] for m in self.weq_into[x]} for x in c.objects}
+
+    @cached_property
+    def right_factor(self):
+        """(f, h) -> the g with g after f equal to h ("full" detail)."""
+        right = {}
+        for (g, f), h in self.cat.table.items():
+            right.setdefault((f, h), []).append(g)
+        return {k: tuple(v) for k, v in right.items()}
+
+
+    def paths(self, x, y, directions):
+        """All rows (identity entries allowed) from x to y along the
+        direction pattern."""
+        width = len(directions)
+        if width == 0:
+            return [()] if x == y else []
+        feasible = [set() for _ in range(width + 1)]
+        feasible[width] = {y}
+        for col in range(width - 1, -1, -1):
+            if directions[col] == "f":
+                feasible[col] = {
+                    u for u in self.cat.objects if self.fwd_adj[u] & feasible[col + 1]
+                }
+            else:
+                feasible[col] = {
+                    u for u in self.cat.objects if self.weq_src_adj[u] & feasible[col + 1]
+                }
+        if x not in feasible[0]:
+            return []
+        cat = self.cat
+        out = []
+
+        def walk(col, at, row):
+            if col == width:
+                if at == y:
+                    out.append(row)
+                return
+            if directions[col] == "f":
+                for m in self.from_any[at]:
+                    nxt = cat.cod[m]
+                    if nxt in feasible[col + 1]:
+                        walk(col + 1, nxt, row + (m,))
+            else:
+                for m in self.weq_into[at]:
+                    nxt = cat.dom[m]
+                    if nxt in feasible[col + 1]:
+                        walk(col + 1, nxt, row + (m,))
+
+        walk(0, x, ())
+        return out
+
+    def extensions(self, directions, row, vertices, nonidentity):
+        """All (interior verticals, next row) pairs below ``row`` whose next
+        row has no identity entry in the columns of the bitmask
+        ``nonidentity`` (0: every pair).  With the columns in which every
+        row of a grid is an identity, the next rows are exactly those that
+        make the taller grid reduced (:func:`_identity_mask`)."""
+        width = len(directions)
+        if width == 0:
+            yield (), ()
+            return
+        cat = self.cat
+        table = cat.table
+        right = self.right_factor
+        weq = self.weq
+        identities = self.identities
+        id_end = cat.identity[vertices[width]]
+
+        def rec(col, vprev, vacc, racc):
+            if col == width:
+                yield vacc, racc
+                return
+            if col + 1 == width:
+                candidates = (id_end,)
+            else:
+                candidates = self.weq_from[vertices[col + 1]]
+            h = row[col]
+            forward = directions[col] == "f"
+            for vnext in candidates:
+                if forward:
+                    target = table.get((vnext, h))
+                    sols = right.get((vprev, target), ()) if target is not None else ()
+                else:
+                    target = table.get((vprev, h))
+                    sols = tuple(
+                        s for s in right.get((vnext, target), ()) if s in weq
+                    ) if target is not None else ()
+                if nonidentity >> col & 1:
+                    sols = [s for s in sols if s not in identities]
+                if not sols:
+                    continue
+                vacc2 = vacc if col + 1 == width else vacc + (vnext,)
+                for h2 in sols:
+                    yield from rec(col + 1, vnext, vacc2, racc + (h2,))
+
+        yield from rec(0, cat.identity[vertices[0]], (), ())
+
+
+
+def _identity_mask(cat, row):
+    """Bit ``col`` is set when ``row[col]`` is an identity.  A grid along
+    an alternating pattern is reduced exactly when the masks of its rows
+    have no bit in common."""
+    mask = 0
+    for col, m in enumerate(row):
+        if cat.is_identity(m):
+            mask |= 1 << col
+    return mask
+
+
+
+def _with_ends(ctx, grid, vacc, width):
+    cat = ctx.cat
+    return (cat.identity[grid[0]],) + tuple(vacc) + (cat.identity[grid[width]],)
+
+
+
+def _degeneracy(ctx, h: Hammock, i) -> str:
+    """The name of the i-th degeneracy of ``h``: repeat row i with an
+    identity layer.  Its rows are those of ``h``, so it is reduced."""
+    cat = ctx.cat
+    rows = h.rows[:i + 1] + (h.rows[i],) + h.rows[i + 1:]
+    vertices = row_vertices(cat, h.source, h.directions, h.rows[i]) if h.width else (h.source,)
+    identity_layer = tuple(cat.identity[v] for v in vertices[1:-1]) if h.width else ()
+    layers = h.verticals[:i] + (identity_layer,) + h.verticals[i:]
+    return hammock_name(h.directions, rows, layers)
+
+
+
+def reference_reduce_hammock(r: RelativeCategory, h: Hammock, strategy: str = "leftmost") -> Hammock:
+    """The normal form of ``h`` (see :func:`_normal_form`).  The move order
+    is a strategy knob so confluence can be tested."""
+    if strategy not in ("leftmost", "rightmost"):
+        raise InputError("strategy must be leftmost or rightmost")
+    return Hammock(h.source, h.sink,
+                   *_normal_form(r.cat, h.directions, h.rows, h.verticals, strategy))
+
+
 # --- full-detail hammock enumeration without the last-row mask or memos ----
 #
 # The reference for ``hamloc.hammock._mapping_space`` in "full" detail and
@@ -480,10 +696,10 @@ def reference_localized_homset(r: RelativeCategory, x, y, max_len: int) -> Oracl
 
 def reference_mapping_space(r: RelativeCategory, x, y, truncation, w_max) -> MappingSpace:
     """The "full" detail mapping space from ``x`` to ``y``."""
-    return _reference_mapping_space(_Context(r), x, y, truncation, w_max)
+    return _reference_mapping_space(_NamedContext(r), x, y, truncation, w_max)
 
 
-def _reference_mapping_space(ctx: _Context, x, y, truncation, w_max) -> MappingSpace:
+def _reference_mapping_space(ctx: _NamedContext, x, y, truncation, w_max) -> MappingSpace:
     cat = ctx.cat
     vertices = []
     components = UnionFind()
@@ -645,7 +861,7 @@ def reference_diagonal(rl, x, y) -> TruncatedSimplicialSet:
 
 def reference_pi0_mapping_space(r: RelativeCategory, x, y, truncation, w_max) -> MappingSpace:
     """The "pi0" detail mapping space from ``x`` to ``y``."""
-    ctx = _Context(r)
+    ctx = _NamedContext(r)
     c = ctx.cat
     moves = {z: tuple(m for m in c.from_object(z) if m in ctx.weq and not c.is_identity(m))
              for z in c.objects}

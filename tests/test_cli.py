@@ -153,6 +153,23 @@ class TestHoAndOracle:
         assert run(["oracle-ho", files["walking-weq.json"], "--max-len", max_len]) == 2
         assert "max_len must be >= 0" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("budget", ["-1", "-3"])
+    def test_verify_negative_equivalence_budget_is_invalid_input(self, files, capsys,
+                                                                 monkeypatch, budget):
+        from hamloc import verify
+
+        # rejected before any localization is built
+        monkeypatch.setattr(verify, "hammock_localization",
+                            lambda *args, **kwargs: pytest.fail("localized"))
+        assert run(["verify", "3.1", files["walking-weq.json"], "--width", "2",
+                    "--equiv-budget", budget]) == 2
+        assert "equiv_budget must be >= 0" in capsys.readouterr().err
+
+    def test_verify_zero_equivalence_budget_is_legal(self, files, capsys):
+        # a search with no budget is undetermined, not an input error
+        assert run(["verify", "3.1", files["walking-weq.json"], "--width", "2",
+                    "--equiv-budget", "0"]) == 3
+
 
 class TestSimplicialCommands:
     def test_nerve_pi0_homology_chain(self, files, tmp_path, capsys):

@@ -13,7 +13,6 @@ from hamloc.hammock import (
     Hammock,
     bounded_composite,
     compose_hammocks,
-    embed,
     embed_morphism,
     embed_relscat,
     hammock_localization,
@@ -24,7 +23,6 @@ from hamloc.hammock import (
     reduce_hammock,
     width_zero,
     _map_hammock,
-    _normal_form,
 )
 from hamloc.relcat import RelativeCategory, oracle_localized_homset
 from hamloc.scat import (
@@ -37,14 +35,16 @@ from hamloc.scat import (
 )
 from hamloc.simplicial import pi0, validate_sset
 from hamloc.verify import _embedded_sub
-from helpers import validate_hammock
+from helpers import embed, validate_hammock
 import oracles
 from oracles import (
+    _normal_form,
     closed_weq,
     neglectable_instances,
     reference_diagonal,
     reference_mapping_space,
     reference_pi0_mapping_space,
+    reference_reduce_hammock,
 )
 
 
@@ -65,8 +65,8 @@ class TestReduce:
     def test_identity_column_flanked_by_forwards(self):
         r = RelativeCategory(inst.chain3(), ["idX", "idY", "idZ"])
         h = Hammock("X", "Z", ("f", "f", "f"), (("f", "idY", "g"),), ())
-        left = reduce_hammock(r, h, "leftmost")
-        right = reduce_hammock(r, h, "rightmost")
+        left = reduce_hammock(r, h)
+        right = reference_reduce_hammock(r, h, "rightmost")
         assert left == right
         assert left.rows == (("gf",),)
 
@@ -82,10 +82,6 @@ class TestReduce:
         h = Hammock("X", "X", ("f", "b"), (("idX", "idX"),), ())
         got = reduce_hammock(r, h)
         assert got.width == 0
-
-    def test_unknown_strategy_rejected(self):
-        with pytest.raises(InputError):
-            reduce_hammock(inst.walking_weq(), width_zero("X"), "middle")
 
 
 class TestValidate:
@@ -331,10 +327,35 @@ class TestConfluence:
             r = rng.choice(suite)
             h = inst.random_hammock(rng, r, w_max=5, h_max=2)
             assert validate_hammock(r, h) == []
-            left = reduce_hammock(r, h, "leftmost")
-            right = reduce_hammock(r, h, "rightmost")
+            left = reduce_hammock(r, h)
+            right = reference_reduce_hammock(r, h, "rightmost")
             assert left == right
             assert validate_hammock(r, left) == []
+
+    def test_vertical_checks_match_the_reference(self):
+        """With one interior vertical replaced at random, the numbered
+        normal form raises the reference's ConsistencyError, or fails for a
+        missing composite, or reduces to the same hammock."""
+        cases = [r for _, r in inst.oracle_suite()]
+        cases.append(flatten(hammock_localization(inst.walking_weq(), 1, 2).scat()).rel)
+        rng = random.Random(20261019)
+        outcomes = set()
+        for _ in range(600):
+            r = rng.choice(cases)
+            h = TestJunctionCascade._tampered(rng, r, inst.random_hammock(rng, r, 5, 2))
+            if h is None:
+                continue
+            try:
+                want = reference_reduce_hammock(r, h)
+            except (CompositionUnavailable, ConsistencyError) as exc:
+                want = type(exc), str(exc) if isinstance(exc, ConsistencyError) else None
+            try:
+                got = reduce_hammock(r, h)
+            except (CompositionUnavailable, ConsistencyError) as exc:
+                got = type(exc), str(exc) if isinstance(exc, ConsistencyError) else None
+            assert got == want
+            outcomes.add(want if isinstance(want, tuple) else Hammock)
+        assert len(outcomes) == 4  # two vertical checks, a missing composite, a hammock
 
 
 class TestRelscatLocalization:

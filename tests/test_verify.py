@@ -3,6 +3,7 @@ import pytest
 from hamloc import instances as inst
 from hamloc import verify
 from hamloc.errors import ConsistencyError, InputError
+from hamloc.flatten import flatten
 from hamloc.hammock import hammock_localization
 from hamloc.jsonio import canonical_dumps
 from hamloc.relcat import RelativeCategory
@@ -131,24 +132,45 @@ class TestRoundtrip:
     ])
     def test_flattening_shares_the_middle_relocalization_when_w_is_identities(
             self, monkeypatch, name, shared):
+        """The flattening stage re-localizes the flattening itself, whose
+        weak equivalences are fewer than the middle's unless W holds only
+        identities.  At width 2 the per-pair vertex counts of the two
+        stages then differ on 12 of 16 pairs (walking-weq) and on 16 of 36
+        (span-one-leg)."""
         r = dict(inst.oracle_suite())[name]
         assert shared == all(r.cat.is_identity(w) for w in r.weq)
         built = []
 
         def counted(rel, *args, **kwargs):
             loc = hammock_localization(rel, *args, **kwargs)
-            built.append(loc.detail)
+            if loc.detail == "pi0":
+                built.append(rel)
             return loc
 
         monkeypatch.setattr(verify, "hammock_localization", counted)
         events = []
         check_roundtrip(r, Bounds(truncation=1, width=2),
-                        lambda x, y, ms, stage: events.append((stage, ms)))
-        assert built.count("pi0") == (1 if shared else 2)
-        tags = [stage for stage, ms in events if not isinstance(ms, str)]
-        notes = [(stage, ms) for stage, ms in events if isinstance(ms, str)]
+                        lambda x, y, ms, stage: events.append((stage, x, y, ms)))
+        assert len(built) == (1 if shared else 2)
+        flattening = flatten(hammock_localization(r, 1, 2).scat()).rel
+        middle = built[0]
+        assert middle.cat == flattening.cat
+        tags = [stage for stage, _, _, ms in events if not isinstance(ms, str)]
+        notes = [(stage, ms) for stage, _, _, ms in events if isinstance(ms, str)]
         assert "middle" in tags and ("flattening" in tags) != shared
         assert notes == ([("flattening", verify.SHARED_NOTE)] if shared else [])
+        if shared:
+            assert middle.weq == flattening.weq
+            return
+        assert built[1] == flattening and flattening.weq < middle.weq
+        sizes = {}
+        for stage, x, y, ms in events:
+            if stage in ("middle", "flattening"):
+                sizes.setdefault((x, y), {})[stage] = len(ms.vertices)
+        assert all(len(per_stage) == 2 for per_stage in sizes.values())
+        assert (sum(per_stage["middle"] != per_stage["flattening"]
+                    for per_stage in sizes.values()), len(sizes)) == \
+            {"walking-weq": (12, 16), "span-one-leg": (16, 36)}[name]
 
 
 class TestCheck32:
