@@ -1,7 +1,8 @@
 """Finite categories presented by explicit composition tables.
 
 Objects and morphisms are named by strings (debuggable, diffable);
-each category also carries dense integer indexes for its own names.
+each category also carries dense integer indexes for its own names, and
+its composition table and identities on those morphism numbers.
 Values are immutable after construction, so they are safe to share.
 """
 
@@ -22,7 +23,8 @@ class FiniteCategory:
 
     __slots__ = (
         "objects", "morphisms", "dom", "cod", "identity", "table",
-        "obj_index", "mor_index", "_hom", "_identity_names", "_by_dom", "_by_cod",
+        "obj_index", "mor_index", "identity_numbers", "_post",
+        "_hom", "_identity_names", "_by_dom", "_by_cod",
     )
 
     def __init__(self, objects, morphisms, dom, cod, identity, compose):
@@ -56,8 +58,10 @@ class FiniteCategory:
                 raise InputError(f"composition entry ({g!r},{f!r})->{h!r} uses unknown names")
 
         self.obj_index = {x: i for i, x in enumerate(self.objects)}
-        self.mor_index = {m: i for i, m in enumerate(self.morphisms)}
+        self.mor_index = index = {m: i for i, m in enumerate(self.morphisms)}
         self._identity_names = frozenset(self.identity.values())
+        self.identity_numbers = frozenset(index[m] for m in self._identity_names)
+        self._post = None
         hom = {}
         by_dom = {x: [] for x in self.objects}
         by_cod = {x: [] for x in self.objects}
@@ -68,6 +72,17 @@ class FiniteCategory:
         self._hom = {k: tuple(v) for k, v in hom.items()}
         self._by_dom = {k: tuple(v) for k, v in by_dom.items()}
         self._by_cod = {k: tuple(v) for k, v in by_cod.items()}
+
+    @property
+    def post(self):
+        """``post[g][f]`` is the number of g after f, absent where the table
+        is; built on first use, as most categories never compose on numbers."""
+        if self._post is None:
+            index = self.mor_index
+            self._post = [{} for _ in self.morphisms]
+            for (g, f), h in self.table.items():
+                self._post[index[g]][index[f]] = index[h]
+        return self._post
 
     def hom(self, x, y):
         return self._hom.get((x, y), ())

@@ -30,6 +30,13 @@ def flat_morphism_name(simplex, operator: SimplicialOperator):
     return f"({simplex};q=[{imgs}])"
 
 
+def _flat_name(source, simplex, operator: SimplicialOperator, target):
+    """The name of the flattening morphism (simplex, operator) from the
+    object (base, level) ``source`` to ``target``."""
+    return (f"{flat_object_name(*source)}-{flat_morphism_name(simplex, operator)}->"
+            f"{flat_object_name(*target)}")
+
+
 @dataclass
 class Flattening:
     """The flattened relative category plus its naming data.
@@ -76,11 +83,7 @@ def flatten(a: TruncatedSimplicialCategory) -> Flattening:
             for n2 in range(N + 1):
                 for q in monotone_maps(n2, n1):
                     for simplex in hom.level(n2):
-                        name = (
-                            f"{flat_object_name(base1, n1)}-"
-                            f"{flat_morphism_name(simplex, q)}->"
-                            f"{flat_object_name(base2, n2)}"
-                        )
+                        name = _flat_name((base1, n1), simplex, q, (base2, n2))
                         morphisms.append(name)
                         dom[name] = object_names[(base1, n1)]
                         cod[name] = object_names[(base2, n2)]
@@ -91,12 +94,9 @@ def flatten(a: TruncatedSimplicialCategory) -> Flattening:
     identity = {}
     for base in a.objects:
         for level in range(N + 1):
-            name = (
-                f"{flat_object_name(base, level)}-"
-                f"{flat_morphism_name(identities_at[(base, level)], SimplicialOperator.identity(level))}->"
-                f"{flat_object_name(base, level)}"
-            )
-            identity[object_names[(base, level)]] = name
+            identity[object_names[(base, level)]] = _flat_name(
+                (base, level), identities_at[(base, level)], SimplicialOperator.identity(level),
+                (base, level))
 
     index = {}
     for name, ((b1, n1), (b2, n2), simplex, q) in data.items():
@@ -136,11 +136,7 @@ def relativization_unit(r: RelativeCategory, loc: Localization,
     mmap = {}
     for m in cat.morphisms:
         simplex = embed_morphism(r, m, 0).name
-        mmap[m] = (
-            f"{flat.object_name(cat.dom[m], 0)}-"
-            f"{flat_morphism_name(simplex, id_op)}->"
-            f"{flat.object_name(cat.cod[m], 0)}"
-        )
+        mmap[m] = _flat_name((cat.dom[m], 0), simplex, id_op, (cat.cod[m], 0))
         if mmap[m] not in flat.rel.cat.mor_index:
             raise InputError("flattening does not contain the embedded image")
     weq_image = {mmap[w] for w in r.weq}

@@ -7,22 +7,26 @@ and end triangle commutes.  Reduced hammocks (no all-identity column,
 adjacent columns alternate) are the canonical forms; the k-simplices of
 a mapping space are the reduced hammocks of height k.
 
-Enumeration runs on morphism numbers (``FiniteCategory.mor_index``):
-one :class:`_Context` per relative category holds the numbered
-composition and right-factor tables, and grids are plain ``(directions,
-rows, layers)`` tuples of numbers.  One routine, :func:`_normal_form`,
-reduces them (Dwyer-Kan: delete all-identity columns, merge
-equal-direction neighbours): a vertex row in ``pi0`` detail, a face in
-``full`` detail, an outer face image of the dimensionwise localization
-and :func:`reduce_hammock`, each distinct grid once per mapping space or
-diagonal hom (memos that live for that one call).  Names
-(:func:`hammock_name`) and :class:`Hammock` objects are made once per
-kept simplex, or per vertex in ``pi0`` detail, and carry faces,
-degeneracies and composites from there on.  Composition reduces only
-where two reduced hammocks can reduce, at their junction (the cascade of
-:func:`_junction`, on names), and an entrywise degeneracy map keeps a
-hammock reduced, so neither takes the normal form.  Along an alternating
-pattern a grid is reduced exactly when the identity bitmasks of its rows
+Past the boundary everything runs on morphism numbers
+(``FiniteCategory.mor_index``, with the category's numbered table
+``post`` and ``identity_numbers``), and a simplex is a plain
+``(directions, rows, layers)`` grid of numbers from enumeration through
+composition and the dimensionwise diagonal; one :class:`_Context` per
+relative category adds the tables enumeration needs.  One routine,
+:func:`_normal_form`, reduces grids (Dwyer-Kan: delete all-identity
+columns, merge equal-direction neighbours): a vertex row in ``pi0``
+detail, a face in ``full`` detail, an outer face image of the
+dimensionwise localization and :func:`reduce_hammock`, each distinct
+grid once per mapping space or diagonal hom.  A simplex is named
+(:func:`hammock_name`) once, when it is kept, and a
+:class:`MappingSpace` maps names to grids and back.  Composition
+reduces only at the junction of two reduced grids (the cascade of
+:func:`_junction`), and an entrywise degeneracy map keeps a grid
+reduced, so neither takes the normal form.  Only the boundary functions
+(:func:`reduce_hammock`, :func:`compose_hammocks`,
+:func:`embed_morphism`, :func:`width_zero`) make :class:`Hammock`
+objects, whose entries are names.  Along an alternating pattern a grid
+is reduced exactly when the identity bitmasks of its rows
 (:func:`_identity_mask`) share no bit, so the full-detail enumeration
 builds a grid's last row only with non-identity entries in the columns
 its other rows leave as identities.
@@ -37,6 +41,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .errors import CompositionUnavailable, ConsistencyError, InputError
 from .fincat import FiniteCategory, UnionFind
@@ -147,27 +152,38 @@ def _normal_form(post, identities, directions, rows, layers):
     return tuple(directions), tuple(map(tuple, rows)), tuple(map(tuple, layers))
 
 
-def _numbered(index, rows):
-    return tuple(tuple(index[m] for m in row) for row in rows)
+def _mapped(image, rows):
+    """``rows`` with each entry m replaced by ``image[m]``."""
+    image = image.__getitem__
+    return tuple(tuple(map(image, row)) for row in rows)
 
 
-def _named(morphisms, rows):
-    name = morphisms.__getitem__
-    return tuple(tuple(map(name, row)) for row in rows)
+def _grid(cat: FiniteCategory, h: Hammock):
+    """The grid of morphism numbers of ``h``."""
+    return h.directions, _mapped(cat.mor_index, h.rows), _mapped(cat.mor_index, h.verticals)
+
+
+def _grid_name(morphisms, grid) -> str:
+    """The simplex name of a grid of morphism numbers."""
+    directions, rows, layers = grid
+    return hammock_name(directions, _mapped(morphisms, rows), _mapped(morphisms, layers))
 
 
 def _hammock(morphisms, x, y, grid) -> Hammock:
     """The :class:`Hammock` from x to y of a grid of morphism numbers."""
     directions, rows, layers = grid
-    return Hammock(x, y if directions else x, directions, _named(morphisms, rows),
-                   _named(morphisms, layers))
+    return Hammock(x, y if directions else x, directions, _mapped(morphisms, rows),
+                   _mapped(morphisms, layers))
 
 
-def _reduce(ctx, grid):
-    """:func:`_normal_form` of a grid of morphism numbers with the tables
-    of ``ctx``; CompositionUnavailable when a merge needs a missing
-    composite."""
-    reduced = _normal_form(ctx.post, ctx.identities, *grid)
+# the name of width_zero(x), the same for every object x
+_IDENTITY_NAME = hammock_name((), ((),), ())
+
+
+def _reduce(cat: FiniteCategory, grid):
+    """:func:`_normal_form` of a grid of morphism numbers of ``cat``;
+    CompositionUnavailable when a merge needs a missing composite."""
+    reduced = _normal_form(cat.post, cat.identity_numbers, *grid)
     if reduced is None:
         raise CompositionUnavailable("reduction needs a composite the table lacks")
     return reduced
@@ -176,23 +192,14 @@ def _reduce(ctx, grid):
 def reduce_hammock(r: RelativeCategory, h: Hammock) -> Hammock:
     """The normal form of ``h`` (see :func:`_normal_form`), numbered and
     named again at this boundary."""
-    index = r.cat.mor_index
-    grid = (h.directions, _numbered(index, h.rows), _numbered(index, h.verticals))
-    return _hammock(r.cat.morphisms, h.source, h.sink, _reduce(_Context(r), grid))
+    return _hammock(r.cat.morphisms, h.source, h.sink, _reduce(r.cat, _grid(r.cat, h)))
 
 
-def _check_composable(g: Hammock, f: Hammock):
-    if f.sink != g.source:
-        raise InputError(f"hammocks not composable: {f.sink} vs {g.source}")
-    if f.height != g.height:
-        raise InputError("hammocks must have equal heights")
+def _junction(cat: FiniteCategory, g, f, w_max=None):
+    """The normal form of grid ``f`` then grid ``g`` (reduced, of positive
+    width, numbered in ``cat``), or None when it is wider than ``w_max``.
 
-
-def _junction(cat: FiniteCategory, g: Hammock, f: Hammock, w_max=None):
-    """The normal form of ``f`` then ``g`` (reduced, of positive width) as
-    plain tuples, or None when it is wider than ``w_max``.
-
-    Two reduced hammocks can reduce only at their junction.  When the
+    Two reduced grids can reduce only at their junction.  When the
     junction columns differ in direction nothing reduces.  Otherwise they
     merge; the merged column's neighbours both point the other way, so the
     only further move is to delete it when it is all identities, which
@@ -200,25 +207,29 @@ def _junction(cat: FiniteCategory, g: Hammock, f: Hammock, w_max=None):
     move sequence :func:`_normal_form` makes on the concatenated grid,
     with the same checks on verticals; a missing composite raises
     CompositionUnavailable.  The width is known before any row is built."""
-    d1, d2 = f.directions, g.directions
+    d1, rows1, layers1 = f
+    d2, rows2, layers2 = g
     w1, w2 = len(d1), len(d2)
-    rows1, rows2 = f.rows, g.rows
-    layers1, layers2 = f.verticals, g.verticals
     if d1[-1] != d2[0]:
         if w_max is not None and w1 + w2 > w_max:
             return None
-        junction = (cat.identity[f.sink],)
+        # the identity of the object where the rows of f end
+        last = cat.morphisms[rows1[0][-1]]
+        sink = cat.cod[last] if d1[-1] == "f" else cat.dom[last]
+        junction = (cat.mor_index[cat.identity[sink]],)
         return (d1 + d2, tuple(a + b for a, b in zip(rows1, rows2)),
                 tuple(a + junction + b for a, b in zip(layers1, layers2)))
-    compose, is_identity = cat.compose, cat.is_identity
+    post, identities = cat.post, cat.identity_numbers
     forward = d2[0] == "f"
     left, right = w1 - 1, 0  # the columns f[left] and g[right] merge
     while True:
         if forward:
-            merged = tuple(compose(b[right], a[left]) for a, b in zip(rows1, rows2))
+            merged = tuple(post[b[right]].get(a[left]) for a, b in zip(rows1, rows2))
         else:
-            merged = tuple(compose(a[left], b[right]) for a, b in zip(rows1, rows2))
-        if not all(map(is_identity, merged)):
+            merged = tuple(post[a[left]].get(b[right]) for a, b in zip(rows1, rows2))
+        if None in merged:
+            raise CompositionUnavailable("junction needs a composite the table lacks")
+        if not identities.issuperset(merged):
             break
         # delete the merged column: its two vertex lines become one
         if left and right + 1 < w2:
@@ -234,7 +245,7 @@ def _junction(cat: FiniteCategory, g: Hammock, f: Hammock, w_max=None):
             ends = [b[right] for b in layers2]
         else:
             ends = ()
-        if not all(map(is_identity, ends)):
+        if not identities.issuperset(ends):
             raise ConsistencyError("boundary identity column with non-identity vertical")
         if w_max is not None and left + w2 - right - 1 > w_max:
             return None
@@ -251,11 +262,16 @@ def _junction(cat: FiniteCategory, g: Hammock, f: Hammock, w_max=None):
 
 
 def compose_hammocks(r: RelativeCategory, h2: Hammock, h1: Hammock) -> Hammock:
-    """Widthwise concatenation (h1 then h2), reduced at the junction."""
-    _check_composable(h2, h1)
+    """Widthwise concatenation (h1 then h2), reduced at the junction;
+    numbered and named again at this boundary."""
+    if h1.sink != h2.source:
+        raise InputError(f"hammocks not composable: {h1.sink} vs {h2.source}")
+    if h1.height != h2.height:
+        raise InputError("hammocks must have equal heights")
     if h1.width == 0 or h2.width == 0:
         return h2 if h1.width == 0 else h1
-    return Hammock(h1.source, h2.sink, *_junction(r.cat, h2, h1))
+    c = r.cat
+    return _hammock(c.morphisms, h1.source, h2.sink, _junction(c, _grid(c, h2), _grid(c, h1)))
 
 
 @dataclass
@@ -275,28 +291,27 @@ class ComposeCounts:
         return self.composites + self.junction_overflows + self.cascade_overflows
 
 
-def bounded_composite(r: RelativeCategory, g: Hammock, f: Hammock, w_max, enumerated,
-                      counts: ComposeCounts):
-    """Name of the reduced composite of ``g`` after ``f`` (reduced, each at
-    most ``w_max`` wide), or None when it needs a composite ``r`` lacks or
-    is wider than ``w_max``; ``counts`` tallies the outcome.  A result
-    missing from ``enumerated`` (the target's names) is inconsistent."""
-    _check_composable(g, f)
-    if f.width == 0 or g.width == 0:
-        name = g.name if f.width == 0 else f.name
+def bounded_composite(r: RelativeCategory, g, f, w_max, enumerated, counts: ComposeCounts):
+    """Name of the reduced composite of grid ``g`` after grid ``f`` (reduced,
+    composable, of one height, each at most ``w_max`` wide), or None when
+    it needs a composite ``r`` lacks or is wider than ``w_max``; ``counts``
+    tallies the outcome.  The name is looked up in ``enumerated`` (the
+    target's grid -> name map); a result missing there is inconsistent."""
+    if not f[0] or not g[0]:
+        grid = g if not f[0] else f
     else:
         try:
             grid = _junction(r.cat, g, f, w_max)
         except CompositionUnavailable:
             grid = None
         if grid is None:
-            if f.directions[-1] != g.directions[0]:
+            if f[0][-1] != g[0][0]:
                 counts.junction_overflows += 1
             else:
                 counts.cascade_overflows += 1
             return None
-        name = hammock_name(*grid)
-    if name not in enumerated:
+    name = enumerated.get(grid)
+    if name is None:
         raise ConsistencyError("composite missing from enumeration")
     counts.composites += 1
     return name
@@ -306,10 +321,7 @@ def embed_morphism(r: RelativeCategory, m, height: int = 0) -> Hammock:
     """The width-<=1 forward hammock on a morphism, degenerately tall."""
     if r.cat.is_identity(m):
         return width_zero(r.cat.dom[m], height)
-    return Hammock(
-        r.cat.dom[m], r.cat.cod[m], ("f",),
-        ((m,),) * (height + 1), ((),) * height,
-    )
+    return Hammock(r.cat.dom[m], r.cat.cod[m], ("f",), ((m,),) * (height + 1), ((),) * height)
 
 
 # --- enumeration -------------------------------------------------------------
@@ -317,36 +329,36 @@ def embed_morphism(r: RelativeCategory, m, height: int = 0) -> Hammock:
 
 class _Context:
     """Per-relative-category lookup tables for hammock enumeration, on
-    morphism numbers (``FiniteCategory.mor_index``); objects keep their
-    names.  ``post[g][f]`` is g after f; ``right[f][h]`` lists the g with
-    g after f equal to h, ``right_weq[f][h]`` the weak equivalences among
-    them; ``dom``/``cod`` are indexed by number, ``identity[x]`` is the
-    number of x's identity (``identities`` holds them all); ``from_any``, ``weq_into`` and ``weq_from`` list an object's morphisms
-    out, weak equivalences in and weak equivalences out; and
-    ``sink_moves[m]`` / ``source_moves[m]`` are the non-identity weak
-    equivalences out of the codomain / domain of m."""
+    morphism numbers; objects keep their names.  ``post`` and
+    ``identities`` are the category's ``post`` and ``identity_numbers``;
+    ``right[f][h]`` lists the g with g after f equal to h, ``right_weq[f][h]``
+    the weak equivalences among them; ``dom``/``cod`` are indexed by
+    number, ``identity[x]`` is the number of x's identity; ``from_any``,
+    ``weq_into`` and ``weq_from`` list an object's morphisms out, weak
+    equivalences in and weak equivalences out; and ``sink_moves[m]`` /
+    ``source_moves[m]`` are the non-identity weak equivalences out of the
+    codomain / domain of m."""
 
     def __init__(self, r: RelativeCategory):
         c = r.cat
         index = c.mor_index
         weq = {index[m] for m in r.weq}
         self.cat = c
+        self.post = c.post
+        self.identities = c.identity_numbers
         self.dom = [c.dom[m] for m in c.morphisms]
         self.cod = [c.cod[m] for m in c.morphisms]
         self.identity = {x: index[m] for x, m in c.identity.items()}
-        self.identities = frozenset(self.identity.values())
         self.from_any = {x: tuple(index[m] for m in c.from_object(x)) for x in c.objects}
         self.weq_into = {x: tuple(index[m] for m in c.to_object(x) if index[m] in weq)
                          for x in c.objects}
         self.weq_from = {x: tuple(m for m in self.from_any[x] if m in weq) for x in c.objects}
         self.fwd_adj = {x: {self.cod[m] for m in self.from_any[x]} for x in c.objects}
         self.weq_src_adj = {x: {self.dom[m] for m in self.weq_into[x]} for x in c.objects}
-        self.post = [{} for _ in c.morphisms]
         self.right = [{} for _ in c.morphisms]
         self.right_weq = [{} for _ in c.morphisms]
         for (g, f), h in c.table.items():
             g, f, h = index[g], index[f], index[h]
-            self.post[g][f] = h
             self.right[f].setdefault(h, []).append(g)
             if g in weq:
                 self.right_weq[f].setdefault(h, []).append(g)
@@ -455,11 +467,14 @@ def _patterns(w_max):
 class MappingSpace:
     """Reduced hammocks from x to y as a truncated simplicial set.
 
-    ``verdict`` is "stable" when the components at width bound w_max are
-    those a run at w_max-1 finds, else (or after pruning in "full" mode)
-    "bound_limited".  "pi0" detail keeps only vertices and partition; it
-    joins them along generator grids (see :func:`_pi0_edges`), while
-    "full" detail joins them along its kept 1-simplices.
+    ``vertices`` are the vertex names in order (by width, then name);
+    ``by_name`` maps a simplex name to its grid of morphism numbers, and
+    ``by_grid`` maps it back.  ``verdict`` is "stable" when the
+    components at width bound w_max are those a run at w_max-1 finds,
+    else (or after pruning in "full" mode) "bound_limited".  "pi0" detail
+    keeps only vertices and partition; it joins them along generator
+    grids (see :func:`_pi0_edges`), while "full" detail joins them along
+    its kept 1-simplices.
 
     ``grids`` counts the joins handed to the union-find: the kept
     1-simplices in "full" detail; in "pi0" detail, the distinct vertices
@@ -488,6 +503,10 @@ class MappingSpace:
     def stable(self):
         return self.verdict == "stable"
 
+    @cached_property
+    def by_grid(self):
+        return {grid: name for name, grid in self.by_name.items()}
+
 
 def _stability(partition, sub):
     """"stable" when each class of ``partition`` holds exactly one class of
@@ -511,8 +530,7 @@ def mapping_space(r: RelativeCategory, x, y, truncation: int, w_max: int,
                   detail: str = "full") -> MappingSpace:
     """Exhaustive reduced-hammock enumeration with bound accounting."""
     _check_bounds(truncation, w_max, detail)
-    ctx = _Context(r)
-    return _mapping_space(ctx, x, y, truncation, w_max, detail)
+    return _mapping_space(_Context(r), x, y, truncation, w_max, detail)
 
 
 def _mapping_space(ctx: _Context, x, y, truncation, w_max, detail) -> MappingSpace:
@@ -539,9 +557,9 @@ def _mapping_space(ctx: _Context, x, y, truncation, w_max, detail) -> MappingSpa
     # over a partially represented ambient category a face can need a
     # composite outside the width bound, and such simplices cannot be
     # carried in the truncated data.  ``kept[k]`` maps a grid to its
-    # Hammock; ``memo`` maps a dropped grid to its normal form, or False
+    # name; ``memo`` maps a dropped grid to its normal form, or False
     # when that needs a missing composite, seeded with the vertices.
-    kept = [{grid: _hammock(morphisms, x, y, grid) for grid in simplices[0]}]
+    kept = [{grid: _grid_name(morphisms, grid) for grid in simplices[0]}]
     memo = {grid: grid for grid in simplices[0]}
     face_cache = {}
     pruned = False
@@ -554,43 +572,41 @@ def _mapping_space(ctx: _Context, x, y, truncation, w_max, detail) -> MappingSpa
                 pruned = True
                 continue
             if all(img in below for img in images):
-                h = level_kept[grid] = _hammock(morphisms, x, y, grid)
+                name = level_kept[grid] = _grid_name(morphisms, grid)
                 for i, img in enumerate(images):
-                    face_cache[(k, h.name, i)] = below[img].name
+                    face_cache[(k, name, i)] = below[img]
             else:
                 pruned = True
         kept.append(level_kept)
 
-    levels = [tuple(h.name for h in sorted(level.values(), key=lambda h: (h.width, h.name)))
+    levels = [tuple(name for _, name in sorted((len(g[0]), name) for g, name in level.items()))
               for level in kept]
     degeneracies = {}
     for k in range(truncation):
-        for grid, h in kept[k].items():
+        for grid, name in kept[k].items():
             for i in range(k + 1):
                 img = kept[k + 1].get(_degeneracy(ctx, x, grid, i))
                 if img is None:
                     raise ConsistencyError("degeneracy left the kept set")
-                degeneracies[(k, h.name, i)] = img.name
+                degeneracies[(k, name, i)] = img
     sset = TruncatedSimplicialSet(truncation, levels, face_cache, degeneracies)
-    by_name = {h.name: h for level in kept for h in level.values()}
-    vertices = tuple(by_name[name] for name in levels[0])
+    by_name = {name: grid for level in kept for grid, name in level.items()}
 
     # levels[1] is sorted by width: the snapshot before the first edge of
     # width w_max is the partition one width bound lower
     components = UnionFind(levels[0])
     sub = None
-    sub_names = [h.name for h in vertices if h.width < w_max]
+    sub_names = [name for name in levels[0] if len(by_name[name][0]) < w_max]
     for s in levels[1]:
-        if sub is None and by_name[s].width == w_max:
+        if sub is None and len(by_name[s][0]) == w_max:
             sub = Partition.of(components, sub_names)
         components.union(face_cache[(1, s, 1)], face_cache[(1, s, 0)])
     if sub is None:
         sub = Partition.of(components, sub_names)
     partition = Partition.of(components, levels[0])
     verdict = "bound_limited" if pruned else _stability(partition, sub)
-    return MappingSpace(x, y, truncation, w_max, verdict, vertices, partition, sset,
-                        by_name, len(levels[1]),
-                        face_normal_forms=len(memo) - len(simplices[0]))
+    return MappingSpace(x, y, truncation, w_max, verdict, levels[0], partition, sset, by_name,
+                        len(levels[1]), face_normal_forms=len(memo) - len(simplices[0]))
 
 
 def _identity_mask(identities, row):
@@ -607,7 +623,7 @@ def _identity_mask(identities, row):
 def _pi0_mapping_space(ctx: _Context, x, y, truncation, w_max) -> MappingSpace:
     """Vertices and partition, joined along generator grids (:func:`_pi0_edges`)
     by a union-find over vertex numbers; vertices are named at the end."""
-    found = []  # vertex number -> (pattern, row)
+    found = []  # vertex number -> grid
     components = UnionFind()
     row_numbers = {}  # pattern -> row -> vertex number of its normal form, -1 if dead
     sub = None
@@ -626,21 +642,19 @@ def _pi0_mapping_space(ctx: _Context, x, y, truncation, w_max) -> MappingSpace:
             if ctx.identities.isdisjoint(row):
                 numbers[row] = len(found)
                 components.add(len(found))
-                found.append((pattern, row))
+                found.append((pattern, (row,), ()))
         for upper, lowers, fallback in _pi0_edges(ctx, pattern, rows0, row_numbers):
             grids += len(lowers)
             fallback_rows += fallback
             components.union_all(upper, lowers)
 
     name = ctx.cat.morphisms.__getitem__
-    hammocks = [Hammock(x, y if pattern else x, pattern, (tuple(map(name, row)),), ())
-                for pattern, row in found]
-    order = sorted(range(len(found)), key=lambda n: (hammocks[n].width, hammocks[n].name))
+    names = [hammock_name(pattern, (tuple(map(name, row)),), ()) for pattern, (row,), _ in found]
+    order = sorted(range(len(found)), key=lambda n: (len(found[n][0]), names[n]))
     partition = Partition.of(components, order)
-    vertices = tuple(hammocks[n] for n in order)
-    return MappingSpace(x, y, truncation, w_max, _stability(partition, sub), vertices,
-                        partition.renamed([h.name for h in hammocks]), None,
-                        {h.name: h for h in vertices}, grids, fallback_rows)
+    return MappingSpace(x, y, truncation, w_max, _stability(partition, sub),
+                        tuple(names[n] for n in order), partition.renamed(names), None,
+                        {names[n]: found[n] for n in order}, grids, fallback_rows)
 
 
 def _pi0_edges(ctx: _Context, pattern, rows0, row_numbers):
@@ -817,7 +831,7 @@ class Localization:
         self.truncation = truncation
         self.w_max = w_max
         self.detail = detail
-        self.context = _Context(r)
+        ctx = _Context(r)
         if pair_filter is not None:
             unknown = sorted({name for pair in pair_filter for name in pair} - set(r.cat.objects))
             if unknown:
@@ -827,9 +841,7 @@ class Localization:
             for y in r.cat.objects:
                 if pair_filter is not None and (x, y) not in pair_filter:
                     continue
-                self.pairs[(x, y)] = _mapping_space(
-                    self.context, x, y, truncation, w_max, detail
-                )
+                self.pairs[(x, y)] = _mapping_space(ctx, x, y, truncation, w_max, detail)
                 if progress is not None:
                     progress(x, y, self.pairs[(x, y)])
         self.overflows = 0
@@ -856,19 +868,16 @@ class Localization:
         simplex name carries its level)."""
         return bounded_composite(self.relcat, self.pairs[(y, z)].by_name[g_name],
                                  self.pairs[(x, y)].by_name[f_name], self.w_max,
-                                 self.pairs[(x, z)].by_name, self.compose_counts)
+                                 self.pairs[(x, z)].by_grid, self.compose_counts)
 
     def scat(self) -> scat_mod.TruncatedSimplicialCategory:
         if self.detail != "full":
             raise InputError("simplicial category needs detail='full'")
         if self._scat is None:
-            identities = {
-                x: width_zero(x).name for x in self.relcat.cat.objects
-            }
             self._scat = scat_mod.TruncatedSimplicialCategory(
                 self.relcat.cat.objects, self.truncation,
                 {pair: ms.sset for pair, ms in self.pairs.items()},
-                identities, composer=self.composite,
+                dict.fromkeys(self.relcat.cat.objects, _IDENTITY_NAME), composer=self.composite,
             )
         return self._scat
 
@@ -883,8 +892,7 @@ class Localization:
             "objects": objects,
             "truncation": self.truncation,
             "homs": {},
-            "identities": {x: width_zero(x).name for x in objects
-                           if (x, x) in self.pairs},
+            "identities": {x: _IDENTITY_NAME for x in objects if (x, x) in self.pairs},
         }
         for (x, y), ms in sorted(self.pairs.items()):
             data["homs"][f"{x}|{y}"] = ms.sset.to_json()
@@ -933,8 +941,8 @@ def homotopy_category_of_localization(loc: Localization, wellcheck_cap: int = 6)
         return scat_mod.component_category(
             loc.relcat.cat.objects,
             {pair: ms.partition for pair, ms in loc.pairs.items()},
-            {pair: [h.name for h in ms.vertices] for pair, ms in loc.pairs.items()},
-            {x: width_zero(x).name for x in loc.relcat.cat.objects},
+            {pair: ms.vertices for pair, ms in loc.pairs.items()},
+            dict.fromkeys(loc.relcat.cat.objects, _IDENTITY_NAME),
             lambda x, y, z, g, f: loc.composite(x, y, z, 0, g, f), wellcheck_cap,
         )
     except CompositionUnavailable:
@@ -943,14 +951,6 @@ def homotopy_category_of_localization(loc: Localization, wellcheck_cap: int = 6)
 
 
 # --- localization of relative simplicial categories -------------------------
-
-
-def _map_hammock(morphism_map, h: Hammock):
-    """The entrywise image of ``h`` as a plain ``(directions, rows,
-    layers)`` grid, not reduced."""
-    rows = tuple(tuple(morphism_map[m] for m in row) for row in h.rows)
-    verticals = tuple(tuple(morphism_map[v] for v in layer) for layer in h.verticals)
-    return h.directions, rows, verticals
 
 
 @dataclass
@@ -970,13 +970,13 @@ class RelscatLocalization:
     the level categories ``level_rel``), and hom by hom their diagonal
     (Dwyer-Kan).  Level n of ``diag_homs[(x, y)]`` is inner level n of
     the level-n localization.  A face or degeneracy of a diagonal simplex
-    maps its one hammock through the outer level map, then takes the
-    inner face or degeneracy; the off-diagonal entries are never mapped.
-    An outer degeneracy is injective and sends identities to identities,
-    so the image of a reduced hammock is reduced and is named as it is;
-    the image under an outer face is reduced first, once per distinct
-    image grid.  ``row_spaces[(x, y, n)]`` is the mapping space of the
-    level-n localization.  ``progress`` gets each pair of each level,
+    maps its one grid through the outer level map (a list, on morphism
+    numbers), then takes the inner face or degeneracy; the off-diagonal
+    entries are never mapped.  An outer degeneracy is injective and sends
+    identities to identities, so the image of a reduced grid is reduced
+    and is looked up as it is; the image under an outer face is reduced
+    first, once per distinct image grid.  ``row_spaces[(x, y, n)]`` is
+    the mapping space of the level-n localization.  ``progress`` gets each pair of each level,
     tagged ``level n``, then the :class:`DiagonalCounts` of each diagonal
     hom."""
 
@@ -1002,17 +1002,14 @@ class RelscatLocalization:
         self.row_spaces = {(x, y, n): ms for n, loc in enumerate(self.levels)
                            for (x, y), ms in loc.pairs.items()}
 
-        # face and degeneracy maps, once each: a face sends level-morphism
-        # names to the numbers of the level below, where its images are
-        # reduced; a degeneracy's images are reduced, so it keeps names
+        # face and degeneracy maps, once each, from level n to level m
         outer = {}
-        for n in range(1, truncation + 1):
-            index = self.level_rel[n - 1].cat.mor_index
+        for n, kind, m in ([(n, "d", n - 1) for n in range(1, truncation + 1)]
+                           + [(n, "s", n + 1) for n in range(truncation)]):
+            source, index = self.level_rel[n].cat.morphisms, self.level_rel[m].cat.mor_index
             for i in range(n + 1):
-                outer[(n, "d", i)] = {a: index[b] for a, b
-                                      in scat_mod.level_map(ambient, n, "d", i).items()}
-        outer.update({(n, "s", i): scat_mod.level_map(ambient, n, "s", i)
-                      for n in range(truncation) for i in range(n + 1)})
+                image = scat_mod.level_map(ambient, n, kind, i)
+                outer[(n, kind, i)] = [index[image[a]] for a in source]
         self.diag_homs = {}
         for x in ambient.objects:
             for y in ambient.objects:
@@ -1026,24 +1023,22 @@ class RelscatLocalization:
         spaces = [self.row_spaces[(x, y, n)] for n in range(self.truncation + 1)]
         levels = [ms.sset.level(n) for n, ms in enumerate(spaces)]
         faces, degeneracies = {}, {}
-        reduced = {}  # (target level, image grid) -> name of its normal form
+        reduced = {}  # (target level, image grid) -> its normal form
         images = 0
         for (n, kind, i), image_of in outer.items():
             m = n - 1 if kind == "d" else n + 1
-            ctx, target = self.levels[m].context, spaces[m]
-            morphisms = ctx.cat.morphisms
+            cat, target = self.level_rel[m].cat, spaces[m]
             for name in levels[n]:
-                grid = _map_hammock(image_of, spaces[n].by_name[name])
+                directions, rows, layers = spaces[n].by_name[name]
+                grid = directions, _mapped(image_of, rows), _mapped(image_of, layers)
                 images += 1
-                if kind == "s":
-                    image = hammock_name(*grid)
-                else:
-                    image = reduced.get((m, grid))
-                    if image is None:
-                        directions, rows, layers = _reduce(ctx, grid)
-                        image = reduced[(m, grid)] = hammock_name(
-                            directions, _named(morphisms, rows), _named(morphisms, layers))
-                if image not in target.by_name:
+                if kind == "d":
+                    key = (m, grid)
+                    grid = reduced.get(key)
+                    if grid is None:
+                        grid = reduced[key] = _reduce(cat, key[1])
+                image = target.by_grid.get(grid)
+                if image is None:
                     raise ConsistencyError("entrywise image missing from enumeration")
                 if kind == "d":
                     faces[(n, name, i)] = target.sset.face(n, i, image)
@@ -1064,10 +1059,9 @@ class RelscatLocalization:
 
     def scat(self) -> scat_mod.TruncatedSimplicialCategory:
         if self._scat is None:
-            identities = {x: width_zero(x).name for x in self.rs.ambient.objects}
             self._scat = scat_mod.TruncatedSimplicialCategory(
                 self.rs.ambient.objects, self.truncation, self.diag_homs,
-                identities, composer=self.composite,
+                dict.fromkeys(self.rs.ambient.objects, _IDENTITY_NAME), composer=self.composite,
             )
         return self._scat
 

@@ -285,7 +285,7 @@ def random_hammock(rng: random.Random, r: RelativeCategory, w_max=5, h_max=2):
     """A random valid hammock over ``r``: an arbitrary direction tuple,
     a random typed first row (identities allowed), then random vertical
     extensions.  Not reduced in general."""
-    from .hammock import Hammock, _Context, _named
+    from .hammock import Hammock, _Context, _mapped
 
     ctx = _Context(r)
     c = r.cat
@@ -319,7 +319,7 @@ def random_hammock(rng: random.Random, r: RelativeCategory, w_max=5, h_max=2):
         layers.append(vacc)
         rows.append(nxt)
     sink = at if directions else x
-    return Hammock(x, sink, directions, _named(c.morphisms, rows), _named(c.morphisms, layers))
+    return Hammock(x, sink, directions, _mapped(c.morphisms, rows), _mapped(c.morphisms, layers))
 
 
 def oracle_suite():

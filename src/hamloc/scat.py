@@ -338,9 +338,6 @@ class RelativeSimplicialCategory:
                 )
         object.__setattr__(self, "sub", normalized)
 
-    def sub_level(self, x, y, level):
-        return self.sub[(x, y)][level]
-
 
 def relscat_to_json(rs: RelativeSimplicialCategory):
     data = rs.ambient.to_json()
@@ -474,9 +471,6 @@ class SimplicialFunctor:
         self.object_map = dict(object_map)
         # keys (x, y, level, simplex) -> simplex
         self.simplex_map = dict(simplex_map)
-
-    def on_simplex(self, x, y, level, s):
-        return self.simplex_map[(x, y, level, s)]
 
     def to_json(self):
         grouped = {}

@@ -2,11 +2,12 @@
 
 The objects along a row of a hammock, a hammock validator (every row
 typechecks, backward entries and verticals are weak equivalences, every
-square commutes), the embedding of a category into its hammock
-localization, identity and composite functors, the list of all
-simplicial operators up to a dimension, the endpoints of a typed word
-and the identity simplicial functor.  No command calls them, so they live here rather than in
-``src/hamloc``.
+square commutes), the :class:`Hammock` of a mapping space's simplex
+(which the library keeps as a grid of morphism numbers), the embedding
+of a category into its hammock localization, identity and composite
+functors, the list of all simplicial operators up to a dimension, the
+endpoints of a typed word and the identity simplicial functor.  No
+command calls them, so they live here rather than in ``src/hamloc``.
 """
 
 from __future__ import annotations
@@ -87,6 +88,22 @@ def validate_hammock(r: RelativeCategory, h: Hammock) -> list[str]:
             if lhs != rhs:
                 report.append(f"square at layer {layer}, column {col} does not commute")
     return report
+
+
+def simplex_hammock(r: RelativeCategory, ms, name) -> Hammock:
+    """The simplex ``name`` of the mapping space ``ms`` over ``r``, a grid
+    of morphism numbers, as a :class:`Hammock` with named entries."""
+    directions, rows, layers = ms.by_name[name]
+    named = r.cat.morphisms
+    return Hammock(ms.x, ms.y if directions else ms.x, directions,
+                   [[named[m] for m in row] for row in rows],
+                   [[named[v] for v in layer] for layer in layers])
+
+
+def vertex_hammocks(r: RelativeCategory, ms) -> list:
+    """The vertices of the mapping space ``ms`` over ``r`` as
+    :class:`Hammock` objects, in order."""
+    return [simplex_hammock(r, ms, name) for name in ms.vertices]
 
 
 def embed(r: RelativeCategory, loc: Localization) -> SimplicialFunctor:

@@ -39,7 +39,6 @@ from hamloc.fincat import (
 from hamloc.hammock import (
     Hammock,
     MappingSpace,
-    _map_hammock,
     _patterns,
     _stability,
     hammock_name,
@@ -61,7 +60,7 @@ from hamloc.simplicial import (
     monotone_maps,
     operator_steps,
 )
-from helpers import row_vertices
+from helpers import row_vertices, simplex_hammock
 
 
 def level_functor(a: TruncatedSimplicialCategory, source_level: int, kind: str, i: int) -> CatFunctor:
@@ -473,8 +472,9 @@ def reference_localized_homset(r: RelativeCategory, x, y, max_len: int) -> Oracl
 # The earlier ``hamloc.hammock`` routines on rows of morphism names, which
 # the references below use so that none of them calls a numbered routine:
 # the enumeration context (``paths``, ``extensions`` and ``right_factor``),
-# the normal form with both move orders, the degeneracy, the identity mask
-# and ``_with_ends``, unchanged.
+# the normal form with both move orders, the degeneracy, the identity mask,
+# ``_with_ends``, the junction cascade of composition and the entrywise
+# image of a hammock under a morphism map, unchanged.
 
 
 def _normal_form(cat: FiniteCategory, directions, rows, layers, strategy="leftmost"):
@@ -674,6 +674,76 @@ def _degeneracy(ctx, h: Hammock, i) -> str:
     return hammock_name(h.directions, rows, layers)
 
 
+def _junction(cat: FiniteCategory, g: Hammock, f: Hammock, w_max=None):
+    """The normal form of ``f`` then ``g`` (reduced, of positive width) as
+    plain tuples, or None when it is wider than ``w_max``.
+
+    Two reduced hammocks can reduce only at their junction.  When the
+    junction columns differ in direction nothing reduces.  Otherwise they
+    merge; the merged column's neighbours both point the other way, so the
+    only further move is to delete it when it is all identities, which
+    brings the next pair of columns together.  This cascade is the one
+    move sequence :func:`_normal_form` makes on the concatenated grid,
+    with the same checks on verticals; a missing composite raises
+    CompositionUnavailable.  The width is known before any row is built."""
+    d1, d2 = f.directions, g.directions
+    w1, w2 = len(d1), len(d2)
+    rows1, rows2 = f.rows, g.rows
+    layers1, layers2 = f.verticals, g.verticals
+    if d1[-1] != d2[0]:
+        if w_max is not None and w1 + w2 > w_max:
+            return None
+        junction = (cat.identity[f.sink],)
+        return (d1 + d2, tuple(a + b for a, b in zip(rows1, rows2)),
+                tuple(a + junction + b for a, b in zip(layers1, layers2)))
+    compose, is_identity = cat.compose, cat.is_identity
+    forward = d2[0] == "f"
+    left, right = w1 - 1, 0  # the columns f[left] and g[right] merge
+    while True:
+        if forward:
+            merged = tuple(compose(b[right], a[left]) for a, b in zip(rows1, rows2))
+        else:
+            merged = tuple(compose(a[left], b[right]) for a, b in zip(rows1, rows2))
+        if not all(map(is_identity, merged)):
+            break
+        # delete the merged column: its two vertex lines become one
+        if left and right + 1 < w2:
+            for a, b in zip(layers1, layers2):
+                if a[left - 1] != b[right]:
+                    raise ConsistencyError("identity column flanked by unequal verticals")
+            left, right, forward = left - 1, right + 1, not forward
+            continue
+        # at a boundary the one vertex line that stays must be identities
+        if left:
+            ends = [a[left - 1] for a in layers1]
+        elif right + 1 < w2:
+            ends = [b[right] for b in layers2]
+        else:
+            ends = ()
+        if not all(map(is_identity, ends)):
+            raise ConsistencyError("boundary identity column with non-identity vertical")
+        if w_max is not None and left + w2 - right - 1 > w_max:
+            return None
+        if left:
+            return (d1[:left], tuple(a[:left] for a in rows1),
+                    tuple(a[:left - 1] for a in layers1))
+        return (d2[right + 1:], tuple(b[right + 1:] for b in rows2),
+                tuple(b[right + 1:] for b in layers2))
+    if w_max is not None and left + w2 - right > w_max:
+        return None
+    return (d1[:left] + d2[right:],
+            tuple(a[:left] + (m,) + b[right + 1:] for a, m, b in zip(rows1, merged, rows2)),
+            tuple(a[:left] + b[right:] for a, b in zip(layers1, layers2)))
+
+
+def _map_hammock(morphism_map, h: Hammock):
+    """The entrywise image of ``h`` as a plain ``(directions, rows,
+    layers)`` grid, not reduced."""
+    rows = tuple(tuple(morphism_map[m] for m in row) for row in h.rows)
+    verticals = tuple(tuple(morphism_map[v] for v in layer) for layer in h.verticals)
+    return h.directions, rows, verticals
+
+
 
 def reference_reduce_hammock(r: RelativeCategory, h: Hammock, strategy: str = "leftmost") -> Hammock:
     """The normal form of ``h`` (see :func:`_normal_form`).  The move order
@@ -837,7 +907,7 @@ def reference_diagonal(rl, x, y) -> TruncatedSimplicialSet:
         m = n - 1 if kind == "d" else n + 1
         rel, target = rl.level_rel[m], spaces[m]
         for name in levels[n]:
-            grid = _map_hammock(names, spaces[n].by_name[name])
+            grid = _map_hammock(names, simplex_hammock(rl.level_rel[n], spaces[n], name))
             if kind == "d":
                 grid = _normal_form(rel.cat, *grid)
             image = hammock_name(*grid)

@@ -27,7 +27,7 @@ from hamloc.relcat import oracle_localized_homset, validate_relative
 from hamloc.scat import promote, validate_scat
 from hamloc.simplicial import homology, nerve, pi0, validate_sset
 from hamloc.verify import Bounds, check_24ii, check_roundtrip
-from helpers import validate_hammock
+from helpers import validate_hammock, vertex_hammocks
 from oracles import neglectable_instances, reference_reduce_hammock
 
 
@@ -79,7 +79,7 @@ def test_criterion_2_oracle_agreement():
                 checked += 1
                 assert len(ms.partition.classes) == hs.class_count(), (name, x, y)
                 index_of = {}
-                for h in ms.vertices:
+                for h in vertex_hammocks(r, ms):
                     word = tuple(zip(h.directions, h.rows[0]))
                     oracle_class = hs.class_index(word)
                     assert oracle_class is not None, (name, x, y, h.name)

@@ -182,6 +182,12 @@ class TestNaming:
     def test_flat_morphism_name_format(self):
         op = SimplicialOperator(1, 0, (0, 0))
         assert flat_morphism_name("f", op) == "(f;q=[0,0])"
+        # every morphism of a flattening, identities included, carries it
+        fl = flatten(hammock_localization(inst.walking_weq(), 1, 2).scat())
+        for name, (source, target, simplex, q) in fl.morphism_data.items():
+            assert name == (f"{fl.object_name(*source)}-{flat_morphism_name(simplex, q)}->"
+                            f"{fl.object_name(*target)}")
+        assert set(fl.rel.cat.identity.values()) <= set(fl.morphism_data)
 
     def test_operator_enumeration_matches_module(self):
         for m in range(3):

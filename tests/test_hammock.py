@@ -22,7 +22,6 @@ from hamloc.hammock import (
     mapping_space,
     reduce_hammock,
     width_zero,
-    _map_hammock,
 )
 from hamloc.relcat import RelativeCategory, oracle_localized_homset
 from hamloc.scat import (
@@ -35,9 +34,10 @@ from hamloc.scat import (
 )
 from hamloc.simplicial import pi0, validate_sset
 from hamloc.verify import _embedded_sub
-from helpers import embed, validate_hammock
+from helpers import embed, simplex_hammock, validate_hammock, vertex_hammocks
 import oracles
 from oracles import (
+    _map_hammock,
     _normal_form,
     closed_weq,
     neglectable_instances,
@@ -142,7 +142,7 @@ class TestMappingSpace:
 
     def test_walking_weq_backward_hom_nonempty(self):
         ms = mapping_space(inst.walking_weq(), "Y", "X", 1, 4)
-        names = {h.name for h in ms.vertices}
+        names = set(ms.vertices)
         assert Hammock("Y", "X", ("b",), (("w",),), ()).name in names
 
     def test_walking_weq_endos_single_component(self):
@@ -168,7 +168,7 @@ class TestMappingSpace:
                 for y in r.cat.objects:
                     full = mapping_space(r, x, y, 1, 4, "full")
                     slim = mapping_space(r, x, y, 1, 4, "pi0")
-                    assert [h.name for h in full.vertices] == [h.name for h in slim.vertices]
+                    assert full.vertices == slim.vertices
                     assert len(full.partition.classes) == len(slim.partition.classes)
                     assert full.verdict == slim.verdict
 
@@ -184,11 +184,12 @@ class TestMappingSpace:
                     if not (ms.verdict == "stable" and hs.determined):
                         continue
                     assert len(ms.partition.classes) == hs.class_count(), (name, x, y)
-                    for h in ms.vertices:
+                    vertices = vertex_hammocks(r, ms)
+                    for h in vertices:
                         word = tuple(
                             (d, m) for d, m in zip(h.directions, h.rows[0])
                         )
-                        for other in ms.vertices:
+                        for other in vertices:
                             word2 = tuple(
                                 (d, m) for d, m in zip(other.directions, other.rows[0])
                             )
@@ -319,6 +320,37 @@ def test_uncapped_well_definedness_check_agrees_with_the_default_cap():
     assert biggest > 6
 
 
+def test_hammock_objects_are_made_only_at_the_boundary(monkeypatch):
+    """Inside the package a simplex is a grid of morphism numbers: full
+    and pi0 localizations, the whole composition table, the component
+    category and a dimensionwise localization with its composites make no
+    :class:`Hammock`, and ``reduce_hammock`` and ``compose_hammocks`` read
+    the category's numbered table without an enumeration context."""
+    from hamloc import hammock
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("constructed inside the package")
+
+    r = inst.walking_weq()
+    p = promote(r.cat, 1)
+    rs = RelativeSimplicialCategory(p, sub_from_morphisms(p, r.cat, sorted(r.weq)))
+    backward = Hammock("Y", "X", ("b",), (("w",),), ())
+    forward = embed_morphism(r, "w")
+    unreduced = Hammock("X", "X", ("f", "b"), (("w", "w"), ("w", "w")), (("idY",),))
+    want = compose_hammocks(r, backward, forward), reduce_hammock(r, unreduced)
+
+    monkeypatch.setattr(Hammock, "__init__", refuse)
+    loc = hammock_localization(r, 2, 3)
+    assert loc.to_json()["bounds"]["overflows"] > 0
+    homotopy_category_of_localization(loc)
+    homotopy_category_of_localization(hammock_localization(r, 1, 3, detail="pi0"))
+    assert validate_scat(hammock_localization_relscat(rs, 1, 3).scat()) == []
+
+    monkeypatch.undo()
+    monkeypatch.setattr(hammock._Context, "__init__", refuse)
+    assert (compose_hammocks(r, backward, forward), reduce_hammock(r, unreduced)) == want
+
+
 class TestConfluence:
     def test_reduction_strategy_independent(self):
         suite = [r for _, r in inst.oracle_suite()]
@@ -396,7 +428,7 @@ class TestRelscatLocalization:
         for (x, y, n), ms in rl.row_spaces.items():
             assert ms is rl.levels[n].pair(x, y)
             fresh = mapping_space(rl.level_rel[n], x, y, 1, 3)
-            assert [h.name for h in ms.vertices] == [h.name for h in fresh.vertices]
+            assert ms.vertices == fresh.vertices
             assert ms.verdict == fresh.verdict
 
     def test_level_categories_built_once_per_level(self, monkeypatch):
@@ -453,8 +485,9 @@ class TestRelscatLocalization:
             for (x, y), counts in reported.items():
                 level0, level1 = rl.diag_homs[(x, y)].levels
                 assert counts.images == 2 * len(level1) + len(level0), (name, x, y)
-                by_name = rl.row_spaces[(x, y, 1)].by_name
-                distinct = {_map_hammock(names, by_name[s]) for names in faces for s in level1}
+                ms = rl.row_spaces[(x, y, 1)]
+                distinct = {_map_hammock(names, simplex_hammock(rl.level_rel[1], ms, s))
+                            for names in faces for s in level1}
                 assert counts.normal_forms == len(distinct), (name, x, y)
 
     def test_degeneracy_images_are_reduced(self):
@@ -472,7 +505,8 @@ class TestRelscatLocalization:
                         if level != n:
                             continue
                         for simplex in ms.sset.level(n):
-                            grid = _map_hammock(names, ms.by_name[simplex])
+                            h = simplex_hammock(rl.level_rel[n], ms, simplex)
+                            grid = _map_hammock(names, h)
                             direct = hammock_name(*grid)
                             assert direct == hammock_name(*_normal_form(rel.cat, *grid)), \
                                 (name, simplex)
@@ -510,7 +544,7 @@ class TestFullDetailAgainstReference:
         want = reference_mapping_space(r, x, y, truncation, width)
         where = (x, y, truncation, width)
         _same_sset(got.sset, want.sset, where)
-        assert [h.name for h in got.vertices] == [h.name for h in want.vertices], where
+        assert list(got.vertices) == [h.name for h in want.vertices], where
         assert got.partition.class_of == want.partition.class_of, where
         assert got.verdict == want.verdict, where
         assert got.grids == want.grids, where
@@ -538,7 +572,7 @@ class TestFullDetailAgainstReference:
                     ms = self._agree(r, x, y, 2, 3)
                     reduced_late += sum(
                         1 for name in ms.sset.level(2)
-                        if _identity_mask_of(r, ms.by_name[name].rows[:2]))
+                        if _identity_mask_of(r, simplex_hammock(r, ms, name).rows[:2]))
         assert reduced_late > 0
 
     def test_partial_flattening_of_walking_weq(self, monkeypatch):
@@ -580,13 +614,13 @@ def test_face_normal_forms_count_distinct_dropped_grids():
         for y in r.cat.objects:
             ms = mapping_space(r, x, y, 2, 3)
             assert ms.stable
-            vertex_rows = {(h.directions, h.rows[0]) for h in ms.vertices}
+            vertex_rows = {(h.directions, h.rows[0]) for h in vertex_hammocks(r, ms)}
             rows, grids = set(), set()
             for name in ms.sset.level(1):
-                h = ms.by_name[name]
+                h = simplex_hammock(r, ms, name)
                 rows.update((h.directions, row) for row in h.rows)
             for name in ms.sset.level(2):
-                h = ms.by_name[name]
+                h = simplex_hammock(r, ms, name)
                 v0, v1 = h.verticals
                 fused = tuple(r.cat.compose(b, a) for a, b in zip(v0, v1))
                 for i, layers in enumerate(((v1,), (fused,), (v0,))):
@@ -603,10 +637,10 @@ def _identity_mask_of(r, rows):
 
 
 class TestJunctionCascade:
-    """``bounded_composite`` reduces two reduced hammocks only at their
+    """``bounded_composite`` reduces two reduced grids only at their
     junction; it must agree with the normal form of the concatenated grid,
     including a missing composite, the width bound and the checks on
-    verticals."""
+    verticals.  The junction cascade on morphism names agrees too."""
 
     @staticmethod
     def _reduced(rng, r, count):
@@ -620,9 +654,23 @@ class TestJunctionCascade:
         return list(out.values())
 
     @staticmethod
+    def _numbered(r, grid):
+        """A grid of morphism names as one of morphism numbers."""
+        index = r.cat.mor_index
+        directions, rows, layers = grid
+        return (directions, tuple(tuple(index[m] for m in row) for row in rows),
+                tuple(tuple(index[v] for v in layer) for layer in layers))
+
+    @classmethod
+    def _enumerated(cls, r, want):
+        """The grid -> name map that holds just the named grid ``want``."""
+        return {} if want is None else {cls._numbered(r, want): hammock_name(*want)}
+
+    @staticmethod
     def _expected(r, g, f, w_max):
-        """The name of the normal form of ``f`` then ``g``, None when it
-        needs a missing composite or is wider than ``w_max``."""
+        """The normal form of ``f`` then ``g`` as a grid of morphism names,
+        None when it needs a missing composite or is wider than
+        ``w_max``."""
         if f.width == 0 or g.width == 0:
             h = g if f.width == 0 else f
             grid = (h.directions, h.rows, h.verticals)
@@ -632,10 +680,10 @@ class TestJunctionCascade:
                     tuple(a + b for a, b in zip(f.rows, g.rows)),
                     tuple(a + junction + b for a, b in zip(f.verticals, g.verticals)))
         try:
-            directions, rows, layers = _normal_form(r.cat, *grid)
+            grid = _normal_form(r.cat, *grid)
         except CompositionUnavailable:
             return None
-        return hammock_name(directions, rows, layers) if len(directions) <= w_max else None
+        return grid if len(grid[0]) <= w_max else None
 
     @staticmethod
     def _tampered(rng, r, h):
@@ -665,31 +713,38 @@ class TestJunctionCascade:
                 # the inputs are enumerated simplices, at most w_max wide
                 w_max = rng.randint(max(f.width, g.width, 1), 6)
                 want = self._expected(r, g, f, w_max)
-                enumerated = {want} if want is not None else set()
-                assert bounded_composite(r, g, f, w_max, enumerated, counts) == want, name
+                if f.width and g.width:
+                    try:
+                        assert oracles._junction(r.cat, g, f, w_max) == want, name
+                    except CompositionUnavailable:
+                        assert want is None, name
+                grids = self._numbered(r, g.key[2:]), self._numbered(r, f.key[2:])
+                enumerated = self._enumerated(r, want)
+                assert bounded_composite(r, *grids, w_max, enumerated, counts) == \
+                    (want and hammock_name(*want)), name
                 try:
                     composed = compose_hammocks(r, g, f)
                 except CompositionUnavailable:
                     missing += 1
                     assert self._expected(r, g, f, 99) is None
                     continue
-                assert composed.name == self._expected(r, g, f, 99)
+                assert composed.name == hammock_name(*self._expected(r, g, f, 99))
                 deleted += f.width and g.width and composed.width < f.width + g.width - 1
                 if want is not None:
                     with pytest.raises(ConsistencyError, match="missing from enumeration"):
-                        bounded_composite(r, g, f, w_max, set(), ComposeCounts())
+                        bounded_composite(r, *grids, w_max, {}, ComposeCounts())
                 # a tampered vertical meets the same checks in both routines
                 g2, f2 = self._tampered(rng, r, g) or g, self._tampered(rng, r, f) or f
+                grids = self._numbered(r, g2.key[2:]), self._numbered(r, f2.key[2:])
                 try:
                     want2 = self._expected(r, g2, f2, w_max)
                 except ConsistencyError as exc:
                     inconsistent += 1
                     with pytest.raises(ConsistencyError, match=str(exc)):
-                        bounded_composite(r, g2, f2, w_max, set(), ComposeCounts())
+                        bounded_composite(r, *grids, w_max, {}, ComposeCounts())
                     continue
-                enumerated = {want2} if want2 is not None else set()
-                assert bounded_composite(r, g2, f2, w_max, enumerated,
-                                         ComposeCounts()) == want2, name
+                assert bounded_composite(r, *grids, w_max, self._enumerated(r, want2),
+                                         ComposeCounts()) == (want2 and hammock_name(*want2)), name
         # every way out of the cascade was taken
         assert counts.composites and counts.junction_overflows and counts.cascade_overflows
         assert missing and deleted and inconsistent
@@ -704,7 +759,7 @@ class TestPi0AgainstFull:
     def _agree(r, x, y, width):
         full = mapping_space(r, x, y, 1, width, "full")
         slim = mapping_space(r, x, y, 1, width, "pi0")
-        assert [h.name for h in slim.vertices] == [h.name for h in full.vertices]
+        assert slim.vertices == full.vertices
         assert slim.partition.class_of == full.partition.class_of
         assert full.fallback_rows is None and full.grids == len(full.sset.level(1))
         return full, slim
@@ -767,7 +822,7 @@ class TestPi0AgainstReference:
 
     @staticmethod
     def _agree(got, want, where):
-        assert [h.name for h in got.vertices] == [h.name for h in want.vertices], where
+        assert list(got.vertices) == [h.name for h in want.vertices], where
         assert got.partition.classes == want.partition.classes, where
         assert got.verdict == want.verdict, where
         assert (got.grids, got.fallback_rows) == (want.grids, want.fallback_rows), where
@@ -816,7 +871,7 @@ def test_stable_components_match_word_oracle_on_random_relative_categories():
                 checked += 1
                 assert len(ms.partition.classes) == hs.class_count(), (seed, x, y)
                 index_of = {}
-                for h in ms.vertices:
+                for h in vertex_hammocks(r, ms):
                     oracle_class = hs.class_index(tuple(zip(h.directions, h.rows[0])))
                     assert oracle_class is not None, (seed, x, y, h.name)
                     mine = ms.partition.class_of[h.name]
@@ -834,8 +889,8 @@ class TestVerdictIsOneWidthLower:
     def _check(r, x, y, width):
         lower = mapping_space(r, x, y, 1, width - 1, "pi0")
         upper = mapping_space(r, x, y, 1, width, "pi0")
-        narrow = frozenset(h.name for h in upper.vertices if h.width < width)
-        assert narrow == frozenset(h.name for h in lower.vertices)
+        narrow = frozenset(name for name in upper.vertices if len(upper.by_name[name][0]) < width)
+        assert narrow == frozenset(lower.vertices)
         traces = [cls & narrow for cls in upper.partition.classes]
         agree = (len(traces) == len(lower.partition.classes)
                  and set(traces) == set(lower.partition.classes))
