@@ -80,6 +80,8 @@ def _progress(args):
                 line += f", {ms.fallback_rows} fallback rows"
             if ms.face_normal_forms is not None:
                 line += f", {ms.face_normal_forms} face normal forms"
+            if ms.extension_rows is not None:
+                line += f", {ms.extension_rows} extension rows"
         print(f"{stage}: {line}" if stage else line, file=sys.stderr)
 
     return report

@@ -18,8 +18,9 @@ columns, merge equal-direction neighbours): a vertex row in ``pi0``
 detail, a face in ``full`` detail, an outer face image of the
 dimensionwise localization and :func:`reduce_hammock`, each distinct
 grid once per mapping space or diagonal hom.  A simplex is named
-(:func:`hammock_name`) once, when it is kept, and a
-:class:`MappingSpace` maps names to grids and back.  Composition
+(:func:`hammock_name`) once, when it is kept, by a namer that joins the
+kept texts of its rows (:func:`_namer`), and a :class:`MappingSpace`
+maps names to grids and back.  Composition
 reduces only at the junction of two reduced grids (the cascade of
 :func:`_junction`), and an entrywise degeneracy map keeps a grid
 reduced, so neither takes the normal form.  Only the boundary functions
@@ -29,7 +30,11 @@ objects, whose entries are names.  Along an alternating pattern a grid
 is reduced exactly when the identity bitmasks of its rows
 (:func:`_identity_mask`) share no bit, so the full-detail enumeration
 builds a grid's last row only with non-identity entries in the columns
-its other rows leave as identities.
+its other rows leave as identities; the rows below a row are built
+column by column from the context's table of column steps, each step
+computed once (:meth:`_Context.extensions`).  The context and the namer
+are freed with the localization or mapping space that made them, by
+reference counting: the package builds no reference cycles around them.
 
 Width is the one genuine approximation: enumeration is exhaustive up to
 ``w_max`` columns, faces and reduction only shrink width, and every
@@ -41,7 +46,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, partial
 
 from .errors import CompositionUnavailable, ConsistencyError, InputError
 from .fincat import FiniteCategory, UnionFind
@@ -163,10 +168,40 @@ def _grid(cat: FiniteCategory, h: Hammock):
     return h.directions, _mapped(cat.mor_index, h.rows), _mapped(cat.mor_index, h.verticals)
 
 
-def _grid_name(morphisms, grid) -> str:
-    """The simplex name of a grid of morphism numbers."""
-    directions, rows, layers = grid
-    return hammock_name(directions, _mapped(morphisms, rows), _mapped(morphisms, layers))
+def _tuple_text(parts):
+    """``repr`` of a tuple whose entries have the reprs ``parts``."""
+    return f"({parts[0]},)" if len(parts) == 1 else f"({', '.join(parts)})"
+
+
+def _namer(morphisms):
+    """The function that gives a grid of morphism numbers its simplex name,
+    :func:`hammock_name` of the grid's entries in ``morphisms``.  It keeps
+    the repr of each morphism and the text of each pattern, row and
+    vertical layer it has seen, so a name is joined from kept texts."""
+    # patterns (tuples of "f"/"b") and rows (tuples of numbers) share
+    # ``texts``: the one key they can share, (), has the text "()" in both
+    reprs, texts = {}, {}
+
+    def text(numbers):
+        parts = []
+        for m in numbers:
+            r = reprs.get(m)
+            if r is None:
+                r = reprs[m] = repr(morphisms[m])
+            parts.append(r)
+        texts[numbers] = t = _tuple_text(parts)
+        return t
+
+    def name(grid):
+        directions, rows, layers = grid
+        pattern = texts.get(directions)
+        if pattern is None:
+            pattern = texts[directions] = repr(directions)
+        rows = [texts.get(row) or text(row) for row in rows]
+        layers = [texts.get(layer) or text(layer) for layer in layers]
+        return f"({pattern}, {_tuple_text(rows)}, {_tuple_text(layers)})"
+
+    return name
 
 
 def _hammock(morphisms, x, y, grid) -> Hammock:
@@ -337,7 +372,13 @@ class _Context:
     ``weq_into`` and ``weq_from`` list an object's morphisms out, weak
     equivalences in and weak equivalences out; and ``sink_moves[m]`` /
     ``source_moves[m]`` are the non-identity weak equivalences out of the
-    codomain / domain of m."""
+    codomain / domain of m.  ``steps`` is the column-step table of
+    :meth:`extensions`, filled on first use: ``(forward, vprev, h, last,
+    nonidentity)`` (the column's direction, the vertical before it, its
+    entry, whether it is the last column, and whether its next entry must
+    not be an identity) maps to the ``(vnext, solutions)`` pairs with a
+    solution, where ``vnext`` is the vertical after the column (the end
+    identity in the last one) and the solutions are its entries below."""
 
     def __init__(self, r: RelativeCategory):
         c = r.cat
@@ -366,17 +407,12 @@ class _Context:
                  for x in c.objects}
         self.sink_moves = [moves[x] for x in self.cod]
         self.source_moves = [moves[x] for x in self.dom]
-
-    def row_objects(self, x, directions, row):
-        """The objects 0..width along a row that starts at ``x``."""
-        objects = [x]
-        for d, m in zip(directions, row):
-            objects.append(self.cod[m] if d == "f" else self.dom[m])
-        return tuple(objects)
+        self.steps = {}
 
     def paths(self, x, y, directions):
         """All rows (identity entries allowed) from x to y along the
-        direction pattern."""
+        direction pattern, built column by column in the order of a
+        depth-first walk."""
         width = len(directions)
         if width == 0:
             return [()] if x == y else []
@@ -389,66 +425,68 @@ class _Context:
         if x not in feasible[0]:
             return []
         dom, cod = self.dom, self.cod
-        out = []
-
-        def walk(col, at, row):
-            if col == width:
-                if at == y:
-                    out.append(row)
-                return
+        # the partial rows after each column, in order: (object, entries);
+        # a recursive closure instead would be a reference cycle holding self
+        partial = [(x, ())]
+        for col in range(width):
+            reach = feasible[col + 1]
             if directions[col] == "f":
-                for m in self.from_any[at]:
-                    nxt = cod[m]
-                    if nxt in feasible[col + 1]:
-                        walk(col + 1, nxt, row + (m,))
+                partial = [(cod[m], row + (m,)) for at, row in partial
+                           for m in self.from_any[at] if cod[m] in reach]
             else:
-                for m in self.weq_into[at]:
-                    nxt = dom[m]
-                    if nxt in feasible[col + 1]:
-                        walk(col + 1, nxt, row + (m,))
+                partial = [(dom[m], row + (m,)) for at, row in partial
+                           for m in self.weq_into[at] if dom[m] in reach]
+        return [row for _, row in partial]
 
-        walk(0, x, ())
-        return out
-
-    def extensions(self, directions, row, objects, nonidentity):
-        """All (interior verticals, next row) pairs below ``row``, whose
-        objects are ``objects``, whose next row has no identity entry in
-        the columns of the bitmask ``nonidentity`` (0: every pair).  With
-        the columns in which every row of a grid is an identity, the next
-        rows are exactly those that make the taller grid reduced
-        (:func:`_identity_mask`)."""
+    def extensions(self, directions, row, x, nonidentity):
+        """All (interior verticals, next row) pairs below ``row``, which
+        starts at ``x``, whose next row has no identity entry in the columns
+        of the bitmask ``nonidentity`` (0: every pair), in the order of a
+        depth-first walk.  With the columns in which every row of a grid is
+        an identity, the next rows are exactly those that make the taller
+        grid reduced (:func:`_identity_mask`).  The pairs are built column
+        by column, each column step looked up in ``steps``."""
         width = len(directions)
         if width == 0:
-            yield (), ()
-            return
-        post, right, right_weq = self.post, self.right, self.right_weq
-        identities = self.identities
-        id_end = self.identity[objects[width]]
+            return [((), ())]
+        steps = self.steps
+        # the partial rows after each column, in order: (vertical, verticals, entries)
+        partial = [(self.identity[x], (), ())]
+        for col in range(width):
+            forward, h, bit = directions[col] == "f", row[col], nonidentity >> col & 1
+            last = col == width - 1
+            grown = []
+            for vprev, vacc, racc in partial:
+                key = (forward, vprev, h, last, bit)
+                options = steps.get(key)
+                if options is None:
+                    options = self._step(key)
+                for vnext, sols in options:
+                    # the end identity after the last column is no interior vertical
+                    vacc2 = vacc if last else vacc + (vnext,)
+                    for h2 in sols:
+                        grown.append((vnext, vacc2, racc + (h2,)))
+            partial = grown
+        return [(vacc, racc) for _, vacc, racc in partial]
 
-        def rec(col, vprev, vacc, racc):
-            if col == width:
-                yield vacc, racc
-                return
-            if col + 1 == width:
-                candidates = (id_end,)
+    def _step(self, key):
+        """The entry of :attr:`steps` at ``key``, computed and kept."""
+        forward, vprev, h, last, nonidentity = key
+        # the column's next object follows from its entry
+        nxt = self.cod[h] if forward else self.dom[h]
+        post, identities = self.post, self.identities
+        options = []
+        for vnext in (self.identity[nxt],) if last else self.weq_from[nxt]:
+            if forward:
+                sols = self.right[vprev].get(post[vnext].get(h), ())
             else:
-                candidates = self.weq_from[objects[col + 1]]
-            h = row[col]
-            forward = directions[col] == "f"
-            for vnext in candidates:
-                if forward:
-                    sols = right[vprev].get(post[vnext].get(h), ())
-                else:
-                    sols = right_weq[vnext].get(post[vprev].get(h), ())
-                if nonidentity >> col & 1:
-                    sols = [s for s in sols if s not in identities]
-                if not sols:
-                    continue
-                vacc2 = vacc if col + 1 == width else vacc + (vnext,)
-                for h2 in sols:
-                    yield from rec(col + 1, vnext, vacc2, racc + (h2,))
-
-        yield from rec(0, self.identity[objects[0]], (), ())
+                sols = self.right_weq[vnext].get(post[vprev].get(h), ())
+            if nonidentity:
+                sols = [s for s in sols if s not in identities]
+            if sols:
+                options.append((vnext, tuple(sols)))
+        options = self.steps[key] = tuple(options)
+        return options
 
 
 def _alternating(width, start):
@@ -482,7 +520,9 @@ class MappingSpace:
     ``fallback_rows`` ("pi0" detail only) counts the live rows with a
     dead generator neighbour, from which the fallback walked on.
     ``face_normal_forms`` ("full" detail only) counts the distinct
-    dropped grids the faces reduced.  All three are deterministic counts
+    dropped grids the faces reduced, and ``extension_rows`` ("full" detail
+    only) the rows :meth:`_Context.extensions` built below other rows (at
+    truncation 1, the two-row grids).  All four are deterministic counts
     for progress output, never report bytes.
     """
 
@@ -498,6 +538,7 @@ class MappingSpace:
     grids: int = 0
     fallback_rows: int | None = None
     face_normal_forms: int | None = None
+    extension_rows: int | None = None
 
     @property
     def stable(self):
@@ -539,6 +580,7 @@ def _mapping_space(ctx: _Context, x, y, truncation, w_max, detail) -> MappingSpa
     identities = ctx.identities
     # the enumerated grids of morphism numbers, by height
     simplices = [[] for _ in range(truncation + 1)]
+    extension_rows = 0
     for pattern in _patterns(w_max):
         width = len(pattern)
         if width == 0 and x != y:
@@ -549,17 +591,17 @@ def _mapping_space(ctx: _Context, x, y, truncation, w_max, detail) -> MappingSpa
             if identities.isdisjoint(row):
                 simplices[0].append((pattern, (row,), ()))
         for row in rows0:
-            _grow(ctx, x, y, pattern, (row,), ctx.row_objects(x, pattern, row), (),
-                  _identity_mask(identities, row), truncation, simplices)
+            extension_rows += _grow(ctx, x, pattern, (row,), (), _identity_mask(identities, row),
+                                    truncation, simplices)
 
-    morphisms = ctx.cat.morphisms
+    name_of = _namer(ctx.cat.morphisms)
     # Keep only simplices all of whose iterated faces are representable:
     # over a partially represented ambient category a face can need a
     # composite outside the width bound, and such simplices cannot be
     # carried in the truncated data.  ``kept[k]`` maps a grid to its
     # name; ``memo`` maps a dropped grid to its normal form, or False
     # when that needs a missing composite, seeded with the vertices.
-    kept = [{grid: _grid_name(morphisms, grid) for grid in simplices[0]}]
+    kept = [{grid: name_of(grid) for grid in simplices[0]}]
     memo = {grid: grid for grid in simplices[0]}
     face_cache = {}
     pruned = False
@@ -572,7 +614,7 @@ def _mapping_space(ctx: _Context, x, y, truncation, w_max, detail) -> MappingSpa
                 pruned = True
                 continue
             if all(img in below for img in images):
-                name = level_kept[grid] = _grid_name(morphisms, grid)
+                name = level_kept[grid] = name_of(grid)
                 for i, img in enumerate(images):
                     face_cache[(k, name, i)] = below[img]
             else:
@@ -585,7 +627,7 @@ def _mapping_space(ctx: _Context, x, y, truncation, w_max, detail) -> MappingSpa
     for k in range(truncation):
         for grid, name in kept[k].items():
             for i in range(k + 1):
-                img = kept[k + 1].get(_degeneracy(ctx, x, grid, i))
+                img = kept[k + 1].get(_degeneracy(ctx, grid, i))
                 if img is None:
                     raise ConsistencyError("degeneracy left the kept set")
                 degeneracies[(k, name, i)] = img
@@ -606,7 +648,8 @@ def _mapping_space(ctx: _Context, x, y, truncation, w_max, detail) -> MappingSpa
     partition = Partition.of(components, levels[0])
     verdict = "bound_limited" if pruned else _stability(partition, sub)
     return MappingSpace(x, y, truncation, w_max, verdict, levels[0], partition, sset, by_name,
-                        len(levels[1]), face_normal_forms=len(memo) - len(simplices[0]))
+                        len(levels[1]), face_normal_forms=len(memo) - len(simplices[0]),
+                        extension_rows=extension_rows)
 
 
 def _identity_mask(identities, row):
@@ -744,12 +787,12 @@ def _pi0_edges(ctx: _Context, pattern, rows0, row_numbers):
         yield upper, lowers, bool(seen)
 
 
-def _grow(ctx, x, y, pattern, rows, objects, layers, common, truncation, simplices):
-    """Extend the grid of morphism numbers one row at a time, appending
-    its reduced simplices to ``simplices`` by height.
+def _grow(ctx, x, pattern, rows, layers, common, truncation, simplices):
+    """Extend the grid of morphism numbers from ``x`` one row at a time,
+    appending its reduced simplices to ``simplices`` by height; the number
+    of rows built.
 
-    ``objects`` are those of the last row (:meth:`_Context.row_objects`),
-    and ``common`` is the AND of the rows' identity masks
+    ``common`` is the AND of the rows' identity masks
     (:func:`_identity_mask`), so the grid is reduced when it is 0; each new
     row's mask is computed once.  A grid unreduced at height h can become
     reduced at h+1, so a row that is not the last is extended unfiltered.
@@ -758,19 +801,19 @@ def _grow(ctx, x, y, pattern, rows, objects, layers, common, truncation, simplic
     which is the mask :meth:`_Context.extensions` takes."""
     height = len(rows) - 1
     if height + 1 == truncation:
-        last = simplices[truncation]
-        for vacc, row2 in ctx.extensions(pattern, rows[-1], objects, common):
-            last.append((pattern, rows + (row2,), layers + (vacc,)))
-        return
-    cod = ctx.cod
-    for vacc, row2 in ctx.extensions(pattern, rows[-1], objects, 0):
+        below = ctx.extensions(pattern, rows[-1], x, common)
+        simplices[truncation].extend(
+            (pattern, rows + (row2,), layers + (vacc,)) for vacc, row2 in below)
+        return len(below)
+    below = ctx.extensions(pattern, rows[-1], x, 0)
+    built = len(below)
+    for vacc, row2 in below:
         common2 = common & _identity_mask(ctx.identities, row2)
         rows2, layers2 = rows + (row2,), layers + (vacc,)
         if not common2:
             simplices[height + 1].append((pattern, rows2, layers2))
-        # the objects of the next row: the codomains of the verticals
-        objects2 = (x,) + tuple(cod[v] for v in vacc) + (y,) if pattern else (x,)
-        _grow(ctx, x, y, pattern, rows2, objects2, layers2, common2, truncation, simplices)
+        built += _grow(ctx, x, pattern, rows2, layers2, common2, truncation, simplices)
+    return built
 
 
 def _face(ctx, grid, i, memo):
@@ -801,13 +844,14 @@ def _face(ctx, grid, i, memo):
     return reduced
 
 
-def _degeneracy(ctx, x, grid, i):
-    """The i-th degeneracy of a grid of morphism numbers from ``x``: repeat
-    row i with an identity layer.  Its rows are those of the grid, so it is
-    reduced when the grid is."""
+def _degeneracy(ctx, grid, i):
+    """The i-th degeneracy of a grid of morphism numbers: repeat row i with
+    an identity layer, on the objects its entries end at.  Its rows are
+    those of the grid, so it is reduced when the grid is."""
     directions, rows, layers = grid
-    objects = ctx.row_objects(x, directions, rows[i])
-    identity_layer = tuple(ctx.identity[o] for o in objects[1:-1])
+    identity, dom, cod = ctx.identity, ctx.dom, ctx.cod
+    identity_layer = tuple(identity[cod[m] if d == "f" else dom[m]]
+                           for d, m in zip(directions[:-1], rows[i]))
     return (directions, rows[:i + 1] + (rows[i],) + rows[i + 1:],
             layers[:i] + (identity_layer,) + layers[i:])
 
@@ -866,18 +910,22 @@ class Localization:
     def composite(self, x, y, z, level, g_name, f_name):
         """Name of the composite simplex, or None on width overflow (a
         simplex name carries its level)."""
-        return bounded_composite(self.relcat, self.pairs[(y, z)].by_name[g_name],
-                                 self.pairs[(x, y)].by_name[f_name], self.w_max,
-                                 self.pairs[(x, z)].by_grid, self.compose_counts)
+        return _composite(self.relcat, self.pairs, self.w_max, self.compose_counts,
+                          x, y, z, level, g_name, f_name)
 
     def scat(self) -> scat_mod.TruncatedSimplicialCategory:
         if self.detail != "full":
             raise InputError("simplicial category needs detail='full'")
         if self._scat is None:
+            # the composer holds the localization's parts, not the
+            # localization: a bound method would make the two a reference
+            # cycle, and its grids would outlive it until a full collection
             self._scat = scat_mod.TruncatedSimplicialCategory(
                 self.relcat.cat.objects, self.truncation,
                 {pair: ms.sset for pair, ms in self.pairs.items()},
-                dict.fromkeys(self.relcat.cat.objects, _IDENTITY_NAME), composer=self.composite,
+                dict.fromkeys(self.relcat.cat.objects, _IDENTITY_NAME),
+                composer=partial(_composite, self.relcat, self.pairs, self.w_max,
+                                           self.compose_counts),
             )
         return self._scat
 
@@ -917,6 +965,12 @@ class Localization:
             data["compose"] = compose
         data["bounds"] = dict(self.bounds_json(), overflows=omitted)
         return data
+
+
+def _composite(r, pairs, w_max, counts, x, y, z, level, g_name, f_name):
+    """:meth:`Localization.composite` on the localization's parts."""
+    return bounded_composite(r, pairs[(y, z)].by_name[g_name], pairs[(x, y)].by_name[f_name],
+                             w_max, pairs[(x, z)].by_grid, counts)
 
 
 def hammock_localization(r: RelativeCategory, truncation: int, w_max: int,
@@ -1053,17 +1107,23 @@ class RelscatLocalization:
                 if all(loc.verdict == "stable" for loc in self.levels)
                 else "bound_limited")
 
-    def composite(self, x, y, z, level, g_name, f_name):
-        """Name of the composite simplex, or None on width overflow."""
-        return self.levels[level].composite(x, y, z, level, g_name, f_name)
-
     def scat(self) -> scat_mod.TruncatedSimplicialCategory:
         if self._scat is None:
             self._scat = scat_mod.TruncatedSimplicialCategory(
                 self.rs.ambient.objects, self.truncation, self.diag_homs,
-                dict.fromkeys(self.rs.ambient.objects, _IDENTITY_NAME), composer=self.composite,
+                dict.fromkeys(self.rs.ambient.objects, _IDENTITY_NAME),
+                # as in Localization.scat: no reference cycle through self
+                composer=partial(_level_composite, self.levels),
             )
         return self._scat
+
+
+def _level_composite(levels, x, y, z, level, g_name, f_name):
+    """Name of the composite of level-``level`` simplices of the
+    dimensionwise localization with level localizations ``levels``, or
+    None on width overflow: it is composed in the level-``level``
+    localization."""
+    return levels[level].composite(x, y, z, level, g_name, f_name)
 
 
 def hammock_localization_relscat(rs, truncation: int, w_max: int,

@@ -311,8 +311,7 @@ def random_hammock(rng: random.Random, r: RelativeCategory, w_max=5, h_max=2):
     layers = []
     height = rng.randint(0, h_max)
     for _ in range(height):
-        objects = ctx.row_objects(x, directions, rows[-1])
-        options = list(ctx.extensions(directions, rows[-1], objects, 0))
+        options = ctx.extensions(directions, rows[-1], x, 0)
         if not options:
             break
         vacc, nxt = rng.choice(options)

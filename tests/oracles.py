@@ -19,7 +19,11 @@ names, is the reference for the one on morphism and vertex numbers
 routines on morphism names (:class:`_NamedContext`, :func:`_normal_form`
 with its leftmost and rightmost move orders, :func:`_degeneracy`), not on
 the library's numbered ones; :func:`reference_reduce_hammock` is the
-reduction the confluence checks compare with.
+reduction the confluence checks compare with.  Two references do run on
+the library's numbered context: the generator that derives every column
+step of a row's extensions anew, for the memoized column-step table
+(:func:`reference_extensions`), and ``repr`` of the mapped grid, for the
+namer (:func:`_grid_name`).
 """
 
 from __future__ import annotations
@@ -39,6 +43,7 @@ from hamloc.fincat import (
 from hamloc.hammock import (
     Hammock,
     MappingSpace,
+    _mapped,
     _patterns,
     _stability,
     hammock_name,
@@ -752,6 +757,69 @@ def reference_reduce_hammock(r: RelativeCategory, h: Hammock, strategy: str = "l
         raise InputError("strategy must be leftmost or rightmost")
     return Hammock(h.source, h.sink,
                    *_normal_form(r.cat, h.directions, h.rows, h.verticals, strategy))
+
+
+# --- the numbered routines before the column-step table and the namer ------
+#
+# ``hamloc.hammock._Context.extensions`` as a generator that derives every
+# column step anew, given the row's objects (``reference_row_objects``),
+# and the simplex name of a grid of morphism numbers as ``repr`` of the
+# mapped grid, unchanged but for ``self`` becoming ``ctx``.
+
+
+def reference_row_objects(ctx, x, directions, row):
+    """The objects 0..width along a row that starts at ``x``."""
+    objects = [x]
+    for d, m in zip(directions, row):
+        objects.append(ctx.cod[m] if d == "f" else ctx.dom[m])
+    return tuple(objects)
+
+
+def reference_extensions(ctx, directions, row, objects, nonidentity):
+    """All (interior verticals, next row) pairs below ``row``, whose
+    objects are ``objects``, whose next row has no identity entry in
+    the columns of the bitmask ``nonidentity`` (0: every pair).  With
+    the columns in which every row of a grid is an identity, the next
+    rows are exactly those that make the taller grid reduced
+    (:func:`_identity_mask`)."""
+    width = len(directions)
+    if width == 0:
+        yield (), ()
+        return
+    post, right, right_weq = ctx.post, ctx.right, ctx.right_weq
+    identities = ctx.identities
+    id_end = ctx.identity[objects[width]]
+
+    def rec(col, vprev, vacc, racc):
+        if col == width:
+            yield vacc, racc
+            return
+        if col + 1 == width:
+            candidates = (id_end,)
+        else:
+            candidates = ctx.weq_from[objects[col + 1]]
+        h = row[col]
+        forward = directions[col] == "f"
+        for vnext in candidates:
+            if forward:
+                sols = right[vprev].get(post[vnext].get(h), ())
+            else:
+                sols = right_weq[vnext].get(post[vprev].get(h), ())
+            if nonidentity >> col & 1:
+                sols = [s for s in sols if s not in identities]
+            if not sols:
+                continue
+            vacc2 = vacc if col + 1 == width else vacc + (vnext,)
+            for h2 in sols:
+                yield from rec(col + 1, vnext, vacc2, racc + (h2,))
+
+    yield from rec(0, ctx.identity[objects[0]], (), ())
+
+
+def _grid_name(morphisms, grid) -> str:
+    """The simplex name of a grid of morphism numbers."""
+    directions, rows, layers = grid
+    return hammock_name(directions, _mapped(morphisms, rows), _mapped(morphisms, layers))
 
 
 # --- full-detail hammock enumeration without the last-row mask or memos ----

@@ -525,7 +525,8 @@ class TestVerbose:
         lines = loud.err.splitlines()
         # every localization here is in full detail
         pairs = [ln for ln in lines if ": pair (" in ln]
-        assert pairs and all(re.search(r" grids, \d+ face normal forms$", ln) for ln in pairs)
+        assert pairs and all(
+            re.search(r" grids, \d+ face normal forms, \d+ extension rows$", ln) for ln in pairs)
         diagonal = [re.fullmatch(r"dimensionwise: diagonal \((\w+),(\w+)\): "
                                  r"(\d+) images, (\d+) normal forms", ln)
                     for ln in lines if "diagonal (" in ln]
@@ -533,6 +534,27 @@ class TestVerbose:
         for m in diagonal:
             images, normal_forms = int(m.group(3)), int(m.group(4))
             assert 0 < normal_forms < images
+
+    def test_full_detail_counts_extension_rows(self, files, capsys):
+        """At truncation 1 every row built below a vertex row is a two-row
+        grid, so a pair's extension rows bound its kept 1-simplices."""
+        argv = ["localize", files["walking-weq.json"], "--truncation", "1", "--width", "3"]
+        quiet = run(argv)
+        plain = capsys.readouterr()
+        assert run(["--verbose"] + argv) == quiet
+        loud = capsys.readouterr()
+        assert loud.out == plain.out
+        assert "extension rows" not in plain.out + plain.err
+        homs = json.loads(plain.out)["homs"]
+        lines = [ln for ln in loud.err.splitlines() if ln.startswith("pair (")]
+        assert len(lines) == len(homs)
+        built = 0
+        for line in lines:
+            x, y, rows = re.fullmatch(r"pair \((\w+),(\w+)\): .*, \d+ face normal forms, "
+                                      r"(\d+) extension rows", line).groups()
+            assert int(rows) >= len(homs[f"{x}|{y}"]["levels"][1]), line
+            built += int(rows)
+        assert built > 0
 
     @pytest.mark.parametrize("name, shared", [
         ("walking-arrow.json", True),

@@ -1,13 +1,18 @@
+import gc
 import random
+import weakref
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from hamloc import hammock
 from hamloc import instances as inst
 from hamloc import scat
+from hamloc.cli import run
 from hamloc.errors import CompositionUnavailable, ConsistencyError, InputError
 from hamloc.fincat import find_equivalence, is_isomorphism, validate_category
 from hamloc.flatten import flatten, relativization_unit
+from hamloc.jsonio import write_canonical
 from hamloc.hammock import (
     ComposeCounts,
     Hammock,
@@ -37,6 +42,7 @@ from hamloc.verify import _embedded_sub
 from helpers import embed, simplex_hammock, validate_hammock, vertex_hammocks
 import oracles
 from oracles import (
+    _grid_name,
     _map_hammock,
     _normal_form,
     closed_weq,
@@ -44,7 +50,9 @@ from oracles import (
     reference_diagonal,
     reference_mapping_space,
     reference_pi0_mapping_space,
+    reference_extensions,
     reference_reduce_hammock,
+    reference_row_objects,
 )
 
 
@@ -515,12 +523,15 @@ class TestRelscatLocalization:
         assert mapped > 100
 
 
-def _check_32_relscats():
+def _check_32_relscats(width=2, names=None):
     """The relative simplicial categories check_32 localizes
-    dimensionwise, from localizations of the oracle suite at width 2."""
+    dimensionwise, from localizations of the oracle suite (or of its
+    instances ``names``) at ``width``."""
     cases = []
     for name, r in inst.oracle_suite():
-        loc = hammock_localization(r, 1, 2)
+        if names is not None and name not in names:
+            continue
+        loc = hammock_localization(r, 1, width)
         cases.append((f"3.2 {name}", RelativeSimplicialCategory(
             loc.scat(), _embedded_sub(r, loc.scat(), r.weq))))
     return cases
@@ -604,6 +615,152 @@ class TestFullDetailAgainstReference:
                 self._agree(rl.level_rel[n], x, y, 1, width)
             for (x, y), sset in rl.diag_homs.items():
                 _same_sset(sset, reference_diagonal(rl, x, y), (name, x, y))
+
+
+class TestColumnSteps:
+    """``_Context.extensions`` looks each column step up in a table built
+    on first use; its pairs, in order, must be those of the generator
+    that derives every step anew (``oracles.reference_extensions``), for
+    every row of every pattern and the nonidentity masks 0, each single
+    column and all columns."""
+
+    @staticmethod
+    def _agree(r, w_max):
+        ctx = hammock._Context(r)
+        pairs = 0
+        for pattern in hammock._patterns(w_max):
+            width = len(pattern)
+            masks = sorted({0, (1 << width) - 1} | {1 << col for col in range(width)})
+            for x in r.cat.objects:
+                for y in r.cat.objects:
+                    for row in ctx.paths(x, y, pattern):
+                        objects = reference_row_objects(ctx, x, pattern, row)
+                        for mask in masks:
+                            got = ctx.extensions(pattern, row, x, mask)
+                            want = list(reference_extensions(ctx, pattern, row, objects, mask))
+                            assert got == want, (x, y, pattern, row, mask)
+                            pairs += len(got)
+        return pairs
+
+    def test_stock_relative_categories(self):
+        for name, r in inst.oracle_suite():
+            assert self._agree(r, 4) > 0, name
+
+    def test_check_32_level_categories(self):
+        for name, rs in _check_32_relscats(3, ("walking-weq", "retract")):
+            for n, rel in enumerate(hammock_localization_relscat(rs, 1, 3).level_rel):
+                assert self._agree(rel, 3) > 0, (name, n)
+
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_random_relative_categories(self, seed):
+        rng = random.Random(seed)
+        self._agree(closed_weq(inst.random_dag_category(rng), rng), 3)
+
+
+class TestNamer:
+    """The namer joins kept texts of rows and layers into exactly the
+    name ``hammock_name`` gives the mapped grid, also for morphism names
+    whose ``repr`` changes its quoting."""
+
+    NAMES = ["a", "it's", 'say "hi"', "both ' and \"", "back\\slash", "X|Y", "two words",
+             "café", "\u03c0\u2080", "tab\there", "f"]
+
+    @pytest.mark.parametrize("width", [0, 1, 3])
+    @pytest.mark.parametrize("height", [0, 1, 2])
+    def test_namer_equals_hammock_name(self, width, height):
+        rng = random.Random(width * 10 + height)
+        name_of = hammock._namer(self.NAMES)
+        count = len(self.NAMES)
+        rows = [tuple(rng.randrange(count) for _ in range(width)) for _ in range(3)]
+        for _ in range(40):
+            # rows repeat across grids, so most texts come from the namer's store
+            directions = tuple(rng.choice("fb") for _ in range(width))
+            grid = (directions,
+                    tuple(rng.choice(rows) for _ in range(height + 1)),
+                    tuple(tuple(rng.randrange(count) for _ in range(max(width - 1, 0)))
+                          for _ in range(height)))
+            want = _grid_name(self.NAMES, grid)
+            assert want == hammock_name(directions, hammock._mapped(self.NAMES, grid[1]),
+                                        hammock._mapped(self.NAMES, grid[2]))
+            assert name_of(grid) == want, grid
+
+    def test_kept_simplices_of_a_flattening(self):
+        """Flattening morphism names carry quotes and bars."""
+        fl = flatten(hammock_localization(inst.walking_weq(), 1, 2).scat())
+        morphisms = fl.rel.cat.morphisms
+        assert any("'" in m or "|" in m for m in morphisms)
+        for x in fl.rel.cat.objects:
+            for y in fl.rel.cat.objects:
+                ms = mapping_space(fl.rel, x, y, 1, 2)
+                for name, grid in ms.by_name.items():
+                    assert _grid_name(morphisms, grid) == name
+
+
+class TestLifetime:
+    """The enumeration context (with its column-step table) and the namer
+    live only while a localization is built, and a built localization is
+    freed by reference counting: nothing of them stays on the module."""
+
+    def test_context_dies_with_the_localization(self, monkeypatch):
+        refs = []
+        original = hammock._Context.__init__
+
+        def recording(self, r):
+            original(self, r)
+            refs.append(weakref.ref(self))
+
+        monkeypatch.setattr(hammock._Context, "__init__", recording)
+        loc = hammock_localization(inst.walking_weq(), 2, 3, detail="full")
+        gc.collect()
+        assert len(refs) == 1 and refs[0]() is None
+        assert loc.pairs
+
+    def test_localizations_are_freed_without_the_cyclic_collector(self, monkeypatch):
+        """No reference cycle holds a localization, its simplicial
+        category or its contexts, so they go when the last reference does."""
+        refs = []
+        original = hammock._Context.__init__
+
+        def recording(self, r):
+            original(self, r)
+            refs.append(weakref.ref(self))
+
+        monkeypatch.setattr(hammock._Context, "__init__", recording)
+        r = inst.walking_weq()
+        gc.collect()
+        gc.disable()
+        try:
+            loc = hammock_localization(r, 1, 2)
+            rs = RelativeSimplicialCategory(loc.scat(), _embedded_sub(r, loc.scat(), r.weq))
+            rl = hammock_localization_relscat(rs, 1, 2)
+            assert validate_scat(rl.scat()) == []
+            held = [weakref.ref(loc), weakref.ref(rl)]
+            del loc, rs, rl
+            assert len(refs) == 3
+            assert [ref() for ref in refs + held] == [None] * len(refs + held)
+        finally:
+            gc.enable()
+
+    def test_cli_runs_leave_module_containers_alone(self, tmp_path, capsys):
+        path = tmp_path / "walking-weq.json"
+        write_canonical(path, inst.walking_weq().to_json())
+
+        def sizes():
+            out = {}
+            for name, value in vars(hammock).items():
+                if isinstance(value, (dict, list, set, frozenset, tuple)):
+                    out[name] = len(value)
+                elif hasattr(value, "cache_info"):
+                    out[name] = value.cache_info().currsize
+            return out
+
+        before = sizes()
+        for _ in range(2):
+            assert run(["verify", "3.2", str(path), "--width", "3"]) == 0
+        capsys.readouterr()
+        after = sizes()
+        assert {name: n for name, n in after.items() if n > before.get(name, 0)} == {}
 
 
 def test_face_normal_forms_count_distinct_dropped_grids():
