@@ -188,7 +188,8 @@ def _cmd_localize(args):
             counts = loc.compose_counts
             print(f"compose: {counts.requests} requests, {counts.composites} composites, "
                   f"{counts.junction_overflows} overflows known at the junction, "
-                  f"{counts.cascade_overflows} found by the cascade", file=sys.stderr)
+                  f"{counts.cascade_overflows} found by the cascade, "
+                  f"{counts.pruned_overflows} pruned by the enumeration", file=sys.stderr)
         code = PASS if loc.verdict == "stable" else UNDETERMINED
         return code, output, f"localization: {loc.verdict}"
 

@@ -19,9 +19,14 @@ detail, a face in ``full`` detail, an outer face image of the
 dimensionwise localization and :func:`reduce_hammock`, each distinct
 grid once per mapping space or diagonal hom.  A simplex is named
 (:func:`hammock_name`) once, when it is kept, by a namer that joins the
-kept texts of its rows (:func:`_namer`), and a :class:`MappingSpace`
-maps names to grids and back.  Composition
-reduces only at the junction of two reduced grids (the cascade of
+kept texts of its rows (:func:`_namer`).  Each level of a full-detail
+mapping space is sorted by (width, name) as soon as it is kept and is
+numbered in that order: the level above takes its faces as numbers, the
+simplicial set holds number tables, and the :class:`MappingSpace` keeps
+its grids in the same order.  The diagonal takes its tables from those
+of the level localizations, and a composite is looked up by grid and
+named at the end.  Composition reduces only at the junction of two
+reduced grids (the cascade of
 :func:`_junction`), and an entrywise degeneracy map keeps a grid
 reduced, so neither takes the normal form.  Only the boundary functions
 (:func:`reduce_hammock`, :func:`compose_hammocks`,
@@ -313,25 +318,32 @@ def compose_hammocks(r: RelativeCategory, h2: Hammock, h1: Hammock) -> Hammock:
 class ComposeCounts:
     """Composite requests by outcome: a representable composite, an
     overflow known from the junction directions alone (width ``w1 + w2``
-    over the bound), or an overflow the junction cascade found (too wide,
-    or a composite the table lacks).  Deterministic counts for progress
-    output, never report bytes."""
+    over the bound), an overflow the junction cascade found (too wide,
+    or a composite the table lacks), or a reduced grid within the bound
+    that the target space pruned (one of its faces needs a composite the
+    table lacks).  Deterministic counts for progress output, never report
+    bytes."""
 
     composites: int = 0
     junction_overflows: int = 0
     cascade_overflows: int = 0
+    pruned_overflows: int = 0
 
     @property
     def requests(self):
-        return self.composites + self.junction_overflows + self.cascade_overflows
+        return (self.composites + self.junction_overflows + self.cascade_overflows
+                + self.pruned_overflows)
 
 
-def bounded_composite(r: RelativeCategory, g, f, w_max, enumerated, counts: ComposeCounts):
-    """Name of the reduced composite of grid ``g`` after grid ``f`` (reduced,
-    composable, of one height, each at most ``w_max`` wide), or None when
-    it needs a composite ``r`` lacks or is wider than ``w_max``; ``counts``
-    tallies the outcome.  The name is looked up in ``enumerated`` (the
-    target's grid -> name map); a result missing there is inconsistent."""
+def bounded_composite(r: RelativeCategory, g, f, w_max, enumerated, counts: ComposeCounts,
+                      pruned=False):
+    """The reduced composite of grid ``g`` after grid ``f`` (reduced,
+    composable, of one height, each at most ``w_max`` wide) as the value
+    ``enumerated`` (the target's map from its grids) holds for it, or None
+    when it needs a composite ``r`` lacks or is wider than ``w_max``;
+    ``counts`` tallies the outcome.  A result missing from ``enumerated``
+    is an overflow when the target ``pruned`` simplices, else it is
+    inconsistent."""
     if not f[0] or not g[0]:
         grid = g if not f[0] else f
     else:
@@ -345,11 +357,14 @@ def bounded_composite(r: RelativeCategory, g, f, w_max, enumerated, counts: Comp
             else:
                 counts.cascade_overflows += 1
             return None
-    name = enumerated.get(grid)
-    if name is None:
-        raise ConsistencyError("composite missing from enumeration")
+    value = enumerated.get(grid)
+    if value is None:
+        if not pruned:
+            raise ConsistencyError("composite missing from enumeration")
+        counts.pruned_overflows += 1
+        return None
     counts.composites += 1
-    return name
+    return value
 
 
 def embed_morphism(r: RelativeCategory, m, height: int = 0) -> Hammock:
@@ -505,14 +520,18 @@ def _patterns(w_max):
 class MappingSpace:
     """Reduced hammocks from x to y as a truncated simplicial set.
 
-    ``vertices`` are the vertex names in order (by width, then name);
-    ``by_name`` maps a simplex name to its grid of morphism numbers, and
-    ``by_grid`` maps it back.  ``verdict`` is "stable" when the
+    ``vertices`` are the vertex names in order (by width, then name).
+    ``level_grids[k]`` holds the grids of morphism numbers of level k in
+    the order of ``sset.levels[k]``, so a simplex's number indexes both
+    (:attr:`numbers`, :meth:`grid`); ``by_grid`` maps a grid
+    to its number.  "pi0" detail keeps only vertices and partition, so
+    its ``level_grids`` cover level 0 only; it joins the vertices along
+    generator grids (see :func:`_pi0_edges`), while "full" detail joins
+    them along its kept 1-simplices.  ``pruned`` ("full" detail) says
+    that a simplex was left out because one of its faces needs a
+    composite the table lacks.  ``verdict`` is "stable" when the
     components at width bound w_max are those a run at w_max-1 finds,
-    else (or after pruning in "full" mode) "bound_limited".  "pi0" detail
-    keeps only vertices and partition; it joins them along generator
-    grids (see :func:`_pi0_edges`), while "full" detail joins them along
-    its kept 1-simplices.
+    else (or after pruning) "bound_limited".
 
     ``grids`` counts the joins handed to the union-find: the kept
     1-simplices in "full" detail; in "pi0" detail, the distinct vertices
@@ -534,7 +553,8 @@ class MappingSpace:
     vertices: tuple
     partition: Partition
     sset: TruncatedSimplicialSet | None
-    by_name: dict = field(repr=False)
+    level_grids: tuple = field(repr=False)
+    pruned: bool = False
     grids: int = 0
     fallback_rows: int | None = None
     face_normal_forms: int | None = None
@@ -545,8 +565,19 @@ class MappingSpace:
         return self.verdict == "stable"
 
     @cached_property
+    def numbers(self):
+        """Per level, simplex name -> number (in "pi0" detail, level 0 only)."""
+        if self.sset is not None:
+            return self.sset.number
+        return ({name: n for n, name in enumerate(self.vertices)},)
+
+    @cached_property
     def by_grid(self):
-        return {grid: name for name, grid in self.by_name.items()}
+        return {grid: n for grids in self.level_grids for n, grid in enumerate(grids)}
+
+    def grid(self, level, name):
+        """The grid of morphism numbers of the level-``level`` simplex ``name``."""
+        return self.level_grids[level][self.numbers[level][name]]
 
 
 def _stability(partition, sub):
@@ -594,60 +625,60 @@ def _mapping_space(ctx: _Context, x, y, truncation, w_max, detail) -> MappingSpa
             extension_rows += _grow(ctx, x, pattern, (row,), (), _identity_mask(identities, row),
                                     truncation, simplices)
 
-    name_of = _namer(ctx.cat.morphisms)
     # Keep only simplices all of whose iterated faces are representable:
     # over a partially represented ambient category a face can need a
     # composite outside the width bound, and such simplices cannot be
-    # carried in the truncated data.  ``kept[k]`` maps a grid to its
-    # name; ``memo`` maps a dropped grid to its normal form, or False
-    # when that needs a missing composite, seeded with the vertices.
-    kept = [{grid: name_of(grid) for grid in simplices[0]}]
+    # carried in the truncated data.  Each level is sorted by (width,
+    # name) as soon as it is kept, so the level above finds its faces by
+    # number in ``below`` (grid -> number); ``memo`` maps a dropped grid
+    # to its normal form, or False when that needs a missing composite,
+    # seeded with the vertices.
+    name_of = _namer(ctx.cat.morphisms)
     memo = {grid: grid for grid in simplices[0]}
-    face_cache = {}
     pruned = False
-    for k in range(1, truncation + 1):
-        below, level_kept = kept[k - 1], {}
+    levels, level_grids, faces, degeneracies = [], [], [()], []
+    below = None
+    for k in range(truncation + 1):
+        kept, images = [], []
         for grid in simplices[k]:
             try:
-                images = [_face(ctx, grid, i, memo) for i in range(k + 1)]
+                numbers = [below.get(_face(ctx, grid, i, memo)) for i in range(k + 1)] if k else ()
             except CompositionUnavailable:
+                numbers = (None,)
+            if None in numbers:
                 pruned = True
-                continue
-            if all(img in below for img in images):
-                name = level_kept[grid] = name_of(grid)
-                for i, img in enumerate(images):
-                    face_cache[(k, name, i)] = below[img]
             else:
-                pruned = True
-        kept.append(level_kept)
-
-    levels = [tuple(name for _, name in sorted((len(g[0]), name) for g, name in level.items()))
-              for level in kept]
-    degeneracies = {}
-    for k in range(truncation):
-        for grid, name in kept[k].items():
-            for i in range(k + 1):
-                img = kept[k + 1].get(_degeneracy(ctx, grid, i))
-                if img is None:
-                    raise ConsistencyError("degeneracy left the kept set")
-                degeneracies[(k, name, i)] = img
-    sset = TruncatedSimplicialSet(truncation, levels, face_cache, degeneracies)
-    by_name = {name: grid for level in kept for grid, name in level.items()}
+                kept.append(grid)
+                images.append(numbers)
+        names = [name_of(grid) for grid in kept]
+        order = sorted(range(len(kept)), key=lambda n: (len(kept[n][0]), names[n]))
+        levels.append(tuple(names[n] for n in order))
+        level_grids.append(tuple(kept[n] for n in order))
+        below = {grid: n for n, grid in enumerate(level_grids[k])}
+        if k:
+            faces.append([[images[n][i] for n in order] for i in range(k + 1)])
+            degeneracies.append([[below.get(_degeneracy(ctx, grid, i))
+                                  for grid in level_grids[k - 1]] for i in range(k)])
+            if any(None in column for column in degeneracies[-1]):
+                raise ConsistencyError("degeneracy left the kept set")
+    sset = TruncatedSimplicialSet(truncation, levels, faces, degeneracies)
 
     # levels[1] is sorted by width: the snapshot before the first edge of
     # width w_max is the partition one width bound lower
-    components = UnionFind(levels[0])
+    vertices = range(len(levels[0]))
+    components = UnionFind(vertices)
     sub = None
-    sub_names = [name for name in levels[0] if len(by_name[name][0]) < w_max]
-    for s in levels[1]:
-        if sub is None and len(by_name[s][0]) == w_max:
-            sub = Partition.of(components, sub_names)
-        components.union(face_cache[(1, s, 1)], face_cache[(1, s, 0)])
+    narrow = [n for n in vertices if len(level_grids[0][n][0]) < w_max]
+    for grid, a, b in zip(level_grids[1], faces[1][1], faces[1][0]):
+        if sub is None and len(grid[0]) == w_max:
+            sub = Partition.of(components, narrow)
+        components.union(a, b)
     if sub is None:
-        sub = Partition.of(components, sub_names)
-    partition = Partition.of(components, levels[0])
+        sub = Partition.of(components, narrow)
+    partition = Partition.of(components, vertices)
     verdict = "bound_limited" if pruned else _stability(partition, sub)
-    return MappingSpace(x, y, truncation, w_max, verdict, levels[0], partition, sset, by_name,
+    return MappingSpace(x, y, truncation, w_max, verdict, levels[0],
+                        partition.renamed(levels[0]), sset, tuple(level_grids), pruned,
                         len(levels[1]), face_normal_forms=len(memo) - len(simplices[0]),
                         extension_rows=extension_rows)
 
@@ -697,7 +728,8 @@ def _pi0_mapping_space(ctx: _Context, x, y, truncation, w_max) -> MappingSpace:
     partition = Partition.of(components, order)
     return MappingSpace(x, y, truncation, w_max, _stability(partition, sub),
                         tuple(names[n] for n in order), partition.renamed(names), None,
-                        {names[n]: found[n] for n in order}, grids, fallback_rows)
+                        (tuple(found[n] for n in order),), grids=grids,
+                        fallback_rows=fallback_rows)
 
 
 def _pi0_edges(ctx: _Context, pattern, rows0, row_numbers):
@@ -969,8 +1001,14 @@ class Localization:
 
 def _composite(r, pairs, w_max, counts, x, y, z, level, g_name, f_name):
     """:meth:`Localization.composite` on the localization's parts."""
-    return bounded_composite(r, pairs[(y, z)].by_name[g_name], pairs[(x, y)].by_name[f_name],
-                             w_max, pairs[(x, z)].by_grid, counts)
+    target = pairs[(x, z)]
+    number = bounded_composite(r, pairs[(y, z)].grid(level, g_name),
+                               pairs[(x, y)].grid(level, f_name), w_max, target.by_grid,
+                               counts, target.pruned)
+    if number is None:
+        return None
+    # level 0 is the vertices in either detail
+    return (target.sset.levels[level] if level else target.vertices)[number]
 
 
 def hammock_localization(r: RelativeCategory, truncation: int, w_max: int,
@@ -1056,14 +1094,18 @@ class RelscatLocalization:
         self.row_spaces = {(x, y, n): ms for n, loc in enumerate(self.levels)
                            for (x, y), ms in loc.pairs.items()}
 
-        # face and degeneracy maps, once each, from level n to level m
+        # face and degeneracy maps, once each, from level n to level m, on
+        # morphism numbers: a level category numbers its morphisms hom by
+        # hom, each hom's simplices in level order (scat.level_category)
+        homs = [ambient.homs[(x, y)] for x in ambient.objects for y in ambient.objects]
         outer = {}
         for n, kind, m in ([(n, "d", n - 1) for n in range(1, truncation + 1)]
                            + [(n, "s", n + 1) for n in range(truncation)]):
-            source, index = self.level_rel[n].cat.morphisms, self.level_rel[m].cat.mor_index
+            starts = list(itertools.accumulate((len(hom.levels[m]) for hom in homs), initial=0))
+            tables = [(hom.faces if kind == "d" else hom.degeneracies)[n] for hom in homs]
             for i in range(n + 1):
-                image = scat_mod.level_map(ambient, n, kind, i)
-                outer[(n, kind, i)] = [index[image[a]] for a in source]
+                outer[(n, kind, i)] = [start + s for start, table in zip(starts, tables)
+                                       for s in table[i]]
         self.diag_homs = {}
         for x in ambient.objects:
             for y in ambient.objects:
@@ -1075,15 +1117,18 @@ class RelscatLocalization:
     def _diagonal(self, x, y, outer):
         """The diagonal hom from x to y and its :class:`DiagonalCounts`."""
         spaces = [self.row_spaces[(x, y, n)] for n in range(self.truncation + 1)]
-        levels = [ms.sset.level(n) for n, ms in enumerate(spaces)]
-        faces, degeneracies = {}, {}
+        faces = [()] + [[None] * (n + 1) for n in range(1, self.truncation + 1)]
+        degeneracies = [[None] * (n + 1) for n in range(self.truncation)]
         reduced = {}  # (target level, image grid) -> its normal form
         images = 0
         for (n, kind, i), image_of in outer.items():
             m = n - 1 if kind == "d" else n + 1
             cat, target = self.level_rel[m].cat, spaces[m]
-            for name in levels[n]:
-                directions, rows, layers = spaces[n].by_name[name]
+            # inner level n of the level-m space, then its inner face or
+            # degeneracy: diagonal level m
+            inner = (target.sset.faces[n] if kind == "d" else target.sset.degeneracies[n])[i]
+            column = []
+            for directions, rows, layers in spaces[n].level_grids[n]:
                 grid = directions, _mapped(image_of, rows), _mapped(image_of, layers)
                 images += 1
                 if kind == "d":
@@ -1094,10 +1139,9 @@ class RelscatLocalization:
                 image = target.by_grid.get(grid)
                 if image is None:
                     raise ConsistencyError("entrywise image missing from enumeration")
-                if kind == "d":
-                    faces[(n, name, i)] = target.sset.face(n, i, image)
-                else:
-                    degeneracies[(n, name, i)] = target.sset.degeneracy(n, i, image)
+                column.append(inner[image])
+            (faces if kind == "d" else degeneracies)[n][i] = tuple(column)
+        levels = [space.sset.levels[n] for n, space in enumerate(spaces)]
         sset = TruncatedSimplicialSet(self.truncation, levels, faces, degeneracies)
         return sset, DiagonalCounts(images, len(reduced))
 

@@ -24,7 +24,6 @@ from .simplicial import (
     boundary_matrix,
     homology,
     pi0,
-    rational_kernel_basis,
     rational_rank,
     validate_sset,
 )
@@ -134,12 +133,11 @@ def promote(c: FiniteCategory, truncation: int = 2) -> TruncatedSimplicialCatego
     for x in c.objects:
         for y in c.objects:
             names = tuple(c.hom(x, y))
-            faces = {(k, name, i): name
-                     for k in range(1, truncation + 1) for name in names for i in range(k + 1)}
-            degeneracies = {(k, name, i): name
-                            for k in range(truncation) for name in names for i in range(k + 1)}
+            same = tuple(range(len(names)))
             homs[(x, y)] = TruncatedSimplicialSet(
-                truncation, [names] * (truncation + 1), faces, degeneracies
+                truncation, [names] * (truncation + 1),
+                [()] + [(same,) * (k + 1) for k in range(1, truncation + 1)],
+                [(same,) * (k + 1) for k in range(truncation)],
             )
     table = {}
     for (g, f), h in c.table.items():
@@ -612,50 +610,39 @@ def _induced_pi0_map(fun, x, y, src_part, tgt_part):
 
 
 def _chain_map_matrix(fun, x, y, level, src_hom, tgt_hom):
+    """The chain map on normalized level-``level`` chains: a 0/1 matrix
+    from the nondegenerate simplices of ``src_hom`` to those of
+    ``tgt_hom``, by number (a degenerate image is zero)."""
+    names, number = src_hom.levels[level], tgt_hom.number[level]
     src_basis = src_hom.nondegenerate(level)
-    tgt_basis = tgt_hom.nondegenerate(level)
-    tgt_index = {name: i for i, name in enumerate(tgt_basis)}
-    matrix = [[0] * len(src_basis) for _ in tgt_basis]
+    tgt_index = {t: i for i, t in enumerate(tgt_hom.nondegenerate(level))}
+    matrix = [[0] * len(src_basis) for _ in tgt_index]
     for j, s in enumerate(src_basis):
-        image = fun.simplex_map[(x, y, level, s)]
-        i = tgt_index.get(image)
+        i = tgt_index.get(number[fun.simplex_map[(x, y, level, names[s])]])
         if i is not None:
             matrix[i][j] = 1
     return matrix
 
 
 def _induced_homology_iso(fun, x, y, level, src_hom, tgt_hom, src_report, tgt_report):
-    """Rank-over-Q check that H_level of the mapped pair is an iso,
-    given equal free ranks and torsion."""
-    if src_report.group(level).free_rank != tgt_report.group(level).free_rank:
+    """Rank-over-Q check that H_level of the mapped pair is an iso, given
+    equal free ranks and torsion.  With F the chain map, D the source
+    boundary out of level ``level`` and B the target boundary into it,
+    the induced map is onto over Q, hence an iso, when
+    dim(F(ker D) + im B) - rank B is the Betti number, and
+    dim(F(ker D) + im B) = rank [[F, B], [D, 0]] - rank D."""
+    group = src_report.group(level)
+    if group != tgt_report.group(level):
         return False
-    if src_report.group(level).torsion != tgt_report.group(level).torsion:
-        return False
-    betti = src_report.group(level).free_rank
-    if betti == 0:
+    if group.free_rank == 0:
         return True
-    del_src, _, _ = boundary_matrix(src_hom, level)
-    kernel = rational_kernel_basis(del_src) if del_src and del_src[0] else [
-        [1 if i == j else 0 for i in range(len(src_hom.nondegenerate(level)))]
-        for j in range(len(src_hom.nondegenerate(level)))
-    ]
     fmat = _chain_map_matrix(fun, x, y, level, src_hom, tgt_hom)
-    mapped = [
-        [sum(fmat[i][k] * vec[k] for k in range(len(vec))) for vec in kernel]
-        for i in range(len(fmat))
-    ]
-    if level + 1 <= tgt_hom.truncation:
-        del_tgt, _, _ = boundary_matrix(tgt_hom, level + 1)
-    else:
-        del_tgt = []
-    image_cols = len(del_tgt[0]) if del_tgt and del_tgt[0] else 0
-    combined = [
-        mapped[i] + (del_tgt[i] if image_cols else [])
-        for i in range(len(fmat))
-    ]
-    rank_image = rational_rank(del_tgt) if image_cols else 0
-    rank_combined = rational_rank(combined) if combined and combined[0] else 0
-    return rank_combined - rank_image == betti
+    del_src = boundary_matrix(src_hom, level)[0]
+    del_tgt, _, tgt_cols = boundary_matrix(tgt_hom, level + 1)
+    block = ([f + b for f, b in zip(fmat, del_tgt)]
+             + [d + [0] * len(tgt_cols) for d in del_src])
+    return (rational_rank(block) - rational_rank(del_src) - rational_rank(del_tgt)
+            == group.free_rank)
 
 
 def check_dk(fun: SimplicialFunctor, budget: int = 1_000_000) -> DkCertificate:
@@ -777,17 +764,3 @@ def level_category(a: TruncatedSimplicialCategory, n: int) -> FiniteCategory:
                     level_morphism_name(x, z, h)
                 )
     return FiniteCategory(a.objects, morphisms, dom, cod, identity, table)
-
-
-def level_map(a: TruncatedSimplicialCategory, source_level: int, kind: str, i: int) -> dict:
-    """The face (kind='d') or degeneracy (kind='s') map on level-morphism
-    names, read off the hom simplicial sets."""
-    mmap = {}
-    for x in a.objects:
-        for y in a.objects:
-            sset = a.homs[(x, y)]
-            for s in sset.level(source_level):
-                img = (sset.face(source_level, i, s) if kind == "d"
-                       else sset.degeneracy(source_level, i, s))
-                mmap[level_morphism_name(x, y, s)] = level_morphism_name(x, y, img)
-    return mmap

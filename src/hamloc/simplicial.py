@@ -1,10 +1,12 @@
 """Truncated simplicial sets: operators, nerves, components, homology.
 
-A ``TruncatedSimplicialSet`` stores simplex names per level together
-with the face/degeneracy generator actions; general operators act via
-the canonical epi-mono factorization.  Homology is taken of the
-normalized chain complex over exact integers (hand-rolled Smith normal
-form, no overflow at desk scale).
+A ``TruncatedSimplicialSet`` numbers the simplices of each level and
+stores the face/degeneracy generator actions as tuples of numbers, one
+per generator; names are kept for the boundary, and one converter reads
+maps given by name.  Components, the simplicial identities, homology and
+general operators (via the canonical epi-mono factorization) run on the
+numbers.  Homology is taken of the normalized chain complex over exact
+integers (hand-rolled Smith normal form, no overflow at desk scale).
 """
 
 from __future__ import annotations
@@ -78,141 +80,156 @@ def monotone_maps(m, n):
 
 
 class TruncatedSimplicialSet:
-    """Simplex names per level 0..N with generator face/degeneracy maps.
+    """Numbered simplices per level 0..N with generator face/degeneracy maps.
 
-    ``faces[(k, name, i)]`` is d_i of a level-k simplex (1 <= k <= N);
-    ``degeneracies[(k, name, i)]`` is s_i of a level-k simplex (k < N).
+    ``levels[k]`` holds the simplex names of level k in order, and
+    ``number[k]`` maps a name to its position there, its number.
+    ``faces[k][i]`` gives, by number, the number of d_i of each level-k
+    simplex (1 <= k <= N; ``faces[0]`` is empty); ``degeneracies[k][i]``
+    gives s_i likewise (k < N).  Only :meth:`level`, :meth:`has_simplex`,
+    :meth:`face`, :meth:`degeneracy`, :meth:`to_json` and
+    :meth:`from_named` speak names.
     """
 
-    __slots__ = ("truncation", "levels", "faces", "degeneracies", "_level_sets", "_degenerate")
+    __slots__ = ("truncation", "levels", "number", "faces", "degeneracies")
 
     def __init__(self, truncation, levels, faces, degeneracies):
         self.truncation = int(truncation)
         self.levels = tuple(tuple(level) for level in levels)
-        self.faces = dict(faces)
-        self.degeneracies = dict(degeneracies)
+        self.faces = tuple(tuple(map(tuple, table)) for table in faces)
+        self.degeneracies = tuple(tuple(map(tuple, table)) for table in degeneracies)
         if self.truncation < 0:
             raise InputError("truncation must be >= 0")
         if len(self.levels) != self.truncation + 1:
             raise InputError("levels must cover 0..truncation")
-        for level in self.levels:
-            if len(set(level)) != len(level):
-                raise InputError("duplicate simplex names within a level")
-        self._level_sets = tuple(frozenset(level) for level in self.levels)
-        degenerate = [set() for _ in range(self.truncation + 1)]
-        for (k, name, i), img in self.degeneracies.items():
-            degenerate[k + 1].add(img)
-        self._degenerate = tuple(frozenset(s) for s in degenerate)
+        self.number = tuple({name: n for n, name in enumerate(level)} for level in self.levels)
+        if any(len(number) != len(level) for number, level in zip(self.number, self.levels)):
+            raise InputError("duplicate simplex names within a level")
 
     def level(self, k):
         return self.levels[k]
 
     def has_simplex(self, k, name):
-        return name in self._level_sets[k]
+        return name in self.number[k]
 
     def face(self, k, i, name):
-        return self.faces[(k, name, i)]
+        return self.levels[k - 1][self.faces[k][i][self.number[k][name]]]
 
     def degeneracy(self, k, i, name):
-        return self.degeneracies[(k, name, i)]
+        return self.levels[k + 1][self.degeneracies[k][i][self.number[k][name]]]
 
     def nondegenerate(self, k):
-        return tuple(s for s in self.levels[k] if s not in self._degenerate[k])
+        """The numbers of the level-k simplices that are not degeneracies."""
+        degenerate = set().union(*self.degeneracies[k - 1]) if k else ()
+        return tuple(s for s in range(len(self.levels[k])) if s not in degenerate)
 
     def to_json(self):
+        levels = self.levels
         return {
             "truncation": self.truncation,
-            "levels": [list(level) for level in self.levels],
-            "faces": {
-                str(k): {name: [self.faces[(k, name, i)] for i in range(k + 1)]
-                         for name in self.levels[k]}
-                for k in range(1, self.truncation + 1)
-            },
-            "degeneracies": {
-                str(k): {name: [self.degeneracies[(k, name, i)] for i in range(k + 1)]
-                         for name in self.levels[k]}
-                for k in range(0, self.truncation)
-            },
+            "levels": [list(level) for level in levels],
+            "faces": {str(k): _named(levels[k], self.faces[k], levels[k - 1])
+                      for k in range(1, self.truncation + 1)},
+            "degeneracies": {str(k): _named(levels[k], self.degeneracies[k], levels[k + 1])
+                             for k in range(0, self.truncation)},
         }
+
+    @staticmethod
+    def from_named(truncation, levels, faces, degeneracies) -> "TruncatedSimplicialSet":
+        """The set whose maps are given by name in the JSON shape
+        ``faces[k][name] = [d_0, ..., d_k]`` (likewise ``degeneracies``),
+        with integer levels k.  Levels outside 1..N (0..N-1 for
+        degeneracies), names outside ``levels`` and images past the k+1st
+        are ignored.  A missing image is stored as None and an unknown one
+        as -1; :func:`validate_sset` reports both."""
+        x = TruncatedSimplicialSet(truncation, levels, (), ())
+        N, levels, number = x.truncation, x.levels, x.number
+        x.faces = ((),) + tuple(_numbered(faces.get(k, {}), levels[k], number[k - 1], k + 1)
+                                for k in range(1, N + 1))
+        x.degeneracies = tuple(_numbered(degeneracies.get(k, {}), levels[k], number[k + 1], k + 1)
+                               for k in range(N))
+        return x
 
     @staticmethod
     def from_json(data) -> "TruncatedSimplicialSet":
         try:
             truncation = data["truncation"]
             levels = data["levels"]
-            faces = {}
-            for k_str, entries in data.get("faces", {}).items():
-                k = int(k_str)
-                for name, imgs in entries.items():
-                    for i, img in enumerate(imgs):
-                        faces[(k, name, i)] = img
-            degeneracies = {}
-            for k_str, entries in data.get("degeneracies", {}).items():
-                k = int(k_str)
-                for name, imgs in entries.items():
-                    for i, img in enumerate(imgs):
-                        degeneracies[(k, name, i)] = img
-            names = (*(n for level in levels for n in level), *faces.values(),
-                     *degeneracies.values())
+            faces, degeneracies = {}, {}
+            for table, named in ((data.get("faces", {}), faces),
+                                 (data.get("degeneracies", {}), degeneracies)):
+                for k_str, entries in table.items():
+                    per_name = named.setdefault(int(k_str), {})
+                    for name, images in entries.items():
+                        # a level spelled twice ("1", "01") overrides image by image
+                        images = list(images)
+                        per_name[name] = images + per_name.get(name, [])[len(images):]
+            names = (*(n for level in levels for n in level),
+                     *(img for named in (faces, degeneracies) for per_name in named.values()
+                       for images in per_name.values() for img in images))
             if not all(isinstance(n, str) for n in names):
                 raise InputError("simplex names must be strings")
-            return TruncatedSimplicialSet(truncation, levels, faces, degeneracies)
+            return TruncatedSimplicialSet.from_named(truncation, levels, faces, degeneracies)
         except MALFORMED as exc:
             raise InputError(f"malformed simplicial-set JSON: {exc}") from exc
+
+
+def _named(names, table, target):
+    """``{name: [image names by i]}`` of a number table on ``names``."""
+    return {name: [target[column[s]] for column in table] for s, name in enumerate(names)}
+
+
+def _numbered(named, names, target, count):
+    """The number table of ``count`` maps given by name (``named[name]``
+    lists the images), on the simplices ``names``, into the numbering
+    ``target``: None for a missing image, -1 for an unknown one."""
+    return tuple(
+        tuple(None if i >= len(images) else target.get(images[i], -1)
+              for images in (named.get(name, ()) for name in names))
+        for i in range(count))
 
 
 def validate_sset(x: TruncatedSimplicialSet) -> list[str]:
     """Totality, typing and the simplicial identities, exhaustively."""
     report = []
-    N = x.truncation
-    for k in range(1, N + 1):
-        for name in x.levels[k]:
-            for i in range(k + 1):
-                img = x.faces.get((k, name, i))
+    N, levels, F, S = x.truncation, x.levels, x.faces, x.degeneracies
+    for k, table, kind, op in ([(k, F[k], "face", "d") for k in range(1, N + 1)]
+                               + [(k, S[k], "degeneracy", "s") for k in range(N)]):
+        for s, name in enumerate(levels[k]):
+            for i, column in enumerate(table):
+                img = column[s]
                 if img is None:
-                    report.append(f"missing face: d_{i} of {name} at level {k}")
-                elif not x.has_simplex(k - 1, img):
-                    report.append(f"face image unknown: d_{i} of {name} at level {k}")
-    for k in range(0, N):
-        for name in x.levels[k]:
-            for i in range(k + 1):
-                img = x.degeneracies.get((k, name, i))
-                if img is None:
-                    report.append(f"missing degeneracy: s_{i} of {name} at level {k}")
-                elif not x.has_simplex(k + 1, img):
-                    report.append(f"degeneracy image unknown: s_{i} of {name} at level {k}")
+                    report.append(f"missing {kind}: {op}_{i} of {name} at level {k}")
+                elif img < 0:
+                    report.append(f"{kind} image unknown: {op}_{i} of {name} at level {k}")
     if report:
         return report
     for k in range(2, N + 1):
-        for name in x.levels[k]:
+        for s, name in enumerate(levels[k]):
             for j in range(k + 1):
                 for i in range(j):
-                    lhs = x.face(k - 1, i, x.face(k, j, name))
-                    rhs = x.face(k - 1, j - 1, x.face(k, i, name))
-                    if lhs != rhs:
+                    if F[k - 1][i][F[k][j][s]] != F[k - 1][j - 1][F[k][i][s]]:
                         report.append(f"d_{i} d_{j} != d_{j-1} d_{i} at {name} (level {k})")
     for k in range(0, N - 1):
-        for name in x.levels[k]:
+        for s, name in enumerate(levels[k]):
             for j in range(k + 1):
                 for i in range(j + 1):
-                    lhs = x.degeneracy(k + 1, i, x.degeneracy(k, j, name))
-                    rhs = x.degeneracy(k + 1, j + 1, x.degeneracy(k, i, name))
-                    if lhs != rhs:
+                    if S[k + 1][i][S[k][j][s]] != S[k + 1][j + 1][S[k][i][s]]:
                         report.append(f"s_{i} s_{j} != s_{j+1} s_{i} at {name} (level {k})")
     for k in range(0, N):
-        for name in x.levels[k]:
+        for s, name in enumerate(levels[k]):
             for j in range(k + 1):
-                sj = x.degeneracy(k, j, name)
+                sj = S[k][j][s]
                 for i in range(k + 2):
-                    img = x.face(k + 1, i, sj)
+                    img = F[k + 1][i][sj]
                     if i == j or i == j + 1:
-                        if img != name:
+                        if img != s:
                             report.append(f"d_{i} s_{j} != id at {name} (level {k})")
                     elif i < j:
-                        if k >= 1 and img != x.degeneracy(k - 1, j - 1, x.face(k, i, name)):
+                        if k >= 1 and img != S[k - 1][j - 1][F[k][i][s]]:
                             report.append(f"d_{i} s_{j} != s_{j-1} d_{i} at {name} (level {k})")
                     else:
-                        if k >= 1 and img != x.degeneracy(k - 1, j, x.face(k, i - 1, name)):
+                        if k >= 1 and img != S[k - 1][j][F[k][i - 1][s]]:
                             report.append(f"d_{i} s_{j} != s_{j} d_{i-1} at {name} (level {k})")
     return report
 
@@ -244,11 +261,12 @@ def apply_operator(x: TruncatedSimplicialSet, op: SimplicialOperator, name):
     """Act on a level-``target_dim`` simplex, landing in ``source_dim``."""
     if op.target_dim > x.truncation or op.source_dim > x.truncation:
         raise InputError("operator exceeds truncation")
-    if not x.has_simplex(op.target_dim, name):
+    s = x.number[op.target_dim].get(name)
+    if s is None:
         raise InputError(f"unknown simplex {name!r} at level {op.target_dim}")
     for kind, k, i in operator_steps(op):
-        name = x.face(k, i, name) if kind == "d" else x.degeneracy(k, i, name)
-    return name
+        s = (x.faces[k] if kind == "d" else x.degeneracies[k])[i][s]
+    return x.levels[op.source_dim][s]
 
 
 # --- nerve ----------------------------------------------------------------
@@ -276,31 +294,26 @@ def nerve(c: FiniteCategory, truncation: int) -> TruncatedSimplicialSet:
         chains[k] = level_chains
         levels.append(tuple(_chain_name(ch) for ch in level_chains))
 
-    faces = {}
-    degeneracies = {}
+    faces = {k: {} for k in range(1, truncation + 1)}
+    degeneracies = {k: {} for k in range(truncation)}
     for k in range(1, truncation + 1):
         for chain in chains[k]:
-            name = _chain_name(chain)
             if k == 1:
-                faces[(1, name, 0)] = c.cod[chain[0]]
-                faces[(1, name, 1)] = c.dom[chain[0]]
+                faces[1][chain[0]] = [c.cod[chain[0]], c.dom[chain[0]]]
                 continue
-            faces[(k, name, 0)] = _chain_name(chain[1:])
-            faces[(k, name, k)] = _chain_name(chain[:-1])
-            for i in range(1, k):
-                merged = chain[:i - 1] + (c.compose(chain[i], chain[i - 1]),) + chain[i + 1:]
-                faces[(k, name, i)] = _chain_name(merged)
+            faces[k][_chain_name(chain)] = [_chain_name(chain[1:])] + [
+                _chain_name(chain[:i - 1] + (c.compose(chain[i], chain[i - 1]),) + chain[i + 1:])
+                for i in range(1, k)] + [_chain_name(chain[:-1])]
     for k in range(0, truncation):
         for chain in chains[k]:
-            name = _chain_name(chain) if k > 0 else chain[0]
+            if k == 0:
+                degeneracies[0][chain[0]] = [c.identity[chain[0]]]
+                continue
+            images = degeneracies[k][_chain_name(chain)] = []
             for i in range(k + 1):
-                if k == 0:
-                    degeneracies[(0, name, 0)] = c.identity[chain[0]]
-                else:
-                    obj = c.dom[chain[0]] if i == 0 else c.cod[chain[i - 1]]
-                    expanded = chain[:i] + (c.identity[obj],) + chain[i:]
-                    degeneracies[(k, name, i)] = _chain_name(expanded)
-    return TruncatedSimplicialSet(truncation, levels, faces, degeneracies)
+                obj = c.dom[chain[0]] if i == 0 else c.cod[chain[i - 1]]
+                images.append(_chain_name(chain[:i] + (c.identity[obj],) + chain[i:]))
+    return TruncatedSimplicialSet.from_named(truncation, levels, faces, degeneracies)
 
 
 # --- components -----------------------------------------------------------
@@ -313,14 +326,6 @@ class Partition:
     elements: tuple
     class_of: dict
     classes: tuple
-
-    @staticmethod
-    def from_pairs(elements, pairs) -> "Partition":
-        elements = tuple(elements)
-        uf = UnionFind(elements)
-        for a, b in pairs:
-            uf.union(a, b)
-        return Partition.of(uf, elements)
 
     @staticmethod
     def of(uf: UnionFind, elements) -> "Partition":
@@ -344,11 +349,11 @@ def pi0(x: TruncatedSimplicialSet) -> Partition:
     """Connected components of the level-0 simplices along level-1 edges."""
     if x.truncation < 1:
         raise InputError("components need truncation >= 1")
-    pairs = [
-        (x.face(1, 1, s), x.face(1, 0, s))
-        for s in x.levels[1]
-    ]
-    return Partition.from_pairs(x.levels[0], pairs)
+    vertices = range(len(x.levels[0]))
+    components = UnionFind(vertices)
+    for a, b in zip(x.faces[1][1], x.faces[1][0]):
+        components.union(a, b)
+    return Partition.of(components, vertices).renamed(x.levels[0])
 
 
 # --- integral homology ----------------------------------------------------
@@ -416,47 +421,24 @@ def smith_diagonal(rows: list) -> list:
     return divisors
 
 
-def _rational_echelon(rows: list):
-    """Reduced row echelon form over Q by Gaussian elimination: the
-    reduced rows and the pivot column of each nonzero one, in order."""
+def rational_rank(rows: list) -> int:
+    """Rank over Q, by Gaussian elimination."""
     A = [[Fraction(v) for v in r] for r in rows]
-    n = len(A[0]) if A else 0
-    pivots = []
-    for col in range(n):
-        rank = len(pivots)
+    rank = 0
+    for col in range(len(A[0]) if A else 0):
         piv = next((i for i in range(rank, len(A)) if A[i][col]), None)
         if piv is None:
             continue
         A[rank], A[piv] = A[piv], A[rank]
-        scale = A[rank][col]
-        A[rank] = [a / scale for a in A[rank]]
-        for i, row in enumerate(A):
-            if i != rank and row[col]:
-                factor = row[col]
-                A[i] = [a - factor * b for a, b in zip(row, A[rank])]
-        pivots.append(col)
-        if len(pivots) == len(A):
+        pivot = A[rank]
+        for i in range(rank + 1, len(A)):
+            if A[i][col]:
+                factor = A[i][col] / pivot[col]
+                A[i] = [a - factor * b for a, b in zip(A[i], pivot)]
+        rank += 1
+        if rank == len(A):
             break
-    return A, pivots
-
-
-def rational_rank(rows: list) -> int:
-    return len(_rational_echelon(rows)[1])
-
-
-def rational_kernel_basis(rows: list) -> list:
-    """Basis of the rational kernel (list of column vectors as lists)."""
-    A, pivots = _rational_echelon(rows)
-    n = len(A[0]) if A else 0
-    free = [j for j in range(n) if j not in pivots]
-    basis = []
-    for j in free:
-        vec = [Fraction(0)] * n
-        vec[j] = Fraction(1)
-        for rix, col in enumerate(pivots):
-            vec[col] = -A[rix][j]
-        basis.append(vec)
-    return basis
+    return rank
 
 
 @dataclass(frozen=True)
@@ -488,15 +470,15 @@ class ChainComplexReport:
 
 
 def boundary_matrix(x: TruncatedSimplicialSet, k: int):
-    """Normalized boundary from level k to level k-1 (integer matrix)."""
+    """Normalized boundary from level k to level k-1 (integer matrix),
+    with the numbers of its row and column simplices."""
     rows_basis = x.nondegenerate(k - 1)
     cols_basis = x.nondegenerate(k)
-    row_index = {name: i for i, name in enumerate(rows_basis)}
+    row_index = {s: r for r, s in enumerate(rows_basis)}
     matrix = [[0] * len(cols_basis) for _ in rows_basis]
-    for j, name in enumerate(cols_basis):
-        for i in range(k + 1):
-            img = x.face(k, i, name)
-            r = row_index.get(img)
+    for i, column in enumerate(x.faces[k]):
+        for j, s in enumerate(cols_basis):
+            r = row_index.get(column[s])
             if r is not None:
                 matrix[r][j] += (-1) ** i
     return matrix, rows_basis, cols_basis

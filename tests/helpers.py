@@ -90,10 +90,11 @@ def validate_hammock(r: RelativeCategory, h: Hammock) -> list[str]:
     return report
 
 
-def simplex_hammock(r: RelativeCategory, ms, name) -> Hammock:
-    """The simplex ``name`` of the mapping space ``ms`` over ``r``, a grid
-    of morphism numbers, as a :class:`Hammock` with named entries."""
-    directions, rows, layers = ms.by_name[name]
+def simplex_hammock(r: RelativeCategory, ms, level, name) -> Hammock:
+    """The level-``level`` simplex ``name`` of the mapping space ``ms``
+    over ``r``, a grid of morphism numbers, as a :class:`Hammock` with
+    named entries."""
+    directions, rows, layers = ms.grid(level, name)
     named = r.cat.morphisms
     return Hammock(ms.x, ms.y if directions else ms.x, directions,
                    [[named[m] for m in row] for row in rows],
@@ -103,7 +104,7 @@ def simplex_hammock(r: RelativeCategory, ms, name) -> Hammock:
 def vertex_hammocks(r: RelativeCategory, ms) -> list:
     """The vertices of the mapping space ``ms`` over ``r`` as
     :class:`Hammock` objects, in order."""
-    return [simplex_hammock(r, ms, name) for name in ms.vertices]
+    return [simplex_hammock(r, ms, 0, name) for name in ms.vertices]
 
 
 def embed(r: RelativeCategory, loc: Localization) -> SimplicialFunctor:

@@ -23,12 +23,18 @@ reduction the confluence checks compare with.  Two references do run on
 the library's numbered context: the generator that derives every column
 step of a row's extensions anew, for the memoized column-step table
 (:func:`reference_extensions`), and ``repr`` of the mapped grid, for the
-namer (:func:`_grid_name`).
+namer (:func:`_grid_name`).  The induced homology check through a
+rational kernel basis is the reference for the block-rank check
+(:func:`reference_induced_homology_iso`).  :func:`level_map` gives an
+ambient's face and degeneracy maps on level-morphism names, which the
+dimensionwise localization reads as numbers, and :func:`sset_from_keyed`
+reads the earlier ``(k, name, i)`` dicts of the references.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import cached_property
 
 from hamloc import instances as inst
@@ -52,8 +58,9 @@ from hamloc.relcat import OracleHomSet, RelativeCategory
 from hamloc.scat import (
     RelativeSimplicialCategory,
     TruncatedSimplicialCategory,
+    _chain_map_matrix,
     level_category,
-    level_map,
+    level_morphism_name,
     promote,
     sub_from_morphisms,
 )
@@ -61,16 +68,32 @@ from hamloc.simplicial import (
     Partition,
     SimplicialOperator,
     TruncatedSimplicialSet,
+    boundary_matrix,
     compose_operators,
     monotone_maps,
     operator_steps,
+    rational_rank,
 )
 from helpers import row_vertices, simplex_hammock
 
 
+def level_map(a: TruncatedSimplicialCategory, source_level: int, kind: str, i: int) -> dict:
+    """The face (kind='d') or degeneracy (kind='s') map on level-morphism
+    names, read off the hom simplicial sets."""
+    mmap = {}
+    for x in a.objects:
+        for y in a.objects:
+            sset = a.homs[(x, y)]
+            for s in sset.level(source_level):
+                img = (sset.face(source_level, i, s) if kind == "d"
+                       else sset.degeneracy(source_level, i, s))
+                mmap[level_morphism_name(x, y, s)] = level_morphism_name(x, y, img)
+    return mmap
+
+
 def level_functor(a: TruncatedSimplicialCategory, source_level: int, kind: str, i: int) -> CatFunctor:
     """The face (kind='d') or degeneracy (kind='s') functor between level
-    categories, acting on morphism simplices as :func:`hamloc.scat.level_map`."""
+    categories, acting on morphism simplices as :func:`level_map`."""
     target_level = source_level - 1 if kind == "d" else source_level + 1
     return CatFunctor(level_category(a, source_level), level_category(a, target_level),
                       {x: x for x in a.objects}, level_map(a, source_level, kind, i))
@@ -822,6 +845,19 @@ def _grid_name(morphisms, grid) -> str:
     return hammock_name(directions, _mapped(morphisms, rows), _mapped(morphisms, layers))
 
 
+def sset_from_keyed(truncation, levels, faces, degeneracies) -> TruncatedSimplicialSet:
+    """The simplicial set whose face and degeneracy images are given by
+    name in dicts keyed ``(k, name, i)``, the earlier layout, read through
+    the library's one name-keyed converter."""
+    shaped = []
+    for keyed in (faces, degeneracies):
+        named = {}
+        for (k, name, i), image in sorted(keyed.items(), key=lambda item: item[0][2]):
+            named.setdefault(k, {}).setdefault(name, []).append(image)
+        shaped.append(named)
+    return TruncatedSimplicialSet.from_named(truncation, levels, *shaped)
+
+
 # --- full-detail hammock enumeration without the last-row mask or memos ----
 #
 # The reference for ``hamloc.hammock._mapping_space`` in "full" detail and
@@ -901,7 +937,7 @@ def _reference_mapping_space(ctx: _NamedContext, x, y, truncation, w_max) -> Map
                 if img not in kept[k + 1]:
                     raise ConsistencyError("degeneracy left the kept set")
                 degeneracies[(k, name, i)] = img
-    sset = TruncatedSimplicialSet(truncation, levels, face_cache, degeneracies)
+    sset = sset_from_keyed(truncation, levels, face_cache, degeneracies)
     by_name = {h.name: h for level in kept for h in level.values()}
 
     # levels[1] is sorted by width: the snapshot before the first edge of
@@ -915,8 +951,10 @@ def _reference_mapping_space(ctx: _NamedContext, x, y, truncation, w_max) -> Map
         sub = Partition.of(components, sub_names)
     partition = Partition.of(components, vertex_names)
     verdict = "bound_limited" if pruned else _stability(partition, sub)
-    return MappingSpace(x, y, truncation, w_max, verdict,
-                        tuple(vertices), partition, sset, by_name, len(levels[1]))
+    # the reference keeps each level's simplices as Hammock objects
+    return MappingSpace(x, y, truncation, w_max, verdict, tuple(vertices), partition, sset,
+                        level_grids=tuple(tuple(by_name[n] for n in level) for level in levels),
+                        pruned=pruned, grids=len(levels[1]))
 
 
 def _reference_grow(ctx, x, y, pattern, rows, grids, layers, truncation, note_simplex):
@@ -975,17 +1013,17 @@ def reference_diagonal(rl, x, y) -> TruncatedSimplicialSet:
         m = n - 1 if kind == "d" else n + 1
         rel, target = rl.level_rel[m], spaces[m]
         for name in levels[n]:
-            grid = _map_hammock(names, simplex_hammock(rl.level_rel[n], spaces[n], name))
+            grid = _map_hammock(names, simplex_hammock(rl.level_rel[n], spaces[n], n, name))
             if kind == "d":
                 grid = _normal_form(rel.cat, *grid)
             image = hammock_name(*grid)
-            if image not in target.by_name:
+            if not target.sset.has_simplex(n, image):
                 raise ConsistencyError("entrywise image missing from enumeration")
             if kind == "d":
                 faces[(n, name, i)] = target.sset.face(n, i, image)
             else:
                 degeneracies[(n, name, i)] = target.sset.degeneracy(n, i, image)
-    return TruncatedSimplicialSet(rl.truncation, levels, faces, degeneracies)
+    return sset_from_keyed(rl.truncation, levels, faces, degeneracies)
 
 
 # --- pi0 mapping space on string-keyed rows -------------------------------
@@ -1030,9 +1068,9 @@ def reference_pi0_mapping_space(r: RelativeCategory, x, y, truncation, w_max) ->
 
     vertices.sort(key=lambda h: (h.width, h.name))
     partition = Partition.of(components, [h.name for h in vertices])
-    by_name = {h.name: h for h in vertices}
     return MappingSpace(x, y, truncation, w_max, _stability(partition, sub),
-                        tuple(vertices), partition, None, by_name, grids, fallback_rows)
+                        tuple(vertices), partition, None, level_grids=(tuple(vertices),),
+                        grids=grids, fallback_rows=fallback_rows)
 
 
 def _reference_pi0_edges(ctx, moves, pattern, rows0, names):
@@ -1094,3 +1132,84 @@ def _reference_pi0_edges(ctx, moves, pattern, rows0, names):
                         seen.add((row2, rest))
                         chains.append((row2, rest))
         yield upper, lowers, bool(seen)
+
+
+# --- the induced homology check through a kernel basis ----------------------
+#
+# The reference for ``hamloc.scat._induced_homology_iso``, which compares
+# ranks of one block matrix: the earlier check maps a rational basis of
+# the cycles and compares the rank of their images with the boundaries.
+# Its reduced row echelon form is also the earlier ``rational_rank``.
+
+
+def _rational_echelon(rows: list):
+    """Reduced row echelon form over Q by Gaussian elimination: the
+    reduced rows and the pivot column of each nonzero one, in order."""
+    A = [[Fraction(v) for v in r] for r in rows]
+    n = len(A[0]) if A else 0
+    pivots = []
+    for col in range(n):
+        rank = len(pivots)
+        piv = next((i for i in range(rank, len(A)) if A[i][col]), None)
+        if piv is None:
+            continue
+        A[rank], A[piv] = A[piv], A[rank]
+        scale = A[rank][col]
+        A[rank] = [a / scale for a in A[rank]]
+        for i, row in enumerate(A):
+            if i != rank and row[col]:
+                factor = row[col]
+                A[i] = [a - factor * b for a, b in zip(row, A[rank])]
+        pivots.append(col)
+        if len(pivots) == len(A):
+            break
+    return A, pivots
+
+
+def rational_kernel_basis(rows: list) -> list:
+    """Basis of the rational kernel (list of column vectors as lists)."""
+    A, pivots = _rational_echelon(rows)
+    n = len(A[0]) if A else 0
+    free = [j for j in range(n) if j not in pivots]
+    basis = []
+    for j in free:
+        vec = [Fraction(0)] * n
+        vec[j] = Fraction(1)
+        for rix, col in enumerate(pivots):
+            vec[col] = -A[rix][j]
+        basis.append(vec)
+    return basis
+
+
+def reference_induced_homology_iso(fun, x, y, level, src_hom, tgt_hom, src_report, tgt_report):
+    """Rank-over-Q check that H_level of the mapped pair is an iso,
+    given equal free ranks and torsion."""
+    if src_report.group(level).free_rank != tgt_report.group(level).free_rank:
+        return False
+    if src_report.group(level).torsion != tgt_report.group(level).torsion:
+        return False
+    betti = src_report.group(level).free_rank
+    if betti == 0:
+        return True
+    del_src, _, _ = boundary_matrix(src_hom, level)
+    kernel = rational_kernel_basis(del_src) if del_src and del_src[0] else [
+        [1 if i == j else 0 for i in range(len(src_hom.nondegenerate(level)))]
+        for j in range(len(src_hom.nondegenerate(level)))
+    ]
+    fmat = _chain_map_matrix(fun, x, y, level, src_hom, tgt_hom)
+    mapped = [
+        [sum(fmat[i][k] * vec[k] for k in range(len(vec))) for vec in kernel]
+        for i in range(len(fmat))
+    ]
+    if level + 1 <= tgt_hom.truncation:
+        del_tgt, _, _ = boundary_matrix(tgt_hom, level + 1)
+    else:
+        del_tgt = []
+    image_cols = len(del_tgt[0]) if del_tgt and del_tgt[0] else 0
+    combined = [
+        mapped[i] + (del_tgt[i] if image_cols else [])
+        for i in range(len(fmat))
+    ]
+    rank_image = rational_rank(del_tgt) if image_cols else 0
+    rank_combined = rational_rank(combined) if combined and combined[0] else 0
+    return rank_combined - rank_image == betti

@@ -477,11 +477,12 @@ class TestVerbose:
         loud = capsys.readouterr()
         assert loud.out == plain.out
         line = [ln for ln in loud.err.splitlines() if ln.startswith("compose: ")]
-        requests, composites, junction, cascade = map(int, re.findall(r"\d+", line[0]))
+        requests, composites, junction, cascade, pruned = map(int, re.findall(r"\d+", line[0]))
         output = json.loads(plain.out)
         assert composites == sum(len(entries) for per_level in output["compose"].values()
                                  for entries in per_level.values())
-        assert requests - composites == junction + cascade == output["bounds"]["overflows"]
+        assert requests - composites == junction + cascade + pruned == \
+            output["bounds"]["overflows"]
         assert junction > 0
 
     @pytest.mark.parametrize("name, max_len, code", [

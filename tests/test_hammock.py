@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 
 from hamloc import hammock
 from hamloc import instances as inst
-from hamloc import scat
 from hamloc.cli import run
 from hamloc.errors import CompositionUnavailable, ConsistencyError, InputError
 from hamloc.fincat import find_equivalence, is_isomorphism, validate_category
@@ -489,12 +488,12 @@ class TestRelscatLocalization:
 
             rl = hammock_localization_relscat(rs, 1, 2, progress=diagonal_only)
             assert set(reported) == set(rl.diag_homs)
-            faces = [scat.level_map(rs.ambient, 1, "d", i) for i in range(2)]
+            faces = [oracles.level_map(rs.ambient, 1, "d", i) for i in range(2)]
             for (x, y), counts in reported.items():
                 level0, level1 = rl.diag_homs[(x, y)].levels
                 assert counts.images == 2 * len(level1) + len(level0), (name, x, y)
                 ms = rl.row_spaces[(x, y, 1)]
-                distinct = {_map_hammock(names, simplex_hammock(rl.level_rel[1], ms, s))
+                distinct = {_map_hammock(names, simplex_hammock(rl.level_rel[1], ms, 1, s))
                             for names in faces for s in level1}
                 assert counts.normal_forms == len(distinct), (name, x, y)
 
@@ -507,18 +506,18 @@ class TestRelscatLocalization:
             rl = hammock_localization_relscat(rs, 1, 2)
             for n in range(rl.truncation):
                 for i in range(n + 1):
-                    names = scat.level_map(rs.ambient, n, "s", i)
+                    names = oracles.level_map(rs.ambient, n, "s", i)
                     rel = rl.level_rel[n + 1]
                     for (x, y, level), ms in rl.row_spaces.items():
                         if level != n:
                             continue
                         for simplex in ms.sset.level(n):
-                            h = simplex_hammock(rl.level_rel[n], ms, simplex)
+                            h = simplex_hammock(rl.level_rel[n], ms, n, simplex)
                             grid = _map_hammock(names, h)
                             direct = hammock_name(*grid)
                             assert direct == hammock_name(*_normal_form(rel.cat, *grid)), \
                                 (name, simplex)
-                            assert direct in rl.row_spaces[(x, y, n + 1)].by_name
+                            assert rl.row_spaces[(x, y, n + 1)].sset.has_simplex(n, direct)
                             mapped += 1
         assert mapped > 100
 
@@ -583,7 +582,7 @@ class TestFullDetailAgainstReference:
                     ms = self._agree(r, x, y, 2, 3)
                     reduced_late += sum(
                         1 for name in ms.sset.level(2)
-                        if _identity_mask_of(r, simplex_hammock(r, ms, name).rows[:2]))
+                        if _identity_mask_of(r, simplex_hammock(r, ms, 2, name).rows[:2]))
         assert reduced_late > 0
 
     def test_partial_flattening_of_walking_weq(self, monkeypatch):
@@ -693,8 +692,46 @@ class TestNamer:
         for x in fl.rel.cat.objects:
             for y in fl.rel.cat.objects:
                 ms = mapping_space(fl.rel, x, y, 1, 2)
-                for name, grid in ms.by_name.items():
-                    assert _grid_name(morphisms, grid) == name
+                for level, grids in enumerate(ms.level_grids):
+                    for name, grid in zip(ms.sset.level(level), grids, strict=True):
+                        assert _grid_name(morphisms, grid) == name
+
+
+class TestPrunedComposites:
+    """A junction can give a reduced grid within the width bound that the
+    target space pruned, because one of its faces needs a composite the
+    level category lacks: that composite is an overflow.  A miss in a
+    space that pruned nothing stays an inconsistency."""
+
+    # chain-weq and z2-groupoid validate for minutes, so they are left out
+    NAMES = ("terminal", "walking-arrow-ids", "parallel-ids", "walking-weq", "span-one-leg",
+             "chain-head-weq", "retract", "walking-iso-one-arrow")
+
+    def test_check_32_dimensionwise_localizations_validate(self):
+        pruned = {}
+        for name, rs in _check_32_relscats(3, self.NAMES):
+            rl = hammock_localization_relscat(rs, 1, 3)
+            assert validate_scat(rl.scat()) == [], name
+            pruned[name] = sum(loc.compose_counts.pruned_overflows for loc in rl.levels)
+        assert len(pruned) == len(self.NAMES)
+        assert pruned["3.2 walking-weq"] == 76
+        assert pruned["3.2 span-one-leg"] == 108
+
+    def test_a_miss_in_an_unpruned_space_raises(self):
+        r = inst.walking_weq()
+        loc = hammock_localization(r, 1, 3)
+        ms = loc.pair("X", "X")
+        assert not ms.pruned and ms.stable
+        back = Hammock("Y", "X", ("b",), (("w",),), ()).name
+        forward = embed_morphism(r, "w").name
+        h = loc.composite("X", "Y", "X", 0, back, forward)
+        assert h is not None
+        del ms.by_grid[ms.grid(0, h)]
+        with pytest.raises(ConsistencyError, match="missing from enumeration"):
+            loc.composite("X", "Y", "X", 0, back, forward)
+        ms.pruned = True
+        assert loc.composite("X", "Y", "X", 0, back, forward) is None
+        assert loc.compose_counts.pruned_overflows == 1
 
 
 class TestLifetime:
@@ -774,10 +811,10 @@ def test_face_normal_forms_count_distinct_dropped_grids():
             vertex_rows = {(h.directions, h.rows[0]) for h in vertex_hammocks(r, ms)}
             rows, grids = set(), set()
             for name in ms.sset.level(1):
-                h = simplex_hammock(r, ms, name)
+                h = simplex_hammock(r, ms, 1, name)
                 rows.update((h.directions, row) for row in h.rows)
             for name in ms.sset.level(2):
-                h = simplex_hammock(r, ms, name)
+                h = simplex_hammock(r, ms, 2, name)
                 v0, v1 = h.verticals
                 fused = tuple(r.cat.compose(b, a) for a, b in zip(v0, v1))
                 for i, layers in enumerate(((v1,), (fused,), (v0,))):
@@ -1046,7 +1083,7 @@ class TestVerdictIsOneWidthLower:
     def _check(r, x, y, width):
         lower = mapping_space(r, x, y, 1, width - 1, "pi0")
         upper = mapping_space(r, x, y, 1, width, "pi0")
-        narrow = frozenset(name for name in upper.vertices if len(upper.by_name[name][0]) < width)
+        narrow = frozenset(name for name in upper.vertices if len(upper.grid(0, name)[0]) < width)
         assert narrow == frozenset(lower.vertices)
         traces = [cls & narrow for cls in upper.partition.classes]
         agree = (len(traces) == len(lower.partition.classes)

@@ -24,9 +24,9 @@ from hamloc.scat import (
     validate_scat,
     validate_simplicial_functor,
 )
-from hamloc.simplicial import TruncatedSimplicialSet
+from hamloc.simplicial import TruncatedSimplicialSet, homology, nerve
 from helpers import identity_simplicial_functor
-from oracles import level_functor
+from oracles import level_functor, reference_induced_homology_iso
 
 
 def stock_cats():
@@ -89,14 +89,13 @@ def _ill_defined_category():
     different components; the induced composition cannot exist."""
     names = ("i", "a", "b", "p", "q")
     levels = [names, ("sa", "si", "sb", "sp", "sq", "edge")]
-    faces = {(1, "edge", 0): "b", (1, "edge", 1): "a"}
+    faces = {1: {"edge": ["b", "a"]}}
     degmap = {"i": "si", "a": "sa", "b": "sb", "p": "sp", "q": "sq"}
-    degeneracies = {}
+    degeneracies = {0: {}}
     for v, s in degmap.items():
-        faces[(1, s, 0)] = v
-        faces[(1, s, 1)] = v
-        degeneracies[(0, v, 0)] = s
-    hom = TruncatedSimplicialSet(1, levels, faces, degeneracies)
+        faces[1][s] = [v, v]
+        degeneracies[0][v] = [s]
+    hom = TruncatedSimplicialSet.from_named(1, levels, faces, degeneracies)
     table = {}
     for m in names:
         table[("o", "o", "o", 0, "i", m)] = m
@@ -252,6 +251,75 @@ class TestCheckDk:
         ]
         assert sum(bijective) >= 2
         assert all(bijective)
+
+
+def _loop_category():
+    """Objects p and q; hom(p, q) is the truncation-2 nerve of the
+    parallel pair, a circle (H_1 = Z), hom(p, p) and hom(q, q) are points
+    and hom(q, p) is empty, so only identities compose."""
+    loop = nerve(inst.parallel_pair(), 2)
+
+    def constant(names):
+        same = tuple(range(len(names)))
+        return TruncatedSimplicialSet(2, [names] * 3, [(), (same,) * 2, (same,) * 3],
+                                      [(same,), (same,) * 2])
+
+    homs = {("p", "p"): constant(("idp",)), ("q", "q"): constant(("idq",)),
+            ("p", "q"): loop, ("q", "p"): constant(())}
+    table = {}
+    for level in range(3):
+        table[("p", "p", "p", level, "idp", "idp")] = "idp"
+        table[("q", "q", "q", level, "idq", "idq")] = "idq"
+        for s in loop.level(level):
+            table[("p", "q", "q", level, "idq", s)] = s
+            table[("p", "p", "q", level, s, "idp")] = s
+    return TruncatedSimplicialCategory(["p", "q"], 2, homs, {"p": "idp", "q": "idq"}, table)
+
+
+def _loop_functor(a, morphism_map):
+    """The endofunctor of :func:`_loop_category` that acts on hom(p, q) as
+    the nerve of the endofunctor of the parallel pair with ``morphism_map``
+    (objects fixed) and as the identity elsewhere."""
+    fun = identity_simplicial_functor(a)
+    for level in range(3):
+        for s in a.homs[("p", "q")].level(level):
+            fun.simplex_map[("p", "q", level, s)] = "|".join(
+                morphism_map.get(part, part) for part in s.split("|"))
+    return fun
+
+
+class TestHomologyCertificate:
+    """A positive Betti number: the induced map on H_1 of hom(p, q) decides
+    the certificate, by ranks of one block matrix."""
+
+    def test_identity_passes(self):
+        a = _loop_category()
+        assert validate_scat(a) == []
+        cert = check_dk(identity_simplicial_functor(a))
+        assert cert.verdict == "pass_partial"
+        assert cert.pairs[("p", "q")].homology_ok
+
+    def test_collapsing_the_loop_fails_in_degree_one(self):
+        a = _loop_category()
+        fun = _loop_functor(a, {"b": "a"})
+        assert validate_simplicial_functor(fun) == []
+        cert = check_dk(fun)
+        assert cert.verdict == "fail"
+        assert cert.pairs[("p", "q")].pi0_ok
+        assert cert.pairs[("p", "q")].homology_witness == {"pair": ["p", "q"], "degree": 1}
+
+    def test_rank_check_agrees_with_kernel_basis_reference(self):
+        a = _loop_category()
+        hom = a.homs[("p", "q")]
+        report = homology(hom)
+        assert report.group(1).free_rank == 1
+        cases = [({}, True), ({"a": "b", "b": "a"}, True), ({"b": "a"}, False),
+                 ({"a": "b"}, False)]
+        for morphism_map, iso in cases:
+            fun = _loop_functor(a, morphism_map)
+            args = (fun, "p", "q", 1, hom, hom, report, report)
+            assert scat._induced_homology_iso(*args) == iso, morphism_map
+            assert reference_induced_homology_iso(*args) == iso, morphism_map
 
 
 class TestLevelCategories:

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from hamloc import instances as inst
 from hamloc.errors import InputError
-from hamloc.fincat import disjoint_union
+from hamloc.fincat import UnionFind, disjoint_union
 from hamloc.hammock import hammock_localization, hammock_localization_relscat
 from hamloc.scat import RelativeSimplicialCategory, promote, sub_from_morphisms
 from hamloc.simplicial import (
@@ -20,12 +20,12 @@ from hamloc.simplicial import (
     monotone_maps,
     nerve,
     pi0,
-    rational_kernel_basis,
     rational_rank,
     smith_diagonal,
     validate_sset,
 )
 from helpers import all_operators
+from oracles import rational_kernel_basis
 
 
 class TestOperators:
@@ -140,6 +140,15 @@ class TestApplyOperator:
             apply_operator(n, SimplicialOperator.identity(2), "whatever")
 
 
+def _partition_from_pairs(elements, pairs) -> Partition:
+    """The partition of ``elements`` that joins each of ``pairs``."""
+    elements = tuple(elements)
+    uf = UnionFind(elements)
+    for a, b in pairs:
+        uf.union(a, b)
+    return Partition.of(uf, elements)
+
+
 class TestPi0:
     def test_discrete_gives_singletons(self):
         part = pi0(nerve(inst.discrete(3), 1))
@@ -161,7 +170,7 @@ class TestPi0:
     def test_matches_direct_graph_computation(self):
         for c in (inst.chain3(), inst.span(), inst.parallel_pair(), inst.poset_square()):
             part = pi0(nerve(c, 1))
-            direct = Partition.from_pairs(
+            direct = _partition_from_pairs(
                 c.objects, [(c.dom[m], c.cod[m]) for m in c.morphisms]
             )
             assert len(part.classes) == len(direct.classes)
@@ -290,8 +299,9 @@ class TestSsetJson:
 
     def test_validation_catches_broken_identity(self):
         x = nerve(inst.walking_arrow(), 2)
-        faces = dict(x.faces)
-        faces[(2, "idX|f", 1)] = "idX"  # wrong: d_1 must compose to f
+        faces = [list(map(list, table)) for table in x.faces]
+        # wrong: d_1 must compose to f
+        faces[2][1][x.number[2]["idX|f"]] = x.number[1]["idX"]
         broken = TruncatedSimplicialSet(2, x.levels, faces, x.degeneracies)
         assert validate_sset(broken)
 
