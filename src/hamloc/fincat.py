@@ -183,10 +183,13 @@ class UnionFind:
             self.parent[rb] = ra
 
     def union_all(self, a, bs):
-        """``union(a, b)`` for each ``b`` in ``bs``, finding ``a``'s root once."""
+        """``union(a, b)`` for each ``b`` in ``bs``, finding ``a``'s root once;
+        a ``b`` whose parent is that root is skipped without a find."""
         ra = self.find(a)
         find, parent = self.find, self.parent
         for b in bs:
+            if parent[b] == ra:
+                continue
             rb = find(b)
             if rb != ra:
                 parent[rb] = ra

@@ -5,6 +5,7 @@ hom-sets of the localized category."""
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import islice
 
 from .errors import InputError
 from .fincat import (
@@ -80,8 +81,16 @@ def validate_relative_functor(rf: RelativeFunctor) -> list[str]:
 # or backward along a weak equivalence w.  Words are kept identity-free;
 # rewrites that produce identity letters drop them.  A single rewrite
 # merges adjacent same-direction letters, cancels w against w-backwards,
-# or slides a commuting square.  Inside the saturation letters and words
-# are numbered densely; string words appear only in the result.
+# or slides a commuting square.
+#
+# All words from one source object x form one prefix trie, numbered
+# breadth first; string words appear only in the result.  A single rewrite
+# of the word p.k either rewrites inside p, followed by k, or rewrites the
+# last pair (last letter of p, k).  So the targets of the node p.k are the
+# children along k of the targets of p, plus the grandparent extended by
+# each middle of that last pair: each word's targets come from its
+# prefix's, with no slicing and no lookup of words.  No rewrite lengthens
+# a word, so every target is already a node.
 
 
 @dataclass
@@ -101,23 +110,30 @@ class OracleHomSet:
 
 
 class _RewriteTables:
-    """Per-category lookup tables of the oracle, shared by every pair of one
-    call.  Letters are numbered densely: ``letters[k]`` is ``("f", m)`` or
-    ``("b", w)``, and ``steps[x]`` lists ``(k, object reached)`` for each
-    letter leaving x."""
+    """Per-category lookup tables of the oracle, shared by every source of
+    one call.  Objects are numbered as in ``cat.objects``, and letters
+    densely: ``letters[k]`` is ``("f", m)`` or ``("b", w)``.  The letters
+    leaving object o are ``step_letters[o]``, reaching ``step_ends[o]``;
+    ``slot[k]`` is k's position among its source's letters."""
 
     def __init__(self, r: RelativeCategory):
         c = r.cat
         self.cat = c
         self.letters = []
-        self.steps = {}
+        self.step_letters, self.step_ends = [], []
         for x in c.objects:
             steps = [(("f", m), c.cod[m]) for m in c.from_object(x) if not c.is_identity(m)]
             steps += [(("b", w), c.dom[w]) for w in c.to_object(x)
                       if w in r.weq and not c.is_identity(w)]
-            self.steps[x] = [(len(self.letters) + k, nxt) for k, (_, nxt) in enumerate(steps)]
+            base = len(self.letters)
+            self.step_letters.append(tuple(range(base, base + len(steps))))
+            self.step_ends.append(tuple(c.obj_index[nxt] for _, nxt in steps))
             self.letters += [letter for letter, _ in steps]
+        self.slot = [k - ks[0] for ks in self.step_letters for k in ks]
         self.letter_id = {letter: k for k, letter in enumerate(self.letters)}
+        ends = [e for es in self.step_ends for e in es]
+        # middles[a][slot[b]]: the pair a b's middles, filled on first use
+        self.middles = [[None] * len(self.step_letters[e]) for e in ends]
         # slide (f g)(b w) <-> (b v)(f g2) whenever g.v == w.g2 with v, w weq
         self.slide_fb = {}
         self.slide_bf = {}
@@ -138,135 +154,157 @@ class _RewriteTables:
                     for v, g2 in hits:
                         self.slide_bf.setdefault((v, g2), []).append((g, w))
         self.slide_bf = {k: tuple(vs) for k, vs in self.slide_bf.items()}
-        self._middles = {}
 
-    def reach_table(self, y, max_len):
-        """reach[k] = objects from which y is reachable in <= k letters."""
-        pred = {o: set() for o in self.cat.objects}
-        for x, steps in self.steps.items():
-            for _, nxt in steps:
-                pred[nxt].add(x)
-        reach = [{y}]
-        for _ in range(max_len):
-            acc = set(reach[-1])
-            for o in reach[-1]:
-                acc |= pred[o]
-            reach.append(acc)
-        return reach
-
-    def _word(self, letters):
-        """Letter numbers of ``letters``, identity letters dropped.  A letter
-        with no number (backwards along a composite of weak equivalences
-        that is not one) leaves the enumerated set."""
+    def _slots(self, letters):
+        """The slots of ``letters``, identity letters dropped: the path from
+        a node to its descendant along them.  A letter with no number
+        (backwards along a composite of weak equivalences that is not one)
+        leaves the enumerated set."""
         c = self.cat
         try:
-            return tuple(self.letter_id[letter] for letter in letters
+            return tuple(self.slot[self.letter_id[letter]] for letter in letters
                          if not c.is_identity(letter[1]))
         except KeyError:  # pragma: no cover
             raise RuntimeError("rewrite left the enumerated set") from None
 
     def _pair_middles(self, a, b):
         """What the adjacent letters ``a b`` become under each single
-        rewrite of the pair: one letter or none after a merge, none after a
-        cancellation, at most two after a slide."""
+        rewrite of the pair, as slot paths: one letter or none after a
+        merge, none after a cancellation, at most two after a slide."""
         c = self.cat
         (d1, m1), (d2, m2) = self.letters[a], self.letters[b]
         if d1 == "f" and d2 == "f":
-            return (self._word((("f", c.compose(m2, m1)),)),)
+            return (self._slots((("f", c.compose(m2, m1)),)),)
         if d1 == "b" and d2 == "b":
-            return (self._word((("b", c.compose(m1, m2)),)),)
+            return (self._slots((("b", c.compose(m1, m2)),)),)
         out = [()] if m1 == m2 else []
         if d1 == "f":
-            out += [self._word((("b", v), ("f", g2))) for v, g2 in self.slide_fb.get((m1, m2), ())]
+            out += [self._slots((("b", v), ("f", g2))) for v, g2 in self.slide_fb.get((m1, m2), ())]
         else:
-            out += [self._word((("f", g), ("b", w))) for g, w in self.slide_bf.get((m1, m2), ())]
+            out += [self._slots((("f", g), ("b", w))) for g, w in self.slide_bf.get((m1, m2), ())]
         return tuple(out)
 
-    def rewrites(self, word):
-        """Target words of all single rewrites at any position of ``word``
-        (a tuple of letter numbers); each letter pair's rewrites are
-        computed once per table."""
-        middles = self._middles
-        out = []
-        for i in range(len(word) - 1):
-            pair = word[i:i + 2]
-            mids = middles.get(pair)
-            if mids is None:
-                mids = middles[pair] = self._pair_middles(*pair)
-            if mids:
-                head, tail = word[:i], word[i + 2:]
-                out += [head + mid + tail for mid in mids]
-        return out
+
+class _WordTrie:
+    """All identity-free words of at most ``bound`` letters from object
+    number ``x``, numbered breadth first, so shortest first.
+
+    Node 0 is the empty word; node n is the word of node ``parent[n]``
+    followed by letter ``last[n]`` and ends at object number ``end[n]``.
+    The children of node p are consecutive, in the order of
+    ``step_letters[end[p]]``: the child along letter k is
+    ``first[p] + slot[k]``.  ``starts[L]`` is the number of nodes with
+    fewer than L letters."""
+
+    __slots__ = ("parent", "last", "end", "first", "starts")
+
+    def __init__(self, tables: _RewriteTables, x, bound):
+        step_letters, step_ends = tables.step_letters, tables.step_ends
+        parent, last, end, first = [-1], [-1], [x], []
+        starts = [0, 1]
+        for _ in range(bound):
+            for p in range(starts[-2], starts[-1]):
+                e = end[p]
+                first.append(len(end))
+                parent += [p] * len(step_letters[e])
+                last += step_letters[e]
+                end += step_ends[e]
+            starts.append(len(end))
+        self.parent, self.last, self.end, self.first, self.starts = parent, last, end, first, starts
+
+    def names(self, letters):
+        """Each node's word as a tuple of ``letters``, from its parent's."""
+        parent, last = self.parent, self.last
+        names = [()]
+        for n in range(1, len(parent)):
+            names.append(names[parent[n]] + (letters[last[n]],))
+        return names
+
+    def rewrite_targets(self, tables: _RewriteTables):
+        """``(n, targets)`` for each node n > 0 in order: the nodes its
+        single rewrites reach, one per rewrite.  No rewrite lengthens a
+        word, so every target is a node.  The targets of the nodes that
+        have children are kept, for their children's."""
+        parent, last, first = self.parent, self.last, self.first
+        slot, middles = tables.slot, tables.middles
+        kept = [()]
+        inner = len(first)
+        for n in range(1, len(parent)):
+            p, k = parent[n], last[n]
+            s = slot[k]
+            targets = [first[t] + s for t in kept[p]]
+            if p:
+                a = last[p]
+                row = middles[a]
+                mids = row[s]
+                if mids is None:
+                    mids = row[s] = tables._pair_middles(a, k)
+                for mid in mids:
+                    t = parent[p]
+                    for step in mid:
+                        t = first[t] + step
+                    targets.append(t)
+            if n < inner:
+                kept.append(targets)
+            yield n, targets
 
 
-def _enumerate_words(tables: _RewriteTables, x, y, bound):
-    """All identity-free typed words x ~> y with length <= bound, as tuples
-    of letter numbers, shortest first."""
-    reach = tables.reach_table(y, bound)
-    words = [()] if x == y else []
-    frontier = [((), x)]
-    for length in range(1, bound + 1):
-        live = reach[bound - length]
-        frontier = [(word + (k,), nxt) for word, at in frontier
-                    for k, nxt in tables.steps[at] if nxt in live]
-        words += [word for word, at in frontier if at == y]
-    return words
+def _join(uf: UnionFind, edges, end, pairs):
+    """Union each node of ``pairs`` with its targets, counting the edges
+    per end object.  A node joins the class of its first target and keeps
+    that class's root: a node is mostly still alone then and hangs right
+    under the root, so paths stay short."""
+    for n, targets in pairs:
+        edges[end[n]] += len(targets)
+        if targets:
+            uf.union_all(targets[0], (n, *targets))
 
 
-def _union_rewrites(tables: _RewriteTables, words, index, uf: UnionFind, lo, hi) -> int:
-    """Union each of ``words[lo:hi]`` with its rewrites; the edge count."""
-    edges = 0
-    for i in range(lo, hi):
-        targets = [index.get(t) for t in tables.rewrites(words[i])]
-        if None in targets:
-            raise RuntimeError("rewrite left the enumerated set")  # pragma: no cover
-        edges += len(targets)
-        uf.union_all(i, targets)
-    return edges
+def _saturate_source(tables: _RewriteTables, x, max_len: int):
+    """Yield the oracle's hom-set from x to each object, in the order of
+    ``cat.objects``, with its number of rewrite edges.
 
-
-def _saturate(tables: _RewriteTables, x, y, max_len: int):
-    """The oracle's hom-set from x to y, and its number of rewrite edges.
-
-    The words up to ``max_len + 2`` letters are numbered shortest first,
-    and one union-find joins each word to its single rewrites.  No single
-    rewrite lengthens a word: a merge leaves one letter or none of two, a
-    cancellation none and a slide at most two.  So the edges out of the
-    words of at most ``max_len`` letters stay among them, and the partition
-    after those edges alone is the saturation at ``max_len``.  It is kept
-    as a snapshot of roots before the longer words' edges are joined.  The
-    answer is ``determined`` when each final class holds short words, all
-    with one snapshot root: the extra slack neither adds a class nor
-    merges two (a heuristic).
+    One union-find over the trie of the words up to ``max_len + 2`` letters
+    joins each word to its single rewrites.  No single rewrite lengthens a
+    word: a merge leaves one letter or none of two, a cancellation none and
+    a slide at most two.  So the edges out of the words of at most
+    ``max_len`` letters stay among them, and the partition after those edges
+    alone is the saturation at ``max_len``.  It is kept as a snapshot of
+    roots before the longer words' edges are joined.  Rewrites keep both
+    ends of a word, so each class lies in one hom-set.  An answer is
+    ``determined`` when each final class holds short words, all with one
+    snapshot root: the extra slack neither adds a class nor merges two (a
+    heuristic).
     """
-    if max_len < 0:
-        raise InputError("max_len must be >= 0")
-    words = _enumerate_words(tables, x, y, max_len + 2)
-    n = len(words)
-    short = n - sum(1 for w in words if len(w) > max_len)
-    index = {w: i for i, w in enumerate(words)}
+    c = tables.cat
+    trie = _WordTrie(tables, c.obj_index[x], max_len + 2)
+    n = len(trie.end)
+    short = trie.starts[max_len + 1]
     uf = UnionFind(range(n))
-    edges = _union_rewrites(tables, words, index, uf, 0, short)
+    edges = [0] * len(c.objects)
+    pairs = trie.rewrite_targets(tables)
+    _join(uf, edges, trie.end, islice(pairs, short - 1))
     snapshot = [uf.find(i) for i in range(short)]
-    edges += _union_rewrites(tables, words, index, uf, short, n)
-    del index
+    _join(uf, edges, trie.end, pairs)
 
-    groups = list(uf.groups(range(n)).values())
-    determined = all(len({snapshot[i] for i in members if i < short}) == 1 for members in groups)
-
-    letters = tables.letters
-    names = [tuple(map(letters.__getitem__, w)) for w in words]
-    classes = tuple(
-        sorted(
-            (frozenset(names[i] for i in members) for members in groups),
-            key=lambda g: min((len(w), w) for w in g),
+    names = trie.names(tables.letters)
+    members = [[] for _ in c.objects]
+    for i, e in enumerate(trie.end):
+        members[e].append(i)
+    for y, nodes, count in zip(c.objects, members, edges):
+        groups = list(uf.groups(nodes).values())
+        determined = all(len({snapshot[i] for i in group if i < short}) == 1 for group in groups)
+        classes = tuple(
+            sorted(
+                (frozenset(names[i] for i in group) for group in groups),
+                key=lambda g: min((len(w), w) for w in g),
+            )
         )
-    )
-    class_of = {}
-    for idx, cls in enumerate(classes):
-        for w in cls:
-            class_of[w] = idx
-    return OracleHomSet(x, y, max_len, determined, classes, class_of), edges
+        class_of = {}
+        for idx, cls in enumerate(classes):
+            for w in cls:
+                class_of[w] = idx
+        yield OracleHomSet(x, y, max_len, determined, classes, class_of), count
 
 
 def oracle_localized_homset(r: RelativeCategory, x, y, max_len: int) -> OracleHomSet:
@@ -278,7 +316,11 @@ def oracle_localized_homset(r: RelativeCategory, x, y, max_len: int) -> OracleHo
     """
     if x not in r.cat.obj_index or y not in r.cat.obj_index:
         raise InputError("unknown object")
-    return _saturate(_RewriteTables(r), x, y, max_len)[0]
+    if max_len < 0:
+        raise InputError("max_len must be >= 0")
+    for hs, _ in _saturate_source(_RewriteTables(r), x, max_len):
+        if hs.y == y:
+            return hs
 
 
 @dataclass
@@ -312,15 +354,16 @@ def oracle_ho_category(r: RelativeCategory, max_len: int, progress=None) -> Orac
     ``progress(x, y, homset, edges)``, when given, is called after each
     pair is saturated, with its number of rewrite edges.
     """
+    if max_len < 0:
+        raise InputError("max_len must be >= 0")
     c = r.cat
     tables = _RewriteTables(r)
     pair = {}
     for x in c.objects:
-        for y in c.objects:
-            hs, edges = _saturate(tables, x, y, max_len)
-            pair[(x, y)] = hs
+        for hs, edges in _saturate_source(tables, x, max_len):
+            pair[(x, hs.y)] = hs
             if progress is not None:
-                progress(x, y, hs, edges)
+                progress(x, hs.y, hs, edges)
             if not hs.determined:
                 return OracleHoResult("undetermined", None, None, pair)
     del tables

@@ -23,6 +23,7 @@ from .simplicial import (
     TruncatedSimplicialSet,
     boundary_matrix,
     homology,
+    level_key,
     pi0,
     rational_rank,
     validate_sset,
@@ -113,7 +114,7 @@ class TruncatedSimplicialCategory:
                     for g, f, h in entries:
                         if not all(isinstance(n, str) for n in (g, f, h)):
                             raise InputError("composition entries must be simplex names")
-                        table[(x, y, z, int(level_str), g, f)] = h
+                        table[(x, y, z, level_key(level_str), g, f)] = h
             args = (data["objects"], data["truncation"], homs, data["identities"])
             if data.get("bounds", {}).get("overflows", 0) > 0:
                 # a width-bounded localization omits the composites it
@@ -371,7 +372,7 @@ def simplicial_functor_from_json(data, source, target) -> "SimplicialFunctor":
             x, y = key.split("|")
             for level_str, entries in per_level.items():
                 for s, t in entries.items():
-                    smap[(x, y, int(level_str), s)] = t
+                    smap[(x, y, level_key(level_str), s)] = t
         object_map = dict(data["object_map"])
         if not all(isinstance(t, str) for t in (*object_map.values(), *smap.values())):
             raise InputError("functor images must be names (strings)")

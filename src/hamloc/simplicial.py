@@ -159,11 +159,8 @@ class TruncatedSimplicialSet:
             for table, named in ((data.get("faces", {}), faces),
                                  (data.get("degeneracies", {}), degeneracies)):
                 for k_str, entries in table.items():
-                    per_name = named.setdefault(int(k_str), {})
-                    for name, images in entries.items():
-                        # a level spelled twice ("1", "01") overrides image by image
-                        images = list(images)
-                        per_name[name] = images + per_name.get(name, [])[len(images):]
+                    named[level_key(k_str)] = {name: list(images)
+                                               for name, images in entries.items()}
             names = (*(n for level in levels for n in level),
                      *(img for named in (faces, degeneracies) for per_name in named.values()
                        for images in per_name.values() for img in images))
@@ -172,6 +169,16 @@ class TruncatedSimplicialSet:
             return TruncatedSimplicialSet.from_named(truncation, levels, faces, degeneracies)
         except MALFORMED as exc:
             raise InputError(f"malformed simplicial-set JSON: {exc}") from exc
+
+
+def level_key(key) -> int:
+    """The level named by a key of a JSON per-level table.  Only the
+    canonical decimal spelling is read (``"1"``, not ``"01"`` or ``"+1"``),
+    so no level can be given twice."""
+    k = int(key)
+    if str(k) != key:
+        raise InputError(f"level key {key!r} is not a canonical integer")
+    return k
 
 
 def _named(names, table, target):

@@ -10,6 +10,7 @@ from hamloc import instances as inst
 from hamloc.cli import run
 from hamloc.jsonio import write_canonical
 from hamloc.relcat import RelativeCategory
+from hamloc.simplicial import nerve
 from hamloc.scat import (
     RelativeSimplicialCategory,
     promote,
@@ -17,6 +18,7 @@ from hamloc.scat import (
     sub_from_morphisms,
 )
 from helpers import identity_simplicial_functor
+from oracles import _reference_rewrites, _reference_words, _ReferenceTables
 
 
 @pytest.fixture
@@ -233,6 +235,63 @@ class TestDkAndNeglectable:
     def test_neglectable_true_false(self, files):
         assert run(["neglectable", files["relscat-iso.json"]]) == 0
         assert run(["neglectable", files["relscat-arrow.json"]]) == 1
+
+
+class TestLevelKeys:
+    """A per-level table names each level by its canonical decimal key
+    only, so no level can be given twice; any other spelling is an input
+    error (exit 2), in each of the three loaders that read such keys."""
+
+    SPELLINGS = ["01", "+1", " 1"]
+
+    @staticmethod
+    def _run(tmp_path, capsys, argv, payload):
+        path = tmp_path / "doc.json"
+        write_canonical(path, payload)
+        code = run([argv[0], str(path), *argv[1:]])
+        return code, capsys.readouterr().err
+
+    def test_nerve_with_a_face_level_spelled_twice(self, tmp_path, capsys):
+        data = nerve(inst.parallel_pair(), 1).to_json()
+        data["faces"]["1"]["a"] = ["Y"]
+        data["faces"]["01"] = {"a": ["Y", "X", "Z"]}
+        code, err = self._run(tmp_path, capsys, ["pi0"], data)
+        assert code == 2
+        assert "level key '01' is not a canonical integer" in err
+
+    @pytest.mark.parametrize("spelling", SPELLINGS)
+    def test_simplicial_set_levels(self, tmp_path, capsys, spelling):
+        data = nerve(inst.parallel_pair(), 1).to_json()
+        data["faces"][spelling] = data["faces"].pop("1")
+        for command in ("validate", "pi0", "homology"):
+            code, err = self._run(tmp_path, capsys, [command], data)
+            assert code == 2, command
+            assert f"level key {spelling!r} is not a canonical integer" in err
+
+    @pytest.mark.parametrize("spelling", SPELLINGS)
+    def test_composition_levels(self, tmp_path, capsys, spelling):
+        data = promote(inst.walking_arrow(), 1).to_json()
+        assert self._run(tmp_path, capsys, ["validate"], data)[0] == 0
+        per_level = data["compose"]["X|X|Y"]
+        per_level[spelling] = per_level.pop("1")
+        for argv in (["validate"], ["flatten"]):
+            code, err = self._run(tmp_path, capsys, argv, data)
+            assert code == 2, argv
+            assert f"level key {spelling!r} is not a canonical integer" in err
+
+    @pytest.mark.parametrize("spelling", SPELLINGS)
+    def test_functor_simplex_map_levels(self, tmp_path, capsys, spelling):
+        scat = promote(inst.walking_arrow(), 1)
+        smap = {f"{x}|{y}": {str(level): {s: s for s in scat.homs[(x, y)].level(level)}
+                             for level in range(2)}
+                for x in scat.objects for y in scat.objects}
+        data = {"source": scat.to_json(), "target": scat.to_json(),
+                "object_map": {"X": "X", "Y": "Y"}, "simplex_map": smap}
+        assert self._run(tmp_path, capsys, ["dk-check"], data)[0] == 0
+        smap["X|Y"][spelling] = smap["X|Y"].pop("1")
+        code, err = self._run(tmp_path, capsys, ["dk-check"], data)
+        assert code == 2
+        assert f"level key {spelling!r} is not a canonical integer" in err
 
 
 def _walking_iso_without_vu(mors):
@@ -510,6 +569,52 @@ class TestVerbose:
             assert int(count) == len(classes[f"{x}|{y}"])
             assert int(words) == sum(map(len, classes[f"{x}|{y}"]))
         assert lines[-1].endswith(", undetermined") == (code == 3)
+
+    @staticmethod
+    def _oracle_lines(tmp_path, capsys, name, max_len):
+        """The ``oracle-ho --verbose`` progress lines of a stock instance as
+        ``(x, y, words, edges, verdict)``, and the exit code."""
+        path = tmp_path / f"{name}.json"
+        write_canonical(path, dict(inst.oracle_suite())[name].to_json())
+        code = run(["--verbose", "oracle-ho", str(path), "--max-len", str(max_len)])
+        lines = []
+        for line in capsys.readouterr().err.splitlines():
+            x, y, words, edges, verdict = re.fullmatch(
+                r"pair \(([^,]+),([^)]+)\): (\d+) words, (\d+) rewrite edges, "
+                r"\d+ classes, (determined|undetermined)", line).groups()
+            lines.append((x, y, int(words), int(edges), verdict))
+        return lines, code
+
+    @staticmethod
+    def _reference_counts(r, x, y, max_len):
+        """Words up to ``max_len + 2`` letters from x to y, and their single
+        rewrites, by the string reference."""
+        tables = _ReferenceTables(r)
+        words = _reference_words(tables, x, y, max_len + 2)
+        return len(words), sum(len(_reference_rewrites(tables, w)) for w in words)
+
+    @pytest.mark.parametrize("name", sorted(dict(inst.oracle_suite())))
+    def test_oracle_ho_counts_match_the_reference(self, tmp_path, capsys, name):
+        r = dict(inst.oracle_suite())[name]
+        lines, code = self._oracle_lines(tmp_path, capsys, name, 8)
+        pairs = [(x, y) for x in r.cat.objects for y in r.cat.objects]
+        assert [line[:2] for line in lines] == pairs[:len(lines)]
+        assert code == (0 if len(lines) == len(pairs) else 3)
+        for x, y, words, edges, _ in lines:
+            assert (words, edges) == self._reference_counts(r, x, y, 8), (x, y)
+
+    def test_oracle_ho_stops_at_the_first_undetermined_pair(self, tmp_path, capsys):
+        """``span-one-leg`` at ``--max-len 1``: X|Y holds only the word
+        b:p.f:q, longer than the bound, so the output stops there."""
+        r = dict(inst.oracle_suite())["span-one-leg"]
+        lines, code = self._oracle_lines(tmp_path, capsys, "span-one-leg", 1)
+        assert code == 3
+        assert [(x, y, verdict) for x, y, _, _, verdict in lines] == [
+            ("S", "S", "determined"), ("S", "X", "determined"), ("S", "Y", "determined"),
+            ("X", "S", "determined"), ("X", "X", "determined"), ("X", "Y", "undetermined"),
+        ]
+        for x, y, words, edges, _ in lines:
+            assert (words, edges) == self._reference_counts(r, x, y, 1), (x, y)
 
     @pytest.mark.parametrize("claim, name, objects", [
         ("3.2", "walking-weq.json", ("X", "Y")),

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,15 +11,21 @@ from hamloc.relcat import (
     OracleHomSet,
     RelativeCategory,
     RelativeFunctor,
-    _enumerate_words,
     _RewriteTables,
+    _WordTrie,
     oracle_ho_category,
     oracle_localized_homset,
     validate_relative,
     validate_relative_functor,
 )
 from helpers import word_endpoints
-from oracles import closed_weq, reference_localized_homset
+from oracles import (
+    _reference_rewrites,
+    _reference_words,
+    _ReferenceTables,
+    closed_weq,
+    reference_localized_homset,
+)
 
 SUITE = dict(inst.oracle_suite())
 
@@ -268,20 +275,31 @@ class TestSaturationAgainstReference:
 
 class TestRewritesNeverLengthen:
     """The snapshot rests on this: no single rewrite of a word is longer
-    than the word, so the shorter words' edges stay among them."""
+    than the word, so the shorter words' edges stay among them.  The trie
+    is checked against the string reference on the way: its words to each
+    object, and each word's rewrite targets."""
 
     @staticmethod
     def _check(r, bound):
-        tables = _RewriteTables(r)
-        for x in r.cat.objects:
-            for y in r.cat.objects:
-                words = _enumerate_words(tables, x, y, bound)
-                assert [len(w) for w in words] == sorted(len(w) for w in words)
+        c = r.cat
+        tables, ref = _RewriteTables(r), _ReferenceTables(r)
+        for x in c.objects:
+            trie = _WordTrie(tables, c.obj_index[x], bound)
+            names = trie.names(tables.letters)
+            assert [len(w) for w in names] == sorted(len(w) for w in names)
+            targets = {0: [], **dict(trie.rewrite_targets(tables))}
+            for yi, y in enumerate(c.objects):
+                nodes = [n for n, e in enumerate(trie.end) if e == yi]
+                words = [names[n] for n in nodes]
+                assert words == sorted(_reference_words(ref, x, y, bound), key=len), (x, y)
                 enumerated = set(words)
-                for word in words:
-                    for target in tables.rewrites(word):
-                        assert len(target) <= len(word), (x, y, word, target)
+                for n in nodes:
+                    got = [names[t] for t in targets[n]]
+                    for target in got:
+                        assert len(target) <= len(names[n]), (x, y, names[n], target)
                         assert target in enumerated
+                    assert Counter(got) == Counter(_reference_rewrites(ref, names[n])), \
+                        (x, y, names[n])
 
     @pytest.mark.parametrize("name", sorted(SUITE))
     def test_oracle_suite(self, name):
