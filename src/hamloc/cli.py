@@ -260,7 +260,7 @@ def _cmd_pi0(args):
     if bad:
         raise InputError(f"invalid simplicial set: {bad[0]}")
     part = pi0(x)
-    _emit(args, {"classes": [sorted(cls) for cls in part.classes]},
+    _emit(args, {"classes": [sorted(x.levels[0][s] for s in cls) for cls in part.classes]},
           f"{len(part.classes)} component(s)")
     return PASS
 

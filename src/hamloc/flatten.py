@@ -48,7 +48,7 @@ class Flattening:
     rel: RelativeCategory
     source_truncation: int
     object_names: dict  # (base, level) -> name
-    morphism_data: dict  # name -> (x_pair, simplex, operator)
+    morphism_data: dict  # name -> (source, target, simplex number, operator)
     overflows: int = 0
 
     def object_name(self, base, level):
@@ -59,7 +59,8 @@ def flatten(a: TruncatedSimplicialCategory) -> Flattening:
     """Objects (A, n); morphisms (A1,n1) -> (A2,n2) are pairs (a, q) with
     a in hom(A1,A2) at level n2 and q monotone [n2] -> [n1]; composition
     acts on the simplex part through the operator.  The marked morphisms
-    are those whose simplex part is a degenerate identity."""
+    are those whose simplex part is a degenerate identity.  Simplices are
+    carried by number and named only in the morphism names."""
     N = a.truncation
     objects = []
     object_names = {}
@@ -69,38 +70,27 @@ def flatten(a: TruncatedSimplicialCategory) -> Flattening:
             object_names[(base, level)] = name
             objects.append(name)
 
-    identities_at = {}
-    for base in a.objects:
-        for level in range(N + 1):
-            identities_at[(base, level)] = a.identity_at(base, level)
-
-    morphisms, dom, cod = [], {}, {}
-    data = {}
+    identities_at = {(base, level): a.identity_at(base, level)
+                     for base in a.objects for level in range(N + 1)}
+    morphisms, dom, cod, identity = [], {}, {}, {}
+    data, index = {}, {}
     marked = []
     for base1, base2 in itertools.product(a.objects, repeat=2):
         hom = a.homs[(base1, base2)]
         for n1 in range(N + 1):
             for n2 in range(N + 1):
                 for q in monotone_maps(n2, n1):
-                    for simplex in hom.level(n2):
-                        name = _flat_name((base1, n1), simplex, q, (base2, n2))
+                    for simplex, simplex_name in enumerate(hom.levels[n2]):
+                        name = _flat_name((base1, n1), simplex_name, q, (base2, n2))
                         morphisms.append(name)
                         dom[name] = object_names[(base1, n1)]
                         cod[name] = object_names[(base2, n2)]
                         data[name] = ((base1, n1), (base2, n2), simplex, q)
+                        index[(base1, n1, base2, n2, simplex, q.images)] = name
                         if base1 == base2 and simplex == identities_at[(base1, n2)]:
                             marked.append(name)
-
-    identity = {}
-    for base in a.objects:
-        for level in range(N + 1):
-            identity[object_names[(base, level)]] = _flat_name(
-                (base, level), identities_at[(base, level)], SimplicialOperator.identity(level),
-                (base, level))
-
-    index = {}
-    for name, ((b1, n1), (b2, n2), simplex, q) in data.items():
-        index[(b1, n1, b2, n2, simplex, q.images)] = name
+                            if q.is_identity():
+                                identity[object_names[(base1, n1)]] = name
 
     table = {}
     overflows = 0

@@ -25,7 +25,7 @@ numbered in that order: the level above takes its faces as numbers, the
 simplicial set holds number tables, and the :class:`MappingSpace` keeps
 its grids in the same order.  The diagonal takes its tables from those
 of the level localizations, and a composite is looked up by grid and
-named at the end.  Composition reduces only at the junction of two
+returned as a number.  Composition reduces only at the junction of two
 reduced grids (the cascade of
 :func:`_junction`), and an entrywise degeneracy map keeps a grid
 reduced, so neither takes the normal form.  Only the boundary functions
@@ -50,6 +50,7 @@ of width, has the same components at w_max-1 as at w_max.
 from __future__ import annotations
 
 import itertools
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from functools import cached_property, partial
 
@@ -216,8 +217,10 @@ def _hammock(morphisms, x, y, grid) -> Hammock:
                    _mapped(morphisms, layers))
 
 
-# the name of width_zero(x), the same for every object x
+# the name of width_zero(x), the same for every object x, and its number
+# in hom(x, x): the one vertex of width 0 sorts first
 _IDENTITY_NAME = hammock_name((), ((),), ())
+_IDENTITY_NUMBER = 0
 
 
 def _reduce(cat: FiniteCategory, grid):
@@ -520,14 +523,14 @@ def _patterns(w_max):
 class MappingSpace:
     """Reduced hammocks from x to y as a truncated simplicial set.
 
-    ``vertices`` are the vertex names in order (by width, then name).
-    ``level_grids[k]`` holds the grids of morphism numbers of level k in
-    the order of ``sset.levels[k]``, so a simplex's number indexes both
-    (:attr:`numbers`, :meth:`grid`); ``by_grid`` maps a grid
-    to its number.  "pi0" detail keeps only vertices and partition, so
-    its ``level_grids`` cover level 0 only; it joins the vertices along
-    generator grids (see :func:`_pi0_edges`), while "full" detail joins
-    them along its kept 1-simplices.  ``pruned`` ("full" detail) says
+    ``vertices`` are the vertex names in order (by width, then name);
+    ``partition`` partitions their positions there.  ``level_grids[k]``
+    holds the grids of morphism numbers of level k in the order of
+    ``sset.levels[k]``, so a simplex's number indexes both; ``by_grid``
+    maps a grid to its number.  "pi0" detail keeps only vertices and
+    partition, so its ``level_grids`` cover level 0 only; it joins the
+    vertices along generator grids (see :func:`_pi0_edges`), while "full"
+    detail joins them along its kept 1-simplices.  ``pruned`` ("full" detail) says
     that a simplex was left out because one of its faces needs a
     composite the table lacks.  ``verdict`` is "stable" when the
     components at width bound w_max are those a run at w_max-1 finds,
@@ -565,19 +568,8 @@ class MappingSpace:
         return self.verdict == "stable"
 
     @cached_property
-    def numbers(self):
-        """Per level, simplex name -> number (in "pi0" detail, level 0 only)."""
-        if self.sset is not None:
-            return self.sset.number
-        return ({name: n for n, name in enumerate(self.vertices)},)
-
-    @cached_property
     def by_grid(self):
         return {grid: n for grids in self.level_grids for n, grid in enumerate(grids)}
-
-    def grid(self, level, name):
-        """The grid of morphism numbers of the level-``level`` simplex ``name``."""
-        return self.level_grids[level][self.numbers[level][name]]
 
 
 def _stability(partition, sub):
@@ -678,7 +670,7 @@ def _mapping_space(ctx: _Context, x, y, truncation, w_max, detail) -> MappingSpa
     partition = Partition.of(components, vertices)
     verdict = "bound_limited" if pruned else _stability(partition, sub)
     return MappingSpace(x, y, truncation, w_max, verdict, levels[0],
-                        partition.renamed(levels[0]), sset, tuple(level_grids), pruned,
+                        partition, sset, tuple(level_grids), pruned,
                         len(levels[1]), face_normal_forms=len(memo) - len(simplices[0]),
                         extension_rows=extension_rows)
 
@@ -696,7 +688,8 @@ def _identity_mask(identities, row):
 
 def _pi0_mapping_space(ctx: _Context, x, y, truncation, w_max) -> MappingSpace:
     """Vertices and partition, joined along generator grids (:func:`_pi0_edges`)
-    by a union-find over vertex numbers; vertices are named at the end."""
+    by a union-find over vertex numbers; vertices are named and sorted at
+    the end, and the partition renumbered to match."""
     found = []  # vertex number -> grid
     components = UnionFind()
     row_numbers = {}  # pattern -> row -> vertex number of its normal form, -1 if dead
@@ -726,8 +719,9 @@ def _pi0_mapping_space(ctx: _Context, x, y, truncation, w_max) -> MappingSpace:
     names = [hammock_name(pattern, (tuple(map(name, row)),), ()) for pattern, (row,), _ in found]
     order = sorted(range(len(found)), key=lambda n: (len(found[n][0]), names[n]))
     partition = Partition.of(components, order)
+    position = {n: p for p, n in enumerate(order)}
     return MappingSpace(x, y, truncation, w_max, _stability(partition, sub),
-                        tuple(names[n] for n in order), partition.renamed(names), None,
+                        tuple(names[n] for n in order), partition.renamed(position), None,
                         (tuple(found[n] for n in order),), grids=grids,
                         fallback_rows=fallback_rows)
 
@@ -939,11 +933,11 @@ class Localization:
             "overflows": self.overflows,
         }
 
-    def composite(self, x, y, z, level, g_name, f_name):
-        """Name of the composite simplex, or None on width overflow (a
-        simplex name carries its level)."""
+    def composite(self, x, y, z, level, g, f):
+        """The number of the composite of level-``level`` simplices g after
+        f (by number), or None on width overflow."""
         return _composite(self.relcat, self.pairs, self.w_max, self.compose_counts,
-                          x, y, z, level, g_name, f_name)
+                          x, y, z, level, g, f)
 
     def scat(self) -> scat_mod.TruncatedSimplicialCategory:
         if self.detail != "full":
@@ -955,7 +949,7 @@ class Localization:
             self._scat = scat_mod.TruncatedSimplicialCategory(
                 self.relcat.cat.objects, self.truncation,
                 {pair: ms.sset for pair, ms in self.pairs.items()},
-                dict.fromkeys(self.relcat.cat.objects, _IDENTITY_NAME),
+                dict.fromkeys(self.relcat.cat.objects, _IDENTITY_NUMBER),
                 composer=partial(_composite, self.relcat, self.pairs, self.w_max,
                                            self.compose_counts),
             )
@@ -985,30 +979,28 @@ class Localization:
                         or (x, z) not in self.pairs:
                     continue
                 for level in range(self.truncation + 1):
-                    for g in self.pairs[(y, z)].sset.level(level):
-                        for f in self.pairs[(x, y)].sset.level(level):
+                    gs, fs, hs = (self.pairs[pair].sset.levels[level]
+                                  for pair in ((y, z), (x, y), (x, z)))
+                    for g in range(len(gs)):
+                        for f in range(len(fs)):
                             h = self.composite(x, y, z, level, g, f)
                             if h is None:
                                 omitted += 1
                                 continue
                             compose.setdefault(f"{x}|{y}|{z}", {}).setdefault(
                                 str(level), []
-                            ).append([g, f, h])
+                            ).append([gs[g], fs[f], hs[h]])
             data["compose"] = compose
         data["bounds"] = dict(self.bounds_json(), overflows=omitted)
         return data
 
 
-def _composite(r, pairs, w_max, counts, x, y, z, level, g_name, f_name):
+def _composite(r, pairs, w_max, counts, x, y, z, level, g, f):
     """:meth:`Localization.composite` on the localization's parts."""
     target = pairs[(x, z)]
-    number = bounded_composite(r, pairs[(y, z)].grid(level, g_name),
-                               pairs[(x, y)].grid(level, f_name), w_max, target.by_grid,
-                               counts, target.pruned)
-    if number is None:
-        return None
-    # level 0 is the vertices in either detail
-    return (target.sset.levels[level] if level else target.vertices)[number]
+    return bounded_composite(r, pairs[(y, z)].level_grids[level][g],
+                             pairs[(x, y)].level_grids[level][f], w_max, target.by_grid,
+                             counts, target.pruned)
 
 
 def hammock_localization(r: RelativeCategory, truncation: int, w_max: int,
@@ -1025,21 +1017,42 @@ def staged(progress, stage):
         x, y, ms, stage if inner is None else f"{stage} {inner}")
 
 
+class _ClassMap(Mapping):
+    """``classmap[(x, y, vertex name)]``: a vertex's class in the category
+    of components, looked up by name only when asked."""
+
+    def __init__(self, pairs, class_names):
+        self.pairs, self.class_names = pairs, class_names
+
+    def __getitem__(self, key):
+        x, y, name = key
+        ms = self.pairs[(x, y)]
+        if name not in ms.vertices:
+            raise KeyError(key)
+        return self.class_names[(x, y)][ms.partition.class_of[ms.vertices.index(name)]]
+
+    def __iter__(self):
+        return ((x, y, name) for (x, y), ms in self.pairs.items() for name in ms.vertices)
+
+    def __len__(self):
+        return sum(len(ms.vertices) for ms in self.pairs.values())
+
+
 def homotopy_category_of_localization(loc: Localization, wellcheck_cap: int = 6):
-    """Category of components of a localization (see
-    :func:`scat.component_category`); class composites come from
-    representatives whose composite stays inside the width bound."""
+    """Category of components of a localization on vertex numbers (see
+    :func:`scat.component_category`), and the name-keyed class map; class
+    composites come from representatives inside the width bound."""
     try:
-        return scat_mod.component_category(
+        cat, class_names = scat_mod.component_category(
             loc.relcat.cat.objects,
             {pair: ms.partition for pair, ms in loc.pairs.items()},
-            {pair: ms.vertices for pair, ms in loc.pairs.items()},
-            dict.fromkeys(loc.relcat.cat.objects, _IDENTITY_NAME),
+            dict.fromkeys(loc.relcat.cat.objects, _IDENTITY_NUMBER),
             lambda x, y, z, g, f: loc.composite(x, y, z, 0, g, f), wellcheck_cap,
         )
     except CompositionUnavailable:
         loc.overflows += 1
         raise
+    return cat, _ClassMap(loc.pairs, class_names)
 
 
 # --- localization of relative simplicial categories -------------------------
@@ -1155,19 +1168,19 @@ class RelscatLocalization:
         if self._scat is None:
             self._scat = scat_mod.TruncatedSimplicialCategory(
                 self.rs.ambient.objects, self.truncation, self.diag_homs,
-                dict.fromkeys(self.rs.ambient.objects, _IDENTITY_NAME),
+                dict.fromkeys(self.rs.ambient.objects, _IDENTITY_NUMBER),
                 # as in Localization.scat: no reference cycle through self
                 composer=partial(_level_composite, self.levels),
             )
         return self._scat
 
 
-def _level_composite(levels, x, y, z, level, g_name, f_name):
-    """Name of the composite of level-``level`` simplices of the
+def _level_composite(levels, x, y, z, level, g, f):
+    """The number of the composite of level-``level`` simplices of the
     dimensionwise localization with level localizations ``levels``, or
     None on width overflow: it is composed in the level-``level``
     localization."""
-    return levels[level].composite(x, y, z, level, g_name, f_name)
+    return levels[level].composite(x, y, z, level, g, f)
 
 
 def hammock_localization_relscat(rs, truncation: int, w_max: int,

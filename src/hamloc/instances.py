@@ -262,13 +262,14 @@ def z2_nerve_scat(truncation: int = 2):
 
     table = {}
     for level in range(truncation + 1):
-        for a in hom.level(level):
-            for b in hom.level(level):
-                pa, pb = entries(a), entries(b)
+        names, number = hom.levels[level], hom.number[level]
+        for a, name_a in enumerate(names):
+            for b, name_b in enumerate(names):
+                pa, pb = entries(name_a), entries(name_b)
                 prod = tuple(g.compose(x, y) for x, y in zip(pa, pb))
-                table[("o", "o", "o", level, a, b)] = joined(prod, level)
+                table[("o", "o", "o", level, a, b)] = number[joined(prod, level)]
     return TruncatedSimplicialCategory(
-        ["o"], truncation, {("o", "o"): hom}, {"o": "*"}, table
+        ["o"], truncation, {("o", "o"): hom}, {"o": hom.number[0]["*"]}, table
     )
 
 

@@ -87,8 +87,7 @@ class TruncatedSimplicialSet:
     ``faces[k][i]`` gives, by number, the number of d_i of each level-k
     simplex (1 <= k <= N; ``faces[0]`` is empty); ``degeneracies[k][i]``
     gives s_i likewise (k < N).  Only :meth:`level`, :meth:`has_simplex`,
-    :meth:`face`, :meth:`degeneracy`, :meth:`to_json` and
-    :meth:`from_named` speak names.
+    :meth:`to_json` and :meth:`from_named` speak names.
     """
 
     __slots__ = ("truncation", "levels", "number", "faces", "degeneracies")
@@ -111,12 +110,6 @@ class TruncatedSimplicialSet:
 
     def has_simplex(self, k, name):
         return name in self.number[k]
-
-    def face(self, k, i, name):
-        return self.levels[k - 1][self.faces[k][i][self.number[k][name]]]
-
-    def degeneracy(self, k, i, name):
-        return self.levels[k + 1][self.degeneracies[k][i][self.number[k][name]]]
 
     def nondegenerate(self, k):
         """The numbers of the level-k simplices that are not degeneracies."""
@@ -153,7 +146,7 @@ class TruncatedSimplicialSet:
     @staticmethod
     def from_json(data) -> "TruncatedSimplicialSet":
         try:
-            truncation = data["truncation"]
+            truncation = truncation_value(data["truncation"])
             levels = data["levels"]
             faces, degeneracies = {}, {}
             for table, named in ((data.get("faces", {}), faces),
@@ -179,6 +172,13 @@ def level_key(key) -> int:
     if str(k) != key:
         raise InputError(f"level key {key!r} is not a canonical integer")
     return k
+
+
+def truncation_value(value) -> int:
+    """A JSON document's truncation: an integer, not a bool, float or string."""
+    if type(value) is not int:
+        raise InputError(f"truncation {value!r} is not an integer")
+    return value
 
 
 def _named(names, table, target):
@@ -264,16 +264,14 @@ def operator_steps(op: SimplicialOperator) -> list:
     return steps
 
 
-def apply_operator(x: TruncatedSimplicialSet, op: SimplicialOperator, name):
-    """Act on a level-``target_dim`` simplex, landing in ``source_dim``."""
+def apply_operator(x: TruncatedSimplicialSet, op: SimplicialOperator, s):
+    """Act on the level-``target_dim`` simplex numbered ``s``: the number
+    of its image at level ``source_dim``."""
     if op.target_dim > x.truncation or op.source_dim > x.truncation:
         raise InputError("operator exceeds truncation")
-    s = x.number[op.target_dim].get(name)
-    if s is None:
-        raise InputError(f"unknown simplex {name!r} at level {op.target_dim}")
     for kind, k, i in operator_steps(op):
         s = (x.faces[k] if kind == "d" else x.degeneracies[k])[i][s]
-    return x.levels[op.source_dim][s]
+    return s
 
 
 # --- nerve ----------------------------------------------------------------
@@ -342,9 +340,6 @@ class Partition:
         class_of = {e: idx for idx, cls in enumerate(classes) for e in cls}
         return Partition(elements, class_of, classes)
 
-    def same(self, a, b) -> bool:
-        return self.class_of[a] == self.class_of[b]
-
     def renamed(self, name) -> "Partition":
         """The same partition with each element ``e`` written ``name[e]``."""
         return Partition(tuple(name[e] for e in self.elements),
@@ -353,14 +348,15 @@ class Partition:
 
 
 def pi0(x: TruncatedSimplicialSet) -> Partition:
-    """Connected components of the level-0 simplices along level-1 edges."""
+    """Connected components of the level-0 simplices, by number, along
+    level-1 edges."""
     if x.truncation < 1:
         raise InputError("components need truncation >= 1")
     vertices = range(len(x.levels[0]))
     components = UnionFind(vertices)
     for a, b in zip(x.faces[1][1], x.faces[1][0]):
         components.union(a, b)
-    return Partition.of(components, vertices).renamed(x.levels[0])
+    return Partition.of(components, vertices)
 
 
 # --- integral homology ----------------------------------------------------

@@ -90,11 +90,17 @@ def validate_hammock(r: RelativeCategory, h: Hammock) -> list[str]:
     return report
 
 
+def simplex_number(ms, level, name) -> int:
+    """The number of the level-``level`` simplex ``name`` of the mapping
+    space ``ms`` (in "pi0" detail, of the vertex ``name``)."""
+    return ms.sset.number[level][name] if ms.sset is not None else ms.vertices.index(name)
+
+
 def simplex_hammock(r: RelativeCategory, ms, level, name) -> Hammock:
     """The level-``level`` simplex ``name`` of the mapping space ``ms``
     over ``r``, a grid of morphism numbers, as a :class:`Hammock` with
     named entries."""
-    directions, rows, layers = ms.grid(level, name)
+    directions, rows, layers = ms.level_grids[level][simplex_number(ms, level, name)]
     named = r.cat.morphisms
     return Hammock(ms.x, ms.y if directions else ms.x, directions,
                    [[named[m] for m in row] for row in rows],
@@ -160,6 +166,20 @@ def word_endpoints(c: FiniteCategory, word):
         if b != a2:
             raise InputError("word does not typecheck")
     return points[0][0], points[-1][1]
+
+
+def named_scat(objects, truncation, homs, identities, table) -> TruncatedSimplicialCategory:
+    """The table-backed simplicial category whose identities and
+    composition table ``(x, y, z, level, g, f) -> h`` are given by simplex
+    name, numbered in ``homs``."""
+    def number(pair, level, name):
+        return homs[pair].number[level][name]
+
+    return TruncatedSimplicialCategory(
+        objects, truncation, homs,
+        {x: number((x, x), 0, s) for x, s in identities.items()},
+        {(x, y, z, level, number((y, z), level, g), number((x, y), level, f)):
+         number((x, z), level, h) for (x, y, z, level, g, f), h in table.items()})
 
 
 def identity_simplicial_functor(a: TruncatedSimplicialCategory) -> SimplicialFunctor:

@@ -25,7 +25,13 @@ step of a row's extensions anew, for the memoized column-step table
 (:func:`reference_extensions`), and ``repr`` of the mapped grid, for the
 namer (:func:`_grid_name`).  The induced homology check through a
 rational kernel basis is the reference for the block-rank check
-(:func:`reference_induced_homology_iso`).  :func:`level_map` gives an
+(:func:`reference_induced_homology_iso`).  The simplicial-category
+checks that composed, took faces and identities and partitioned
+components by simplex name are the references for those on numbers
+(:func:`reference_validate_scat`, :func:`reference_validate_relscat`,
+:func:`reference_is_neglectable`,
+:func:`reference_validate_simplicial_functor`,
+:func:`reference_check_dk`).  :func:`level_map` gives an
 ambient's face and degeneracy maps on level-morphism names, which the
 dimensionwise localization reads as numbers, and :func:`sset_from_keyed`
 reads the earlier ``(k, name, i)`` dicts of the references.
@@ -33,6 +39,7 @@ reads the earlier ``(k, name, i)`` dicts of the references.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -44,6 +51,8 @@ from hamloc.fincat import (
     FiniteCategory,
     UnionFind,
     disjoint_union,
+    equivalence_from_functor,
+    is_isomorphism,
     validate_functor,
 )
 from hamloc.hammock import (
@@ -56,9 +65,10 @@ from hamloc.hammock import (
 )
 from hamloc.relcat import OracleHomSet, RelativeCategory
 from hamloc.scat import (
+    DkCertificate,
+    PairComparison,
     RelativeSimplicialCategory,
     TruncatedSimplicialCategory,
-    _chain_map_matrix,
     level_category,
     level_morphism_name,
     promote,
@@ -71,8 +81,11 @@ from hamloc.simplicial import (
     boundary_matrix,
     compose_operators,
     monotone_maps,
+    homology,
     operator_steps,
+    pi0,
     rational_rank,
+    validate_sset,
 )
 from helpers import row_vertices, simplex_hammock
 
@@ -81,13 +94,14 @@ def level_map(a: TruncatedSimplicialCategory, source_level: int, kind: str, i: i
     """The face (kind='d') or degeneracy (kind='s') map on level-morphism
     names, read off the hom simplicial sets."""
     mmap = {}
+    target_level = source_level - 1 if kind == "d" else source_level + 1
     for x in a.objects:
         for y in a.objects:
             sset = a.homs[(x, y)]
-            for s in sset.level(source_level):
-                img = (sset.face(source_level, i, s) if kind == "d"
-                       else sset.degeneracy(source_level, i, s))
-                mmap[level_morphism_name(x, y, s)] = level_morphism_name(x, y, img)
+            table = (sset.faces if kind == "d" else sset.degeneracies)[source_level][i]
+            for s, img in zip(sset.level(source_level), table):
+                mmap[level_morphism_name(x, y, s)] = level_morphism_name(
+                    x, y, sset.levels[target_level][img])
     return mmap
 
 
@@ -1019,10 +1033,11 @@ def reference_diagonal(rl, x, y) -> TruncatedSimplicialSet:
             image = hammock_name(*grid)
             if not target.sset.has_simplex(n, image):
                 raise ConsistencyError("entrywise image missing from enumeration")
+            image = target.sset.number[n][image]
             if kind == "d":
-                faces[(n, name, i)] = target.sset.face(n, i, image)
+                faces[(n, name, i)] = levels[n - 1][target.sset.faces[n][i][image]]
             else:
-                degeneracies[(n, name, i)] = target.sset.degeneracy(n, i, image)
+                degeneracies[(n, name, i)] = levels[n + 1][target.sset.degeneracies[n][i][image]]
     return sset_from_keyed(rl.truncation, levels, faces, degeneracies)
 
 
@@ -1196,7 +1211,15 @@ def reference_induced_homology_iso(fun, x, y, level, src_hom, tgt_hom, src_repor
         [1 if i == j else 0 for i in range(len(src_hom.nondegenerate(level)))]
         for j in range(len(src_hom.nondegenerate(level)))
     ]
-    fmat = _chain_map_matrix(fun, x, y, level, src_hom, tgt_hom)
+    # the chain map, read off the name-keyed simplex map
+    names = src_hom.levels[level]
+    tgt_index = {tgt_hom.levels[level][t]: i for i, t in enumerate(tgt_hom.nondegenerate(level))}
+    src_basis = src_hom.nondegenerate(level)
+    fmat = [[0] * len(src_basis) for _ in tgt_index]
+    for j, s in enumerate(src_basis):
+        i = tgt_index.get(fun.simplex_map[(x, y, level, names[s])])
+        if i is not None:
+            fmat[i][j] = 1
     mapped = [
         [sum(fmat[i][k] * vec[k] for k in range(len(vec))) for vec in kernel]
         for i in range(len(fmat))
@@ -1213,3 +1236,392 @@ def reference_induced_homology_iso(fun, x, y, level, src_hom, tgt_hom, src_repor
     rank_image = rational_rank(del_tgt) if image_cols else 0
     rank_combined = rational_rank(combined) if combined and combined[0] else 0
     return rank_combined - rank_image == betti
+
+
+# --- the simplicial-category checks on simplex names ----------------------
+#
+# The references for ``validate_scat``, ``validate_relscat``,
+# ``is_neglectable``, ``validate_simplicial_functor`` and ``check_dk``:
+# the earlier routines, which composed, took faces and identities, and
+# partitioned components by simplex name.  They read the numbered data
+# through the name helpers below; every law is checked on names.
+
+
+def _face_name(sset, k, i, name):
+    return sset.levels[k - 1][sset.faces[k][i][sset.number[k][name]]]
+
+
+def _degeneracy_name(sset, k, i, name):
+    return sset.levels[k + 1][sset.degeneracies[k][i][sset.number[k][name]]]
+
+
+def _composite_name(a, x, y, z, level, g, f):
+    """The name of g after f (by name), None when not represented; a
+    composite outside hom(x, z) comes back as ``("unknown", number)``."""
+    h = a.composite(x, y, z, level, a.homs[(y, z)].number[level][g],
+                    a.homs[(x, y)].number[level][f])
+    if h is None:
+        return None
+    names = a.homs[(x, z)].levels[level]
+    return names[h] if 0 <= h < len(names) else ("unknown", h)
+
+
+def _identity_name(a, x, level):
+    sset = a.homs[(x, x)]
+    name = sset.levels[0][a.identities[x]]
+    for k in range(level):
+        name = _degeneracy_name(sset, k, 0, name)
+    return name
+
+
+def reference_validate_scat(a) -> list[str]:
+    report = []
+    for x in a.objects:
+        for y in a.objects:
+            if (x, y) not in a.homs:
+                report.append(f"missing hom ({x},{y})")
+                continue
+            for line in validate_sset(a.homs[(x, y)]):
+                report.append(f"hom ({x},{y}): {line}")
+    if report:
+        return report
+    N = a.truncation
+
+    def comp(x, y, z, level, g, f):
+        return _composite_name(a, x, y, z, level, g, f)
+
+    for x, y, z in itertools.product(a.objects, repeat=3):
+        for level in range(N + 1):
+            for g in a.homs[(y, z)].level(level):
+                for f in a.homs[(x, y)].level(level):
+                    h = comp(x, y, z, level, g, f)
+                    if h is None:
+                        if a.has_table():
+                            report.append(
+                                f"missing composite ({x},{y},{z}) level {level}: ({g},{f})")
+                    elif not a.homs[(x, z)].has_simplex(level, h):
+                        report.append(f"composite not in hom ({x},{z}) level {level}: ({g},{f})")
+    if report:
+        return report
+    for x, y in itertools.product(a.objects, repeat=2):
+        for level in range(N + 1):
+            idx = _identity_name(a, x, level)
+            idy = _identity_name(a, y, level)
+            for f in a.homs[(x, y)].level(level):
+                if comp(x, y, y, level, idy, f) not in (None, f):
+                    report.append(f"unit: id.{f} at ({x},{y}) level {level}")
+                if comp(x, x, y, level, f, idx) not in (None, f):
+                    report.append(f"unit: {f}.id at ({x},{y}) level {level}")
+    for w, x, y, z in itertools.product(a.objects, repeat=4):
+        for level in range(N + 1):
+            for h in a.homs[(y, z)].level(level):
+                for g in a.homs[(x, y)].level(level):
+                    hg = comp(x, y, z, level, h, g)
+                    for f in a.homs[(w, x)].level(level):
+                        gf = comp(w, x, y, level, g, f)
+                        if hg is None or gf is None:
+                            continue
+                        left = comp(w, x, z, level, hg, f)
+                        right = comp(w, y, z, level, h, gf)
+                        if None not in (left, right) and left != right:
+                            report.append(f"associativity at level {level}: ({h},{g},{f})")
+    for x, y, z in itertools.product(a.objects, repeat=3):
+        hom_xy, hom_yz, hom_xz = a.homs[(x, y)], a.homs[(y, z)], a.homs[(x, z)]
+        for level in range(1, N + 1):
+            for g in hom_yz.level(level):
+                for f in hom_xy.level(level):
+                    h = comp(x, y, z, level, g, f)
+                    if h is None:
+                        continue
+                    for i in range(level + 1):
+                        expect = comp(x, y, z, level - 1, _face_name(hom_yz, level, i, g),
+                                      _face_name(hom_xy, level, i, f))
+                        if expect is not None and _face_name(hom_xz, level, i, h) != expect:
+                            report.append(
+                                f"composition not simplicial (d_{i}) at ({x},{y},{z}) level {level}"
+                            )
+        for level in range(N):
+            for g in hom_yz.level(level):
+                for f in hom_xy.level(level):
+                    h = comp(x, y, z, level, g, f)
+                    if h is None:
+                        continue
+                    for i in range(level + 1):
+                        expect = comp(x, y, z, level + 1, _degeneracy_name(hom_yz, level, i, g),
+                                      _degeneracy_name(hom_xy, level, i, f))
+                        if (expect is not None
+                                and _degeneracy_name(hom_xz, level, i, h) != expect):
+                            report.append(
+                                f"composition not simplicial (s_{i}) at ({x},{y},{z}) level {level}"
+                            )
+    return report
+
+
+def reference_validate_relscat(rs) -> list[str]:
+    report = []
+    a = rs.ambient
+    N = a.truncation
+    for (x, y), levels in rs.sub.items():
+        if len(levels) != N + 1:
+            report.append(f"sub ({x},{y}): wrong number of levels")
+            continue
+        sset = a.homs[(x, y)]
+        for k, level in enumerate(levels):
+            for s in sorted(level):
+                if not sset.has_simplex(k, s):
+                    report.append(f"sub ({x},{y}) level {k}: unknown simplex {s}")
+    if report:
+        return report
+    for x in a.objects:
+        for k in range(N + 1):
+            if _identity_name(a, x, k) not in rs.sub[(x, x)][k]:
+                report.append(f"sub missing identity at {x} level {k}")
+    for (x, y), levels in rs.sub.items():
+        sset = a.homs[(x, y)]
+        for k in range(1, N + 1):
+            for s in sorted(levels[k]):
+                for i in range(k + 1):
+                    if _face_name(sset, k, i, s) not in levels[k - 1]:
+                        report.append(f"sub ({x},{y}): face d_{i} of {s} escapes")
+        for k in range(N):
+            for s in sorted(levels[k]):
+                for i in range(k + 1):
+                    if _degeneracy_name(sset, k, i, s) not in levels[k + 1]:
+                        report.append(f"sub ({x},{y}): degeneracy s_{i} of {s} escapes")
+    if report:
+        return report
+    for x, y, z in itertools.product(a.objects, repeat=3):
+        for level in range(N + 1):
+            for g in sorted(rs.sub[(y, z)][level]):
+                for f in sorted(rs.sub[(x, y)][level]):
+                    h = _composite_name(a, x, y, z, level, g, f)
+                    if h is None:
+                        if a.has_table():
+                            report.append(
+                                f"sub pair ({g},{f}) has no composite at ({x},{y},{z}) "
+                                f"level {level}")
+                    elif h not in rs.sub[(x, z)][level]:
+                        report.append(
+                            f"sub not closed under composition at ({x},{y},{z}) level {level}"
+                        )
+    return report
+
+
+def _reference_component_category(objects, parts, members, identities, compose, wellcheck_cap):
+    """The category of components and the simplex-name-to-class map."""
+    names, dom, cod, morphisms = {}, {}, {}, []
+    reps = {}
+    for x in objects:
+        for y in objects:
+            class_of = parts[(x, y)].class_of
+            for k in range(len(parts[(x, y)].classes)):
+                name = f"{x}->{y}#{k}"
+                names[(x, y, k)] = name
+                morphisms.append(name)
+                dom[name] = x
+                cod[name] = y
+                reps[(x, y, k)] = []
+            for s in members[(x, y)]:
+                chosen = reps[(x, y, class_of[s])]
+                if len(chosen) < wellcheck_cap:
+                    chosen.append(s)
+    identity = {x: names[(x, x, parts[(x, x)].class_of[identities[x]])] for x in objects}
+    table = {}
+    for x, y, z in itertools.product(objects, repeat=3):
+        class_of = parts[(x, z)].class_of
+        for k2 in range(len(parts[(y, z)].classes)):
+            for k1 in range(len(parts[(x, y)].classes)):
+                targets = set()
+                for g in reps[(y, z, k2)]:
+                    for f in reps[(x, y, k1)]:
+                        h = compose(x, y, z, g, f)
+                        if h is not None:
+                            targets.add(class_of[h])
+                if not targets:
+                    raise CompositionUnavailable(
+                        f"no representative composite at ({x},{y},{z}) classes ({k2},{k1})"
+                    )
+                if len(targets) > 1:
+                    raise ConsistencyError(
+                        f"induced composition ill-defined at ({x},{y},{z}) classes ({k2},{k1})"
+                    )
+                table[(names[(y, z, k2)], names[(x, y, k1)])] = names[(x, z, targets.pop())]
+    cat = FiniteCategory(objects, morphisms, dom, cod, identity, table)
+    classmap = {
+        (x, y, s): names[(x, y, parts[(x, y)].class_of[s])]
+        for x in objects for y in objects for s in members[(x, y)]
+    }
+    return cat, classmap
+
+
+def _named_pi0(sset) -> Partition:
+    return pi0(sset).renamed(sset.levels[0])
+
+
+def reference_homotopy_category_data(a, wellcheck_cap: int = 8):
+    """The category of components, the name-keyed class map and the
+    name-keyed partitions."""
+    if a.truncation < 1:
+        raise InputError("homotopy category needs truncation >= 1")
+    parts = {(x, y): _named_pi0(a.homs[(x, y)]) for x in a.objects for y in a.objects}
+    members = {pair: a.homs[pair].level(0) for pair in parts}
+    identities = {x: _identity_name(a, x, 0) for x in a.objects}
+    cat, classmap = _reference_component_category(
+        a.objects, parts, members, identities,
+        lambda x, y, z, g, f: _composite_name(a, x, y, z, 0, g, f), wellcheck_cap)
+    return cat, classmap, parts
+
+
+def reference_is_neglectable(rs):
+    ho, classmap, _ = reference_homotopy_category_data(rs.ambient)
+    for x in rs.ambient.objects:
+        for y in rs.ambient.objects:
+            for s in sorted(rs.sub[(x, y)][0]):
+                if not is_isomorphism(ho, classmap[(x, y, s)]):
+                    return False, (x, y, s)
+    return True, None
+
+
+def reference_validate_simplicial_functor(fun, composition_cap: int = 4000) -> list[str]:
+    report = []
+    src, tgt = fun.source, fun.target
+    for x in src.objects:
+        if fun.object_map.get(x) not in tgt.objects:
+            report.append(f"object not mapped into target: {x}")
+    if report:
+        return report
+    for x in src.objects:
+        for y in src.objects:
+            sh = src.homs[(x, y)]
+            th = tgt.homs[(fun.object_map[x], fun.object_map[y])]
+            for level in range(src.truncation + 1):
+                for s in sh.level(level):
+                    t = fun.simplex_map.get((x, y, level, s))
+                    if t is None or not th.has_simplex(level, t):
+                        report.append(f"simplex not mapped: ({x},{y}) level {level}: {s}")
+    if report:
+        return report
+    for x in src.objects:
+        if (fun.simplex_map[(x, x, 0, _identity_name(src, x, 0))]
+                != _identity_name(tgt, fun.object_map[x], 0)):
+            report.append(f"identity not preserved at {x}")
+    for x in src.objects:
+        for y in src.objects:
+            sh = src.homs[(x, y)]
+            th = tgt.homs[(fun.object_map[x], fun.object_map[y])]
+            for level in range(1, src.truncation + 1):
+                for s in sh.level(level):
+                    for i in range(level + 1):
+                        lhs = fun.simplex_map[(x, y, level - 1, _face_name(sh, level, i, s))]
+                        rhs = _face_name(th, level, i, fun.simplex_map[(x, y, level, s)])
+                        if lhs != rhs:
+                            report.append(f"face not preserved: ({x},{y}) level {level} d_{i} {s}")
+            for level in range(src.truncation):
+                for s in sh.level(level):
+                    for i in range(level + 1):
+                        lhs = fun.simplex_map[(x, y, level + 1, _degeneracy_name(sh, level, i, s))]
+                        rhs = _degeneracy_name(th, level, i, fun.simplex_map[(x, y, level, s)])
+                        if lhs != rhs:
+                            report.append(
+                                f"degeneracy not preserved: ({x},{y}) level {level} s_{i} {s}"
+                            )
+    if report:
+        return report
+    checked = 0
+    for x, y, z in itertools.product(src.objects, repeat=3):
+        fx, fy, fz = (fun.object_map[o] for o in (x, y, z))
+        for level in range(src.truncation + 1):
+            for g in src.homs[(y, z)].level(level):
+                for f in src.homs[(x, y)].level(level):
+                    if checked >= composition_cap:
+                        return report
+                    h = _composite_name(src, x, y, z, level, g, f)
+                    if h is None:
+                        continue
+                    checked += 1
+                    image = _composite_name(tgt, fx, fy, fz, level,
+                                            fun.simplex_map[(y, z, level, g)],
+                                            fun.simplex_map[(x, y, level, f)])
+                    if image is None:
+                        report.append(
+                            f"composite not representable in target at ({x},{y},{z}) level {level}"
+                        )
+                        continue
+                    if image != fun.simplex_map[(x, z, level, h)]:
+                        report.append(
+                            f"composition not preserved at ({x},{y},{z}) level {level}: ({g},{f})"
+                        )
+    return report
+
+
+def reference_check_dk(fun) -> DkCertificate:
+    """The DK certificate on names: components by name, each class
+    represented by its least name, and the class maps keyed by name."""
+    bad = reference_validate_simplicial_functor(fun)
+    if bad:
+        raise InputError(f"invalid simplicial functor: {bad[0]}")
+    src, tgt = fun.source, fun.target
+    N = src.truncation
+    pairs = {}
+    verdict = "pass_partial"
+    reason = ""
+    src_parts = {(x, y): _named_pi0(src.homs[(x, y)]) for x in src.objects for y in src.objects}
+    tgt_parts = {}
+    for x in src.objects:
+        for y in src.objects:
+            fx, fy = fun.object_map[x], fun.object_map[y]
+            if (fx, fy) not in tgt_parts:
+                tgt_parts[(fx, fy)] = _named_pi0(tgt.homs[(fx, fy)])
+            sp, tp = src_parts[(x, y)], tgt_parts[(fx, fy)]
+            mapping = {k: tp.class_of[fun.simplex_map[(x, y, 0, min(cls))]]
+                       for k, cls in enumerate(sp.classes)}
+            injective = len(set(mapping.values())) == len(mapping)
+            surjective = set(mapping.values()) == set(range(len(tp.classes)))
+            pi0_ok = injective and surjective
+            pi0_witness = None if pi0_ok else {
+                "pair": [x, y], "source_classes": len(sp.classes),
+                "target_classes": len(tp.classes), "injective": injective,
+            }
+            hom_witness = None if pi0_ok else {"pair": [x, y], "degree": 0}
+            if pi0_ok and N >= 2:
+                src_hom, tgt_hom = src.homs[(x, y)], tgt.homs[(fx, fy)]
+                src_report, tgt_report = homology(src_hom), homology(tgt_hom)
+                for level in range(1, N):
+                    if not reference_induced_homology_iso(
+                            fun, x, y, level, src_hom, tgt_hom, src_report, tgt_report):
+                        hom_witness = {"pair": [x, y], "degree": level}
+                        break
+            hom_ok = hom_witness is None
+            pairs[(x, y)] = PairComparison(pi0_ok, pi0_witness, hom_ok, hom_witness)
+            if not (pi0_ok and hom_ok):
+                verdict = "fail"
+    ho_ok = False
+    ho_witness = None
+    try:
+        ho_src, cmap_src, _ = reference_homotopy_category_data(src)
+        ho_tgt, cmap_tgt, _ = reference_homotopy_category_data(tgt)
+        omap = dict(fun.object_map)
+        mmap = {}
+        for x in src.objects:
+            for y in src.objects:
+                for s in src.homs[(x, y)].level(0):
+                    cls = cmap_src[(x, y, s)]
+                    target_cls = cmap_tgt[(omap[x], omap[y], fun.simplex_map[(x, y, 0, s)])]
+                    if mmap.setdefault(cls, target_cls) != target_cls:
+                        raise ConsistencyError(f"induced functor not well defined at {cls}")
+        induced = CatFunctor(ho_src, ho_tgt, omap, mmap)
+        if validate_functor(induced):
+            ho_witness = {"error": "induced map on components is not a functor"}
+            verdict = "fail"
+        else:
+            witness = equivalence_from_functor(induced)
+            if witness is None:
+                ho_witness = {"error": "component categories not equivalent via induced functor"}
+                verdict = "fail"
+            else:
+                ho_ok = True
+                ho_witness = {"backward_objects": dict(witness.backward.object_map)}
+    except CompositionUnavailable as exc:
+        verdict = "undetermined"
+        reason = f"composition bound: {exc}"
+    return DkCertificate(N, pairs, ho_ok, ho_witness, verdict, reason)

@@ -79,11 +79,11 @@ def test_criterion_2_oracle_agreement():
                 checked += 1
                 assert len(ms.partition.classes) == hs.class_count(), (name, x, y)
                 index_of = {}
-                for h in vertex_hammocks(r, ms):
+                for vertex, h in enumerate(vertex_hammocks(r, ms)):
                     word = tuple(zip(h.directions, h.rows[0]))
                     oracle_class = hs.class_index(word)
                     assert oracle_class is not None, (name, x, y, h.name)
-                    mine = ms.partition.class_of[h.name]
+                    mine = ms.partition.class_of[vertex]
                     assert index_of.setdefault(mine, oracle_class) == oracle_class
                 assert len(set(index_of.values())) == len(index_of)
     assert checked >= 30

@@ -294,6 +294,56 @@ class TestLevelKeys:
         assert f"level key {spelling!r} is not a canonical integer" in err
 
 
+class TestTruncationValue:
+    """A document's truncation is a JSON integer; a fraction, a string or a
+    bool is an input error (exit 2) where it used to be rounded by
+    ``int``."""
+
+    @staticmethod
+    def _run(tmp_path, capsys, argv, payload):
+        path = tmp_path / "doc.json"
+        write_canonical(path, payload)
+        code = run([argv[0], str(path), *argv[1:]])
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    @pytest.mark.parametrize("value", [2.7, "2"])
+    def test_simplicial_set(self, tmp_path, capsys, value):
+        data = nerve(inst.walking_iso(), 2).to_json()
+        assert self._run(tmp_path, capsys, ["homology"], data)[0] == 0
+        data["truncation"] = value
+        code, out, err = self._run(tmp_path, capsys, ["homology"], data)
+        assert (code, out) == (2, "")
+        assert err.startswith("input error:")
+        assert f"truncation {value!r} is not an integer" in err
+
+    @pytest.mark.parametrize("value", [1.5, True, "1"])
+    def test_simplicial_category(self, tmp_path, capsys, value):
+        data = promote(inst.walking_iso(), 1).to_json()
+        assert self._run(tmp_path, capsys, ["validate"], data)[0] == 0
+        data["truncation"] = value
+        for hom in data["homs"].values():
+            hom["truncation"] = value
+        code, out, err = self._run(tmp_path, capsys, ["validate"], data)
+        assert (code, out) == (2, "")
+        assert err.startswith("input error:")
+        assert f"truncation {value!r} is not an integer" in err
+
+
+def test_hom_of_an_unknown_object_exits_two(tmp_path, capsys):
+    """A hom keyed by an object outside ``objects`` would be dropped by
+    every pipeline; the loader rejects it and names the pair."""
+    data = promote(inst.walking_iso(), 1).to_json()
+    data["objects"] = ["X"]
+    path = tmp_path / "scat.json"
+    write_canonical(path, data)
+    code = run(["validate", str(path)])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert captured.err.startswith("input error:")
+    assert "hom X|Y names an object not in objects" in captured.err
+
+
 def _walking_iso_without_vu(mors):
     """The promoted walking iso with a sub, minus the composite v.u at
     level 0: the ambient lacks a composite its sub needs."""

@@ -183,9 +183,11 @@ class TestNaming:
         op = SimplicialOperator(1, 0, (0, 0))
         assert flat_morphism_name("f", op) == "(f;q=[0,0])"
         # every morphism of a flattening, identities included, carries it
-        fl = flatten(hammock_localization(inst.walking_weq(), 1, 2).scat())
+        a = hammock_localization(inst.walking_weq(), 1, 2).scat()
+        fl = flatten(a)
         for name, (source, target, simplex, q) in fl.morphism_data.items():
-            assert name == (f"{fl.object_name(*source)}-{flat_morphism_name(simplex, q)}->"
+            simplex_name = a.homs[(source[0], target[0])].levels[target[1]][simplex]
+            assert name == (f"{fl.object_name(*source)}-{flat_morphism_name(simplex_name, q)}->"
                             f"{fl.object_name(*target)}")
         assert set(fl.rel.cat.identity.values()) <= set(fl.morphism_data)
 

@@ -86,7 +86,8 @@ def _collapse(source, target):
     """The functor sending every simplex of ``source`` to the identity of
     the one-object ``target`` at its level."""
     (point,) = target.objects
-    smap = {(x, y, level, s): target.identity_at(point, level)
+    identity = target.homs[(point, point)].levels
+    smap = {(x, y, level, s): identity[level][target.identity_at(point, level)]
             for (x, y), hom in source.homs.items()
             for level in range(source.truncation + 1) for s in hom.level(level)}
     return SimplicialFunctor(source, target, {x: point for x in source.objects}, smap)

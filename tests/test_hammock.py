@@ -132,7 +132,8 @@ class TestCompose:
         backward = Hammock("Y", "X", ("b",), (("w",),), ())
         loop = compose_hammocks(r, backward, forward)
         ms = mapping_space(r, "X", "X", 1, 4)
-        assert ms.partition.same(loop.name, width_zero("X").name)
+        number, class_of = ms.sset.number[0], ms.partition.class_of
+        assert class_of[number[loop.name]] == class_of[number[width_zero("X").name]]
 
 
 class TestMappingSpace:
@@ -192,15 +193,15 @@ class TestMappingSpace:
                         continue
                     assert len(ms.partition.classes) == hs.class_count(), (name, x, y)
                     vertices = vertex_hammocks(r, ms)
-                    for h in vertices:
+                    for a, h in enumerate(vertices):
                         word = tuple(
                             (d, m) for d, m in zip(h.directions, h.rows[0])
                         )
-                        for other in vertices:
+                        for b, other in enumerate(vertices):
                             word2 = tuple(
                                 (d, m) for d, m in zip(other.directions, other.rows[0])
                             )
-                            assert ms.partition.same(h.name, other.name) == \
+                            assert (ms.partition.class_of[a] == ms.partition.class_of[b]) == \
                                 (hs.class_index(word) == hs.class_index(word2))
 
     def test_bounds_validated(self):
@@ -240,11 +241,13 @@ class TestLocalization:
         assert validate_simplicial_functor(fun) == []
         for (g, f), h in r.cat.table.items():
             x, y, z = r.cat.dom[f], r.cat.cod[f], r.cat.cod[g]
+            number = {pair: loc.pair(*pair).sset.number[0] for pair in ((y, z), (x, y), (x, z))}
             got = loc.composite(
                 x, y, z, 0,
-                fun.simplex_map[(y, z, 0, g)], fun.simplex_map[(x, y, 0, f)],
+                number[(y, z)][fun.simplex_map[(y, z, 0, g)]],
+                number[(x, y)][fun.simplex_map[(x, y, 0, f)]],
             )
-            assert got == fun.simplex_map[(x, z, 0, h)]
+            assert got == number[(x, z)][fun.simplex_map[(x, z, 0, h)]]
         assert loc.overflows == 0
 
     def test_serialized_overflows_do_not_depend_on_history(self):
@@ -555,7 +558,8 @@ class TestFullDetailAgainstReference:
         where = (x, y, truncation, width)
         _same_sset(got.sset, want.sset, where)
         assert list(got.vertices) == [h.name for h in want.vertices], where
-        assert got.partition.class_of == want.partition.class_of, where
+        # the reference partitions vertex names, the package vertex numbers
+        assert got.partition.renamed(got.vertices).class_of == want.partition.class_of, where
         assert got.verdict == want.verdict, where
         assert got.grids == want.grids, where
         return got
@@ -722,11 +726,11 @@ class TestPrunedComposites:
         loc = hammock_localization(r, 1, 3)
         ms = loc.pair("X", "X")
         assert not ms.pruned and ms.stable
-        back = Hammock("Y", "X", ("b",), (("w",),), ()).name
-        forward = embed_morphism(r, "w").name
+        back = loc.pair("Y", "X").sset.number[0][Hammock("Y", "X", ("b",), (("w",),), ()).name]
+        forward = loc.pair("X", "Y").sset.number[0][embed_morphism(r, "w").name]
         h = loc.composite("X", "Y", "X", 0, back, forward)
         assert h is not None
-        del ms.by_grid[ms.grid(0, h)]
+        del ms.by_grid[ms.level_grids[0][h]]
         with pytest.raises(ConsistencyError, match="missing from enumeration"):
             loc.composite("X", "Y", "X", 0, back, forward)
         ms.pruned = True
@@ -1017,7 +1021,7 @@ class TestPi0AgainstReference:
     @staticmethod
     def _agree(got, want, where):
         assert list(got.vertices) == [h.name for h in want.vertices], where
-        assert got.partition.classes == want.partition.classes, where
+        assert got.partition.renamed(got.vertices).classes == want.partition.classes, where
         assert got.verdict == want.verdict, where
         assert (got.grids, got.fallback_rows) == (want.grids, want.fallback_rows), where
 
@@ -1065,10 +1069,10 @@ def test_stable_components_match_word_oracle_on_random_relative_categories():
                 checked += 1
                 assert len(ms.partition.classes) == hs.class_count(), (seed, x, y)
                 index_of = {}
-                for h in vertex_hammocks(r, ms):
+                for vertex, h in enumerate(vertex_hammocks(r, ms)):
                     oracle_class = hs.class_index(tuple(zip(h.directions, h.rows[0])))
                     assert oracle_class is not None, (seed, x, y, h.name)
-                    mine = ms.partition.class_of[h.name]
+                    mine = ms.partition.class_of[vertex]
                     assert index_of.setdefault(mine, oracle_class) == oracle_class
                 assert len(set(index_of.values())) == len(index_of)
     assert checked >= 60
@@ -1083,11 +1087,12 @@ class TestVerdictIsOneWidthLower:
     def _check(r, x, y, width):
         lower = mapping_space(r, x, y, 1, width - 1, "pi0")
         upper = mapping_space(r, x, y, 1, width, "pi0")
-        narrow = frozenset(name for name in upper.vertices if len(upper.grid(0, name)[0]) < width)
+        narrow = frozenset(name for name, grid in zip(upper.vertices, upper.level_grids[0])
+                           if len(grid[0]) < width)
         assert narrow == frozenset(lower.vertices)
-        traces = [cls & narrow for cls in upper.partition.classes]
-        agree = (len(traces) == len(lower.partition.classes)
-                 and set(traces) == set(lower.partition.classes))
+        lower_classes = lower.partition.renamed(lower.vertices).classes
+        traces = [cls & narrow for cls in upper.partition.renamed(upper.vertices).classes]
+        agree = len(traces) == len(lower_classes) and set(traces) == set(lower_classes)
         assert upper.verdict == ("stable" if agree else "bound_limited"), (x, y, width)
 
     @settings(max_examples=30, deadline=None)

@@ -24,6 +24,7 @@ from hamloc.scat import (
     relscat_to_json,
     simplicial_functor_from_json,
     sub_from_morphisms,
+    validate_scat,
 )
 from hamloc.simplicial import TruncatedSimplicialSet, nerve
 from helpers import identity_simplicial_functor
@@ -218,3 +219,67 @@ def test_valid_mutants_exit_with_a_verdict(command_dir, command, mutant):
     write_canonical(path, mutant[1].to_json())
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         assert run(before + [str(path)] + after) in codes
+
+
+def _named_triples(a):
+    """``"x|y|z" -> level -> [g, f, h]`` of every composite ``a``
+    represents, by name, in the order of its levels."""
+    compose = {}
+    for x in a.objects:
+        for y in a.objects:
+            for z in a.objects:
+                for level in range(a.truncation + 1):
+                    gs, fs = a.homs[(y, z)].levels[level], a.homs[(x, y)].levels[level]
+                    for g in range(len(gs)):
+                        for f in range(len(fs)):
+                            h = a.composite(x, y, z, level, g, f)
+                            if h is not None:
+                                compose.setdefault(f"{x}|{y}|{z}", {}).setdefault(
+                                    str(level), []).append(
+                                        [gs[g], fs[f], a.homs[(x, z)].levels[level][h]])
+    return compose
+
+
+@pytest.mark.parametrize("kind", ["promote", "z2-nerve", "localization"])
+def test_composition_names_round_trip(kind):
+    """The one place composition names are read and written: a document
+    loaded on numbers gives back every hom and every composite triple by
+    name.  The localization is width-bounded (composer-backed), so its
+    triples are read back through ``composite``; the others are written
+    by ``to_json`` too."""
+    if kind == "promote":
+        data = promote(inst.walking_iso(), 2).to_json()
+    elif kind == "z2-nerve":
+        data = inst.z2_nerve_scat(2).to_json()
+    else:
+        data = hammock_localization(inst.walking_weq(), 2, 3).to_json()
+        assert data["bounds"]["overflows"] > 0
+    a = TruncatedSimplicialCategory.from_json(data)
+    for key, hom in data["homs"].items():
+        x, y = key.split("|")
+        assert a.homs[(x, y)].to_json() == {k: v for k, v in hom.items() if k != "verdict"}
+    def normalized(compose):
+        return {key: {level: sorted(entries) for level, entries in per_level.items()}
+                for key, per_level in compose.items()}
+
+    triples = _named_triples(a)
+    assert sum(len(entries) for per_level in triples.values() for entries in per_level.values()) \
+        == sum(len(entries) for per_level in data["compose"].values()
+               for entries in per_level.values()) > 0
+    assert normalized(triples) == normalized(data["compose"])
+    if kind != "localization":
+        assert a.to_json() == data
+    else:
+        assert not a.has_table()
+
+
+def test_unknown_composite_is_reported_not_renamed():
+    """A composite that names no simplex is read as -1: validation reports
+    it, and serializing refuses it instead of naming another simplex."""
+    data = promote(inst.walking_iso(), 1).to_json()
+    data["compose"]["X|Y|X"]["0"] = [[g, f, "nowhere" if (g, f) == ("v", "u") else h]
+                                     for g, f, h in data["compose"]["X|Y|X"]["0"]]
+    a = TruncatedSimplicialCategory.from_json(data)
+    assert validate_scat(a) == ["composite not in hom (X,X) level 0: (v,u)"]
+    with pytest.raises(InputError, match="outside its hom"):
+        a.to_json()

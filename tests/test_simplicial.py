@@ -103,22 +103,23 @@ class TestNerve:
 
     def test_faces_compose_chain(self):
         n = nerve(inst.chain3(), 2)
-        assert n.face(2, 1, "f|g") == "gf"
-        assert n.face(2, 0, "f|g") == "g"
-        assert n.face(2, 2, "f|g") == "f"
-        assert n.degeneracy(1, 0, "f") == "idX|f"
+        fg, f = n.number[2]["f|g"], n.number[1]["f"]
+        assert n.levels[1][n.faces[2][1][fg]] == "gf"
+        assert n.levels[1][n.faces[2][0][fg]] == "g"
+        assert n.levels[1][n.faces[2][2][fg]] == "f"
+        assert n.levels[2][n.degeneracies[1][0][f]] == "idX|f"
 
 
 class TestApplyOperator:
     def test_inner_face_via_general_operator(self):
         n = nerve(inst.chain3(), 2)
         op = SimplicialOperator(1, 2, (0, 2))  # the mono missing 1, acts as d_1
-        assert apply_operator(n, op, "f|g") == "gf"
+        assert n.levels[1][apply_operator(n, op, n.number[2]["f|g"])] == "gf"
 
     def test_degeneracy_via_general_operator(self):
         n = nerve(inst.chain3(), 2)
         op = SimplicialOperator(2, 1, (0, 1, 1))  # acts as s_1
-        assert apply_operator(n, op, "f") == "f|idY"
+        assert n.levels[2][apply_operator(n, op, n.number[1]["f"])] == "f|idY"
 
     def test_presheaf_law_exhaustive(self):
         """action(p then q) equals action(q) followed by action(p)."""
@@ -129,7 +130,7 @@ class TestApplyOperator:
                 if p.target_dim != q.source_dim:
                     continue
                 pq = compose_operators(p, q)
-                for simplex in n.levels[pq.target_dim]:
+                for simplex in range(len(n.levels[pq.target_dim])):
                     via_q = apply_operator(n, q, simplex)
                     stepwise = apply_operator(n, p, via_q)
                     assert stepwise == apply_operator(n, pq, simplex)
@@ -137,7 +138,7 @@ class TestApplyOperator:
     def test_truncation_guard(self):
         n = nerve(inst.terminal(), 1)
         with pytest.raises(InputError):
-            apply_operator(n, SimplicialOperator.identity(2), "whatever")
+            apply_operator(n, SimplicialOperator.identity(2), 0)
 
 
 def _partition_from_pairs(elements, pairs) -> Partition:

@@ -5,7 +5,9 @@ check it on numbers.  Each fixture in ``tests/golden/sset-*.json`` holds
 one malformed input (an edit of the nerve of the walking arrow at
 truncation 2) and, for each of the three commands, the exit code, stdout
 and stderr.  The fixtures were recorded at commit c1eda61, before the
-simplicial sets were numbered.  To record them again with the package on
+simplicial sets were numbered; the two truncation fixtures were recorded
+when a non-integer truncation became an input error (it was rounded by
+``int`` before, and the commands exited 0 at truncation 2).  To record them again with the package on
 ``PYTHONPATH``:
 
     python tests/test_sset_boundary.py record
@@ -65,6 +67,12 @@ def _edits():
     def non_integer_key(d):
         d["faces"]["one"] = d["faces"].pop("1")
 
+    def fractional_truncation(d):
+        d["truncation"] = 2.7
+
+    def string_truncation(d):
+        d["truncation"] = "2"
+
     return {
         "missing-face": drop_face,
         "short-image-list": short_images,
@@ -77,6 +85,8 @@ def _edits():
         "broken-simplicial-identity": broken_identity,
         "faces-as-list": faces_as_list,
         "non-integer-level-key": non_integer_key,
+        "fractional-truncation": fractional_truncation,
+        "string-truncation": string_truncation,
     }
 
 
