@@ -92,14 +92,21 @@ def flatten(a: TruncatedSimplicialCategory) -> Flattening:
                             if q.is_identity():
                                 identity[object_names[(base1, n1)]] = name
 
+    # the carried simplices and the composites, each asked for once
+    carried_of, composite_of = {}, {}
     table = {}
     overflows = 0
     for g, ((gb1, gn1), (gb2, gn2), ga, gq) in data.items():
         for f, ((fb1, fn1), (fb2, fn2), fa, fq) in data.items():
             if (fb2, fn2) != (gb1, gn1):
                 continue
-            carried = apply_operator(a.homs[(fb1, fb2)], gq, fa)
-            simplex = a.composite(fb1, fb2, gb2, gn2, ga, carried)
+            key = (fb1, fb2, gq, fa)
+            if key not in carried_of:
+                carried_of[key] = apply_operator(a.homs[(fb1, fb2)], gq, fa)
+            key = (fb1, fb2, gb2, gn2, ga, carried_of[key])
+            if key not in composite_of:
+                composite_of[key] = a.composite(*key)
+            simplex = composite_of[key]
             if simplex is None:
                 overflows += 1
                 continue

@@ -15,21 +15,23 @@ composition and the dimensionwise diagonal; one :class:`_Context` per
 relative category adds the tables enumeration needs.  One routine,
 :func:`_normal_form`, reduces grids (Dwyer-Kan: delete all-identity
 columns, merge equal-direction neighbours): a vertex row in ``pi0``
-detail, a face in ``full`` detail, an outer face image of the
-dimensionwise localization and :func:`reduce_hammock`, each distinct
-grid once per mapping space or diagonal hom.  A simplex is named
-(:func:`hammock_name`) once, when it is kept, by a namer that joins the
-kept texts of its rows (:func:`_namer`).  Each level of a full-detail
+detail, a face in ``full`` detail and an outer face image of the
+dimensionwise localization, each distinct grid once per mapping space
+or diagonal hom, and the grids of :func:`reduce_hammock` and
+:func:`compose_hammocks`.  A simplex is named (:func:`hammock_name`)
+once, when it is kept, by a namer that joins the kept texts of its rows
+(:func:`_namer`).  Each level of a full-detail
 mapping space is sorted by (width, name) as soon as it is kept and is
 numbered in that order: the level above takes its faces as numbers, the
 simplicial set holds number tables, and the :class:`MappingSpace` keeps
 its grids in the same order.  The diagonal takes its tables from those
 of the level localizations, and a composite is looked up by grid and
-returned as a number.  Composition reduces only at the junction of two
-reduced grids (the cascade of
-:func:`_junction`), and an entrywise degeneracy map keeps a grid
-reduced, so neither takes the normal form.  Only the boundary functions
-(:func:`reduce_hammock`, :func:`compose_hammocks`,
+returned as a number.  Composition puts two reduced grids side by side
+(:func:`_concatenated`); they can reduce only at their junction, so
+:func:`bounded_composite` merges the junction columns itself and takes
+the normal form only when the merged column is all identities.  An
+entrywise degeneracy map keeps a grid reduced.  Only the boundary
+functions (:func:`reduce_hammock`, :func:`compose_hammocks`,
 :func:`embed_morphism`, :func:`width_zero`) make :class:`Hammock`
 objects, whose entries are names.  Along an alternating pattern a grid
 is reduced exactly when the identity bitmasks of its rows
@@ -238,74 +240,22 @@ def reduce_hammock(r: RelativeCategory, h: Hammock) -> Hammock:
     return _hammock(r.cat.morphisms, h.source, h.sink, _reduce(r.cat, _grid(r.cat, h)))
 
 
-def _junction(cat: FiniteCategory, g, f, w_max=None):
-    """The normal form of grid ``f`` then grid ``g`` (reduced, of positive
-    width, numbered in ``cat``), or None when it is wider than ``w_max``.
-
-    Two reduced grids can reduce only at their junction.  When the
-    junction columns differ in direction nothing reduces.  Otherwise they
-    merge; the merged column's neighbours both point the other way, so the
-    only further move is to delete it when it is all identities, which
-    brings the next pair of columns together.  This cascade is the one
-    move sequence :func:`_normal_form` makes on the concatenated grid,
-    with the same checks on verticals; a missing composite raises
-    CompositionUnavailable.  The width is known before any row is built."""
+def _concatenated(cat: FiniteCategory, g, f):
+    """Grid ``f`` then grid ``g`` (composable, of one height and positive
+    width, numbered in ``cat``) side by side, with the identity vertical
+    at the junction."""
     d1, rows1, layers1 = f
     d2, rows2, layers2 = g
-    w1, w2 = len(d1), len(d2)
-    if d1[-1] != d2[0]:
-        if w_max is not None and w1 + w2 > w_max:
-            return None
-        # the identity of the object where the rows of f end
-        last = cat.morphisms[rows1[0][-1]]
-        sink = cat.cod[last] if d1[-1] == "f" else cat.dom[last]
-        junction = (cat.mor_index[cat.identity[sink]],)
-        return (d1 + d2, tuple(a + b for a, b in zip(rows1, rows2)),
-                tuple(a + junction + b for a, b in zip(layers1, layers2)))
-    post, identities = cat.post, cat.identity_numbers
-    forward = d2[0] == "f"
-    left, right = w1 - 1, 0  # the columns f[left] and g[right] merge
-    while True:
-        if forward:
-            merged = tuple(post[b[right]].get(a[left]) for a, b in zip(rows1, rows2))
-        else:
-            merged = tuple(post[a[left]].get(b[right]) for a, b in zip(rows1, rows2))
-        if None in merged:
-            raise CompositionUnavailable("junction needs a composite the table lacks")
-        if not identities.issuperset(merged):
-            break
-        # delete the merged column: its two vertex lines become one
-        if left and right + 1 < w2:
-            for a, b in zip(layers1, layers2):
-                if a[left - 1] != b[right]:
-                    raise ConsistencyError("identity column flanked by unequal verticals")
-            left, right, forward = left - 1, right + 1, not forward
-            continue
-        # at a boundary the one vertex line that stays must be identities
-        if left:
-            ends = [a[left - 1] for a in layers1]
-        elif right + 1 < w2:
-            ends = [b[right] for b in layers2]
-        else:
-            ends = ()
-        if not identities.issuperset(ends):
-            raise ConsistencyError("boundary identity column with non-identity vertical")
-        if w_max is not None and left + w2 - right - 1 > w_max:
-            return None
-        if left:
-            return (d1[:left], tuple(a[:left] for a in rows1),
-                    tuple(a[:left - 1] for a in layers1))
-        return (d2[right + 1:], tuple(b[right + 1:] for b in rows2),
-                tuple(b[right + 1:] for b in layers2))
-    if w_max is not None and left + w2 - right > w_max:
-        return None
-    return (d1[:left] + d2[right:],
-            tuple(a[:left] + (m,) + b[right + 1:] for a, m, b in zip(rows1, merged, rows2)),
-            tuple(a[:left] + b[right:] for a, b in zip(layers1, layers2)))
+    # the identity of the object where the rows of f end
+    last = cat.morphisms[rows1[0][-1]]
+    sink = cat.cod[last] if d1[-1] == "f" else cat.dom[last]
+    junction = (cat.mor_index[cat.identity[sink]],)
+    return (d1 + d2, tuple(a + b for a, b in zip(rows1, rows2)),
+            tuple(a + junction + b for a, b in zip(layers1, layers2)))
 
 
 def compose_hammocks(r: RelativeCategory, h2: Hammock, h1: Hammock) -> Hammock:
-    """Widthwise concatenation (h1 then h2), reduced at the junction;
+    """Widthwise concatenation (h1 then h2), reduced to its normal form;
     numbered and named again at this boundary."""
     if h1.sink != h2.source:
         raise InputError(f"hammocks not composable: {h1.sink} vs {h2.source}")
@@ -314,17 +264,19 @@ def compose_hammocks(r: RelativeCategory, h2: Hammock, h1: Hammock) -> Hammock:
     if h1.width == 0 or h2.width == 0:
         return h2 if h1.width == 0 else h1
     c = r.cat
-    return _hammock(c.morphisms, h1.source, h2.sink, _junction(c, _grid(c, h2), _grid(c, h1)))
+    return _hammock(c.morphisms, h1.source, h2.sink,
+                    _reduce(c, _concatenated(c, _grid(c, h2), _grid(c, h1))))
 
 
 @dataclass
 class ComposeCounts:
     """Composite requests by outcome: a representable composite, an
-    overflow known from the junction directions alone (width ``w1 + w2``
-    over the bound), an overflow the junction cascade found (too wide,
-    or a composite the table lacks), or a reduced grid within the bound
-    that the target space pruned (one of its faces needs a composite the
-    table lacks).  Deterministic counts for progress output, never report
+    overflow known from the junction directions alone (they differ, and
+    the width ``w1 + w2`` is over the bound), an overflow found once the
+    junction columns merged (the reduced grid is too wide, or needs a
+    composite the table lacks), or a reduced grid within the bound that
+    the target space pruned (one of its faces needs a composite the table
+    lacks).  Deterministic counts for progress output, never report
     bytes."""
 
     composites: int = 0
@@ -346,20 +298,45 @@ def bounded_composite(r: RelativeCategory, g, f, w_max, enumerated, counts: Comp
     when it needs a composite ``r`` lacks or is wider than ``w_max``;
     ``counts`` tallies the outcome.  A result missing from ``enumerated``
     is an overflow when the target ``pruned`` simplices, else it is
-    inconsistent."""
+    inconsistent.
+
+    Two reduced grids can reduce only at their junction.  When the
+    junction columns point different ways the concatenation is reduced,
+    ``w1 + w2`` wide.  Otherwise they merge, and the merged column's
+    neighbours point the other way: unless it is all identities nothing
+    else reduces, and the width is ``w1 + w2 - 1``.  Either width is
+    known before any row is built.  Only an all-identity merge takes the
+    concatenation to :func:`_normal_form`, with its checks on verticals."""
     if not f[0] or not g[0]:
         grid = g if not f[0] else f
     else:
-        try:
-            grid = _junction(r.cat, g, f, w_max)
-        except CompositionUnavailable:
-            grid = None
-        if grid is None:
-            if f[0][-1] != g[0][0]:
+        (d1, rows1, layers1), (d2, rows2, layers2) = f, g
+        width = len(d1) + len(d2)
+        if d1[-1] != d2[0]:
+            if width > w_max:
                 counts.junction_overflows += 1
+                return None
+            grid = _concatenated(r.cat, g, f)
+        else:
+            post, identities = r.cat.post, r.cat.identity_numbers
+            if d2[0] == "f":
+                merged = tuple(post[b[0]].get(a[-1]) for a, b in zip(rows1, rows2))
             else:
+                merged = tuple(post[a[-1]].get(b[0]) for a, b in zip(rows1, rows2))
+            if None in merged:
+                grid = None
+            elif not identities.issuperset(merged):
+                grid = None if width - 1 > w_max else (
+                    d1 + d2[1:],
+                    tuple(a[:-1] + (m,) + b[1:] for a, m, b in zip(rows1, merged, rows2)),
+                    tuple(a + b for a, b in zip(layers1, layers2)))
+            else:
+                grid = _normal_form(post, identities, *_concatenated(r.cat, g, f))
+                if grid is not None and len(grid[0]) > w_max:
+                    grid = None
+            if grid is None:
                 counts.cascade_overflows += 1
-            return None
+                return None
     value = enumerated.get(grid)
     if value is None:
         if not pruned:

@@ -282,46 +282,6 @@ def discrete_localization_suite(seed=20240903, count=10):
     return [RelativeCategory(c, c.identity.values()) for c in cats[:count]]
 
 
-def random_hammock(rng: random.Random, r: RelativeCategory, w_max=5, h_max=2):
-    """A random valid hammock over ``r``: an arbitrary direction tuple,
-    a random typed first row (identities allowed), then random vertical
-    extensions.  Not reduced in general."""
-    from .hammock import Hammock, _Context, _mapped
-
-    ctx = _Context(r)
-    c = r.cat
-    x = rng.choice(c.objects)
-    target_width = rng.randint(0, w_max)
-    directions = []
-    row = []
-    at = x
-    for _ in range(target_width):
-        forward = rng.random() < 0.6
-        if forward:
-            candidates = ctx.from_any[at]
-        else:
-            candidates = ctx.weq_into[at]
-        if not candidates:
-            break
-        m = rng.choice(candidates)
-        directions.append("f" if forward else "b")
-        row.append(m)
-        at = ctx.cod[m] if forward else ctx.dom[m]
-    directions = tuple(directions)
-    rows = [tuple(row)]
-    layers = []
-    height = rng.randint(0, h_max)
-    for _ in range(height):
-        options = ctx.extensions(directions, rows[-1], x, 0)
-        if not options:
-            break
-        vacc, nxt = rng.choice(options)
-        layers.append(vacc)
-        rows.append(nxt)
-    sink = at if directions else x
-    return Hammock(x, sink, directions, _mapped(c.morphisms, rows), _mapped(c.morphisms, layers))
-
-
 def oracle_suite():
     """Relative categories with genuinely interesting localizations."""
     iso = walking_iso()

@@ -4,13 +4,15 @@ Composites, identities, component categories, neglectability and DK
 certificates use the numbers each hom carries; names are read by the
 loaders and written only in JSON, witnesses and messages.  Composition is
 an explicit per-level table or, for width-bounded localizations, a
-composer callback.  Identities at level n are iterated degeneracies.
+composer callback, asked again for each request.  Identities at level n
+are iterated degeneracies.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cache
 
 from .errors import MALFORMED, CompositionUnavailable, ConsistencyError, InputError
 from .fincat import (
@@ -38,7 +40,7 @@ class TruncatedSimplicialCategory:
     ``table`` (or composer) values ``(x, y, z, level, g, f) -> h`` are
     numbers in their homs."""
 
-    __slots__ = ("objects", "truncation", "homs", "identities", "table", "_composer", "_cache")
+    __slots__ = ("objects", "truncation", "homs", "identities", "table", "_composer")
 
     def __init__(self, objects, truncation, homs, identities, table=None, composer=None):
         self.objects = tuple(objects)
@@ -47,7 +49,6 @@ class TruncatedSimplicialCategory:
         self.identities = dict(identities)
         self.table = dict(table) if table is not None else None
         self._composer = composer
-        self._cache = {}
         if self.table is None and composer is None:
             raise InputError("need a composition table or a composer")
         for (x, y), sset in self.homs.items():
@@ -73,13 +74,12 @@ class TruncatedSimplicialCategory:
 
     def composite(self, x, y, z, level, g, f):
         """The number of g in hom(y,z)_level after f in hom(x,y)_level, or
-        None when the composite is not represented."""
-        key = (x, y, z, level, g, f)
+        None when the composite is not represented.  A composer is asked
+        each time: nothing is kept, so a caller that asks again keeps its
+        own answers."""
         if self.table is not None:
-            return self.table.get(key)
-        if key not in self._cache:
-            self._cache[key] = self._composer(*key)
-        return self._cache[key]
+            return self.table.get((x, y, z, level, g, f))
+        return self._composer(x, y, z, level, g, f)
 
     def to_json(self):
         if self.table is None:
@@ -131,7 +131,12 @@ class TruncatedSimplicialCategory:
             identities = {x: numbering((x, x), 0).get(s)
                           for x, s in dict(data["identities"]).items()}
             args = (objects, truncation, homs, identities)
-            if data.get("bounds", {}).get("overflows", 0) > 0:
+            # a localization's count of omitted composites: an integer,
+            # not a bool, float or string, and not negative
+            overflows = data.get("bounds", {}).get("overflows", 0)
+            if type(overflows) is not int or overflows < 0:
+                raise InputError(f"overflows {overflows!r} is not a non-negative integer")
+            if overflows:
                 # a width-bounded localization omits the composites it
                 # cannot represent: absent means not represented
                 return TruncatedSimplicialCategory(
@@ -171,7 +176,9 @@ def validate_scat(a: TruncatedSimplicialCategory) -> list[str]:
     composition is a simplicial map.  A table-backed category must compose
     every composable pair; a composer-backed one (a width-bounded
     localization) represents only some composites, and the laws are
-    checked wherever every composite involved is present."""
+    checked wherever every composite involved is present.  A composer
+    keeps no answers, so the associativity and simplicial checks keep
+    theirs, one quadruple or triple of objects at a time."""
     report = []
     for x in a.objects:
         for y in a.objects:
@@ -208,6 +215,7 @@ def validate_scat(a: TruncatedSimplicialCategory) -> list[str]:
                 if comp(x, x, y, level, f, idx) not in (None, f):
                     report.append(f"unit: {name}.id at ({x},{y}) level {level}")
     for w, x, y, z in itertools.product(a.objects, repeat=4):
+        comp = cache(a.composite)
         for level in range(N + 1):
             hs, gs, fs = (homs[pair].levels[level] for pair in ((y, z), (x, y), (w, x)))
             for h in range(len(hs)):
@@ -223,6 +231,7 @@ def validate_scat(a: TruncatedSimplicialCategory) -> list[str]:
                             report.append(
                                 f"associativity at level {level}: ({hs[h]},{gs[g]},{fs[f]})")
     for x, y, z in itertools.product(a.objects, repeat=3):
+        comp = cache(a.composite)
         hom_xy, hom_yz, hom_xz = homs[(x, y)], homs[(y, z)], homs[(x, z)]
         for op, _, maps, level, to in _generators(N):
             for g in range(len(hom_yz.levels[level])):

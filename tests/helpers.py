@@ -2,19 +2,22 @@
 
 The objects along a row of a hammock, a hammock validator (every row
 typechecks, backward entries and verticals are weak equivalences, every
-square commutes), the :class:`Hammock` of a mapping space's simplex
-(which the library keeps as a grid of morphism numbers), the embedding
-of a category into its hammock localization, identity and composite
-functors, the list of all simplicial operators up to a dimension, the
-endpoints of a typed word and the identity simplicial functor.  No
-command calls them, so they live here rather than in ``src/hamloc``.
+square commutes), a random valid hammock, the :class:`Hammock` of a
+mapping space's simplex (which the library keeps as a grid of morphism
+numbers), the embedding of a category into its hammock localization,
+identity and composite functors, the list of all simplicial operators up
+to a dimension, the endpoints of a typed word and the identity
+simplicial functor.  No command calls them, so they live here rather
+than in ``src/hamloc``.
 """
 
 from __future__ import annotations
 
+import random
+
 from hamloc.errors import InputError
 from hamloc.fincat import CatFunctor, FiniteCategory
-from hamloc.hammock import Hammock, Localization, embed_morphism
+from hamloc.hammock import Hammock, Localization, _Context, _mapped, embed_morphism
 from hamloc.relcat import RelativeCategory
 from hamloc.scat import SimplicialFunctor, TruncatedSimplicialCategory, promote
 from hamloc.simplicial import monotone_maps
@@ -88,6 +91,44 @@ def validate_hammock(r: RelativeCategory, h: Hammock) -> list[str]:
             if lhs != rhs:
                 report.append(f"square at layer {layer}, column {col} does not commute")
     return report
+
+
+def random_hammock(rng: random.Random, r: RelativeCategory, w_max=5, h_max=2):
+    """A random valid hammock over ``r``: an arbitrary direction tuple,
+    a random typed first row (identities allowed), then random vertical
+    extensions.  Not reduced in general."""
+    ctx = _Context(r)
+    c = r.cat
+    x = rng.choice(c.objects)
+    target_width = rng.randint(0, w_max)
+    directions = []
+    row = []
+    at = x
+    for _ in range(target_width):
+        forward = rng.random() < 0.6
+        if forward:
+            candidates = ctx.from_any[at]
+        else:
+            candidates = ctx.weq_into[at]
+        if not candidates:
+            break
+        m = rng.choice(candidates)
+        directions.append("f" if forward else "b")
+        row.append(m)
+        at = ctx.cod[m] if forward else ctx.dom[m]
+    directions = tuple(directions)
+    rows = [tuple(row)]
+    layers = []
+    height = rng.randint(0, h_max)
+    for _ in range(height):
+        options = ctx.extensions(directions, rows[-1], x, 0)
+        if not options:
+            break
+        vacc, nxt = rng.choice(options)
+        layers.append(vacc)
+        rows.append(nxt)
+    sink = at if directions else x
+    return Hammock(x, sink, directions, _mapped(c.morphisms, rows), _mapped(c.morphisms, layers))
 
 
 def simplex_number(ms, level, name) -> int:

@@ -42,7 +42,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cache, cached_property, partial
 
 from hamloc import instances as inst
 from hamloc.errors import CompositionUnavailable, ConsistencyError, InputError
@@ -1286,9 +1286,8 @@ def reference_validate_scat(a) -> list[str]:
     if report:
         return report
     N = a.truncation
-
-    def comp(x, y, z, level, g, f):
-        return _composite_name(a, x, y, z, level, g, f)
+    # a composer keeps no answers: the reference keeps its own
+    comp = cache(partial(_composite_name, a))
 
     for x, y, z in itertools.product(a.objects, repeat=3):
         for level in range(N + 1):

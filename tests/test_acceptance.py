@@ -27,7 +27,7 @@ from hamloc.relcat import oracle_localized_homset, validate_relative
 from hamloc.scat import promote, validate_scat
 from hamloc.simplicial import homology, nerve, pi0, validate_sset
 from hamloc.verify import Bounds, check_24ii, check_roundtrip
-from helpers import validate_hammock, vertex_hammocks
+from helpers import random_hammock, validate_hammock, vertex_hammocks
 from oracles import neglectable_instances, reference_reduce_hammock
 
 
@@ -185,7 +185,7 @@ def test_criterion_7_reduction_confluence():
     mismatches = 0
     for i in range(1000):
         r = relcats[i % len(relcats)]
-        h = inst.random_hammock(rng, r, w_max=5, h_max=2)
+        h = random_hammock(rng, r, w_max=5, h_max=2)
         assert h.width <= 5 and h.height <= 2
         assert validate_hammock(r, h) == []
         left = reduce_hammock(r, h)

@@ -330,6 +330,34 @@ class TestTruncationValue:
         assert f"truncation {value!r} is not an integer" in err
 
 
+class TestOverflowsValue:
+    """``bounds.overflows`` of a ``localize`` output is a non-negative JSON
+    integer.  A bool or a fraction used to declare the table partial, a
+    negative count to declare it total, and a string gave a message that
+    named no value: each is an input error (exit 2) naming the value."""
+
+    @pytest.fixture(scope="class")
+    def localized(self, tmp_path_factory):
+        directory = tmp_path_factory.mktemp("localize")
+        source, out = directory / "walking-weq.json", directory / "loc.json"
+        write_canonical(source, inst.walking_weq().to_json())
+        assert run(["localize", str(source), "--truncation", "1", "--width", "2",
+                    "--out", str(out)]) == 0
+        return json.loads(out.read_text())
+
+    @pytest.mark.parametrize("command", ["validate", "flatten"])
+    @pytest.mark.parametrize("value", [True, 0.5, -1, "3"])
+    def test_localize_output(self, tmp_path, capsys, localized, command, value):
+        data = json.loads(json.dumps(localized))
+        assert data["bounds"]["overflows"] > 0
+        assert TestTruncationValue._run(tmp_path, capsys, [command], data)[0] == 0
+        data["bounds"]["overflows"] = value
+        code, out, err = TestTruncationValue._run(tmp_path, capsys, [command], data)
+        assert (code, out) == (2, "")
+        assert err.startswith("input error:")
+        assert f"overflows {value!r} is not a non-negative integer" in err
+
+
 def test_hom_of_an_unknown_object_exits_two(tmp_path, capsys):
     """A hom keyed by an object outside ``objects`` would be dropped by
     every pipeline; the loader rejects it and names the pair."""

@@ -9,7 +9,7 @@ from hamloc.fincat import CatFunctor, validate_category
 from hamloc.flatten import flat_morphism_name, flatten, relativization_unit
 from hamloc.hammock import hammock_localization
 from hamloc.relcat import validate_relative, validate_relative_functor
-from hamloc.scat import promote
+from hamloc.scat import TruncatedSimplicialCategory, promote
 from hamloc.simplicial import SimplicialOperator, monotone_maps
 from oracles import SimplicialDiagram, grothendieck, level_diagram, validate_diagram
 
@@ -176,6 +176,29 @@ class TestRelativizationUnit:
         mm = unit.underlying.morphism_map
         got = fl.rel.cat.compose(mm["g"], mm["f"])
         assert got == mm["gf"]
+
+
+class TestComposerRequests:
+    def test_one_request_per_distinct_composite(self):
+        """A composer keeps no answers, so ``flatten`` keeps its own: over
+        the width-3 localization of walking-weq its 1,888 composable pairs
+        ask for 130 distinct composites, each once, and the flattening is
+        the same, down to the insertion order of its table."""
+        a = hammock_localization(inst.walking_weq(), 1, 3).scat()
+        requests = []
+
+        def composer(*key):
+            requests.append(key)
+            return a.composite(*key)
+
+        counted = TruncatedSimplicialCategory(a.objects, a.truncation, a.homs, a.identities,
+                                              composer=composer)
+        got, want = flatten(counted), flatten(a)
+        assert len(requests) == len(set(requests)) == 130
+        assert len(want.rel.cat.table) + want.overflows == 1888
+        assert list(got.rel.cat.table.items()) == list(want.rel.cat.table.items())
+        assert got.rel.cat.morphisms == want.rel.cat.morphisms
+        assert got.overflows == want.overflows
 
 
 class TestNaming:

@@ -1,4 +1,5 @@
 import gc
+import itertools
 import random
 import weakref
 
@@ -38,7 +39,7 @@ from hamloc.scat import (
 )
 from hamloc.simplicial import pi0, validate_sset
 from hamloc.verify import _embedded_sub
-from helpers import embed, simplex_hammock, validate_hammock, vertex_hammocks
+from helpers import embed, random_hammock, simplex_hammock, validate_hammock, vertex_hammocks
 import oracles
 from oracles import (
     _grid_name,
@@ -367,7 +368,7 @@ class TestConfluence:
         rng = random.Random(424242)
         for _ in range(200):
             r = rng.choice(suite)
-            h = inst.random_hammock(rng, r, w_max=5, h_max=2)
+            h = random_hammock(rng, r, w_max=5, h_max=2)
             assert validate_hammock(r, h) == []
             left = reduce_hammock(r, h)
             right = reference_reduce_hammock(r, h, "rightmost")
@@ -384,7 +385,7 @@ class TestConfluence:
         outcomes = set()
         for _ in range(600):
             r = rng.choice(cases)
-            h = TestJunctionCascade._tampered(rng, r, inst.random_hammock(rng, r, 5, 2))
+            h = TestJunctionCascade._tampered(rng, r, random_hammock(rng, r, 5, 2))
             if h is None:
                 continue
             try:
@@ -715,7 +716,17 @@ class TestPrunedComposites:
         pruned = {}
         for name, rs in _check_32_relscats(3, self.NAMES):
             rl = hammock_localization_relscat(rs, 1, 3)
-            assert validate_scat(rl.scat()) == [], name
+            a = rl.scat()
+            assert validate_scat(a) == [], name
+            # the validation asks for some composites more than once: count
+            # the pruned ones in one request per composite
+            for loc in rl.levels:
+                loc.compose_counts = ComposeCounts()
+            for x, y, z in itertools.product(a.objects, repeat=3):
+                for level in range(a.truncation + 1):
+                    for g in range(len(a.homs[(y, z)].levels[level])):
+                        for f in range(len(a.homs[(x, y)].levels[level])):
+                            a.composite(x, y, z, level, g, f)
             pruned[name] = sum(loc.compose_counts.pruned_overflows for loc in rl.levels)
         assert len(pruned) == len(self.NAMES)
         assert pruned["3.2 walking-weq"] == 76
@@ -835,17 +846,19 @@ def _identity_mask_of(r, rows):
 
 
 class TestJunctionCascade:
-    """``bounded_composite`` reduces two reduced grids only at their
-    junction; it must agree with the normal form of the concatenated grid,
-    including a missing composite, the width bound and the checks on
-    verticals.  The junction cascade on morphism names agrees too."""
+    """Two reduced grids can reduce only at their junction:
+    ``bounded_composite`` merges the junction columns itself and takes the
+    normal form only when the merged column is all identities.  It must
+    agree with the normal form of the concatenated grid, including a
+    missing composite, the width bound and the checks on verticals, and so
+    must the name-based reference ``oracles._junction``."""
 
     @staticmethod
     def _reduced(rng, r, count):
         out = {}
         for _ in range(count):
             try:
-                h = reduce_hammock(r, inst.random_hammock(rng, r, w_max=4, h_max=2))
+                h = reduce_hammock(r, random_hammock(rng, r, w_max=4, h_max=2))
             except CompositionUnavailable:
                 continue
             out[h.key] = h
@@ -894,13 +907,23 @@ class TestJunctionCascade:
         layers[t][j] = rng.choice(r.cat.morphisms)
         return Hammock(h.source, h.sink, h.directions, h.rows, layers)
 
-    def test_against_normal_form(self):
+    def test_against_normal_form(self, monkeypatch):
         fl = flatten(hammock_localization(inst.walking_weq(), 1, 2).scat())
         assert fl.overflows > 0
         cases = list(inst.oracle_suite()) + [("flattening of walking-weq", fl.rel)]
         rng = random.Random(20261018)
         counts = ComposeCounts()
         missing = deleted = inconsistent = 0
+        # equal-direction junctions that bounded_composite merged inline,
+        # and those it sent to the normal form (an all-identity merge)
+        merges = fallbacks = 0
+        normal_forms, normal_form = [], hammock._normal_form
+
+        def counted(*args):
+            normal_forms.append(args)
+            return normal_form(*args)
+
+        monkeypatch.setattr(hammock, "_normal_form", counted)
         for name, r in cases:
             hammocks = self._reduced(rng, r, 150)
             by_source = {}
@@ -918,8 +941,14 @@ class TestJunctionCascade:
                         assert want is None, name
                 grids = self._numbered(r, g.key[2:]), self._numbered(r, f.key[2:])
                 enumerated = self._enumerated(r, want)
+                before = len(normal_forms)
                 assert bounded_composite(r, *grids, w_max, enumerated, counts) == \
                     (want and hammock_name(*want)), name
+                if f.width and g.width and f.directions[-1] == g.directions[0]:
+                    fallbacks += len(normal_forms) - before
+                    merges += len(normal_forms) == before
+                else:
+                    assert len(normal_forms) == before
                 try:
                     composed = compose_hammocks(r, g, f)
                 except CompositionUnavailable:
@@ -943,9 +972,10 @@ class TestJunctionCascade:
                     continue
                 assert bounded_composite(r, *grids, w_max, self._enumerated(r, want2),
                                          ComposeCounts()) == (want2 and hammock_name(*want2)), name
-        # every way out of the cascade was taken
+        # every way out of bounded_composite was taken
         assert counts.composites and counts.junction_overflows and counts.cascade_overflows
         assert missing and deleted and inconsistent
+        assert merges and fallbacks
 
 
 class TestPi0AgainstFull:
@@ -995,7 +1025,7 @@ class TestPi0AgainstFull:
         checked = 0
         while checked < 200:
             r = rng.choice(suite)
-            h = inst.random_hammock(rng, r, w_max=5, h_max=1)
+            h = random_hammock(rng, r, w_max=5, h_max=1)
             if h.height != 1:
                 continue
             checked += 1
