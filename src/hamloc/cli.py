@@ -16,6 +16,7 @@ notes a flattening stage that reuses the middle's re-localization,
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 from pathlib import Path
@@ -130,8 +131,7 @@ def _cached(args, operation, payload, bounds, compute):
     return code
 
 
-def _load_relcat(path) -> RelativeCategory:
-    data = load_json(path)
+def _load_relcat(data) -> RelativeCategory:
     r = RelativeCategory.from_json(data)
     bad = validate_category(r.cat) + validate_relative(r)
     if bad:
@@ -168,7 +168,8 @@ def _cmd_validate(args):
 
 
 def _cmd_localize(args):
-    r = _load_relcat(args.file)
+    data = load_json(args.file)
+    r = _load_relcat(data)
     pair_filter = None
     if args.pairs:
         pair_filter = set()
@@ -177,7 +178,7 @@ def _cmd_localize(args):
             if not y:
                 raise InputError("--pairs takes X,Y")
             pair_filter.add((x, y))
-    payload = {"input": load_json(args.file), "pairs": sorted(map(list, pair_filter)) if pair_filter else None}
+    payload = {"input": data, "pairs": sorted(map(list, pair_filter)) if pair_filter else None}
     bounds = {"truncation": args.truncation, "width": args.width}
 
     def compute():
@@ -197,8 +198,8 @@ def _cmd_localize(args):
 
 
 def _cmd_ho(args):
-    r = _load_relcat(args.file)
     payload = load_json(args.file)
+    r = _load_relcat(payload)
     bounds = {"truncation": args.truncation, "width": args.width}
 
     def compute():
@@ -216,8 +217,8 @@ def _cmd_ho(args):
 
 
 def _cmd_oracle_ho(args):
-    r = _load_relcat(args.file)
     payload = load_json(args.file)
+    r = _load_relcat(payload)
     bounds = {"max_len": args.max_len}
 
     def compute():
@@ -357,7 +358,9 @@ def _cmd_verify(args):
     return _cached(args, f"verify-{args.claim}", data, bounds.to_json(), compute)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process; each parse makes a fresh namespace."""
     parser = argparse.ArgumentParser(
         prog="hamloc",
         description="Hammock localization, flattening and DK-equivalence "

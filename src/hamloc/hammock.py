@@ -29,7 +29,9 @@ of the level localizations, and a composite is looked up by grid and
 returned as a number.  Composition puts two reduced grids side by side
 (:func:`_concatenated`); they can reduce only at their junction, so
 :func:`bounded_composite` merges the junction columns itself and takes
-the normal form only when the merged column is all identities.  An
+the normal form only when the merged column is all identities; the
+junction alone often shows an overflow (:func:`_junction`), so
+:func:`bounded_composites` composes two homs by junction class.  An
 entrywise degeneracy map keeps a grid reduced.  Only the boundary
 functions (:func:`reduce_hammock`, :func:`compose_hammocks`,
 :func:`embed_morphism`, :func:`width_zero`) make :class:`Hammock`
@@ -276,8 +278,9 @@ class ComposeCounts:
     junction columns merged (the reduced grid is too wide, or needs a
     composite the table lacks), or a reduced grid within the bound that
     the target space pruned (one of its faces needs a composite the table
-    lacks).  Deterministic counts for progress output, never report
-    bytes."""
+    lacks).  Each (g, f) pair a sweep (:func:`bounded_composites`) covers
+    is one request.  Deterministic counts for progress output, never
+    report bytes."""
 
     composites: int = 0
     junction_overflows: int = 0
@@ -290,6 +293,30 @@ class ComposeCounts:
                 + self.pruned_overflows)
 
 
+def _junction(post, identities, g, f, w_max):
+    """What the junction alone decides about grid ``g`` after grid ``f``
+    (reduced, of positive width): two reduced grids can reduce only there.
+    When the junction columns point different ways the concatenation is
+    reduced, ``w1 + w2`` wide: "junction" (an overflow) or "concatenated".
+    Otherwise they merge, and the merged column's neighbours point the
+    other way: unless it is all identities ("normal form") nothing else
+    reduces, the width is ``w1 + w2 - 1``, and the result is "cascade" (an
+    overflow, as is a missing composite) or the merged column."""
+    (d1, rows1, _), (d2, rows2, _) = f, g
+    width = len(d1) + len(d2)
+    if d1[-1] != d2[0]:
+        return "junction" if width > w_max else "concatenated"
+    if d1[-1] == "f":
+        merged = tuple(post[b[0]].get(a[-1]) for a, b in zip(rows1, rows2))
+    else:
+        merged = tuple(post[a[-1]].get(b[0]) for a, b in zip(rows1, rows2))
+    if None in merged:
+        return "cascade"
+    if identities.issuperset(merged):
+        return "normal form"
+    return "cascade" if width - 1 > w_max else merged
+
+
 def bounded_composite(r: RelativeCategory, g, f, w_max, enumerated, counts: ComposeCounts,
                       pruned=False):
     """The reduced composite of grid ``g`` after grid ``f`` (reduced,
@@ -300,43 +327,32 @@ def bounded_composite(r: RelativeCategory, g, f, w_max, enumerated, counts: Comp
     is an overflow when the target ``pruned`` simplices, else it is
     inconsistent.
 
-    Two reduced grids can reduce only at their junction.  When the
-    junction columns point different ways the concatenation is reduced,
-    ``w1 + w2`` wide.  Otherwise they merge, and the merged column's
-    neighbours point the other way: unless it is all identities nothing
-    else reduces, and the width is ``w1 + w2 - 1``.  Either width is
-    known before any row is built.  Only an all-identity merge takes the
-    concatenation to :func:`_normal_form`, with its checks on verticals."""
+    The junction is read before any row is built (:func:`_junction`), and
+    only an all-identity merge takes the concatenation to
+    :func:`_normal_form`, with its checks on verticals."""
     if not f[0] or not g[0]:
         grid = g if not f[0] else f
     else:
-        (d1, rows1, layers1), (d2, rows2, layers2) = f, g
-        width = len(d1) + len(d2)
-        if d1[-1] != d2[0]:
-            if width > w_max:
-                counts.junction_overflows += 1
-                return None
+        fate = _junction(r.cat.post, r.cat.identity_numbers, g, f, w_max)
+        if fate == "junction":
+            counts.junction_overflows += 1
+            return None
+        if fate == "concatenated":
             grid = _concatenated(r.cat, g, f)
-        else:
-            post, identities = r.cat.post, r.cat.identity_numbers
-            if d2[0] == "f":
-                merged = tuple(post[b[0]].get(a[-1]) for a, b in zip(rows1, rows2))
-            else:
-                merged = tuple(post[a[-1]].get(b[0]) for a, b in zip(rows1, rows2))
-            if None in merged:
+        elif fate == "normal form":
+            grid = _normal_form(r.cat.post, r.cat.identity_numbers, *_concatenated(r.cat, g, f))
+            if grid is not None and len(grid[0]) > w_max:
                 grid = None
-            elif not identities.issuperset(merged):
-                grid = None if width - 1 > w_max else (
-                    d1 + d2[1:],
-                    tuple(a[:-1] + (m,) + b[1:] for a, m, b in zip(rows1, merged, rows2)),
+        elif fate == "cascade":
+            grid = None
+        else:
+            (d1, rows1, layers1), (d2, rows2, layers2) = f, g
+            grid = (d1 + d2[1:],
+                    tuple(a[:-1] + (m,) + b[1:] for a, m, b in zip(rows1, fate, rows2)),
                     tuple(a + b for a, b in zip(layers1, layers2)))
-            else:
-                grid = _normal_form(post, identities, *_concatenated(r.cat, g, f))
-                if grid is not None and len(grid[0]) > w_max:
-                    grid = None
-            if grid is None:
-                counts.cascade_overflows += 1
-                return None
+        if grid is None:
+            counts.cascade_overflows += 1
+            return None
     value = enumerated.get(grid)
     if value is None:
         if not pruned:
@@ -345,6 +361,42 @@ def bounded_composite(r: RelativeCategory, g, f, w_max, enumerated, counts: Comp
         return None
     counts.composites += 1
     return value
+
+
+def bounded_composites(r: RelativeCategory, pairs, w_max, counts: ComposeCounts, x, y, z, level):
+    """``(g, f, h)`` for each level-``level`` grid g of hom(y,z) after f of
+    hom(x,y) (``pairs``: object pair -> :class:`MappingSpace`) that
+    :func:`bounded_composite` composes to h, in (g, f) order.  The grids
+    are grouped by what :func:`_junction` reads (the direction, width and
+    entries of f's last and g's first column); it meets each pair of
+    classes once, the pairs of an overflowing one are tallied together
+    when the sweep starts, and only the others are asked one by one."""
+    post, identities = r.cat.post, r.cat.identity_numbers
+    gs, fs = pairs[(y, z)].level_grids[level], pairs[(x, y)].level_grids[level]
+    target = pairs[(x, z)]
+    ends, starts = {}, {}  # class -> grid numbers; width 0 is class ()
+    for n, (d, rows, _) in enumerate(fs):
+        ends.setdefault(d and (d[-1], len(d), tuple(row[-1] for row in rows)), []).append(n)
+    for n, (d, rows, _) in enumerate(gs):
+        starts.setdefault(d and (d[0], len(d), tuple(row[0] for row in rows)), []).append(n)
+    asked = {}  # g -> the f to ask about, in order
+    for start, members in starts.items():
+        kept = []
+        for end, ns in ends.items():
+            fate = start and end and _junction(post, identities, gs[members[0]], fs[ns[0]],
+                                               w_max)
+            if fate == "junction":
+                counts.junction_overflows += len(members) * len(ns)
+            elif fate == "cascade":
+                counts.cascade_overflows += len(members) * len(ns)
+            else:
+                kept += ns
+        asked.update(dict.fromkeys(members, sorted(kept)))
+    for g, grid in enumerate(gs):
+        for f in asked[g]:
+            h = bounded_composite(r, grid, fs[f], w_max, target.by_grid, counts, target.pruned)
+            if h is not None:
+                yield g, f, h
 
 
 def embed_morphism(r: RelativeCategory, m, height: int = 0) -> Hammock:
@@ -923,12 +975,13 @@ class Localization:
             # the composer holds the localization's parts, not the
             # localization: a bound method would make the two a reference
             # cycle, and its grids would outlive it until a full collection
+            parts = self.relcat, self.pairs, self.w_max, self.compose_counts
             self._scat = scat_mod.TruncatedSimplicialCategory(
                 self.relcat.cat.objects, self.truncation,
                 {pair: ms.sset for pair, ms in self.pairs.items()},
                 dict.fromkeys(self.relcat.cat.objects, _IDENTITY_NUMBER),
-                composer=partial(_composite, self.relcat, self.pairs, self.w_max,
-                                           self.compose_counts),
+                composer=partial(_composite, *parts),
+                sweep=partial(bounded_composites, *parts),
             )
         return self._scat
 
@@ -958,15 +1011,12 @@ class Localization:
                 for level in range(self.truncation + 1):
                     gs, fs, hs = (self.pairs[pair].sset.levels[level]
                                   for pair in ((y, z), (x, y), (x, z)))
-                    for g in range(len(gs)):
-                        for f in range(len(fs)):
-                            h = self.composite(x, y, z, level, g, f)
-                            if h is None:
-                                omitted += 1
-                                continue
-                            compose.setdefault(f"{x}|{y}|{z}", {}).setdefault(
-                                str(level), []
-                            ).append([gs[g], fs[f], hs[h]])
+                    omitted += len(gs) * len(fs)
+                    for g, f, h in self.scat().composites(x, y, z, level):
+                        omitted -= 1
+                        compose.setdefault(f"{x}|{y}|{z}", {}).setdefault(
+                            str(level), []
+                        ).append([gs[g], fs[f], hs[h]])
             data["compose"] = compose
         data["bounds"] = dict(self.bounds_json(), overflows=omitted)
         return data
@@ -1148,6 +1198,7 @@ class RelscatLocalization:
                 dict.fromkeys(self.rs.ambient.objects, _IDENTITY_NUMBER),
                 # as in Localization.scat: no reference cycle through self
                 composer=partial(_level_composite, self.levels),
+                sweep=partial(_level_composites, self.levels),
             )
         return self._scat
 
@@ -1158,6 +1209,11 @@ def _level_composite(levels, x, y, z, level, g, f):
     None on width overflow: it is composed in the level-``level``
     localization."""
     return levels[level].composite(x, y, z, level, g, f)
+
+
+def _level_composites(levels, x, y, z, level):
+    """The sweep of :func:`_level_composite`."""
+    return levels[level].scat().composites(x, y, z, level)
 
 
 def hammock_localization_relscat(rs, truncation: int, w_max: int,

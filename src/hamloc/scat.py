@@ -4,7 +4,8 @@ Composites, identities, component categories, neglectability and DK
 certificates use the numbers each hom carries; names are read by the
 loaders and written only in JSON, witnesses and messages.  Composition is
 an explicit per-level table or, for width-bounded localizations, a
-composer callback, asked again for each request.  Identities at level n
+composer callback, asked again for each request, and the checks and level
+categories walk each hom triple's ``composites``.  Identities at level n
 are iterated degeneracies.
 """
 
@@ -12,7 +13,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import cache
 
 from .errors import MALFORMED, CompositionUnavailable, ConsistencyError, InputError
 from .fincat import (
@@ -38,17 +38,19 @@ class TruncatedSimplicialCategory:
     """Fixed object set, a hom simplicial set per ordered pair, and
     levelwise composition on simplex numbers: ``identities[x]`` and the
     ``table`` (or composer) values ``(x, y, z, level, g, f) -> h`` are
-    numbers in their homs."""
+    numbers in their homs; a composer's ``sweep`` gives :meth:`composites`."""
 
-    __slots__ = ("objects", "truncation", "homs", "identities", "table", "_composer")
+    __slots__ = ("objects", "truncation", "homs", "identities", "table", "_composer", "_sweep")
 
-    def __init__(self, objects, truncation, homs, identities, table=None, composer=None):
+    def __init__(self, objects, truncation, homs, identities, table=None, composer=None,
+                 sweep=None):
         self.objects = tuple(objects)
         self.truncation = int(truncation)
         self.homs = dict(homs)
         self.identities = dict(identities)
         self.table = dict(table) if table is not None else None
         self._composer = composer
+        self._sweep = sweep
         if self.table is None and composer is None:
             raise InputError("need a composition table or a composer")
         for (x, y), sset in self.homs.items():
@@ -80,6 +82,15 @@ class TruncatedSimplicialCategory:
         if self.table is not None:
             return self.table.get((x, y, z, level, g, f))
         return self._composer(x, y, z, level, g, f)
+
+    def composites(self, x, y, z, level):
+        """``(g, f, h)`` for each represented composite h of g in
+        hom(y,z)_level after f in hom(x,y)_level, in (g, f) order."""
+        if self.table is None and self._sweep is not None:
+            return self._sweep(x, y, z, level)
+        composite, fs = self.composite, range(len(self.homs[(x, y)].levels[level]))
+        return ((g, f, h) for g in range(len(self.homs[(y, z)].levels[level])) for f in fs
+                if (h := composite(x, y, z, level, g, f)) is not None)
 
     def to_json(self):
         if self.table is None:
@@ -176,9 +187,10 @@ def validate_scat(a: TruncatedSimplicialCategory) -> list[str]:
     composition is a simplicial map.  A table-backed category must compose
     every composable pair; a composer-backed one (a width-bounded
     localization) represents only some composites, and the laws are
-    checked wherever every composite involved is present.  A composer
-    keeps no answers, so the associativity and simplicial checks keep
-    theirs, one quadruple or triple of objects at a time."""
+    checked wherever every composite involved is present.  The
+    represented composites are swept once per hom triple and level
+    (:meth:`TruncatedSimplicialCategory.composites`) and kept for the
+    laws, which walk only them."""
     report = []
     for x in a.objects:
         for y in a.objects:
@@ -189,62 +201,62 @@ def validate_scat(a: TruncatedSimplicialCategory) -> list[str]:
                 report.append(f"hom ({x},{y}): {line}")
     if report:
         return report
-    N, comp, homs = a.truncation, a.composite, a.homs
+    N, homs = a.truncation, a.homs
+    # (x, y, z, level) -> {(g, f): h}, the represented composites in (g, f)
+    # order, and {g: [(f, h), ...]}
+    composed, by_g = {}, {}
     for x, y, z in itertools.product(a.objects, repeat=3):
         for level in range(N + 1):
             gs, fs = homs[(y, z)].levels[level], homs[(x, y)].levels[level]
             size = len(homs[(x, z)].levels[level])
-            for g in range(len(gs)):
-                for f in range(len(fs)):
-                    h = comp(x, y, z, level, g, f)
-                    if h is None:
-                        if a.has_table():
-                            report.append(
-                                f"missing composite ({x},{y},{z}) level {level}: ({gs[g]},{fs[f]})")
-                    elif not 0 <= h < size:
-                        report.append(
-                            f"composite not in hom ({x},{z}) level {level}: ({gs[g]},{fs[f]})")
+            table, grouped = composed[(x, y, z, level)], by_g[(x, y, z, level)] = {}, {}
+            for g, f, h in a.composites(x, y, z, level):
+                table[(g, f)] = h
+                grouped.setdefault(g, []).append((f, h))
+            # a table must hold every pair
+            for g, f in (itertools.product(range(len(gs)), range(len(fs)))
+                         if a.has_table() else table):
+                h = table.get((g, f))
+                if h is None:
+                    report.append(
+                        f"missing composite ({x},{y},{z}) level {level}: ({gs[g]},{fs[f]})")
+                elif not 0 <= h < size:
+                    report.append(
+                        f"composite not in hom ({x},{z}) level {level}: ({gs[g]},{fs[f]})")
     if report:
         return report
     for x, y in itertools.product(a.objects, repeat=2):
         for level in range(N + 1):
             idx, idy = a.identity_at(x, level), a.identity_at(y, level)
+            after, before = composed[(x, y, y, level)], composed[(x, x, y, level)]
             for f, name in enumerate(homs[(x, y)].levels[level]):
-                if comp(x, y, y, level, idy, f) not in (None, f):
+                if after.get((idy, f), f) != f:
                     report.append(f"unit: id.{name} at ({x},{y}) level {level}")
-                if comp(x, x, y, level, f, idx) not in (None, f):
+                if before.get((f, idx), f) != f:
                     report.append(f"unit: {name}.id at ({x},{y}) level {level}")
     for w, x, y, z in itertools.product(a.objects, repeat=4):
-        comp = cache(a.composite)
         for level in range(N + 1):
             hs, gs, fs = (homs[pair].levels[level] for pair in ((y, z), (x, y), (w, x)))
-            for h in range(len(hs)):
-                for g in range(len(gs)):
-                    hg = comp(x, y, z, level, h, g)
-                    for f in range(len(fs)):
-                        gf = comp(w, x, y, level, g, f)
-                        if hg is None or gf is None:
-                            continue
-                        left = comp(w, x, z, level, hg, f)
-                        right = comp(w, y, z, level, h, gf)
-                        if None not in (left, right) and left != right:
-                            report.append(
-                                f"associativity at level {level}: ({hs[h]},{gs[g]},{fs[f]})")
+            left_of, right_of = composed[(w, x, z, level)], composed[(w, y, z, level)]
+            after = by_g[(w, x, y, level)]
+            for (h, g), hg in composed[(x, y, z, level)].items():
+                for f, gf in after.get(g, ()):
+                    left, right = left_of.get((hg, f)), right_of.get((h, gf))
+                    if None not in (left, right) and left != right:
+                        report.append(
+                            f"associativity at level {level}: ({hs[h]},{gs[g]},{fs[f]})")
     for x, y, z in itertools.product(a.objects, repeat=3):
-        comp = cache(a.composite)
         hom_xy, hom_yz, hom_xz = homs[(x, y)], homs[(y, z)], homs[(x, z)]
         for op, _, maps, level, to in _generators(N):
-            for g in range(len(hom_yz.levels[level])):
-                for f in range(len(hom_xy.levels[level])):
-                    h = comp(x, y, z, level, g, f)
-                    if h is None:
-                        continue
-                    for i in range(level + 1):
-                        expect = comp(x, y, z, to, getattr(hom_yz, maps)[level][i][g],
-                                      getattr(hom_xy, maps)[level][i][f])
-                        if expect is not None and getattr(hom_xz, maps)[level][i][h] != expect:
-                            report.append(f"composition not simplicial ({op}_{i}) "
-                                          f"at ({x},{y},{z}) level {level}")
+            there = composed[(x, y, z, to)]
+            maps_xy, maps_yz, maps_xz = (getattr(hom, maps)[level]
+                                         for hom in (hom_xy, hom_yz, hom_xz))
+            for (g, f), h in composed[(x, y, z, level)].items():
+                for i in range(level + 1):
+                    expect = there.get((maps_yz[i][g], maps_xy[i][f]))
+                    if expect is not None and maps_xz[i][h] != expect:
+                        report.append(f"composition not simplicial ({op}_{i}) "
+                                      f"at ({x},{y},{z}) level {level}")
     return report
 
 
@@ -544,24 +556,20 @@ def _functor_report(fun: SimplicialFunctor, composition_cap: int = 4000):
         fx, fy, fz = (fun.object_map[o] for o in (x, y, z))
         for level in range(src.truncation + 1):
             gs, fs = src.homs[(y, z)].levels[level], src.homs[(x, y)].levels[level]
-            for g in range(len(gs)):
-                for f in range(len(fs)):
-                    if checked >= composition_cap:
-                        return report, images
-                    h = src.composite(x, y, z, level, g, f)
-                    if h is None:
-                        continue
-                    checked += 1
-                    image = tgt.composite(fx, fy, fz, level, images[(y, z)][level][g],
-                                          images[(x, y)][level][f])
-                    if image is None:
-                        report.append(
-                            f"composite not representable in target at ({x},{y},{z}) level {level}"
-                        )
-                    elif image != images[(x, z)][level][h]:
-                        report.append(
-                            f"composition not preserved at ({x},{y},{z}) level {level}: "
-                            f"({gs[g]},{fs[f]})")
+            for g, f, h in src.composites(x, y, z, level):
+                if checked >= composition_cap:
+                    return report, images
+                checked += 1
+                image = tgt.composite(fx, fy, fz, level, images[(y, z)][level][g],
+                                      images[(x, y)][level][f])
+                if image is None:
+                    report.append(
+                        f"composite not representable in target at ({x},{y},{z}) level {level}"
+                    )
+                elif image != images[(x, z)][level][h]:
+                    report.append(
+                        f"composition not preserved at ({x},{y},{z}) level {level}: "
+                        f"({gs[g]},{fs[f]})")
     return report, images
 
 
@@ -767,9 +775,6 @@ def level_category(a: TruncatedSimplicialCategory, n: int) -> FiniteCategory:
     table = {}
     for x, y, z in itertools.product(a.objects, repeat=3):
         gs, fs, hs = names[(y, z)], names[(x, y)], names[(x, z)]
-        for g in range(len(gs)):
-            for f in range(len(fs)):
-                h = a.composite(x, y, z, n, g, f)
-                if h is not None:
-                    table[(gs[g], fs[f])] = hs[h]
+        for g, f, h in a.composites(x, y, z, n):
+            table[(gs[g], fs[f])] = hs[h]
     return FiniteCategory(a.objects, morphisms, dom, cod, identity, table)

@@ -34,7 +34,12 @@ components by simplex name are the references for those on numbers
 :func:`reference_check_dk`).  :func:`level_map` gives an
 ambient's face and degeneracy maps on level-morphism names, which the
 dimensionwise localization reads as numbers, and :func:`sset_from_keyed`
-reads the earlier ``(k, name, i)`` dicts of the references.
+reads the earlier ``(k, name, i)`` dicts of the references.  Asking
+``bounded_composite`` or a simplicial category about each (g, f) pair in
+turn is the reference for the sweeps by junction class
+(:func:`reference_composites`, :func:`reference_scat_composites`), and
+the normal form of the concatenated grids checks both
+(:func:`normal_form_composite`).
 """
 
 from __future__ import annotations
@@ -55,12 +60,14 @@ from hamloc.fincat import (
     is_isomorphism,
     validate_functor,
 )
+from hamloc import hammock
 from hamloc.hammock import (
     Hammock,
     MappingSpace,
     _mapped,
     _patterns,
     _stability,
+    bounded_composite,
     hammock_name,
 )
 from hamloc.relcat import OracleHomSet, RelativeCategory
@@ -1624,3 +1631,48 @@ def reference_check_dk(fun) -> DkCertificate:
         verdict = "undetermined"
         reason = f"composition bound: {exc}"
     return DkCertificate(N, pairs, ho_ok, ho_witness, verdict, reason)
+
+
+# --- composition sweeps ------------------------------------------------------
+
+
+def reference_composites(r: RelativeCategory, pairs, w_max, counts, x, y, z, level):
+    """The represented composites ``(g, f, h)`` of hom(y,z) after hom(x,y)
+    at ``level`` in (g, f) order, from
+    :func:`hamloc.hammock.bounded_composite` asked about each pair: the
+    reference for :func:`hamloc.hammock.bounded_composites`."""
+    target, found = pairs[(x, z)], []
+    for g, grid in enumerate(pairs[(y, z)].level_grids[level]):
+        for f, other in enumerate(pairs[(x, y)].level_grids[level]):
+            h = bounded_composite(r, grid, other, w_max, target.by_grid, counts, target.pruned)
+            if h is not None:
+                found.append((g, f, h))
+    return found
+
+
+def reference_scat_composites(a: TruncatedSimplicialCategory, x, y, z, level):
+    """The represented composites ``(g, f, h)`` of ``a`` from hom(y,z)
+    after hom(x,y) at ``level``, in (g, f) order, asked pair by pair: the
+    reference for :meth:`TruncatedSimplicialCategory.composites`."""
+    found = []
+    for g in range(len(a.homs[(y, z)].levels[level])):
+        for f in range(len(a.homs[(x, y)].levels[level])):
+            h = a.composite(x, y, z, level, g, f)
+            if h is not None:
+                found.append((g, f, h))
+    return found
+
+
+def normal_form_composite(r: RelativeCategory, g, f, w_max, enumerated):
+    """The value ``enumerated`` holds for the normal form of grid ``g``
+    after grid ``f``, or None when that needs a missing composite, is
+    wider than ``w_max`` or is not enumerated: what a composite must be,
+    found without the junction rule."""
+    if not f[0] or not g[0]:
+        grid = g if not f[0] else f
+    else:
+        grid = hammock._normal_form(r.cat.post, r.cat.identity_numbers,
+                                    *hammock._concatenated(r.cat, g, f))
+    if grid is None or len(grid[0]) > w_max:
+        return None
+    return enumerated.get(grid)

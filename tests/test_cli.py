@@ -496,6 +496,54 @@ def test_missing_sub_composite_is_reported_once(tmp_path, capsys):
         "missing composite (X,Y,X) level 0: (v,u)"]
 
 
+class TestOneParsePerRun:
+    """``run`` builds its parser once per process and parses each input
+    file once."""
+
+    def test_consecutive_runs_share_no_options(self, files, tmp_path, capsys):
+        from hamloc.cli import build_parser
+
+        build_parser.cache_clear()
+        out = tmp_path / "loc.json"
+        argv = ["localize", files["walking-weq.json"], "--truncation", "1", "--width", "2"]
+        assert run(["--verbose"] + argv + ["--pairs", "X,Y", "--out", str(out)]) == 0
+        first = capsys.readouterr()
+        assert list(json.loads(out.read_text())["homs"]) == ["X|Y"]
+        assert "pair (X,Y)" in first.err
+        out.unlink()
+        assert run(argv + ["--pairs", "Y,X"]) == 0
+        second = capsys.readouterr()
+        # no --pairs X,Y kept from the first run, no --verbose, no --out
+        assert list(json.loads(second.out)["homs"]) == ["Y|X"]
+        assert second.err == "" and not out.exists()
+        assert run(argv) == 0
+        assert len(json.loads(capsys.readouterr().out)["homs"]) == 4
+        assert build_parser.cache_info().misses == 1
+
+    @pytest.mark.parametrize("argv", [["localize", "F", "--width", "2"],
+                                      ["ho", "F", "--width", "2"],
+                                      ["oracle-ho", "F"]])
+    def test_input_read_once(self, tmp_path, capsys, monkeypatch, argv):
+        import hamloc.cli
+
+        read = []
+        original = hamloc.cli.load_json
+        monkeypatch.setattr(hamloc.cli, "load_json", lambda path: read.append(path) or
+                            original(path))
+        path = tmp_path / "input.json"
+        write_canonical(path, inst.walking_weq().to_json())
+        assert run([str(path) if a == "F" else a for a in argv]) == 0
+        assert read == [str(path)]
+        capsys.readouterr()
+        # a missing and a malformed file are input errors, as before
+        path.unlink()
+        assert run([str(path) if a == "F" else a for a in argv]) == 2
+        assert capsys.readouterr().err.startswith("input error: cannot read")
+        path.write_text('{"objects": [', encoding="utf-8")
+        assert run([str(path) if a == "F" else a for a in argv]) == 2
+        assert "not UTF-8 JSON" in capsys.readouterr().err
+
+
 class TestVerify:
     def test_claim_31_walking_arrow_passes(self, files, capsys):
         assert run(["verify", "3.1", files["walking-arrow.json"],
@@ -604,6 +652,33 @@ class TestVerbose:
         captured = capsys.readouterr()
         assert "pair (" in captured.err
         assert "pair (" not in captured.out
+
+    # the compose line of ``localize --truncation 2 --width 3`` on each
+    # stock instance, as asking about every pair one at a time counted it
+    COMPOSE_LINES = {
+        "terminal": (3, 3, 0, 0, 0),
+        "walking-arrow-ids": (12, 12, 0, 0, 0),
+        "walking-weq": (372, 112, 260, 0, 0),
+        "span-one-leg": (482, 151, 331, 0, 0),
+        "chain-weq": (22367, 1349, 17614, 3404, 0),
+        "chain-head-weq": (583, 193, 390, 0, 0),
+        "retract": (1968, 448, 981, 539, 0),
+        "z2-groupoid": (41171, 4335, 20260, 16576, 0),
+        "walking-iso-one-arrow": (804, 268, 418, 118, 0),
+        "parallel-ids": (18, 18, 0, 0, 0),
+    }
+
+    @pytest.mark.parametrize("name", list(COMPOSE_LINES))
+    def test_localize_compose_line_is_pinned(self, tmp_path, capsys, name):
+        path = tmp_path / f"{name}.json"
+        write_canonical(path, dict(inst.oracle_suite())[name].to_json())
+        assert run(["--verbose", "localize", str(path), "--truncation", "2",
+                    "--width", "3"]) == 0
+        line = [ln for ln in capsys.readouterr().err.splitlines() if ln.startswith("compose: ")]
+        requests, composites, junction, cascade, pruned = self.COMPOSE_LINES[name]
+        assert line == [f"compose: {requests} requests, {composites} composites, "
+                        f"{junction} overflows known at the junction, "
+                        f"{cascade} found by the cascade, {pruned} pruned by the enumeration"]
 
     def test_localize_counts_composite_requests(self, files, capsys):
         argv = ["localize", files["walking-weq.json"], "--truncation", "2", "--width", "3"]

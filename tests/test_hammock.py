@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import itertools
 import random
@@ -17,6 +18,7 @@ from hamloc.hammock import (
     ComposeCounts,
     Hammock,
     bounded_composite,
+    bounded_composites,
     compose_hammocks,
     embed_morphism,
     embed_relscat,
@@ -31,6 +33,7 @@ from hamloc.hammock import (
 from hamloc.relcat import RelativeCategory, oracle_localized_homset
 from hamloc.scat import (
     RelativeSimplicialCategory,
+    TruncatedSimplicialCategory,
     homotopy_category,
     promote,
     sub_from_morphisms,
@@ -708,7 +711,7 @@ class TestPrunedComposites:
     level category lacks: that composite is an overflow.  A miss in a
     space that pruned nothing stays an inconsistency."""
 
-    # chain-weq and z2-groupoid validate for minutes, so they are left out
+    # chain-weq and z2-groupoid take 5 and 20 s to validate, so they are left out
     NAMES = ("terminal", "walking-arrow-ids", "parallel-ids", "walking-weq", "span-one-leg",
              "chain-head-weq", "retract", "walking-iso-one-arrow")
 
@@ -976,6 +979,110 @@ class TestJunctionCascade:
         assert counts.composites and counts.junction_overflows and counts.cascade_overflows
         assert missing and deleted and inconsistent
         assert merges and fallbacks
+
+
+class TestSweepByJunctionClass:
+    """``bounded_composites`` decides each pair of junction classes once
+    and asks ``bounded_composite`` only about the pairs left: it must give
+    the (g, f, h) sequence and the tallies of asking about every pair
+    (``oracles.reference_composites``), and each composite and overflow
+    must be what the normal form of the concatenated grids says
+    (``oracles.normal_form_composite``)."""
+
+    # larger sweeps (z2-groupoid and chain-weq at level 2 of truncation 2,
+    # width 4) take seconds pair by pair and are left out
+    CAP = 40_000
+
+    @classmethod
+    def _agree(cls, r, loc, truth=True):
+        """Every hom triple and level of ``loc`` swept both ways; the
+        tallies of the sweeps compared, summed."""
+        total = ComposeCounts()
+        for x, y, z in itertools.product(loc.relcat.cat.objects, repeat=3):
+            target = loc.pair(x, z)
+            for level in range(loc.truncation + 1):
+                gs, fs = loc.pair(y, z).level_grids[level], loc.pair(x, y).level_grids[level]
+                if len(gs) * len(fs) > cls.CAP:
+                    continue
+                swept, asked = ComposeCounts(), ComposeCounts()
+                got = list(bounded_composites(r, loc.pairs, loc.w_max, swept, x, y, z, level))
+                where = (x, y, z, level)
+                assert got == oracles.reference_composites(r, loc.pairs, loc.w_max, asked,
+                                                           x, y, z, level), where
+                assert swept == asked, where
+                assert swept.requests == len(gs) * len(fs), where
+                if truth:
+                    found = {(g, f): h for g, f, h in got}
+                    for (g, grid), (f, other) in itertools.product(enumerate(gs), enumerate(fs)):
+                        assert found.get((g, f)) == oracles.normal_form_composite(
+                            r, grid, other, loc.w_max, target.by_grid), where + (g, f)
+                for kind, n in dataclasses.asdict(swept).items():
+                    setattr(total, kind, getattr(total, kind) + n)
+        return total
+
+    @pytest.mark.parametrize("truncation, width", itertools.product((1, 2), (1, 2, 3, 4)))
+    def test_oracle_suite(self, truncation, width):
+        kinds = set()
+        for name, r in inst.oracle_suite():
+            loc = hammock_localization(r, truncation, width)
+            # the normal form of every pair is checked, up to 67,780 pairs
+            counts = self._agree(r, loc, truncation == 1 or width < 4)
+            assert counts.requests > 0, name
+            kinds |= {kind for kind, n in dataclasses.asdict(counts).items() if n}
+        # the tallies taken in bulk, and those of the pairs asked about
+        assert kinds >= {"composites", "junction_overflows"}
+        assert "cascade_overflows" in kinds or width == 1
+
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), truncation=st.integers(1, 2),
+           width=st.integers(1, 3))
+    def test_random_relative_categories(self, seed, truncation, width):
+        rng = random.Random(seed)
+        r = closed_weq(inst.random_dag_category(rng), rng)
+        self._agree(r, hammock_localization(r, truncation, width))
+
+    def test_pruned_targets(self):
+        """Over a partially represented level category a target space
+        prunes simplices, and a sweep tallies those overflows as the
+        pairs do."""
+        pruned = 0
+        for _, rs in _check_32_relscats(3, ("walking-weq", "span-one-leg")):
+            for loc in hammock_localization_relscat(rs, 1, 3).levels:
+                pruned += self._agree(loc.relcat, loc).pruned_overflows
+        assert pruned > 0
+
+    def test_simplicial_categories(self):
+        """``composites`` of a table-backed category, of one read back
+        with overflows, of a localization's and of a dimensionwise
+        localization's category give what asking pair by pair gives, and
+        a localization's sweep tallies what the pairs do."""
+        iso = inst.walking_iso()
+        r = inst.walking_weq()
+        loc = hammock_localization(r, 2, 3)
+        p = promote(iso, 1)
+        rs = RelativeSimplicialCategory(p, sub_from_morphisms(p, iso, iso.morphisms))
+        cases = [
+            ("promote", promote(iso, 2)),
+            ("z2 nerve", inst.z2_nerve_scat(2)),
+            ("read back", TruncatedSimplicialCategory.from_json(loc.to_json())),
+            ("localization", loc.scat()),
+            ("dimensionwise", hammock_localization_relscat(rs, 1, 3).scat()),
+        ]
+        for name, a in cases:
+            for x, y, z in itertools.product(a.objects, repeat=3):
+                for level in range(a.truncation + 1):
+                    before = dataclasses.replace(loc.compose_counts)
+                    got = list(a.composites(x, y, z, level))
+                    swept = dataclasses.replace(loc.compose_counts)
+                    assert got == oracles.reference_scat_composites(a, x, y, z, level), \
+                        (name, x, y, z, level)
+                    asked = loc.compose_counts
+                    for kind in ("composites", "junction_overflows", "cascade_overflows",
+                                 "pruned_overflows"):
+                        assert getattr(swept, kind) - getattr(before, kind) == \
+                            getattr(asked, kind) - getattr(swept, kind), (name, kind)
+        # the read-back category has a composer and no sweep
+        assert loc.to_json()["bounds"]["overflows"] > 0 and not cases[2][1].has_table()
 
 
 class TestPi0AgainstFull:
