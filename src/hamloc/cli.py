@@ -93,7 +93,7 @@ def _oracle_progress(args):
         return None
 
     def report(x, y, hs, edges):
-        print(f"pair ({x},{y}): {len(hs.class_of)} words, {edges} rewrite edges, "
+        print(f"pair ({x},{y}): {hs.word_count()} words, {edges} rewrite edges, "
               f"{hs.class_count()} classes, "
               f"{'determined' if hs.determined else 'undetermined'}", file=sys.stderr)
 
@@ -223,13 +223,7 @@ def _cmd_oracle_ho(args):
 
     def compute():
         result = oracle_ho_category(r, args.max_len, progress=_oracle_progress(args))
-        classes = {
-            f"{x}|{y}": [
-                [".".join(f"{d}:{m}" for (d, m) in w) for w in sorted(cls)]
-                for cls in hs.classes
-            ]
-            for (x, y), hs in sorted(result.pair_homsets.items())
-        }
+        classes = {f"{x}|{y}": hs.texts() for (x, y), hs in sorted(result.pair_homsets.items())}
         output = {
             "max_len": args.max_len,
             "determined": result.status == "ok",

@@ -157,16 +157,20 @@ class FiniteCategory:
 
 
 class UnionFind:
-    """Disjoint sets of hashable items.  ``union(a, b)`` keeps the root of
-    ``a``; ``find`` of an item that was never added raises KeyError."""
+    """Disjoint sets of the numbers ``0..n-1``, on a list.  ``add`` appends
+    the next number as a singleton; ``union(a, b)`` keeps the root of
+    ``a``."""
 
     __slots__ = ("parent",)
 
-    def __init__(self, items=()):
-        self.parent = {a: a for a in items}
+    def __init__(self, n=0):
+        self.parent = list(range(n))
 
-    def add(self, a):
-        self.parent.setdefault(a, a)
+    def add(self):
+        """Append the next number as a singleton and return it."""
+        n = len(self.parent)
+        self.parent.append(n)
+        return n
 
     def find(self, a):
         parent = self.parent
@@ -266,12 +270,13 @@ def is_isomorphism(c: FiniteCategory, m) -> bool:
 def iso_classes(c: FiniteCategory) -> list[frozenset]:
     """Partition of objects by isomorphism, ordered by the index of each
     class's root."""
-    uf = UnionFind(c.objects)
+    index, objects = c.obj_index, c.objects
+    uf = UnionFind(len(objects))
     for m in c.morphisms:
         if is_isomorphism(c, m):
-            uf.union(c.dom[m], c.cod[m])
-    groups = uf.groups(c.objects)
-    return [frozenset(groups[r]) for r in sorted(groups, key=c.obj_index.get)]
+            uf.union(index[c.dom[m]], index[c.cod[m]])
+    groups = uf.groups(range(len(objects)))
+    return [frozenset(objects[i] for i in groups[r]) for r in sorted(groups)]
 
 
 def close_morphisms(c: FiniteCategory, mors) -> frozenset:

@@ -687,7 +687,7 @@ def _mapping_space(ctx: _Context, x, y, truncation, w_max, detail) -> MappingSpa
     # levels[1] is sorted by width: the snapshot before the first edge of
     # width w_max is the partition one width bound lower
     vertices = range(len(levels[0]))
-    components = UnionFind(vertices)
+    components = UnionFind(len(vertices))
     sub = None
     narrow = [n for n in vertices if len(level_grids[0][n][0]) < w_max]
     for grid, a, b in zip(level_grids[1], faces[1][1], faces[1][0]):
@@ -736,8 +736,7 @@ def _pi0_mapping_space(ctx: _Context, x, y, truncation, w_max) -> MappingSpace:
         for row in rows0:
             # no identity entry along an alternating pattern: reduced
             if ctx.identities.isdisjoint(row):
-                numbers[row] = len(found)
-                components.add(len(found))
+                numbers[row] = components.add()
                 found.append((pattern, (row,), ()))
         for upper, lowers, fallback in _pi0_edges(ctx, pattern, rows0, row_numbers):
             grids += len(lowers)

@@ -5,6 +5,7 @@ hom-sets of the localized category."""
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import islice
 
 from .errors import InputError
@@ -84,29 +85,58 @@ def validate_relative_functor(rf: RelativeFunctor) -> list[str]:
 # or slides a commuting square.
 #
 # All words from one source object x form one prefix trie, numbered
-# breadth first; string words appear only in the result.  A single rewrite
-# of the word p.k either rewrites inside p, followed by k, or rewrites the
-# last pair (last letter of p, k).  So the targets of the node p.k are the
-# children along k of the targets of p, plus the grandparent extended by
-# each middle of that last pair: each word's targets come from its
-# prefix's, with no slicing and no lookup of words.  No rewrite lengthens
-# a word, so every target is already a node.
+# breadth first.  Classes, their order, composites and the output text
+# are read off the node numbers; word tuples are made only when a caller
+# asks for them.  A single rewrite of the word p.k either rewrites inside
+# p, followed by k, or rewrites the last pair (last letter of p, k).  So
+# the targets of the node p.k are the children along k of the targets of
+# p, plus the grandparent extended by each middle of that last pair: each
+# word's targets come from its prefix's, with no slicing and no lookup of
+# words.  No rewrite lengthens a word, so every target is already a node.
 
 
 @dataclass
 class OracleHomSet:
+    """The oracle's classes of the words from x to y, at bound
+    ``max_len + 2``.
+
+    ``members[k]`` holds the words of class k as node numbers of the
+    source's trie, in shortlex order (shortest first, then lexicographic
+    in the letter tuples), and the classes are ordered by their
+    shortlex-least words.  ``classes`` (a tuple of frozensets of words) and
+    ``class_of`` (word -> class index) are built on first use."""
+
     x: str
     y: str
     max_len: int
     determined: bool
-    classes: tuple  # tuple of frozensets of words, at bound max_len + 2
-    class_of: dict = field(repr=False)
+    members: tuple = field(repr=False)
+    trie: _WordTrie = field(repr=False)
 
     def class_count(self) -> int:
-        return len(self.classes)
+        return len(self.members)
+
+    def word_count(self) -> int:
+        return sum(map(len, self.members))
+
+    @cached_property
+    def classes(self) -> tuple:
+        words = self.trie.words
+        return tuple(frozenset(words[n] for n in nodes) for nodes in self.members)
+
+    @cached_property
+    def class_of(self) -> dict:
+        words = self.trie.words
+        return {words[n]: k for k, nodes in enumerate(self.members) for n in nodes}
 
     def class_index(self, word):
         return self.class_of.get(word)
+
+    def texts(self) -> list:
+        """Each class's words as text, letters ``d:m`` joined by dots, in
+        lexicographic order of the letter tuples."""
+        text, rank = self.trie.texts, self.trie.rank
+        return [[text[n] for n in sorted(nodes, key=rank.__getitem__)] for nodes in self.members]
 
 
 class _RewriteTables:
@@ -114,7 +144,9 @@ class _RewriteTables:
     one call.  Objects are numbered as in ``cat.objects``, and letters
     densely: ``letters[k]`` is ``("f", m)`` or ``("b", w)``.  The letters
     leaving object o are ``step_letters[o]``, reaching ``step_ends[o]``;
-    ``slot[k]`` is k's position among its source's letters."""
+    ``slot[k]`` is k's position among its source's letters, and
+    ``sorted_slots[o]`` lists the slots of o's letters in sorted-letter
+    order."""
 
     def __init__(self, r: RelativeCategory):
         c = r.cat
@@ -130,6 +162,8 @@ class _RewriteTables:
             self.step_ends.append(tuple(c.obj_index[nxt] for _, nxt in steps))
             self.letters += [letter for letter, _ in steps]
         self.slot = [k - ks[0] for ks in self.step_letters for k in ks]
+        self.sorted_slots = [tuple(sorted(range(len(ks)), key=lambda s, ks=ks: self.letters[ks[s]]))
+                             for ks in self.step_letters]
         self.letter_id = {letter: k for k, letter in enumerate(self.letters)}
         ends = [e for es in self.step_ends for e in es]
         # middles[a][slot[b]]: the pair a b's middles, filled on first use
@@ -194,9 +228,8 @@ class _WordTrie:
     The children of node p are consecutive, in the order of
     ``step_letters[end[p]]``: the child along letter k is
     ``first[p] + slot[k]``.  ``starts[L]`` is the number of nodes with
-    fewer than L letters."""
-
-    __slots__ = ("parent", "last", "end", "first", "starts")
+    fewer than L letters.  The saturation sets ``index[n]``, the class of
+    node n in its hom-set."""
 
     def __init__(self, tables: _RewriteTables, x, bound):
         step_letters, step_ends = tables.step_letters, tables.step_ends
@@ -211,14 +244,82 @@ class _WordTrie:
                 end += step_ends[e]
             starts.append(len(end))
         self.parent, self.last, self.end, self.first, self.starts = parent, last, end, first, starts
+        self.step_letters, self.step_ends = step_letters, step_ends
+        self.letters, self.slot, self.sorted_slots = tables.letters, tables.slot, tables.sorted_slots
+        self.index = None
+        self._paths = {0: ()}
 
-    def names(self, letters):
-        """Each node's word as a tuple of ``letters``, from its parent's."""
-        parent, last = self.parent, self.last
-        names = [()]
-        for n in range(1, len(parent)):
-            names.append(names[parent[n]] + (letters[last[n]],))
-        return names
+    def _levels(self):
+        """``(depth, parents, letters)`` of the nodes of each depth from 1
+        on, in node order: a node's parent has a smaller depth."""
+        parent, last, starts = self.parent, self.last, self.starts
+        for depth, (lo, hi) in enumerate(zip(starts[1:], starts[2:]), 1):
+            yield depth, parent[lo:hi], last[lo:hi]
+
+    @cached_property
+    def words(self) -> list:
+        """Each node's word as a tuple of letters."""
+        single = [(letter,) for letter in self.letters]
+        words = [()]
+        for _, parents, letters in self._levels():
+            words += [words[p] + single[k] for p, k in zip(parents, letters)]
+        return words
+
+    @cached_property
+    def texts(self) -> list:
+        """Each node's word as text, letters ``d:m`` joined by dots."""
+        text = [f"{d}:{m}" for d, m in self.letters]
+        dotted = ["." + t for t in text]
+        texts = [""]
+        for depth, parents, letters in self._levels():
+            if depth == 1:
+                texts += [text[k] for k in letters]
+            else:
+                texts += [texts[p] + dotted[k] for p, k in zip(parents, letters)]
+        return texts
+
+    def shortlex(self) -> list:
+        """The nodes in shortlex order of their words: breadth first, each
+        node's children in sorted-letter order."""
+        first, end, sorted_slots = self.first, self.end, self.sorted_slots
+        order = [0]
+        for i in range(len(first)):
+            p = order[i]
+            f = first[p]
+            order += [f + s for s in sorted_slots[end[p]]]
+        return order
+
+    @cached_property
+    def rank(self) -> list:
+        """``rank[n]``: the position of node n's word in lexicographic order
+        of the letter tuples, a word before its extensions (pre-order, each
+        node's children in sorted-letter order).  A child comes one after
+        its parent and the subtrees of its earlier siblings, and the size of
+        a subtree depends only on its root's end object and depth."""
+        step_letters, step_ends, starts = self.step_letters, self.step_ends, self.starts
+        bound = len(starts) - 2
+        sizes = [[1] * len(step_ends)]  # sizes[d][o]: d letters of room below
+        for _ in range(bound - 1):
+            below = sizes[-1]
+            sizes.append([1 + sum(below[e] for e in ends) for ends in step_ends])
+        rank, step = [0], [0] * len(self.letters)
+        for depth, parents, letters in self._levels():
+            below = sizes[bound - depth]
+            for ks, ends, order in zip(step_letters, step_ends, self.sorted_slots):
+                r = 1
+                for s in order:
+                    step[ks[s]] = r
+                    r += below[ends[s]]
+            rank += [rank[p] + step[k] for p, k in zip(parents, letters)]
+        return rank
+
+    def path(self, n) -> tuple:
+        """The slots along node n's word: from any node t with room below,
+        ``t = first[t] + s`` for each s appends that word to t's."""
+        path = self._paths.get(n)
+        if path is None:
+            path = self._paths[n] = self.path(self.parent[n]) + (self.slot[self.last[n]],)
+        return path
 
     def rewrite_targets(self, tables: _RewriteTables):
         """``(n, targets)`` for each node n > 0 in order: the nodes its
@@ -275,36 +376,32 @@ def _saturate_source(tables: _RewriteTables, x, max_len: int):
     ``determined`` when each final class holds short words, all with one
     snapshot root: the extra slack neither adds a class nor merges two (a
     heuristic).
+
+    Grouping the nodes in shortlex order puts each class's members in that
+    order and orders the classes of each hom-set by their least words.
     """
     c = tables.cat
     trie = _WordTrie(tables, c.obj_index[x], max_len + 2)
     n = len(trie.end)
     short = trie.starts[max_len + 1]
-    uf = UnionFind(range(n))
+    uf = UnionFind(n)
     edges = [0] * len(c.objects)
     pairs = trie.rewrite_targets(tables)
     _join(uf, edges, trie.end, islice(pairs, short - 1))
     snapshot = [uf.find(i) for i in range(short)]
     _join(uf, edges, trie.end, pairs)
 
-    names = trie.names(tables.letters)
-    members = [[] for _ in c.objects]
-    for i, e in enumerate(trie.end):
-        members[e].append(i)
-    for y, nodes, count in zip(c.objects, members, edges):
-        groups = list(uf.groups(nodes).values())
+    end, index = trie.end, [0] * n
+    classes = [[] for _ in c.objects]
+    for group in uf.groups(trie.shortlex()).values():
+        same_hom = classes[end[group[0]]]
+        for i in group:
+            index[i] = len(same_hom)
+        same_hom.append(group)
+    trie.index = index
+    for y, groups, count in zip(c.objects, classes, edges):
         determined = all(len({snapshot[i] for i in group if i < short}) == 1 for group in groups)
-        classes = tuple(
-            sorted(
-                (frozenset(names[i] for i in group) for group in groups),
-                key=lambda g: min((len(w), w) for w in g),
-            )
-        )
-        class_of = {}
-        for idx, cls in enumerate(classes):
-            for w in cls:
-                class_of[w] = idx
-        yield OracleHomSet(x, y, max_len, determined, classes, class_of), count
+        yield OracleHomSet(x, y, max_len, determined, tuple(groups), trie), count
 
 
 def oracle_localized_homset(r: RelativeCategory, x, y, max_len: int) -> OracleHomSet:
@@ -333,18 +430,25 @@ class OracleHoResult:
     pair_homsets: dict  # (x, y) -> OracleHomSet
 
 
-def _shortlex(word):
-    return (len(word), word)
-
-
-def _composite_class(hs: OracleHomSet, firsts, seconds):
-    """Class index in ``hs`` of the first concatenation ``w1 + w2`` it
-    holds, trying ``firsts`` and then ``seconds`` in order; None if none."""
-    for w1 in firsts:
-        for w2 in seconds:
-            k = hs.class_of.get(w1 + w2)
-            if k is not None:
-                return k
+def _composite_class(first: OracleHomSet, second: OracleHomSet, k1, k2):
+    """Class index in hom(x, z) of the first concatenation w1 + w2 of a word
+    w1 of class ``k1`` of ``first`` (from x to y) and a word w2 of class
+    ``k2`` of ``second`` (from y to z) that x's trie holds, trying both in
+    shortlex order, w1 first; None if every concatenation is longer than
+    the trie's bound.  w1 + w2 is found by walking from w1's node along
+    w2's slots."""
+    trie, path = first.trie, second.trie.path
+    child, index = trie.first, trie.index
+    inner = len(child)
+    for t0 in first.members[k1]:
+        for w2 in second.members[k2]:
+            t = t0
+            for s in path(w2):
+                if t >= inner:
+                    break
+                t = child[t] + s
+            else:
+                return index[t]
     return None
 
 
@@ -377,23 +481,18 @@ def oracle_ho_category(r: RelativeCategory, max_len: int, progress=None) -> Orac
                 morphisms.append(name)
                 dom[name] = x
                 cod[name] = y
-    identity = {}
-    for x in c.objects:
-        k = pair[(x, x)].class_index(())
-        if k is None:
-            return OracleHoResult("undetermined", None, None, pair)
-        identity[x] = names[(x, x, k)]
+    # the empty word, node 0, is the identity
+    identity = {x: names[(x, x, pair[(x, x)].trie.index[0])] for x in c.objects}
 
-    ordered = {key: [sorted(cls, key=_shortlex) for cls in hs.classes]
-               for key, hs in pair.items()}
     table = {}
     for x in c.objects:
         for y in c.objects:
+            first = pair[(x, y)]
             for z in c.objects:
-                hs3 = pair[(x, z)]
-                for k1, cls1 in enumerate(ordered[(x, y)]):
-                    for k2, cls2 in enumerate(ordered[(y, z)]):
-                        found = _composite_class(hs3, cls1, cls2)
+                second = pair[(y, z)]
+                for k1 in range(first.class_count()):
+                    for k2 in range(second.class_count()):
+                        found = _composite_class(first, second, k1, k2)
                         if found is None:
                             return OracleHoResult("undetermined", None, None, pair)
                         table[(names[(y, z, k2)], names[(x, y, k1)])] = names[(x, z, found)]

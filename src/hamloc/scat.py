@@ -468,12 +468,14 @@ def sub_from_morphisms(a: TruncatedSimplicialCategory, c: FiniteCategory, mors) 
     return sub
 
 
-def is_neglectable(rs: RelativeSimplicialCategory):
+def is_neglectable(rs: RelativeSimplicialCategory, components=None):
     """True when every sub 0-simplex becomes invertible in the category
     of components; otherwise (False, (x, y, name)) for the first that
-    does not, by name within each hom."""
+    does not, by name within each hom.  ``components`` is
+    :func:`homotopy_category_data` of the ambient, when the caller built
+    it already."""
     a = rs.ambient
-    ho, class_names, parts = homotopy_category_data(a)
+    ho, class_names, parts = components or homotopy_category_data(a)
     for x in a.objects:
         for y in a.objects:
             number, class_of = a.homs[(x, y)].number[0], parts[(x, y)].class_of
@@ -658,7 +660,8 @@ def _induced_homology_iso(image, level, src_hom, tgt_hom, src_report, tgt_report
             == group.free_rank)
 
 
-def check_dk(fun: SimplicialFunctor, budget: int = 1_000_000) -> DkCertificate:
+def check_dk(fun: SimplicialFunctor, budget: int = 1_000_000,
+             source_components=None) -> DkCertificate:
     """Necessary-condition certificate that ``fun`` is a DK-equivalence.
 
     Expects valid simplicial categories (``validate_scat``); the functor
@@ -668,6 +671,9 @@ def check_dk(fun: SimplicialFunctor, budget: int = 1_000_000) -> DkCertificate:
     categories must be fully faithful and essentially surjective.  Degree
     0 needs no homology: normalized H_0 is free on the components, so it
     agrees exactly when the components biject.
+
+    ``source_components`` is :func:`homotopy_category_data` of the
+    source, when the caller built it already (as for neglectability).
 
     ``budget`` is unused: no step here searches.  It is kept only because
     the traced rebuild in ``perfbench/tracing.py`` passes it; it goes
@@ -680,7 +686,10 @@ def check_dk(fun: SimplicialFunctor, budget: int = 1_000_000) -> DkCertificate:
     N = src.truncation
     pairs, verdict, reason = {}, "pass_partial", ""
 
-    src_parts = {(x, y): pi0(src.homs[(x, y)]) for x in src.objects for y in src.objects}
+    if source_components is None:
+        src_parts = {(x, y): pi0(src.homs[(x, y)]) for x in src.objects for y in src.objects}
+    else:
+        src_parts = source_components[2]
     tgt_parts = {}
 
     for x in src.objects:
@@ -717,7 +726,7 @@ def check_dk(fun: SimplicialFunctor, budget: int = 1_000_000) -> DkCertificate:
 
     ho_ok, ho_witness = False, None
     try:
-        ho_src, src_names, src_classes = homotopy_category_data(src)
+        ho_src, src_names, src_classes = source_components or homotopy_category_data(src)
         ho_tgt, tgt_names, tgt_classes = homotopy_category_data(tgt)
         omap = dict(fun.object_map)
         mmap = {}

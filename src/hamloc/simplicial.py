@@ -353,7 +353,7 @@ def pi0(x: TruncatedSimplicialSet) -> Partition:
     if x.truncation < 1:
         raise InputError("components need truncation >= 1")
     vertices = range(len(x.levels[0]))
-    components = UnionFind(vertices)
+    components = UnionFind(len(vertices))
     for a, b in zip(x.faces[1][1], x.faces[1][0]):
         components.union(a, b)
     return Partition.of(components, vertices)

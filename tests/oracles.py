@@ -8,7 +8,14 @@ Grothendieck construction of its diagram of level categories
 (:func:`level_diagram`).  The word oracle's earlier saturation, two
 union-finds over string words, is the reference for
 :func:`hamloc.relcat.oracle_localized_homset`
-(:func:`reference_localized_homset`).  The full-detail hammock
+(:func:`reference_localized_homset`, which returns its own
+:class:`ReferenceHomSet`).  The earlier ``oracle-ho`` output path over
+word tuples, classes sorted as tuples and joined with dots and
+composites looked up as ``w1 + w2``, is the reference for the one on
+trie node numbers (:func:`reference_oracle_ho`).  The earlier dict-keyed
+union-find is the reference for the one on dense numbers
+(:class:`ReferenceUnionFind`, :func:`reference_iso_classes`); the
+references that join words and vertex names run on it.  The full-detail hammock
 enumeration that builds every grid and reduces every face and diagonal
 image anew is the reference for the one that builds only last rows
 that can reduce and reduces each distinct grid once
@@ -54,7 +61,6 @@ from hamloc.errors import CompositionUnavailable, ConsistencyError, InputError
 from hamloc.fincat import (
     CatFunctor,
     FiniteCategory,
-    UnionFind,
     disjoint_union,
     equivalence_from_functor,
     is_isomorphism,
@@ -70,7 +76,7 @@ from hamloc.hammock import (
     bounded_composite,
     hammock_name,
 )
-from hamloc.relcat import OracleHomSet, RelativeCategory
+from hamloc.relcat import RelativeCategory, _RewriteTables, _saturate_source
 from hamloc.scat import (
     DkCertificate,
     PairComparison,
@@ -338,6 +344,59 @@ def closed_weq(c: FiniteCategory, rng) -> RelativeCategory:
     return RelativeCategory(c, sorted(weq))
 
 
+# --- the union-find on hashable items ---------------------------------------
+#
+# The reference for ``hamloc.fincat.UnionFind``, which runs on the dense
+# numbers 0..n-1: the earlier dict-keyed union-find.  The references
+# below that join words and vertex names run on it.
+
+
+class ReferenceUnionFind:
+    """Disjoint sets of hashable items.  ``union(a, b)`` keeps the root of
+    ``a``; ``find`` of an item that was never added raises KeyError."""
+
+    __slots__ = ("parent",)
+
+    def __init__(self, items=()):
+        self.parent = {a: a for a in items}
+
+    def add(self, a):
+        self.parent.setdefault(a, a)
+
+    def find(self, a):
+        parent = self.parent
+        root = a
+        while parent[root] != root:
+            root = parent[root]
+        while parent[a] != root:
+            parent[a], a = root, parent[a]
+        return root
+
+    def union(self, a, b):
+        ra, rb = self.find(a), self.find(b)
+        if ra != rb:
+            self.parent[rb] = ra
+
+    def union_all(self, a, bs):
+        """``union(a, b)`` for each ``b`` in ``bs``, finding ``a``'s root once;
+        a ``b`` whose parent is that root is skipped without a find."""
+        ra = self.find(a)
+        find, parent = self.find, self.parent
+        for b in bs:
+            if parent[b] == ra:
+                continue
+            rb = find(b)
+            if rb != ra:
+                parent[rb] = ra
+
+    def groups(self, items) -> dict:
+        """Root -> members among ``items``, both in first-occurrence order."""
+        groups = {}
+        for a in items:
+            groups.setdefault(self.find(a), []).append(a)
+        return groups
+
+
 # --- the word oracle's saturation before the snapshot ----------------------
 #
 # The reference for ``hamloc.relcat.oracle_localized_homset``: two
@@ -465,7 +524,21 @@ def _reference_rewrites(tables: _ReferenceTables, word):
     return out
 
 
-def reference_localized_homset(r: RelativeCategory, x, y, max_len: int) -> OracleHomSet:
+@dataclass(frozen=True)
+class ReferenceHomSet:
+    """The reference oracle's answer for one hom-set: ``classes``, a tuple of
+    frozensets of words ordered by their shortlex-least word, ``class_of``
+    from each word to its class index, and the ``determined`` verdict."""
+
+    classes: tuple
+    class_of: dict
+    determined: bool
+
+    def class_index(self, word):
+        return self.class_of.get(word)
+
+
+def reference_localized_homset(r: RelativeCategory, x, y, max_len: int) -> ReferenceHomSet:
     """Zigzag-word classes from x to y in the localization, or Undetermined.
 
     Saturates at ``max_len`` and again at ``max_len + 2``; the answer is
@@ -479,8 +552,8 @@ def reference_localized_homset(r: RelativeCategory, x, y, max_len: int) -> Oracl
     words = _reference_words(tables, x, y, big_bound)
     wordset = set(words)
 
-    uf_small = UnionFind(w for w in words if len(w) <= max_len)
-    uf_big = UnionFind(words)
+    uf_small = ReferenceUnionFind(w for w in words if len(w) <= max_len)
+    uf_big = ReferenceUnionFind(words)
     for w in words:
         short = len(w) <= max_len
         for target in _reference_rewrites(tables, w):
@@ -513,7 +586,109 @@ def reference_localized_homset(r: RelativeCategory, x, y, max_len: int) -> Oracl
     for idx, cls in enumerate(classes):
         for w in cls:
             class_of[w] = idx
-    return OracleHomSet(x, y, max_len, determined, classes, class_of)
+    return ReferenceHomSet(classes, class_of, determined)
+
+
+# --- the oracle-ho output on word tuples -------------------------------------
+#
+# The reference for ``oracle-ho`` (``hamloc.cli``) and
+# ``hamloc.relcat.oracle_ho_category``, which read the classes' order, the
+# composites and the text off trie node numbers: the earlier path over the
+# hom-sets' word classes (``OracleHomSet.classes`` and ``class_of``).  Each
+# class is sorted as tuples and its words joined with dots, and a
+# composite is the first ``w1 + w2`` that ``class_of`` holds, for the
+# members sorted shortest first.
+
+
+def _shortlex(word):
+    return (len(word), word)
+
+
+def _reference_composite_class(class_of, firsts, seconds):
+    for w1 in firsts:
+        for w2 in seconds:
+            k = class_of.get(w1 + w2)
+            if k is not None:
+                return k
+    return None
+
+
+def _reference_oracle_category(c: FiniteCategory, pair):
+    """The finite category of the classes of ``pair``, or None when an
+    identity or a composite is missing."""
+    names, dom, cod, morphisms = {}, {}, {}, []
+    for x in c.objects:
+        for y in c.objects:
+            for k in range(len(pair[(x, y)].classes)):
+                name = f"{x}->{y}#{k}"
+                names[(x, y, k)] = name
+                morphisms.append(name)
+                dom[name] = x
+                cod[name] = y
+    identity = {}
+    for x in c.objects:
+        k = pair[(x, x)].class_of.get(())
+        if k is None:
+            return None
+        identity[x] = names[(x, x, k)]
+    ordered = {key: [sorted(cls, key=_shortlex) for cls in hs.classes]
+               for key, hs in pair.items()}
+    table = {}
+    for x in c.objects:
+        for y in c.objects:
+            for z in c.objects:
+                class_of = pair[(x, z)].class_of
+                for k1, cls1 in enumerate(ordered[(x, y)]):
+                    for k2, cls2 in enumerate(ordered[(y, z)]):
+                        found = _reference_composite_class(class_of, cls1, cls2)
+                        if found is None:
+                            return None
+                        table[(names[(y, z, k2)], names[(x, y, k1)])] = names[(x, z, found)]
+    return FiniteCategory(c.objects, morphisms, dom, cod, identity, table)
+
+
+def reference_oracle_ho(r: RelativeCategory, max_len: int):
+    """``(exit code, output, verbose lines)`` of ``oracle-ho --max-len
+    max_len`` on ``r``: the JSON output before serialization and the
+    ``--verbose`` progress lines."""
+    c = r.cat
+    tables = _RewriteTables(r)
+    pair, lines, determined = {}, [], True
+    for x in c.objects:
+        for hs, edges in _saturate_source(tables, x, max_len):
+            pair[(x, hs.y)] = hs
+            lines.append(f"pair ({x},{hs.y}): {len(hs.class_of)} words, {edges} rewrite edges, "
+                         f"{len(hs.classes)} classes, "
+                         f"{'determined' if hs.determined else 'undetermined'}")
+            if not hs.determined:
+                determined = False
+                break
+        if not determined:
+            break
+    category = _reference_oracle_category(c, pair) if determined else None
+    output = {
+        "max_len": max_len,
+        "determined": category is not None,
+        "classes": {
+            f"{x}|{y}": [[".".join(f"{d}:{m}" for (d, m) in w) for w in sorted(cls)]
+                         for cls in hs.classes]
+            for (x, y), hs in sorted(pair.items())
+        },
+    }
+    if category is not None:
+        output["category"] = category.to_json()
+    return (0 if category is not None else 3), output, lines
+
+
+def reference_iso_classes(c: FiniteCategory) -> list:
+    """``hamloc.fincat.iso_classes`` on object names, with the dict-keyed
+    union-find."""
+    uf = ReferenceUnionFind(c.objects)
+    for m in c.morphisms:
+        if is_isomorphism(c, m):
+            uf.union(c.dom[m], c.cod[m])
+    groups = uf.groups(c.objects)
+    return [frozenset(groups[r]) for r in sorted(groups, key=c.obj_index.get)]
 
 
 # --- the enumeration routines on morphism names ----------------------------
@@ -897,7 +1072,7 @@ def reference_mapping_space(r: RelativeCategory, x, y, truncation, w_max) -> Map
 def _reference_mapping_space(ctx: _NamedContext, x, y, truncation, w_max) -> MappingSpace:
     cat = ctx.cat
     vertices = []
-    components = UnionFind()
+    components = ReferenceUnionFind()
     sub = None
     simplices = [dict() for _ in range(truncation + 1)]
 
@@ -1064,7 +1239,7 @@ def reference_pi0_mapping_space(r: RelativeCategory, x, y, truncation, w_max) ->
     moves = {z: tuple(m for m in c.from_object(z) if m in ctx.weq and not c.is_identity(m))
              for z in c.objects}
     vertices = []
-    components = UnionFind()
+    components = ReferenceUnionFind()
     sub = None
     grids = fallback_rows = 0
     for pattern in _patterns(w_max):

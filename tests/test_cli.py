@@ -1,14 +1,16 @@
 import json
 import os
+import random
 import re
 import subprocess
 import sys
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from hamloc import instances as inst
 from hamloc.cli import run
-from hamloc.jsonio import write_canonical
+from hamloc.jsonio import canonical_dumps, write_canonical
 from hamloc.relcat import RelativeCategory
 from hamloc.simplicial import nerve
 from hamloc.scat import (
@@ -18,7 +20,13 @@ from hamloc.scat import (
     sub_from_morphisms,
 )
 from helpers import identity_simplicial_functor
-from oracles import _reference_rewrites, _reference_words, _ReferenceTables
+from oracles import (
+    _reference_rewrites,
+    _reference_words,
+    _ReferenceTables,
+    closed_weq,
+    reference_oracle_ho,
+)
 
 
 @pytest.fixture
@@ -850,3 +858,45 @@ class TestVerbose:
         if claim == "3.1":
             # the re-localizations run in pi0 detail and count their fallback
             assert "grids, " in loud.err and " fallback rows" in loud.err
+
+
+class TestOracleHoAgainstReference:
+    """``oracle-ho`` reads the classes' order, the composites and the text
+    off trie node numbers; the earlier path over the word tuples of
+    ``classes`` and ``class_of`` (``tests/oracles.py``) must give the same
+    stdout bytes, ``--verbose`` lines and exit code."""
+
+    @staticmethod
+    def _check(path, capsys, r, max_len):
+        write_canonical(path, r.to_json())
+        code, output, lines = reference_oracle_ho(r, max_len)
+        argv = ["oracle-ho", str(path), "--max-len", str(max_len)]
+        assert run(argv) == code, max_len
+        plain = capsys.readouterr()
+        assert plain.out == canonical_dumps(output), max_len
+        assert plain.err == ""
+        assert run(["--verbose"] + argv) == code, max_len
+        loud = capsys.readouterr()
+        assert loud.out == plain.out
+        assert loud.err == "".join(line + "\n" for line in lines), max_len
+        return code
+
+    @pytest.mark.parametrize("name", sorted(dict(inst.oracle_suite())))
+    def test_oracle_suite(self, tmp_path, capsys, name):
+        r = dict(inst.oracle_suite())[name]
+        for max_len in range(1, 9):
+            self._check(tmp_path / "r.json", capsys, r, max_len)
+
+    def test_suite_has_both_verdicts(self):
+        """The suite cases above include determined and undetermined runs."""
+        codes = {reference_oracle_ho(r, max_len)[0]
+                 for _, r in inst.oracle_suite() for max_len in (1, 8)}
+        assert codes == {0, 3}
+
+    @settings(max_examples=40, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(seed=st.integers(0, 2**32 - 1), max_len=st.integers(1, 6))
+    def test_random_relative_categories(self, tmp_path, capsys, seed, max_len):
+        rng = random.Random(seed)
+        r = closed_weq(inst.random_dag_category(rng, max_objects=3, max_nonid=6), rng)
+        self._check(tmp_path / "r.json", capsys, r, max_len)

@@ -8,6 +8,7 @@ from hamloc.errors import InputError
 from hamloc.fincat import (
     CatFunctor,
     FiniteCategory,
+    UnionFind,
     close_morphisms,
     disjoint_union,
     equivalence_from_functor,
@@ -20,7 +21,9 @@ from hamloc.fincat import (
     validate_functor,
     wide_subcategory_violations,
 )
+from hamloc.relcat import oracle_ho_category
 from helpers import compose_functors, identity_functor
+from oracles import ReferenceUnionFind, reference_iso_classes
 
 
 def small_categories():
@@ -277,6 +280,56 @@ class TestDisjointUnion:
     def test_iso_classes_add(self):
         c = disjoint_union(inst.walking_iso(), inst.walking_iso())
         assert len(iso_classes(c)) == 2
+
+
+class TestUnionFindAgainstReference:
+    """The union-find on the dense numbers 0..n-1 against the dict-keyed
+    reference (``tests/oracles.py``): the same root kept by each union and
+    the same groups, members and order."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_random_union_sequences(self, data):
+        n = data.draw(st.integers(1, 24))
+        uf, ref = UnionFind(n), ReferenceUnionFind(range(n))
+        for _ in range(data.draw(st.integers(0, 40))):
+            kind = data.draw(st.sampled_from(["union", "union_all", "add"]))
+            if kind == "add":
+                assert uf.add() == n
+                ref.add(n)
+                n += 1
+                continue
+            number = st.integers(0, n - 1)
+            a = data.draw(number)
+            if kind == "union":
+                b = data.draw(number)
+                uf.union(a, b)
+                ref.union(a, b)
+            else:
+                bs = data.draw(st.lists(number, max_size=6))
+                uf.union_all(a, bs)
+                ref.union_all(a, bs)
+            assert uf.find(a) == ref.find(a)
+        items = data.draw(st.permutations(range(n)))
+        assert list(uf.groups(items).items()) == list(ref.groups(items).items())
+        assert [uf.find(a) for a in range(n)] == [ref.find(a) for a in range(n)]
+
+    def test_iso_classes_of_stock_categories(self):
+        """The stock categories, their disjoint unions and the oracle's
+        homotopy categories of the stock relative categories, where weak
+        equivalences become isomorphisms."""
+        cats = small_categories() + [
+            disjoint_union(inst.walking_iso(), inst.walking_iso()),
+            disjoint_union(inst.walking_arrow(), inst.group_z2()),
+        ]
+        for _, r in inst.oracle_suite():
+            cats.append(r.cat)
+            result = oracle_ho_category(r, 8)
+            if result.status == "ok":
+                cats.append(result.category)
+        assert any(len(reference_iso_classes(c)) < len(c.objects) for c in cats)
+        for c in cats:
+            assert iso_classes(c) == reference_iso_classes(c), c.objects
 
 
 @settings(max_examples=40, deadline=None)

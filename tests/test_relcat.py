@@ -230,6 +230,9 @@ def _agree(r, x, y, max_len):
     ref = reference_localized_homset(r, x, y, max_len)
     assert got.classes == ref.classes, (x, y, max_len)
     assert got.class_of == ref.class_of, (x, y, max_len)
+    assert all(got.class_index(w) == k for w, k in ref.class_of.items()), (x, y, max_len)
+    assert got.class_count() == len(ref.classes)
+    assert got.word_count() == len(ref.class_of)
     assert got.determined == ref.determined, (x, y, max_len)
     return got.determined
 
@@ -285,7 +288,7 @@ class TestRewritesNeverLengthen:
         tables, ref = _RewriteTables(r), _ReferenceTables(r)
         for x in c.objects:
             trie = _WordTrie(tables, c.obj_index[x], bound)
-            names = trie.names(tables.letters)
+            names = trie.words
             assert [len(w) for w in names] == sorted(len(w) for w in names)
             targets = {0: [], **dict(trie.rewrite_targets(tables))}
             for yi, y in enumerate(c.objects):
@@ -309,3 +312,35 @@ class TestRewritesNeverLengthen:
     @given(seed=st.integers(0, 2**32 - 1))
     def test_random_relative_categories(self, seed):
         self._check(_random_relative(seed), 6)
+
+
+class TestTrieOrderAndText:
+    """What the oracle's output reads off the trie's node numbers, against
+    the word tuples: the shortlex order, the lexicographic rank, each
+    node's text and its slot path."""
+
+    @staticmethod
+    def _check(r, bound):
+        c = r.cat
+        tables = _RewriteTables(r)
+        for x in c.objects:
+            trie = _WordTrie(tables, c.obj_index[x], bound)
+            words = trie.words
+            nodes = range(len(words))
+            assert trie.shortlex() == sorted(nodes, key=lambda n: (len(words[n]), words[n]))
+            assert sorted(nodes, key=trie.rank.__getitem__) == sorted(nodes, key=words.__getitem__)
+            assert trie.texts == [".".join(f"{d}:{m}" for d, m in w) for w in words]
+            for n in nodes:
+                t = 0
+                for s in trie.path(n):
+                    t = trie.first[t] + s
+                assert t == n
+
+    @pytest.mark.parametrize("name", sorted(SUITE))
+    def test_oracle_suite(self, name):
+        self._check(SUITE[name], 6)
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), bound=st.integers(1, 6))
+    def test_random_relative_categories(self, seed, bound):
+        self._check(_random_relative(seed), bound)

@@ -142,12 +142,14 @@ class TestApplyOperator:
 
 
 def _partition_from_pairs(elements, pairs) -> Partition:
-    """The partition of ``elements`` that joins each of ``pairs``."""
+    """The partition of ``elements`` that joins each of ``pairs``, by a
+    union-find on their positions."""
     elements = tuple(elements)
-    uf = UnionFind(elements)
+    position = {e: i for i, e in enumerate(elements)}
+    uf = UnionFind(len(elements))
     for a, b in pairs:
-        uf.union(a, b)
-    return Partition.of(uf, elements)
+        uf.union(position[a], position[b])
+    return Partition.of(uf, range(len(elements))).renamed(elements)
 
 
 class TestPi0:

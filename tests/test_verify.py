@@ -1,7 +1,7 @@
 import pytest
 
 from hamloc import instances as inst
-from hamloc import verify
+from hamloc import scat, verify
 from hamloc.errors import ConsistencyError, InputError
 from hamloc.flatten import flatten
 from hamloc.hammock import hammock_localization
@@ -22,7 +22,7 @@ BOUNDS = Bounds(truncation=1, width=4)
 def test_invalid_comparison_map_is_an_inconsistency(monkeypatch):
     """check_dk validates the comparison map once; a map the pipeline
     built wrongly is a ConsistencyError (exit 3), not an input error."""
-    def rejects(fun, budget):
+    def rejects(fun, budget, source_components):
         raise InputError("invalid simplicial functor: planted")
 
     monkeypatch.setattr(verify, "check_dk", rejects)
@@ -37,6 +37,31 @@ def test_invalid_comparison_map_is_an_inconsistency(monkeypatch):
 
 def ids(c):
     return sorted(c.identity.values())
+
+
+def test_component_data_is_built_once_per_simplicial_category(monkeypatch):
+    """Neglectability and the DK certificate share one build of the
+    source's component data: each claim builds it for its source and its
+    target once."""
+    built = []
+
+    def counted(a, *args):
+        built.append(a)
+        return real(a, *args)
+
+    real = scat.homotopy_category_data
+    monkeypatch.setattr(scat, "homotopy_category_data", counted)
+    monkeypatch.setattr(verify, "homotopy_category_data", counted)
+    iso = inst.walking_iso()
+    p = promote(iso, 1)
+    rs = RelativeSimplicialCategory(p, sub_from_morphisms(p, iso, iso.morphisms))
+    for run in (lambda: check_32(inst.walking_weq(), BOUNDS),
+                lambda: check_24ii(rs, BOUNDS),
+                lambda: check_24i(iso, ids(iso), iso.morphisms, BOUNDS)):
+        built.clear()
+        report = run()
+        assert report.verdict == "pass"
+        assert len(built) == 2 and built[0] is not built[1]
 
 
 class TestCheck24i:
@@ -213,7 +238,7 @@ class TestCheck32:
         still fails the claim (exit 1)."""
         planted = DkCertificate(truncation=1, pairs={}, ho_ok=False, ho_witness="planted",
                                 verdict="fail", reason="planted")
-        monkeypatch.setattr(verify, "check_dk", lambda fun, budget: planted)
+        monkeypatch.setattr(verify, "check_dk", lambda fun, budget, source_components: planted)
         report = check_32(inst.walking_arrow_relative(), BOUNDS)
         by_check = {o["check"]: o["result"] for o in report.outcomes}
         assert by_check["localization stability"] == "stable"
