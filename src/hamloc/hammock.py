@@ -25,23 +25,26 @@ mapping space is sorted by (width, name) as soon as it is kept and is
 numbered in that order: the level above takes its faces as numbers, the
 simplicial set holds number tables, and the :class:`MappingSpace` keeps
 its grids in the same order.  The diagonal takes its tables from those
-of the level localizations, and a composite is looked up by grid and
-returned as a number.  Composition puts two reduced grids side by side
-(:func:`_concatenated`); they can reduce only at their junction, so
-:func:`bounded_composite` merges the junction columns itself and takes
-the normal form only when the merged column is all identities; the
-junction alone often shows an overflow (:func:`_junction`), so
-:func:`bounded_composites` composes two homs by junction class.  An
-entrywise degeneracy map keeps a grid reduced.  Only the boundary
+of the level localizations, a face through the level space's own inner
+face, and a composite is looked up by grid and returned as a number.
+Composition puts two reduced grids side by side (:func:`_concatenated`);
+they can reduce only at their junction, so :func:`bounded_composite`
+merges the junction columns itself and takes the normal form only when
+the merged column is all identities; the junction alone often shows an
+overflow (:func:`_junction`), so :func:`bounded_composites` composes two
+homs by junction class.  An entrywise degeneracy map keeps a grid
+reduced.  Only the boundary
 functions (:func:`reduce_hammock`, :func:`compose_hammocks`,
 :func:`embed_morphism`, :func:`width_zero`) make :class:`Hammock`
 objects, whose entries are names.  Along an alternating pattern a grid
 is reduced exactly when the identity bitmasks of its rows
 (:func:`_identity_mask`) share no bit, so the full-detail enumeration
 builds a grid's last row only with non-identity entries in the columns
-its other rows leave as identities; the rows below a row are built
-column by column from the context's table of column steps, each step
-computed once (:meth:`_Context.extensions`).  The context and the namer
+its other rows leave as identities.  Rows 0 and 1 come from one column
+walk in which each row-0 prefix carries its partial rows 1
+(:meth:`_Context.two_rows`), and the rows below row 1 are built column
+by column (:meth:`_Context.extensions`); both read the context's table
+of column steps, each step computed once.  The context and the namer
 are freed with the localization or mapping space that made them, by
 reference counting: the package builds no reference cycles around them.
 
@@ -420,12 +423,13 @@ class _Context:
     equivalences in and weak equivalences out; and ``sink_moves[m]`` /
     ``source_moves[m]`` are the non-identity weak equivalences out of the
     codomain / domain of m.  ``steps`` is the column-step table of
-    :meth:`extensions`, filled on first use: ``(forward, vprev, h, last,
-    nonidentity)`` (the column's direction, the vertical before it, its
-    entry, whether it is the last column, and whether its next entry must
-    not be an identity) maps to the ``(vnext, solutions)`` pairs with a
-    solution, where ``vnext`` is the vertical after the column (the end
-    identity in the last one) and the solutions are its entries below."""
+    :meth:`two_rows` and :meth:`extensions`, filled on first use:
+    ``(forward, vprev, h, last, nonidentity)`` (the column's direction,
+    the vertical before it, its entry, whether it is the last column, and
+    whether its next entry must not be an identity) maps to the ``(vnext,
+    solutions)`` pairs with a solution, where ``vnext`` is the vertical
+    after the column (the end identity in the last one) and the solutions
+    are its entries below."""
 
     def __init__(self, r: RelativeCategory):
         c = r.cat
@@ -456,6 +460,18 @@ class _Context:
         self.source_moves = [moves[x] for x in self.dom]
         self.steps = {}
 
+    def _feasible(self, y, directions):
+        """``feasible[col]``: the objects from which a row along
+        ``directions[col:]`` reaches y."""
+        width = len(directions)
+        objects = self.cat.objects
+        feasible = [set() for _ in range(width + 1)]
+        feasible[width] = {y}
+        for col in range(width - 1, -1, -1):
+            adj = self.fwd_adj if directions[col] == "f" else self.weq_src_adj
+            feasible[col] = {u for u in objects if adj[u] & feasible[col + 1]}
+        return feasible
+
     def paths(self, x, y, directions):
         """All rows (identity entries allowed) from x to y along the
         direction pattern, built column by column in the order of a
@@ -463,12 +479,7 @@ class _Context:
         width = len(directions)
         if width == 0:
             return [()] if x == y else []
-        objects = self.cat.objects
-        feasible = [set() for _ in range(width + 1)]
-        feasible[width] = {y}
-        for col in range(width - 1, -1, -1):
-            adj = self.fwd_adj if directions[col] == "f" else self.weq_src_adj
-            feasible[col] = {u for u in objects if adj[u] & feasible[col + 1]}
+        feasible = self._feasible(y, directions)
         if x not in feasible[0]:
             return []
         dom, cod = self.dom, self.cod
@@ -485,6 +496,44 @@ class _Context:
                            for m in self.weq_into[at] if dom[m] in reach]
         return [row for _, row in partial]
 
+    def two_rows(self, x, y, directions, masked):
+        """Each row 0 from x to y along the direction pattern, as
+        :meth:`paths` builds it, with its identity mask
+        (:func:`_identity_mask`) and the (interior verticals, row 1) pairs
+        below it that :meth:`extensions` gives with the nonidentity mask
+        ``masked and mask`` (``masked``: row 1 is the last row), except the
+        rows that are not reduced and have no pair.  One walk builds both
+        rows column by column: a row-0 prefix carries its partial rows 1,
+        so rows 0 that share a prefix share its column steps, and a prefix
+        is dropped as soon as neither a reduced row 0 nor a row 1 can
+        follow it."""
+        width = len(directions)
+        if width == 0:
+            return [((), 0, [((), ())])] if x == y else []
+        feasible = self._feasible(y, directions)
+        if x not in feasible[0]:
+            return []
+        dom, cod, identities = self.dom, self.cod, self.identities
+        # the partial rows 0 after each column, in order: (object, entries,
+        # identity mask, the partial rows 1 below them)
+        partial = [(x, (), 0, [(self.identity[x], (), ())])]
+        for col in range(width):
+            forward, last, reach = directions[col] == "f", col == width - 1, feasible[col + 1]
+            grown = []
+            for at, row, mask, below in partial:
+                for h in self.from_any[at] if forward else self.weq_into[at]:
+                    nxt = cod[h] if forward else dom[h]
+                    if nxt not in reach:
+                        continue
+                    bit = 1 if h in identities else 0
+                    below2 = self._column(below, forward, h, last, bit if masked else 0)
+                    mask2 = mask | bit << col
+                    if below2 or not mask2:
+                        grown.append((nxt, row + (h,), mask2, below2))
+            partial = grown
+        return [(row, mask, [(vacc, racc) for _, vacc, racc in below])
+                for _, row, mask, below in partial]
+
     def extensions(self, directions, row, x, nonidentity):
         """All (interior verticals, next row) pairs below ``row``, which
         starts at ``x``, whose next row has no identity entry in the columns
@@ -496,25 +545,31 @@ class _Context:
         width = len(directions)
         if width == 0:
             return [((), ())]
-        steps = self.steps
-        # the partial rows after each column, in order: (vertical, verticals, entries)
+        # the partial rows after each column, in order
         partial = [(self.identity[x], (), ())]
         for col in range(width):
-            forward, h, bit = directions[col] == "f", row[col], nonidentity >> col & 1
-            last = col == width - 1
-            grown = []
-            for vprev, vacc, racc in partial:
-                key = (forward, vprev, h, last, bit)
-                options = steps.get(key)
-                if options is None:
-                    options = self._step(key)
-                for vnext, sols in options:
-                    # the end identity after the last column is no interior vertical
-                    vacc2 = vacc if last else vacc + (vnext,)
-                    for h2 in sols:
-                        grown.append((vnext, vacc2, racc + (h2,)))
-            partial = grown
+            partial = self._column(partial, directions[col] == "f", row[col], col == width - 1,
+                                   nonidentity >> col & 1)
         return [(vacc, racc) for _, vacc, racc in partial]
+
+    def _column(self, partial, forward, h, last, nonidentity):
+        """The partial rows ``partial`` (vertical, verticals, entries) below
+        a row, in order, each grown by the column steps below the entry
+        ``h``, in order; ``forward``, ``last`` and ``nonidentity`` are as in
+        :attr:`steps`."""
+        steps = self.steps
+        grown = []
+        for vprev, vacc, racc in partial:
+            key = (forward, vprev, h, last, nonidentity)
+            options = steps.get(key)
+            if options is None:
+                options = self._step(key)
+            for vnext, sols in options:
+                # the end identity after the last column is no interior vertical
+                vacc2 = vacc if last else vacc + (vnext,)
+                for h2 in sols:
+                    grown.append((vnext, vacc2, racc + (h2,)))
+        return grown
 
     def _step(self, key):
         """The entry of :attr:`steps` at ``key``, computed and kept."""
@@ -572,7 +627,8 @@ class MappingSpace:
     dead generator neighbour, from which the fallback walked on.
     ``face_normal_forms`` ("full" detail only) counts the distinct
     dropped grids the faces reduced, and ``extension_rows`` ("full" detail
-    only) the rows :meth:`_Context.extensions` built below other rows (at
+    only) the rows built below other rows, by :meth:`_Context.two_rows`
+    below row 0 and by :meth:`_Context.extensions` further down (at
     truncation 1, the two-row grids).  All four are deterministic counts
     for progress output, never report bytes.
     """
@@ -629,7 +685,6 @@ def mapping_space(r: RelativeCategory, x, y, truncation: int, w_max: int,
 def _mapping_space(ctx: _Context, x, y, truncation, w_max, detail) -> MappingSpace:
     if detail == "pi0":
         return _pi0_mapping_space(ctx, x, y, truncation, w_max)
-    identities = ctx.identities
     # the enumerated grids of morphism numbers, by height
     simplices = [[] for _ in range(truncation + 1)]
     extension_rows = 0
@@ -637,14 +692,12 @@ def _mapping_space(ctx: _Context, x, y, truncation, w_max, detail) -> MappingSpa
         width = len(pattern)
         if width == 0 and x != y:
             continue
-        rows0 = ctx.paths(x, y, pattern)
-        for row in rows0:
+        for row, mask, below in ctx.two_rows(x, y, pattern, truncation == 1):
             # no identity entry along an alternating pattern: reduced
-            if identities.isdisjoint(row):
+            if not mask:
                 simplices[0].append((pattern, (row,), ()))
-        for row in rows0:
-            extension_rows += _grow(ctx, x, pattern, (row,), (), _identity_mask(identities, row),
-                                    truncation, simplices)
+            extension_rows += _grow(ctx, x, pattern, (row,), (), mask, below, truncation,
+                                    simplices)
 
     # Keep only simplices all of whose iterated faces are representable:
     # over a partially represented ambient category a face can need a
@@ -841,10 +894,11 @@ def _pi0_edges(ctx: _Context, pattern, rows0, row_numbers):
         yield upper, lowers, bool(seen)
 
 
-def _grow(ctx, x, pattern, rows, layers, common, truncation, simplices):
-    """Extend the grid of morphism numbers from ``x`` one row at a time,
+def _grow(ctx, x, pattern, rows, layers, common, below, truncation, simplices):
+    """Extend the grid of morphism numbers from ``x`` by each (interior
+    verticals, row) pair of ``below`` its last row, then one row at a time,
     appending its reduced simplices to ``simplices`` by height; the number
-    of rows built.
+    of rows built, those of ``below`` included.
 
     ``common`` is the AND of the rows' identity masks
     (:func:`_identity_mask`), so the grid is reduced when it is 0; each new
@@ -852,21 +906,21 @@ def _grow(ctx, x, pattern, rows, layers, common, truncation, simplices):
     reduced at h+1, so a row that is not the last is extended unfiltered.
     The last row (height ``truncation``) is built only where the grid is
     then reduced: the columns of ``common`` must get non-identity entries,
-    which is the mask :meth:`_Context.extensions` takes."""
-    height = len(rows) - 1
-    if height + 1 == truncation:
-        below = ctx.extensions(pattern, rows[-1], x, common)
-        simplices[truncation].extend(
+    the mask :meth:`_Context.two_rows` and :meth:`_Context.extensions`
+    build it with."""
+    height = len(rows)
+    if height == truncation:
+        simplices[height].extend(
             (pattern, rows + (row2,), layers + (vacc,)) for vacc, row2 in below)
         return len(below)
-    below = ctx.extensions(pattern, rows[-1], x, 0)
     built = len(below)
     for vacc, row2 in below:
         common2 = common & _identity_mask(ctx.identities, row2)
         rows2, layers2 = rows + (row2,), layers + (vacc,)
         if not common2:
-            simplices[height + 1].append((pattern, rows2, layers2))
-        built += _grow(ctx, x, pattern, rows2, layers2, common2, truncation, simplices)
+            simplices[height].append((pattern, rows2, layers2))
+        below2 = ctx.extensions(pattern, row2, x, common2 if height + 1 == truncation else 0)
+        built += _grow(ctx, x, pattern, rows2, layers2, common2, below2, truncation, simplices)
     return built
 
 
@@ -1087,8 +1141,10 @@ def homotopy_category_of_localization(loc: Localization, wellcheck_cap: int = 6)
 @dataclass
 class DiagonalCounts:
     """Work of one diagonal hom of a :class:`RelscatLocalization`: the
-    entrywise images taken, under every outer face and degeneracy, and
-    the distinct face images reduced.  Deterministic counts for progress
+    entrywise images taken (under each outer face d_i of level n, one per
+    inner level-(n-1) simplex of the level-n space; under each outer
+    degeneracy of level n, one per diagonal level-n simplex), and the
+    distinct face images reduced.  Deterministic counts for progress
     output, never report bytes."""
 
     images: int
@@ -1100,15 +1156,18 @@ class RelscatLocalization:
     :class:`Localization` per level n of the ambient (``levels``, over
     the level categories ``level_rel``), and hom by hom their diagonal
     (Dwyer-Kan).  Level n of ``diag_homs[(x, y)]`` is inner level n of
-    the level-n localization.  A face or degeneracy of a diagonal simplex
-    maps its one grid through the outer level map (a list, on morphism
-    numbers), then takes the inner face or degeneracy; the off-diagonal
-    entries are never mapped.  An outer degeneracy is injective and sends
-    identities to identities, so the image of a reduced grid is reduced
-    and is looked up as it is; the image under an outer face is reduced
-    first, once per distinct image grid.  ``row_spaces[(x, y, n)]`` is
-    the mapping space of the level-n localization.  ``progress`` gets each pair of each level,
-    tagged ``level n``, then the :class:`DiagonalCounts` of each diagonal
+    the level-n localization.  The outer level maps are lists on morphism
+    numbers and map grids entrywise; the off-diagonal entries are never
+    mapped.  A degeneracy s_i of a diagonal simplex maps its grid through
+    the outer s_i, then takes the inner s_i.  An outer degeneracy is
+    injective and sends identities to identities, so the image of a
+    reduced grid is reduced and is looked up as it is.  A face d_i is the
+    outer d_i after the inner one (a bisimplicial identity): the level-n
+    space already holds its inner faces, so the outer face maps only its
+    level-(n-1) simplices, each image reduced once per distinct image
+    grid.  ``row_spaces[(x, y, n)]`` is the mapping space of the level-n
+    localization.  ``progress`` gets each pair of each level, tagged
+    ``level n``, then the :class:`DiagonalCounts` of each diagonal
     hom."""
 
     def __init__(self, rs, truncation, w_max, progress=None):
@@ -1161,15 +1220,14 @@ class RelscatLocalization:
         reduced = {}  # (target level, image grid) -> its normal form
         images = 0
         for (n, kind, i), image_of in outer.items():
-            m = n - 1 if kind == "d" else n + 1
+            # the outer map takes the simplices of inner level ``level`` of
+            # the level-n space into the level-m space, at the same inner level
+            m, level = (n - 1, n - 1) if kind == "d" else (n + 1, n)
             cat, target = self.level_rel[m].cat, spaces[m]
-            # inner level n of the level-m space, then its inner face or
-            # degeneracy: diagonal level m
-            inner = (target.sset.faces[n] if kind == "d" else target.sset.degeneracies[n])[i]
             column = []
-            for directions, rows, layers in spaces[n].level_grids[n]:
+            images += len(spaces[n].level_grids[level])
+            for directions, rows, layers in spaces[n].level_grids[level]:
                 grid = directions, _mapped(image_of, rows), _mapped(image_of, layers)
-                images += 1
                 if kind == "d":
                     key = (m, grid)
                     grid = reduced.get(key)
@@ -1178,8 +1236,14 @@ class RelscatLocalization:
                 image = target.by_grid.get(grid)
                 if image is None:
                     raise ConsistencyError("entrywise image missing from enumeration")
-                column.append(inner[image])
-            (faces if kind == "d" else degeneracies)[n][i] = tuple(column)
+                column.append(image)
+            if kind == "d":
+                # the inner face, then the outer one: diagonal level n-1
+                faces[n][i] = tuple(column[t] for t in spaces[n].sset.faces[n][i])
+            else:
+                # the outer degeneracy, then the inner one: diagonal level n+1
+                inner = target.sset.degeneracies[n][i]
+                degeneracies[n][i] = tuple(inner[image] for image in column)
         levels = [space.sset.levels[n] for n, space in enumerate(spaces)]
         sset = TruncatedSimplicialSet(self.truncation, levels, faces, degeneracies)
         return sset, DiagonalCounts(images, len(reduced))

@@ -16,7 +16,11 @@ stability verdicts in the outcomes as approximation caveats.
 Each checker takes an optional per-pair ``progress`` callback; every
 localization it builds reports to it, tagged by its stage (see
 :func:`hammock.staged`), and a dimensionwise localization also reports
-the :class:`hammock.DiagonalCounts` of each diagonal hom.  A 3.1
+the :class:`hammock.DiagonalCounts` of each diagonal hom: the entrywise
+images under the outer degeneracies, one per diagonal simplex, and
+under the outer faces, one per simplex of the level spaces one inner
+level down, since a diagonal face is the outer face after the inner
+one; and the distinct face images reduced.  A 3.1
 flattening stage that reuses the middle's re-localization reports the
 string :data:`SHARED_NOTE` once instead.  Progress never enters a report.
 """

@@ -16,9 +16,11 @@ trie node numbers (:func:`reference_oracle_ho`).  The earlier dict-keyed
 union-find is the reference for the one on dense numbers
 (:class:`ReferenceUnionFind`, :func:`reference_iso_classes`); the
 references that join words and vertex names run on it.  The full-detail hammock
-enumeration that builds every grid and reduces every face and diagonal
-image anew is the reference for the one that builds only last rows
-that can reduce and reduces each distinct grid once
+enumeration that builds every grid row by row and reduces every face
+and diagonal image anew, mapping each level-n simplex under the outer
+face, is the reference for the one that builds rows 0 and 1 in one walk
+and only last rows that can reduce, reduces each distinct grid once, and
+takes a diagonal face through the level space's inner face
 (:func:`reference_mapping_space`, :func:`reference_diagonal`).  The
 "pi0" enumeration on string-keyed rows, with a union-find over vertex
 names, is the reference for the one on morphism and vertex numbers
@@ -1196,7 +1198,9 @@ def _reference_face(ctx, h: Hammock, i) -> str:
 
 def reference_diagonal(rl, x, y) -> TruncatedSimplicialSet:
     """The diagonal hom from ``x`` to ``y`` of the dimensionwise
-    localization ``rl``, each outer face image reduced anew."""
+    localization ``rl``: a face or degeneracy maps each level-n simplex
+    under the outer map, then takes the inner one; each outer face image
+    is reduced anew."""
     ambient = rl.rs.ambient
     outer = {(n, "d", i): level_map(ambient, n, "d", i)
              for n in range(1, rl.truncation + 1) for i in range(n + 1)}

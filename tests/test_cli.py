@@ -41,6 +41,7 @@ def files(tmp_path):
 
     save("terminal.json", inst.terminal().to_json())
     save("walking-weq.json", inst.walking_weq().to_json())
+    save("chain-weq.json", inst.chain_weq().to_json())
     save("walking-arrow.json", inst.walking_arrow_relative().to_json())
     chain = RelativeCategory(inst.chain3(), ["idX", "idY", "idZ", "g"])
     save("chain.json", chain.to_json())
@@ -822,6 +823,52 @@ class TestVerbose:
             assert int(rows) >= len(homs[f"{x}|{y}"]["levels"][1]), line
             built += int(rows)
         assert built > 0
+
+    # (face normal forms, extension rows) of each full-detail pair line, by
+    # stage and in line order, as the enumeration that built rows 0 and 1
+    # in two passes (every row 0, then the rows below each one) counted them
+    WALKING_WEQ_T1_W3 = [(1, 3), (2, 4), (2, 4), (1, 3)]
+    CHAIN_WEQ_T1_W3 = [(1, 6), (4, 12), (3, 15), (4, 12), (6, 13), (4, 12), (3, 15), (4, 12),
+                       (1, 6)]
+    ENUMERATION_COUNTS = [
+        ("localize", "walking-weq.json", ["--truncation", "1", "--width", "3"],
+         {"": WALKING_WEQ_T1_W3}),
+        ("localize", "walking-weq.json", ["--truncation", "2", "--width", "2"],
+         {"": [(5, 11), (1, 4), (1, 4), (5, 11)]}),
+        ("verify 3.2", "walking-weq.json", ["--width", "3"], {
+            "input": WALKING_WEQ_T1_W3,
+            "dimensionwise level 0": [(6, 12), (8, 14), (8, 17), (6, 12)],
+            "dimensionwise level 1": [(13, 28), (24, 44), (12, 30), (13, 28)],
+        }),
+        ("localize", "chain-weq.json", ["--truncation", "1", "--width", "3"],
+         {"": CHAIN_WEQ_T1_W3}),
+        ("localize", "chain-weq.json", ["--truncation", "2", "--width", "2"],
+         {"": [(8, 20), (5, 9), (1, 4), (5, 9), (9, 16), (5, 9), (1, 4), (5, 9), (8, 20)]}),
+        ("verify 3.2", "chain-weq.json", ["--width", "3"], {
+            "input": CHAIN_WEQ_T1_W3,
+            "dimensionwise level 0": [(29, 131), (48, 200), (40, 204), (44, 164), (63, 213),
+                                      (48, 200), (29, 155), (44, 164), (29, 131)],
+            "dimensionwise level 1": [(195, 813), (300, 1506), (324, 1896), (186, 736),
+                                      (290, 1246), (300, 1506), (94, 498), (186, 736),
+                                      (195, 813)],
+        }),
+    ]
+
+    @pytest.mark.parametrize("command, name, options, counts", ENUMERATION_COUNTS, ids=[
+        " ".join([command, name] + options) for command, name, options, _ in ENUMERATION_COUNTS])
+    def test_enumeration_counts_are_pinned(self, files, capsys, command, name, options,
+                                           counts):
+        """Rows 0 and 1 come from one column walk that drops a row-0 prefix
+        with nothing below it; the rows it builds, and so the distinct faces
+        reduced, are those of two passes."""
+        run(["--verbose"] + command.split() + [files[name]] + options)
+        got = {}
+        for line in capsys.readouterr().err.splitlines():
+            m = re.fullmatch(r"(?:(.*): )?pair \(\w+,\w+\): .*, (\d+) face normal forms, "
+                             r"(\d+) extension rows", line)
+            if m:
+                got.setdefault(m.group(1) or "", []).append((int(m.group(2)), int(m.group(3))))
+        assert got == counts
 
     @pytest.mark.parametrize("name, shared", [
         ("walking-arrow.json", True),

@@ -484,7 +484,8 @@ class TestRelscatLocalization:
             assert validate_scat(rl.scat()) == [], name
 
     def test_diagonal_counts(self):
-        """Each diagonal hom counts one image per simplex and outer map,
+        """Each diagonal hom counts one image per vertex of the level-1
+        space and outer face, one per diagonal vertex and outer degeneracy,
         and one normal form per distinct face image."""
         for name, rs in _check_32_relscats():
             reported = {}
@@ -497,11 +498,12 @@ class TestRelscatLocalization:
             assert set(reported) == set(rl.diag_homs)
             faces = [oracles.level_map(rs.ambient, 1, "d", i) for i in range(2)]
             for (x, y), counts in reported.items():
-                level0, level1 = rl.diag_homs[(x, y)].levels
-                assert counts.images == 2 * len(level1) + len(level0), (name, x, y)
+                level0 = rl.diag_homs[(x, y)].levels[0]
                 ms = rl.row_spaces[(x, y, 1)]
-                distinct = {_map_hammock(names, simplex_hammock(rl.level_rel[1], ms, 1, s))
-                            for names in faces for s in level1}
+                vertices = ms.sset.level(0)
+                assert counts.images == 2 * len(vertices) + len(level0), (name, x, y)
+                distinct = {_map_hammock(names, simplex_hammock(rl.level_rel[1], ms, 0, s))
+                            for names in faces for s in vertices}
                 assert counts.normal_forms == len(distinct), (name, x, y)
 
     def test_degeneracy_images_are_reduced(self):
@@ -529,18 +531,19 @@ class TestRelscatLocalization:
         assert mapped > 100
 
 
-def _check_32_relscats(width=2, names=None):
+def _check_32_relscat(r, truncation, width):
+    """The relative simplicial category check_32 localizes dimensionwise:
+    the localization of ``r`` with the image of its weak equivalences."""
+    loc = hammock_localization(r, truncation, width)
+    return RelativeSimplicialCategory(loc.scat(), _embedded_sub(r, loc.scat(), r.weq))
+
+
+def _check_32_relscats(width=2, names=None, truncation=1):
     """The relative simplicial categories check_32 localizes
     dimensionwise, from localizations of the oracle suite (or of its
-    instances ``names``) at ``width``."""
-    cases = []
-    for name, r in inst.oracle_suite():
-        if names is not None and name not in names:
-            continue
-        loc = hammock_localization(r, 1, width)
-        cases.append((f"3.2 {name}", RelativeSimplicialCategory(
-            loc.scat(), _embedded_sub(r, loc.scat(), r.weq))))
-    return cases
+    instances ``names``) at ``truncation`` and ``width``."""
+    return [(f"3.2 {name}", _check_32_relscat(r, truncation, width))
+            for name, r in inst.oracle_suite() if names is None or name in names]
 
 
 def _same_sset(got, want, where):
@@ -622,6 +625,75 @@ class TestFullDetailAgainstReference:
                 self._agree(rl.level_rel[n], x, y, 1, width)
             for (x, y), sset in rl.diag_homs.items():
                 _same_sset(sset, reference_diagonal(rl, x, y), (name, x, y))
+
+    # The diagonal takes each face through the level-n space's inner face
+    # and maps only its level-(n-1) simplices; the reference maps every
+    # level-n simplex under the outer face and reduces it anew.
+
+    @classmethod
+    def _agree_dimensionwise(cls, name, rs, truncation, width):
+        rl = hammock_localization_relscat(rs, truncation, width)
+        for (x, y, n), ms in rl.row_spaces.items():
+            cls._agree(rl.level_rel[n], x, y, truncation, width)
+        for (x, y), sset in rl.diag_homs.items():
+            _same_sset(sset, reference_diagonal(rl, x, y), (name, x, y))
+
+    @pytest.mark.parametrize("width", [1, 2])
+    def test_check_32_diagonals_at_truncation_two(self, width):
+        for name, rs in _check_32_relscats(width, truncation=2):
+            self._agree_dimensionwise(name, rs, 2, width)
+
+    @pytest.mark.parametrize("width", [2, 3, 4])
+    def test_neglectable_instance_diagonals(self, width):
+        for name, rs in neglectable_instances():
+            self._agree_dimensionwise(name, rs, 1, width)
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), width=st.integers(1, 2))
+    def test_random_dimensionwise_localizations(self, seed, width):
+        rng = random.Random(seed)
+        r = closed_weq(inst.random_dag_category(rng), rng)
+        self._agree_dimensionwise(seed, _check_32_relscat(r, 1, width), 1, width)
+
+
+class TestTwoRowWalk:
+    """``_Context.two_rows`` builds rows 0 and 1 in one column walk; each
+    row 0 of ``paths`` must come with its mask and the pairs ``extensions``
+    gives below it (masked by its identities when row 1 is the last row),
+    in order, and only an unreduced row 0 with no pair may be missing."""
+
+    @staticmethod
+    def _agree(r, w_max):
+        ctx = hammock._Context(r)
+        dropped = 0
+        for pattern in hammock._patterns(w_max):
+            for x in r.cat.objects:
+                for y in r.cat.objects:
+                    for masked in (False, True):
+                        want = []
+                        for row in ctx.paths(x, y, pattern):
+                            mask = hammock._identity_mask(ctx.identities, row)
+                            below = ctx.extensions(pattern, row, x, mask if masked else 0)
+                            if below or not mask:
+                                want.append((row, mask, below))
+                            else:
+                                dropped += 1
+                        assert ctx.two_rows(x, y, pattern, masked) == want, (x, y, pattern)
+        return dropped
+
+    def test_stock_relative_categories(self):
+        assert sum(self._agree(r, 4) for _, r in inst.oracle_suite()) > 0
+
+    def test_check_32_level_categories(self):
+        for _, rs in _check_32_relscats(3, ("walking-weq", "retract")):
+            for rel in hammock_localization_relscat(rs, 1, 3).level_rel:
+                self._agree(rel, 3)
+
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_random_relative_categories(self, seed):
+        rng = random.Random(seed)
+        self._agree(closed_weq(inst.random_dag_category(rng), rng), 3)
 
 
 class TestColumnSteps:
