@@ -1118,7 +1118,7 @@ class _ClassMap(Mapping):
         return sum(len(ms.vertices) for ms in self.pairs.values())
 
 
-def homotopy_category_of_localization(loc: Localization, wellcheck_cap: int = 6):
+def homotopy_category_of_localization(loc: Localization):
     """Category of components of a localization on vertex numbers (see
     :func:`scat.component_category`), and the name-keyed class map; class
     composites come from representatives inside the width bound."""
@@ -1127,7 +1127,7 @@ def homotopy_category_of_localization(loc: Localization, wellcheck_cap: int = 6)
             loc.relcat.cat.objects,
             {pair: ms.partition for pair, ms in loc.pairs.items()},
             dict.fromkeys(loc.relcat.cat.objects, _IDENTITY_NUMBER),
-            lambda x, y, z, g, f: loc.composite(x, y, z, 0, g, f), wellcheck_cap,
+            lambda x, y, z, g, f: loc.composite(x, y, z, 0, g, f),
         )
     except CompositionUnavailable:
         loc.overflows += 1

@@ -20,7 +20,6 @@ from .fincat import (
     FiniteCategory,
     equivalence_from_functor,
     is_isomorphism,
-    validate_functor,
 )
 from .simplicial import (
     TruncatedSimplicialSet,
@@ -270,12 +269,15 @@ def _generators(N):
 # --- homotopy category ------------------------------------------------------
 
 
-def component_category(objects, parts, identities, compose, wellcheck_cap):
+WELLCHECK_CAP = 8  # members per class checked by every category of components
+
+
+def component_category(objects, parts, identities, compose):
     """The category of components, and ``class_names[(x, y)][k]``, the
     morphism of class k of ``parts[(x, y)]``, a partition of the level-0
     simplex numbers of hom(x, y) in level order.  ``identities[x]`` numbers
     id_x; ``compose(x, y, z, g, f)`` numbers a level-0 composite, or is None.
-    Composition on classes is induced from the first ``wellcheck_cap``
+    Composition on classes is induced from the first :data:`WELLCHECK_CAP`
     members per class; all their composites must land in one class
     (else ConsistencyError; CompositionUnavailable when none is present).
     """
@@ -292,7 +294,7 @@ def component_category(objects, parts, identities, compose, wellcheck_cap):
             class_of = part.class_of
             for s in part.elements:
                 members = chosen[class_of[s]]
-                if len(members) < wellcheck_cap:
+                if len(members) < WELLCHECK_CAP:
                     members.append(s)
     identity = {x: class_names[(x, x)][parts[(x, x)].class_of[identities[x]]] for x in objects}
 
@@ -322,16 +324,18 @@ def component_category(objects, parts, identities, compose, wellcheck_cap):
     return cat, class_names
 
 
-def homotopy_category_data(a: TruncatedSimplicialCategory, wellcheck_cap: int = 8):
+def homotopy_category_data(a: TruncatedSimplicialCategory):
     """The category of components, class names and partitions (see :func:`component_category`)."""
     if a.truncation < 1:
         raise InputError("homotopy category needs truncation >= 1")
     parts = {(x, y): pi0(a.homs[(x, y)]) for x in a.objects for y in a.objects}
-    cat, class_names = component_category(
-        a.objects, parts, a.identities,
-        lambda x, y, z, g, f: a.composite(x, y, z, 0, g, f), wellcheck_cap,
-    )
-    return cat, class_names, parts
+    return (*_components(a, parts), parts)
+
+
+def _components(a: TruncatedSimplicialCategory, parts):
+    """:func:`component_category` of ``a`` on the partitions ``parts`` of its homs."""
+    return component_category(a.objects, parts, a.identities,
+                              lambda x, y, z, g, f: a.composite(x, y, z, 0, g, f))
 
 
 def homotopy_category(a: TruncatedSimplicialCategory) -> FiniteCategory:
@@ -585,18 +589,10 @@ class PairComparison:
     def to_json(self):
         return {
             "pi0_ok": self.pi0_ok,
-            "pi0_witness": _jsonable(self.pi0_witness),
+            "pi0_witness": self.pi0_witness,
             "homology_ok": self.homology_ok,
-            "homology_witness": _jsonable(self.homology_witness),
+            "homology_witness": self.homology_witness,
         }
-
-
-def _jsonable(value):
-    if isinstance(value, (tuple, list)):
-        return [_jsonable(v) for v in value]
-    if isinstance(value, (str, int, float, bool)) or value is None:
-        return value
-    return str(value)
 
 
 @dataclass
@@ -619,7 +615,7 @@ class DkCertificate:
             "truncation": self.truncation,
             "pairs": {f"{x}|{y}": cmp.to_json() for (x, y), cmp in sorted(self.pairs.items())},
             "ho_ok": self.ho_ok,
-            "ho_witness": _jsonable(self.ho_witness),
+            "ho_witness": self.ho_witness,
             "verdict": self.verdict,
             "reason": self.reason,
         }
@@ -645,7 +641,9 @@ def _induced_homology_iso(image, level, src_hom, tgt_hom, src_report, tgt_report
     images by number.  With F the chain map, D the source boundary out of
     level ``level`` and B the target boundary into it, the induced map is
     onto over Q, hence an iso, when dim(F(ker D) + im B) - rank B is the
-    Betti number, and dim(F(ker D) + im B) = rank [[F, B], [D, 0]] - rank D."""
+    Betti number, and dim(F(ker D) + im B) = rank [[F, B], [D, 0]] - rank D.
+    The ranks of D and B are the reports' ``boundary_ranks``; only the
+    block is eliminated here."""
     group = src_report.group(level)
     if group != tgt_report.group(level):
         return False
@@ -656,8 +654,8 @@ def _induced_homology_iso(image, level, src_hom, tgt_hom, src_report, tgt_report
     del_tgt, _, tgt_cols = boundary_matrix(tgt_hom, level + 1)
     block = ([f + b for f, b in zip(fmat, del_tgt)]
              + [d + [0] * len(tgt_cols) for d in del_src])
-    return (rational_rank(block) - rational_rank(del_src) - rational_rank(del_tgt)
-            == group.free_rank)
+    return (rational_rank(block) - src_report.boundary_ranks[level]
+            - tgt_report.boundary_ranks[level + 1] == group.free_rank)
 
 
 def check_dk(fun: SimplicialFunctor, budget: int = 1_000_000,
@@ -672,8 +670,12 @@ def check_dk(fun: SimplicialFunctor, budget: int = 1_000_000,
     0 needs no homology: normalized H_0 is free on the components, so it
     agrees exactly when the components biject.
 
-    ``source_components`` is :func:`homotopy_category_data` of the
-    source, when the caller built it already (as for neglectability).
+    Each hom is partitioned once, for its pairs and its category of
+    components; each compared hom's homology is taken once; one class map
+    per source pair, from every level-0 simplex, gives both the component
+    bijection and the induced functor.  ``source_components`` is
+    :func:`homotopy_category_data` of the source, when the caller built it
+    already (as for neglectability).
 
     ``budget`` is unused: no step here searches.  It is kept only because
     the traced rebuild in ``perfbench/tracing.py`` passes it; it goes
@@ -682,26 +684,27 @@ def check_dk(fun: SimplicialFunctor, budget: int = 1_000_000,
     bad, images = _functor_report(fun)
     if bad:
         raise InputError(f"invalid simplicial functor: {bad[0]}")
-    src, tgt = fun.source, fun.target
+    src, tgt, omap = fun.source, fun.target, fun.object_map
     N = src.truncation
-    pairs, verdict, reason = {}, "pass_partial", ""
+    pairs, verdict = {}, "pass_partial"
 
     if source_components is None:
         src_parts = {(x, y): pi0(src.homs[(x, y)]) for x in src.objects for y in src.objects}
     else:
         src_parts = source_components[2]
-    tgt_parts = {}
+    tgt_parts = {(x, y): pi0(tgt.homs[(x, y)]) for x in tgt.objects for y in tgt.objects}
+    # (x, y) -> {source class: target class}, in the order classes are met
+    class_maps, tgt_reports = {}, {}
 
     for x in src.objects:
         for y in src.objects:
-            fx, fy = fun.object_map[x], fun.object_map[y]
-            if (fx, fy) not in tgt_parts:
-                tgt_parts[(fx, fy)] = pi0(tgt.homs[(fx, fy)])
-            sp, tp = src_parts[(x, y)], tgt_parts[(fx, fy)]
-            # a face-preserving map sends a whole class into one class, so
-            # any member (here the least number) gives the class's image
-            mapping = {k: tp.class_of[images[(x, y)][0][min(cls)]]
-                       for k, cls in enumerate(sp.classes)}
+            fxy = (omap[x], omap[y])
+            sp, tp = src_parts[(x, y)], tgt_parts[fxy]
+            mapping = class_maps[(x, y)] = {}
+            for s, t in enumerate(images[(x, y)][0]):
+                k, image = sp.class_of[s], tp.class_of[t]
+                if mapping.setdefault(k, image) != image:
+                    raise ConsistencyError(f"induced functor not well defined at {x}->{y}#{k}")
             injective = len(set(mapping.values())) == len(mapping)
             surjective = set(mapping.values()) == set(range(len(tp.classes)))
             pi0_ok = injective and surjective
@@ -712,8 +715,10 @@ def check_dk(fun: SimplicialFunctor, budget: int = 1_000_000,
 
             hom_witness = None if pi0_ok else {"pair": [x, y], "degree": 0}
             if pi0_ok and N >= 2:
-                src_hom, tgt_hom = src.homs[(x, y)], tgt.homs[(fx, fy)]
-                src_report, tgt_report = homology(src_hom), homology(tgt_hom)
+                src_hom, tgt_hom = src.homs[(x, y)], tgt.homs[fxy]
+                if fxy not in tgt_reports:
+                    tgt_reports[fxy] = homology(tgt_hom)
+                src_report, tgt_report = homology(src_hom), tgt_reports[fxy]
                 for level in range(1, N):
                     if not _induced_homology_iso(images[(x, y)][level], level, src_hom,
                                                  tgt_hom, src_report, tgt_report):
@@ -724,38 +729,25 @@ def check_dk(fun: SimplicialFunctor, budget: int = 1_000_000,
             if not (pi0_ok and hom_ok):
                 verdict = "fail"
 
-    ho_ok, ho_witness = False, None
     try:
-        ho_src, src_names, src_classes = source_components or homotopy_category_data(src)
-        ho_tgt, tgt_names, tgt_classes = homotopy_category_data(tgt)
-        omap = dict(fun.object_map)
-        mmap = {}
-        for x in src.objects:
-            for y in src.objects:
-                fxy = (omap[x], omap[y])
-                names, class_of = src_names[(x, y)], src_classes[(x, y)].class_of
-                image_names, image_class = tgt_names[fxy], tgt_classes[fxy].class_of
-                for s, t in enumerate(images[(x, y)][0]):
-                    cls, target_cls = names[class_of[s]], image_names[image_class[t]]
-                    if mmap.setdefault(cls, target_cls) != target_cls:
-                        raise ConsistencyError(f"induced functor not well defined at {cls}")
-        induced = CatFunctor(ho_src, ho_tgt, omap, mmap)
-        if validate_functor(induced):
-            ho_witness = {"error": "induced map on components is not a functor"}
-            verdict = "fail"
-        else:
-            witness = equivalence_from_functor(induced)
-            if witness is None:
-                ho_witness = {"error": "component categories not equivalent via induced functor"}
-                verdict = "fail"
-            else:
-                ho_ok = True
-                ho_witness = {"backward_objects": dict(witness.backward.object_map)}
+        ho_src, src_names = source_components[:2] if source_components else _components(
+            src, src_parts)
+        ho_tgt, tgt_names = _components(tgt, tgt_parts)
     except CompositionUnavailable as exc:
-        verdict = "undetermined"
-        reason = f"composition bound: {exc}"
-
-    return DkCertificate(N, pairs, ho_ok, ho_witness, verdict, reason)
+        return DkCertificate(N, pairs, False, None, "undetermined", f"composition bound: {exc}")
+    mmap = {src_names[(x, y)][k]: tgt_names[(omap[x], omap[y])][t]
+            for (x, y), mapping in class_maps.items() for k, t in mapping.items()}
+    try:
+        # validates the induced functor before it looks for an inverse
+        witness = equivalence_from_functor(CatFunctor(ho_src, ho_tgt, dict(omap), mmap))
+    except InputError:
+        return DkCertificate(N, pairs, False,
+                             {"error": "induced map on components is not a functor"}, "fail")
+    if witness is None:
+        return DkCertificate(N, pairs, False, {
+            "error": "component categories not equivalent via induced functor"}, "fail")
+    return DkCertificate(N, pairs, True, {"backward_objects": dict(witness.backward.object_map)},
+                         verdict)
 
 
 # --- level categories --------------------------------------------------------

@@ -455,10 +455,13 @@ class HomologyGroup:
 
 @dataclass(frozen=True)
 class ChainComplexReport:
-    """Homology of the normalized chains in degrees 0..truncation-1."""
+    """Homology of the normalized chains in degrees 0..truncation-1, and
+    ``boundary_ranks[k]``, the length of the Smith diagonal of the
+    boundary out of level k (0 for k = 0); the ranks stay out of the JSON."""
 
     truncation: int
     groups: tuple
+    boundary_ranks: tuple
 
     def group(self, k) -> HomologyGroup:
         return self.groups[k]
@@ -503,4 +506,4 @@ def homology(x: TruncatedSimplicialSet) -> ChainComplexReport:
         free = counts[k] - rank_out - rank_in
         torsion = tuple(d for d in snf[k + 1] if d > 1)
         groups.append(HomologyGroup(free, torsion))
-    return ChainComplexReport(N, tuple(groups))
+    return ChainComplexReport(N, tuple(groups), (0, *(len(snf[k]) for k in range(1, N + 1))))

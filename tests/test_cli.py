@@ -227,6 +227,7 @@ class TestDkAndNeglectable:
         assert run(["dk-check", str(path)]) == 0
 
     def test_collapse_onto_point_fails(self, files, tmp_path, capsys):
+        """The certificate fails, and its witnesses are JSON objects."""
         source = promote(inst.discrete(2), 1)
         target = promote(inst.terminal(), 1)
         path = tmp_path / "functor2.json"
@@ -240,6 +241,12 @@ class TestDkAndNeglectable:
             },
         })
         assert run(["dk-check", str(path)]) == 1
+        cert = json.loads(_capture(capsys))
+        assert cert["ho_witness"] == {
+            "error": "component categories not equivalent via induced functor"}
+        assert cert["pairs"]["X0|X1"]["pi0_witness"] == {
+            "pair": ["X0", "X1"], "source_classes": 0, "target_classes": 1, "injective": True}
+        assert cert["pairs"]["X0|X1"]["homology_witness"] == {"pair": ["X0", "X1"], "degree": 0}
 
     def test_neglectable_true_false(self, files):
         assert run(["neglectable", files["relscat-iso.json"]]) == 0

@@ -7,9 +7,10 @@ recorded at commit c86405b (the ``dk-check`` ones at 2fbdaea, the
 ``oracle-ho`` ones at ac466f4, ``verify 3.2`` on chain-weq and
 z2-groupoid and at truncation 2 at 2057a8f); a fixture changes only together with a
 stated change of the report bytes.  To record them again with the
-package on ``PYTHONPATH``:
+package on ``PYTHONPATH``, all of them or the named ones, printing the
+names whose file changed:
 
-    python tests/test_golden.py record
+    python tests/test_golden.py record [NAME...]
 """
 
 import contextlib
@@ -199,22 +200,35 @@ def test_golden(input_dir, name, argv, hashed):
         assert text == canonical_dumps(fixture["output"])
 
 
-def record():
+def record(names=()):
+    """Write the fixtures of the cases ``names`` (all cases when empty)
+    and return the names whose file changed."""
     import tempfile
 
+    known = {name for name, _, _ in cases()}
+    unknown = sorted(set(names) - known)
+    if unknown:
+        raise SystemExit(f"unknown fixtures: {', '.join(unknown)}")
     GOLDEN.mkdir(exist_ok=True)
+    changed = []
     with tempfile.TemporaryDirectory() as tmp:
         directory = Path(tmp)
         _write_inputs(directory)
         for name, argv, hashed in cases():
+            if names and name not in names:
+                continue
             code, text = _run(directory, argv)
             fixture = {"argv": argv, **_observed(code, text, hashed)}
-            (GOLDEN / f"{name}.json").write_text(
-                json.dumps(fixture, indent=1, sort_keys=True, ensure_ascii=False) + "\n",
-                encoding="utf-8")
+            path = GOLDEN / f"{name}.json"
+            content = json.dumps(fixture, indent=1, sort_keys=True, ensure_ascii=False) + "\n"
+            if not path.exists() or path.read_text(encoding="utf-8") != content:
+                path.write_text(content, encoding="utf-8")
+                changed.append(name)
+    return changed
 
 
 if __name__ == "__main__":
-    if sys.argv[1:] != ["record"]:
-        sys.exit("usage: python tests/test_golden.py record")
-    record()
+    if sys.argv[1:2] != ["record"]:
+        sys.exit("usage: python tests/test_golden.py record [NAME...]")
+    for name in record(sys.argv[2:]):
+        print(name)

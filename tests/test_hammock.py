@@ -309,29 +309,35 @@ class TestLocalization:
         assert data["bounds"]["width"] == 4
 
 
-def _ho_outcome(loc, wellcheck_cap):
+def _ho_outcome(loc):
     """The component category and class map, or the exception's type and
     message."""
     try:
-        cat, classmap = homotopy_category_of_localization(loc, wellcheck_cap=wellcheck_cap)
+        cat, classmap = homotopy_category_of_localization(loc)
     except (CompositionUnavailable, ConsistencyError) as exc:
         return type(exc).__name__, str(exc)
     return cat.to_json(), classmap
 
 
-def test_uncapped_well_definedness_check_agrees_with_the_default_cap():
-    """Composition of classes is checked on the first ``wellcheck_cap``
-    members of each class (6 by default).  Checking every member gives
-    the same category, or the same exception, on the oracle suite; the
-    cap bites on at least one class there."""
+def test_uncapped_well_definedness_check_agrees_with_the_default_cap(monkeypatch):
+    """Composition of classes is checked on the first
+    ``scat.WELLCHECK_CAP`` (8) members of each class.  Checking every
+    member gives the same category, or the same exception, on the input
+    localizations of the oracle suite; the cap bites on at least one
+    class there."""
+    from hamloc import scat
+
     biggest = 0
     for name, r in inst.oracle_suite():
         for width in (2, 3, 4):
             loc = hammock_localization(r, 1, width)
-            assert _ho_outcome(loc, 6) == _ho_outcome(loc, 10**9), (name, width)
+            capped = _ho_outcome(loc)
+            with monkeypatch.context() as m:
+                m.setattr(scat, "WELLCHECK_CAP", 10**9)
+                assert capped == _ho_outcome(loc), (name, width)
             biggest = max(biggest, *(len(cls) for ms in loc.pairs.values()
                                      for cls in ms.partition.classes))
-    assert biggest > 6
+    assert biggest > scat.WELLCHECK_CAP
 
 
 def test_hammock_objects_are_made_only_at_the_boundary(monkeypatch):

@@ -179,14 +179,14 @@ class TestNeglectable:
         assert validate_relscat(RelativeSimplicialCategory(composed, sub)) == []
 
 
-def _collapse_functor():
+def _collapse_functor(truncation=1):
     iso = inst.walking_iso()
-    src = promote(iso, 1)
-    tgt = promote(inst.terminal(), 1)
+    src = promote(iso, truncation)
+    tgt = promote(inst.terminal(), truncation)
     smap = {}
     for x in iso.objects:
         for y in iso.objects:
-            for level in range(2):
+            for level in range(truncation + 1):
                 for m in iso.hom(x, y):
                     smap[(x, y, level, m)] = "id*"
     return SimplicialFunctor(src, tgt, {"X": "*", "Y": "*"}, smap)
@@ -228,6 +228,32 @@ class TestCheckDk:
         monkeypatch.setattr(scat, "homology", raises)
         assert check_dk(_collapse_functor()).verdict == "pass_partial"
         assert check_dk(_point_inclusion()).verdict == "fail"
+
+    def test_each_ingredient_is_built_once(self, monkeypatch):
+        """Walking-iso onto the point at truncation 2: the object map is not
+        injective and every component map is a bijection, so homology
+        runs.  Each of the four source homs and the one target hom is
+        partitioned once and has its homology taken once, and the induced
+        functor on components is validated once."""
+        from hamloc import fincat
+
+        built = dict.fromkeys(("pi0", "homology", "validate_functor"), 0)
+
+        def counting(module, name):
+            real = getattr(module, name)
+
+            def counted(*args):
+                built[name] += 1
+                return real(*args)
+            monkeypatch.setattr(module, name, counted)
+
+        counting(scat, "pi0")
+        counting(scat, "homology")
+        counting(fincat, "validate_functor")
+        # a copy imported into scat counts too
+        monkeypatch.setattr(scat, "validate_functor", fincat.validate_functor, raising=False)
+        assert check_dk(_collapse_functor(2)).verdict == "pass_partial"
+        assert built == {"pi0": 5, "homology": 5, "validate_functor": 1}
 
     def test_invalid_functor_rejected(self):
         fun = _collapse_functor()
@@ -328,6 +354,26 @@ class TestHomologyCertificate:
                 morphism_map
             args = (fun, "p", "q", 1, hom, hom, report, report)
             assert reference_induced_homology_iso(*args) == iso, morphism_map
+
+    def test_only_the_block_matrix_is_eliminated(self, monkeypatch):
+        """The boundary ranks are the lengths of the Smith diagonals that
+        ``homology`` took, so an induced map on a positive Betti number
+        costs one rank-over-Q elimination, of the block matrix."""
+        from hamloc.simplicial import boundary_matrix, rational_rank
+
+        a = _loop_category()
+        hom = a.homs[("p", "q")]
+        assert homology(hom).boundary_ranks == (0, *(
+            rational_rank(boundary_matrix(hom, k)[0]) for k in (1, 2)))
+        eliminated = []
+
+        def counted(rows):
+            eliminated.append(rows)
+            return rational_rank(rows)
+
+        monkeypatch.setattr(scat, "rational_rank", counted)
+        assert check_dk(identity_simplicial_functor(a)).verdict == "pass_partial"
+        assert len(eliminated) == 1
 
 
 class TestLevelCategories:

@@ -41,17 +41,16 @@ def ids(c):
 
 def test_component_data_is_built_once_per_simplicial_category(monkeypatch):
     """Neglectability and the DK certificate share one build of the
-    source's component data: each claim builds it for its source and its
-    target once."""
+    source's component data: each claim builds a category of components
+    for its source and its target once."""
     built = []
 
-    def counted(a, *args):
-        built.append(a)
-        return real(a, *args)
+    def counted(objects, parts, *args):
+        built.append(parts)
+        return real(objects, parts, *args)
 
-    real = scat.homotopy_category_data
-    monkeypatch.setattr(scat, "homotopy_category_data", counted)
-    monkeypatch.setattr(verify, "homotopy_category_data", counted)
+    real = scat.component_category
+    monkeypatch.setattr(scat, "component_category", counted)
     iso = inst.walking_iso()
     p = promote(iso, 1)
     rs = RelativeSimplicialCategory(p, sub_from_morphisms(p, iso, iso.morphisms))
@@ -230,7 +229,7 @@ class TestCheck32:
         bad = {pair: cmp for pair, cmp in report.witness["pairs"].items()
                if not (cmp["pi0_ok"] and cmp["homology_ok"])}
         assert list(bad) == ["X|Y"] and bad["X|Y"]["pi0_ok"]
-        assert "'degree': 1" in bad["X|Y"]["homology_witness"]
+        assert bad["X|Y"]["homology_witness"] == {"pair": ["X", "Y"], "degree": 1}
 
     def test_failed_certificate_over_stable_data_fails(self, monkeypatch):
         """A valid input never refutes the theorem, so the certificate's
