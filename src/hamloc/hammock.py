@@ -18,13 +18,16 @@ columns, merge equal-direction neighbours): a vertex row in ``pi0``
 detail, a face in ``full`` detail and an outer face image of the
 dimensionwise localization, each distinct grid once per mapping space
 or diagonal hom, and the grids of :func:`reduce_hammock` and
-:func:`compose_hammocks`.  A simplex is named (:func:`hammock_name`)
-once, when it is kept, by a namer that joins the kept texts of its rows
-(:func:`_namer`).  Each level of a full-detail
-mapping space is sorted by (width, name) as soon as it is kept and is
-numbered in that order: the level above takes its faces as numbers, the
-simplicial set holds number tables, and the :class:`MappingSpace` keeps
-its grids in the same order.  The diagonal takes its tables from those
+:func:`compose_hammocks`.  Each level of a mapping space is sorted by
+(width, name) as soon as it is kept, without names, by a key of morphism
+ranks that orders like the name (:func:`_order`), and is numbered in that
+order: the level above takes its faces as numbers, the simplicial set
+holds number tables, and the :class:`MappingSpace` keeps its grids in the
+same order.  A level's simplices are named (:func:`hammock_name`) only
+when a caller reads a name (:class:`simplicial.Names`), by a namer that
+joins the kept texts of their rows (:func:`_namer`): for the output of
+``localize``, ``ho`` and ``flatten``, a witness or a message, and the
+morphisms of a level category.  The diagonal takes its tables from those
 of the level localizations, a face through the level space's own inner
 face, and a composite is looked up by grid and returned as a number.
 Composition puts two reduced grids side by side (:func:`_concatenated`);
@@ -64,7 +67,7 @@ from functools import cached_property, partial
 from .errors import CompositionUnavailable, ConsistencyError, InputError
 from .fincat import FiniteCategory, UnionFind
 from .relcat import RelativeCategory
-from .simplicial import Partition, TruncatedSimplicialSet
+from .simplicial import Names, Partition, TruncatedSimplicialSet
 from . import scat as scat_mod
 
 
@@ -215,6 +218,11 @@ def _namer(morphisms):
         return f"({pattern}, {_tuple_text(rows)}, {_tuple_text(layers)})"
 
     return name
+
+
+def _names(morphisms, grids):
+    """The names of ``grids``, by one :func:`_namer` that goes with them."""
+    return map(_namer(morphisms), grids)
 
 
 def _hammock(morphisms, x, y, grid) -> Hammock:
@@ -422,7 +430,10 @@ class _Context:
     ``weq_into`` and ``weq_from`` list an object's morphisms out, weak
     equivalences in and weak equivalences out; and ``sink_moves[m]`` /
     ``source_moves[m]`` are the non-identity weak equivalences out of the
-    codomain / domain of m.  ``steps`` is the column-step table of
+    codomain / domain of m.  ``rank_chars[m]`` is one character whose code
+    is the rank of ``repr`` of m's name among those of all morphisms, the
+    order :func:`_order` sorts grids by, and ``namer`` names a level's grids
+    (:func:`_names`).  ``steps`` is the column-step table of
     :meth:`two_rows` and :meth:`extensions`, filled on first use:
     ``(forward, vprev, h, last, nonidentity)`` (the column's direction,
     the vertical before it, its entry, whether it is the last column, and
@@ -458,6 +469,11 @@ class _Context:
                  for x in c.objects}
         self.sink_moves = [moves[x] for x in self.cod]
         self.source_moves = [moves[x] for x in self.dom]
+        self.rank_chars = [""] * len(c.morphisms)
+        for rank, m in enumerate(sorted(range(len(c.morphisms)),
+                                        key=lambda m: repr(c.morphisms[m]))):
+            self.rank_chars[m] = chr(rank)
+        self.namer = partial(_names, c.morphisms)
         self.steps = {}
 
     def _feasible(self, y, directions):
@@ -607,11 +623,12 @@ def _patterns(w_max):
 class MappingSpace:
     """Reduced hammocks from x to y as a truncated simplicial set.
 
-    ``vertices`` are the vertex names in order (by width, then name);
-    ``partition`` partitions their positions there.  ``level_grids[k]``
-    holds the grids of morphism numbers of level k in the order of
-    ``sset.levels[k]``, so a simplex's number indexes both; ``by_grid``
-    maps a grid to its number.  "pi0" detail keeps only vertices and
+    ``vertices`` (a :class:`Names`) are the vertex names in order, by
+    width, then name, made only when read; ``len`` counts them without
+    names.  ``partition`` partitions their positions there.
+    ``level_grids[k]`` holds the grids of morphism numbers of level k in
+    the order of ``sset.levels[k]``, so a simplex's number indexes both;
+    ``by_grid`` maps a grid to its number.  "pi0" detail keeps only vertices and
     partition, so its ``level_grids`` cover level 0 only; it joins the
     vertices along generator grids (see :func:`_pi0_edges`), while "full"
     detail joins them along its kept 1-simplices.  ``pruned`` ("full" detail) says
@@ -703,14 +720,13 @@ def _mapping_space(ctx: _Context, x, y, truncation, w_max, detail) -> MappingSpa
     # over a partially represented ambient category a face can need a
     # composite outside the width bound, and such simplices cannot be
     # carried in the truncated data.  Each level is sorted by (width,
-    # name) as soon as it is kept, so the level above finds its faces by
-    # number in ``below`` (grid -> number); ``memo`` maps a dropped grid
-    # to its normal form, or False when that needs a missing composite,
-    # seeded with the vertices.
-    name_of = _namer(ctx.cat.morphisms)
+    # name) as soon as it is kept (:func:`_order`), so the level above
+    # finds its faces by number in ``below`` (grid -> number); ``memo``
+    # maps a dropped grid to its normal form, or False when that needs a
+    # missing composite, seeded with the vertices.
     memo = {grid: grid for grid in simplices[0]}
     pruned = False
-    levels, level_grids, faces, degeneracies = [], [], [()], []
+    level_grids, faces, degeneracies = [], [()], []
     below = None
     for k in range(truncation + 1):
         kept, images = [], []
@@ -724,9 +740,7 @@ def _mapping_space(ctx: _Context, x, y, truncation, w_max, detail) -> MappingSpa
             else:
                 kept.append(grid)
                 images.append(numbers)
-        names = [name_of(grid) for grid in kept]
-        order = sorted(range(len(kept)), key=lambda n: (len(kept[n][0]), names[n]))
-        levels.append(tuple(names[n] for n in order))
+        order = _order(ctx, kept)
         level_grids.append(tuple(kept[n] for n in order))
         below = {grid: n for n, grid in enumerate(level_grids[k])}
         if k:
@@ -735,11 +749,12 @@ def _mapping_space(ctx: _Context, x, y, truncation, w_max, detail) -> MappingSpa
                                   for grid in level_grids[k - 1]] for i in range(k)])
             if any(None in column for column in degeneracies[-1]):
                 raise ConsistencyError("degeneracy left the kept set")
-    sset = TruncatedSimplicialSet(truncation, levels, faces, degeneracies)
+    sset = TruncatedSimplicialSet(truncation, [Names(grids, ctx.namer) for grids in level_grids],
+                                  faces, degeneracies)
 
-    # levels[1] is sorted by width: the snapshot before the first edge of
+    # level 1 is sorted by width: the snapshot before the first edge of
     # width w_max is the partition one width bound lower
-    vertices = range(len(levels[0]))
+    vertices = range(len(level_grids[0]))
     components = UnionFind(len(vertices))
     sub = None
     narrow = [n for n in vertices if len(level_grids[0][n][0]) < w_max]
@@ -751,10 +766,41 @@ def _mapping_space(ctx: _Context, x, y, truncation, w_max, detail) -> MappingSpa
         sub = Partition.of(components, narrow)
     partition = Partition.of(components, vertices)
     verdict = "bound_limited" if pruned else _stability(partition, sub)
-    return MappingSpace(x, y, truncation, w_max, verdict, levels[0],
+    return MappingSpace(x, y, truncation, w_max, verdict, sset.levels[0],
                         partition, sset, tuple(level_grids), pruned,
-                        len(levels[1]), face_normal_forms=len(memo) - len(simplices[0]),
+                        len(level_grids[1]), face_normal_forms=len(memo) - len(simplices[0]),
                         extension_rows=extension_rows)
+
+
+def _order(ctx: _Context, grids) -> list:
+    """The numbers of ``grids``, the simplices of one level of one mapping
+    space, sorted by their (width, name) without a name: by (width,
+    pattern, key), where the key joins ``ctx.rank_chars`` of the grid's
+    entries, rows first, then vertical layers, each row's text made once.
+
+    This orders like the name.  The name :func:`hammock_name` is ``repr``
+    of ``(directions, rows, layers)``: the pattern first, and ``('b', ...``
+    sorts before ``('f', ...`` of the same width.  Within one pattern and
+    one height every name has the same tuple shape, so two names agree up
+    to the text of their first differing entry, ``repr`` of two morphism
+    names.  A str ``repr`` is a self-delimiting literal: it ends at the
+    first unescaped quote of its kind, so none is a proper prefix of
+    another, and the two texts differ at some character that decides both
+    their order and that of the names.  So the names sort as the grids'
+    entries do, compared lexicographically by the rank of their ``repr``;
+    the keys, of equal length, are those rank sequences."""
+    chars, texts = ctx.rank_chars, {}
+
+    def text(row):
+        t = texts.get(row)
+        if t is None:
+            t = texts[row] = "".join([chars[m] for m in row])
+        return t
+
+    keys = [(len(directions), directions, "".join([text(row) for row in rows]
+                                                   + [text(layer) for layer in layers]))
+            for directions, rows, layers in grids]
+    return sorted(range(len(grids)), key=keys.__getitem__)
 
 
 def _identity_mask(identities, row):
@@ -770,8 +816,8 @@ def _identity_mask(identities, row):
 
 def _pi0_mapping_space(ctx: _Context, x, y, truncation, w_max) -> MappingSpace:
     """Vertices and partition, joined along generator grids (:func:`_pi0_edges`)
-    by a union-find over vertex numbers; vertices are named and sorted at
-    the end, and the partition renumbered to match."""
+    by a union-find over vertex numbers; vertices are sorted at the end
+    (:func:`_order`), and the partition renumbered to match."""
     found = []  # vertex number -> grid
     components = UnionFind()
     row_numbers = {}  # pattern -> row -> vertex number of its normal form, -1 if dead
@@ -796,15 +842,13 @@ def _pi0_mapping_space(ctx: _Context, x, y, truncation, w_max) -> MappingSpace:
             fallback_rows += fallback
             components.union_all(upper, lowers)
 
-    name = ctx.cat.morphisms.__getitem__
-    names = [hammock_name(pattern, (tuple(map(name, row)),), ()) for pattern, (row,), _ in found]
-    order = sorted(range(len(found)), key=lambda n: (len(found[n][0]), names[n]))
+    order = _order(ctx, found)
     partition = Partition.of(components, order)
     position = {n: p for p, n in enumerate(order)}
+    vertices = tuple(found[n] for n in order)
     return MappingSpace(x, y, truncation, w_max, _stability(partition, sub),
-                        tuple(names[n] for n in order), partition.renamed(position), None,
-                        (tuple(found[n] for n in order),), grids=grids,
-                        fallback_rows=fallback_rows)
+                        Names(vertices, ctx.namer), partition.renamed(position), None,
+                        (vertices,), grids=grids, fallback_rows=fallback_rows)
 
 
 def _pi0_edges(ctx: _Context, pattern, rows0, row_numbers):
@@ -1099,7 +1143,8 @@ def staged(progress, stage):
 
 class _ClassMap(Mapping):
     """``classmap[(x, y, vertex name)]``: a vertex's class in the category
-    of components, looked up by name only when asked."""
+    of components, looked up by name only when asked, through the pair's
+    name -> number table (:attr:`Names.number`), built on its first lookup."""
 
     def __init__(self, pairs, class_names):
         self.pairs, self.class_names = pairs, class_names
@@ -1107,9 +1152,10 @@ class _ClassMap(Mapping):
     def __getitem__(self, key):
         x, y, name = key
         ms = self.pairs[(x, y)]
-        if name not in ms.vertices:
+        n = ms.vertices.number.get(name)
+        if n is None:
             raise KeyError(key)
-        return self.class_names[(x, y)][ms.partition.class_of[ms.vertices.index(name)]]
+        return self.class_names[(x, y)][ms.partition.class_of[n]]
 
     def __iter__(self):
         return ((x, y, name) for (x, y), ms in self.pairs.items() for name in ms.vertices)
@@ -1285,17 +1331,25 @@ def hammock_localization_relscat(rs, truncation: int, w_max: int,
 
 
 def embed_relscat(rs, rsloc: RelscatLocalization) -> scat_mod.SimplicialFunctor:
-    """The natural comparison map into the dimensionwise localization."""
+    """The natural comparison map into the dimensionwise localization, on
+    numbers: a level-n simplex of hom(x, y) goes to the grid of
+    :func:`embed_morphism` of its morphism of the level-n category
+    (numbered hom by hom, see :func:`scat.level_category`), n high, as the
+    level-n space numbers it."""
     ambient = rs.ambient
     smap = {}
-    for x in ambient.objects:
-        for y in ambient.objects:
-            sset = ambient.homs[(x, y)]
-            for level in range(rsloc.truncation + 1):
-                rel = rsloc.level_rel[level]
-                for s in sset.level(level):
-                    name = scat_mod.level_morphism_name(x, y, s)
-                    smap[(x, y, level, s)] = embed_morphism(rel, name, level).name
+    for n, rel in enumerate(rsloc.level_rel):
+        identities, m = rel.cat.identity_numbers, 0
+        for x in ambient.objects:
+            for y in ambient.objects:
+                by_grid = rsloc.row_spaces[(x, y, n)].by_grid
+                for s in range(ambient.homs[(x, y)].size(n)):
+                    if m in identities:
+                        grid = (), ((),) * (n + 1), ((),) * n
+                    else:
+                        grid = ("f",), ((m,),) * (n + 1), ((),) * n
+                    smap[(x, y, n, s)] = by_grid.get(grid)
+                    m += 1
     return scat_mod.SimplicialFunctor(
         ambient, rsloc.scat(), {x: x for x in ambient.objects}, smap
     )

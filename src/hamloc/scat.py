@@ -59,7 +59,7 @@ class TruncatedSimplicialCategory:
                 raise InputError(f"hom {(x, y)} has truncation {sset.truncation}")
         for x in self.objects:
             ident = self.identities.get(x)
-            if ident is None or not 0 <= ident < len(self.homs[(x, x)].levels[0]):
+            if ident is None or not 0 <= ident < self.homs[(x, x)].size(0):
                 raise InputError(f"bad identity for {x!r}")
 
     def identity_at(self, x, level) -> int:
@@ -87,8 +87,8 @@ class TruncatedSimplicialCategory:
         hom(y,z)_level after f in hom(x,y)_level, in (g, f) order."""
         if self.table is None and self._sweep is not None:
             return self._sweep(x, y, z, level)
-        composite, fs = self.composite, range(len(self.homs[(x, y)].levels[level]))
-        return ((g, f, h) for g in range(len(self.homs[(y, z)].levels[level])) for f in fs
+        composite, fs = self.composite, range(self.homs[(x, y)].size(level))
+        return ((g, f, h) for g in range(self.homs[(y, z)].size(level)) for f in fs
                 if (h := composite(x, y, z, level, g, f)) is not None)
 
     def to_json(self):
@@ -207,7 +207,7 @@ def validate_scat(a: TruncatedSimplicialCategory) -> list[str]:
     for x, y, z in itertools.product(a.objects, repeat=3):
         for level in range(N + 1):
             gs, fs = homs[(y, z)].levels[level], homs[(x, y)].levels[level]
-            size = len(homs[(x, z)].levels[level])
+            size = homs[(x, z)].size(level)
             table, grouped = composed[(x, y, z, level)], by_g[(x, y, z, level)] = {}, {}
             for g, f, h in a.composites(x, y, z, level):
                 table[(g, f)] = h
@@ -228,11 +228,12 @@ def validate_scat(a: TruncatedSimplicialCategory) -> list[str]:
         for level in range(N + 1):
             idx, idy = a.identity_at(x, level), a.identity_at(y, level)
             after, before = composed[(x, y, y, level)], composed[(x, x, y, level)]
-            for f, name in enumerate(homs[(x, y)].levels[level]):
+            names = homs[(x, y)].levels[level]
+            for f in range(len(names)):
                 if after.get((idy, f), f) != f:
-                    report.append(f"unit: id.{name} at ({x},{y}) level {level}")
+                    report.append(f"unit: id.{names[f]} at ({x},{y}) level {level}")
                 if before.get((f, idx), f) != f:
-                    report.append(f"unit: {name}.id at ({x},{y}) level {level}")
+                    report.append(f"unit: {names[f]}.id at ({x},{y}) level {level}")
     for w, x, y, z in itertools.product(a.objects, repeat=4):
         for level in range(N + 1):
             hs, gs, fs = (homs[pair].levels[level] for pair in ((y, z), (x, y), (w, x)))
@@ -394,6 +395,7 @@ def relscat_from_json(data) -> RelativeSimplicialCategory:
 
 
 def simplicial_functor_from_json(data, source, target) -> "SimplicialFunctor":
+    """The functor of a JSON map given by name, numbered by its constructor."""
     try:
         smap = {}
         for key, per_level in data["simplex_map"].items():
@@ -424,7 +426,7 @@ def validate_relscat(rs: RelativeSimplicialCategory) -> list[str]:
     if report:
         return report
     # each sub level as (name, number) pairs in name order, and its numbers
-    ordered = {pair: tuple(tuple((s, a.homs[pair].number[k][s]) for s in sorted(level))
+    ordered = {pair: tuple(tuple((s, a.homs[pair].levels[k].number[s]) for s in sorted(level))
                            for k, level in enumerate(levels))
                for pair, levels in rs.sub.items()}
     numbers = {pair: tuple(frozenset(n for _, n in level) for level in levels)
@@ -482,7 +484,7 @@ def is_neglectable(rs: RelativeSimplicialCategory, components=None):
     ho, class_names, parts = components or homotopy_category_data(a)
     for x in a.objects:
         for y in a.objects:
-            number, class_of = a.homs[(x, y)].number[0], parts[(x, y)].class_of
+            number, class_of = a.homs[(x, y)].levels[0].number, parts[(x, y)].class_of
             for s in sorted(rs.sub[(x, y)][0]):
                 if not is_isomorphism(ho, class_names[(x, y)][class_of[number[s]]]):
                     return False, (x, y, s)
@@ -493,7 +495,14 @@ def is_neglectable(rs: RelativeSimplicialCategory, components=None):
 
 
 class SimplicialFunctor:
-    """Object map plus a levelwise simplex map per hom pair."""
+    """Object map plus a levelwise simplex map per hom pair, on numbers:
+    ``simplex_map[(x, y, level, s)]`` is the number, in its target hom, of
+    the image of simplex number s of hom(x, y) at that level, or None.
+
+    A map given by name (a str simplex or image, as the loaders and
+    callers outside the package give it) is numbered here, at the
+    boundary: an entry whose source names no simplex of a source hom is
+    dropped, and an image the target hom lacks is None."""
 
     __slots__ = ("source", "target", "object_map", "simplex_map")
 
@@ -501,14 +510,34 @@ class SimplicialFunctor:
         self.source = source
         self.target = target
         self.object_map = dict(object_map)
-        # keys (x, y, level, simplex) -> simplex
-        self.simplex_map = dict(simplex_map)
+        self.simplex_map = {}
+        for (x, y, level, s), t in simplex_map.items():
+            if isinstance(s, str):
+                s = _simplex_number(source.homs.get((x, y)), level, s)
+                if s is None:
+                    continue
+            if isinstance(t, str):
+                image_hom = target.homs.get((self.object_map.get(x), self.object_map.get(y)))
+                t = _simplex_number(image_hom, level, t)
+            self.simplex_map[(x, y, level, s)] = t
 
     def to_json(self):
+        """The map by name; an entry without an image is left out."""
+        src, tgt, omap = self.source, self.target, self.object_map
         grouped = {}
-        for (x, y, level, s), t in sorted(self.simplex_map.items()):
+        for x, y, level, s, t in sorted(
+                (x, y, level, src.homs[(x, y)].levels[level][s],
+                 tgt.homs[(omap[x], omap[y])].levels[level][t])
+                for (x, y, level, s), t in self.simplex_map.items() if t is not None):
             grouped.setdefault(f"{x}|{y}", {}).setdefault(str(level), {})[s] = t
-        return {"object_map": dict(self.object_map), "simplex_map": grouped}
+        return {"object_map": dict(omap), "simplex_map": grouped}
+
+
+def _simplex_number(hom, level, name):
+    """The number of the simplex ``name`` at ``level`` of ``hom``, or None."""
+    if hom is None or not 0 <= level <= hom.truncation:
+        return None
+    return hom.levels[level].number.get(name)
 
 
 def validate_simplicial_functor(fun: SimplicialFunctor, composition_cap: int = 4000) -> list[str]:
@@ -520,8 +549,8 @@ def _functor_report(fun: SimplicialFunctor, composition_cap: int = 4000):
     """The violations :func:`validate_simplicial_functor` reports, and the
     simplex images they were found on: per source pair and level, the
     target number of each simplex's image by number, None where the
-    name-keyed simplex map gives none (no images when an object is not
-    mapped)."""
+    simplex map gives none (no images when an object is not mapped).
+    Names are read only for the messages."""
     report = []
     src, tgt, smap = fun.source, fun.target, fun.simplex_map
     for x in src.objects:
@@ -529,17 +558,14 @@ def _functor_report(fun: SimplicialFunctor, composition_cap: int = 4000):
             report.append(f"object not mapped into target: {x}")
     if report:
         return report, None
-    images = {}
-    for x in src.objects:
-        for y in src.objects:
-            target = tgt.homs[(fun.object_map[x], fun.object_map[y])].number
-            images[(x, y)] = tuple(
-                tuple(target[level].get(smap.get((x, y, level, s))) for s in names)
-                for level, names in enumerate(src.homs[(x, y)].levels))
+    images = {(x, y): tuple(tuple(smap.get((x, y, level, s)) for s in range(hom.size(level)))
+                            for level in range(hom.truncation + 1))
+              for x in src.objects for y in src.objects for hom in (src.homs[(x, y)],)}
     for (x, y), image in images.items():
-        for level, names in enumerate(src.homs[(x, y)].levels):
-            report.extend(f"simplex not mapped: ({x},{y}) level {level}: {name}"
-                          for name, t in zip(names, image[level]) if t is None)
+        for level, numbers in enumerate(image):
+            names = src.homs[(x, y)].levels[level]
+            report.extend(f"simplex not mapped: ({x},{y}) level {level}: {names[s]}"
+                          for s, t in enumerate(numbers) if t is None)
     if report:
         return report, images
     for x in src.objects:
@@ -549,12 +575,12 @@ def _functor_report(fun: SimplicialFunctor, composition_cap: int = 4000):
         sh = src.homs[(x, y)]
         th = tgt.homs[(fun.object_map[x], fun.object_map[y])]
         for op, word, maps, level, to in _generators(src.truncation):
-            for s, name in enumerate(sh.levels[level]):
+            for s in range(sh.size(level)):
                 for i in range(level + 1):
                     if image[to][getattr(sh, maps)[level][i][s]] != \
                             getattr(th, maps)[level][i][image[level][s]]:
-                        report.append(
-                            f"{word} not preserved: ({x},{y}) level {level} {op}_{i} {name}")
+                        report.append(f"{word} not preserved: ({x},{y}) level {level} "
+                                      f"{op}_{i} {sh.levels[level][s]}")
     if report:
         return report, images
     checked = 0

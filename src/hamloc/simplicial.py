@@ -2,7 +2,8 @@
 
 A ``TruncatedSimplicialSet`` numbers the simplices of each level and
 stores the face/degeneracy generator actions as tuples of numbers, one
-per generator; names are kept for the boundary, and one converter reads
+per generator; names are kept for the boundary, made from a level's grids
+only when a caller reads them (:class:`Names`), and one converter reads
 maps given by name.  Components, the simplicial identities, homology and
 general operators (via the canonical epi-mono factorization) run on the
 numbers.  Homology is taken of the normalized chain complex over exact
@@ -12,6 +13,7 @@ integers (hand-rolled Smith normal form, no overflow at desk scale).
 from __future__ import annotations
 
 import itertools
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -79,42 +81,100 @@ def monotone_maps(m, n):
     ]
 
 
+class Names(Sequence):
+    """The simplex names of one level, in number order.  Given ``namer``,
+    ``items`` are the level's grids and their names are ``namer(items)``,
+    made the first time a name is read; else ``items`` are the names.
+    ``len`` reads no name, and ``number`` (a name's position) is built on
+    its first lookup."""
+
+    __slots__ = ("_items", "_namer", "_names", "_number")
+
+    def __init__(self, items, namer=None):
+        self._items = tuple(items)
+        self._namer = namer
+        self._names = self._items if namer is None else None
+        self._number = None
+
+    def _all(self):
+        if self._names is None:
+            self._names = tuple(self._namer(self._items))
+        return self._names
+
+    def __len__(self):
+        return len(self._items)
+
+    def __getitem__(self, s):
+        return self._all()[s]
+
+    def __iter__(self):
+        return iter(self._all())
+
+    def __eq__(self, other):
+        return isinstance(other, Sequence) and self._all() == tuple(other)
+
+    __hash__ = None
+
+    def __repr__(self):
+        return f"Names({self._all()!r})"
+
+    @property
+    def number(self) -> dict:
+        if self._number is None:
+            self._number = {name: n for n, name in enumerate(self._all())}
+        return self._number
+
+
 class TruncatedSimplicialSet:
     """Numbered simplices per level 0..N with generator face/degeneracy maps.
 
-    ``levels[k]`` holds the simplex names of level k in order, and
-    ``number[k]`` maps a name to its position there, its number.
-    ``faces[k][i]`` gives, by number, the number of d_i of each level-k
-    simplex (1 <= k <= N; ``faces[0]`` is empty); ``degeneracies[k][i]``
-    gives s_i likewise (k < N).  Only :meth:`level`, :meth:`has_simplex`,
-    :meth:`to_json` and :meth:`from_named` speak names.
+    ``levels[k]`` holds the simplex names of level k in order (a
+    :class:`Names`, whose names a mapping space makes only when they are
+    read; ``len`` counts without them), and ``number[k]`` maps a name to
+    its position there, its number.  ``faces[k][i]`` gives, by number, the
+    number of d_i of each level-k simplex (1 <= k <= N; ``faces[0]`` is
+    empty); ``degeneracies[k][i]`` gives s_i likewise (k < N).  Only
+    :attr:`levels`, :attr:`number`, :meth:`level`, :meth:`has_simplex`,
+    :meth:`to_json`, :meth:`from_named` and the messages of
+    :func:`validate_sset` speak names.  A level given as names, as the
+    loaders give it, is checked for duplicates here.
     """
 
-    __slots__ = ("truncation", "levels", "number", "faces", "degeneracies")
+    __slots__ = ("truncation", "levels", "faces", "degeneracies")
 
     def __init__(self, truncation, levels, faces, degeneracies):
         self.truncation = int(truncation)
-        self.levels = tuple(tuple(level) for level in levels)
+        given = tuple(levels)
+        self.levels = tuple(level if isinstance(level, Names) else Names(level)
+                            for level in given)
         self.faces = tuple(tuple(map(tuple, table)) for table in faces)
         self.degeneracies = tuple(tuple(map(tuple, table)) for table in degeneracies)
         if self.truncation < 0:
             raise InputError("truncation must be >= 0")
         if len(self.levels) != self.truncation + 1:
             raise InputError("levels must cover 0..truncation")
-        self.number = tuple({name: n for n, name in enumerate(level)} for level in self.levels)
-        if any(len(number) != len(level) for number, level in zip(self.number, self.levels)):
+        if any(len(level.number) != len(level)
+               for level, names in zip(self.levels, given) if not isinstance(names, Names)):
             raise InputError("duplicate simplex names within a level")
+
+    @property
+    def number(self):
+        return tuple(level.number for level in self.levels)
+
+    def size(self, k) -> int:
+        """The number of level-k simplices, counted without their names."""
+        return len(self.levels[k])
 
     def level(self, k):
         return self.levels[k]
 
     def has_simplex(self, k, name):
-        return name in self.number[k]
+        return name in self.levels[k].number
 
     def nondegenerate(self, k):
         """The numbers of the level-k simplices that are not degeneracies."""
         degenerate = set().union(*self.degeneracies[k - 1]) if k else ()
-        return tuple(s for s in range(len(self.levels[k])) if s not in degenerate)
+        return tuple(s for s in range(self.size(k)) if s not in degenerate)
 
     def to_json(self):
         levels = self.levels
@@ -197,47 +257,48 @@ def _numbered(named, names, target, count):
 
 
 def validate_sset(x: TruncatedSimplicialSet) -> list[str]:
-    """Totality, typing and the simplicial identities, exhaustively."""
+    """Totality, typing and the simplicial identities, exhaustively, on
+    numbers: a message names its simplex."""
     report = []
     N, levels, F, S = x.truncation, x.levels, x.faces, x.degeneracies
     for k, table, kind, op in ([(k, F[k], "face", "d") for k in range(1, N + 1)]
                                + [(k, S[k], "degeneracy", "s") for k in range(N)]):
-        for s, name in enumerate(levels[k]):
+        for s in range(x.size(k)):
             for i, column in enumerate(table):
                 img = column[s]
                 if img is None:
-                    report.append(f"missing {kind}: {op}_{i} of {name} at level {k}")
+                    report.append(f"missing {kind}: {op}_{i} of {levels[k][s]} at level {k}")
                 elif img < 0:
-                    report.append(f"{kind} image unknown: {op}_{i} of {name} at level {k}")
+                    report.append(f"{kind} image unknown: {op}_{i} of {levels[k][s]} at level {k}")
     if report:
         return report
     for k in range(2, N + 1):
-        for s, name in enumerate(levels[k]):
+        for s in range(x.size(k)):
             for j in range(k + 1):
                 for i in range(j):
                     if F[k - 1][i][F[k][j][s]] != F[k - 1][j - 1][F[k][i][s]]:
-                        report.append(f"d_{i} d_{j} != d_{j-1} d_{i} at {name} (level {k})")
+                        report.append(f"d_{i} d_{j} != d_{j-1} d_{i} at {levels[k][s]} (level {k})")
     for k in range(0, N - 1):
-        for s, name in enumerate(levels[k]):
+        for s in range(x.size(k)):
             for j in range(k + 1):
                 for i in range(j + 1):
                     if S[k + 1][i][S[k][j][s]] != S[k + 1][j + 1][S[k][i][s]]:
-                        report.append(f"s_{i} s_{j} != s_{j+1} s_{i} at {name} (level {k})")
+                        report.append(f"s_{i} s_{j} != s_{j+1} s_{i} at {levels[k][s]} (level {k})")
     for k in range(0, N):
-        for s, name in enumerate(levels[k]):
+        for s in range(x.size(k)):
             for j in range(k + 1):
                 sj = S[k][j][s]
                 for i in range(k + 2):
                     img = F[k + 1][i][sj]
                     if i == j or i == j + 1:
                         if img != s:
-                            report.append(f"d_{i} s_{j} != id at {name} (level {k})")
+                            report.append(f"d_{i} s_{j} != id at {levels[k][s]} (level {k})")
                     elif i < j:
                         if k >= 1 and img != S[k - 1][j - 1][F[k][i][s]]:
-                            report.append(f"d_{i} s_{j} != s_{j-1} d_{i} at {name} (level {k})")
+                            report.append(f"d_{i} s_{j} != s_{j-1} d_{i} at {levels[k][s]} (level {k})")
                     else:
                         if k >= 1 and img != S[k - 1][j][F[k][i - 1][s]]:
-                            report.append(f"d_{i} s_{j} != s_{j} d_{i-1} at {name} (level {k})")
+                            report.append(f"d_{i} s_{j} != s_{j} d_{i-1} at {levels[k][s]} (level {k})")
     return report
 
 

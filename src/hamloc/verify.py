@@ -219,16 +219,17 @@ def check_24i(a: FiniteCategory, u, v, bounds: Bounds, progress=None) -> Experim
                                   progress=staged(progress, "u+v"))
     outcomes.append({"check": "localization(u+v) stability", "result": loc_uv.verdict})
 
+    # both localizations number the morphisms of ``a`` alike, so a hammock
+    # is the same grid in both
     smap = {}
     for x in a.objects:
         for y in a.objects:
-            source_hom = loc_u.pair(x, y).sset
-            target_hom = loc_uv.pair(x, y).sset
-            for level in range(bounds.truncation + 1):
-                for name in source_hom.level(level):
-                    if not target_hom.has_simplex(level, name):
+            source, target = loc_u.pair(x, y), loc_uv.pair(x, y).by_grid
+            for level, grids in enumerate(source.level_grids):
+                for s, grid in enumerate(grids):
+                    t = smap[(x, y, level, s)] = target.get(grid)
+                    if t is None:
                         raise ConsistencyError("hammock lost when weq grows")
-                    smap[(x, y, level, name)] = name
     induced = SimplicialFunctor(loc_u.scat(), loc_uv.scat(),
                                 {x: x for x in a.objects}, smap)
     stable = loc_u.verdict == "stable" and loc_uv.verdict == "stable"

@@ -1397,13 +1397,14 @@ def reference_induced_homology_iso(fun, x, y, level, src_hom, tgt_hom, src_repor
         [1 if i == j else 0 for i in range(len(src_hom.nondegenerate(level)))]
         for j in range(len(src_hom.nondegenerate(level)))
     ]
-    # the chain map, read off the name-keyed simplex map
+    # the chain map, read off the simplex map by name
     names = src_hom.levels[level]
     tgt_index = {tgt_hom.levels[level][t]: i for i, t in enumerate(tgt_hom.nondegenerate(level))}
     src_basis = src_hom.nondegenerate(level)
     fmat = [[0] * len(src_basis) for _ in tgt_index]
+    smap = simplex_names(fun)
     for j, s in enumerate(src_basis):
-        i = tgt_index.get(fun.simplex_map[(x, y, level, names[s])])
+        i = tgt_index.get(smap[(x, y, level, names[s])])
         if i is not None:
             fmat[i][j] = 1
     mapped = [
@@ -1667,9 +1668,21 @@ def reference_is_neglectable(rs):
     return True, None
 
 
+def simplex_names(fun) -> dict:
+    """The simplex map of ``fun`` by name: ``(x, y, level, source name) ->
+    image name``, leaving out the simplices without an image."""
+    src, tgt, omap = fun.source, fun.target, fun.object_map
+    named = {}
+    for (x, y, level, s), t in fun.simplex_map.items():
+        target = tgt.homs.get((omap.get(x), omap.get(y)))
+        if t is not None and target is not None:
+            named[(x, y, level, src.homs[(x, y)].levels[level][s])] = target.levels[level][t]
+    return named
+
+
 def reference_validate_simplicial_functor(fun, composition_cap: int = 4000) -> list[str]:
     report = []
-    src, tgt = fun.source, fun.target
+    src, tgt, smap = fun.source, fun.target, simplex_names(fun)
     for x in src.objects:
         if fun.object_map.get(x) not in tgt.objects:
             report.append(f"object not mapped into target: {x}")
@@ -1681,13 +1694,13 @@ def reference_validate_simplicial_functor(fun, composition_cap: int = 4000) -> l
             th = tgt.homs[(fun.object_map[x], fun.object_map[y])]
             for level in range(src.truncation + 1):
                 for s in sh.level(level):
-                    t = fun.simplex_map.get((x, y, level, s))
+                    t = smap.get((x, y, level, s))
                     if t is None or not th.has_simplex(level, t):
                         report.append(f"simplex not mapped: ({x},{y}) level {level}: {s}")
     if report:
         return report
     for x in src.objects:
-        if (fun.simplex_map[(x, x, 0, _identity_name(src, x, 0))]
+        if (smap[(x, x, 0, _identity_name(src, x, 0))]
                 != _identity_name(tgt, fun.object_map[x], 0)):
             report.append(f"identity not preserved at {x}")
     for x in src.objects:
@@ -1697,15 +1710,15 @@ def reference_validate_simplicial_functor(fun, composition_cap: int = 4000) -> l
             for level in range(1, src.truncation + 1):
                 for s in sh.level(level):
                     for i in range(level + 1):
-                        lhs = fun.simplex_map[(x, y, level - 1, _face_name(sh, level, i, s))]
-                        rhs = _face_name(th, level, i, fun.simplex_map[(x, y, level, s)])
+                        lhs = smap[(x, y, level - 1, _face_name(sh, level, i, s))]
+                        rhs = _face_name(th, level, i, smap[(x, y, level, s)])
                         if lhs != rhs:
                             report.append(f"face not preserved: ({x},{y}) level {level} d_{i} {s}")
             for level in range(src.truncation):
                 for s in sh.level(level):
                     for i in range(level + 1):
-                        lhs = fun.simplex_map[(x, y, level + 1, _degeneracy_name(sh, level, i, s))]
-                        rhs = _degeneracy_name(th, level, i, fun.simplex_map[(x, y, level, s)])
+                        lhs = smap[(x, y, level + 1, _degeneracy_name(sh, level, i, s))]
+                        rhs = _degeneracy_name(th, level, i, smap[(x, y, level, s)])
                         if lhs != rhs:
                             report.append(
                                 f"degeneracy not preserved: ({x},{y}) level {level} s_{i} {s}"
@@ -1725,14 +1738,14 @@ def reference_validate_simplicial_functor(fun, composition_cap: int = 4000) -> l
                         continue
                     checked += 1
                     image = _composite_name(tgt, fx, fy, fz, level,
-                                            fun.simplex_map[(y, z, level, g)],
-                                            fun.simplex_map[(x, y, level, f)])
+                                            smap[(y, z, level, g)],
+                                            smap[(x, y, level, f)])
                     if image is None:
                         report.append(
                             f"composite not representable in target at ({x},{y},{z}) level {level}"
                         )
                         continue
-                    if image != fun.simplex_map[(x, z, level, h)]:
+                    if image != smap[(x, z, level, h)]:
                         report.append(
                             f"composition not preserved at ({x},{y},{z}) level {level}: ({g},{f})"
                         )
@@ -1745,7 +1758,7 @@ def reference_check_dk(fun) -> DkCertificate:
     bad = reference_validate_simplicial_functor(fun)
     if bad:
         raise InputError(f"invalid simplicial functor: {bad[0]}")
-    src, tgt = fun.source, fun.target
+    src, tgt, smap = fun.source, fun.target, simplex_names(fun)
     N = src.truncation
     pairs = {}
     verdict = "pass_partial"
@@ -1758,7 +1771,7 @@ def reference_check_dk(fun) -> DkCertificate:
             if (fx, fy) not in tgt_parts:
                 tgt_parts[(fx, fy)] = _named_pi0(tgt.homs[(fx, fy)])
             sp, tp = src_parts[(x, y)], tgt_parts[(fx, fy)]
-            mapping = {k: tp.class_of[fun.simplex_map[(x, y, 0, min(cls))]]
+            mapping = {k: tp.class_of[smap[(x, y, 0, min(cls))]]
                        for k, cls in enumerate(sp.classes)}
             injective = len(set(mapping.values())) == len(mapping)
             surjective = set(mapping.values()) == set(range(len(tp.classes)))
@@ -1791,7 +1804,7 @@ def reference_check_dk(fun) -> DkCertificate:
             for y in src.objects:
                 for s in src.homs[(x, y)].level(0):
                     cls = cmap_src[(x, y, s)]
-                    target_cls = cmap_tgt[(omap[x], omap[y], fun.simplex_map[(x, y, 0, s)])]
+                    target_cls = cmap_tgt[(omap[x], omap[y], smap[(x, y, 0, s)])]
                     if mmap.setdefault(cls, target_cls) != target_cls:
                         raise ConsistencyError(f"induced functor not well defined at {cls}")
         induced = CatFunctor(ho_src, ho_tgt, omap, mmap)

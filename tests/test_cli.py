@@ -248,6 +248,55 @@ class TestDkAndNeglectable:
             "pair": ["X0", "X1"], "source_classes": 0, "target_classes": 1, "injective": True}
         assert cert["pairs"]["X0|X1"]["homology_witness"] == {"pair": ["X0", "X1"], "degree": 0}
 
+    # stdout, stderr and exit code of each edited collapse functor below,
+    # as the name-keyed simplex map gave them
+    _COLLAPSE_PASS = (
+        '{"ho_ok":true,"ho_witness":{"backward_objects":{"*":"X"}},"pairs":{'
+        + ",".join(f'"{pair}":{{"homology_ok":true,"homology_witness":null,"pi0_ok":true,'
+                   f'"pi0_witness":null}}' for pair in ("X|X", "X|Y", "Y|X", "Y|Y"))
+        + '},"reason":"","truncation":1,"verdict":"pass_partial"}\n')
+    EDITED_FUNCTORS = [
+        ("unknown-target", {("X|Y", "1", "u"): "nowhere"}, "",
+         "input error: invalid simplicial functor: simplex not mapped: (X,Y) level 1: u\n", 2),
+        ("extra-source", {("X|Y", "0", "stray"): "id*", ("Y|X", "1", "ghost"): "nowhere"},
+         _COLLAPSE_PASS, "", 0),
+        ("non-string-image", {("X|Y", "0", "u"): 7}, "",
+         "input error: malformed functor JSON: functor images must be names (strings)\n", 2),
+    ]
+
+    @pytest.mark.parametrize("label, edits, stdout, stderr, code", EDITED_FUNCTORS,
+                             ids=[case[0] for case in EDITED_FUNCTORS])
+    def test_functor_names_are_numbered_at_the_boundary(self, tmp_path, capsys, label, edits,
+                                                         stdout, stderr, code):
+        """The collapse of the walking isomorphism onto the point, with one
+        image naming no target simplex, with source names no hom holds
+        (ignored), or with an image that is not a string."""
+        iso = inst.walking_iso()
+        smap = {f"{x}|{y}": {str(level): {m: "id*" for m in iso.hom(x, y)} for level in range(2)}
+                for x in iso.objects for y in iso.objects}
+        for (pair, level, s), t in edits.items():
+            smap[pair][level][s] = t
+        path = tmp_path / f"{label}.json"
+        write_canonical(path, {"source": promote(iso, 1).to_json(),
+                               "target": promote(inst.terminal(), 1).to_json(),
+                               "object_map": {"X": "*", "Y": "*"}, "simplex_map": smap})
+        assert run(["dk-check", str(path)]) == code
+        out = capsys.readouterr()
+        assert (out.out, out.err) == (stdout, stderr)
+
+    def test_target_of_lower_truncation_exits_two(self, tmp_path, capsys):
+        """A source level the target lacks leaves its simplices unmapped,
+        an input error, not an IndexError that exits 1."""
+        iso = inst.walking_iso()
+        smap = {f"{x}|{y}": {str(level): {m: "id*" for m in iso.hom(x, y)} for level in range(3)}
+                for x in iso.objects for y in iso.objects}
+        path = tmp_path / "functor.json"
+        write_canonical(path, {"source": promote(iso, 2).to_json(),
+                               "target": promote(inst.terminal(), 1).to_json(),
+                               "object_map": {"X": "*", "Y": "*"}, "simplex_map": smap})
+        assert run(["dk-check", str(path)]) == 2
+        assert "simplex not mapped: (X,X) level 2: idX" in capsys.readouterr().err
+
     def test_neglectable_true_false(self, files):
         assert run(["neglectable", files["relscat-iso.json"]]) == 0
         assert run(["neglectable", files["relscat-arrow.json"]]) == 1

@@ -200,6 +200,45 @@ def test_golden(input_dir, name, argv, hashed):
         assert text == canonical_dumps(fixture["output"])
 
 
+# What each claim pipeline may name through ``hammock._namer``, given the
+# namer's morphism names and a grid: 2.4ii nothing; 2.4i the vertices of
+# its u-localization, where it looks up its name-keyed sub; 3.2 simplices
+# of its input localization, whose names name the morphisms of its level
+# categories, and nothing over a level category (morphisms ``x|y|s``).
+NAMED = {
+    "verify-2.4ii-": lambda level_category, grid: False,
+    "verify-2.4i-": lambda level_category, grid: len(grid[1]) == 1,
+    "verify-3.2-": lambda level_category, grid: not level_category,
+}
+
+
+@pytest.mark.parametrize(
+    "name,argv", [(name, argv) for name, argv, _ in cases() if name.startswith(tuple(NAMED))],
+    ids=[name for name, _, _ in cases() if name.startswith(tuple(NAMED))])
+def test_claims_name_only_what_they_read(input_dir, monkeypatch, name, argv):
+    """The claim reports keep their bytes while the namer refuses every
+    simplex the pipeline never reads by name: the localizations sort
+    their levels without names, and the comparison maps and certificates
+    run on simplex numbers."""
+    from hamloc import hammock
+
+    allowed = next(rule for prefix, rule in NAMED.items() if name.startswith(prefix))
+    namer = hammock._namer
+
+    def refusing(morphisms):
+        name_of, level_category = namer(morphisms), any("|" in m for m in morphisms)
+
+        def checked(grid):
+            assert allowed(level_category, grid), f"{name} named {grid}"
+            return name_of(grid)
+        return checked
+
+    monkeypatch.setattr(hammock, "_namer", refusing)
+    fixture = json.loads((GOLDEN / f"{name}.json").read_text(encoding="utf-8"))
+    code, text = _run(input_dir, argv)
+    assert (code, text) == (fixture["exit"], canonical_dumps(fixture["output"]))
+
+
 def record(names=()):
     """Write the fixtures of the cases ``names`` (all cases when empty)
     and return the names whose file changed."""

@@ -11,7 +11,7 @@ from hamloc import hammock
 from hamloc import instances as inst
 from hamloc.cli import run
 from hamloc.errors import CompositionUnavailable, ConsistencyError, InputError
-from hamloc.fincat import find_equivalence, is_isomorphism, validate_category
+from hamloc.fincat import FiniteCategory, find_equivalence, is_isomorphism, validate_category
 from hamloc.flatten import flatten, relativization_unit
 from hamloc.jsonio import write_canonical
 from hamloc.hammock import (
@@ -56,6 +56,7 @@ from oracles import (
     reference_extensions,
     reference_reduce_hammock,
     reference_row_objects,
+    simplex_names,
 )
 
 
@@ -243,15 +244,16 @@ class TestLocalization:
         # composition agrees under the embedding bijection
         fun = embed(r, loc)
         assert validate_simplicial_functor(fun) == []
+        smap = simplex_names(fun)
         for (g, f), h in r.cat.table.items():
             x, y, z = r.cat.dom[f], r.cat.cod[f], r.cat.cod[g]
             number = {pair: loc.pair(*pair).sset.number[0] for pair in ((y, z), (x, y), (x, z))}
             got = loc.composite(
                 x, y, z, 0,
-                number[(y, z)][fun.simplex_map[(y, z, 0, g)]],
-                number[(x, y)][fun.simplex_map[(x, y, 0, f)]],
+                number[(y, z)][smap[(y, z, 0, g)]],
+                number[(x, y)][smap[(x, y, 0, f)]],
             )
-            assert got == number[(x, z)][fun.simplex_map[(x, z, 0, h)]]
+            assert got == number[(x, z)][smap[(x, z, 0, h)]]
         assert loc.overflows == 0
 
     def test_serialized_overflows_do_not_depend_on_history(self):
@@ -276,6 +278,35 @@ class TestLocalization:
         out = find_equivalence(ho, inst.walking_iso(), 100_000)
         assert out.found
 
+    def test_class_map_looks_names_up_by_table(self, monkeypatch):
+        """The class map finds a vertex name through its pair's name ->
+        number table, giving the class a scan of the vertex names gives;
+        counting the vertices makes no name, and an unknown name is a
+        KeyError."""
+        def refuse(morphisms):
+            raise AssertionError("named to count")
+
+        checked = 0
+        for _, r in inst.oracle_suite():
+            for detail in ("full", "pi0"):
+                loc = hammock_localization(r, 1, 3, detail)
+                try:
+                    _, classmap = homotopy_category_of_localization(loc)
+                except (CompositionUnavailable, ConsistencyError):
+                    continue
+                with monkeypatch.context() as patched:
+                    patched.setattr(hammock, "_namer", refuse)
+                    assert len(classmap) == sum(len(ms.vertices) for ms in loc.pairs.values())
+                for (x, y), ms in loc.pairs.items():
+                    names = tuple(ms.vertices)
+                    for name in names:
+                        scanned = ms.partition.class_of[names.index(name)]
+                        assert classmap[(x, y, name)] == classmap.class_names[(x, y)][scanned]
+                        checked += 1
+                    with pytest.raises(KeyError):
+                        classmap[(x, y, "no such vertex")]
+        assert checked > 100
+
     def test_localization_inverts_weq(self):
         for name, r in inst.oracle_suite():
             loc = hammock_localization(r, 1, 4)
@@ -291,10 +322,10 @@ class TestLocalization:
         # injectivity is per hom-set; simplex names are scoped likewise
         r = inst.walking_arrow_relative()
         loc = hammock_localization(r, 1, 3)
-        fun = embed(r, loc)
+        smap = simplex_names(embed(r, loc))
         for x in r.cat.objects:
             for y in r.cat.objects:
-                images = [fun.simplex_map[(x, y, 0, m)] for m in r.cat.hom(x, y)]
+                images = [smap[(x, y, 0, m)] for m in r.cat.hom(x, y)]
                 assert len(set(images)) == len(images)
 
     def test_identity_maps_to_width_zero(self):
@@ -781,6 +812,72 @@ class TestNamer:
                 for level, grids in enumerate(ms.level_grids):
                     for name, grid in zip(ms.sset.level(level), grids, strict=True):
                         assert _grid_name(morphisms, grid) == name
+
+
+def _renamed(r: RelativeCategory, names) -> RelativeCategory:
+    """``r`` with its morphisms renamed ``names``, in morphism order."""
+    c = r.cat
+    new = dict(zip(c.morphisms, names, strict=True))
+    cat = FiniteCategory(c.objects, [new[m] for m in c.morphisms],
+                         {new[m]: c.dom[m] for m in c.morphisms},
+                         {new[m]: c.cod[m] for m in c.morphisms},
+                         {x: new[m] for x, m in c.identity.items()},
+                         {(new[g], new[f]): new[h] for (g, f), h in c.table.items()})
+    return RelativeCategory(cat, [new[m] for m in r.weq])
+
+
+class TestKeyOrder:
+    """Each level of a mapping space is sorted by a key of morphism ranks
+    (``hammock._order``) and never by its names, yet its order is the
+    (width, name) order the names give, which reaches the reports through
+    partitions, witnesses and the capped checks.  The names below make the
+    order of names and that of their ``repr`` differ: quotes, backslashes,
+    non-ASCII characters and names that are prefixes of others."""
+
+    TRICKY = ["f", "fg", "f'", 'f"', "f\\", "it's", 'say "hi"', "both ' and \"", "café",
+              "\u03c0\u2080", "g'h", "x|y", "f\\'", "fé", "g"]
+
+    @staticmethod
+    def _assert_name_order(r, truncation, width, detail):
+        morphisms = r.cat.morphisms
+        for ms in hammock_localization(r, truncation, width, detail).pairs.values():
+            for grids in ms.level_grids:
+                keys = [(len(grid[0]), _grid_name(morphisms, grid)) for grid in grids]
+                assert keys == sorted(keys), (ms.x, ms.y)
+            assert list(ms.vertices) == [_grid_name(morphisms, grid)
+                                         for grid in ms.level_grids[0]]
+
+    @classmethod
+    def _tricky(cls, r):
+        pool = cls.TRICKY
+        return _renamed(r, [pool[n % len(pool)] + "'" * (n // len(pool))
+                            for n in range(len(r.cat.morphisms))])
+
+    @pytest.mark.parametrize("detail", ["full", "pi0"])
+    @pytest.mark.parametrize("truncation", [1, 2])
+    def test_stock_suite(self, detail, truncation):
+        for name, r in inst.oracle_suite():
+            if truncation == 2 and name in ("chain-weq", "z2-groupoid"):
+                continue  # the largest two, at truncation 2 below
+            for case in (r, self._tricky(r)):
+                self._assert_name_order(case, truncation, 3, detail)
+
+    @pytest.mark.parametrize("detail", ["full", "pi0"])
+    def test_largest_stock_instances_at_truncation_two(self, detail):
+        for name, r in inst.oracle_suite():
+            if name in ("chain-weq", "z2-groupoid"):
+                self._assert_name_order(self._tricky(r), 2, 2, detail)
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), data=st.data(),
+           truncation=st.sampled_from([1, 2]), detail=st.sampled_from(["full", "pi0"]))
+    def test_random_categories_with_drawn_names(self, seed, data, truncation, detail):
+        rng = random.Random(seed)
+        r = closed_weq(inst.random_dag_category(rng, max_objects=3, max_nonid=6), rng)
+        names = data.draw(st.lists(st.text("fg'\"\\é\u03c0| ", min_size=1, max_size=3),
+                                   min_size=len(r.cat.morphisms),
+                                   max_size=len(r.cat.morphisms), unique=True))
+        self._assert_name_order(_renamed(r, names), truncation, 3, detail)
 
 
 class TestPrunedComposites:

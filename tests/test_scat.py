@@ -26,7 +26,7 @@ from hamloc.scat import (
 )
 from hamloc.simplicial import TruncatedSimplicialSet, homology, nerve
 from helpers import identity_simplicial_functor, named_scat
-from oracles import level_functor, reference_induced_homology_iso
+from oracles import level_functor, reference_induced_homology_iso, simplex_names
 
 
 def stock_cats():
@@ -257,7 +257,7 @@ class TestCheckDk:
 
     def test_invalid_functor_rejected(self):
         fun = _collapse_functor()
-        del fun.simplex_map[("X", "Y", 0, "u")]
+        del fun.simplex_map[("X", "Y", 0, fun.source.homs[("X", "Y")].levels[0].index("u"))]
         with pytest.raises(InputError):
             check_dk(fun)
 
@@ -312,12 +312,12 @@ def _loop_functor(a, morphism_map):
     """The endofunctor of :func:`_loop_category` that acts on hom(p, q) as
     the nerve of the endofunctor of the parallel pair with ``morphism_map``
     (objects fixed) and as the identity elsewhere."""
-    fun = identity_simplicial_functor(a)
+    smap = simplex_names(identity_simplicial_functor(a))
     for level in range(3):
         for s in a.homs[("p", "q")].level(level):
-            fun.simplex_map[("p", "q", level, s)] = "|".join(
+            smap[("p", "q", level, s)] = "|".join(
                 morphism_map.get(part, part) for part in s.split("|"))
-    return fun
+    return SimplicialFunctor(a, a, {x: x for x in a.objects}, smap)
 
 
 class TestHomologyCertificate:
@@ -513,18 +513,17 @@ def _functors():
     cases += [(f"loop-{m}", _loop_functor(loop, m))
               for m in ({"b": "a"}, {"a": "b"}, {"a": "b", "b": "a"})]
     unmapped = _collapse_functor()
-    del unmapped.simplex_map[("X", "Y", 0, "u")]
+    del unmapped.simplex_map[("X", "Y", 0, unmapped.source.homs[("X", "Y")].levels[0].index("u"))]
     cases.append(("unmapped-simplex", unmapped))
     stray = _collapse_functor()
     stray.object_map["Y"] = "nowhere"
     cases.append(("stray-object", stray))
     p = promote(inst.group_z2(), 1)
     swap = {"e": "t", "t": "e"}
-    smap = {key: swap[key[3]] for key in identity_simplicial_functor(p).simplex_map}
+    smap = {key: swap[key[3]] for key in simplex_names(identity_simplicial_functor(p))}
     cases.append(("swap-identity", SimplicialFunctor(p, p, {"*": "*"}, smap)))
-    level_one = identity_simplicial_functor(p)
-    level_one.simplex_map[("*", "*", 1, "t")] = "e"
-    cases.append(("face-not-preserved", level_one))
+    smap = simplex_names(identity_simplicial_functor(p)) | {("*", "*", 1, "t"): "e"}
+    cases.append(("face-not-preserved", SimplicialFunctor(p, p, {"*": "*"}, smap)))
     cases += [("z3-rotation", _z3_functor({"a": "b", "b": "a"})),
               ("z3-not-a-functor", _z3_functor({"a": "b"}))]
     return cases
