@@ -40,16 +40,19 @@ reduced.  Only the boundary
 functions (:func:`reduce_hammock`, :func:`compose_hammocks`,
 :func:`embed_morphism`, :func:`width_zero`) make :class:`Hammock`
 objects, whose entries are names.  Along an alternating pattern a grid
-is reduced exactly when the identity bitmasks of its rows
-(:func:`_identity_mask`) share no bit, so the full-detail enumeration
+is reduced exactly when no column has an identity in every row (its
+bitmask :func:`_identity_mask` is 0), so the full-detail enumeration
 builds a grid's last row only with non-identity entries in the columns
-its other rows leave as identities.  Rows 0 and 1 come from one column
-walk in which each row-0 prefix carries its partial rows 1
-(:meth:`_Context.two_rows`), and the rows below row 1 are built column
-by column (:meth:`_Context.extensions`); both read the context's table
-of column steps, each step computed once.  The context and the namer
-are freed with the localization or mapping space that made them, by
-reference counting: the package builds no reference cycles around them.
+its other rows leave as identities.  It grows one height at a time:
+rows 0 and 1 come from one column walk in which each row-0 prefix
+carries its partial rows 1 (:meth:`_Context.two_rows`), and each row
+below is built column by column (:meth:`_Context.extensions`) under the
+grids of the height above that were kept or are unreduced, since a
+pruned grid is the last face of every grid grown from it; both walks
+read the context's table of column steps, each step computed once.  The
+context and the namer are freed with the localization or mapping space
+that made them, by reference counting: the package builds no reference
+cycles around them.
 
 Width is the one genuine approximation: enumeration is exhaustive up to
 ``w_max`` columns, faces and reduction only shrink width, and every
@@ -646,8 +649,10 @@ class MappingSpace:
     dropped grids the faces reduced, and ``extension_rows`` ("full" detail
     only) the rows built below other rows, by :meth:`_Context.two_rows`
     below row 0 and by :meth:`_Context.extensions` further down (at
-    truncation 1, the two-row grids).  All four are deterministic counts
-    for progress output, never report bytes.
+    truncation 1, the two-row grids).  Rows are built only below grids
+    that were kept or are unreduced, so where a reduced grid is pruned,
+    neither the rows below it nor their faces are counted.  All four are
+    deterministic counts for progress output, never report bytes.
     """
 
     x: str
@@ -702,53 +707,70 @@ def mapping_space(r: RelativeCategory, x, y, truncation: int, w_max: int,
 def _mapping_space(ctx: _Context, x, y, truncation, w_max, detail) -> MappingSpace:
     if detail == "pi0":
         return _pi0_mapping_space(ctx, x, y, truncation, w_max)
-    # the enumerated grids of morphism numbers, by height
-    simplices = [[] for _ in range(truncation + 1)]
-    extension_rows = 0
+    # the vertices, and the two-row grids of morphism numbers
+    vertices, grown = [], []
     for pattern in _patterns(w_max):
-        width = len(pattern)
-        if width == 0 and x != y:
+        if not pattern and x != y:
             continue
         for row, mask, below in ctx.two_rows(x, y, pattern, truncation == 1):
             # no identity entry along an alternating pattern: reduced
             if not mask:
-                simplices[0].append((pattern, (row,), ()))
-            extension_rows += _grow(ctx, x, pattern, (row,), (), mask, below, truncation,
-                                    simplices)
+                vertices.append((pattern, (row,), ()))
+            grown += [(pattern, (row, row1), (vacc,)) for vacc, row1 in below]
+    extension_rows = len(grown)
 
-    # Keep only simplices all of whose iterated faces are representable:
-    # over a partially represented ambient category a face can need a
-    # composite outside the width bound, and such simplices cannot be
-    # carried in the truncated data.  Each level is sorted by (width,
-    # name) as soon as it is kept (:func:`_order`), so the level above
-    # finds its faces by number in ``below`` (grid -> number); ``memo``
-    # maps a dropped grid to its normal form, or False when that needs a
-    # missing composite, seeded with the vertices.
-    memo = {grid: grid for grid in simplices[0]}
+    # Grow one height at a time, and keep only the simplices all of whose
+    # faces are kept: over a partially represented ambient category a face
+    # can need a composite outside the width bound, and such simplices
+    # cannot be carried in the truncated data.  Each level is sorted by
+    # (width, name) as soon as it is kept (:func:`_order`), so the level
+    # above finds its faces by number in ``below`` (grid -> number);
+    # ``memo`` maps a dropped grid to its normal form, or False when that
+    # needs a missing composite, seeded with the vertices.
+    level_grids = [tuple(vertices[n] for n in _order(ctx, vertices))]
+    below = {grid: n for n, grid in enumerate(level_grids[0])}
+    memo = {grid: grid for grid in level_grids[0]}
     pruned = False
-    level_grids, faces, degeneracies = [], [()], []
-    below = None
-    for k in range(truncation + 1):
-        kept, images = [], []
-        for grid in simplices[k]:
-            try:
-                numbers = [below.get(_face(ctx, grid, i, memo)) for i in range(k + 1)] if k else ()
-            except CompositionUnavailable:
-                numbers = (None,)
-            if None in numbers:
-                pruned = True
-            else:
+    faces, degeneracies = [()], []
+    for k in range(1, truncation + 1):
+        top = k == truncation
+        # ``live``: the kept and the unreduced grids, each with its identity
+        # mask (:func:`_identity_mask`)
+        kept, images, live = [], [], []
+        for grid in grown:
+            # the last rows at the top were built to make their grids reduced
+            common = 0 if top else _identity_mask(ctx.identities, grid[1])
+            if not common:
+                try:
+                    numbers = [below.get(_face(ctx, grid, i, memo)) for i in range(k + 1)]
+                except CompositionUnavailable:
+                    numbers = (None,)
+                if None in numbers:
+                    pruned = True
+                    continue
                 kept.append(grid)
                 images.append(numbers)
+            if not top:
+                live.append((grid, common))
+        del grown  # free the pruned grids before the level is numbered
         order = _order(ctx, kept)
         level_grids.append(tuple(kept[n] for n in order))
         below = {grid: n for n, grid in enumerate(level_grids[k])}
-        if k:
-            faces.append([[images[n][i] for n in order] for i in range(k + 1)])
-            degeneracies.append([[below.get(_degeneracy(ctx, grid, i))
-                                  for grid in level_grids[k - 1]] for i in range(k)])
-            if any(None in column for column in degeneracies[-1]):
-                raise ConsistencyError("degeneracy left the kept set")
+        faces.append([[images[n][i] for n in order] for i in range(k + 1)])
+        degeneracies.append([[below.get(_degeneracy(ctx, grid, i))
+                              for grid in level_grids[k - 1]] for i in range(k)])
+        if any(None in column for column in degeneracies[-1]):
+            raise ConsistencyError("degeneracy left the kept set")
+        # Only the grids of ``live`` grow: d_{k+1} of a grid grown from a
+        # reduced grid G is G itself, so all are pruned below a pruned G.
+        # An unreduced grid can become reduced lower down, so a row is built
+        # unfiltered, except the last, which must clear the mask's columns.
+        last = k + 1 == truncation
+        grown = [(directions, rows + (row2,), layers + (vacc,))
+                 for (directions, rows, layers), common in live
+                 for vacc, row2 in ctx.extensions(directions, rows[-1], x,
+                                                  common if last else 0)]
+        extension_rows += len(grown)
     sset = TruncatedSimplicialSet(truncation, [Names(grids, ctx.namer) for grids in level_grids],
                                   faces, degeneracies)
 
@@ -768,7 +790,7 @@ def _mapping_space(ctx: _Context, x, y, truncation, w_max, detail) -> MappingSpa
     verdict = "bound_limited" if pruned else _stability(partition, sub)
     return MappingSpace(x, y, truncation, w_max, verdict, sset.levels[0],
                         partition, sset, tuple(level_grids), pruned,
-                        len(level_grids[1]), face_normal_forms=len(memo) - len(simplices[0]),
+                        len(level_grids[1]), face_normal_forms=len(memo) - len(level_grids[0]),
                         extension_rows=extension_rows)
 
 
@@ -803,13 +825,13 @@ def _order(ctx: _Context, grids) -> list:
     return sorted(range(len(grids)), key=keys.__getitem__)
 
 
-def _identity_mask(identities, row):
-    """Bit ``col`` is set when ``row[col]`` is an identity.  A grid along
-    an alternating pattern is reduced exactly when the masks of its rows
-    have no bit in common."""
+def _identity_mask(identities, rows):
+    """Bit ``col`` is set when every one of ``rows`` has an identity in
+    column ``col``.  A grid along an alternating pattern is reduced
+    exactly when the mask of its rows is 0."""
     mask = 0
-    for col, m in enumerate(row):
-        if m in identities:
+    for col, column in enumerate(zip(*rows)):
+        if identities.issuperset(column):
             mask |= 1 << col
     return mask
 
@@ -936,36 +958,6 @@ def _pi0_edges(ctx: _Context, pattern, rows0, row_numbers):
                         seen.add((row2, rest))
                         chains.append((row2, rest))
         yield upper, lowers, bool(seen)
-
-
-def _grow(ctx, x, pattern, rows, layers, common, below, truncation, simplices):
-    """Extend the grid of morphism numbers from ``x`` by each (interior
-    verticals, row) pair of ``below`` its last row, then one row at a time,
-    appending its reduced simplices to ``simplices`` by height; the number
-    of rows built, those of ``below`` included.
-
-    ``common`` is the AND of the rows' identity masks
-    (:func:`_identity_mask`), so the grid is reduced when it is 0; each new
-    row's mask is computed once.  A grid unreduced at height h can become
-    reduced at h+1, so a row that is not the last is extended unfiltered.
-    The last row (height ``truncation``) is built only where the grid is
-    then reduced: the columns of ``common`` must get non-identity entries,
-    the mask :meth:`_Context.two_rows` and :meth:`_Context.extensions`
-    build it with."""
-    height = len(rows)
-    if height == truncation:
-        simplices[height].extend(
-            (pattern, rows + (row2,), layers + (vacc,)) for vacc, row2 in below)
-        return len(below)
-    built = len(below)
-    for vacc, row2 in below:
-        common2 = common & _identity_mask(ctx.identities, row2)
-        rows2, layers2 = rows + (row2,), layers + (vacc,)
-        if not common2:
-            simplices[height].append((pattern, rows2, layers2))
-        below2 = ctx.extensions(pattern, row2, x, common2 if height + 1 == truncation else 0)
-        built += _grow(ctx, x, pattern, rows2, layers2, common2, below2, truncation, simplices)
-    return built
 
 
 def _face(ctx, grid, i, memo):

@@ -896,6 +896,14 @@ class TestVerbose:
             "dimensionwise level 0": [(6, 12), (8, 14), (8, 17), (6, 12)],
             "dimensionwise level 1": [(13, 28), (24, 44), (12, 30), (13, 28)],
         }),
+        # some reduced grids of the level spaces are pruned at height 1, and
+        # no row is grown below them
+        ("verify 3.2", "walking-weq.json", ["--truncation", "2", "--width", "3"], {
+            "input": [(5, 17), (9, 17), (9, 17), (5, 17)],
+            "dimensionwise level 0": [(24, 55), (32, 55), (37, 76), (24, 55)],
+            "dimensionwise level 1": [(52, 116), (91, 150), (58, 132), (51, 116)],
+            "dimensionwise level 2": [(96, 224), (213, 344), (83, 215), (93, 224)],
+        }),
         ("localize", "chain-weq.json", ["--truncation", "1", "--width", "3"],
          {"": CHAIN_WEQ_T1_W3}),
         ("localize", "chain-weq.json", ["--truncation", "2", "--width", "2"],
@@ -915,8 +923,8 @@ class TestVerbose:
     def test_enumeration_counts_are_pinned(self, files, capsys, command, name, options,
                                            counts):
         """Rows 0 and 1 come from one column walk that drops a row-0 prefix
-        with nothing below it; the rows it builds, and so the distinct faces
-        reduced, are those of two passes."""
+        with nothing below it, and no row is grown below a pruned grid; the
+        counts pin the rows built and the distinct faces reduced."""
         run(["--verbose"] + command.split() + [files[name]] + options)
         got = {}
         for line in capsys.readouterr().err.splitlines():

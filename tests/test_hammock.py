@@ -675,9 +675,14 @@ class TestFullDetailAgainstReference:
         for (x, y), sset in rl.diag_homs.items():
             _same_sset(sset, reference_diagonal(rl, x, y), (name, x, y))
 
-    @pytest.mark.parametrize("width", [1, 2])
+    @pytest.mark.parametrize("width", [1, 2, 3])
     def test_check_32_diagonals_at_truncation_two(self, width):
-        for name, rs in _check_32_relscats(width, truncation=2):
+        """At width 3 some reduced grids are pruned, and the reference
+        grows rows below them that full detail never builds; chain-weq and
+        z2-groupoid are left out there for time."""
+        names = None if width < 3 else [name for name, _ in inst.oracle_suite()
+                                         if name not in ("chain-weq", "z2-groupoid")]
+        for name, rs in _check_32_relscats(width, names, truncation=2):
             self._agree_dimensionwise(name, rs, 2, width)
 
     @pytest.mark.parametrize("width", [2, 3, 4])
@@ -709,7 +714,7 @@ class TestTwoRowWalk:
                     for masked in (False, True):
                         want = []
                         for row in ctx.paths(x, y, pattern):
-                            mask = hammock._identity_mask(ctx.identities, row)
+                            mask = hammock._identity_mask(ctx.identities, (row,))
                             below = ctx.extensions(pattern, row, x, mask if masked else 0)
                             if below or not mask:
                                 want.append((row, mask, below))
