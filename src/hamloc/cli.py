@@ -1,7 +1,9 @@
 """Command-line front door.
 
 Exit codes: 0 success/pass, 1 fail (claim violated or certificate
-failed), 2 invalid input, 3 undetermined or width-limited.  Machine
+failed), 2 invalid input, 3 undetermined, width-limited, or out of memory
+or recursion depth, 4 internal error (any other exception, with its
+traceback on stderr), so that a crash never reads as a refutation.  Machine
 output is canonical JSON on stdout (or --out), deterministically
 byte-identical for identical inputs and bounds; --verbose sends per-pair
 progress of every localization that ``localize``, ``ho`` and ``verify``
@@ -19,6 +21,7 @@ import argparse
 import functools
 import os
 import sys
+import traceback
 from pathlib import Path
 
 from . import __version__
@@ -40,7 +43,7 @@ from .scat import (
 from .simplicial import TruncatedSimplicialSet, homology, pi0, validate_sset
 from .verify import Bounds, check_24i, check_24ii, check_32, check_roundtrip
 
-PASS, FAIL, INVALID, UNDETERMINED = 0, 1, 2, 3
+PASS, FAIL, INVALID, UNDETERMINED, INTERNAL = 0, 1, 2, 3, 4
 
 
 def _sniff_kind(data) -> str:
@@ -170,6 +173,9 @@ def _cmd_validate(args):
 def _cmd_localize(args):
     data = load_json(args.file)
     r = _load_relcat(data)
+    # the output keys its homs x|y and its composites x|y|z
+    if any("|" in x for x in r.cat.objects):
+        raise InputError("object names may not contain '|'")
     pair_filter = None
     if args.pairs:
         pair_filter = set()
@@ -456,6 +462,16 @@ def run(argv=None) -> int:
     except (CompositionUnavailable, ConsistencyError) as exc:
         print(f"bounds insufficient: {exc}", file=sys.stderr)
         return UNDETERMINED
+    except (MemoryError, RecursionError) as exc:
+        print(f"bounds insufficient: {args.command} ran out of "
+              f"{'memory' if isinstance(exc, MemoryError) else 'recursion depth'}",
+              file=sys.stderr)
+        return UNDETERMINED
+    except Exception:
+        traceback.print_exc()
+        print(f"internal error: {args.command} failed; this is a bug, not a verdict",
+              file=sys.stderr)
+        return INTERNAL
 
 
 def main() -> None:

@@ -6,6 +6,11 @@ target level together with a monotone operator q; the marked subcategory
 consists of the morphisms whose simplex part is an identity.  It is the
 Grothendieck construction of the simplicial category seen as a diagram
 of its level categories, built straight from the hom simplicial sets.
+
+Simplices are carried by number, and a morphism is found by number in
+:attr:`Flattening.morphism_index`.  Its name is still made from its
+simplex's name: the re-localization of the flattening orders its
+vertices by the ``repr`` of those names.
 """
 
 from __future__ import annotations
@@ -15,7 +20,6 @@ from dataclasses import dataclass
 
 from .errors import InputError
 from .fincat import CatFunctor, FiniteCategory, close_morphisms
-from .hammock import Localization, embed_morphism
 from .relcat import RelativeCategory, RelativeFunctor
 from .scat import TruncatedSimplicialCategory
 from .simplicial import SimplicialOperator, apply_operator, compose_operators, monotone_maps
@@ -30,13 +34,6 @@ def flat_morphism_name(simplex, operator: SimplicialOperator):
     return f"({simplex};q=[{imgs}])"
 
 
-def _flat_name(source, simplex, operator: SimplicialOperator, target):
-    """The name of the flattening morphism (simplex, operator) from the
-    object (base, level) ``source`` to ``target``."""
-    return (f"{flat_object_name(*source)}-{flat_morphism_name(simplex, operator)}->"
-            f"{flat_object_name(*target)}")
-
-
 @dataclass
 class Flattening:
     """The flattened relative category plus its naming data.
@@ -48,7 +45,7 @@ class Flattening:
     rel: RelativeCategory
     source_truncation: int
     object_names: dict  # (base, level) -> name
-    morphism_data: dict  # name -> (source, target, simplex number, operator)
+    morphism_index: dict  # (base1, n1, base2, n2, simplex number, operator images) -> name
     overflows: int = 0
 
     def object_name(self, base, level):
@@ -59,16 +56,11 @@ def flatten(a: TruncatedSimplicialCategory) -> Flattening:
     """Objects (A, n); morphisms (A1,n1) -> (A2,n2) are pairs (a, q) with
     a in hom(A1,A2) at level n2 and q monotone [n2] -> [n1]; composition
     acts on the simplex part through the operator.  The marked morphisms
-    are those whose simplex part is a degenerate identity.  Simplices are
-    carried by number and named only in the morphism names."""
+    are those whose simplex part is a degenerate identity."""
     N = a.truncation
-    objects = []
-    object_names = {}
-    for base in a.objects:
-        for level in range(N + 1):
-            name = flat_object_name(base, level)
-            object_names[(base, level)] = name
-            objects.append(name)
+    object_names = {(base, level): flat_object_name(base, level)
+                    for base in a.objects for level in range(N + 1)}
+    objects = list(object_names.values())
 
     identities_at = {(base, level): a.identity_at(base, level)
                      for base in a.objects for level in range(N + 1)}
@@ -81,7 +73,9 @@ def flatten(a: TruncatedSimplicialCategory) -> Flattening:
             for n2 in range(N + 1):
                 for q in monotone_maps(n2, n1):
                     for simplex, simplex_name in enumerate(hom.levels[n2]):
-                        name = _flat_name((base1, n1), simplex_name, q, (base2, n2))
+                        name = (f"{object_names[(base1, n1)]}-"
+                                f"{flat_morphism_name(simplex_name, q)}->"
+                                f"{object_names[(base2, n2)]}")
                         morphisms.append(name)
                         dom[name] = object_names[(base1, n1)]
                         cod[name] = object_names[(base2, n2)]
@@ -115,26 +109,24 @@ def flatten(a: TruncatedSimplicialCategory) -> Flattening:
 
     cat = FiniteCategory(objects, morphisms, dom, cod, identity, table)
     rel = RelativeCategory(cat, marked)
-    return Flattening(rel, N, object_names, data, overflows)
+    return Flattening(rel, N, object_names, index, overflows)
 
 
 # --- the unit of the delocalization roundtrip --------------------------------
 
 
-def relativization_unit(r: RelativeCategory, loc: Localization,
-                        flat: Flattening) -> RelativeFunctor:
-    """The relative functor from (C, W) into the flattened localization,
-    with the weak equivalences extended by the image of W: an object goes
-    to its level-0 copy, a morphism to its embedded hammock under the
-    identity operator."""
+def relativization_unit(r: RelativeCategory, loc, flat: Flattening) -> RelativeFunctor:
+    """The relative functor from (C, W) into the flattening ``flat`` of its
+    hammock localization ``loc``, with the weak equivalences extended by
+    the image of W: an object goes to its level-0 copy, a morphism to its
+    embedded hammock (``loc.embedded``) under the identity operator."""
     cat = r.cat
-    id_op = SimplicialOperator.identity(0)
     omap = {x: flat.object_name(x, 0) for x in cat.objects}
     mmap = {}
     for m in cat.morphisms:
-        simplex = embed_morphism(r, m, 0).name
-        mmap[m] = _flat_name((cat.dom[m], 0), simplex, id_op, (cat.cod[m], 0))
-        if mmap[m] not in flat.rel.cat.mor_index:
+        key = (cat.dom[m], 0, cat.cod[m], 0, loc.embedded(m), (0,))
+        mmap[m] = flat.morphism_index.get(key)
+        if mmap[m] is None:
             raise InputError("flattening does not contain the embedded image")
     weq_image = {mmap[w] for w in r.weq}
     middle = RelativeCategory(

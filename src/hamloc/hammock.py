@@ -7,52 +7,43 @@ and end triangle commutes.  Reduced hammocks (no all-identity column,
 adjacent columns alternate) are the canonical forms; the k-simplices of
 a mapping space are the reduced hammocks of height k.
 
-Past the boundary everything runs on morphism numbers
-(``FiniteCategory.mor_index``, with the category's numbered table
-``post`` and ``identity_numbers``), and a simplex is a plain
-``(directions, rows, layers)`` grid of numbers from enumeration through
-composition and the dimensionwise diagonal; one :class:`_Context` per
-relative category adds the tables enumeration needs.  One routine,
-:func:`_normal_form`, reduces grids (Dwyer-Kan: delete all-identity
-columns, merge equal-direction neighbours): a vertex row in ``pi0``
-detail, a face in ``full`` detail and an outer face image of the
-dimensionwise localization, each distinct grid once per mapping space
-or diagonal hom, and the grids of :func:`reduce_hammock` and
-:func:`compose_hammocks`.  Each level of a mapping space is sorted by
-(width, name) as soon as it is kept, without names, by a key of morphism
-ranks that orders like the name (:func:`_order`), and is numbered in that
-order: the level above takes its faces as numbers, the simplicial set
-holds number tables, and the :class:`MappingSpace` keeps its grids in the
-same order.  A level's simplices are named (:func:`hammock_name`) only
-when a caller reads a name (:class:`simplicial.Names`), by a namer that
-joins the kept texts of their rows (:func:`_namer`): for the output of
-``localize``, ``ho`` and ``flatten``, a witness or a message, and the
-morphisms of a level category.  The diagonal takes its tables from those
-of the level localizations, a face through the level space's own inner
-face, and a composite is looked up by grid and returned as a number.
+Past the boundary a simplex is a plain ``(directions, rows, layers)``
+grid of morphism numbers (``FiniteCategory.mor_index``, with the
+category's numbered table ``post`` and ``identity_numbers``); one
+:class:`_Context` per relative category adds the tables enumeration
+needs.  One routine, :func:`_normal_form`, reduces grids (Dwyer-Kan:
+delete all-identity columns, merge equal-direction neighbours), each
+distinct grid once per mapping space or diagonal hom.  Each level of a
+mapping space is sorted by (width, name) without names, by a key of
+morphism ranks that orders like the name (:func:`_order`), and numbered
+in that order.  A simplex is found by its grid in its own level's table
+(:meth:`MappingSpace.grid_numbers`, built on that level's first lookup),
+and named (:func:`_namer`) only when a caller reads a name
+(:class:`simplicial.Names`): the output of ``localize``, ``ho`` and
+``flatten``, a witness, a message, or the morphisms of a level category.
+Only the boundary functions (:func:`reduce_hammock`,
+:func:`compose_hammocks`, :func:`embed_morphism`, :func:`width_zero`)
+make :class:`Hammock` objects, whose entries are names, for callers that
+speak names: the benchmark worker and the tests.
+
 Composition puts two reduced grids side by side (:func:`_concatenated`);
 they can reduce only at their junction, so :func:`bounded_composite`
 merges the junction columns itself and takes the normal form only when
 the merged column is all identities; the junction alone often shows an
 overflow (:func:`_junction`), so :func:`bounded_composites` composes two
-homs by junction class.  An entrywise degeneracy map keeps a grid
-reduced.  Only the boundary
-functions (:func:`reduce_hammock`, :func:`compose_hammocks`,
-:func:`embed_morphism`, :func:`width_zero`) make :class:`Hammock`
-objects, whose entries are names.  Along an alternating pattern a grid
-is reduced exactly when no column has an identity in every row (its
-bitmask :func:`_identity_mask` is 0), so the full-detail enumeration
-builds a grid's last row only with non-identity entries in the columns
-its other rows leave as identities.  It grows one height at a time:
-rows 0 and 1 come from one column walk in which each row-0 prefix
-carries its partial rows 1 (:meth:`_Context.two_rows`), and each row
-below is built column by column (:meth:`_Context.extensions`) under the
-grids of the height above that were kept or are unreduced, since a
-pruned grid is the last face of every grid grown from it; both walks
-read the context's table of column steps, each step computed once.  The
-context and the namer are freed with the localization or mapping space
-that made them, by reference counting: the package builds no reference
-cycles around them.
+homs by junction class.  The dimensionwise diagonal takes its tables
+from the level localizations, a face through the level space's own
+inner face.  Along an alternating pattern a grid is reduced exactly when
+no column has an identity in every row (its :func:`_identity_mask` is
+0), so the full-detail enumeration builds a grid's last row only with
+non-identity entries in the columns its other rows leave as identities.
+It grows one height at a time: rows 0 and 1 come from one column walk
+(:meth:`_Context.two_rows`), each row below is built column by column
+(:meth:`_Context.extensions`) under the grids that were kept or are
+unreduced, since a pruned grid is the last face of every grid grown from
+it; both walks read one table of column steps.  The context and the
+namer are freed with what made them, by reference counting: the package
+builds no reference cycles around them.
 
 Width is the one genuine approximation: enumeration is exhaustive up to
 ``w_max`` columns, faces and reduction only shrink width, and every
@@ -65,7 +56,7 @@ from __future__ import annotations
 import itertools
 from collections.abc import Mapping
 from dataclasses import dataclass, field
-from functools import cached_property, partial
+from functools import partial
 
 from .errors import CompositionUnavailable, ConsistencyError, InputError
 from .fincat import FiniteCategory, UnionFind
@@ -235,9 +226,7 @@ def _hammock(morphisms, x, y, grid) -> Hammock:
                    _mapped(morphisms, layers))
 
 
-# the name of width_zero(x), the same for every object x, and its number
-# in hom(x, x): the one vertex of width 0 sorts first
-_IDENTITY_NAME = hammock_name((), ((),), ())
+# the number of width_zero(x) in hom(x, x): width 0 sorts first
 _IDENTITY_NUMBER = 0
 
 
@@ -335,11 +324,11 @@ def bounded_composite(r: RelativeCategory, g, f, w_max, enumerated, counts: Comp
                       pruned=False):
     """The reduced composite of grid ``g`` after grid ``f`` (reduced,
     composable, of one height, each at most ``w_max`` wide) as the value
-    ``enumerated`` (the target's map from its grids) holds for it, or None
-    when it needs a composite ``r`` lacks or is wider than ``w_max``;
-    ``counts`` tallies the outcome.  A result missing from ``enumerated``
-    is an overflow when the target ``pruned`` simplices, else it is
-    inconsistent.
+    ``enumerated`` (the target level's :meth:`MappingSpace.grid_numbers`)
+    holds for it, or None when it needs a composite ``r`` lacks or is wider
+    than ``w_max``; ``counts`` tallies the outcome.  A result missing from
+    ``enumerated`` is an overflow when the target ``pruned`` simplices,
+    else it is inconsistent.
 
     The junction is read before any row is built (:func:`_junction`), and
     only an all-identity merge takes the concatenation to
@@ -388,6 +377,7 @@ def bounded_composites(r: RelativeCategory, pairs, w_max, counts: ComposeCounts,
     post, identities = r.cat.post, r.cat.identity_numbers
     gs, fs = pairs[(y, z)].level_grids[level], pairs[(x, y)].level_grids[level]
     target = pairs[(x, z)]
+    enumerated = target.grid_numbers(level)
     ends, starts = {}, {}  # class -> grid numbers; width 0 is class ()
     for n, (d, rows, _) in enumerate(fs):
         ends.setdefault(d and (d[-1], len(d), tuple(row[-1] for row in rows)), []).append(n)
@@ -408,16 +398,23 @@ def bounded_composites(r: RelativeCategory, pairs, w_max, counts: ComposeCounts,
         asked.update(dict.fromkeys(members, sorted(kept)))
     for g, grid in enumerate(gs):
         for f in asked[g]:
-            h = bounded_composite(r, grid, fs[f], w_max, target.by_grid, counts, target.pruned)
+            h = bounded_composite(r, grid, fs[f], w_max, enumerated, counts, target.pruned)
             if h is not None:
                 yield g, f, h
 
 
 def embed_morphism(r: RelativeCategory, m, height: int = 0) -> Hammock:
     """The width-<=1 forward hammock on a morphism, degenerately tall."""
-    if r.cat.is_identity(m):
-        return width_zero(r.cat.dom[m], height)
-    return Hammock(r.cat.dom[m], r.cat.cod[m], ("f",), ((m,),) * (height + 1), ((),) * height)
+    c = r.cat
+    return _hammock(c.morphisms, c.dom[m], c.cod[m], embedded_grid(c, m, height))
+
+
+def embedded_grid(cat: FiniteCategory, m, height):
+    """The grid of morphism numbers of :func:`embed_morphism` on the
+    morphism ``m`` of ``cat``, ``height`` high."""
+    if cat.is_identity(m):
+        return (), ((),) * (height + 1), ((),) * height
+    return ("f",), ((cat.mor_index[m],),) * (height + 1), ((),) * height
 
 
 # --- enumeration -------------------------------------------------------------
@@ -630,15 +627,14 @@ class MappingSpace:
     width, then name, made only when read; ``len`` counts them without
     names.  ``partition`` partitions their positions there.
     ``level_grids[k]`` holds the grids of morphism numbers of level k in
-    the order of ``sset.levels[k]``, so a simplex's number indexes both;
-    ``by_grid`` maps a grid to its number.  "pi0" detail keeps only vertices and
-    partition, so its ``level_grids`` cover level 0 only; it joins the
-    vertices along generator grids (see :func:`_pi0_edges`), while "full"
-    detail joins them along its kept 1-simplices.  ``pruned`` ("full" detail) says
-    that a simplex was left out because one of its faces needs a
-    composite the table lacks.  ``verdict`` is "stable" when the
-    components at width bound w_max are those a run at w_max-1 finds,
-    else (or after pruning) "bound_limited".
+    the order of ``sset.levels[k]``, so a simplex's number indexes both.
+    "pi0" detail keeps only vertices and partition, so its ``level_grids``
+    cover level 0 only; it joins the vertices along generator grids (see
+    :func:`_pi0_edges`), "full" detail along its kept 1-simplices.
+    ``pruned`` ("full" detail) says that a simplex was left out because
+    one of its faces needs a composite the table lacks.  ``verdict`` is
+    "stable" when the components at width bound w_max are those a run at
+    w_max-1 finds, else (or after pruning) "bound_limited".
 
     ``grids`` counts the joins handed to the union-find: the kept
     1-simplices in "full" detail; in "pi0" detail, the distinct vertices
@@ -674,9 +670,10 @@ class MappingSpace:
     def stable(self):
         return self.verdict == "stable"
 
-    @cached_property
-    def by_grid(self):
-        return {grid: n for grids in self.level_grids for n, grid in enumerate(grids)}
+    def grid_numbers(self, level) -> dict:
+        """Grid -> number at ``level``: its :attr:`Names.item_number`, built
+        on its first lookup ("pi0" detail has level 0 only)."""
+        return (self.vertices if level == 0 else self.sset.levels[level]).item_number
 
 
 def _stability(partition, sub):
@@ -1051,6 +1048,11 @@ class Localization:
             "overflows": self.overflows,
         }
 
+    def embedded(self, m):
+        """The vertex number of :func:`embed_morphism` of ``m``, or None."""
+        c = self.relcat.cat
+        return self.pairs[(c.dom[m], c.cod[m])].grid_numbers(0).get(embedded_grid(c, m, 0))
+
     def composite(self, x, y, z, level, g, f):
         """The number of the composite of level-``level`` simplices g after
         f (by number), or None on width overflow."""
@@ -1085,7 +1087,8 @@ class Localization:
             "objects": objects,
             "truncation": self.truncation,
             "homs": {},
-            "identities": {x: _IDENTITY_NAME for x in objects if (x, x) in self.pairs},
+            "identities": {x: ms.vertices[_IDENTITY_NUMBER]
+                           for (x, y), ms in self.pairs.items() if x == y},
         }
         for (x, y), ms in sorted(self.pairs.items()):
             data["homs"][f"{x}|{y}"] = ms.sset.to_json()
@@ -1103,9 +1106,8 @@ class Localization:
                     omitted += len(gs) * len(fs)
                     for g, f, h in self.scat().composites(x, y, z, level):
                         omitted -= 1
-                        compose.setdefault(f"{x}|{y}|{z}", {}).setdefault(
-                            str(level), []
-                        ).append([gs[g], fs[f], hs[h]])
+                        compose.setdefault(f"{x}|{y}|{z}", {}).setdefault(str(level), []).append(
+                            [gs[g], fs[f], hs[h]])
             data["compose"] = compose
         data["bounds"] = dict(self.bounds_json(), overflows=omitted)
         return data
@@ -1115,8 +1117,8 @@ def _composite(r, pairs, w_max, counts, x, y, z, level, g, f):
     """:meth:`Localization.composite` on the localization's parts."""
     target = pairs[(x, z)]
     return bounded_composite(r, pairs[(y, z)].level_grids[level][g],
-                             pairs[(x, y)].level_grids[level][f], w_max, target.by_grid,
-                             counts, target.pruned)
+                             pairs[(x, y)].level_grids[level][f], w_max,
+                             target.grid_numbers(level), counts, target.pruned)
 
 
 def hammock_localization(r: RelativeCategory, truncation: int, w_max: int,
@@ -1215,14 +1217,17 @@ class RelscatLocalization:
         self.rs = rs
         self.truncation = truncation
 
+        # a level category numbers its morphisms hom by hom, each hom's
+        # simplices in level order: simplex s of hom j is starts[n][j] + s
+        pairs = list(itertools.product(ambient.objects, repeat=2))
+        homs = [ambient.homs[pair] for pair in pairs]
+        starts = [list(itertools.accumulate((hom.size(n) for hom in homs), initial=0))
+                  for n in range(truncation + 1)]
         self.level_rel = []
         for n in range(truncation + 1):
             level_cat = scat_mod.level_category(ambient, n)
-            weq = set()
-            for x in ambient.objects:
-                for y in ambient.objects:
-                    for s in rs.sub[(x, y)][n]:
-                        weq.add(scat_mod.level_morphism_name(x, y, s))
+            weq = {level_cat.morphisms[start + s]
+                   for start, pair in zip(starts[n], pairs) for s in rs.sub[pair][n]}
             self.level_rel.append(RelativeCategory(level_cat, weq))
         self.levels = [Localization(rel, truncation, w_max,
                                     progress=staged(progress, f"level {n}"))
@@ -1230,17 +1235,13 @@ class RelscatLocalization:
         self.row_spaces = {(x, y, n): ms for n, loc in enumerate(self.levels)
                            for (x, y), ms in loc.pairs.items()}
 
-        # face and degeneracy maps, once each, from level n to level m, on
-        # morphism numbers: a level category numbers its morphisms hom by
-        # hom, each hom's simplices in level order (scat.level_category)
-        homs = [ambient.homs[(x, y)] for x in ambient.objects for y in ambient.objects]
+        # the face and degeneracy maps from level n to m, once each, on numbers
         outer = {}
         for n, kind, m in ([(n, "d", n - 1) for n in range(1, truncation + 1)]
                            + [(n, "s", n + 1) for n in range(truncation)]):
-            starts = list(itertools.accumulate((len(hom.levels[m]) for hom in homs), initial=0))
             tables = [(hom.faces if kind == "d" else hom.degeneracies)[n] for hom in homs]
             for i in range(n + 1):
-                outer[(n, kind, i)] = [start + s for start, table in zip(starts, tables)
+                outer[(n, kind, i)] = [start + s for start, table in zip(starts[m], tables)
                                        for s in table[i]]
         self.diag_homs = {}
         for x in ambient.objects:
@@ -1261,7 +1262,7 @@ class RelscatLocalization:
             # the outer map takes the simplices of inner level ``level`` of
             # the level-n space into the level-m space, at the same inner level
             m, level = (n - 1, n - 1) if kind == "d" else (n + 1, n)
-            cat, target = self.level_rel[m].cat, spaces[m]
+            cat, target = self.level_rel[m].cat, spaces[m].grid_numbers(level)
             column = []
             images += len(spaces[n].level_grids[level])
             for directions, rows, layers in spaces[n].level_grids[level]:
@@ -1271,7 +1272,7 @@ class RelscatLocalization:
                     grid = reduced.get(key)
                     if grid is None:
                         grid = reduced[key] = _reduce(cat, key[1])
-                image = target.by_grid.get(grid)
+                image = target.get(grid)
                 if image is None:
                     raise ConsistencyError("entrywise image missing from enumeration")
                 column.append(image)
@@ -1280,7 +1281,7 @@ class RelscatLocalization:
                 faces[n][i] = tuple(column[t] for t in spaces[n].sset.faces[n][i])
             else:
                 # the outer degeneracy, then the inner one: diagonal level n+1
-                inner = target.sset.degeneracies[n][i]
+                inner = spaces[m].sset.degeneracies[n][i]
                 degeneracies[n][i] = tuple(inner[image] for image in column)
         levels = [space.sset.levels[n] for n, space in enumerate(spaces)]
         sset = TruncatedSimplicialSet(self.truncation, levels, faces, degeneracies)
@@ -1324,24 +1325,18 @@ def hammock_localization_relscat(rs, truncation: int, w_max: int,
 
 def embed_relscat(rs, rsloc: RelscatLocalization) -> scat_mod.SimplicialFunctor:
     """The natural comparison map into the dimensionwise localization, on
-    numbers: a level-n simplex of hom(x, y) goes to the grid of
-    :func:`embed_morphism` of its morphism of the level-n category
-    (numbered hom by hom, see :func:`scat.level_category`), n high, as the
-    level-n space numbers it."""
+    numbers: a level-n simplex of hom(x, y) goes to :func:`embedded_grid`
+    of its morphism of the level-n category (numbered hom by hom, see
+    :func:`scat.level_category`), n high, as the level-n space numbers it."""
     ambient = rs.ambient
     smap = {}
     for n, rel in enumerate(rsloc.level_rel):
-        identities, m = rel.cat.identity_numbers, 0
+        morphisms = iter(rel.cat.morphisms)
         for x in ambient.objects:
             for y in ambient.objects:
-                by_grid = rsloc.row_spaces[(x, y, n)].by_grid
+                numbers = rsloc.row_spaces[(x, y, n)].grid_numbers(n)
                 for s in range(ambient.homs[(x, y)].size(n)):
-                    if m in identities:
-                        grid = (), ((),) * (n + 1), ((),) * n
-                    else:
-                        grid = ("f",), ((m,),) * (n + 1), ((),) * n
-                    smap[(x, y, n, s)] = by_grid.get(grid)
-                    m += 1
+                    smap[(x, y, n, s)] = numbers.get(embedded_grid(rel.cat, next(morphisms), n))
     return scat_mod.SimplicialFunctor(
         ambient, rsloc.scat(), {x: x for x in ambient.objects}, smap
     )

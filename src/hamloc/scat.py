@@ -1,12 +1,14 @@
 """Categories enriched in truncated simplicial sets, on simplex numbers.
 
-Composites, identities, component categories, neglectability and DK
-certificates use the numbers each hom carries; names are read by the
-loaders and written only in JSON, witnesses and messages.  Composition is
-an explicit per-level table or, for width-bounded localizations, a
-composer callback, asked again for each request, and the checks and level
-categories walk each hom triple's ``composites``.  Identities at level n
-are iterated degeneracies.
+Composites, identities, subobjects, component categories, neglectability
+and DK certificates use the numbers each hom carries.  Names are read by
+the loaders and constructors, and written in JSON, witnesses, messages
+and the morphisms ``x|y|<simplex name>`` of :func:`level_category`, whose
+``repr`` rank orders the level localizations.  Composition is an explicit
+per-level table or, for width-bounded localizations, a composer callback,
+asked again for each request; the checks and level categories walk each
+hom triple's ``composites``.  Identities at level n are iterated
+degeneracies.
 """
 
 from __future__ import annotations
@@ -349,28 +351,34 @@ def homotopy_category(a: TruncatedSimplicialCategory) -> FiniteCategory:
 @dataclass(frozen=True)
 class RelativeSimplicialCategory:
     """An enriched category with a levelwise-closed subobject of the homs
-    (all objects and all degenerate identities included)."""
+    (all objects and all degenerate identities included).  A simplex of
+    the sub given by name (a str) is numbered here; a name its hom lacks at
+    that level stays a name, for :func:`validate_relscat` to report."""
 
     ambient: TruncatedSimplicialCategory
-    sub: dict  # (x, y) -> tuple of per-level frozensets
+    sub: dict  # (x, y) -> tuple of per-level frozensets of simplex numbers
 
     def __init__(self, ambient, sub):
         object.__setattr__(self, "ambient", ambient)
-        normalized = {}
-        for pair, levels in sub.items():
-            normalized[pair] = tuple(frozenset(level) for level in levels)
-        for x in ambient.objects:
-            for y in ambient.objects:
-                normalized.setdefault(
-                    (x, y), tuple(frozenset() for _ in range(ambient.truncation + 1))
-                )
+        normalized = {pair: tuple(frozenset(_sub_simplex(ambient.homs.get(pair), k, s)
+                                            for s in level) for k, level in enumerate(levels))
+                      for pair, levels in sub.items()}
+        for pair in itertools.product(ambient.objects, repeat=2):
+            normalized.setdefault(pair, (frozenset(),) * (ambient.truncation + 1))
         object.__setattr__(self, "sub", normalized)
+
+
+def _sub_simplex(hom, level, s):
+    """``s`` by number; a name ``hom`` lacks at ``level`` stays a name."""
+    n = _simplex_number(hom, level, s) if isinstance(s, str) else s
+    return s if n is None else n
 
 
 def relscat_to_json(rs: RelativeSimplicialCategory):
     data = rs.ambient.to_json()
     data["sub"] = {
-        f"{x}|{y}": [sorted(level) for level in levels]
+        f"{x}|{y}": [sorted(s if isinstance(s, str) else rs.ambient.homs[(x, y)].levels[k][s]
+                            for s in level) for k, level in enumerate(levels)]
         for (x, y), levels in sorted(rs.sub.items())
     }
     return data
@@ -412,6 +420,8 @@ def simplicial_functor_from_json(data, source, target) -> "SimplicialFunctor":
 
 
 def validate_relscat(rs: RelativeSimplicialCategory) -> list[str]:
+    """The violations of the sub, found on numbers; the messages of one
+    check list their simplices by name."""
     report = []
     a, N = rs.ambient, rs.ambient.truncation
     for (x, y), levels in rs.sub.items():
@@ -420,46 +430,38 @@ def validate_relscat(rs: RelativeSimplicialCategory) -> list[str]:
             continue
         sset = a.homs[(x, y)]
         for k, level in enumerate(levels):
-            for s in sorted(level):
-                if not sset.has_simplex(k, s):
-                    report.append(f"sub ({x},{y}) level {k}: unknown simplex {s}")
+            unknown = (s for s in level if not (isinstance(s, int) and 0 <= s < sset.size(k)))
+            report.extend(f"sub ({x},{y}) level {k}: unknown simplex {s}"
+                          for s in sorted(unknown, key=str))
     if report:
         return report
-    # each sub level as (name, number) pairs in name order, and its numbers
-    ordered = {pair: tuple(tuple((s, a.homs[pair].levels[k].number[s]) for s in sorted(level))
-                           for k, level in enumerate(levels))
-               for pair, levels in rs.sub.items()}
-    numbers = {pair: tuple(frozenset(n for _, n in level) for level in levels)
-               for pair, levels in ordered.items()}
     for x in a.objects:
         for k in range(N + 1):
-            if a.identity_at(x, k) not in numbers[(x, x)][k]:
+            if a.identity_at(x, k) not in rs.sub[(x, x)][k]:
                 report.append(f"sub missing identity at {x} level {k}")
-    for (x, y), levels in ordered.items():
-        sset, kept = a.homs[(x, y)], numbers[(x, y)]
+    for (x, y), levels in rs.sub.items():
+        sset = a.homs[(x, y)]
         for op, word, maps, k, to in _generators(N):
-            for s, n in levels[k]:
-                for i in range(k + 1):
-                    if getattr(sset, maps)[k][i][n] not in kept[to]:
-                        report.append(f"sub ({x},{y}): {word} {op}_{i} of {s} escapes")
+            table = getattr(sset, maps)[k]
+            escaped = [(s, i) for s in levels[k] for i in range(k + 1)
+                       if table[i][s] not in levels[to]]
+            report.extend(f"sub ({x},{y}): {word} {op}_{i} of {s} escapes"
+                          for s, i in sorted((sset.levels[k][s], i) for s, i in escaped))
     if report:
         return report
     # a table-backed ambient must compose every pair; a composer-backed
     # one (a width-bounded localization) is checked where it composes
     for x, y, z in itertools.product(a.objects, repeat=3):
         for level in range(N + 1):
-            for g, gn in ordered[(y, z)][level]:
-                for f, fn in ordered[(x, y)][level]:
-                    h = a.composite(x, y, z, level, gn, fn)
-                    if h is None:
-                        if a.has_table():
-                            report.append(
-                                f"sub pair ({g},{f}) has no composite at ({x},{y},{z}) "
-                                f"level {level}")
-                    elif h not in numbers[(x, z)][level]:
-                        report.append(
-                            f"sub not closed under composition at ({x},{y},{z}) level {level}"
-                        )
+            closed = rs.sub[(x, z)][level]
+            failed = [(g, f, h) for g in rs.sub[(y, z)][level] for f in rs.sub[(x, y)][level]
+                      for h in (a.composite(x, y, z, level, g, f),)
+                      if (h is None and a.has_table()) or (h is not None and h not in closed)]
+            gs, fs = a.homs[(y, z)].levels[level], a.homs[(x, y)].levels[level]
+            where = f"({x},{y},{z}) level {level}"
+            for g, f, h in sorted((gs[g], fs[f], h) for g, f, h in failed):
+                report.append(f"sub pair ({g},{f}) has no composite at {where}" if h is None
+                              else f"sub not closed under composition at {where}")
     return report
 
 
@@ -476,18 +478,19 @@ def sub_from_morphisms(a: TruncatedSimplicialCategory, c: FiniteCategory, mors) 
 
 def is_neglectable(rs: RelativeSimplicialCategory, components=None):
     """True when every sub 0-simplex becomes invertible in the category
-    of components; otherwise (False, (x, y, name)) for the first that
-    does not, by name within each hom.  ``components`` is
+    of components; otherwise (False, (x, y, name)) for the first pair with
+    one that does not, and the least such name there, which need not be
+    the least number.  ``components`` is
     :func:`homotopy_category_data` of the ambient, when the caller built
     it already."""
     a = rs.ambient
     ho, class_names, parts = components or homotopy_category_data(a)
     for x in a.objects:
         for y in a.objects:
-            number, class_of = a.homs[(x, y)].levels[0].number, parts[(x, y)].class_of
-            for s in sorted(rs.sub[(x, y)][0]):
-                if not is_isomorphism(ho, class_names[(x, y)][class_of[number[s]]]):
-                    return False, (x, y, s)
+            names, class_of = class_names[(x, y)], parts[(x, y)].class_of
+            failing = [s for s in rs.sub[(x, y)][0] if not is_isomorphism(ho, names[class_of[s]])]
+            if failing:
+                return False, (x, y, min(a.homs[(x, y)].levels[0][s] for s in failing))
     return True, None
 
 

@@ -85,16 +85,16 @@ class Names(Sequence):
     """The simplex names of one level, in number order.  Given ``namer``,
     ``items`` are the level's grids and their names are ``namer(items)``,
     made the first time a name is read; else ``items`` are the names.
-    ``len`` reads no name, and ``number`` (a name's position) is built on
-    its first lookup."""
+    ``len`` reads no name; ``item_number`` and ``number`` (an item's and a
+    name's position, one map for a level given by name) are built on use."""
 
-    __slots__ = ("_items", "_namer", "_names", "_number")
+    __slots__ = ("_items", "_namer", "_names", "_item_number", "_number")
 
     def __init__(self, items, namer=None):
         self._items = tuple(items)
         self._namer = namer
         self._names = self._items if namer is None else None
-        self._number = None
+        self._item_number = self._number = None
 
     def _all(self):
         if self._names is None:
@@ -119,9 +119,16 @@ class Names(Sequence):
         return f"Names({self._all()!r})"
 
     @property
+    def item_number(self) -> dict:
+        if self._item_number is None:
+            self._item_number = {item: n for n, item in enumerate(self._items)}
+        return self._item_number
+
+    @property
     def number(self) -> dict:
         if self._number is None:
-            self._number = {name: n for n, name in enumerate(self._all())}
+            self._number = self.item_number if self._namer is None else {
+                name: n for n, name in enumerate(self._all())}
         return self._number
 
 

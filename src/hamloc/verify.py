@@ -39,8 +39,8 @@ from .fincat import (
 )
 from .flatten import flatten, relativization_unit
 from .hammock import (
-    embed_morphism,
     embed_relscat,
+    embedded_grid,
     hammock_localization,
     hammock_localization_relscat,
     homotopy_category_of_localization,
@@ -123,17 +123,20 @@ def _describe(payload, kind):
 
 
 def _embedded_sub(rel: RelativeCategory, loc_scat, morphisms):
-    """Subobject of a localization spanned by embedded morphisms."""
+    """Subobject of a localization spanned by embedded morphisms, by
+    number: at level k, the grids :func:`hammock.embedded_grid` k high,
+    looked up in that level's table of their hom."""
+    cat, chosen = rel.cat, set(morphisms)
     sub = {}
-    for x in rel.cat.objects:
-        for y in rel.cat.objects:
-            chosen = [m for m in rel.cat.hom(x, y) if m in set(morphisms)]
-            levels = []
-            for level in range(loc_scat.truncation + 1):
-                levels.append(frozenset(
-                    embed_morphism(rel, m, level).name for m in chosen
-                ))
-            sub[(x, y)] = tuple(levels)
+    for x in cat.objects:
+        for y in cat.objects:
+            levels = loc_scat.homs[(x, y)].levels
+            try:
+                sub[(x, y)] = tuple(frozenset(levels[k].item_number[embedded_grid(cat, m, k)]
+                                              for m in cat.hom(x, y) if m in chosen)
+                                    for k in range(len(levels)))
+            except KeyError:
+                raise ConsistencyError("embedded morphism missing from enumeration") from None
     return sub
 
 
@@ -224,10 +227,10 @@ def check_24i(a: FiniteCategory, u, v, bounds: Bounds, progress=None) -> Experim
     smap = {}
     for x in a.objects:
         for y in a.objects:
-            source, target = loc_u.pair(x, y), loc_uv.pair(x, y).by_grid
-            for level, grids in enumerate(source.level_grids):
+            for level, grids in enumerate(loc_u.pair(x, y).level_grids):
+                numbers = loc_uv.pair(x, y).grid_numbers(level)
                 for s, grid in enumerate(grids):
-                    t = smap[(x, y, level, s)] = target.get(grid)
+                    t = smap[(x, y, level, s)] = numbers.get(grid)
                     if t is None:
                         raise ConsistencyError("hammock lost when weq grows")
     induced = SimplicialFunctor(loc_u.scat(), loc_uv.scat(),

@@ -1543,11 +1543,20 @@ def reference_validate_scat(a) -> list[str]:
     return report
 
 
+def _named_sub(rs) -> dict:
+    """``rs.sub`` by simplex name: a number is named in its hom and level,
+    and a name the sub kept (one its hom lacks) stays as it is."""
+    homs = rs.ambient.homs
+    return {pair: tuple(frozenset(s if isinstance(s, str) else homs[pair].levels[k][s]
+                                  for s in level) for k, level in enumerate(levels))
+            for pair, levels in rs.sub.items()}
+
+
 def reference_validate_relscat(rs) -> list[str]:
     report = []
-    a = rs.ambient
+    a, sub = rs.ambient, _named_sub(rs)
     N = a.truncation
-    for (x, y), levels in rs.sub.items():
+    for (x, y), levels in sub.items():
         if len(levels) != N + 1:
             report.append(f"sub ({x},{y}): wrong number of levels")
             continue
@@ -1560,9 +1569,9 @@ def reference_validate_relscat(rs) -> list[str]:
         return report
     for x in a.objects:
         for k in range(N + 1):
-            if _identity_name(a, x, k) not in rs.sub[(x, x)][k]:
+            if _identity_name(a, x, k) not in sub[(x, x)][k]:
                 report.append(f"sub missing identity at {x} level {k}")
-    for (x, y), levels in rs.sub.items():
+    for (x, y), levels in sub.items():
         sset = a.homs[(x, y)]
         for k in range(1, N + 1):
             for s in sorted(levels[k]):
@@ -1578,15 +1587,15 @@ def reference_validate_relscat(rs) -> list[str]:
         return report
     for x, y, z in itertools.product(a.objects, repeat=3):
         for level in range(N + 1):
-            for g in sorted(rs.sub[(y, z)][level]):
-                for f in sorted(rs.sub[(x, y)][level]):
+            for g in sorted(sub[(y, z)][level]):
+                for f in sorted(sub[(x, y)][level]):
                     h = _composite_name(a, x, y, z, level, g, f)
                     if h is None:
                         if a.has_table():
                             report.append(
                                 f"sub pair ({g},{f}) has no composite at ({x},{y},{z}) "
                                 f"level {level}")
-                    elif h not in rs.sub[(x, z)][level]:
+                    elif h not in sub[(x, z)][level]:
                         report.append(
                             f"sub not closed under composition at ({x},{y},{z}) level {level}"
                         )
@@ -1660,9 +1669,10 @@ def reference_homotopy_category_data(a, wellcheck_cap: int = 8):
 
 def reference_is_neglectable(rs):
     ho, classmap, _ = reference_homotopy_category_data(rs.ambient)
+    sub = _named_sub(rs)
     for x in rs.ambient.objects:
         for y in rs.ambient.objects:
-            for s in sorted(rs.sub[(x, y)][0]):
+            for s in sorted(sub[(x, y)][0]):
                 if not is_isomorphism(ho, classmap[(x, y, s)]):
                     return False, (x, y, s)
     return True, None
@@ -1834,9 +1844,10 @@ def reference_composites(r: RelativeCategory, pairs, w_max, counts, x, y, z, lev
     :func:`hamloc.hammock.bounded_composite` asked about each pair: the
     reference for :func:`hamloc.hammock.bounded_composites`."""
     target, found = pairs[(x, z)], []
+    numbers = target.grid_numbers(level)
     for g, grid in enumerate(pairs[(y, z)].level_grids[level]):
         for f, other in enumerate(pairs[(x, y)].level_grids[level]):
-            h = bounded_composite(r, grid, other, w_max, target.by_grid, counts, target.pruned)
+            h = bounded_composite(r, grid, other, w_max, numbers, counts, target.pruned)
             if h is not None:
                 found.append((g, f, h))
     return found

@@ -634,6 +634,128 @@ class TestVerify:
                     "--truncation", "1", "--width", "1"]) == 3
 
 
+def _barred_objects():
+    """The walking arrow, weak equivalences its identities, with objects
+    ``a|b`` and ``c``."""
+    text = json.dumps(inst.walking_arrow_relative().to_json())
+    return json.loads(text.replace('"X"', '"a|b"').replace('"Y"', '"c"'))
+
+
+class TestObjectNames:
+    def test_localize_refuses_a_bar_in_an_object_name(self, tmp_path, capsys):
+        # the output keys its homs x|y: a|b|c would not read back
+        path = tmp_path / "barred.json"
+        write_canonical(path, _barred_objects())
+        assert run(["localize", str(path), "--truncation", "1", "--width", "2"]) == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err == "input error: object names may not contain '|'\n"
+
+    @pytest.mark.parametrize("claim", ["3.1", "3.2"])
+    def test_the_claims_accept_it(self, tmp_path, capsys, claim):
+        path = tmp_path / "barred.json"
+        write_canonical(path, _barred_objects())
+        assert run(["verify", claim, str(path), "--truncation", "1", "--width", "4"]) == 0
+
+
+def _iso_relscat_json():
+    """The walking isomorphism, promoted to truncation 1, with every
+    simplex in the sub."""
+    iso = inst.walking_iso()
+    p = promote(iso, 1)
+    return relscat_to_json(RelativeSimplicialCategory(p, sub_from_morphisms(p, iso,
+                                                                            iso.morphisms)))
+
+
+# subs with names the homs lack, each with the violations ``validate``
+# lists, in order; the ``neglectable`` and ``verify 2.4ii`` errors name the
+# first
+BAD_SUBS = {
+    "unknown-names": (
+        {"X|Y": [["nope", "u"], ["u", "zz"]], "Y|X": [["v"], ["aa", "v"]]},
+        ["sub (X,Y) level 0: unknown simplex nope", "sub (X,Y) level 1: unknown simplex zz",
+         "sub (Y,X) level 1: unknown simplex aa"]),
+    "too-few-levels": ({"X|Y": [["u"]]}, ["sub (X,Y): wrong number of levels"]),
+    "level-past-truncation": ({"X|Y": [["u"], ["u"], ["u"]]},
+                              ["sub (X,Y): wrong number of levels"]),
+    "unknown-names-past-truncation": (
+        {"X|X": [["idX"], ["idX"], ["idX", "q"]], "Y|X": [["bogus", "v"], ["v"], ["v"]]},
+        ["sub (X,X): wrong number of levels", "sub (Y,X): wrong number of levels"]),
+}
+
+
+@pytest.mark.parametrize("case", BAD_SUBS)
+def test_a_sub_naming_what_its_hom_lacks(tmp_path, capsys, case):
+    edits, violations = BAD_SUBS[case]
+    data = _iso_relscat_json()
+    data["sub"].update(edits)
+    path = tmp_path / "bad-sub.json"
+    write_canonical(path, data)
+    assert run(["validate", str(path)]) == 2
+    out = capsys.readouterr()
+    assert (out.out, out.err) == (canonical_dumps({"kind": "relscat",
+                                                   "violations": violations}), "")
+    for argv in (["neglectable", str(path)], ["verify", "2.4ii", str(path)]):
+        assert run(argv) == 2
+        out = capsys.readouterr()
+        assert (out.out, out.err) == (
+            "", f"input error: invalid relative simplicial category: {violations[0]}\n")
+
+
+class TestCrashes:
+    """A crash never reads as "claim violated" (exit 1): running out of
+    memory or recursion depth is exit 3, any other exception exit 4 with
+    its traceback.  Each is raised from one patched stage."""
+
+    STAGES = {
+        # the DK certificate takes homology only at truncation >= 2
+        "3.2": ("scat", "homology", ["--truncation", "2", "--width", "3"]),
+        "3.1": ("hammock", "_pi0_edges", ["--truncation", "1", "--width", "2"]),
+    }
+
+    @staticmethod
+    def _run(files, monkeypatch, claim, exc):
+        import importlib
+
+        module, stage, bounds = TestCrashes.STAGES[claim]
+
+        def raising(*args, **kwargs):
+            raise exc("raised by the patched stage")
+
+        monkeypatch.setattr(importlib.import_module(f"hamloc.{module}"), stage, raising)
+        return run(["verify", claim, files["walking-weq.json"], *bounds])
+
+    @pytest.mark.parametrize("claim", ["3.1", "3.2"])
+    def test_unpatched_runs_finish(self, files, capsys, claim):
+        assert run(["verify", claim, files["walking-weq.json"], *self.STAGES[claim][2]]) in (0, 3)
+        assert "Traceback" not in capsys.readouterr().err
+
+    @pytest.mark.parametrize("claim", ["3.1", "3.2"])
+    @pytest.mark.parametrize("exc, kind", [(MemoryError, "memory"),
+                                           (RecursionError, "recursion depth")])
+    def test_exhaustion_is_bounds_insufficient(self, files, capsys, monkeypatch, claim, exc,
+                                               kind):
+        assert self._run(files, monkeypatch, claim, exc) == 3
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err == f"bounds insufficient: verify ran out of {kind}\n"
+
+    @pytest.mark.parametrize("claim", ["3.1", "3.2"])
+    def test_any_other_exception_is_an_internal_error(self, files, capsys, monkeypatch,
+                                                      claim):
+        assert self._run(files, monkeypatch, claim, ZeroDivisionError) == 4
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err.startswith("Traceback (most recent call last):")
+        assert "ZeroDivisionError: raised by the patched stage" in out.err
+        assert out.err.endswith("internal error: verify failed; this is a bug, not a verdict\n")
+
+    @pytest.mark.parametrize("exc", [KeyboardInterrupt, SystemExit])
+    def test_interrupts_pass_through(self, files, monkeypatch, exc):
+        with pytest.raises(exc):
+            self._run(files, monkeypatch, "3.1", exc)
+
+
 class TestDeterminismAndCache:
     def test_repeated_runs_byte_identical(self, files, capsys):
         assert run(["verify", "3.1", files["walking-arrow.json"],

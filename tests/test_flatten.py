@@ -208,11 +208,13 @@ class TestNaming:
         # every morphism of a flattening, identities included, carries it
         a = hammock_localization(inst.walking_weq(), 1, 2).scat()
         fl = flatten(a)
-        for name, (source, target, simplex, q) in fl.morphism_data.items():
-            simplex_name = a.homs[(source[0], target[0])].levels[target[1]][simplex]
-            assert name == (f"{fl.object_name(*source)}-{flat_morphism_name(simplex_name, q)}->"
-                            f"{fl.object_name(*target)}")
-        assert set(fl.rel.cat.identity.values()) <= set(fl.morphism_data)
+        for (base1, n1, base2, n2, simplex, images), name in fl.morphism_index.items():
+            simplex_name = a.homs[(base1, base2)].levels[n2][simplex]
+            q = SimplicialOperator(n2, n1, images)
+            assert name == (f"{fl.object_name(base1, n1)}-{flat_morphism_name(simplex_name, q)}->"
+                            f"{fl.object_name(base2, n2)}")
+        assert sorted(fl.morphism_index.values()) == sorted(fl.rel.cat.morphisms)
+        assert set(fl.rel.cat.identity.values()) <= set(fl.morphism_index.values())
 
     def test_operator_enumeration_matches_module(self):
         for m in range(3):

@@ -201,13 +201,18 @@ def test_golden(input_dir, name, argv, hashed):
 
 
 # What each claim pipeline may name through ``hammock._namer``, given the
-# namer's morphism names and a grid: 2.4ii nothing; 2.4i the vertices of
-# its u-localization, where it looks up its name-keyed sub; 3.2 simplices
-# of its input localization, whose names name the morphisms of its level
-# categories, and nothing over a level category (morphisms ``x|y|s``).
+# namer's morphism names and a grid, the first matching prefix deciding:
+# 2.4ii nothing; 2.4i only the vertices of its u-localization, for the
+# witness of an inapplicable case; 3.2 simplices of its input localization,
+# whose names name the morphisms of its level categories: the ``repr`` rank
+# of those names orders the vertices of each level localization, and
+# ``scat.component_category`` checks the first ``WELLCHECK_CAP`` members of
+# each class in that order.  Nothing over a level category (morphisms
+# ``x|y|s``) is named.
 NAMED = {
     "verify-2.4ii-": lambda level_category, grid: False,
-    "verify-2.4i-": lambda level_category, grid: len(grid[1]) == 1,
+    "verify-2.4i-chain3-f": lambda level_category, grid: len(grid[1]) == 1,
+    "verify-2.4i-": lambda level_category, grid: False,
     "verify-3.2-": lambda level_category, grid: not level_category,
 }
 

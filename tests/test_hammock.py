@@ -924,12 +924,23 @@ class TestPrunedComposites:
         forward = loc.pair("X", "Y").sset.number[0][embed_morphism(r, "w").name]
         h = loc.composite("X", "Y", "X", 0, back, forward)
         assert h is not None
-        del ms.by_grid[ms.level_grids[0][h]]
+        del ms.grid_numbers(0)[ms.level_grids[0][h]]
         with pytest.raises(ConsistencyError, match="missing from enumeration"):
             loc.composite("X", "Y", "X", 0, back, forward)
         ms.pruned = True
         assert loc.composite("X", "Y", "X", 0, back, forward) is None
         assert loc.compose_counts.pruned_overflows == 1
+
+    def test_an_embedded_morphism_missing_from_its_level_raises(self):
+        r = inst.walking_weq()
+        a = hammock_localization(r, 1, 2).scat()
+        levels = a.homs[("X", "Y")].levels
+        w = r.cat.mor_index["w"]
+        assert _embedded_sub(r, a, r.weq)[("X", "Y")] == tuple(
+            frozenset({levels[k].number[embed_morphism(r, "w", k).name]}) for k in range(2))
+        del levels[1].item_number[(("f",), ((w,), (w,)), ((),))]
+        with pytest.raises(ConsistencyError, match="missing from enumeration"):
+            _embedded_sub(r, a, r.weq)
 
 
 class TestLifetime:
@@ -1195,7 +1206,7 @@ class TestSweepByJunctionClass:
                     found = {(g, f): h for g, f, h in got}
                     for (g, grid), (f, other) in itertools.product(enumerate(gs), enumerate(fs)):
                         assert found.get((g, f)) == oracles.normal_form_composite(
-                            r, grid, other, loc.w_max, target.by_grid), where + (g, f)
+                            r, grid, other, loc.w_max, target.grid_numbers(level)), where + (g, f)
                 for kind, n in dataclasses.asdict(swept).items():
                     setattr(total, kind, getattr(total, kind) + n)
         return total

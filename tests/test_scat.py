@@ -402,6 +402,56 @@ class TestRelscatJson:
         assert again.sub == rs.sub
         assert again.ambient.objects == rs.ambient.objects
 
+    @staticmethod
+    def _three_ways(a, by_number):
+        """The relscats on ``a`` whose sub is ``by_number``, given by
+        number, by name, and level 0 by name with the rest by number."""
+        by_name = {pair: tuple(frozenset(a.homs[pair].levels[k][s] for s in level)
+                               for k, level in enumerate(levels))
+                   for pair, levels in by_number.items()}
+        mixed = {pair: by_name[pair][:1] + by_number[pair][1:] for pair in by_number}
+        subs = [RelativeSimplicialCategory(a, sub) for sub in (by_number, by_name, mixed)]
+        assert subs[0].sub == by_number
+        assert subs[0] == subs[1] == subs[2]
+        assert validate_relscat(subs[0]) == []
+        return subs, by_name
+
+    def test_a_sub_by_name_by_number_or_mixed_is_one_sub(self):
+        from hamloc.jsonio import canonical_dumps
+
+        iso = inst.walking_iso()
+        p = promote(iso, 1)
+        by_number = {(x, y): tuple(frozenset(n for n, m in enumerate(p.homs[(x, y)].levels[k])
+                                             if m != "v") for k in range(2))
+                     for x in iso.objects for y in iso.objects}
+        subs, by_name = self._three_ways(p, by_number)
+        assert {canonical_dumps(relscat_to_json(rs)) for rs in subs} == {
+            canonical_dumps(relscat_to_json(RelativeSimplicialCategory(
+                p, sub_from_morphisms(p, iso, ["idX", "idY", "u"]))))}
+        assert relscat_to_json(subs[0])["sub"] == {
+            f"{x}|{y}": [sorted(level) for level in levels]
+            for (x, y), levels in sorted(by_name.items())}
+
+    def test_a_localization_sub_by_name_by_number_or_mixed_is_one_sub(self):
+        from hamloc.hammock import hammock_localization
+        from hamloc.verify import _embedded_sub
+
+        r = inst.walking_weq()
+        a = hammock_localization(r, 1, 2).scat()
+        self._three_ways(a, _embedded_sub(r, a, r.weq))
+
+    def test_neglectability_witness_is_the_least_name(self):
+        """Levels are numbered by (width, name), so the failing simplex of
+        least number is not the one of least name."""
+        from hamloc.hammock import hammock_localization
+
+        a = hammock_localization(inst.chain_head_weq(), 1, 3).scat()
+        vertices = a.homs[("X", "Y")].levels[0]
+        assert list(vertices) == ["(('f',), (('f',),), ())",
+                                  "(('f', 'b'), (('gf', 'g'),), ())"]
+        rs = RelativeSimplicialCategory(a, {("X", "Y"): (frozenset({0, 1}), frozenset())})
+        assert is_neglectable(rs) == (False, ("X", "Y", "(('f', 'b'), (('gf', 'g'),), ())"))
+
     def test_functor_json_round_trip(self):
         fun = _collapse_functor()
         data = fun.to_json()
