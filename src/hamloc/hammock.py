@@ -41,9 +41,15 @@ It grows one height at a time: rows 0 and 1 come from one column walk
 (:meth:`_Context.two_rows`), each row below is built column by column
 (:meth:`_Context.extensions`) under the grids that were kept or are
 unreduced, since a pruned grid is the last face of every grid grown from
-it; both walks read one table of column steps.  The context and the
-namer are freed with what made them, by reference counting: the package
-builds no reference cycles around them.
+it; both walks read one table of column steps.  "pi0" detail builds
+only the vertices and their components, joined along generator grids
+whose steps come from a second table (:func:`_pi0_joins`); one such walk
+over a relative category's rows also partitions the vertices of a
+relative category on the same category with fewer weak equivalences
+(:func:`pi0_localizations`), as claim 3.1 needs for its middle and its
+flattening.  The context, with its tables, and the namer are freed with
+what made them, by reference counting: the package builds no reference
+cycles around them.
 
 Width is the one genuine approximation: enumeration is exhaustive up to
 ``w_max`` columns, faces and reduction only shrink width, and every
@@ -428,21 +434,29 @@ class _Context:
     the weak equivalences among them; ``dom``/``cod`` are indexed by
     number, ``identity[x]`` is the number of x's identity; ``from_any``,
     ``weq_into`` and ``weq_from`` list an object's morphisms out, weak
-    equivalences in and weak equivalences out; and ``sink_moves[m]`` /
-    ``source_moves[m]`` are the non-identity weak equivalences out of the
-    codomain / domain of m.  ``rank_chars[m]`` is one character whose code
-    is the rank of ``repr`` of m's name among those of all morphisms, the
-    order :func:`_order` sorts grids by, and ``namer`` names a level's grids
-    (:func:`_names`).  ``steps`` is the column-step table of
-    :meth:`two_rows` and :meth:`extensions`, filled on first use:
+    equivalences in and weak equivalences out; and ``weq_moves[x]`` lists
+    the non-identity weak equivalences out of x.  ``rank_chars[m]`` is one
+    character whose code is the rank of ``repr`` of m's name among those of
+    all morphisms, the order :func:`_order` sorts grids by, and ``namer``
+    names a level's grids (:func:`_names`).  ``steps`` is the column-step
+    table of :meth:`two_rows` and :meth:`extensions`, filled on first use:
     ``(forward, vprev, h, last, nonidentity)`` (the column's direction,
     the vertical before it, its entry, whether it is the last column, and
     whether its next entry must not be an identity) maps to the ``(vnext,
     solutions)`` pairs with a solution, where ``vnext`` is the vertical
     after the column (the end identity in the last one) and the solutions
-    are its entries below."""
+    are its entries below.
 
-    def __init__(self, r: RelativeCategory):
+    ``sub_weq`` holds the numbers of a second, smaller set of weak
+    equivalences on the same category (None: there is none), for the walk
+    of :func:`_pi0_walk`.  ``generators`` is that walk's table of
+    generator steps, filled on first use: ``(sink, left, right)`` (whether
+    the interior vertex is a sink, and the row's entries on either side of
+    it) maps to the ``(a, b, in_sub)`` triples, the entries that replace
+    ``left`` and ``right``, in order, and whether the step's vertical and
+    new weak equivalence lie in ``sub_weq`` (always true without one)."""
+
+    def __init__(self, r: RelativeCategory, sub_weq=None):
         c = r.cat
         index = c.mor_index
         weq = {index[m] for m in r.weq}
@@ -465,16 +479,16 @@ class _Context:
             self.right[f].setdefault(h, []).append(g)
             if g in weq:
                 self.right_weq[f].setdefault(h, []).append(g)
-        moves = {x: tuple(m for m in self.weq_from[x] if m not in self.identities)
-                 for x in c.objects}
-        self.sink_moves = [moves[x] for x in self.cod]
-        self.source_moves = [moves[x] for x in self.dom]
+        self.weq_moves = {x: tuple(m for m in self.weq_from[x] if m not in self.identities)
+                          for x in c.objects}
         self.rank_chars = [""] * len(c.morphisms)
         for rank, m in enumerate(sorted(range(len(c.morphisms)),
                                         key=lambda m: repr(c.morphisms[m]))):
             self.rank_chars[m] = chr(rank)
         self.namer = partial(_names, c.morphisms)
         self.steps = {}
+        self.sub_weq = None if sub_weq is None else {index[m] for m in sub_weq}
+        self.generators = {}
 
     def _feasible(self, y, directions):
         """``feasible[col]``: the objects from which a row along
@@ -606,6 +620,30 @@ class _Context:
         options = self.steps[key] = tuple(options)
         return options
 
+    def _generator(self, key):
+        """The entry of :attr:`generators` at ``key``, computed and kept.  At
+        a sink (``-> X_i <-``) a non-identity weak equivalence v out of X_i
+        gives ``v.left`` and ``v.right`` (a weak equivalence: the weak
+        equivalences are closed under the composites the table has); at a
+        source (``<- X_i ->``) it gives the right factors through v of
+        ``left`` (a weak equivalence) and of ``right``."""
+        sink, left, right = key
+        post, sub = self.post, self.sub_weq
+        triples = []
+        if sink:
+            for v in self.weq_moves[self.cod[left]]:
+                a, b = post[v].get(left), post[v].get(right)
+                if a is not None and b is not None:
+                    triples.append((a, b, sub is None or v in sub))
+        else:
+            for v in self.weq_moves[self.dom[left]]:
+                bs = self.right[v].get(right, ())
+                for a in self.right_weq[v].get(left, ()):
+                    in_sub = sub is None or (v in sub and a in sub)
+                    triples += [(a, b, in_sub) for b in bs]
+        triples = self.generators[key] = tuple(triples)
+        return triples
+
 
 def _alternating(width, start):
     return tuple(("f" if (start + i) % 2 == 0 else "b") for i in range(width))
@@ -630,7 +668,7 @@ class MappingSpace:
     the order of ``sset.levels[k]``, so a simplex's number indexes both.
     "pi0" detail keeps only vertices and partition, so its ``level_grids``
     cover level 0 only; it joins the vertices along generator grids (see
-    :func:`_pi0_edges`), "full" detail along its kept 1-simplices.
+    :func:`_pi0_joins`), "full" detail along its kept 1-simplices.
     ``pruned`` ("full" detail) says that a simplex was left out because
     one of its faces needs a composite the table lacks.  ``verdict`` is
     "stable" when the components at width bound w_max are those a run at
@@ -640,7 +678,10 @@ class MappingSpace:
     1-simplices in "full" detail; in "pi0" detail, the distinct vertices
     each live row is joined to, summed over the rows.
     ``fallback_rows`` ("pi0" detail only) counts the live rows with a
-    dead generator neighbour, from which the fallback walked on.
+    dead generator neighbour, from which the fallback walked on.  When one
+    walk builds two spaces (:func:`pi0_localizations`), each counts its
+    own stage: the sub's rows, joins and fallbacks along its own
+    generators, as a walk of the sub alone would.
     ``face_normal_forms`` ("full" detail only) counts the distinct
     dropped grids the faces reduced, and ``extension_rows`` ("full" detail
     only) the rows built below other rows, by :meth:`_Context.two_rows`
@@ -703,7 +744,7 @@ def mapping_space(r: RelativeCategory, x, y, truncation: int, w_max: int,
 
 def _mapping_space(ctx: _Context, x, y, truncation, w_max, detail) -> MappingSpace:
     if detail == "pi0":
-        return _pi0_mapping_space(ctx, x, y, truncation, w_max)
+        return _pi0_walk(ctx, x, y, truncation, w_max)[0]
     # the vertices, and the two-row grids of morphism numbers
     vertices, grown = [], []
     for pattern in _patterns(w_max):
@@ -833,57 +874,104 @@ def _identity_mask(identities, rows):
     return mask
 
 
-def _pi0_mapping_space(ctx: _Context, x, y, truncation, w_max) -> MappingSpace:
-    """Vertices and partition, joined along generator grids (:func:`_pi0_edges`)
-    by a union-find over vertex numbers; vertices are sorted at the end
-    (:func:`_order`), and the partition renumbered to match."""
+def _pi0_walk(ctx: _Context, x, y, truncation, w_max):
+    """The "pi0" detail mapping spaces from x to y of ``ctx``'s relative
+    category and, when ``ctx`` has a second set of weak equivalences
+    (``ctx.sub_weq``), of the relative category with those: ``(space, sub
+    space)``, the same space twice without one.  One walk over the rows
+    serves both (:func:`_pi0_joins`), each partition grown by its own
+    union-find over vertex numbers; vertices are sorted at the end
+    (:func:`_order`), and the partitions renumbered to match.
+
+    The sub's rows of a pattern are the rows whose backward entries are in
+    the smaller set, in the same order, since :meth:`_Context.paths` keeps
+    the order of ``weq_into``.  So its vertices are numbered in the order
+    of the vertices they are (``sub_vertex[n]``: the sub's number of vertex
+    n, None when the sub lacks it), its vertex order is the order restricted
+    to them, and normal forms, which need the category only, are shared.
+    Both sets must be closed under the composites the table has: the
+    normal form of a row of the sub is then a row of the sub, so a join of
+    the sub never meets a vertex it lacks; if it does, ConsistencyError."""
     found = []  # vertex number -> grid
-    components = UnionFind()
+    components, sub_components = UnionFind(), UnionFind()
+    sub_found, sub_vertex = [], []  # sub's vertex number <-> vertex number
     row_numbers = {}  # pattern -> row -> vertex number of its normal form, -1 if dead
-    sub = None
-    grids = fallback_rows = 0
+    snapshot = sub_snapshot = None
+    grids = fallback_rows = sub_grids = sub_fallback_rows = 0
+    sub_weq = ctx.sub_weq
     for pattern in _patterns(w_max):
         width = len(pattern)
         if width == 0 and x != y:
             continue
-        if width == w_max and sub is None:
+        if width == w_max and snapshot is None:
             # every narrower edge is in: the partition of a run at w_max-1
-            sub = Partition.of(components, range(len(found)))
+            snapshot = Partition.of(components, range(len(found)))
+            sub_snapshot = Partition.of(sub_components, range(len(sub_found)))
         rows0 = ctx.paths(x, y, pattern)
+        backward = [col for col, d in enumerate(pattern) if d == "b"]
+        in_sub = ([sub_weq.issuperset(map(row.__getitem__, backward)) for row in rows0]
+                  if sub_weq is not None else [False] * len(rows0))
         numbers = row_numbers[pattern] = {}
-        for row in rows0:
+        for row, sub_row in zip(rows0, in_sub):
             # no identity entry along an alternating pattern: reduced
             if ctx.identities.isdisjoint(row):
-                numbers[row] = components.add()
+                n = numbers[row] = components.add()
                 found.append((pattern, (row,), ()))
-        for upper, lowers, fallback in _pi0_edges(ctx, pattern, rows0, row_numbers):
+                sub_vertex.append(sub_components.add() if sub_row else None)
+                if sub_row:
+                    sub_found.append(n)
+        for upper, lowers, fallback, sub_lowers, sub_fallback in _pi0_joins(
+                ctx, pattern, rows0, in_sub, row_numbers):
             grids += len(lowers)
             fallback_rows += fallback
             components.union_all(upper, lowers)
+            if sub_lowers is not None:
+                sub_grids += len(sub_lowers)
+                sub_fallback_rows += sub_fallback
+                joined = [sub_vertex[n] for n in sub_lowers]
+                joined.append(sub_vertex[upper])
+                if None in joined:
+                    raise ConsistencyError(f"pair ({x},{y}): a join of the smaller weak "
+                                           "equivalences reaches a vertex outside them")
+                sub_components.union_all(joined.pop(), joined)
 
     order = _order(ctx, found)
+    space = _pi0_space(ctx, x, y, truncation, w_max, found, order, components, snapshot,
+                       grids, fallback_rows)
+    if sub_weq is None:
+        return space, space
+    sub_order = [sub_vertex[n] for n in order if sub_vertex[n] is not None]
+    return space, _pi0_space(ctx, x, y, truncation, w_max, [found[n] for n in sub_found],
+                             sub_order, sub_components, sub_snapshot, sub_grids,
+                             sub_fallback_rows)
+
+
+def _pi0_space(ctx, x, y, truncation, w_max, found, order, components, snapshot, grids,
+               fallback_rows) -> MappingSpace:
+    """The "pi0" detail space of the vertices ``found`` (by number) in the
+    order ``order``, partitioned by ``components``; ``snapshot`` is the
+    partition one width bound lower."""
     partition = Partition.of(components, order)
     position = {n: p for p, n in enumerate(order)}
     vertices = tuple(found[n] for n in order)
-    return MappingSpace(x, y, truncation, w_max, _stability(partition, sub),
+    return MappingSpace(x, y, truncation, w_max, _stability(partition, snapshot),
                         Names(vertices, ctx.namer), partition.renamed(position), None,
                         (vertices,), grids=grids, fallback_rows=fallback_rows)
 
 
-def _pi0_edges(ctx: _Context, pattern, rows0, row_numbers):
+def _pi0_joins(ctx: _Context, pattern, rows0, in_sub, row_numbers):
     """For each live row of ``rows0`` (one whose normal form the table can
     name): its vertex number, the numbers of the live rows it is joined
-    to along ``pattern``, and whether it took the fallback.
-    ``row_numbers[p][row]`` is the vertex number of a row's normal form
-    along pattern ``p``, or -1 for a dead row.
+    to along ``pattern``, whether it took the fallback, and, when the row
+    belongs to the sub (``in_sub``), the same two for the sub's walk
+    (else None and False).  ``row_numbers[p][row]`` is the vertex number
+    of a row's normal form along pattern ``p``, or -1 for a dead row.
 
     Only the partition is needed, and a generating set of two-row grids
     gives it (Dwyer-Kan): the grids with one non-identity vertical ``v``,
-    a weak equivalence out of an interior vertex ``X_i``.  At a sink
-    (``-> X_i <-``) the lower entries are ``v.h[i-1]`` and ``v.h[i]`` (a
-    weak equivalence: the weak equivalences are closed under the
-    composites the table has); at a source (``<- X_i ->``) they are right
-    factors through ``v`` of ``h[i-1]`` (a weak equivalence) and ``h[i]``.
+    a weak equivalence out of an interior vertex ``X_i``, whose lower
+    entries at ``i-1`` and ``i`` the table :attr:`_Context.generators`
+    holds; the sub's generators are those with ``in_sub``.
 
     Every grid factors into generator grids: apply its sink verticals one
     at a time, then its source verticals.  Each column has one sink end
@@ -892,20 +980,26 @@ def _pi0_edges(ctx: _Context, pattern, rows0, row_numbers):
     even over a partially represented table.  Conversely, a chain of
     generator steps at distinct vertices, sinks before sources, composes
     into one grid (the table has every composite with an identity, which
-    the other verticals of that grid need).  An intermediate row can still be *dead*: its normal
-    form needs a composite the table lacks, so it is no vertex.  The
-    fallback is at dead rows: from a live row, chains are followed
-    through dead rows, and the row is joined to the first live row on
-    each.  The live rows along any grid's chain are then joined in turn,
-    and every join is a grid, so the components, pattern by pattern, are
-    those of all grids, and so is the snapshot one width lower."""
+    the other verticals of that grid need).  An intermediate row can still
+    be *dead*: its normal form needs a composite the table lacks, so it is
+    no vertex.  The fallback is at dead rows: from a live row, chains are
+    followed through dead rows, and the row is joined to the first live
+    row on each.  The live rows along any grid's chain are then joined in
+    turn, and every join is a grid, so the components, pattern by pattern,
+    are those of all grids, and so is the snapshot one width lower.
+
+    Each chain state carries two flags: whether it counts for the whole
+    walk and whether for the sub's.  The sub follows only its own
+    generators, and keeps its own ``seen`` set: a state the whole walk
+    reached first through another generator must still be expanded for
+    the sub."""
     width = len(pattern)
     if not width:
         return
-    post, right, right_weq = ctx.post, ctx.right, ctx.right_weq
-    sink_moves, source_moves = ctx.sink_moves, ctx.source_moves
-    identities = ctx.identities
+    post, identities = ctx.post, ctx.identities
+    generators, generator = ctx.generators, ctx._generator
     numbers = row_numbers[pattern]
+    sinks = [None] + [pattern[i - 1] == "f" for i in range(1, width)]
 
     def number_of(row):
         number = numbers.get(row)
@@ -916,45 +1010,53 @@ def _pi0_edges(ctx: _Context, pattern, rows0, row_numbers):
         return number
 
     interior = tuple(range(1, width))
-    for row in rows0:
+    for row, sub_row in zip(rows0, in_sub):
         upper = number_of(row)
         if upper < 0:
             continue
         # chains of generator steps from ``row``, each vertex used once
         # and no sink after a source, followed through dead rows only
         lowers, seen = set(), set()
-        chains = [(row, interior)]
+        sub_lowers, sub_seen = (set(), set()) if sub_row else (None, set())
+        chains = [(row, interior, True, sub_row)]
         while chains:
-            at, free = chains.pop()
+            at, free, whole, part = chains.pop()
             for i in free:
-                left, right_entry = at[i - 1], at[i]
+                key = (sinks[i], at[i - 1], at[i])
+                triples = generators.get(key)
+                if triples is None:
+                    triples = generator(key)
+                if not triples:
+                    continue
                 head, tail = at[:i - 1], at[i + 1:]
-                sink = pattern[i - 1] == "f"
-                if sink:
-                    lows = []
-                    for v in sink_moves[left]:
-                        a, b = post[v].get(left), post[v].get(right_entry)
-                        if a is not None and b is not None:
-                            lows.append(head + (a, b) + tail)
-                else:
-                    lows = [head + (a, b) + tail for v in source_moves[left]
-                            for a in right_weq[v].get(left, ())
-                            for b in right[v].get(right_entry, ())]
                 rest = None
-                for row2 in lows:
+                for a, b, in_sub_step in triples:
+                    for_sub = part and in_sub_step
+                    if not (whole or for_sub):
+                        continue
+                    row2 = head + (a, b) + tail
                     number = numbers.get(row2)
                     if number is None:
                         number = number_of(row2)
                     if number >= 0:
-                        lowers.add(number)
+                        if whole:
+                            lowers.add(number)
+                        if for_sub:
+                            sub_lowers.add(number)
                         continue
                     if rest is None:
                         rest = tuple(j for j in free
-                                     if j != i and (sink or pattern[j - 1] == "b"))
-                    if (row2, rest) not in seen:
-                        seen.add((row2, rest))
-                        chains.append((row2, rest))
-        yield upper, lowers, bool(seen)
+                                     if j != i and (sinks[i] or not sinks[j]))
+                    state = (row2, rest)
+                    grow = whole and state not in seen
+                    if grow:
+                        seen.add(state)
+                    grow_sub = for_sub and state not in sub_seen
+                    if grow_sub:
+                        sub_seen.add(state)
+                    if grow or grow_sub:
+                        chains.append((row2, rest, grow, grow_sub))
+        yield upper, lowers, bool(seen), sub_lowers, bool(sub_seen)
 
 
 def _face(ctx, grid, i, memo):
@@ -1001,7 +1103,9 @@ def _degeneracy(ctx, grid, i):
 
 
 class Localization:
-    """Hammock localization data at a fixed truncation and width bound.
+    """Hammock localization data at a fixed truncation and width bound:
+    ``pairs`` maps object pairs to their :class:`MappingSpace`, as
+    :func:`hammock_localization` or :func:`pi0_localizations` built them.
 
     Composition is materialized on demand; a composite wider than the
     bound is not represented.  ``overflows`` counts the component-category
@@ -1009,26 +1113,12 @@ class Localization:
     tallies the composite requests (:class:`ComposeCounts`).
     """
 
-    def __init__(self, r: RelativeCategory, truncation, w_max, detail="full",
-                 pair_filter=None, progress=None):
-        _check_bounds(truncation, w_max, detail)
+    def __init__(self, r: RelativeCategory, truncation, w_max, detail, pairs):
         self.relcat = r
         self.truncation = truncation
         self.w_max = w_max
         self.detail = detail
-        ctx = _Context(r)
-        if pair_filter is not None:
-            unknown = sorted({name for pair in pair_filter for name in pair} - set(r.cat.objects))
-            if unknown:
-                raise InputError(f"pair filter names an unknown object: {unknown[0]}")
-        self.pairs = {}
-        for x in r.cat.objects:
-            for y in r.cat.objects:
-                if pair_filter is not None and (x, y) not in pair_filter:
-                    continue
-                self.pairs[(x, y)] = _mapping_space(ctx, x, y, truncation, w_max, detail)
-                if progress is not None:
-                    progress(x, y, self.pairs[(x, y)])
+        self.pairs = pairs
         self.overflows = 0
         self.compose_counts = ComposeCounts()
         self._scat = None
@@ -1123,7 +1213,54 @@ def _composite(r, pairs, w_max, counts, x, y, z, level, g, f):
 
 def hammock_localization(r: RelativeCategory, truncation: int, w_max: int,
                          detail: str = "full", pair_filter=None, progress=None) -> Localization:
-    return Localization(r, truncation, w_max, detail, pair_filter, progress)
+    """The localization of ``r`` on the object pairs of ``pair_filter``
+    (None: every pair); ``progress(x, y, space)`` gets each pair."""
+    _check_bounds(truncation, w_max, detail)
+    if pair_filter is not None:
+        unknown = sorted({name for pair in pair_filter for name in pair} - set(r.cat.objects))
+        if unknown:
+            raise InputError(f"pair filter names an unknown object: {unknown[0]}")
+    ctx = _Context(r)
+    pairs = {}
+    for x in r.cat.objects:
+        for y in r.cat.objects:
+            if pair_filter is not None and (x, y) not in pair_filter:
+                continue
+            ms = pairs[(x, y)] = _mapping_space(ctx, x, y, truncation, w_max, detail)
+            if progress is not None:
+                progress(x, y, ms)
+    return Localization(r, truncation, w_max, detail, pairs)
+
+
+def pi0_localizations(r: RelativeCategory, sub: RelativeCategory, truncation: int, w_max: int,
+                      progress=None, sub_progress=None):
+    """The "pi0" detail localizations of ``r`` and of ``sub``, a relative
+    category on the same category whose weak equivalences are among
+    ``r``'s (both closed under the composites the table has), from one
+    walk over ``r``'s rows (:func:`_pi0_walk`) with one :class:`_Context`.
+    Each space equals what :func:`hammock_localization` gives.  When the
+    two sets of weak equivalences coincide, the same localization is
+    returned twice and ``sub_progress`` is not called.  ``progress`` gets
+    each pair of ``r`` as it is walked, ``sub_progress`` each pair of
+    ``sub`` afterwards, in the same order."""
+    _check_bounds(truncation, w_max, "pi0")
+    if sub.cat is not r.cat or not sub.weq <= r.weq:
+        raise ConsistencyError("one walk needs one category and fewer weak equivalences")
+    shared = sub.weq == r.weq
+    ctx = _Context(r, None if shared else sub.weq)
+    pairs, sub_pairs = {}, {}
+    for x in r.cat.objects:
+        for y in r.cat.objects:
+            pairs[(x, y)], sub_pairs[(x, y)] = _pi0_walk(ctx, x, y, truncation, w_max)
+            if progress is not None:
+                progress(x, y, pairs[(x, y)])
+    loc = Localization(r, truncation, w_max, "pi0", pairs)
+    if shared:
+        return loc, loc
+    if sub_progress is not None:
+        for (x, y), ms in sub_pairs.items():
+            sub_progress(x, y, ms)
+    return loc, Localization(sub, truncation, w_max, "pi0", sub_pairs)
 
 
 def staged(progress, stage):
@@ -1229,8 +1366,8 @@ class RelscatLocalization:
             weq = {level_cat.morphisms[start + s]
                    for start, pair in zip(starts[n], pairs) for s in rs.sub[pair][n]}
             self.level_rel.append(RelativeCategory(level_cat, weq))
-        self.levels = [Localization(rel, truncation, w_max,
-                                    progress=staged(progress, f"level {n}"))
+        self.levels = [hammock_localization(rel, truncation, w_max,
+                                            progress=staged(progress, f"level {n}"))
                        for n, rel in enumerate(self.level_rel)]
         self.row_spaces = {(x, y, n): ms for n, loc in enumerate(self.levels)
                            for (x, y), ms in loc.pairs.items()}

@@ -20,9 +20,13 @@ the :class:`hammock.DiagonalCounts` of each diagonal hom: the entrywise
 images under the outer degeneracies, one per diagonal simplex, and
 under the outer faces, one per simplex of the level spaces one inner
 level down, since a diagonal face is the outer face after the inner
-one; and the distinct face images reduced.  A 3.1
-flattening stage that reuses the middle's re-localization reports the
-string :data:`SHARED_NOTE` once instead.  Progress never enters a report.
+one; and the distinct face images reduced.  Claim 3.1 re-localizes the
+middle and the flattening in one walk over the middle's rows
+(:func:`hammock.pi0_localizations`): every middle pair is reported
+before any flattening pair.  When the two have the same weak
+equivalences (W holds only identities), the one re-localization serves
+both, and the flattening stage reports the string :data:`SHARED_NOTE`
+once instead of its pairs.  Progress never enters a report.
 """
 
 from __future__ import annotations
@@ -44,6 +48,7 @@ from .hammock import (
     hammock_localization,
     hammock_localization_relscat,
     homotopy_category_of_localization,
+    pi0_localizations,
     staged,
 )
 from .jsonio import content_key
@@ -290,21 +295,19 @@ def check_roundtrip(r: RelativeCategory, bounds: Bounds, progress=None) -> Exper
     outcomes.append({"check": "unit functor valid", "result": "no" if bad else "yes"})
     middle = unit.target
 
-    # The unit adds to the flattening's weak equivalences only the
+    # The middle and the flattening share their category, and the
+    # flattening's weak equivalences are among the middle's, so one walk
+    # over the middle's rows re-localizes both.  The unit adds only the
     # one-column hammocks of the non-identity weak equivalences of W, so
     # when W holds only identities the middle is the flattening, and one
     # re-localization serves both stages.
-    shared = middle.weq == fl.rel.weq
     try:
-        loc_mid = hammock_localization(middle, bounds.truncation, bounds.width, detail="pi0",
-                                       progress=staged(progress, "middle"))
-        if shared:
-            loc_flat = loc_mid
-            if progress is not None:
-                progress(None, None, SHARED_NOTE, "flattening")
-        else:
-            loc_flat = hammock_localization(fl.rel, bounds.truncation, bounds.width,
-                                            detail="pi0", progress=staged(progress, "flattening"))
+        loc_mid, loc_flat = pi0_localizations(middle, fl.rel, bounds.truncation, bounds.width,
+                                              staged(progress, "middle"),
+                                              staged(progress, "flattening"))
+        shared = loc_flat is loc_mid
+        if shared and progress is not None:
+            progress(None, None, SHARED_NOTE, "flattening")
         outcomes.append({"check": "relocalization(middle) stability (approximation caveat)",
                          "result": loc_mid.verdict})
         outcomes.append({"check": "relocalization(flattening) stability (approximation caveat)",

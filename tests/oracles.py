@@ -1229,11 +1229,13 @@ def reference_diagonal(rl, x, y) -> TruncatedSimplicialSet:
 
 # --- pi0 mapping space on string-keyed rows -------------------------------
 #
-# The reference for ``hamloc.hammock._mapping_space`` in "pi0" detail:
-# rows are tuples of morphism names, the union-find runs over vertex
-# names, every row's name (or False for a dead row) is cached, and
-# composites and right factors are looked up in tuple-keyed tables.  It
-# is the earlier "pi0" branch and ``_pi0_edges``, unchanged.
+# The reference for ``hamloc.hammock._pi0_walk``, one relative category
+# at a time (the walk's second space is compared with a run of this on
+# the relative category with the smaller weak equivalences): rows are
+# tuples of morphism names, the union-find runs over vertex names, every
+# row's name (or False for a dead row) is cached, and composites and
+# right factors are looked up in tuple-keyed tables.  It is the earlier
+# "pi0" branch and its walk of generator steps, unchanged.
 
 
 def reference_pi0_mapping_space(r: RelativeCategory, x, y, truncation, w_max) -> MappingSpace:

@@ -710,7 +710,7 @@ class TestCrashes:
     STAGES = {
         # the DK certificate takes homology only at truncation >= 2
         "3.2": ("scat", "homology", ["--truncation", "2", "--width", "3"]),
-        "3.1": ("hammock", "_pi0_edges", ["--truncation", "1", "--width", "2"]),
+        "3.1": ("hammock", "_pi0_walk", ["--truncation", "1", "--width", "2"]),
     }
 
     @staticmethod
@@ -1071,6 +1071,10 @@ class TestVerbose:
         note = "flattening: same weak equivalences as middle, relocalization shared"
         assert lines.count(note) == (1 if shared else 0)
         assert any(ln.startswith("flattening: pair (") for ln in lines) != shared
+        # one walk builds both stages; every middle line comes first
+        middle = [n for n, ln in enumerate(lines) if ln.startswith("middle: ")]
+        flattening = [n for n, ln in enumerate(lines) if ln.startswith("flattening: ")]
+        assert middle and flattening and max(middle) < min(flattening)
 
     @pytest.mark.parametrize("claim, name, stages", [
         ("3.1", "walking-weq.json", ("input", "middle", "flattening")),

@@ -11,7 +11,13 @@ from hamloc import hammock
 from hamloc import instances as inst
 from hamloc.cli import run
 from hamloc.errors import CompositionUnavailable, ConsistencyError, InputError
-from hamloc.fincat import FiniteCategory, find_equivalence, is_isomorphism, validate_category
+from hamloc.fincat import (
+    FiniteCategory,
+    close_morphisms,
+    find_equivalence,
+    is_isomorphism,
+    validate_category,
+)
 from hamloc.flatten import flatten, relativization_unit
 from hamloc.jsonio import write_canonical
 from hamloc.hammock import (
@@ -27,6 +33,7 @@ from hamloc.hammock import (
     hammock_name,
     homotopy_category_of_localization,
     mapping_space,
+    pi0_localizations,
     reduce_hammock,
     width_zero,
 )
@@ -988,6 +995,34 @@ class TestLifetime:
         finally:
             gc.enable()
 
+    def test_the_one_walk_is_freed_without_the_cyclic_collector(self, monkeypatch):
+        """The context of :func:`pi0_localizations`, with its table of
+        generator steps, goes when the walk returns, and the two
+        localizations when their last references do."""
+        refs = []
+        original = hammock._Context.__init__
+
+        def recording(self, r, sub_weq=None):
+            original(self, r, sub_weq)
+            refs.append(weakref.ref(self))
+
+        r = inst.walking_weq()
+        loc = hammock_localization(r, 1, 2)
+        fl = flatten(loc.scat())
+        middle = relativization_unit(r, loc, fl).target
+        monkeypatch.setattr(hammock._Context, "__init__", recording)
+        gc.collect()
+        gc.disable()
+        try:
+            loc_mid, loc_flat = pi0_localizations(middle, fl.rel, 1, 3)
+            assert len(refs) == 1 and refs[0]() is None
+            assert loc_flat is not loc_mid
+            held = [weakref.ref(loc_mid), weakref.ref(loc_flat)]
+            del loc_mid, loc_flat
+            assert [ref() for ref in held] == [None, None]
+        finally:
+            gc.enable()
+
     def test_cli_runs_leave_module_containers_alone(self, tmp_path, capsys):
         path = tmp_path / "walking-weq.json"
         write_canonical(path, inst.walking_weq().to_json())
@@ -1337,14 +1372,37 @@ def _stock_middles_and_flattenings():
     for label, r in inst.oracle_suite():
         loc = hammock_localization(r, 1, 2)
         fl = flatten(loc.scat())
-        yield label, "middle", relativization_unit(r, loc, fl).target
-        yield label, "flattening", fl.rel
+        yield label, relativization_unit(r, loc, fl).target, fl.rel
+
+
+def _closed_sub(r: RelativeCategory, rng, keep):
+    """``r``'s category with a random part of its weak equivalences (each
+    kept with probability ``keep``), closed under composition."""
+    return RelativeCategory(r.cat, close_morphisms(r.cat, [m for m in sorted(r.weq)
+                                                           if rng.random() < keep]))
+
+
+def _small_category(objects, arrows, table):
+    """The category on ``objects`` with identities ``id<object>``, the
+    non-identity ``arrows`` (name -> (domain, codomain)) and the
+    composites ``table`` holds besides those with an identity; composites
+    it lacks are missing, as in a partially represented table."""
+    ids = {x: f"id{x}" for x in objects}
+    dom = {m: x for x, m in ids.items()} | {m: d for m, (d, _) in arrows.items()}
+    cod = {m: x for x, m in ids.items()} | {m: e for m, (_, e) in arrows.items()}
+    full = dict(table)
+    for m in dom:
+        full[(ids[cod[m]], m)] = full[(m, ids[dom[m]])] = m
+    return FiniteCategory(list(objects), list(dom), dom, cod, ids, full)
 
 
 class TestPi0AgainstReference:
     """The pi0 detail on morphism numbers must give what the enumeration
     on string-keyed rows gives (``tests/oracles.py``): the vertex names in
-    order, the classes, the verdict and the join and fallback counts."""
+    order, the classes, the verdict and the join and fallback counts.
+    One walk that re-localizes a relative category and a sub relative
+    category with fewer weak equivalences (:func:`pi0_localizations`) must
+    give each the spaces the reference gives it alone."""
 
     @staticmethod
     def _agree(got, want, where):
@@ -1355,17 +1413,34 @@ class TestPi0AgainstReference:
 
     @pytest.mark.parametrize("width", [2, 3])
     def test_stock_middles_and_flattenings(self, width):
-        spaces = fallback_rows = 0
-        for label, stage, r in _stock_middles_and_flattenings():
-            loc = hammock_localization(r, 1, width, detail="pi0")
-            for (x, y), got in loc.pairs.items():
-                want = reference_pi0_mapping_space(r, x, y, 1, width)
-                self._agree(got, want, (label, stage, x, y))
-                spaces += 1
-                fallback_rows += got.fallback_rows
+        """Each stage alone, and both from one walk over the middle.  Where
+        W holds only identities the two stages have the same weak
+        equivalences and share one localization; elsewhere the flattening
+        has fewer."""
+        spaces = fallback_rows = sub_fallback_rows = shared = 0
+        for label, middle, flattening in _stock_middles_and_flattenings():
+            loc_mid, loc_flat = pi0_localizations(middle, flattening, 1, width)
+            assert loc_mid.relcat is middle
+            if loc_flat is loc_mid:
+                assert middle.weq == flattening.weq, label
+                shared += 1
+            else:
+                assert loc_flat.relcat is flattening and flattening.weq < middle.weq, label
+                sub_fallback_rows += sum(ms.fallback_rows for ms in loc_flat.pairs.values())
+            for stage, r, walked in (("middle", middle, loc_mid),
+                                     ("flattening", flattening, loc_flat)):
+                loc = hammock_localization(r, 1, width, detail="pi0")
+                for (x, y), got in loc.pairs.items():
+                    want = reference_pi0_mapping_space(r, x, y, 1, width)
+                    self._agree(got, want, (label, stage, x, y))
+                    self._agree(walked.pairs[(x, y)], want, (label, stage, "one walk", x, y))
+                    spaces += 1
+                    fallback_rows += got.fallback_rows
         assert spaces == 392
+        assert shared == sum(all(r.cat.is_identity(w) for w in r.weq)
+                             for _, r in inst.oracle_suite())
         if width == 3:
-            assert fallback_rows > 0
+            assert fallback_rows > 0 and sub_fallback_rows > 0
 
     @settings(max_examples=30, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), width=st.integers(1, 3))
@@ -1376,6 +1451,92 @@ class TestPi0AgainstReference:
             for y in r.cat.objects:
                 self._agree(mapping_space(r, x, y, 1, width, "pi0"),
                             reference_pi0_mapping_space(r, x, y, 1, width), (x, y))
+
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), width=st.integers(1, 3),
+           keep=st.sampled_from([0.0, 0.5, 1.0]))
+    def test_one_walk_on_random_sub_weak_equivalences(self, seed, width, keep):
+        """A random closed W and a closed part of it: identities only
+        (``keep`` 0), a random part, or all of W (``keep`` 1, the shared
+        case)."""
+        rng = random.Random(seed)
+        r = closed_weq(inst.random_dag_category(rng), rng)
+        sub = _closed_sub(r, rng, keep)
+        loc, sub_loc = pi0_localizations(r, sub, 1, width)
+        assert (sub_loc is loc) == (sub.weq == r.weq)
+        for (x, y), got in loc.pairs.items():
+            self._agree(got, reference_pi0_mapping_space(r, x, y, 1, width), (x, y))
+            self._agree(sub_loc.pairs[(x, y)], reference_pi0_mapping_space(sub, x, y, 1, width),
+                        ("sub", x, y))
+
+    def test_a_dead_row_reached_outside_the_sub_is_walked_again_for_it(self):
+        """v1 and v2 both retract r and agree on l; only v2 is the sub's,
+        and the composites of c with p, v1 and v2 are missing.  From the
+        row (l, r, c) along f, b, f, v1 (listed first) and then v2 at the
+        sink M both give the dead row (p, idY, c).  The sub must follow it
+        through v2 although the whole walk saw it first through v1: its
+        own ``seen`` set.  And at the source Y of the row (p, idY, r) from
+        X to M, r gives v1 and v2 as right factors of idY, of which only
+        v2 is the sub's."""
+        c = _small_category("XMYZ", {"l": ("X", "M"), "r": ("Y", "M"), "c": ("Y", "Z"),
+                                     "v1": ("M", "Y"), "v2": ("M", "Y"), "p": ("X", "Y")},
+                            {("v1", "l"): "p", ("v2", "l"): "p",
+                             ("v1", "r"): "idY", ("v2", "r"): "idY"})
+        ids = sorted(c.identity.values())
+        r = RelativeCategory(c, ids + ["r", "v1", "v2"])
+        sub = RelativeCategory(c, ids + ["r", "v2"])
+        loc, sub_loc = pi0_localizations(r, sub, 1, 3)
+        for (x, y), got in loc.pairs.items():
+            self._agree(got, reference_pi0_mapping_space(r, x, y, 1, 3), (x, y))
+            self._agree(sub_loc.pairs[(x, y)], reference_pi0_mapping_space(sub, x, y, 1, 3),
+                        ("sub", x, y))
+        assert (sub_loc.pairs[("X", "Z")].fallback_rows, sub_loc.pairs[("X", "M")].grids) == (1, 5)
+
+    def test_a_right_factor_outside_the_sub_is_no_join_of_the_sub(self):
+        """At the source S of the row (l, r) along b, f, the sub's weak
+        equivalence v has the right factor a of l, which only the whole
+        W holds: the whole walk joins (l, r) to (a, b), the sub has no
+        such row."""
+        c = _small_category("PSTQ", {"v": ("S", "T"), "a": ("T", "P"), "l": ("S", "P"),
+                                     "r": ("S", "Q"), "b": ("T", "Q")},
+                            {("a", "v"): "l", ("b", "v"): "r"})
+        assert validate_category(c) == []
+        ids = sorted(c.identity.values())
+        r = RelativeCategory(c, ids + ["v", "a", "l"])
+        sub = RelativeCategory(c, ids + ["v", "l"])
+        loc, sub_loc = pi0_localizations(r, sub, 1, 2)
+        for (x, y), got in loc.pairs.items():
+            self._agree(got, reference_pi0_mapping_space(r, x, y, 1, 2), (x, y))
+            self._agree(sub_loc.pairs[(x, y)], reference_pi0_mapping_space(sub, x, y, 1, 2),
+                        ("sub", x, y))
+        whole, part = loc.pairs[("P", "Q")], sub_loc.pairs[("P", "Q")]
+        assert (len(whole.vertices), len(whole.partition.classes), whole.grids) == (2, 1, 1)
+        assert (len(part.vertices), part.grids) == (1, 0)
+
+    def test_a_sub_that_is_not_closed_is_refused_at_its_pair(self):
+        """The one walk needs the smaller weak equivalences closed under
+        composition.  With f and g but not gf, the row (f, f) from X to X
+        along f, b is the sub's, and so is the generator g at its sink Y,
+        but the row it gives, (gf, gf), is not: the walk raises at that
+        pair rather than join a vertex the sub lacks.  Closed, the sub
+        walks."""
+        c = inst.chain3()
+        r = RelativeCategory(c, c.morphisms)
+        sub = RelativeCategory(c, ["idX", "idY", "idZ", "f", "g"])
+        with pytest.raises(ConsistencyError, match=r"^pair \(X,X\): "):
+            pi0_localizations(r, sub, 1, 2)
+        closed = RelativeCategory(c, close_morphisms(c, sub.weq))
+        assert closed.weq == sub.weq | {"gf"}
+        loc, sub_loc = pi0_localizations(r, closed, 1, 2)
+        assert sub_loc is loc
+
+    def test_one_walk_needs_one_category_and_fewer_weak_equivalences(self):
+        r = inst.walking_weq()
+        identities = RelativeCategory(r.cat, r.cat.identity.values())
+        with pytest.raises(ConsistencyError):
+            pi0_localizations(identities, r, 1, 2)
+        with pytest.raises(ConsistencyError):
+            pi0_localizations(r, RelativeCategory(inst.walking_weq().cat, r.weq), 1, 2)
 
 
 def test_stable_components_match_word_oracle_on_random_relative_categories():

@@ -1,12 +1,13 @@
 import pytest
 
+from hamloc import hammock
 from hamloc import instances as inst
 from hamloc import scat, verify
 from hamloc.errors import ConsistencyError, InputError
-from hamloc.flatten import flatten
-from hamloc.hammock import hammock_localization
+from hamloc.flatten import flatten, relativization_unit
+from hamloc.hammock import hammock_localization, pi0_localizations
 from hamloc.jsonio import canonical_dumps
-from hamloc.relcat import RelativeCategory
+from hamloc.relcat import RelativeCategory, validate_relative
 from hamloc.scat import DkCertificate, RelativeSimplicialCategory, promote, sub_from_morphisms
 from hamloc.verify import (
     Bounds,
@@ -158,35 +159,52 @@ class TestRoundtrip:
             self, monkeypatch, name, shared):
         """The flattening stage re-localizes the flattening itself, whose
         weak equivalences are fewer than the middle's unless W holds only
-        identities.  At width 2 the per-pair vertex counts of the two
-        stages then differ on 12 of 16 pairs (walking-weq) and on 16 of 36
-        (span-one-leg)."""
+        identities.  One walk over the middle's rows, with one enumeration
+        context, re-localizes both stages; neither is localized on its own.
+        At width 2 the per-pair vertex counts of the two stages then differ
+        on 12 of 16 pairs (walking-weq) and on 16 of 36 (span-one-leg)."""
         r = dict(inst.oracle_suite())[name]
         assert shared == all(r.cat.is_identity(w) for w in r.weq)
-        built = []
+        walks, alone, contexts = [], [], []
 
-        def counted(rel, *args, **kwargs):
+        def walked(middle, flattening, *args, **kwargs):
+            walks.append((middle, flattening))
+            return pi0_localizations(middle, flattening, *args, **kwargs)
+
+        def localized(rel, *args, **kwargs):
             loc = hammock_localization(rel, *args, **kwargs)
             if loc.detail == "pi0":
-                built.append(rel)
+                alone.append(rel)
             return loc
 
-        monkeypatch.setattr(verify, "hammock_localization", counted)
+        original = hammock._Context.__init__
+
+        def recording(self, rel, sub_weq=None):
+            original(self, rel, sub_weq)
+            contexts.append(sub_weq)
+
+        monkeypatch.setattr(verify, "pi0_localizations", walked)
+        monkeypatch.setattr(verify, "hammock_localization", localized)
+        monkeypatch.setattr(hammock._Context, "__init__", recording)
         events = []
         check_roundtrip(r, Bounds(truncation=1, width=2),
                         lambda x, y, ms, stage: events.append((stage, x, y, ms)))
-        assert len(built) == (1 if shared else 2)
+        assert len(walks) == 1 and alone == []
+        # the input's localization, and the walk (with the smaller W unless shared)
+        assert len(contexts) == 2 and (contexts[1] is None) == shared
+        middle, walked_flattening = walks[0]
         flattening = flatten(hammock_localization(r, 1, 2).scat()).rel
-        middle = built[0]
         assert middle.cat == flattening.cat
         tags = [stage for stage, _, _, ms in events if not isinstance(ms, str)]
         notes = [(stage, ms) for stage, _, _, ms in events if isinstance(ms, str)]
         assert "middle" in tags and ("flattening" in tags) != shared
         assert notes == ([("flattening", verify.SHARED_NOTE)] if shared else [])
+        # every middle pair is reported before any flattening pair
+        assert tags == sorted(tags, key=["input", "middle", "flattening"].index)
         if shared:
             assert middle.weq == flattening.weq
             return
-        assert built[1] == flattening and flattening.weq < middle.weq
+        assert walked_flattening == flattening and flattening.weq < middle.weq
         sizes = {}
         for stage, x, y, ms in events:
             if stage in ("middle", "flattening"):
@@ -195,6 +213,20 @@ class TestRoundtrip:
         assert (sum(per_stage["middle"] != per_stage["flattening"]
                     for per_stage in sizes.values()), len(sizes)) == \
             {"walking-weq": (12, 16), "span-one-leg": (16, 36)}[name]
+
+    @pytest.mark.parametrize("width", [2, 3])
+    def test_the_one_walk_precondition_holds_on_stock_instances(self, width):
+        """The one walk of the two re-localizations needs both relative
+        categories valid (weak equivalences closed under the composites
+        the table has) on one category, the flattening's weak
+        equivalences among the middle's.  ``check_roundtrip`` validates
+        neither; the walk raises at a pair where this fails."""
+        for label, r in inst.oracle_suite():
+            loc = hammock_localization(r, 1, width)
+            fl = flatten(loc.scat())
+            middle = relativization_unit(r, loc, fl).target
+            assert validate_relative(fl.rel) == [] and validate_relative(middle) == [], label
+            assert middle.cat is fl.rel.cat and fl.rel.weq <= middle.weq, label
 
 
 class TestCheck32:
