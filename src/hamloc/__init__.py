@@ -6,7 +6,6 @@ __version__ = "0.1.0"
 from .errors import CompositionUnavailable, ConsistencyError, InputError
 from .fincat import (
     CatFunctor,
-    EquivalenceWitness,
     FiniteCategory,
     find_equivalence,
     is_isomorphism,
@@ -34,7 +33,7 @@ from .scat import (
     SimplicialFunctor,
     TruncatedSimplicialCategory,
     check_dk,
-    homotopy_category,
+    homotopy_category_data,
     is_neglectable,
     promote,
 )

@@ -4,6 +4,12 @@ Objects and morphisms are named by strings (debuggable, diffable);
 each category also carries dense integer indexes for its own names, and
 its composition table and identities on those morphism numbers.
 Values are immutable after construction, so they are safe to share.
+
+Equivalences are decided, not spelled out: :func:`equivalence_from_functor`
+returns only the object map of a quasi-inverse, the one part a DK
+certificate reports, and :func:`find_equivalence` returns the functor it
+found, whose laws, full faithfulness and essential surjectivity the
+search has checked.  Neither builds a unit or a counit.
 """
 
 from __future__ import annotations
@@ -392,33 +398,12 @@ def validate_functor(fun: CatFunctor) -> list[str]:
 
 
 @dataclass
-class EquivalenceWitness:
-    """An equivalence of categories with all the data spelled out.
-
-    ``unit[x] : x -> backward(forward(x))`` and
-    ``counit[b] : forward(backward(b)) -> b`` are isomorphisms.
-    """
-
-    forward: CatFunctor
-    backward: CatFunctor
-    unit: dict
-    counit: dict
-
-    def to_json(self):
-        return {
-            "forward": self.forward.to_json(),
-            "backward": self.backward.to_json(),
-            "unit": dict(self.unit),
-            "counit": dict(self.counit),
-        }
-
-
-@dataclass
 class SearchOutcome:
-    """Result of a bounded search: found / exhausted / budget ran out."""
+    """Result of a bounded search: found / exhausted / budget ran out,
+    with the equivalence found and the search-tree nodes tried."""
 
     status: str  # "found" | "none" | "undetermined"
-    witness: object = None
+    functor: CatFunctor | None = None
     nodes: int = 0
 
     @property
@@ -449,56 +434,32 @@ def _is_fully_faithful(fun: CatFunctor) -> bool:
     return True
 
 
-def _is_essentially_surjective(fun: CatFunctor) -> bool:
-    hit = {fun.object_map[x] for x in fun.source.objects}
-    return all(cls & hit for cls in iso_classes(fun.target))
-
-
-def equivalence_from_functor(fun: CatFunctor) -> EquivalenceWitness | None:
-    """Upgrade a fully faithful, essentially surjective functor to a full
-    equivalence witness (quasi-inverse plus unit/counit).  Returns None if
-    the functor is not an equivalence."""
+def equivalence_from_functor(fun: CatFunctor) -> dict | None:
+    """The object map of a quasi-inverse of ``fun``, target object to
+    source object, when ``fun`` is an equivalence (fully faithful and
+    essentially surjective); else None.  A target object in the image
+    goes to its first preimage, any other to the first source object
+    whose image is isomorphic to it.  Raises InputError when ``fun`` is
+    not a functor."""
     if validate_functor(fun):
         raise InputError("not a functor")
-    if not (_is_fully_faithful(fun) and _is_essentially_surjective(fun)):
+    if not _is_fully_faithful(fun):
         return None
     src, tgt = fun.source, fun.target
     image = {}
     for x in src.objects:
         image.setdefault(fun.object_map[x], x)
-
-    back_obj, counit = {}, {}
+    backward = {}
     for b in tgt.objects:
-        if b in image:
-            back_obj[b] = image[b]
-            counit[b] = tgt.identity[b]
-            continue
-        for x in src.objects:
-            fx = fun.object_map[x]
-            tau = next((t for t in tgt.hom(fx, b) if is_isomorphism(tgt, t)), None)
-            if tau is not None:
-                back_obj[b] = x
-                counit[b] = tau
-                break
-
-    def preimage(x, y, target_mor):
-        for m in src.hom(x, y):
-            if fun.morphism_map[m] == target_mor:
-                return m
-        return None
-
-    back_mor = {}
-    for beta in tgt.morphisms:
-        b, b2 = tgt.dom[beta], tgt.cod[beta]
-        conj = tgt.compose(inverse(tgt, counit[b2]), tgt.compose(beta, counit[b]))
-        back_mor[beta] = preimage(back_obj[b], back_obj[b2], conj)
-
-    backward = CatFunctor(tgt, src, back_obj, back_mor)
-    unit = {}
-    for x in src.objects:
-        fx = fun.object_map[x]
-        unit[x] = preimage(x, back_obj[fx], inverse(tgt, counit[fx]))
-    return EquivalenceWitness(fun, backward, unit, counit)
+        x = image.get(b)
+        if x is None:
+            x = next((x for x in src.objects
+                      if any(is_isomorphism(tgt, t) for t in tgt.hom(fun.object_map[x], b))),
+                     None)
+            if x is None:
+                return None
+        backward[b] = x
+    return backward
 
 
 def find_equivalence(c1: FiniteCategory, c2: FiniteCategory, budget: int = 1_000_000) -> SearchOutcome:
@@ -507,7 +468,8 @@ def find_equivalence(c1: FiniteCategory, c2: FiniteCategory, budget: int = 1_000
     Object maps are tried with hom-cardinality pruning; morphism maps are
     filled per hom-set with forced propagation through the composition
     table.  ``budget`` counts tried assignments (search-tree nodes).
-    On "none" the whole space was exhausted, so no equivalence exists.
+    On "none" the whole space was exhausted, so no equivalence exists;
+    on "found" the outcome holds the equivalence as its ``functor``.
     """
     tracker = _Budget(budget)
     classes2 = iso_classes(c2)
@@ -630,10 +592,7 @@ def find_equivalence(c1: FiniteCategory, c2: FiniteCategory, budget: int = 1_000
         return SearchOutcome("undetermined", nodes=tracker.used)
     if fun is None:
         return SearchOutcome("none", nodes=tracker.used)
-    witness = equivalence_from_functor(fun)
-    if witness is None:
-        raise RuntimeError("search returned a non-equivalence")  # pragma: no cover
-    return SearchOutcome("found", witness, tracker.used)
+    return SearchOutcome("found", fun, tracker.used)
 
 
 class _OutOfBudget(Exception):

@@ -39,9 +39,13 @@ class TruncatedSimplicialCategory:
     """Fixed object set, a hom simplicial set per ordered pair, and
     levelwise composition on simplex numbers: ``identities[x]`` and the
     ``table`` (or composer) values ``(x, y, z, level, g, f) -> h`` are
-    numbers in their homs; a composer's ``sweep`` gives :meth:`composites`."""
+    numbers in their homs; a composer's ``sweep`` gives :meth:`composites`.
+    Its component data, the partition of each hom and the category of
+    components, is built on first use and kept (:func:`homotopy_category_data`);
+    it holds no reference back to the category."""
 
-    __slots__ = ("objects", "truncation", "homs", "identities", "table", "_composer", "_sweep")
+    __slots__ = ("objects", "truncation", "homs", "identities", "table", "_composer", "_sweep",
+                 "_partitions", "_components")
 
     def __init__(self, objects, truncation, homs, identities, table=None, composer=None,
                  sweep=None):
@@ -52,6 +56,7 @@ class TruncatedSimplicialCategory:
         self.table = dict(table) if table is not None else None
         self._composer = composer
         self._sweep = sweep
+        self._partitions = self._components = None
         if self.table is None and composer is None:
             raise InputError("need a composition table or a composer")
         for (x, y), sset in self.homs.items():
@@ -327,22 +332,28 @@ def component_category(objects, parts, identities, compose):
     return cat, class_names
 
 
-def homotopy_category_data(a: TruncatedSimplicialCategory):
-    """The category of components, class names and partitions (see :func:`component_category`)."""
+def _partitions(a: TruncatedSimplicialCategory) -> dict:
+    """``(x, y) ->`` :func:`pi0` of hom(x, y) for every pair, built on
+    first use and kept on ``a``; the one truncation check of component
+    data."""
     if a.truncation < 1:
-        raise InputError("homotopy category needs truncation >= 1")
-    parts = {(x, y): pi0(a.homs[(x, y)]) for x in a.objects for y in a.objects}
-    return (*_components(a, parts), parts)
+        raise InputError("components need truncation >= 1")
+    if a._partitions is None:
+        a._partitions = {(x, y): pi0(a.homs[(x, y)]) for x in a.objects for y in a.objects}
+    return a._partitions
 
 
-def _components(a: TruncatedSimplicialCategory, parts):
-    """:func:`component_category` of ``a`` on the partitions ``parts`` of its homs."""
-    return component_category(a.objects, parts, a.identities,
-                              lambda x, y, z, g, f: a.composite(x, y, z, 0, g, f))
-
-
-def homotopy_category(a: TruncatedSimplicialCategory) -> FiniteCategory:
-    return homotopy_category_data(a)[0]
+def homotopy_category_data(a: TruncatedSimplicialCategory):
+    """The category of components of ``a``, its class names and the
+    partitions of the homs (see :func:`component_category`).  The one way
+    to get component data: each simplicial category builds it at most
+    once and keeps it, and a build that raises is not kept.  A
+    truncation-0 category has no components (InputError)."""
+    parts = _partitions(a)
+    if a._components is None:
+        a._components = component_category(a.objects, parts, a.identities,
+                                           lambda x, y, z, g, f: a.composite(x, y, z, 0, g, f))
+    return (*a._components, parts)
 
 
 # --- relative simplicial categories ----------------------------------------
@@ -476,15 +487,14 @@ def sub_from_morphisms(a: TruncatedSimplicialCategory, c: FiniteCategory, mors) 
     return sub
 
 
-def is_neglectable(rs: RelativeSimplicialCategory, components=None):
+def is_neglectable(rs: RelativeSimplicialCategory):
     """True when every sub 0-simplex becomes invertible in the category
-    of components; otherwise (False, (x, y, name)) for the first pair with
-    one that does not, and the least such name there, which need not be
-    the least number.  ``components`` is
-    :func:`homotopy_category_data` of the ambient, when the caller built
-    it already."""
+    of components of the ambient (:func:`homotopy_category_data`, kept on
+    the ambient for a later DK certificate); otherwise (False, (x, y,
+    name)) for the first pair with one that does not, and the least such
+    name there, which need not be the least number."""
     a = rs.ambient
-    ho, class_names, parts = components or homotopy_category_data(a)
+    ho, class_names, parts = homotopy_category_data(a)
     for x in a.objects:
         for y in a.objects:
             names, class_of = class_names[(x, y)], parts[(x, y)].class_of
@@ -687,8 +697,7 @@ def _induced_homology_iso(image, level, src_hom, tgt_hom, src_report, tgt_report
             - tgt_report.boundary_ranks[level + 1] == group.free_rank)
 
 
-def check_dk(fun: SimplicialFunctor, budget: int = 1_000_000,
-             source_components=None) -> DkCertificate:
+def check_dk(fun: SimplicialFunctor, budget: int = 1_000_000) -> DkCertificate:
     """Necessary-condition certificate that ``fun`` is a DK-equivalence.
 
     Expects valid simplicial categories (``validate_scat``); the functor
@@ -699,12 +708,14 @@ def check_dk(fun: SimplicialFunctor, budget: int = 1_000_000,
     0 needs no homology: normalized H_0 is free on the components, so it
     agrees exactly when the components biject.
 
-    Each hom is partitioned once, for its pairs and its category of
-    components; each compared hom's homology is taken once; one class map
-    per source pair, from every level-0 simplex, gives both the component
-    bijection and the induced functor.  ``source_components`` is
-    :func:`homotopy_category_data` of the source, when the caller built it
-    already (as for neglectability).
+    The partitions of the homs are taken first, so the pairs are reported
+    even when a category of components is undetermined; both come from
+    :func:`homotopy_category_data`, built at most once per simplicial
+    category (neglectability has often built the source's already).
+    Each compared hom's homology is taken once; one class map per source
+    pair, from every level-0 simplex, gives both the component bijection
+    and the induced functor, whose quasi-inverse object map is the
+    witness (``backward_objects``).
 
     ``budget`` is unused: no step here searches.  It is kept only because
     the traced rebuild in ``perfbench/tracing.py`` passes it; it goes
@@ -717,11 +728,7 @@ def check_dk(fun: SimplicialFunctor, budget: int = 1_000_000,
     N = src.truncation
     pairs, verdict = {}, "pass_partial"
 
-    if source_components is None:
-        src_parts = {(x, y): pi0(src.homs[(x, y)]) for x in src.objects for y in src.objects}
-    else:
-        src_parts = source_components[2]
-    tgt_parts = {(x, y): pi0(tgt.homs[(x, y)]) for x in tgt.objects for y in tgt.objects}
+    src_parts, tgt_parts = _partitions(src), _partitions(tgt)
     # (x, y) -> {source class: target class}, in the order classes are met
     class_maps, tgt_reports = {}, {}
 
@@ -759,24 +766,22 @@ def check_dk(fun: SimplicialFunctor, budget: int = 1_000_000,
                 verdict = "fail"
 
     try:
-        ho_src, src_names = source_components[:2] if source_components else _components(
-            src, src_parts)
-        ho_tgt, tgt_names = _components(tgt, tgt_parts)
+        ho_src, src_names, _ = homotopy_category_data(src)
+        ho_tgt, tgt_names, _ = homotopy_category_data(tgt)
     except CompositionUnavailable as exc:
         return DkCertificate(N, pairs, False, None, "undetermined", f"composition bound: {exc}")
     mmap = {src_names[(x, y)][k]: tgt_names[(omap[x], omap[y])][t]
             for (x, y), mapping in class_maps.items() for k, t in mapping.items()}
     try:
         # validates the induced functor before it looks for an inverse
-        witness = equivalence_from_functor(CatFunctor(ho_src, ho_tgt, dict(omap), mmap))
+        backward = equivalence_from_functor(CatFunctor(ho_src, ho_tgt, dict(omap), mmap))
     except InputError:
         return DkCertificate(N, pairs, False,
                              {"error": "induced map on components is not a functor"}, "fail")
-    if witness is None:
+    if backward is None:
         return DkCertificate(N, pairs, False, {
             "error": "component categories not equivalent via induced functor"}, "fail")
-    return DkCertificate(N, pairs, True, {"backward_objects": dict(witness.backward.object_map)},
-                         verdict)
+    return DkCertificate(N, pairs, True, {"backward_objects": backward}, verdict)
 
 
 # --- level categories --------------------------------------------------------

@@ -27,6 +27,11 @@ before any flattening pair.  When the two have the same weak
 equivalences (W holds only identities), the one re-localization serves
 both, and the flattening stage reports the string :data:`SHARED_NOTE`
 once instead of its pairs.  Progress never enters a report.
+
+Neglectability and the DK certificate read the component data that each
+simplicial category builds once and keeps
+(:func:`scat.homotopy_category_data`), so a claim builds its source's
+once and hands nothing between the two checks.
 """
 
 from __future__ import annotations
@@ -57,7 +62,6 @@ from .scat import (
     RelativeSimplicialCategory,
     SimplicialFunctor,
     check_dk,
-    homotopy_category_data,
     is_neglectable,
     validate_relscat,
     validate_scat,
@@ -145,12 +149,12 @@ def _embedded_sub(rel: RelativeCategory, loc_scat, morphisms):
     return sub
 
 
-def _comparison_certificate(fun, bounds: Bounds, source_components):
+def _comparison_certificate(fun, bounds: Bounds):
     """The DK certificate of a comparison map the pipeline built itself;
     ``check_dk`` validates it, and a map that fails is an inconsistency
     of the pipeline, not an input error."""
     try:
-        return check_dk(fun, bounds.dk_budget, source_components)
+        return check_dk(fun, bounds.dk_budget)
     except InputError as exc:
         raise ConsistencyError(f"comparison map invalid: {exc}") from exc
 
@@ -159,32 +163,29 @@ def _neglectability_stop(claim, inputs, bounds: Bounds, outcomes, rs, check, ref
     """Record whether the sub of ``rs`` is neglectable.  Returns the
     finished report when the pipeline stops here: "undetermined" when
     the bounds cannot decide, ``refuted`` when it is not neglectable;
-    else None.  Paired with the component data of the ambient when the
-    pipeline goes on, for the comparison certificate to reuse."""
+    else None."""
     try:
-        components = homotopy_category_data(rs.ambient)
-        neglectable, witness = is_neglectable(rs, components)
+        neglectable, witness = is_neglectable(rs)
     except (CompositionUnavailable, ConsistencyError) as exc:
         return ExperimentReport(claim, inputs, bounds.to_json(),
                                 outcomes + [{"check": "neglectability", "result": "undetermined"}],
-                                "undetermined", str(exc)), None
+                                "undetermined", str(exc))
     outcomes.append({"check": check, "result": "yes" if neglectable else "no"})
     if not neglectable:
-        return (ExperimentReport(claim, inputs, bounds.to_json(), outcomes, refuted,
-                                 list(witness)), None)
-    return None, components
+        return ExperimentReport(claim, inputs, bounds.to_json(), outcomes, refuted,
+                                list(witness))
+    return None
 
 
 def _certified(claim, inputs, bounds: Bounds, outcomes, fun, stable: bool,
-               compared_stable: bool, source_components) -> ExperimentReport:
+               compared_stable: bool) -> ExperimentReport:
     """The report gated on the comparison certificate of ``fun``.  A failed
     certificate fails the claim only when every localization it compares
     is stable (``compared_stable``); otherwise the mismatch may be a width
     artifact and the claim is undetermined, with the certificate as the
     witness either way.  An undetermined certificate, or primary data
-    that is not ``stable``, leaves the claim undetermined.
-    ``source_components`` is the component data of ``fun``'s source."""
-    cert = _comparison_certificate(fun, bounds, source_components)
+    that is not ``stable``, leaves the claim undetermined."""
+    cert = _comparison_certificate(fun, bounds)
     outcomes.append({"check": "DK certificate", "result": cert.verdict})
     if cert.verdict == "fail" and compared_stable:
         verdict = "fail"
@@ -216,8 +217,8 @@ def check_24i(a: FiniteCategory, u, v, bounds: Bounds, progress=None) -> Experim
     outcomes.append({"check": "localization(u) stability", "result": loc_u.verdict})
 
     rs = RelativeSimplicialCategory(loc_u.scat(), _embedded_sub(ru, loc_u.scat(), v))
-    stop, components = _neglectability_stop("2.4i", inputs, bounds, outcomes, rs,
-                                            "v neglectable in localization(u)", "inapplicable")
+    stop = _neglectability_stop("2.4i", inputs, bounds, outcomes, rs,
+                                "v neglectable in localization(u)", "inapplicable")
     if stop is not None:
         return stop
 
@@ -241,7 +242,7 @@ def check_24i(a: FiniteCategory, u, v, bounds: Bounds, progress=None) -> Experim
     induced = SimplicialFunctor(loc_u.scat(), loc_uv.scat(),
                                 {x: x for x in a.objects}, smap)
     stable = loc_u.verdict == "stable" and loc_uv.verdict == "stable"
-    return _certified("2.4i", inputs, bounds, outcomes, induced, stable, stable, components)
+    return _certified("2.4i", inputs, bounds, outcomes, induced, stable, stable)
 
 
 def check_24ii(rs: RelativeSimplicialCategory, bounds: Bounds,
@@ -255,8 +256,8 @@ def check_24ii(rs: RelativeSimplicialCategory, bounds: Bounds,
                         "truncation": rs.ambient.truncation},
                        "claim-24ii-input")
     outcomes = []
-    stop, components = _neglectability_stop("2.4ii", inputs, bounds, outcomes, rs,
-                                            "sub neglectable", "inapplicable")
+    stop = _neglectability_stop("2.4ii", inputs, bounds, outcomes, rs,
+                                "sub neglectable", "inapplicable")
     if stop is not None:
         return stop
 
@@ -266,7 +267,7 @@ def check_24ii(rs: RelativeSimplicialCategory, bounds: Bounds,
     # the certificate compares the exact input with the localization
     stable = rsloc.verdict == "stable"
     return _certified("2.4ii", inputs, bounds, outcomes, embed_relscat(rs, rsloc),
-                      stable, stable, components)
+                      stable, stable)
 
 
 def check_roundtrip(r: RelativeCategory, bounds: Bounds, progress=None) -> ExperimentReport:
@@ -356,8 +357,8 @@ def check_32(r: RelativeCategory, bounds: Bounds, progress=None) -> ExperimentRe
     rs = RelativeSimplicialCategory(loc.scat(), _embedded_sub(r, loc.scat(), r.weq))
     # inverting the weak equivalences must make them neglectable; a
     # failure here is a width artifact, not a refutation
-    stop, components = _neglectability_stop("3.2", inputs, bounds, outcomes, rs,
-                                            "image of weq neglectable", "undetermined")
+    stop = _neglectability_stop("3.2", inputs, bounds, outcomes, rs,
+                                "image of weq neglectable", "undetermined")
     if stop is not None:
         return stop
 
@@ -371,5 +372,5 @@ def check_32(r: RelativeCategory, bounds: Bounds, progress=None) -> ExperimentRe
     # claim only when the relocalization it compares is stable too
     return _certified("3.2", inputs, bounds, outcomes, embed_relscat(rs, rsloc),
                       loc.verdict == "stable",
-                      loc.verdict == "stable" and rsloc.verdict == "stable", components)
+                      loc.verdict == "stable" and rsloc.verdict == "stable")
 

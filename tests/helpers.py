@@ -6,21 +6,23 @@ square commutes), a random valid hammock, the :class:`Hammock` of a
 mapping space's simplex (which the library keeps as a grid of morphism
 numbers), the embedding of a category into its hammock localization,
 identity and composite functors, the list of all simplicial operators up
-to a dimension, the endpoints of a typed word and the identity
-simplicial functor.  No command calls them, so they live here rather
-than in ``src/hamloc``.
+to a dimension, the endpoints of a typed word, the identity simplicial
+functor, and a two-object simplicial category whose one nontrivial hom
+is a circle, with its endofunctors.  No command calls them, so they live
+here rather than in ``src/hamloc``.
 """
 
 from __future__ import annotations
 
 import random
 
+from hamloc import instances as inst
 from hamloc.errors import InputError
 from hamloc.fincat import CatFunctor, FiniteCategory
 from hamloc.hammock import Hammock, Localization, _Context, _mapped, embed_morphism
 from hamloc.relcat import RelativeCategory
 from hamloc.scat import SimplicialFunctor, TruncatedSimplicialCategory, promote
-from hamloc.simplicial import monotone_maps
+from hamloc.simplicial import TruncatedSimplicialSet, monotone_maps, nerve
 
 
 def row_vertices(c: FiniteCategory, source, directions, row):
@@ -230,4 +232,40 @@ def identity_simplicial_functor(a: TruncatedSimplicialCategory) -> SimplicialFun
             for level in range(a.truncation + 1):
                 for s in a.homs[(x, y)].level(level):
                     smap[(x, y, level, s)] = s
+    return SimplicialFunctor(a, a, {x: x for x in a.objects}, smap)
+
+
+def loop_category() -> TruncatedSimplicialCategory:
+    """Objects p and q; hom(p, q) is the truncation-2 nerve of the
+    parallel pair, a circle (H_1 = Z), hom(p, p) and hom(q, q) are points
+    and hom(q, p) is empty, so only identities compose."""
+    loop = nerve(inst.parallel_pair(), 2)
+
+    def constant(names):
+        same = tuple(range(len(names)))
+        return TruncatedSimplicialSet(2, [names] * 3, [(), (same,) * 2, (same,) * 3],
+                                      [(same,), (same,) * 2])
+
+    homs = {("p", "p"): constant(("idp",)), ("q", "q"): constant(("idq",)),
+            ("p", "q"): loop, ("q", "p"): constant(())}
+    table = {}
+    for level in range(3):
+        table[("p", "p", "p", level, "idp", "idp")] = "idp"
+        table[("q", "q", "q", level, "idq", "idq")] = "idq"
+        for s in loop.level(level):
+            table[("p", "q", "q", level, "idq", s)] = s
+            table[("p", "p", "q", level, s, "idp")] = s
+    return named_scat(["p", "q"], 2, homs, {"p": "idp", "q": "idq"}, table)
+
+
+def loop_functor(a: TruncatedSimplicialCategory, morphism_map) -> SimplicialFunctor:
+    """The endofunctor of :func:`loop_category` that acts on hom(p, q) as
+    the nerve of the endofunctor of the parallel pair with ``morphism_map``
+    (objects fixed) and as the identity elsewhere."""
+    smap = {}
+    for (x, y), hom in a.homs.items():
+        for level in range(a.truncation + 1):
+            for s in hom.level(level):
+                smap[(x, y, level, s)] = s if (x, y) != ("p", "q") else "|".join(
+                    morphism_map.get(part, part) for part in s.split("|"))
     return SimplicialFunctor(a, a, {x: x for x in a.objects}, smap)

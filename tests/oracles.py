@@ -15,7 +15,12 @@ composites looked up as ``w1 + w2``, is the reference for the one on
 trie node numbers (:func:`reference_oracle_ho`).  The earlier dict-keyed
 union-find is the reference for the one on dense numbers
 (:class:`ReferenceUnionFind`, :func:`reference_iso_classes`); the
-references that join words and vertex names run on it.  The full-detail hammock
+references that join words and vertex names run on it.  The equivalence
+check that built a whole quasi-inverse with its unit and counit
+(:func:`reference_equivalence_from_functor`, with its own
+:class:`EquivalenceWitness`) is the reference for the one that returns
+only the backward object map, and checks the functors the equivalence
+search finds.  The full-detail hammock
 enumeration that builds every grid row by row and reduces every face
 and diagonal image anew, mapping each level-n simplex under the outer
 face, is the reference for the one that builds rows 0 and 1 in one walk
@@ -64,7 +69,7 @@ from hamloc.fincat import (
     CatFunctor,
     FiniteCategory,
     disjoint_union,
-    equivalence_from_functor,
+    inverse,
     is_isomorphism,
     validate_functor,
 )
@@ -691,6 +696,86 @@ def reference_iso_classes(c: FiniteCategory) -> list:
             uf.union(c.dom[m], c.cod[m])
     groups = uf.groups(c.objects)
     return [frozenset(groups[r]) for r in sorted(groups, key=c.obj_index.get)]
+
+
+# --- the equivalence witness with quasi-inverse, unit and counit -----------
+
+
+@dataclass
+class EquivalenceWitness:
+    """An equivalence of categories with all the data spelled out.
+
+    ``unit[x] : x -> backward(forward(x))`` and
+    ``counit[b] : forward(backward(b)) -> b`` are isomorphisms.
+    """
+
+    forward: CatFunctor
+    backward: CatFunctor
+    unit: dict
+    counit: dict
+
+
+def _is_fully_faithful(fun: CatFunctor) -> bool:
+    src, tgt = fun.source, fun.target
+    for x in src.objects:
+        for y in src.objects:
+            image = [fun.morphism_map[m] for m in src.hom(x, y)]
+            cell = tgt.hom(fun.object_map[x], fun.object_map[y])
+            if len(set(image)) != len(image) or len(image) != len(cell):
+                return False
+    return True
+
+
+def _is_essentially_surjective(fun: CatFunctor) -> bool:
+    hit = {fun.object_map[x] for x in fun.source.objects}
+    return all(cls & hit for cls in reference_iso_classes(fun.target))
+
+
+def reference_equivalence_from_functor(fun: CatFunctor) -> EquivalenceWitness | None:
+    """Upgrade a fully faithful, essentially surjective functor to a full
+    equivalence witness (quasi-inverse plus unit/counit).  Returns None if
+    the functor is not an equivalence."""
+    if validate_functor(fun):
+        raise InputError("not a functor")
+    if not (_is_fully_faithful(fun) and _is_essentially_surjective(fun)):
+        return None
+    src, tgt = fun.source, fun.target
+    image = {}
+    for x in src.objects:
+        image.setdefault(fun.object_map[x], x)
+
+    back_obj, counit = {}, {}
+    for b in tgt.objects:
+        if b in image:
+            back_obj[b] = image[b]
+            counit[b] = tgt.identity[b]
+            continue
+        for x in src.objects:
+            fx = fun.object_map[x]
+            tau = next((t for t in tgt.hom(fx, b) if is_isomorphism(tgt, t)), None)
+            if tau is not None:
+                back_obj[b] = x
+                counit[b] = tau
+                break
+
+    def preimage(x, y, target_mor):
+        for m in src.hom(x, y):
+            if fun.morphism_map[m] == target_mor:
+                return m
+        return None
+
+    back_mor = {}
+    for beta in tgt.morphisms:
+        b, b2 = tgt.dom[beta], tgt.cod[beta]
+        conj = tgt.compose(inverse(tgt, counit[b2]), tgt.compose(beta, counit[b]))
+        back_mor[beta] = preimage(back_obj[b], back_obj[b2], conj)
+
+    backward = CatFunctor(tgt, src, back_obj, back_mor)
+    unit = {}
+    for x in src.objects:
+        fx = fun.object_map[x]
+        unit[x] = preimage(x, back_obj[fx], inverse(tgt, counit[fx]))
+    return EquivalenceWitness(fun, backward, unit, counit)
 
 
 # --- the enumeration routines on morphism names ----------------------------
@@ -1659,7 +1744,7 @@ def reference_homotopy_category_data(a, wellcheck_cap: int = 8):
     """The category of components, the name-keyed class map and the
     name-keyed partitions."""
     if a.truncation < 1:
-        raise InputError("homotopy category needs truncation >= 1")
+        raise InputError("components need truncation >= 1")
     parts = {(x, y): _named_pi0(a.homs[(x, y)]) for x in a.objects for y in a.objects}
     members = {pair: a.homs[pair].level(0) for pair in parts}
     identities = {x: _identity_name(a, x, 0) for x in a.objects}
@@ -1824,7 +1909,7 @@ def reference_check_dk(fun) -> DkCertificate:
             ho_witness = {"error": "induced map on components is not a functor"}
             verdict = "fail"
         else:
-            witness = equivalence_from_functor(induced)
+            witness = reference_equivalence_from_functor(induced)
             if witness is None:
                 ho_witness = {"error": "component categories not equivalent via induced functor"}
                 verdict = "fail"

@@ -1,6 +1,7 @@
 """Digests of the report bytes of every benchmark operation.
 
     PYTHONHASHSEED=1 python3 tests/report_digests.py DIR [--seed 1] > digests.txt
+    python3 tests/report_digests.py DIR --check tests/golden/report-digests.txt
 
 Builds the operations of the three workloads (``perfbench/workloads.py``),
 writing their inputs into ``DIR``, and runs each through ``hamloc.cli.run``
@@ -10,13 +11,18 @@ command line with ``DIR`` left out.  Run it from two checkouts with the
 same ``DIR``, seed and ``PYTHONHASHSEED``, and diff the outputs: equal
 lines mean equal report bytes.  The package and the workloads are those
 of the checkout the script lives in (``src`` and ``perfbench`` beside
-``tests``), and the result cache is off, as in the benchmark.
+``tests``), and the result cache is off, as in the benchmark.  With
+``--check FILE`` it prints only the lines that differ from ``FILE`` (the
+recorded line after ``-``, this checkout's after ``+``) and exits 1 if
+any does; ``tests/golden/report-digests.txt`` holds the lines of seed 1,
+recorded at commit 34d4885.
 """
 
 import argparse
 import contextlib
 import hashlib
 import io
+import itertools
 import os
 import sys
 from pathlib import Path
@@ -44,20 +50,46 @@ def run(argv):
     return code, out.getvalue(), err.getvalue()
 
 
+def lines(directory, seed=1):
+    """The digest line of each benchmark operation at ``seed``, plain and
+    with ``--verbose``, its inputs written under ``directory``."""
+    directory = Path(directory).resolve()
+    for workload in workloads.WORKLOADS:
+        for op in workloads.build(workload, seed, directory / workload):
+            for argv in (op.argv, ["--verbose"] + op.argv):
+                code, out, err = run(argv)
+                shown = " ".join(argv).replace(str(directory) + "/", "")
+                yield f"{code} {digest(out)} {digest(err)} {shown}"
+
+
+def differences(recorded, observed):
+    """``-recorded`` and ``+observed`` for each line number where the two
+    differ, a missing line read as empty."""
+    out = []
+    for want, got in itertools.zip_longest(recorded, observed, fillvalue=""):
+        if want != got:
+            out += [f"-{want}", f"+{got}"]
+    return out
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("directory", type=Path, help="where the workload inputs are written")
     parser.add_argument("--seed", type=int, default=1)
+    parser.add_argument("--check", type=Path, metavar="FILE",
+                        help="print only the lines that differ from FILE; exit 1 if any does")
     args = parser.parse_args()
     os.environ.pop("HAMLOC_CACHE_DIR", None)
-    directory = args.directory.resolve()
-    for workload in workloads.WORKLOADS:
-        for op in workloads.build(workload, args.seed, directory / workload):
-            for argv in (op.argv, ["--verbose"] + op.argv):
-                code, out, err = run(argv)
-                shown = " ".join(argv).replace(str(directory) + "/", "")
-                print(code, digest(out), digest(err), shown, flush=True)
+    if args.check is None:
+        for line in lines(args.directory, args.seed):
+            print(line, flush=True)
+        return 0
+    recorded = args.check.read_text(encoding="utf-8").splitlines()
+    diff = differences(recorded, lines(args.directory, args.seed))
+    for line in diff:
+        print(line)
+    return 1 if diff else 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

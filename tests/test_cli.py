@@ -297,6 +297,24 @@ class TestDkAndNeglectable:
         assert run(["dk-check", str(path)]) == 2
         assert "simplex not mapped: (X,X) level 2: idX" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [["dk-check", "functor.json"],
+                                      ["neglectable", "relscat.json"],
+                                      ["verify", "2.4ii", "relscat.json"]],
+                             ids=["dk-check", "neglectable", "verify-2.4ii"])
+    def test_truncation_zero_has_no_components(self, tmp_path, capsys, argv):
+        """One place builds component data, so each command that needs it
+        refuses a truncation-0 input with the same message."""
+        iso = inst.walking_iso()
+        p = promote(iso, 0)
+        write_canonical(tmp_path / "functor.json", dict(
+            identity_simplicial_functor(p).to_json(), source=p.to_json(), target=p.to_json()))
+        write_canonical(tmp_path / "relscat.json", relscat_to_json(
+            RelativeSimplicialCategory(p, sub_from_morphisms(p, iso, iso.morphisms))))
+        argv = [str(tmp_path / a) if a.endswith(".json") else a for a in argv]
+        assert run(argv) == 2
+        out = capsys.readouterr()
+        assert (out.out, out.err) == ("", "input error: components need truncation >= 1\n")
+
     def test_neglectable_true_false(self, files):
         assert run(["neglectable", files["relscat-iso.json"]]) == 0
         assert run(["neglectable", files["relscat-arrow.json"]]) == 1

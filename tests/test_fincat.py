@@ -23,7 +23,7 @@ from hamloc.fincat import (
 )
 from hamloc.relcat import oracle_ho_category
 from helpers import compose_functors, identity_functor
-from oracles import ReferenceUnionFind, reference_iso_classes
+from oracles import ReferenceUnionFind, reference_equivalence_from_functor, reference_iso_classes
 
 
 def small_categories():
@@ -195,6 +195,8 @@ class TestFunctors:
 
 
 def _check_witness(witness):
+    """The quasi-inverse, unit and counit that the reference builds for an
+    equivalence: functors, isomorphisms, and a natural counit."""
     fwd, back = witness.forward, witness.backward
     assert validate_functor(fwd) == []
     assert validate_functor(back) == []
@@ -217,16 +219,21 @@ def _check_witness(witness):
         assert lhs == rhs
 
 
+def _check_found(out):
+    """A found equivalence passes the reference's witness checks."""
+    assert out.found
+    _check_witness(reference_equivalence_from_functor(out.functor))
+
+
 class TestFindEquivalence:
     def test_terminal_terminal(self):
         out = find_equivalence(inst.terminal(), inst.terminal(), 100)
-        assert out.found
-        _check_witness(out.witness)
+        _check_found(out)
 
     def test_terminal_walking_iso(self):
         out = find_equivalence(inst.terminal(), inst.walking_iso(), 10_000)
         assert out.found
-        fwd = out.witness.forward
+        fwd = out.functor
         # fully faithful by hom counts 1 = 1, essentially surjective since
         # both objects are isomorphic
         for x in fwd.source.objects:
@@ -234,7 +241,7 @@ class TestFindEquivalence:
                 assert len(fwd.source.hom(x, y)) == len(
                     fwd.target.hom(fwd.object_map[x], fwd.object_map[y])
                 )
-        _check_witness(out.witness)
+        _check_found(out)
 
     def test_terminal_discrete_two_is_none(self):
         out = find_equivalence(inst.terminal(), inst.discrete(2), 10_000)
@@ -249,7 +256,7 @@ class TestFindEquivalence:
             budget = len(c.morphisms) ** 2
             out = find_equivalence(c, c, budget)
             assert out.found, c
-            _check_witness(out.witness)
+            _check_found(out)
 
     def test_random_dag_self_equivalence(self):
         rng = random.Random(11)
@@ -268,6 +275,71 @@ class TestFindEquivalence:
                               {"X": "*", "Y": "*"},
                               {"idX": "id*", "idY": "id*", "f": "id*"})
         assert equivalence_from_functor(collapse) is None
+
+
+def _random_functor(rng):
+    """A random object map between two small categories, each free on a
+    random DAG and half of them with a walking isomorphism beside it, and
+    a morphism map that mostly respects typing.  A third of the time the
+    target is the source, and then half of the time the object map is the
+    identity but for the walking isomorphism, whose two objects go to
+    either.  Many are not functors; among the functors are equivalences
+    that miss an object of the target."""
+    def category():
+        c = inst.random_dag_category(rng, max_objects=3, max_nonid=6)
+        return disjoint_union(c, inst.walking_iso()) if rng.random() < 0.5 else c
+
+    source = category()
+    target = source if rng.random() < 1 / 3 else category()
+    if target is source and rng.random() < 0.5:
+        omap = {x: rng.choice(["R.X", "R.Y"]) if x.startswith("R.") else x
+                for x in source.objects}
+    else:
+        omap = {x: rng.choice(target.objects) for x in source.objects}
+    mmap = {}
+    for m in source.morphisms:
+        typed = target.hom(omap[source.dom[m]], omap[source.cod[m]])
+        mmap[m] = rng.choice(typed if typed and rng.random() < 0.95 else target.morphisms)
+    return CatFunctor(source, target, omap, mmap)
+
+
+def _equivalence_outcomes(fun):
+    """What the package's and the reference's equivalence check give for
+    ``fun``: the backward object map or None, or "InputError"."""
+    def outcome(check):
+        try:
+            return check(fun)
+        except InputError:
+            return "InputError"
+
+    got, ref = outcome(equivalence_from_functor), outcome(reference_equivalence_from_functor)
+    return got, ref if ref in (None, "InputError") else ref.backward.object_map
+
+
+class TestEquivalenceFromFunctorAgainstReference:
+    """The object map of a quasi-inverse against the reference that builds
+    the whole quasi-inverse with its unit and counit
+    (``tests/oracles.py``): None exactly when the reference gives None,
+    the reference's backward object map otherwise, and InputError for a
+    non-functor in both."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(min_value=0, max_value=10**6))
+    def test_random_maps(self, seed):
+        got, ref = _equivalence_outcomes(_random_functor(random.Random(seed)))
+        assert got == ref
+
+    def test_the_random_maps_reach_every_outcome(self):
+        kinds, outside_image = set(), 0
+        for seed in range(300):
+            fun = _random_functor(random.Random(seed))
+            got, ref = _equivalence_outcomes(fun)
+            assert got == ref, seed
+            kinds.add(got if got in (None, "InputError") else "map")
+            if isinstance(got, dict):
+                outside_image += bool(set(got) - set(fun.object_map.values()))
+        assert kinds == {None, "InputError", "map"}
+        assert outside_image > 0
 
 
 class TestDisjointUnion:

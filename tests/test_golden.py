@@ -5,8 +5,9 @@ the exit code and the canonical output with a fixture in ``tests/golden``.
 Large outputs are stored as their sha256 only.  The fixtures were
 recorded at commit c86405b (the ``dk-check`` ones at 2fbdaea, the
 ``oracle-ho`` ones at ac466f4, ``verify 3.2`` on chain-weq and
-z2-groupoid and at truncation 2 at 2057a8f); a fixture changes only together with a
-stated change of the report bytes.  To record them again with the
+z2-groupoid and at truncation 2 at 2057a8f, ``dk-check`` on the loop
+category and the point into the walking isomorphism at 34d4885); a
+fixture changes only together with a stated change of the report bytes.  To record them again with the
 package on ``PYTHONPATH``, all of them or the named ones, printing the
 names whose file changed:
 
@@ -33,7 +34,7 @@ from hamloc.scat import (
     relscat_to_json,
     sub_from_morphisms,
 )
-from helpers import identity_simplicial_functor
+from helpers import identity_simplicial_functor, loop_category, loop_functor
 
 GOLDEN = Path(__file__).with_name("golden")
 
@@ -97,13 +98,24 @@ def _collapse(source, target):
 def _functors():
     """Simplicial functors for ``dk-check``: one certificate that passes,
     one that fails in degree 1 (the Z/2 torsion of the involution nerve)
-    and one that fails in degree 0."""
+    and one that fails in degree 0.  On the loop category, whose hom(p, q)
+    is a circle, the induced map on H_1 decides: its identity and its swap
+    pass, its collapse fails in degree 1.  The point into the walking
+    isomorphism passes, and its backward object map sends Y, outside the
+    image, to an isomorphic preimage."""
     z2 = inst.z2_nerve_scat(2)
+    loop = loop_category()
+    point, iso = promote(inst.terminal(), 1), promote(inst.walking_iso(), 1)
     return {
         "identity-z2-nerve": identity_simplicial_functor(z2),
         "z2-nerve-onto-point": _collapse(z2, promote(inst.terminal(), 2)),
         "two-points-onto-point": _collapse(promote(inst.discrete(2), 1),
                                            promote(inst.terminal(), 1)),
+        "loop-identity": loop_functor(loop, {}),
+        "loop-swap": loop_functor(loop, {"a": "b", "b": "a"}),
+        "loop-collapse": loop_functor(loop, {"b": "a"}),
+        "point-into-walking-iso": SimplicialFunctor(
+            point, iso, {"*": "X"}, {("*", "*", level, "id*"): "idX" for level in range(2)}),
     }
 
 

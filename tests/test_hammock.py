@@ -41,7 +41,9 @@ from hamloc.relcat import RelativeCategory, oracle_localized_homset
 from hamloc.scat import (
     RelativeSimplicialCategory,
     TruncatedSimplicialCategory,
-    homotopy_category,
+    check_dk,
+    homotopy_category_data,
+    is_neglectable,
     promote,
     sub_from_morphisms,
     validate_scat,
@@ -473,7 +475,7 @@ class TestRelscatLocalization:
                 for level in range(2):
                     assert len(rl.diag_homs[(x, y)].level(level)) == \
                         len(direct.pair(x, y).sset.level(level)), (x, y, level)
-        ho_rl = homotopy_category(rl.scat())
+        ho_rl = homotopy_category_data(rl.scat())[0]
         ho_direct, _ = homotopy_category_of_localization(direct)
         assert find_equivalence(ho_rl, ho_direct, 100_000).found
 
@@ -1021,6 +1023,29 @@ class TestLifetime:
             del loc_mid, loc_flat
             assert [ref() for ref in held] == [None, None]
         finally:
+            gc.enable()
+
+    def test_kept_component_data_makes_no_cycle(self):
+        """The partitions and the category of components that a simplicial
+        category keeps hold no reference back to it: after neglectability
+        and a DK certificate built them, no simplicial category is left to
+        the cyclic collector."""
+        r = inst.walking_weq()
+        gc.collect()
+        gc.disable()
+        try:
+            loc = hammock_localization(r, 1, 2)
+            rs = RelativeSimplicialCategory(loc.scat(), _embedded_sub(r, loc.scat(), r.weq))
+            rl = hammock_localization_relscat(rs, 1, 2)
+            assert is_neglectable(rs) == (True, None)
+            assert check_dk(embed_relscat(rs, rl)).verdict == "pass_partial"
+            del loc, rs, rl
+            gc.set_debug(gc.DEBUG_SAVEALL)
+            gc.collect()
+            assert not [o for o in gc.garbage if isinstance(o, TruncatedSimplicialCategory)]
+        finally:
+            gc.set_debug(0)
+            gc.garbage.clear()
             gc.enable()
 
     def test_cli_runs_leave_module_containers_alone(self, tmp_path, capsys):

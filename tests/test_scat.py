@@ -1,4 +1,5 @@
 import itertools
+import operator
 
 import pytest
 
@@ -11,7 +12,6 @@ from hamloc.scat import (
     SimplicialFunctor,
     TruncatedSimplicialCategory,
     check_dk,
-    homotopy_category,
     homotopy_category_data,
     is_neglectable,
     level_category,
@@ -24,8 +24,8 @@ from hamloc.scat import (
     validate_scat,
     validate_simplicial_functor,
 )
-from hamloc.simplicial import TruncatedSimplicialSet, homology, nerve
-from helpers import identity_simplicial_functor, named_scat
+from hamloc.simplicial import TruncatedSimplicialSet, homology
+from helpers import identity_simplicial_functor, loop_category, loop_functor, named_scat
 from oracles import level_functor, reference_induced_homology_iso, simplex_names
 
 
@@ -57,6 +57,8 @@ class TestPromote:
             p = promote(c, 2)
             ho, class_names, parts = homotopy_category_data(p)
             assert validate_category(ho) == []
+            # kept: asked again, the same objects come back
+            assert all(map(operator.is_, homotopy_category_data(p), (ho, class_names, parts)))
             rename = {}
             for m in c.morphisms:
                 pair = (c.dom[m], c.cod[m])
@@ -78,14 +80,14 @@ class TestZ2NerveCategory:
 
     def test_single_component_hom(self):
         a = inst.z2_nerve_scat(2)
-        ho = homotopy_category(a)
+        ho = homotopy_category_data(a)[0]
         assert len(ho.morphisms) == 1
 
     def test_disjoint_union_of_components(self):
         c = disjoint_union(inst.walking_arrow(), inst.chain3())
-        ho = homotopy_category(promote(c, 1))
-        left = homotopy_category(promote(inst.walking_arrow(), 1))
-        right = homotopy_category(promote(inst.chain3(), 1))
+        ho = homotopy_category_data(promote(c, 1))[0]
+        left = homotopy_category_data(promote(inst.walking_arrow(), 1))[0]
+        right = homotopy_category_data(promote(inst.chain3(), 1))[0]
         assert len(ho.morphisms) == len(left.morphisms) + len(right.morphisms)
 
 
@@ -112,8 +114,11 @@ def _ill_defined_category():
 
 class TestHomotopyCategory:
     def test_ill_defined_composition_is_reported(self):
-        with pytest.raises(ConsistencyError):
-            homotopy_category(_ill_defined_category())
+        """Each time it is asked for: a build that raises is not kept."""
+        a = _ill_defined_category()
+        for _ in range(2):
+            with pytest.raises(ConsistencyError):
+                homotopy_category_data(a)
 
     def test_truncation_zero_rejected(self):
         p = promote(inst.terminal(), 2)
@@ -125,7 +130,7 @@ class TestHomotopyCategory:
             {key: value for key, value in p.table.items() if key[3] == 0},
         )
         with pytest.raises(InputError):
-            homotopy_category(broken)
+            homotopy_category_data(broken)
 
 
 class TestNeglectable:
@@ -285,55 +290,20 @@ class TestCheckDk:
         assert all(bijective)
 
 
-def _loop_category():
-    """Objects p and q; hom(p, q) is the truncation-2 nerve of the
-    parallel pair, a circle (H_1 = Z), hom(p, p) and hom(q, q) are points
-    and hom(q, p) is empty, so only identities compose."""
-    loop = nerve(inst.parallel_pair(), 2)
-
-    def constant(names):
-        same = tuple(range(len(names)))
-        return TruncatedSimplicialSet(2, [names] * 3, [(), (same,) * 2, (same,) * 3],
-                                      [(same,), (same,) * 2])
-
-    homs = {("p", "p"): constant(("idp",)), ("q", "q"): constant(("idq",)),
-            ("p", "q"): loop, ("q", "p"): constant(())}
-    table = {}
-    for level in range(3):
-        table[("p", "p", "p", level, "idp", "idp")] = "idp"
-        table[("q", "q", "q", level, "idq", "idq")] = "idq"
-        for s in loop.level(level):
-            table[("p", "q", "q", level, "idq", s)] = s
-            table[("p", "p", "q", level, s, "idp")] = s
-    return named_scat(["p", "q"], 2, homs, {"p": "idp", "q": "idq"}, table)
-
-
-def _loop_functor(a, morphism_map):
-    """The endofunctor of :func:`_loop_category` that acts on hom(p, q) as
-    the nerve of the endofunctor of the parallel pair with ``morphism_map``
-    (objects fixed) and as the identity elsewhere."""
-    smap = simplex_names(identity_simplicial_functor(a))
-    for level in range(3):
-        for s in a.homs[("p", "q")].level(level):
-            smap[("p", "q", level, s)] = "|".join(
-                morphism_map.get(part, part) for part in s.split("|"))
-    return SimplicialFunctor(a, a, {x: x for x in a.objects}, smap)
-
-
 class TestHomologyCertificate:
     """A positive Betti number: the induced map on H_1 of hom(p, q) decides
     the certificate, by ranks of one block matrix."""
 
     def test_identity_passes(self):
-        a = _loop_category()
+        a = loop_category()
         assert validate_scat(a) == []
         cert = check_dk(identity_simplicial_functor(a))
         assert cert.verdict == "pass_partial"
         assert cert.pairs[("p", "q")].homology_ok
 
     def test_collapsing_the_loop_fails_in_degree_one(self):
-        a = _loop_category()
-        fun = _loop_functor(a, {"b": "a"})
+        a = loop_category()
+        fun = loop_functor(a, {"b": "a"})
         assert validate_simplicial_functor(fun) == []
         cert = check_dk(fun)
         assert cert.verdict == "fail"
@@ -341,14 +311,14 @@ class TestHomologyCertificate:
         assert cert.pairs[("p", "q")].homology_witness == {"pair": ["p", "q"], "degree": 1}
 
     def test_rank_check_agrees_with_kernel_basis_reference(self):
-        a = _loop_category()
+        a = loop_category()
         hom = a.homs[("p", "q")]
         report = homology(hom)
         assert report.group(1).free_rank == 1
         cases = [({}, True), ({"a": "b", "b": "a"}, True), ({"b": "a"}, False),
                  ({"a": "b"}, False)]
         for morphism_map, iso in cases:
-            fun = _loop_functor(a, morphism_map)
+            fun = loop_functor(a, morphism_map)
             image = scat._functor_report(fun)[1][("p", "q")][1]
             assert scat._induced_homology_iso(image, 1, hom, hom, report, report) == iso, \
                 morphism_map
@@ -361,7 +331,7 @@ class TestHomologyCertificate:
         costs one rank-over-Q elimination, of the block matrix."""
         from hamloc.simplicial import boundary_matrix, rational_rank
 
-        a = _loop_category()
+        a = loop_category()
         hom = a.homs[("p", "q")]
         assert homology(hom).boundary_ranks == (0, *(
             rational_rank(boundary_matrix(hom, k)[0]) for k in (1, 2)))
@@ -523,7 +493,7 @@ def _valid_scats():
                                 stock_cats() + [_z3()])
              for n in (1, 2)]
     cases += [("z2-nerve-1", inst.z2_nerve_scat(1)), ("z2-nerve-2", inst.z2_nerve_scat(2)),
-              ("loop", _loop_category())]
+              ("loop", loop_category())]
     return cases
 
 
@@ -559,8 +529,8 @@ def _functors():
     certificate, or both."""
     cases = [(f"identity-{name}", identity_simplicial_functor(a)) for name, a in _valid_scats()]
     cases += [("collapse", _collapse_functor()), ("point-inclusion", _point_inclusion())]
-    loop = _loop_category()
-    cases += [(f"loop-{m}", _loop_functor(loop, m))
+    loop = loop_category()
+    cases += [(f"loop-{m}", loop_functor(loop, m))
               for m in ({"b": "a"}, {"a": "b"}, {"a": "b", "b": "a"})]
     unmapped = _collapse_functor()
     del unmapped.simplex_map[("X", "Y", 0, unmapped.source.homs[("X", "Y")].levels[0].index("u"))]
@@ -660,7 +630,7 @@ class TestNumberedAgainstReference:
                 p, sub_from_morphisms(p, iso, ["idX", "idY"]) | {("X", "Y"): ({}, {"u"})})),
             # d_1 of a is the vertex X, in the sub; d_0 is Y, outside it
             ("one-face-escapes", RelativeSimplicialCategory(
-                _loop_category(), {("p", "q"): ({"X"}, {"a"}, set())})),
+                loop_category(), {("p", "q"): ({"X"}, {"a"}, set())})),
         ]
         reported = 0
         for name, rs in cases:

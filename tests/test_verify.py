@@ -23,7 +23,7 @@ BOUNDS = Bounds(truncation=1, width=4)
 def test_invalid_comparison_map_is_an_inconsistency(monkeypatch):
     """check_dk validates the comparison map once; a map the pipeline
     built wrongly is a ConsistencyError (exit 3), not an input error."""
-    def rejects(fun, budget, source_components):
+    def rejects(fun, budget):
         raise InputError("invalid simplicial functor: planted")
 
     monkeypatch.setattr(verify, "check_dk", rejects)
@@ -269,7 +269,7 @@ class TestCheck32:
         still fails the claim (exit 1)."""
         planted = DkCertificate(truncation=1, pairs={}, ho_ok=False, ho_witness="planted",
                                 verdict="fail", reason="planted")
-        monkeypatch.setattr(verify, "check_dk", lambda fun, budget, source_components: planted)
+        monkeypatch.setattr(verify, "check_dk", lambda fun, budget: planted)
         report = check_32(inst.walking_arrow_relative(), BOUNDS)
         by_check = {o["check"]: o["result"] for o in report.outcomes}
         assert by_check["localization stability"] == "stable"
