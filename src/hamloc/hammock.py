@@ -17,8 +17,9 @@ distinct grid once per mapping space or diagonal hom.  Each level of a
 mapping space is sorted by (width, name) without names, by a key of
 morphism ranks that orders like the name (:func:`_order`), and numbered
 in that order.  A simplex is found by its grid in its own level's table
-(:meth:`MappingSpace.grid_numbers`, built on that level's first lookup),
-and named (:func:`_namer`) only when a caller reads a name
+(:meth:`MappingSpace.grid_numbers`: the table the full-detail
+enumeration built, else built on that level's first lookup), and named
+(:func:`_namer`) only when a caller reads a name
 (:class:`simplicial.Names`): the output of ``localize``, ``ho`` and
 ``flatten``, a witness, a message, or the morphisms of a level category.
 Only the boundary functions (:func:`reduce_hammock`,
@@ -33,23 +34,35 @@ the merged column is all identities; the junction alone often shows an
 overflow (:func:`_junction`), so :func:`bounded_composites` composes two
 homs by junction class.  The dimensionwise diagonal takes its tables
 from the level localizations, a face through the level space's own
-inner face.  Along an alternating pattern a grid is reduced exactly when
-no column has an identity in every row (its :func:`_identity_mask` is
-0), so the full-detail enumeration builds a grid's last row only with
-non-identity entries in the columns its other rows leave as identities.
-It grows one height at a time: rows 0 and 1 come from one column walk
-(:meth:`_Context.two_rows`), each row below is built column by column
-(:meth:`_Context.extensions`) under the grids that were kept or are
-unreduced, since a pruned grid is the last face of every grid grown from
-it; both walks read one table of column steps.  "pi0" detail builds
-only the vertices and their components, joined along generator grids
-whose steps come from a second table (:func:`_pi0_joins`); one such walk
-over a relative category's rows also partitions the vertices of a
-relative category on the same category with fewer weak equivalences
-(:func:`pi0_localizations`), as claim 3.1 needs for its middle and its
-flattening.  The context, with its tables, and the namer are freed with
-what made them, by reference counting: the package builds no reference
-cycles around them.
+inner face, each distinct row and vertical layer mapped once per outer
+map.
+
+The full-detail enumeration numbers each row of a mapping space once,
+as a leaf of a trie of the feasible row prefixes whose children follow
+the rank order (:class:`_RowTrie`): its leaves are numbered in (width,
+name) order, so level 0, the reduced rows, comes out sorted, and each
+higher level sorts on leaf numbers and the ranks of its layers.  Along
+an alternating pattern a grid is reduced exactly when no column has an
+identity in every row (the AND of its rows' identity masks is 0), so a
+grid's last row is built only with non-identity entries in the columns
+its other rows leave as identities.  The enumeration grows one height
+at a time on leaf numbers: rows 0 and 1 come from one column walk
+(:meth:`_RowTrie.first_rows`), and each row below from another
+(:meth:`_RowTrie.extensions`), only under the grids that were kept or
+are unreduced, since a pruned grid is the last face of every grid grown
+from it; both walk trie nodes and read one table of column steps.  A
+level-1 face is the vertex of a row's normal form, reduced once per row;
+a higher face is reduced once per distinct dropped grid of leaf numbers.
+The trie lives while one space is built.
+
+"pi0" detail builds only the vertices and their components, joined
+along generator grids whose steps come from a second table
+(:func:`_pi0_joins`); one such walk over a relative category's rows also
+partitions the vertices of a relative category on the same category
+with fewer weak equivalences (:func:`pi0_localizations`), as claim 3.1
+needs for its middle and its flattening.  The context, with its tables,
+and the namer are freed with what made them, by reference counting: the
+package builds no reference cycles around them.
 
 Width is the one genuine approximation: enumeration is exhaustive up to
 ``w_max`` columns, faces and reduction only shrink width, and every
@@ -177,6 +190,19 @@ def _mapped(image, rows):
     """``rows`` with each entry m replaced by ``image[m]``."""
     image = image.__getitem__
     return tuple(tuple(map(image, row)) for row in rows)
+
+
+def _mapped_once(image, mapped, rows):
+    """:func:`_mapped` of ``rows``, with ``image`` a function, each
+    distinct row mapped once: ``mapped`` keeps the image of every row it
+    has seen."""
+    out = []
+    for row in rows:
+        mapped_row = mapped.get(row)
+        if mapped_row is None:
+            mapped_row = mapped[row] = tuple(map(image, row))
+        out.append(mapped_row)
+    return tuple(out)
 
 
 def _grid(cat: FiniteCategory, h: Hammock):
@@ -437,15 +463,18 @@ class _Context:
     equivalences in and weak equivalences out; and ``weq_moves[x]`` lists
     the non-identity weak equivalences out of x.  ``rank_chars[m]`` is one
     character whose code is the rank of ``repr`` of m's name among those of
-    all morphisms, the order :func:`_order` sorts grids by, and ``namer``
-    names a level's grids (:func:`_names`).  ``steps`` is the column-step
-    table of :meth:`two_rows` and :meth:`extensions`, filled on first use:
-    ``(forward, vprev, h, last, nonidentity)`` (the column's direction,
-    the vertical before it, its entry, whether it is the last column, and
-    whether its next entry must not be an identity) maps to the ``(vnext,
-    solutions)`` pairs with a solution, where ``vnext`` is the vertical
-    after the column (the end identity in the last one) and the solutions
-    are its entries below.
+    all morphisms, the order :func:`_order` sorts grids by, and
+    ``ranked_from`` and ``ranked_weq_into`` are ``from_any`` and
+    ``weq_into`` in that order, the order of a :class:`_RowTrie`'s
+    children; ``namer`` names a level's grids (:func:`_names`).  ``steps``
+    is the column-step table of the row walks of a :class:`_RowTrie`
+    (:meth:`_RowTrie.first_rows`, :meth:`_RowTrie.extensions`), filled on
+    first use: ``(forward, vprev, h, last, nonidentity)`` (the column's
+    direction, the vertical before it, its entry, whether it is the last
+    column, and whether its next entry must not be an identity) maps to
+    the ``(vnext, solutions)`` pairs with a solution, where ``vnext`` is
+    the vertical after the column (the end identity in the last one) and
+    the solutions are its entries below.
 
     ``sub_weq`` holds the numbers of a second, smaller set of weak
     equivalences on the same category (None: there is none), for the walk
@@ -485,6 +514,9 @@ class _Context:
         for rank, m in enumerate(sorted(range(len(c.morphisms)),
                                         key=lambda m: repr(c.morphisms[m]))):
             self.rank_chars[m] = chr(rank)
+        ranked = partial(sorted, key=self.rank_chars.__getitem__)
+        self.ranked_from = {x: ranked(ms) for x, ms in self.from_any.items()}
+        self.ranked_weq_into = {x: ranked(ms) for x, ms in self.weq_into.items()}
         self.namer = partial(_names, c.morphisms)
         self.steps = {}
         self.sub_weq = None if sub_weq is None else {index[m] for m in sub_weq}
@@ -525,81 +557,6 @@ class _Context:
                 partial = [(dom[m], row + (m,)) for at, row in partial
                            for m in self.weq_into[at] if dom[m] in reach]
         return [row for _, row in partial]
-
-    def two_rows(self, x, y, directions, masked):
-        """Each row 0 from x to y along the direction pattern, as
-        :meth:`paths` builds it, with its identity mask
-        (:func:`_identity_mask`) and the (interior verticals, row 1) pairs
-        below it that :meth:`extensions` gives with the nonidentity mask
-        ``masked and mask`` (``masked``: row 1 is the last row), except the
-        rows that are not reduced and have no pair.  One walk builds both
-        rows column by column: a row-0 prefix carries its partial rows 1,
-        so rows 0 that share a prefix share its column steps, and a prefix
-        is dropped as soon as neither a reduced row 0 nor a row 1 can
-        follow it."""
-        width = len(directions)
-        if width == 0:
-            return [((), 0, [((), ())])] if x == y else []
-        feasible = self._feasible(y, directions)
-        if x not in feasible[0]:
-            return []
-        dom, cod, identities = self.dom, self.cod, self.identities
-        # the partial rows 0 after each column, in order: (object, entries,
-        # identity mask, the partial rows 1 below them)
-        partial = [(x, (), 0, [(self.identity[x], (), ())])]
-        for col in range(width):
-            forward, last, reach = directions[col] == "f", col == width - 1, feasible[col + 1]
-            grown = []
-            for at, row, mask, below in partial:
-                for h in self.from_any[at] if forward else self.weq_into[at]:
-                    nxt = cod[h] if forward else dom[h]
-                    if nxt not in reach:
-                        continue
-                    bit = 1 if h in identities else 0
-                    below2 = self._column(below, forward, h, last, bit if masked else 0)
-                    mask2 = mask | bit << col
-                    if below2 or not mask2:
-                        grown.append((nxt, row + (h,), mask2, below2))
-            partial = grown
-        return [(row, mask, [(vacc, racc) for _, vacc, racc in below])
-                for _, row, mask, below in partial]
-
-    def extensions(self, directions, row, x, nonidentity):
-        """All (interior verticals, next row) pairs below ``row``, which
-        starts at ``x``, whose next row has no identity entry in the columns
-        of the bitmask ``nonidentity`` (0: every pair), in the order of a
-        depth-first walk.  With the columns in which every row of a grid is
-        an identity, the next rows are exactly those that make the taller
-        grid reduced (:func:`_identity_mask`).  The pairs are built column
-        by column, each column step looked up in ``steps``."""
-        width = len(directions)
-        if width == 0:
-            return [((), ())]
-        # the partial rows after each column, in order
-        partial = [(self.identity[x], (), ())]
-        for col in range(width):
-            partial = self._column(partial, directions[col] == "f", row[col], col == width - 1,
-                                   nonidentity >> col & 1)
-        return [(vacc, racc) for _, vacc, racc in partial]
-
-    def _column(self, partial, forward, h, last, nonidentity):
-        """The partial rows ``partial`` (vertical, verticals, entries) below
-        a row, in order, each grown by the column steps below the entry
-        ``h``, in order; ``forward``, ``last`` and ``nonidentity`` are as in
-        :attr:`steps`."""
-        steps = self.steps
-        grown = []
-        for vprev, vacc, racc in partial:
-            key = (forward, vprev, h, last, nonidentity)
-            options = steps.get(key)
-            if options is None:
-                options = self._step(key)
-            for vnext, sols in options:
-                # the end identity after the last column is no interior vertical
-                vacc2 = vacc if last else vacc + (vnext,)
-                for h2 in sols:
-                    grown.append((vnext, vacc2, racc + (h2,)))
-        return grown
 
     def _step(self, key):
         """The entry of :attr:`steps` at ``key``, computed and kept."""
@@ -657,6 +614,145 @@ def _patterns(w_max):
     return pats
 
 
+# what a face's number is when it has none: its normal form is not in the
+# level below, or needs a composite the table lacks
+_ABSENT, _LACKING = -1, -2
+
+
+class _RowTrie:
+    """The rows of one full-detail mapping space from x to y, each
+    numbered once: a trie of the feasible row prefixes
+    (:meth:`_Context._feasible`) along each alternating pattern of width
+    at most ``w_max``, the patterns in (width, pattern) order, each node's
+    children in the rank order of their entries (``ranked_from``,
+    ``ranked_weq_into``), the nodes of a pattern numbered breadth first.  A
+    leaf is a row from x to y.  The rows along one pattern have one
+    length, so its leaves are consecutive and numbered in the order of the
+    rows' names (see :func:`_order`), and ``('b', ...)`` sorts before
+    ``('f', ...)``: the leaves of a space are numbered in (width, name)
+    order, and a level's grids sort on their leaf numbers.
+
+    ``roots`` maps each pattern with a row from x to y to its root, in
+    order; ``kids[node]`` maps an entry to the child along it (None at a
+    leaf); ``row[node]`` holds the node's entries and ``mask[node]`` their
+    identity mask (bit ``col`` is set when column ``col`` is an identity).
+    The per-leaf tables are filled as the enumeration asks:
+    ``vertex[leaf]`` is the vertex number of the normal form of the leaf's
+    row, or :data:`_ABSENT` or :data:`_LACKING` (``normal_forms`` counts
+    the rows reduced for it).  A trie lives while one space is built."""
+
+    def __init__(self, ctx: _Context, x, y, w_max):
+        self.ctx, self.x = ctx, x
+        self.roots, self.kids, self.row, self.mask = {}, [], [], []
+        kids, rows, masks = self.kids, self.row, self.mask
+        dom, cod, identities = ctx.dom, ctx.cod, ctx.identities
+        for pattern in sorted(_patterns(w_max), key=lambda p: (len(p), p)):
+            feasible = ctx._feasible(y, pattern)
+            if x not in feasible[0]:
+                continue
+            self.roots[pattern] = len(rows)
+            level = [(len(rows), x)]  # the nodes of one depth and their objects
+            kids.append(None)
+            rows.append(())
+            masks.append(0)
+            for col, direction in enumerate(pattern):
+                forward, reach = direction == "f", feasible[col + 1]
+                moves = ctx.ranked_from if forward else ctx.ranked_weq_into
+                grown = []
+                for node, at in level:
+                    children = kids[node] = {}
+                    prefix, mask = rows[node], masks[node]
+                    for h in moves[at]:
+                        nxt = cod[h] if forward else dom[h]
+                        if nxt in reach:
+                            children[h] = len(rows)
+                            grown.append((len(rows), nxt))
+                            kids.append(None)
+                            rows.append(prefix + (h,))
+                            masks.append(mask | (h in identities) << col)
+                level = grown
+        self.vertex = [None] * len(rows)
+        self.normal_forms = 0
+
+    def first_rows(self, pattern, masked):
+        """Each row 0 along ``pattern``, in leaf order, as ``(leaf, mask,
+        pairs)``: its identity mask and the (interior verticals, row-1
+        leaf) pairs below it that :meth:`extensions` gives with the
+        nonidentity mask ``masked and mask`` (``masked``: row 1 is the last
+        row), except the rows that are not reduced and have no pair.  One
+        walk builds both rows column by column: a row-0 prefix carries its
+        partial rows 1, so rows 0 that share a prefix share its column
+        steps, and a prefix is dropped as soon as neither a reduced row 0
+        nor a row 1 can follow it."""
+        kids, masks, width = self.kids, self.mask, len(pattern)
+        root = self.roots[pattern]
+        # the row-0 nodes after each column, in order, with their partial
+        # rows 1 (vertical, verticals, node)
+        partial = [(root, [(self.ctx.identity[self.x], (), root)])]
+        for col in range(width):
+            forward, last = pattern[col] == "f", col == width - 1
+            grown = []
+            for node, below in partial:
+                for h, child in kids[node].items():
+                    mask = masks[child]
+                    below2 = self._column(below, forward, h, last,
+                                          mask >> col & 1 if masked else 0)
+                    if below2 or not mask:
+                        grown.append((child, below2))
+            partial = grown
+        return [(leaf, masks[leaf], [(vacc, leaf1) for _, vacc, leaf1 in below])
+                for leaf, below in partial]
+
+    def extensions(self, pattern, leaf, nonidentity):
+        """All (interior verticals, leaf) pairs below the row of ``leaf``
+        along ``pattern`` whose next row has no identity entry in the
+        columns of the bitmask ``nonidentity`` (0: every pair), in the order
+        of a depth-first walk.  With the columns in which every row of a
+        grid is an identity, the next rows are exactly those that make the
+        taller grid reduced.  The next row is walked column by column as
+        trie nodes."""
+        row, width = self.row[leaf], len(pattern)
+        partial = [(self.ctx.identity[self.x], (), self.roots[pattern])]
+        for col in range(width):
+            partial = self._column(partial, pattern[col] == "f", row[col], col == width - 1,
+                                   nonidentity >> col & 1)
+        return [(vacc, node) for _, vacc, node in partial]
+
+    def _column(self, partial, forward, h, last, nonidentity):
+        """The partial rows ``partial`` (vertical, verticals, node) below a
+        row, in order, each grown by the column steps below the entry
+        ``h``, in order; ``forward``, ``last`` and ``nonidentity`` are as in
+        :attr:`_Context.steps`.  A partial row whose node has no child
+        along its new entry can never end at y, and is dropped."""
+        ctx, kids = self.ctx, self.kids
+        steps = ctx.steps
+        grown = []
+        for vprev, vacc, node in partial:
+            key = (forward, vprev, h, last, nonidentity)
+            options = steps.get(key)
+            if options is None:
+                options = ctx._step(key)
+            children = kids[node]
+            for vnext, sols in options:
+                # the end identity after the last column is no interior vertical
+                vacc2 = vacc if last else vacc + (vnext,)
+                for h2 in sols:
+                    child = children.get(h2)
+                    if child is not None:
+                        grown.append((vnext, vacc2, child))
+        return grown
+
+    def vertex_of(self, pattern, leaf, vertices):
+        """``vertex[leaf]``, computed and kept; ``vertices`` maps the
+        grids of level 0 to their numbers."""
+        ctx = self.ctx
+        reduced = _normal_form(ctx.post, ctx.identities, pattern, (self.row[leaf],), ())
+        self.normal_forms += 1
+        number = self.vertex[leaf] = (_LACKING if reduced is None
+                                      else vertices.get(reduced, _ABSENT))
+        return number
+
+
 @dataclass
 class MappingSpace:
     """Reduced hammocks from x to y as a truncated simplicial set.
@@ -684,12 +780,13 @@ class MappingSpace:
     generators, as a walk of the sub alone would.
     ``face_normal_forms`` ("full" detail only) counts the distinct
     dropped grids the faces reduced, and ``extension_rows`` ("full" detail
-    only) the rows built below other rows, by :meth:`_Context.two_rows`
-    below row 0 and by :meth:`_Context.extensions` further down (at
-    truncation 1, the two-row grids).  Rows are built only below grids
-    that were kept or are unreduced, so where a reduced grid is pruned,
-    neither the rows below it nor their faces are counted.  All four are
-    deterministic counts for progress output, never report bytes.
+    only) the complete rows built below other rows, one per grid they
+    make, by :meth:`_RowTrie.first_rows` below row 0 and by
+    :meth:`_RowTrie.extensions` further down (at truncation 1, the
+    two-row grids).  Rows are built only below grids that were kept or
+    are unreduced, so where a reduced grid is pruned, neither the rows
+    below it nor their faces are counted.  All four are deterministic
+    counts for progress output, never report bytes.
     """
 
     x: str
@@ -712,8 +809,9 @@ class MappingSpace:
         return self.verdict == "stable"
 
     def grid_numbers(self, level) -> dict:
-        """Grid -> number at ``level``: its :attr:`Names.item_number`, built
-        on its first lookup ("pi0" detail has level 0 only)."""
+        """Grid -> number at ``level``: its :attr:`Names.item_number`, the
+        table the "full" detail enumeration built, or built on its first
+        lookup ("pi0" detail has level 0 only)."""
         return (self.vertices if level == 0 else self.sset.levels[level]).item_number
 
 
@@ -745,45 +843,64 @@ def mapping_space(r: RelativeCategory, x, y, truncation: int, w_max: int,
 def _mapping_space(ctx: _Context, x, y, truncation, w_max, detail) -> MappingSpace:
     if detail == "pi0":
         return _pi0_walk(ctx, x, y, truncation, w_max)[0]
-    # the vertices, and the two-row grids of morphism numbers
-    vertices, grown = [], []
-    for pattern in _patterns(w_max):
-        if not pattern and x != y:
-            continue
-        for row, mask, below in ctx.two_rows(x, y, pattern, truncation == 1):
+    # Grids are (pattern, leaves, layers) on the rows' leaf numbers
+    # (:class:`_RowTrie`) until a level is kept.  Level 0 is the reduced
+    # rows in leaf order, which is its order.
+    trie = _RowTrie(ctx, x, y, w_max)
+    rows, vertex, masks = trie.row.__getitem__, trie.vertex, trie.mask
+    simplices, grown = [], []
+    for pattern in trie.roots:
+        for leaf, mask, below in trie.first_rows(pattern, truncation == 1):
             # no identity entry along an alternating pattern: reduced
             if not mask:
-                vertices.append((pattern, (row,), ()))
-            grown += [(pattern, (row, row1), (vacc,)) for vacc, row1 in below]
+                vertex[leaf] = len(simplices)
+                simplices.append((pattern, (leaf,), ()))
+            grown += [(pattern, (leaf, leaf1), (vacc,)) for vacc, leaf1 in below]
     extension_rows = len(grown)
+    level_grids = [tuple([(pattern, (rows(leaf),), ()) for pattern, (leaf,), _ in simplices])]
+    below = {grid: n for n, grid in enumerate(level_grids[0])}
+    levels = [Names.numbered(below, ctx.namer)]
 
     # Grow one height at a time, and keep only the simplices all of whose
     # faces are kept: over a partially represented ambient category a face
     # can need a composite outside the width bound, and such simplices
     # cannot be carried in the truncated data.  Each level is sorted by
-    # (width, name) as soon as it is kept (:func:`_order`), so the level
-    # above finds its faces by number in ``below`` (grid -> number);
-    # ``memo`` maps a dropped grid to its normal form, or False when that
-    # needs a missing composite, seeded with the vertices.
-    level_grids = [tuple(vertices[n] for n in _order(ctx, vertices))]
-    below = {grid: n for n, grid in enumerate(level_grids[0])}
-    memo = {grid: grid for grid in level_grids[0]}
+    # (width, name) as soon as it is kept, on leaf numbers and then the
+    # ranks of its layers (see :func:`_order`), so the level above finds
+    # its faces by number in ``below`` (grid -> number).  A level-1 face is
+    # the vertex of a row (``trie.vertex``); above, ``memo`` maps a dropped
+    # grid to its face's number, as ``trie.vertex`` does.  A face that needs
+    # a missing composite is the last one asked.
     pruned = False
+    face_normal_forms = 0
     faces, degeneracies = [()], []
+    chars, texts = ctx.rank_chars, {}  # layer -> its ranks as text
     for k in range(1, truncation + 1):
         top = k == truncation
-        # ``live``: the kept and the unreduced grids, each with its identity
-        # mask (:func:`_identity_mask`)
-        kept, images, live = [], [], []
+        # ``live``: the kept and the unreduced grids, each with the columns
+        # in which all its rows are identities
+        kept, images, live, memo = [], [], [], {}
         for grid in grown:
+            pattern, leaves, layers = grid
             # the last rows at the top were built to make their grids reduced
-            common = 0 if top else _identity_mask(ctx.identities, grid[1])
+            common = 0
+            if not top:
+                common = -1
+                for leaf in leaves:
+                    common &= masks[leaf]
             if not common:
-                try:
-                    numbers = [below.get(_face(ctx, grid, i, memo)) for i in range(k + 1)]
-                except CompositionUnavailable:
-                    numbers = (None,)
-                if None in numbers:
+                if k == 1:
+                    # d_0 drops row 0, and is asked first
+                    face0 = vertex[leaves[1]]
+                    if face0 is None:
+                        face0 = trie.vertex_of(pattern, leaves[1], below)
+                    face1 = _LACKING if face0 == _LACKING else vertex[leaves[0]]
+                    if face1 is None:
+                        face1 = trie.vertex_of(pattern, leaves[0], below)
+                    numbers = None if face0 < 0 or face1 < 0 else (face0, face1)
+                else:
+                    numbers = _faces(trie, grid, memo, below)
+                if numbers is None:
                     pruned = True
                     continue
                 kept.append(grid)
@@ -791,12 +908,26 @@ def _mapping_space(ctx: _Context, x, y, truncation, w_max, detail) -> MappingSpa
             if not top:
                 live.append((grid, common))
         del grown  # free the pruned grids before the level is numbered
-        order = _order(ctx, kept)
-        level_grids.append(tuple(kept[n] for n in order))
+        face_normal_forms += len(memo)
+        keys = []
+        for _, leaves, layers in kept:
+            text = ""
+            for layer in layers:
+                t = texts.get(layer)
+                if t is None:
+                    t = texts[layer] = "".join([chars[m] for m in layer])
+                text += t
+            keys.append((leaves, text))
+        order = sorted(range(len(kept)), key=keys.__getitem__)
+        del keys
+        previous, simplices = simplices, [kept[n] for n in order]
+        level_grids.append(tuple([(pattern, tuple(map(rows, leaves)), layers)
+                                  for pattern, leaves, layers in simplices]))
         below = {grid: n for n, grid in enumerate(level_grids[k])}
+        levels.append(Names.numbered(below, ctx.namer))
         faces.append([[images[n][i] for n in order] for i in range(k + 1)])
-        degeneracies.append([[below.get(_degeneracy(ctx, grid, i))
-                              for grid in level_grids[k - 1]] for i in range(k)])
+        degeneracies.append([[below.get(_degeneracy(trie, grid, i)) for grid in previous]
+                             for i in range(k)])
         if any(None in column for column in degeneracies[-1]):
             raise ConsistencyError("degeneracy left the kept set")
         # Only the grids of ``live`` grow: d_{k+1} of a grid grown from a
@@ -804,13 +935,11 @@ def _mapping_space(ctx: _Context, x, y, truncation, w_max, detail) -> MappingSpa
         # An unreduced grid can become reduced lower down, so a row is built
         # unfiltered, except the last, which must clear the mask's columns.
         last = k + 1 == truncation
-        grown = [(directions, rows + (row2,), layers + (vacc,))
-                 for (directions, rows, layers), common in live
-                 for vacc, row2 in ctx.extensions(directions, rows[-1], x,
-                                                  common if last else 0)]
+        grown = [(pattern, leaves + (leaf,), layers + (vacc,))
+                 for (pattern, leaves, layers), common in live
+                 for vacc, leaf in trie.extensions(pattern, leaves[-1], common if last else 0)]
         extension_rows += len(grown)
-    sset = TruncatedSimplicialSet(truncation, [Names(grids, ctx.namer) for grids in level_grids],
-                                  faces, degeneracies)
+    sset = TruncatedSimplicialSet(truncation, levels, faces, degeneracies)
 
     # level 1 is sorted by width: the snapshot before the first edge of
     # width w_max is the partition one width bound lower
@@ -828,7 +957,8 @@ def _mapping_space(ctx: _Context, x, y, truncation, w_max, detail) -> MappingSpa
     verdict = "bound_limited" if pruned else _stability(partition, sub)
     return MappingSpace(x, y, truncation, w_max, verdict, sset.levels[0],
                         partition, sset, tuple(level_grids), pruned,
-                        len(level_grids[1]), face_normal_forms=len(memo) - len(level_grids[0]),
+                        len(level_grids[1]),
+                        face_normal_forms=face_normal_forms + trie.normal_forms,
                         extension_rows=extension_rows)
 
 
@@ -861,17 +991,6 @@ def _order(ctx: _Context, grids) -> list:
                                                    + [text(layer) for layer in layers]))
             for directions, rows, layers in grids]
     return sorted(range(len(grids)), key=keys.__getitem__)
-
-
-def _identity_mask(identities, rows):
-    """Bit ``col`` is set when every one of ``rows`` has an identity in
-    column ``col``.  A grid along an alternating pattern is reduced
-    exactly when the mask of its rows is 0."""
-    mask = 0
-    for col, column in enumerate(zip(*rows)):
-        if identities.issuperset(column):
-            mask |= 1 << col
-    return mask
 
 
 def _pi0_walk(ctx: _Context, x, y, truncation, w_max):
@@ -1059,43 +1178,53 @@ def _pi0_joins(ctx: _Context, pattern, rows0, in_sub, row_numbers):
         yield upper, lowers, bool(seen), sub_lowers, bool(sub_seen)
 
 
-def _face(ctx, grid, i, memo):
-    """The i-th face of a grid of morphism numbers: drop row i, compose
-    the two vertical layers at it, and reduce.  Each distinct dropped grid
-    is reduced once: ``memo`` keeps its normal form, or False when that
-    needs a missing composite, which raises CompositionUnavailable each
-    time, as does a missing composite of verticals."""
-    directions, rows, layers = grid
-    k = len(rows) - 1
-    rows = rows[:i] + rows[i + 1:]
-    if i == 0:
-        layers = layers[1:]
-    elif i == k:
-        layers = layers[:-1]
-    else:
-        post = ctx.post
-        fused = tuple(post[b].get(a) for a, b in zip(layers[i - 1], layers[i]))
-        if None in fused:
-            raise CompositionUnavailable("face needs a composite the table lacks")
-        layers = layers[:i - 1] + (fused,) + layers[i + 1:]
-    key = (directions, rows, layers)
-    reduced = memo.get(key)
-    if reduced is None:
-        reduced = memo[key] = _normal_form(ctx.post, ctx.identities, *key) or False
-    if reduced is False:
-        raise CompositionUnavailable("face needs a composite the table lacks")
-    return reduced
+def _faces(trie: _RowTrie, grid, memo, below):
+    """The numbers of the faces d_0..d_k of a grid of height k >= 2 on
+    leaf numbers, in ``below`` (grid -> number one level down), or None
+    when one is missing there or needs a composite the table lacks; they
+    are asked in order, and none after a missing composite.  The i-th face
+    drops row i, composes the two vertical layers at it, and reduces.
+    Each distinct dropped grid is reduced once: ``memo`` keeps its face's
+    number, or :data:`_ABSENT` or :data:`_LACKING`; a missing composite of
+    verticals is found each time."""
+    pattern, leaves, layers = grid
+    ctx = trie.ctx
+    post, rows = ctx.post, trie.row.__getitem__
+    k = len(leaves) - 1
+    numbers = []
+    for i in range(k + 1):
+        if i == 0:
+            dropped = layers[1:]
+        elif i == k:
+            dropped = layers[:-1]
+        else:
+            fused = tuple(post[b].get(a) for a, b in zip(layers[i - 1], layers[i]))
+            if None in fused:
+                return None
+            dropped = layers[:i - 1] + (fused,) + layers[i + 1:]
+        key = leaves[:i] + leaves[i + 1:], dropped
+        number = memo.get(key)
+        if number is None:
+            reduced = _normal_form(post, ctx.identities, pattern, tuple(map(rows, key[0])),
+                                   dropped)
+            number = memo[key] = _LACKING if reduced is None else below.get(reduced, _ABSENT)
+        if number == _LACKING:
+            return None
+        numbers.append(number)
+    return None if _ABSENT in numbers else numbers
 
 
-def _degeneracy(ctx, grid, i):
-    """The i-th degeneracy of a grid of morphism numbers: repeat row i with
-    an identity layer, on the objects its entries end at.  Its rows are
-    those of the grid, so it is reduced when the grid is."""
-    directions, rows, layers = grid
-    identity, dom, cod = ctx.identity, ctx.dom, ctx.cod
-    identity_layer = tuple(identity[cod[m] if d == "f" else dom[m]]
-                           for d, m in zip(directions[:-1], rows[i]))
-    return (directions, rows[:i + 1] + (rows[i],) + rows[i + 1:],
+def _degeneracy(trie: _RowTrie, grid, i):
+    """The i-th degeneracy of a grid on leaf numbers, as a grid of
+    morphism numbers: repeat row i with an identity layer, on the objects
+    its entries end at.  Its rows are those of the grid, so it is reduced
+    when the grid is."""
+    pattern, leaves, layers = grid
+    rows = tuple(map(trie.row.__getitem__, leaves))
+    identity, dom, cod = trie.ctx.identity, trie.ctx.dom, trie.ctx.cod
+    identity_layer = tuple([identity[cod[m] if d == "f" else dom[m]]
+                            for d, m in zip(pattern[:-1], rows[i])])
+    return (pattern, rows[:i + 1] + (rows[i],) + rows[i + 1:],
             layers[:i] + (identity_layer,) + layers[i:])
 
 
@@ -1400,10 +1529,11 @@ class RelscatLocalization:
             # the level-n space into the level-m space, at the same inner level
             m, level = (n - 1, n - 1) if kind == "d" else (n + 1, n)
             cat, target = self.level_rel[m].cat, spaces[m].grid_numbers(level)
-            column = []
+            column, mapped, image_of = [], {}, image_of.__getitem__
             images += len(spaces[n].level_grids[level])
             for directions, rows, layers in spaces[n].level_grids[level]:
-                grid = directions, _mapped(image_of, rows), _mapped(image_of, layers)
+                grid = (directions, _mapped_once(image_of, mapped, rows),
+                        _mapped_once(image_of, mapped, layers))
                 if kind == "d":
                     key = (m, grid)
                     grid = reduced.get(key)

@@ -86,7 +86,8 @@ class Names(Sequence):
     ``items`` are the level's grids and their names are ``namer(items)``,
     made the first time a name is read; else ``items`` are the names.
     ``len`` reads no name; ``item_number`` and ``number`` (an item's and a
-    name's position, one map for a level given by name) are built on use."""
+    name's position, one map for a level given by name) are built on use;
+    a :meth:`numbered` level is given its ``item_number``."""
 
     __slots__ = ("_items", "_namer", "_names", "_item_number", "_number")
 
@@ -95,6 +96,14 @@ class Names(Sequence):
         self._namer = namer
         self._names = self._items if namer is None else None
         self._item_number = self._number = None
+
+    @classmethod
+    def numbered(cls, item_number: dict, namer) -> "Names":
+        """The level of the items of ``item_number`` (item -> position,
+        in position order), which it keeps as :attr:`item_number`."""
+        names = cls(item_number, namer)
+        names._item_number = item_number
+        return names
 
     def _all(self):
         if self._names is None:

@@ -122,8 +122,13 @@ def random_hammock(rng: random.Random, r: RelativeCategory, w_max=5, h_max=2):
     rows = [tuple(row)]
     layers = []
     height = rng.randint(0, h_max)
+    # the generator of the pairs below a row that needs no trie of rows
+    # from x to a fixed end, as this row's pattern need not alternate
+    from oracles import reference_extensions, reference_row_objects
+
     for _ in range(height):
-        options = ctx.extensions(directions, rows[-1], x, 0)
+        objects = reference_row_objects(ctx, x, directions, rows[-1])
+        options = list(reference_extensions(ctx, directions, rows[-1], objects, 0))
         if not options:
             break
         vacc, nxt = rng.choice(options)

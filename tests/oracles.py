@@ -33,11 +33,14 @@ names, is the reference for the one on morphism and vertex numbers
 routines on morphism names (:class:`_NamedContext`, :func:`_normal_form`
 with its leftmost and rightmost move orders, :func:`_degeneracy`), not on
 the library's numbered ones; :func:`reference_reduce_hammock` is the
-reduction the confluence checks compare with.  Two references do run on
-the library's numbered context: the generator that derives every column
-step of a row's extensions anew, for the memoized column-step table
-(:func:`reference_extensions`), and ``repr`` of the mapped grid, for the
-namer (:func:`_grid_name`).  The induced homology check through a
+reduction the confluence checks compare with.  Three references do run
+on the library's numbered context: the generator that derives every
+column step of a row's extensions anew, for the memoized column-step
+table and the row trie's walks (:func:`reference_extensions`); ``repr``
+of the mapped grid, for the namer (:func:`_grid_name`); and the
+full-detail enumeration on whole rows, before rows were numbered once
+per mapping space in a trie, for the one on leaf numbers, down to its
+progress counts (:func:`reference_numbered_mapping_space`).  The induced homology check through a
 rational kernel basis is the reference for the block-rank check
 (:func:`reference_induced_homology_iso`).  The simplicial-category
 checks that composed, took faces and identities and partitioned
@@ -1120,6 +1123,243 @@ def reference_extensions(ctx, directions, row, objects, nonidentity):
                 yield from rec(col + 1, vnext, vacc2, racc + (h2,))
 
     yield from rec(0, ctx.identity[objects[0]], (), ())
+
+
+
+# --- full-detail enumeration on rows, not row numbers ------------------------
+#
+# The reference for ``hamloc.hammock._mapping_space`` in "full" detail as
+# it was before rows were numbered in one trie per mapping space: rows 0
+# and 1 come from one column walk over the rows of ``_Context.paths``, in
+# the order of its depth-first walk, each further row is built below a
+# row's entries, every face is keyed and reduced on whole rows, and each
+# level is sorted by ``hammock._order``.  The code is the earlier one, the
+# context's methods made functions of the context.
+
+
+def reference_numbered_mapping_space(r: RelativeCategory, x, y, truncation,
+                                     w_max) -> MappingSpace:
+    """The "full" detail mapping space from ``x`` to ``y``, with the
+    counts (``face_normal_forms``, ``extension_rows``) the progress output
+    reads."""
+    return _reference_numbered_mapping_space(hammock._Context(r), x, y, truncation, w_max)
+
+
+def _reference_numbered_mapping_space(ctx, x, y, truncation, w_max) -> MappingSpace:
+    # the vertices, and the two-row grids of morphism numbers
+    vertices, grown = [], []
+    for pattern in _patterns(w_max):
+        if not pattern and x != y:
+            continue
+        for row, mask, below in _numbered_two_rows(ctx, x, y, pattern, truncation == 1):
+            # no identity entry along an alternating pattern: reduced
+            if not mask:
+                vertices.append((pattern, (row,), ()))
+            grown += [(pattern, (row, row1), (vacc,)) for vacc, row1 in below]
+    extension_rows = len(grown)
+
+    # Grow one height at a time, and keep only the simplices all of whose
+    # faces are kept: over a partially represented ambient category a face
+    # can need a composite outside the width bound, and such simplices
+    # cannot be carried in the truncated data.  Each level is sorted by
+    # (width, name) as soon as it is kept (:func:`_order`), so the level
+    # above finds its faces by number in ``below`` (grid -> number);
+    # ``memo`` maps a dropped grid to its normal form, or False when that
+    # needs a missing composite, seeded with the vertices.
+    level_grids = [tuple(vertices[n] for n in hammock._order(ctx, vertices))]
+    below = {grid: n for n, grid in enumerate(level_grids[0])}
+    memo = {grid: grid for grid in level_grids[0]}
+    pruned = False
+    faces, degeneracies = [()], []
+    for k in range(1, truncation + 1):
+        top = k == truncation
+        # ``live``: the kept and the unreduced grids, each with its identity
+        # mask (:func:`_numbered_identity_mask`)
+        kept, images, live = [], [], []
+        for grid in grown:
+            # the last rows at the top were built to make their grids reduced
+            common = 0 if top else _numbered_identity_mask(ctx.identities, grid[1])
+            if not common:
+                try:
+                    numbers = [below.get(_numbered_face(ctx, grid, i, memo))
+                               for i in range(k + 1)]
+                except CompositionUnavailable:
+                    numbers = (None,)
+                if None in numbers:
+                    pruned = True
+                    continue
+                kept.append(grid)
+                images.append(numbers)
+            if not top:
+                live.append((grid, common))
+        del grown  # free the pruned grids before the level is numbered
+        order = hammock._order(ctx, kept)
+        level_grids.append(tuple(kept[n] for n in order))
+        below = {grid: n for n, grid in enumerate(level_grids[k])}
+        faces.append([[images[n][i] for n in order] for i in range(k + 1)])
+        degeneracies.append([[below.get(_numbered_degeneracy(ctx, grid, i))
+                              for grid in level_grids[k - 1]] for i in range(k)])
+        if any(None in column for column in degeneracies[-1]):
+            raise ConsistencyError("degeneracy left the kept set")
+        # Only the grids of ``live`` grow: d_{k+1} of a grid grown from a
+        # reduced grid G is G itself, so all are pruned below a pruned G.
+        # An unreduced grid can become reduced lower down, so a row is built
+        # unfiltered, except the last, which must clear the mask's columns.
+        last = k + 1 == truncation
+        grown = [(directions, rows + (row2,), layers + (vacc,))
+                 for (directions, rows, layers), common in live
+                 for vacc, row2 in _numbered_extensions(ctx, directions, rows[-1], x,
+                                                       common if last else 0)]
+        extension_rows += len(grown)
+    sset = TruncatedSimplicialSet(
+        truncation, [hammock.Names(grids, ctx.namer) for grids in level_grids], faces,
+        degeneracies)
+
+    # level 1 is sorted by width: the snapshot before the first edge of
+    # width w_max is the partition one width bound lower
+    vertices = range(len(level_grids[0]))
+    components = hammock.UnionFind(len(vertices))
+    sub = None
+    narrow = [n for n in vertices if len(level_grids[0][n][0]) < w_max]
+    for grid, a, b in zip(level_grids[1], faces[1][1], faces[1][0]):
+        if sub is None and len(grid[0]) == w_max:
+            sub = Partition.of(components, narrow)
+        components.union(a, b)
+    if sub is None:
+        sub = Partition.of(components, narrow)
+    partition = Partition.of(components, vertices)
+    verdict = "bound_limited" if pruned else _stability(partition, sub)
+    return MappingSpace(x, y, truncation, w_max, verdict, sset.levels[0],
+                        partition, sset, tuple(level_grids), pruned,
+                        len(level_grids[1]), face_normal_forms=len(memo) - len(level_grids[0]),
+                        extension_rows=extension_rows)
+
+
+def _numbered_identity_mask(identities, rows):
+    """Bit ``col`` is set when every one of ``rows`` has an identity in
+    column ``col``.  A grid along an alternating pattern is reduced
+    exactly when the mask of its rows is 0."""
+    mask = 0
+    for col, column in enumerate(zip(*rows)):
+        if identities.issuperset(column):
+            mask |= 1 << col
+    return mask
+
+
+def _numbered_face(ctx, grid, i, memo):
+    """The i-th face of a grid of morphism numbers: drop row i, compose
+    the two vertical layers at it, and reduce.  Each distinct dropped grid
+    is reduced once: ``memo`` keeps its normal form, or False when that
+    needs a missing composite, which raises CompositionUnavailable each
+    time, as does a missing composite of verticals."""
+    directions, rows, layers = grid
+    k = len(rows) - 1
+    rows = rows[:i] + rows[i + 1:]
+    if i == 0:
+        layers = layers[1:]
+    elif i == k:
+        layers = layers[:-1]
+    else:
+        post = ctx.post
+        fused = tuple(post[b].get(a) for a, b in zip(layers[i - 1], layers[i]))
+        if None in fused:
+            raise CompositionUnavailable("face needs a composite the table lacks")
+        layers = layers[:i - 1] + (fused,) + layers[i + 1:]
+    key = (directions, rows, layers)
+    reduced = memo.get(key)
+    if reduced is None:
+        reduced = memo[key] = hammock._normal_form(ctx.post, ctx.identities, *key) or False
+    if reduced is False:
+        raise CompositionUnavailable("face needs a composite the table lacks")
+    return reduced
+
+
+def _numbered_degeneracy(ctx, grid, i):
+    """The i-th degeneracy of a grid of morphism numbers: repeat row i with
+    an identity layer, on the objects its entries end at.  Its rows are
+    those of the grid, so it is reduced when the grid is."""
+    directions, rows, layers = grid
+    identity, dom, cod = ctx.identity, ctx.dom, ctx.cod
+    identity_layer = tuple(identity[cod[m] if d == "f" else dom[m]]
+                           for d, m in zip(directions[:-1], rows[i]))
+    return (directions, rows[:i + 1] + (rows[i],) + rows[i + 1:],
+            layers[:i] + (identity_layer,) + layers[i:])
+
+
+def _numbered_two_rows(ctx, x, y, directions, masked):
+    """Each row 0 from x to y along the direction pattern, as
+    :meth:`_Context.paths` builds it, with its identity mask
+    (:func:`_numbered_identity_mask`) and the (interior verticals, row 1) pairs
+    below it that :func:`_numbered_extensions` gives with the nonidentity mask
+    ``masked and mask`` (``masked``: row 1 is the last row), except the
+    rows that are not reduced and have no pair.  One walk builds both
+    rows column by column: a row-0 prefix carries its partial rows 1,
+    so rows 0 that share a prefix share its column steps, and a prefix
+    is dropped as soon as neither a reduced row 0 nor a row 1 can
+    follow it."""
+    width = len(directions)
+    if width == 0:
+        return [((), 0, [((), ())])] if x == y else []
+    feasible = ctx._feasible(y, directions)
+    if x not in feasible[0]:
+        return []
+    dom, cod, identities = ctx.dom, ctx.cod, ctx.identities
+    # the partial rows 0 after each column, in order: (object, entries,
+    # identity mask, the partial rows 1 below them)
+    partial = [(x, (), 0, [(ctx.identity[x], (), ())])]
+    for col in range(width):
+        forward, last, reach = directions[col] == "f", col == width - 1, feasible[col + 1]
+        grown = []
+        for at, row, mask, below in partial:
+            for h in ctx.from_any[at] if forward else ctx.weq_into[at]:
+                nxt = cod[h] if forward else dom[h]
+                if nxt not in reach:
+                    continue
+                bit = 1 if h in identities else 0
+                below2 = _numbered_column(ctx, below, forward, h, last, bit if masked else 0)
+                mask2 = mask | bit << col
+                if below2 or not mask2:
+                    grown.append((nxt, row + (h,), mask2, below2))
+        partial = grown
+    return [(row, mask, [(vacc, racc) for _, vacc, racc in below])
+            for _, row, mask, below in partial]
+
+def _numbered_extensions(ctx, directions, row, x, nonidentity):
+    """All (interior verticals, next row) pairs below ``row``, which
+    starts at ``x``, whose next row has no identity entry in the columns
+    of the bitmask ``nonidentity`` (0: every pair), in the order of a
+    depth-first walk.  With the columns in which every row of a grid is
+    an identity, the next rows are exactly those that make the taller
+    grid reduced (:func:`_numbered_identity_mask`).  The pairs are built column
+    by column, each column step looked up in ``steps``."""
+    width = len(directions)
+    if width == 0:
+        return [((), ())]
+    # the partial rows after each column, in order
+    partial = [(ctx.identity[x], (), ())]
+    for col in range(width):
+        partial = _numbered_column(ctx, partial, directions[col] == "f", row[col], col == width - 1,
+                               nonidentity >> col & 1)
+    return [(vacc, racc) for _, vacc, racc in partial]
+
+def _numbered_column(ctx, partial, forward, h, last, nonidentity):
+    """The partial rows ``partial`` (vertical, verticals, entries) below
+    a row, in order, each grown by the column steps below the entry
+    ``h``, in order; ``forward``, ``last`` and ``nonidentity`` are as in
+    :attr:`_Context.steps`."""
+    steps = ctx.steps
+    grown = []
+    for vprev, vacc, racc in partial:
+        key = (forward, vprev, h, last, nonidentity)
+        options = steps.get(key)
+        if options is None:
+            options = ctx._step(key)
+        for vnext, sols in options:
+            # the end identity after the last column is no interior vertical
+            vacc2 = vacc if last else vacc + (vnext,)
+            for h2 in sols:
+                grown.append((vnext, vacc2, racc + (h2,)))
+    return grown
 
 
 def _grid_name(morphisms, grid) -> str:

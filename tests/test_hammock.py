@@ -2,6 +2,7 @@ import dataclasses
 import gc
 import itertools
 import random
+import sys
 import weakref
 
 import pytest
@@ -707,29 +708,117 @@ class TestFullDetailAgainstReference:
         self._agree_dimensionwise(seed, _check_32_relscat(r, 1, width), 1, width)
 
 
+def _partial_table(c: FiniteCategory, rng, drop):
+    """``c`` with each composite of two non-identities left out of its
+    table with probability ``drop``, as in a partially represented table."""
+    table = {(g, f): h for (g, f), h in c.table.items()
+             if c.is_identity(g) or c.is_identity(f) or rng.random() >= drop}
+    return FiniteCategory(c.objects, c.morphisms, c.dom, c.cod, c.identity, table)
+
+
+class TestRowTrieAgainstReference:
+    """Full detail numbers each row once, as a leaf of a trie whose
+    children follow the rank order, and walks rows, faces and the level
+    order on leaf numbers; every space must be the one the enumeration on
+    whole rows gives (``oracles.reference_numbered_mapping_space``), down
+    to the counts the progress output reads."""
+
+    @staticmethod
+    def _agree(r, truncation, width, where=()):
+        """Agreement on every pair; the number of pruned spaces."""
+        pruned = 0
+        for x in r.cat.objects:
+            for y in r.cat.objects:
+                got = mapping_space(r, x, y, truncation, width)
+                want = oracles.reference_numbered_mapping_space(r, x, y, truncation, width)
+                at = (*where, x, y, truncation, width)
+                assert got.level_grids == want.level_grids, at
+                assert got.sset.faces == want.sset.faces, at
+                assert got.sset.degeneracies == want.sset.degeneracies, at
+                assert got.partition == want.partition, at
+                for count in ("verdict", "pruned", "grids", "face_normal_forms",
+                              "extension_rows"):
+                    assert getattr(got, count) == getattr(want, count), (count, *at)
+                pruned += got.pruned
+        return pruned
+
+    @pytest.mark.parametrize("truncation, width", [(1, 5), (2, 4), (3, 3)])
+    def test_stock_suite(self, truncation, width):
+        for name, r in inst.oracle_suite():
+            self._agree(r, truncation, width, (name,))
+            self._agree(TestKeyOrder._tricky(r), truncation, width, (name, "tricky"))
+
+    def test_check_32_level_categories(self):
+        for name, rs in _check_32_relscats(3, ("walking-weq", "retract", "chain-weq")):
+            for n, rel in enumerate(hammock_localization_relscat(rs, 1, 3).level_rel):
+                self._agree(rel, 1, 3, (name, n))
+
+    def test_no_face_is_asked_after_a_missing_composite(self):
+        """Row 0 (p, idB, q) of the one grid over (idA, v, q) reduces only
+        through q.p, which the table lacks, and no other grid has row 1
+        (idA, v, q).  d_0 drops row 0 and is asked first: both rows are
+        reduced, as the enumeration on whole rows reduces them; asking d_1
+        first would reduce only row 0."""
+        c = _small_category("ABD", {"p": ("A", "B"), "v": ("B", "A"), "q": ("B", "D")},
+                            {("v", "p"): "idA"})
+        r = RelativeCategory(c, ["idA", "idB", "idD", "v"])
+        assert self._agree(r, 1, 3) == 1
+        assert mapping_space(r, "A", "D", 1, 3).face_normal_forms == 2
+
+    @staticmethod
+    def _partial(seed, drop):
+        rng = random.Random(seed)
+        c = inst.random_dag_category(rng, max_objects=5, max_nonid=16)
+        return closed_weq(_partial_table(c, rng, drop), rng)
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), truncation=st.integers(1, 2),
+           width=st.integers(1, 4), drop=st.sampled_from([0.3, 0.6]))
+    def test_random_partial_tables(self, seed, truncation, width, drop):
+        self._agree(self._partial(seed, drop), truncation, width)
+
+    def test_partial_tables_that_prune(self):
+        """Tables drawn as above, on which faces are left out, and asking a
+        face before the one that needs a missing composite would reduce
+        another dropped grid."""
+        assert all(self._agree(self._partial(seed, 0.5), 2, 4) for seed in (34, 45, 61, 88))
+
+
 class TestTwoRowWalk:
-    """``_Context.two_rows`` builds rows 0 and 1 in one column walk; each
-    row 0 of ``paths`` must come with its mask and the pairs ``extensions``
-    gives below it (masked by its identities when row 1 is the last row),
-    in order, and only an unreduced row 0 with no pair may be missing."""
+    """``_RowTrie.first_rows`` builds rows 0 and 1 in one column walk over
+    trie nodes, in leaf order; each row 0 of ``paths`` must come with its
+    mask and the pairs ``reference_extensions`` gives below it (masked by
+    its identities when row 1 is the last row), in order, compared per row
+    since the walk runs in name order, and only an unreduced row 0 with no
+    pair may be missing."""
 
     @staticmethod
     def _agree(r, w_max):
         ctx = hammock._Context(r)
         dropped = 0
-        for pattern in hammock._patterns(w_max):
-            for x in r.cat.objects:
-                for y in r.cat.objects:
+        for x in r.cat.objects:
+            for y in r.cat.objects:
+                trie = hammock._RowTrie(ctx, x, y, w_max)
+                for pattern in hammock._patterns(w_max):
                     for masked in (False, True):
-                        want = []
+                        walked = trie.first_rows(pattern, masked) if pattern in trie.roots else []
+                        leaves = [leaf for leaf, _, _ in walked]
+                        assert leaves == sorted(leaves), (x, y, pattern)
+                        got = {trie.row[leaf]: (mask, [(vacc, trie.row[leaf1])
+                                                       for vacc, leaf1 in pairs])
+                               for leaf, mask, pairs in walked}
                         for row in ctx.paths(x, y, pattern):
-                            mask = hammock._identity_mask(ctx.identities, (row,))
-                            below = ctx.extensions(pattern, row, x, mask if masked else 0)
+                            mask = sum(1 << col for col, m in enumerate(row)
+                                       if m in ctx.identities)
+                            objects = reference_row_objects(ctx, x, pattern, row)
+                            below = list(reference_extensions(ctx, pattern, row, objects,
+                                                              mask if masked else 0))
                             if below or not mask:
-                                want.append((row, mask, below))
+                                assert got.pop(row) == (mask, below), (x, y, pattern, row)
                             else:
+                                assert row not in got, (x, y, pattern, row)
                                 dropped += 1
-                        assert ctx.two_rows(x, y, pattern, masked) == want, (x, y, pattern)
+                        assert got == {}, (x, y, pattern)
         return dropped
 
     def test_stock_relative_categories(self):
@@ -748,25 +837,32 @@ class TestTwoRowWalk:
 
 
 class TestColumnSteps:
-    """``_Context.extensions`` looks each column step up in a table built
-    on first use; its pairs, in order, must be those of the generator
-    that derives every step anew (``oracles.reference_extensions``), for
-    every row of every pattern and the nonidentity masks 0, each single
+    """``_RowTrie.extensions`` walks the rows below a row as trie nodes,
+    looking each column step up in a table built on first use; its pairs,
+    in order, must be those of the generator that derives every step anew
+    (``oracles.reference_extensions``), for every row of every pattern
+    (each one a leaf of the trie) and the nonidentity masks 0, each single
     column and all columns."""
 
     @staticmethod
     def _agree(r, w_max):
         ctx = hammock._Context(r)
         pairs = 0
-        for pattern in hammock._patterns(w_max):
-            width = len(pattern)
-            masks = sorted({0, (1 << width) - 1} | {1 << col for col in range(width)})
-            for x in r.cat.objects:
-                for y in r.cat.objects:
+        for x in r.cat.objects:
+            for y in r.cat.objects:
+                trie = hammock._RowTrie(ctx, x, y, w_max)
+                for pattern in hammock._patterns(w_max):
+                    width = len(pattern)
+                    masks = sorted({0, (1 << width) - 1} | {1 << col for col in range(width)})
                     for row in ctx.paths(x, y, pattern):
+                        leaf = trie.roots[pattern]
+                        for m in row:
+                            leaf = trie.kids[leaf][m]
+                        assert trie.row[leaf] == row and trie.kids[leaf] is None
                         objects = reference_row_objects(ctx, x, pattern, row)
                         for mask in masks:
-                            got = ctx.extensions(pattern, row, x, mask)
+                            got = [(vacc, trie.row[node])
+                                   for vacc, node in trie.extensions(pattern, leaf, mask)]
                             want = list(reference_extensions(ctx, pattern, row, objects, mask))
                             assert got == want, (x, y, pattern, row, mask)
                             pairs += len(got)
@@ -1022,6 +1118,38 @@ class TestLifetime:
             held = [weakref.ref(loc_mid), weakref.ref(loc_flat)]
             del loc_mid, loc_flat
             assert [ref() for ref in held] == [None, None]
+        finally:
+            gc.enable()
+
+    def test_row_tries_die_with_their_mapping_space_build(self, monkeypatch):
+        """With the cyclic collector off, the row trie of each full-detail
+        mapping space, with its per-leaf tables, is freed when the space
+        has been built: no space or localization holds any of them."""
+        tries, tables = [], []
+        original = hammock._RowTrie.__init__
+
+        def recording(self, *args):
+            original(self, *args)
+            tries.append(weakref.ref(self))
+            tables.append({"kids": self.kids, "row": self.row, "mask": self.mask,
+                           "vertex": self.vertex, "control": []})
+
+        monkeypatch.setattr(hammock._RowTrie, "__init__", recording)
+        r = inst.walking_weq()
+        gc.collect()
+        gc.disable()
+        try:
+            ms = mapping_space(r, "X", "X", 2, 3)
+            assert len(tries) == 1 and tries[0]() is None
+            loc = hammock_localization(r, 2, 3)
+            assert len(tries) == 1 + len(loc.pairs)
+            assert [ref() for ref in tries] == [None] * len(tries)
+            assert any(n is not None for held in tables for n in held["vertex"])
+            # each table is held by ``tables`` alone, as its empty control list is
+            for held in tables:
+                counts = {name: sys.getrefcount(table) for name, table in held.items()}
+                assert counts == dict.fromkeys(held, counts["control"])
+            assert ms.face_normal_forms and loc.pairs
         finally:
             gc.enable()
 
