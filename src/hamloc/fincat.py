@@ -194,21 +194,39 @@ class UnionFind:
 
     def union_all(self, a, bs):
         """``union(a, b)`` for each ``b`` in ``bs``, finding ``a``'s root once;
-        a ``b`` whose parent is that root is skipped without a find."""
-        ra = self.find(a)
-        find, parent = self.find, self.parent
+        a ``b`` whose parent is that root is skipped.  Each root is found
+        inline, not by :meth:`find`, and every node on the climb from ``a``
+        or a ``b``, ``b``'s root included, then points at ``a``'s root."""
+        parent = self.parent
+        ra = a
+        while parent[ra] != ra:
+            ra = parent[ra]
+        while parent[a] != ra:
+            parent[a], a = ra, parent[a]
         for b in bs:
-            if parent[b] == ra:
+            rb = parent[b]
+            if rb == ra:
                 continue
-            rb = find(b)
-            if rb != ra:
-                parent[rb] = ra
+            while parent[rb] != rb:
+                rb = parent[rb]
+            while b != rb:
+                parent[b], b = ra, parent[b]
+            parent[rb] = ra
 
     def groups(self, items) -> dict:
-        """Root -> members among ``items``, both in first-occurrence order."""
-        groups = {}
+        """Root -> members among ``items``, both in first-occurrence order;
+        each root is found inline, compressing the path as :meth:`find`
+        does."""
+        parent, groups = self.parent, {}
         for a in items:
-            groups.setdefault(self.find(a), []).append(a)
+            root = parent[a]
+            if parent[root] != root:
+                while parent[root] != root:
+                    root = parent[root]
+                at = a
+                while parent[at] != root:
+                    parent[at], at = root, parent[at]
+            groups.setdefault(root, []).append(a)
         return groups
 
 

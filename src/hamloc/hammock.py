@@ -14,12 +14,12 @@ category's numbered table ``post`` and ``identity_numbers``); one
 needs.  One routine, :func:`_normal_form`, reduces grids (Dwyer-Kan:
 delete all-identity columns, merge equal-direction neighbours), each
 distinct grid once per mapping space or diagonal hom.  Each level of a
-mapping space is sorted by (width, name) without names, by a key of
-morphism ranks that orders like the name (:func:`_order`), and numbered
-in that order.  A simplex is found by its grid in its own level's table
-(:meth:`MappingSpace.grid_numbers`: the table the full-detail
-enumeration built, else built on that level's first lookup), and named
-(:func:`_namer`) only when a caller reads a name
+mapping space is put in (width, name) order without names, by morphism
+ranks that order like the names (:attr:`_Context.rank_chars`), and
+numbered in that order.  A simplex is found by its grid in its own
+level's table (:meth:`MappingSpace.grid_numbers`: the table the
+full-detail enumeration built, else built on that level's first
+lookup), and named (:func:`_namer`) only when a caller reads a name
 (:class:`simplicial.Names`): the output of ``localize``, ``ho`` and
 ``flatten``, a witness, a message, or the morphisms of a level category.
 Only the boundary functions (:func:`reduce_hammock`,
@@ -55,8 +55,10 @@ level-1 face is the vertex of a row's normal form, reduced once per row;
 a higher face is reduced once per distinct dropped grid of leaf numbers.
 The trie lives while one space is built.
 
-"pi0" detail builds only the vertices and their components, joined
-along generator grids whose steps come from a second table
+"pi0" detail builds only the vertices and their components.  It lists
+each pattern's rows in rank order (:meth:`_Context.paths`), so its
+vertices are numbered as it finds them, in (width, name) order, and
+joined along generator grids whose steps come from a second table
 (:func:`_pi0_joins`); one such walk over a relative category's rows also
 partitions the vertices of a relative category on the same category
 with fewer weak equivalences (:func:`pi0_localizations`), as claim 3.1
@@ -463,18 +465,31 @@ class _Context:
     equivalences in and weak equivalences out; and ``weq_moves[x]`` lists
     the non-identity weak equivalences out of x.  ``rank_chars[m]`` is one
     character whose code is the rank of ``repr`` of m's name among those of
-    all morphisms, the order :func:`_order` sorts grids by, and
-    ``ranked_from`` and ``ranked_weq_into`` are ``from_any`` and
-    ``weq_into`` in that order, the order of a :class:`_RowTrie`'s
-    children; ``namer`` names a level's grids (:func:`_names`).  ``steps``
-    is the column-step table of the row walks of a :class:`_RowTrie`
-    (:meth:`_RowTrie.first_rows`, :meth:`_RowTrie.extensions`), filled on
-    first use: ``(forward, vprev, h, last, nonidentity)`` (the column's
-    direction, the vertical before it, its entry, whether it is the last
-    column, and whether its next entry must not be an identity) maps to
-    the ``(vnext, solutions)`` pairs with a solution, where ``vnext`` is
-    the vertical after the column (the end identity in the last one) and
-    the solutions are its entries below.
+    all morphisms, and ``ranked_from`` and ``ranked_weq_into`` are
+    ``from_any`` and ``weq_into`` in that order, the order of
+    :meth:`paths` and of a :class:`_RowTrie`'s children; ``namer`` names a
+    level's grids (:func:`_names`).
+
+    Rank order is name order.  The name :func:`hammock_name` is ``repr``
+    of ``(directions, rows, layers)``: the pattern first, and ``('b', ...``
+    sorts before ``('f', ...`` of the same width.  Within one pattern and
+    one height every name has the same tuple shape, so two names agree up
+    to the text of their first differing entry, ``repr`` of two morphism
+    names.  A str ``repr`` is a self-delimiting literal: it ends at the
+    first unescaped quote of its kind, so none is a proper prefix of
+    another, and the two texts differ at some character that decides both
+    their order and that of the names.  So the grids of one width sort by
+    name as they do by (pattern, the ranks of their entries, rows first,
+    then vertical layers, compared lexicographically).
+
+    ``steps`` is the column-step table of the row walks of a
+    :class:`_RowTrie` (:meth:`_RowTrie.first_rows`,
+    :meth:`_RowTrie.extensions`), filled on first use: ``(forward, vprev,
+    h, last, nonidentity)`` (the column's direction, the vertical before
+    it, its entry, whether it is the last column, and whether its next
+    entry must not be an identity) maps to the ``(vnext, solutions)`` pairs
+    with a solution, where ``vnext`` is the vertical after the column (the
+    end identity in the last one) and the solutions are its entries below.
 
     ``sub_weq`` holds the numbers of a second, smaller set of weak
     equivalences on the same category (None: there is none), for the walk
@@ -536,8 +551,9 @@ class _Context:
 
     def paths(self, x, y, directions):
         """All rows (identity entries allowed) from x to y along the
-        direction pattern, built column by column in the order of a
-        depth-first walk."""
+        direction pattern, built column by column, each partial row grown
+        by its entries in rank order: the rows come out in the
+        lexicographic order of their ranks, which is name order."""
         width = len(directions)
         if width == 0:
             return [()] if x == y else []
@@ -552,10 +568,10 @@ class _Context:
             reach = feasible[col + 1]
             if directions[col] == "f":
                 partial = [(cod[m], row + (m,)) for at, row in partial
-                           for m in self.from_any[at] if cod[m] in reach]
+                           for m in self.ranked_from[at] if cod[m] in reach]
             else:
                 partial = [(dom[m], row + (m,)) for at, row in partial
-                           for m in self.weq_into[at] if dom[m] in reach]
+                           for m in self.ranked_weq_into[at] if dom[m] in reach]
         return [row for _, row in partial]
 
     def _step(self, key):
@@ -607,10 +623,12 @@ def _alternating(width, start):
 
 
 def _patterns(w_max):
+    """The alternating patterns of width at most ``w_max`` in (width,
+    pattern) order: ``('b', ...)`` before ``('f', ...)``, as in names."""
     pats = [()]
     for w in range(1, w_max + 1):
-        pats.append(_alternating(w, 0))
         pats.append(_alternating(w, 1))
+        pats.append(_alternating(w, 0))
     return pats
 
 
@@ -623,14 +641,14 @@ class _RowTrie:
     """The rows of one full-detail mapping space from x to y, each
     numbered once: a trie of the feasible row prefixes
     (:meth:`_Context._feasible`) along each alternating pattern of width
-    at most ``w_max``, the patterns in (width, pattern) order, each node's
-    children in the rank order of their entries (``ranked_from``,
-    ``ranked_weq_into``), the nodes of a pattern numbered breadth first.  A
-    leaf is a row from x to y.  The rows along one pattern have one
-    length, so its leaves are consecutive and numbered in the order of the
-    rows' names (see :func:`_order`), and ``('b', ...)`` sorts before
-    ``('f', ...)``: the leaves of a space are numbered in (width, name)
-    order, and a level's grids sort on their leaf numbers.
+    at most ``w_max``, the patterns in (width, pattern) order
+    (:func:`_patterns`), each node's children in the rank order of their
+    entries (``ranked_from``, ``ranked_weq_into``), the nodes of a pattern
+    numbered breadth first.  A leaf is a row from x to y.  The rows along
+    one pattern have one length, so its leaves are consecutive and
+    numbered in the order of the rows' names (see
+    :attr:`_Context.rank_chars`): the leaves of a space are numbered in
+    (width, name) order, and a level's grids sort on their leaf numbers.
 
     ``roots`` maps each pattern with a row from x to y to its root, in
     order; ``kids[node]`` maps an entry to the child along it (None at a
@@ -646,7 +664,7 @@ class _RowTrie:
         self.roots, self.kids, self.row, self.mask = {}, [], [], []
         kids, rows, masks = self.kids, self.row, self.mask
         dom, cod, identities = ctx.dom, ctx.cod, ctx.identities
-        for pattern in sorted(_patterns(w_max), key=lambda p: (len(p), p)):
+        for pattern in _patterns(w_max):
             feasible = ctx._feasible(y, pattern)
             if x not in feasible[0]:
                 continue
@@ -866,11 +884,11 @@ def _mapping_space(ctx: _Context, x, y, truncation, w_max, detail) -> MappingSpa
     # can need a composite outside the width bound, and such simplices
     # cannot be carried in the truncated data.  Each level is sorted by
     # (width, name) as soon as it is kept, on leaf numbers and then the
-    # ranks of its layers (see :func:`_order`), so the level above finds
-    # its faces by number in ``below`` (grid -> number).  A level-1 face is
-    # the vertex of a row (``trie.vertex``); above, ``memo`` maps a dropped
-    # grid to its face's number, as ``trie.vertex`` does.  A face that needs
-    # a missing composite is the last one asked.
+    # ranks of its layers (see :attr:`_Context.rank_chars`), so the level
+    # above finds its faces by number in ``below`` (grid -> number).  A
+    # level-1 face is the vertex of a row (``trie.vertex``); above,
+    # ``memo`` maps a dropped grid to its face's number, as ``trie.vertex``
+    # does.  A face that needs a missing composite is the last one asked.
     pruned = False
     face_normal_forms = 0
     faces, degeneracies = [()], []
@@ -962,56 +980,26 @@ def _mapping_space(ctx: _Context, x, y, truncation, w_max, detail) -> MappingSpa
                         extension_rows=extension_rows)
 
 
-def _order(ctx: _Context, grids) -> list:
-    """The numbers of ``grids``, the simplices of one level of one mapping
-    space, sorted by their (width, name) without a name: by (width,
-    pattern, key), where the key joins ``ctx.rank_chars`` of the grid's
-    entries, rows first, then vertical layers, each row's text made once.
-
-    This orders like the name.  The name :func:`hammock_name` is ``repr``
-    of ``(directions, rows, layers)``: the pattern first, and ``('b', ...``
-    sorts before ``('f', ...`` of the same width.  Within one pattern and
-    one height every name has the same tuple shape, so two names agree up
-    to the text of their first differing entry, ``repr`` of two morphism
-    names.  A str ``repr`` is a self-delimiting literal: it ends at the
-    first unescaped quote of its kind, so none is a proper prefix of
-    another, and the two texts differ at some character that decides both
-    their order and that of the names.  So the names sort as the grids'
-    entries do, compared lexicographically by the rank of their ``repr``;
-    the keys, of equal length, are those rank sequences."""
-    chars, texts = ctx.rank_chars, {}
-
-    def text(row):
-        t = texts.get(row)
-        if t is None:
-            t = texts[row] = "".join([chars[m] for m in row])
-        return t
-
-    keys = [(len(directions), directions, "".join([text(row) for row in rows]
-                                                   + [text(layer) for layer in layers]))
-            for directions, rows, layers in grids]
-    return sorted(range(len(grids)), key=keys.__getitem__)
-
-
 def _pi0_walk(ctx: _Context, x, y, truncation, w_max):
     """The "pi0" detail mapping spaces from x to y of ``ctx``'s relative
     category and, when ``ctx`` has a second set of weak equivalences
     (``ctx.sub_weq``), of the relative category with those: ``(space, sub
     space)``, the same space twice without one.  One walk over the rows
     serves both (:func:`_pi0_joins`), each partition grown by its own
-    union-find over vertex numbers; vertices are sorted at the end
-    (:func:`_order`), and the partitions renumbered to match.
+    union-find over vertex numbers.  The patterns come in (width, pattern)
+    order (:func:`_patterns`) and each pattern's rows in name order
+    (:meth:`_Context.paths`), so the vertices are numbered as they are
+    found, in (width, name) order, with no sort.
 
     The sub's rows of a pattern are the rows whose backward entries are in
-    the smaller set, in the same order, since :meth:`_Context.paths` keeps
-    the order of ``weq_into``.  So its vertices are numbered in the order
-    of the vertices they are (``sub_vertex[n]``: the sub's number of vertex
-    n, None when the sub lacks it), its vertex order is the order restricted
-    to them, and normal forms, which need the category only, are shared.
+    the smaller set, in the same order.  So its vertices are numbered in
+    the order of the vertices they are (``sub_vertex[n]``: the sub's number
+    of vertex n, None when the sub lacks it), which is again (width, name)
+    order, and normal forms, which need the category only, are shared.
     Both sets must be closed under the composites the table has: the
     normal form of a row of the sub is then a row of the sub, so a join of
     the sub never meets a vertex it lacks; if it does, ConsistencyError."""
-    found = []  # vertex number -> grid
+    found = []  # vertex number -> grid, in (width, name) order
     components, sub_components = UnionFind(), UnionFind()
     sub_found, sub_vertex = [], []  # sub's vertex number <-> vertex number
     row_numbers = {}  # pattern -> row -> vertex number of its normal form, -1 if dead
@@ -1054,28 +1042,24 @@ def _pi0_walk(ctx: _Context, x, y, truncation, w_max):
                                            "equivalences reaches a vertex outside them")
                 sub_components.union_all(joined.pop(), joined)
 
-    order = _order(ctx, found)
-    space = _pi0_space(ctx, x, y, truncation, w_max, found, order, components, snapshot,
-                       grids, fallback_rows)
+    space = _pi0_space(ctx, x, y, truncation, w_max, found, components, snapshot, grids,
+                       fallback_rows)
     if sub_weq is None:
         return space, space
-    sub_order = [sub_vertex[n] for n in order if sub_vertex[n] is not None]
     return space, _pi0_space(ctx, x, y, truncation, w_max, [found[n] for n in sub_found],
-                             sub_order, sub_components, sub_snapshot, sub_grids,
-                             sub_fallback_rows)
+                             sub_components, sub_snapshot, sub_grids, sub_fallback_rows)
 
 
-def _pi0_space(ctx, x, y, truncation, w_max, found, order, components, snapshot, grids,
+def _pi0_space(ctx, x, y, truncation, w_max, found, components, snapshot, grids,
                fallback_rows) -> MappingSpace:
-    """The "pi0" detail space of the vertices ``found`` (by number) in the
-    order ``order``, partitioned by ``components``; ``snapshot`` is the
-    partition one width bound lower."""
-    partition = Partition.of(components, order)
-    position = {n: p for p, n in enumerate(order)}
-    vertices = tuple(found[n] for n in order)
+    """The "pi0" detail space of the vertices ``found``, by number,
+    partitioned by ``components``; ``snapshot`` is the partition one width
+    bound lower."""
+    partition = Partition.of(components, range(len(found)))
+    vertices = tuple(found)
     return MappingSpace(x, y, truncation, w_max, _stability(partition, snapshot),
-                        Names(vertices, ctx.namer), partition.renamed(position), None,
-                        (vertices,), grids=grids, fallback_rows=fallback_rows)
+                        Names(vertices, ctx.namer), partition, None, (vertices,),
+                        grids=grids, fallback_rows=fallback_rows)
 
 
 def _pi0_joins(ctx: _Context, pattern, rows0, in_sub, row_numbers):

@@ -417,12 +417,6 @@ class Partition:
         class_of = {e: idx for idx, cls in enumerate(classes) for e in cls}
         return Partition(elements, class_of, classes)
 
-    def renamed(self, name) -> "Partition":
-        """The same partition with each element ``e`` written ``name[e]``."""
-        return Partition(tuple(name[e] for e in self.elements),
-                         {name[e]: idx for e, idx in self.class_of.items()},
-                         tuple(frozenset(name[e] for e in cls) for cls in self.classes))
-
 
 def pi0(x: TruncatedSimplicialSet) -> Partition:
     """Connected components of the level-0 simplices, by number, along

@@ -7,8 +7,9 @@ mapping space's simplex (which the library keeps as a grid of morphism
 numbers), the embedding of a category into its hammock localization,
 identity and composite functors, the list of all simplicial operators up
 to a dimension, the endpoints of a typed word, the identity simplicial
-functor, and a two-object simplicial category whose one nontrivial hom
-is a circle, with its endofunctors.  No command calls them, so they live
+functor, a two-object simplicial category whose one nontrivial hom is a
+circle, with its endofunctors, and a partition with its elements
+renamed.  No command calls them, so they live
 here rather than in ``src/hamloc``.
 """
 
@@ -22,7 +23,7 @@ from hamloc.fincat import CatFunctor, FiniteCategory
 from hamloc.hammock import Hammock, Localization, _Context, _mapped, embed_morphism
 from hamloc.relcat import RelativeCategory
 from hamloc.scat import SimplicialFunctor, TruncatedSimplicialCategory, promote
-from hamloc.simplicial import TruncatedSimplicialSet, monotone_maps, nerve
+from hamloc.simplicial import Partition, TruncatedSimplicialSet, monotone_maps, nerve
 
 
 def row_vertices(c: FiniteCategory, source, directions, row):
@@ -274,3 +275,10 @@ def loop_functor(a: TruncatedSimplicialCategory, morphism_map) -> SimplicialFunc
                 smap[(x, y, level, s)] = s if (x, y) != ("p", "q") else "|".join(
                     morphism_map.get(part, part) for part in s.split("|"))
     return SimplicialFunctor(a, a, {x: x for x in a.objects}, smap)
+
+
+def renamed(partition: Partition, name) -> Partition:
+    """``partition`` with each element ``e`` written ``name[e]``."""
+    return Partition(tuple(name[e] for e in partition.elements),
+                     {name[e]: idx for e, idx in partition.class_of.items()},
+                     tuple(frozenset(name[e] for e in cls) for cls in partition.classes))

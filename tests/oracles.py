@@ -110,7 +110,7 @@ from hamloc.simplicial import (
     rational_rank,
     validate_sset,
 )
-from helpers import row_vertices, simplex_hammock
+from helpers import renamed, row_vertices, simplex_hammock
 
 
 def level_map(a: TruncatedSimplicialCategory, source_level: int, kind: str, i: int) -> dict:
@@ -1131,10 +1131,41 @@ def reference_extensions(ctx, directions, row, objects, nonidentity):
 # The reference for ``hamloc.hammock._mapping_space`` in "full" detail as
 # it was before rows were numbered in one trie per mapping space: rows 0
 # and 1 come from one column walk over the rows of ``_Context.paths``, in
-# the order of its depth-first walk, each further row is built below a
+# its order, each further row is built below a
 # row's entries, every face is keyed and reduced on whole rows, and each
-# level is sorted by ``hammock._order``.  The code is the earlier one, the
-# context's methods made functions of the context.
+# level is sorted by :func:`reference_order`.  The code is the earlier
+# one, the context's methods made functions of the context.
+
+
+def reference_order(ctx: hammock._Context, grids) -> list:
+    """The numbers of ``grids``, the simplices of one level of one mapping
+    space, sorted by their (width, name) without a name: by (width,
+    pattern, key), where the key joins ``ctx.rank_chars`` of the grid's
+    entries, rows first, then vertical layers, each row's text made once.
+
+    This orders like the name.  The name :func:`hammock_name` is ``repr``
+    of ``(directions, rows, layers)``: the pattern first, and ``('b', ...``
+    sorts before ``('f', ...`` of the same width.  Within one pattern and
+    one height every name has the same tuple shape, so two names agree up
+    to the text of their first differing entry, ``repr`` of two morphism
+    names.  A str ``repr`` is a self-delimiting literal: it ends at the
+    first unescaped quote of its kind, so none is a proper prefix of
+    another, and the two texts differ at some character that decides both
+    their order and that of the names.  So the names sort as the grids'
+    entries do, compared lexicographically by the rank of their ``repr``;
+    the keys, of equal length, are those rank sequences."""
+    chars, texts = ctx.rank_chars, {}
+
+    def text(row):
+        t = texts.get(row)
+        if t is None:
+            t = texts[row] = "".join([chars[m] for m in row])
+        return t
+
+    keys = [(len(directions), directions, "".join([text(row) for row in rows]
+                                                   + [text(layer) for layer in layers]))
+            for directions, rows, layers in grids]
+    return sorted(range(len(grids)), key=keys.__getitem__)
 
 
 def reference_numbered_mapping_space(r: RelativeCategory, x, y, truncation,
@@ -1162,11 +1193,11 @@ def _reference_numbered_mapping_space(ctx, x, y, truncation, w_max) -> MappingSp
     # faces are kept: over a partially represented ambient category a face
     # can need a composite outside the width bound, and such simplices
     # cannot be carried in the truncated data.  Each level is sorted by
-    # (width, name) as soon as it is kept (:func:`_order`), so the level
-    # above finds its faces by number in ``below`` (grid -> number);
+    # (width, name) as soon as it is kept (:func:`reference_order`), so the
+    # level above finds its faces by number in ``below`` (grid -> number);
     # ``memo`` maps a dropped grid to its normal form, or False when that
     # needs a missing composite, seeded with the vertices.
-    level_grids = [tuple(vertices[n] for n in hammock._order(ctx, vertices))]
+    level_grids = [tuple(vertices[n] for n in reference_order(ctx, vertices))]
     below = {grid: n for n, grid in enumerate(level_grids[0])}
     memo = {grid: grid for grid in level_grids[0]}
     pruned = False
@@ -1193,7 +1224,7 @@ def _reference_numbered_mapping_space(ctx, x, y, truncation, w_max) -> MappingSp
             if not top:
                 live.append((grid, common))
         del grown  # free the pruned grids before the level is numbered
-        order = hammock._order(ctx, kept)
+        order = reference_order(ctx, kept)
         level_grids.append(tuple(kept[n] for n in order))
         below = {grid: n for n, grid in enumerate(level_grids[k])}
         faces.append([[images[n][i] for n in order] for i in range(k + 1)])
@@ -1977,7 +2008,7 @@ def _reference_component_category(objects, parts, members, identities, compose, 
 
 
 def _named_pi0(sset) -> Partition:
-    return pi0(sset).renamed(sset.levels[0])
+    return renamed(pi0(sset), sset.levels[0])
 
 
 def reference_homotopy_category_data(a, wellcheck_cap: int = 8):

@@ -2,6 +2,7 @@
 
     PYTHONHASHSEED=1 python3 tests/report_digests.py DIR [--seed 1] > digests.txt
     python3 tests/report_digests.py DIR --check tests/golden/report-digests.txt
+    python3 tests/report_digests.py DIR --extra --check tests/golden/report-digests-extra.txt
 
 Builds the operations of the three workloads (``perfbench/workloads.py``),
 writing their inputs into ``DIR``, and runs each through ``hamloc.cli.run``
@@ -16,6 +17,13 @@ of the checkout the script lives in (``src`` and ``perfbench`` beside
 recorded line after ``-``, this checkout's after ``+``) and exits 1 if
 any does; ``tests/golden/report-digests.txt`` holds the lines of seed 1,
 recorded at commit 34d4885.
+
+With ``--extra`` it digests, instead, the operations outside the
+workloads (:data:`EXTRA`), each with ``--verbose`` only: claim 3.1 on
+walking-weq at width 4, whose pi0 walk takes the fallback from over
+60,000 rows, too slow for a workload pass.
+``tests/golden/report-digests-extra.txt`` holds their lines, recorded at
+commit 71504a7.
 """
 
 import argparse
@@ -50,6 +58,20 @@ def run(argv):
     return code, out.getvalue(), err.getvalue()
 
 
+# the operations outside the workloads: (the workload whose inputs an
+# operation reads, the command with its input's file name)
+EXTRA = (
+    ("roundtrip", ["verify", "3.1", "walking-weq.json", "--truncation", "1", "--width", "4"]),
+)
+
+
+def line(directory, argv):
+    """The digest line of one CLI call, ``directory`` left out."""
+    code, out, err = run(argv)
+    shown = " ".join(argv).replace(str(directory) + "/", "")
+    return f"{code} {digest(out)} {digest(err)} {shown}"
+
+
 def lines(directory, seed=1):
     """The digest line of each benchmark operation at ``seed``, plain and
     with ``--verbose``, its inputs written under ``directory``."""
@@ -57,9 +79,18 @@ def lines(directory, seed=1):
     for workload in workloads.WORKLOADS:
         for op in workloads.build(workload, seed, directory / workload):
             for argv in (op.argv, ["--verbose"] + op.argv):
-                code, out, err = run(argv)
-                shown = " ".join(argv).replace(str(directory) + "/", "")
-                yield f"{code} {digest(out)} {digest(err)} {shown}"
+                yield line(directory, argv)
+
+
+def extra_lines(directory, seed=1):
+    """The digest line of each operation of :data:`EXTRA` with
+    ``--verbose``, its workload's inputs at ``seed`` written under
+    ``directory``."""
+    directory = Path(directory).resolve()
+    for workload, (command, claim, name, *options) in EXTRA:
+        workloads.build(workload, seed, directory / workload)
+        path = str(directory / workload / name)
+        yield line(directory, ["--verbose", command, claim, path, *options])
 
 
 def differences(recorded, observed):
@@ -76,18 +107,21 @@ def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("directory", type=Path, help="where the workload inputs are written")
     parser.add_argument("--seed", type=int, default=1)
+    parser.add_argument("--extra", action="store_true",
+                        help="digest the operations outside the workloads instead")
     parser.add_argument("--check", type=Path, metavar="FILE",
                         help="print only the lines that differ from FILE; exit 1 if any does")
     args = parser.parse_args()
     os.environ.pop("HAMLOC_CACHE_DIR", None)
+    observed = (extra_lines if args.extra else lines)(args.directory, args.seed)
     if args.check is None:
-        for line in lines(args.directory, args.seed):
-            print(line, flush=True)
+        for text in observed:
+            print(text, flush=True)
         return 0
     recorded = args.check.read_text(encoding="utf-8").splitlines()
-    diff = differences(recorded, lines(args.directory, args.seed))
-    for line in diff:
-        print(line)
+    diff = differences(recorded, observed)
+    for text in diff:
+        print(text)
     return 1 if diff else 0
 
 

@@ -386,6 +386,48 @@ class TestUnionFindAgainstReference:
         assert list(uf.groups(items).items()) == list(ref.groups(items).items())
         assert [uf.find(a) for a in range(n)] == [ref.find(a) for a in range(n)]
 
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_inline_roots_on_chains_and_members_under_the_root(self, data):
+        """``union_all`` and ``groups`` climb to each root inline.  Random
+        ``add``, ``union`` and ``union_all`` sequences, with long parent
+        chains (``union(k + 1, k)`` along a run of numbers) and
+        ``union_all`` members already in ``a``'s class, must give the
+        reference's groups in the same first-occurrence order, and leave
+        ``a`` and every member ``union_all`` touched pointing at the root."""
+        n = data.draw(st.integers(1, 30))
+        uf, ref = UnionFind(n), ReferenceUnionFind(range(n))
+        for _ in range(data.draw(st.integers(0, 30))):
+            kind = data.draw(st.sampled_from(["add", "union", "chain", "union_all"]))
+            if kind == "add":
+                assert uf.add() == n
+                ref.add(n)
+                n += 1
+                continue
+            number = st.integers(0, n - 1)
+            a = data.draw(number)
+            if kind == "union":
+                b = data.draw(number)
+                uf.union(a, b)
+                ref.union(a, b)
+            elif kind == "chain":
+                # each union hangs k's root under k + 1's
+                for k in range(a, min(a + data.draw(st.integers(1, 12)), n - 1)):
+                    uf.union(k + 1, k)
+                    ref.union(k + 1, k)
+            else:
+                # the reference finds the class, so ``uf`` keeps its chains
+                same = [b for b in range(n) if ref.find(b) == ref.find(a)]
+                bs = data.draw(st.lists(st.one_of(number, st.sampled_from(same)), max_size=8))
+                uf.union_all(a, bs)
+                ref.union_all(a, bs)
+                root = ref.find(a)
+                assert uf.parent[root] == root
+                assert [uf.parent[b] for b in [a, *bs]] == [root] * (len(bs) + 1)
+        items = data.draw(st.permutations(range(n)))
+        assert list(uf.groups(items).items()) == list(ref.groups(items).items())
+        assert [uf.find(a) for a in range(n)] == [ref.find(a) for a in range(n)]
+
     def test_iso_classes_of_stock_categories(self):
         """The stock categories, their disjoint unions and the oracle's
         homotopy categories of the stock relative categories, where weak

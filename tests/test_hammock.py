@@ -52,7 +52,14 @@ from hamloc.scat import (
 )
 from hamloc.simplicial import pi0, validate_sset
 from hamloc.verify import _embedded_sub
-from helpers import embed, random_hammock, simplex_hammock, validate_hammock, vertex_hammocks
+from helpers import (
+    embed,
+    random_hammock,
+    renamed,
+    simplex_hammock,
+    validate_hammock,
+    vertex_hammocks,
+)
 import oracles
 from oracles import (
     _grid_name,
@@ -613,7 +620,7 @@ class TestFullDetailAgainstReference:
         _same_sset(got.sset, want.sset, where)
         assert list(got.vertices) == [h.name for h in want.vertices], where
         # the reference partitions vertex names, the package vertex numbers
-        assert got.partition.renamed(got.vertices).class_of == want.partition.class_of, where
+        assert renamed(got.partition, got.vertices).class_of == want.partition.class_of, where
         assert got.verdict == want.verdict, where
         assert got.grids == want.grids, where
         return got
@@ -937,10 +944,13 @@ def _renamed(r: RelativeCategory, names) -> RelativeCategory:
 
 
 class TestKeyOrder:
-    """Each level of a mapping space is sorted by a key of morphism ranks
-    (``hammock._order``) and never by its names, yet its order is the
-    (width, name) order the names give, which reaches the reports through
-    partitions, witnesses and the capped checks.  The names below make the
+    """Each level of a mapping space is put in order by morphism ranks
+    (``_Context.rank_chars``) and never by its names: the "full" levels
+    above 0 by a sort, the vertices as the enumeration finds them.  Yet
+    its order is the (width, name) order the names give, which reaches the
+    reports through partitions, witnesses and the capped checks; so is
+    that of both spaces of :func:`pi0_localizations`, whose sub numbers
+    its vertices as the one walk finds them.  The names below make the
     order of names and that of their ``repr`` differ: quotes, backslashes,
     non-ASCII characters and names that are prefixes of others."""
 
@@ -957,11 +967,33 @@ class TestKeyOrder:
             assert list(ms.vertices) == [_grid_name(morphisms, grid)
                                          for grid in ms.level_grids[0]]
 
+    @staticmethod
+    def _assert_pi0_name_order(r, sub, width):
+        loc, sub_loc = pi0_localizations(r, sub, 1, width)
+        assert (sub_loc is loc) == (sub.weq == r.weq)
+        for walked in (loc, sub_loc):
+            morphisms = walked.relcat.cat.morphisms
+            for ms in walked.pairs.values():
+                keys = [(len(grid[0]), _grid_name(morphisms, grid))
+                        for grid in ms.level_grids[0]]
+                assert keys == sorted(keys), (ms.x, ms.y)
+                assert list(ms.vertices) == [name for _, name in keys]
+
     @classmethod
     def _tricky(cls, r):
-        pool = cls.TRICKY
-        return _renamed(r, [pool[n % len(pool)] + "'" * (n // len(pool))
-                            for n in range(len(r.cat.morphisms))])
+        """``r`` renamed from the pool, each name past the pool's length
+        made unique by a quote and a round number."""
+        pool, count = cls.TRICKY, len(r.cat.morphisms)
+        return _renamed(r, pool[:count] + [f"{pool[n % len(pool)]}'{n // len(pool)}"
+                                           for n in range(len(pool), count)])
+
+    @classmethod
+    def _tricky_pair(cls, r, sub):
+        """``r`` and ``sub``, a relative category on its category, renamed
+        as :meth:`_tricky` renames ``r``, on one category."""
+        tricky = cls._tricky(r)
+        new = dict(zip(r.cat.morphisms, tricky.cat.morphisms, strict=True))
+        return tricky, RelativeCategory(tricky.cat, [new[m] for m in sub.weq])
 
     @pytest.mark.parametrize("detail", ["full", "pi0"])
     @pytest.mark.parametrize("truncation", [1, 2])
@@ -988,6 +1020,23 @@ class TestKeyOrder:
                                    min_size=len(r.cat.morphisms),
                                    max_size=len(r.cat.morphisms), unique=True))
         self._assert_name_order(_renamed(r, names), truncation, 3, detail)
+
+    @pytest.mark.parametrize("width", [2, 3])
+    def test_one_walk_on_the_walking_weq_middle_and_flattening(self, width):
+        middle, flattening = next((middle, flattening) for label, middle, flattening
+                                  in _stock_middles_and_flattenings() if label == "walking-weq")
+        for r, sub in ((middle, flattening), self._tricky_pair(middle, flattening)):
+            self._assert_pi0_name_order(r, sub, width)
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), width=st.integers(1, 3),
+           keep=st.sampled_from([0.0, 0.5]))
+    def test_one_walk_on_random_sub_weak_equivalences(self, seed, width, keep):
+        """A random closed W and a closed part of it, smaller unless W
+        holds only identities."""
+        rng = random.Random(seed)
+        r = closed_weq(inst.random_dag_category(rng), rng)
+        self._assert_pi0_name_order(*self._tricky_pair(r, _closed_sub(r, rng, keep)), width)
 
 
 class TestPrunedComposites:
@@ -1560,7 +1609,7 @@ class TestPi0AgainstReference:
     @staticmethod
     def _agree(got, want, where):
         assert list(got.vertices) == [h.name for h in want.vertices], where
-        assert got.partition.renamed(got.vertices).classes == want.partition.classes, where
+        assert renamed(got.partition, got.vertices).classes == want.partition.classes, where
         assert got.verdict == want.verdict, where
         assert (got.grids, got.fallback_rows) == (want.grids, want.fallback_rows), where
 
@@ -1732,8 +1781,8 @@ class TestVerdictIsOneWidthLower:
         narrow = frozenset(name for name, grid in zip(upper.vertices, upper.level_grids[0])
                            if len(grid[0]) < width)
         assert narrow == frozenset(lower.vertices)
-        lower_classes = lower.partition.renamed(lower.vertices).classes
-        traces = [cls & narrow for cls in upper.partition.renamed(upper.vertices).classes]
+        lower_classes = renamed(lower.partition, lower.vertices).classes
+        traces = [cls & narrow for cls in renamed(upper.partition, upper.vertices).classes]
         agree = len(traces) == len(lower_classes) and set(traces) == set(lower_classes)
         assert upper.verdict == ("stable" if agree else "bound_limited"), (x, y, width)
 

@@ -1,12 +1,15 @@
 """The report bytes of every benchmark operation at seed 1, plain and with
 ``--verbose``, against the digest lines recorded in
-``tests/golden/report-digests.txt`` (see ``tests/report_digests.py``)."""
+``tests/golden/report-digests.txt``, and those of the operations outside
+the workloads against ``tests/golden/report-digests-extra.txt`` (see
+``tests/report_digests.py``)."""
 
 from pathlib import Path
 
 import report_digests
 
 RECORDED = Path(__file__).with_name("golden") / "report-digests.txt"
+RECORDED_EXTRA = Path(__file__).with_name("golden") / "report-digests-extra.txt"
 
 
 def test_benchmark_reports_keep_their_bytes(tmp_path, monkeypatch):
@@ -14,3 +17,14 @@ def test_benchmark_reports_keep_their_bytes(tmp_path, monkeypatch):
     recorded = RECORDED.read_text(encoding="utf-8").splitlines()
     assert len(recorded) == 106
     assert report_digests.differences(recorded, report_digests.lines(tmp_path)) == []
+
+
+def test_extra_reports_keep_their_bytes(tmp_path, monkeypatch):
+    """Claim 3.1 on walking-weq at width 4, with ``--verbose``: over 60,000
+    rows take the pi0 walk's fallback, and its grid and fallback counts
+    reach stderr."""
+    monkeypatch.delenv("HAMLOC_CACHE_DIR", raising=False)
+    recorded = RECORDED_EXTRA.read_text(encoding="utf-8").splitlines()
+    assert len(recorded) == len(report_digests.EXTRA)
+    observed = report_digests.extra_lines(tmp_path)
+    assert report_digests.differences(recorded, observed) == []

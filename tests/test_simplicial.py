@@ -24,7 +24,7 @@ from hamloc.simplicial import (
     smith_diagonal,
     validate_sset,
 )
-from helpers import all_operators
+from helpers import all_operators, renamed
 from oracles import rational_kernel_basis
 
 
@@ -149,7 +149,7 @@ def _partition_from_pairs(elements, pairs) -> Partition:
     uf = UnionFind(len(elements))
     for a, b in pairs:
         uf.union(position[a], position[b])
-    return Partition.of(uf, range(len(elements))).renamed(elements)
+    return renamed(Partition.of(uf, range(len(elements))), elements)
 
 
 class TestPi0:
