@@ -59,12 +59,12 @@ The trie lives while one space is built.
 each pattern's rows in rank order (:meth:`_Context.paths`), so its
 vertices are numbered as it finds them, in (width, name) order, and
 joined along generator grids whose steps come from a second table
-(:func:`_pi0_joins`); one such walk over a relative category's rows also
-partitions the vertices of a relative category on the same category
-with fewer weak equivalences (:func:`pi0_localizations`), as claim 3.1
-needs for its middle and its flattening.  The context, with its tables,
-and the namer are freed with what made them, by reference counting: the
-package builds no reference cycles around them.
+(:func:`_pi0_joins`).  Claim 3.1 walks only some pairs (``pair_filter``
+of :func:`hammock_localization`), and
+:func:`homotopy_category_of_localization` builds its components over the
+objects those pairs name.  The context, with its tables, and the namer
+are freed with what made them, by reference counting: the package builds
+no reference cycles around them.
 
 Width is the one genuine approximation: enumeration is exhaustive up to
 ``w_max`` columns, faces and reduction only shrink width, and every
@@ -491,16 +491,12 @@ class _Context:
     with a solution, where ``vnext`` is the vertical after the column (the
     end identity in the last one) and the solutions are its entries below.
 
-    ``sub_weq`` holds the numbers of a second, smaller set of weak
-    equivalences on the same category (None: there is none), for the walk
-    of :func:`_pi0_walk`.  ``generators`` is that walk's table of
-    generator steps, filled on first use: ``(sink, left, right)`` (whether
-    the interior vertex is a sink, and the row's entries on either side of
-    it) maps to the ``(a, b, in_sub)`` triples, the entries that replace
-    ``left`` and ``right``, in order, and whether the step's vertical and
-    new weak equivalence lie in ``sub_weq`` (always true without one)."""
+    ``generators`` is the table of generator steps of :func:`_pi0_walk`,
+    filled on first use: ``(sink, left, right)`` (whether the interior
+    vertex is a sink, and the row's entries on either side of it) maps to
+    the ``(a, b)`` pairs of entries that replace ``left`` and ``right``."""
 
-    def __init__(self, r: RelativeCategory, sub_weq=None):
+    def __init__(self, r: RelativeCategory):
         c = r.cat
         index = c.mor_index
         weq = {index[m] for m in r.weq}
@@ -534,7 +530,6 @@ class _Context:
         self.ranked_weq_into = {x: ranked(ms) for x, ms in self.weq_into.items()}
         self.namer = partial(_names, c.morphisms)
         self.steps = {}
-        self.sub_weq = None if sub_weq is None else {index[m] for m in sub_weq}
         self.generators = {}
 
     def _feasible(self, y, directions):
@@ -601,21 +596,20 @@ class _Context:
         source (``<- X_i ->``) it gives the right factors through v of
         ``left`` (a weak equivalence) and of ``right``."""
         sink, left, right = key
-        post, sub = self.post, self.sub_weq
-        triples = []
+        post = self.post
+        steps = []
         if sink:
             for v in self.weq_moves[self.cod[left]]:
                 a, b = post[v].get(left), post[v].get(right)
                 if a is not None and b is not None:
-                    triples.append((a, b, sub is None or v in sub))
+                    steps.append((a, b))
         else:
             for v in self.weq_moves[self.dom[left]]:
                 bs = self.right[v].get(right, ())
                 for a in self.right_weq[v].get(left, ()):
-                    in_sub = sub is None or (v in sub and a in sub)
-                    triples += [(a, b, in_sub) for b in bs]
-        triples = self.generators[key] = tuple(triples)
-        return triples
+                    steps += [(a, b) for b in bs]
+        steps = self.generators[key] = tuple(steps)
+        return steps
 
 
 def _alternating(width, start):
@@ -792,10 +786,7 @@ class MappingSpace:
     1-simplices in "full" detail; in "pi0" detail, the distinct vertices
     each live row is joined to, summed over the rows.
     ``fallback_rows`` ("pi0" detail only) counts the live rows with a
-    dead generator neighbour, from which the fallback walked on.  When one
-    walk builds two spaces (:func:`pi0_localizations`), each counts its
-    own stage: the sub's rows, joins and fallbacks along its own
-    generators, as a walk of the sub alone would.
+    dead generator neighbour, from which the fallback walked on.
     ``face_normal_forms`` ("full" detail only) counts the distinct
     dropped grids the faces reduced, and ``extension_rows`` ("full" detail
     only) the complete rows built below other rows, one per grid they
@@ -860,7 +851,7 @@ def mapping_space(r: RelativeCategory, x, y, truncation: int, w_max: int,
 
 def _mapping_space(ctx: _Context, x, y, truncation, w_max, detail) -> MappingSpace:
     if detail == "pi0":
-        return _pi0_walk(ctx, x, y, truncation, w_max)[0]
+        return _pi0_walk(ctx, x, y, truncation, w_max)
     # Grids are (pattern, leaves, layers) on the rows' leaf numbers
     # (:class:`_RowTrie`) until a level is kept.  Level 0 is the reduced
     # rows in leaf order, which is its order.
@@ -980,32 +971,18 @@ def _mapping_space(ctx: _Context, x, y, truncation, w_max, detail) -> MappingSpa
                         extension_rows=extension_rows)
 
 
-def _pi0_walk(ctx: _Context, x, y, truncation, w_max):
-    """The "pi0" detail mapping spaces from x to y of ``ctx``'s relative
-    category and, when ``ctx`` has a second set of weak equivalences
-    (``ctx.sub_weq``), of the relative category with those: ``(space, sub
-    space)``, the same space twice without one.  One walk over the rows
-    serves both (:func:`_pi0_joins`), each partition grown by its own
-    union-find over vertex numbers.  The patterns come in (width, pattern)
-    order (:func:`_patterns`) and each pattern's rows in name order
+def _pi0_walk(ctx: _Context, x, y, truncation, w_max) -> MappingSpace:
+    """The "pi0" detail mapping space from x to y: its vertices, joined
+    along generator grids (:func:`_pi0_joins`) by one union-find over
+    vertex numbers.  The patterns come in (width, pattern) order
+    (:func:`_patterns`) and each pattern's rows in name order
     (:meth:`_Context.paths`), so the vertices are numbered as they are
-    found, in (width, name) order, with no sort.
-
-    The sub's rows of a pattern are the rows whose backward entries are in
-    the smaller set, in the same order.  So its vertices are numbered in
-    the order of the vertices they are (``sub_vertex[n]``: the sub's number
-    of vertex n, None when the sub lacks it), which is again (width, name)
-    order, and normal forms, which need the category only, are shared.
-    Both sets must be closed under the composites the table has: the
-    normal form of a row of the sub is then a row of the sub, so a join of
-    the sub never meets a vertex it lacks; if it does, ConsistencyError."""
+    found, in (width, name) order, with no sort."""
     found = []  # vertex number -> grid, in (width, name) order
-    components, sub_components = UnionFind(), UnionFind()
-    sub_found, sub_vertex = [], []  # sub's vertex number <-> vertex number
+    components = UnionFind()
     row_numbers = {}  # pattern -> row -> vertex number of its normal form, -1 if dead
-    snapshot = sub_snapshot = None
-    grids = fallback_rows = sub_grids = sub_fallback_rows = 0
-    sub_weq = ctx.sub_weq
+    snapshot = None
+    grids = fallback_rows = 0
     for pattern in _patterns(w_max):
         width = len(pattern)
         if width == 0 and x != y:
@@ -1013,48 +990,18 @@ def _pi0_walk(ctx: _Context, x, y, truncation, w_max):
         if width == w_max and snapshot is None:
             # every narrower edge is in: the partition of a run at w_max-1
             snapshot = Partition.of(components, range(len(found)))
-            sub_snapshot = Partition.of(sub_components, range(len(sub_found)))
         rows0 = ctx.paths(x, y, pattern)
-        backward = [col for col, d in enumerate(pattern) if d == "b"]
-        in_sub = ([sub_weq.issuperset(map(row.__getitem__, backward)) for row in rows0]
-                  if sub_weq is not None else [False] * len(rows0))
         numbers = row_numbers[pattern] = {}
-        for row, sub_row in zip(rows0, in_sub):
+        for row in rows0:
             # no identity entry along an alternating pattern: reduced
             if ctx.identities.isdisjoint(row):
-                n = numbers[row] = components.add()
+                numbers[row] = components.add()
                 found.append((pattern, (row,), ()))
-                sub_vertex.append(sub_components.add() if sub_row else None)
-                if sub_row:
-                    sub_found.append(n)
-        for upper, lowers, fallback, sub_lowers, sub_fallback in _pi0_joins(
-                ctx, pattern, rows0, in_sub, row_numbers):
+        for upper, lowers, fallback in _pi0_joins(ctx, pattern, rows0, row_numbers):
             grids += len(lowers)
             fallback_rows += fallback
             components.union_all(upper, lowers)
-            if sub_lowers is not None:
-                sub_grids += len(sub_lowers)
-                sub_fallback_rows += sub_fallback
-                joined = [sub_vertex[n] for n in sub_lowers]
-                joined.append(sub_vertex[upper])
-                if None in joined:
-                    raise ConsistencyError(f"pair ({x},{y}): a join of the smaller weak "
-                                           "equivalences reaches a vertex outside them")
-                sub_components.union_all(joined.pop(), joined)
 
-    space = _pi0_space(ctx, x, y, truncation, w_max, found, components, snapshot, grids,
-                       fallback_rows)
-    if sub_weq is None:
-        return space, space
-    return space, _pi0_space(ctx, x, y, truncation, w_max, [found[n] for n in sub_found],
-                             sub_components, sub_snapshot, sub_grids, sub_fallback_rows)
-
-
-def _pi0_space(ctx, x, y, truncation, w_max, found, components, snapshot, grids,
-               fallback_rows) -> MappingSpace:
-    """The "pi0" detail space of the vertices ``found``, by number,
-    partitioned by ``components``; ``snapshot`` is the partition one width
-    bound lower."""
     partition = Partition.of(components, range(len(found)))
     vertices = tuple(found)
     return MappingSpace(x, y, truncation, w_max, _stability(partition, snapshot),
@@ -1062,19 +1009,18 @@ def _pi0_space(ctx, x, y, truncation, w_max, found, components, snapshot, grids,
                         grids=grids, fallback_rows=fallback_rows)
 
 
-def _pi0_joins(ctx: _Context, pattern, rows0, in_sub, row_numbers):
+def _pi0_joins(ctx: _Context, pattern, rows0, row_numbers):
     """For each live row of ``rows0`` (one whose normal form the table can
     name): its vertex number, the numbers of the live rows it is joined
-    to along ``pattern``, whether it took the fallback, and, when the row
-    belongs to the sub (``in_sub``), the same two for the sub's walk
-    (else None and False).  ``row_numbers[p][row]`` is the vertex number
-    of a row's normal form along pattern ``p``, or -1 for a dead row.
+    to along ``pattern``, and whether it took the fallback.
+    ``row_numbers[p][row]`` is the vertex number of a row's normal form
+    along pattern ``p``, or -1 for a dead row.
 
     Only the partition is needed, and a generating set of two-row grids
     gives it (Dwyer-Kan): the grids with one non-identity vertical ``v``,
     a weak equivalence out of an interior vertex ``X_i``, whose lower
     entries at ``i-1`` and ``i`` the table :attr:`_Context.generators`
-    holds; the sub's generators are those with ``in_sub``.
+    holds.
 
     Every grid factors into generator grids: apply its sink verticals one
     at a time, then its source verticals.  Each column has one sink end
@@ -1089,13 +1035,7 @@ def _pi0_joins(ctx: _Context, pattern, rows0, in_sub, row_numbers):
     followed through dead rows, and the row is joined to the first live
     row on each.  The live rows along any grid's chain are then joined in
     turn, and every join is a grid, so the components, pattern by pattern,
-    are those of all grids, and so is the snapshot one width lower.
-
-    Each chain state carries two flags: whether it counts for the whole
-    walk and whether for the sub's.  The sub follows only its own
-    generators, and keeps its own ``seen`` set: a state the whole walk
-    reached first through another generator must still be expanded for
-    the sub."""
+    are those of all grids, and so is the snapshot one width lower."""
     width = len(pattern)
     if not width:
         return
@@ -1113,53 +1053,41 @@ def _pi0_joins(ctx: _Context, pattern, rows0, in_sub, row_numbers):
         return number
 
     interior = tuple(range(1, width))
-    for row, sub_row in zip(rows0, in_sub):
+    for row in rows0:
         upper = number_of(row)
         if upper < 0:
             continue
         # chains of generator steps from ``row``, each vertex used once
         # and no sink after a source, followed through dead rows only
         lowers, seen = set(), set()
-        sub_lowers, sub_seen = (set(), set()) if sub_row else (None, set())
-        chains = [(row, interior, True, sub_row)]
+        chains = [(row, interior)]
         while chains:
-            at, free, whole, part = chains.pop()
+            at, free = chains.pop()
             for i in free:
                 key = (sinks[i], at[i - 1], at[i])
-                triples = generators.get(key)
-                if triples is None:
-                    triples = generator(key)
-                if not triples:
+                steps = generators.get(key)
+                if steps is None:
+                    steps = generator(key)
+                if not steps:
                     continue
                 head, tail = at[:i - 1], at[i + 1:]
                 rest = None
-                for a, b, in_sub_step in triples:
-                    for_sub = part and in_sub_step
-                    if not (whole or for_sub):
-                        continue
+                for a, b in steps:
                     row2 = head + (a, b) + tail
                     number = numbers.get(row2)
                     if number is None:
                         number = number_of(row2)
                     if number >= 0:
-                        if whole:
-                            lowers.add(number)
-                        if for_sub:
-                            sub_lowers.add(number)
+                        lowers.add(number)
                         continue
                     if rest is None:
                         rest = tuple(j for j in free
                                      if j != i and (sinks[i] or not sinks[j]))
                     state = (row2, rest)
-                    grow = whole and state not in seen
-                    if grow:
+                    if state not in seen:
                         seen.add(state)
-                    grow_sub = for_sub and state not in sub_seen
-                    if grow_sub:
-                        sub_seen.add(state)
-                    if grow or grow_sub:
-                        chains.append((row2, rest, grow, grow_sub))
-        yield upper, lowers, bool(seen), sub_lowers, bool(sub_seen)
+                        chains.append(state)
+        yield upper, lowers, bool(seen)
 
 
 def _faces(trie: _RowTrie, grid, memo, below):
@@ -1218,7 +1146,8 @@ def _degeneracy(trie: _RowTrie, grid, i):
 class Localization:
     """Hammock localization data at a fixed truncation and width bound:
     ``pairs`` maps object pairs to their :class:`MappingSpace`, as
-    :func:`hammock_localization` or :func:`pi0_localizations` built them.
+    :func:`hammock_localization` built them: every pair, or those of its
+    ``pair_filter``.
 
     Composition is materialized on demand; a composite wider than the
     bound is not represented.  ``overflows`` counts the component-category
@@ -1345,37 +1274,6 @@ def hammock_localization(r: RelativeCategory, truncation: int, w_max: int,
     return Localization(r, truncation, w_max, detail, pairs)
 
 
-def pi0_localizations(r: RelativeCategory, sub: RelativeCategory, truncation: int, w_max: int,
-                      progress=None, sub_progress=None):
-    """The "pi0" detail localizations of ``r`` and of ``sub``, a relative
-    category on the same category whose weak equivalences are among
-    ``r``'s (both closed under the composites the table has), from one
-    walk over ``r``'s rows (:func:`_pi0_walk`) with one :class:`_Context`.
-    Each space equals what :func:`hammock_localization` gives.  When the
-    two sets of weak equivalences coincide, the same localization is
-    returned twice and ``sub_progress`` is not called.  ``progress`` gets
-    each pair of ``r`` as it is walked, ``sub_progress`` each pair of
-    ``sub`` afterwards, in the same order."""
-    _check_bounds(truncation, w_max, "pi0")
-    if sub.cat is not r.cat or not sub.weq <= r.weq:
-        raise ConsistencyError("one walk needs one category and fewer weak equivalences")
-    shared = sub.weq == r.weq
-    ctx = _Context(r, None if shared else sub.weq)
-    pairs, sub_pairs = {}, {}
-    for x in r.cat.objects:
-        for y in r.cat.objects:
-            pairs[(x, y)], sub_pairs[(x, y)] = _pi0_walk(ctx, x, y, truncation, w_max)
-            if progress is not None:
-                progress(x, y, pairs[(x, y)])
-    loc = Localization(r, truncation, w_max, "pi0", pairs)
-    if shared:
-        return loc, loc
-    if sub_progress is not None:
-        for (x, y), ms in sub_pairs.items():
-            sub_progress(x, y, ms)
-    return loc, Localization(sub, truncation, w_max, "pi0", sub_pairs)
-
-
 def staged(progress, stage):
     """The per-pair callback ``progress(x, y, ms, stage)`` with its pairs
     tagged by ``stage`` (after any tag of an inner stage); None stays None."""
@@ -1410,13 +1308,19 @@ class _ClassMap(Mapping):
 
 def homotopy_category_of_localization(loc: Localization):
     """Category of components of a localization on vertex numbers (see
-    :func:`scat.component_category`), and the name-keyed class map; class
-    composites come from representatives inside the width bound."""
+    :func:`scat.component_category`), over the objects its pairs name, and
+    the name-keyed class map; class composites come from representatives
+    inside the width bound.  The pairs must be every pair of those objects
+    (InputError)."""
+    named = {name for pair in loc.pairs for name in pair}
+    objects = [x for x in loc.relcat.cat.objects if x in named]
+    if len(loc.pairs) != len(objects) ** 2:
+        raise InputError("components need every pair of the objects the pairs name")
     try:
         cat, class_names = scat_mod.component_category(
-            loc.relcat.cat.objects,
+            objects,
             {pair: ms.partition for pair, ms in loc.pairs.items()},
-            dict.fromkeys(loc.relcat.cat.objects, _IDENTITY_NUMBER),
+            dict.fromkeys(objects, _IDENTITY_NUMBER),
             lambda x, y, z, g, f: loc.composite(x, y, z, 0, g, f),
         )
     except CompositionUnavailable:

@@ -56,7 +56,10 @@ reads the earlier ``(k, name, i)`` dicts of the references.  Asking
 turn is the reference for the sweeps by junction class
 (:func:`reference_composites`, :func:`reference_scat_composites`), and
 the normal form of the concatenated grids checks both
-(:func:`normal_form_composite`).
+(:func:`normal_form_composite`).  Claim 3.1 over every pair of the
+middle's and the flattening's objects, with the categories of components
+on every object, is the reference for the claim over the pairs of
+level-0 objects (:func:`reference_roundtrip`).
 """
 
 from __future__ import annotations
@@ -72,11 +75,13 @@ from hamloc.fincat import (
     CatFunctor,
     FiniteCategory,
     disjoint_union,
+    find_equivalence,
     inverse,
     is_isomorphism,
     validate_functor,
 )
 from hamloc import hammock
+from hamloc.flatten import flatten, relativization_unit
 from hamloc.hammock import (
     Hammock,
     MappingSpace,
@@ -2237,3 +2242,53 @@ def normal_form_composite(r: RelativeCategory, g, f, w_max, enumerated):
     if grid is None or len(grid[0]) > w_max:
         return None
     return enumerated.get(grid)
+
+
+# --- claim 3.1 over every pair -----------------------------------------------
+#
+# The reference for the re-localizations of ``hamloc.verify.check_roundtrip``,
+# which walk only the pairs of level-0 objects: the earlier route, which
+# re-localized the middle and the flattening on every pair of their
+# objects, built the categories of components on every object, and
+# searched for the two equivalences there.
+
+
+@dataclass
+class ReferenceRoundtrip:
+    """The results of the two equivalence searches (``first``:
+    Ho(input) ~ Ho(middle), ``second``: Ho(flattening) ~ Ho(middle)), both
+    None when a category of components is undetermined, and ``marked``:
+    stage -> (A, n) -> whether the marked map (A, 0) -> (A, n) is an
+    isomorphism in that stage's category of components."""
+
+    first: str | None
+    second: str | None
+    marked: dict
+
+
+def reference_roundtrip(r: RelativeCategory, truncation, w_max, budget) -> ReferenceRoundtrip:
+    """Claim 3.1's comparison with every pair re-localized."""
+    loc = hammock.hammock_localization(r, truncation, w_max)
+    fl = flatten(loc.scat())
+    middle = relativization_unit(r, loc, fl).target
+    flat_cat = fl.rel.cat
+    hos, marked = {}, {}
+    try:
+        ho_input, _ = hammock.homotopy_category_of_localization(loc)
+        for stage, rel in (("middle", middle), ("flattening", fl.rel)):
+            reloc = hammock.hammock_localization(rel, truncation, w_max, "pi0")
+            ho, classes = hammock.homotopy_category_of_localization(reloc)
+            hos[stage], isos = ho, {}
+            for a in r.cat.objects:
+                x = fl.object_name(a, 0)
+                for n in range(truncation + 1):
+                    y = fl.object_name(a, n)
+                    (m,) = [m for m in flat_cat.hom(x, y) if m in fl.rel.weq]
+                    vertex = reloc.pair(x, y).vertices[reloc.embedded(m)]
+                    isos[(a, n)] = is_isomorphism(ho, classes[(x, y, vertex)])
+            marked[stage] = isos
+    except (CompositionUnavailable, ConsistencyError):
+        return ReferenceRoundtrip(None, None, marked)
+    return ReferenceRoundtrip(find_equivalence(ho_input, hos["middle"], budget).status,
+                              find_equivalence(hos["flattening"], hos["middle"], budget).status,
+                              marked)

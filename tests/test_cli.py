@@ -1089,7 +1089,7 @@ class TestVerbose:
         note = "flattening: same weak equivalences as middle, relocalization shared"
         assert lines.count(note) == (1 if shared else 0)
         assert any(ln.startswith("flattening: pair (") for ln in lines) != shared
-        # one walk builds both stages; every middle line comes first
+        # one walk per stage, the middle's first: every middle line comes first
         middle = [n for n, ln in enumerate(lines) if ln.startswith("middle: ")]
         flattening = [n for n, ln in enumerate(lines) if ln.startswith("flattening: ")]
         assert middle and flattening and max(middle) < min(flattening)

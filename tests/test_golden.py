@@ -6,7 +6,9 @@ Large outputs are stored as their sha256 only.  The fixtures were
 recorded at commit c86405b (the ``dk-check`` ones at 2fbdaea, the
 ``oracle-ho`` ones at ac466f4, ``verify 3.2`` on chain-weq and
 z2-groupoid and at truncation 2 at 2057a8f, ``dk-check`` on the loop
-category and the point into the walking isomorphism at 34d4885); a
+category and the point into the walking isomorphism at 34d4885, ``verify
+3.1`` on walking-weq at width 2 when claim 3.1 came to walk only its
+level-0 pairs); a
 fixture changes only together with a stated change of the report bytes.  To record them again with the
 package on ``PYTHONPATH``, all of them or the named ones, printing the
 names whose file changed:
@@ -141,6 +143,10 @@ def cases():
     for name in ("terminal", "walking-arrow-ids", "parallel-ids", "walking-weq"):
         out.append((f"verify-3.1-{name}",
                     ["verify", "3.1", f"{name}.json", "--truncation", "1", "--width", "3"], False))
+    # a pass: over the level-0 pairs every class composite has a
+    # representative, which a walk of every pair lacked at ((X,0),(Y,0),(X,1))
+    out.append(("verify-3.1-walking-weq-width2",
+                ["verify", "3.1", "walking-weq.json", "--truncation", "1", "--width", "2"], False))
     for name in suite:
         out.append((f"verify-3.2-{name}",
                     ["verify", "3.2", f"{name}.json", "--truncation", "1", "--width", "3"],

@@ -34,7 +34,6 @@ from hamloc.hammock import (
     hammock_name,
     homotopy_category_of_localization,
     mapping_space,
-    pi0_localizations,
     reduce_hammock,
     width_zero,
 )
@@ -242,6 +241,30 @@ class TestLocalization:
         with pytest.raises(InputError, match="unknown object: Q"):
             hammock_localization(r, 1, 2, pair_filter={("X", "Y"), ("Q", "R")})
         assert set(hammock_localization(r, 1, 2, pair_filter={("X", "Y")}).pairs) == {("X", "Y")}
+
+    @pytest.mark.parametrize("detail", ["full", "pi0"])
+    def test_components_need_every_pair_of_the_objects_named(self, detail):
+        """A localization on some pairs has a category of components on the
+        objects they name when they are every pair of those objects, the
+        full subcategory of that of the whole; else InputError, never a
+        smaller category."""
+        c = inst.chain3()
+        r = RelativeCategory(c, sorted(c.identity.values()) + ["f"])
+        for pairs in ({("X", "Y")}, {("X", "X"), ("Y", "Y")},
+                      {("X", "X"), ("X", "Z"), ("Z", "X")}):
+            loc = hammock_localization(r, 1, 2, detail, pair_filter=pairs)
+            with pytest.raises(InputError, match=r"^components need every pair"):
+                homotopy_category_of_localization(loc)
+        whole, _ = homotopy_category_of_localization(hammock_localization(r, 1, 2, detail))
+        square = {(x, y) for x in "XZ" for y in "XZ"}
+        part, classes = homotopy_category_of_localization(
+            hammock_localization(r, 1, 2, detail, pair_filter=square))
+        assert part.objects == ("X", "Z")
+        assert sorted(part.morphisms) == sorted(m for m in whole.morphisms
+                                                if whole.dom[m] in "XZ" and whole.cod[m] in "XZ")
+        assert part.table == {(g, f): h for (g, f), h in whole.table.items() if g in part.dom
+                              and f in part.dom}
+        assert {x for x, _, _ in classes} == {"X", "Z"}
 
     @pytest.mark.parametrize("truncation, w_max, detail", [
         (0, 2, "full"), (1, 0, "full"), (1, 2, "bogus")])
@@ -948,11 +971,10 @@ class TestKeyOrder:
     (``_Context.rank_chars``) and never by its names: the "full" levels
     above 0 by a sort, the vertices as the enumeration finds them.  Yet
     its order is the (width, name) order the names give, which reaches the
-    reports through partitions, witnesses and the capped checks; so is
-    that of both spaces of :func:`pi0_localizations`, whose sub numbers
-    its vertices as the one walk finds them.  The names below make the
-    order of names and that of their ``repr`` differ: quotes, backslashes,
-    non-ASCII characters and names that are prefixes of others."""
+    reports through partitions, witnesses and the capped checks.  The
+    names below make the order of names and that of their ``repr`` differ:
+    quotes, backslashes, non-ASCII characters and names that are prefixes
+    of others."""
 
     TRICKY = ["f", "fg", "f'", 'f"', "f\\", "it's", 'say "hi"', "both ' and \"", "café",
               "\u03c0\u2080", "g'h", "x|y", "f\\'", "fé", "g"]
@@ -967,17 +989,11 @@ class TestKeyOrder:
             assert list(ms.vertices) == [_grid_name(morphisms, grid)
                                          for grid in ms.level_grids[0]]
 
-    @staticmethod
-    def _assert_pi0_name_order(r, sub, width):
-        loc, sub_loc = pi0_localizations(r, sub, 1, width)
-        assert (sub_loc is loc) == (sub.weq == r.weq)
-        for walked in (loc, sub_loc):
-            morphisms = walked.relcat.cat.morphisms
-            for ms in walked.pairs.values():
-                keys = [(len(grid[0]), _grid_name(morphisms, grid))
-                        for grid in ms.level_grids[0]]
-                assert keys == sorted(keys), (ms.x, ms.y)
-                assert list(ms.vertices) == [name for _, name in keys]
+    @classmethod
+    def _assert_pi0_name_order(cls, r, sub, width):
+        """The "pi0" walk of ``r`` and that of ``sub``, each on its own."""
+        for walked in (r, sub):
+            cls._assert_name_order(walked, 1, width, "pi0")
 
     @classmethod
     def _tricky(cls, r):
@@ -1143,14 +1159,14 @@ class TestLifetime:
             gc.enable()
 
     def test_the_one_walk_is_freed_without_the_cyclic_collector(self, monkeypatch):
-        """The context of :func:`pi0_localizations`, with its table of
-        generator steps, goes when the walk returns, and the two
+        """The context of each "pi0" re-localization of claim 3.1, with its
+        table of generator steps, goes when the walk returns, and the two
         localizations when their last references do."""
         refs = []
         original = hammock._Context.__init__
 
-        def recording(self, r, sub_weq=None):
-            original(self, r, sub_weq)
+        def recording(self, r):
+            original(self, r)
             refs.append(weakref.ref(self))
 
         r = inst.walking_weq()
@@ -1161,9 +1177,9 @@ class TestLifetime:
         gc.collect()
         gc.disable()
         try:
-            loc_mid, loc_flat = pi0_localizations(middle, fl.rel, 1, 3)
-            assert len(refs) == 1 and refs[0]() is None
-            assert loc_flat is not loc_mid
+            loc_mid = hammock_localization(middle, 1, 3, "pi0")
+            loc_flat = hammock_localization(fl.rel, 1, 3, "pi0")
+            assert len(refs) == 2 and [ref() for ref in refs] == [None, None]
             held = [weakref.ref(loc_mid), weakref.ref(loc_flat)]
             del loc_mid, loc_flat
             assert [ref() for ref in held] == [None, None]
@@ -1601,10 +1617,7 @@ def _small_category(objects, arrows, table):
 class TestPi0AgainstReference:
     """The pi0 detail on morphism numbers must give what the enumeration
     on string-keyed rows gives (``tests/oracles.py``): the vertex names in
-    order, the classes, the verdict and the join and fallback counts.
-    One walk that re-localizes a relative category and a sub relative
-    category with fewer weak equivalences (:func:`pi0_localizations`) must
-    give each the spaces the reference gives it alone."""
+    order, the classes, the verdict and the join and fallback counts."""
 
     @staticmethod
     def _agree(got, want, where):
@@ -1613,36 +1626,38 @@ class TestPi0AgainstReference:
         assert got.verdict == want.verdict, where
         assert (got.grids, got.fallback_rows) == (want.grids, want.fallback_rows), where
 
+    @classmethod
+    def _walk(cls, r, width):
+        """The "pi0" localization of ``r``, each pair checked against the
+        reference."""
+        loc = hammock_localization(r, 1, width, detail="pi0")
+        for (x, y), got in loc.pairs.items():
+            cls._agree(got, reference_pi0_mapping_space(r, x, y, 1, width), (x, y))
+        return loc
+
     @pytest.mark.parametrize("width", [2, 3])
     def test_stock_middles_and_flattenings(self, width):
-        """Each stage alone, and both from one walk over the middle.  Where
-        W holds only identities the two stages have the same weak
-        equivalences and share one localization; elsewhere the flattening
-        has fewer."""
-        spaces = fallback_rows = sub_fallback_rows = shared = 0
+        """Each stage walked on its own.  Where W holds only identities the
+        two stages have the same weak equivalences; elsewhere the
+        flattening has fewer."""
+        spaces, fallback_rows, shared = 0, {"middle": 0, "flattening": 0}, 0
         for label, middle, flattening in _stock_middles_and_flattenings():
-            loc_mid, loc_flat = pi0_localizations(middle, flattening, 1, width)
-            assert loc_mid.relcat is middle
-            if loc_flat is loc_mid:
-                assert middle.weq == flattening.weq, label
+            if middle.weq == flattening.weq:
                 shared += 1
             else:
-                assert loc_flat.relcat is flattening and flattening.weq < middle.weq, label
-                sub_fallback_rows += sum(ms.fallback_rows for ms in loc_flat.pairs.values())
-            for stage, r, walked in (("middle", middle, loc_mid),
-                                     ("flattening", flattening, loc_flat)):
+                assert middle.cat is flattening.cat and flattening.weq < middle.weq, label
+            for stage, r in (("middle", middle), ("flattening", flattening)):
                 loc = hammock_localization(r, 1, width, detail="pi0")
                 for (x, y), got in loc.pairs.items():
                     want = reference_pi0_mapping_space(r, x, y, 1, width)
                     self._agree(got, want, (label, stage, x, y))
-                    self._agree(walked.pairs[(x, y)], want, (label, stage, "one walk", x, y))
                     spaces += 1
-                    fallback_rows += got.fallback_rows
+                    fallback_rows[stage] += got.fallback_rows
         assert spaces == 392
         assert shared == sum(all(r.cat.is_identity(w) for w in r.weq)
                              for _, r in inst.oracle_suite())
         if width == 3:
-            assert fallback_rows > 0 and sub_fallback_rows > 0
+            assert fallback_rows["middle"] > 0 and fallback_rows["flattening"] > 0
 
     @settings(max_examples=30, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), width=st.integers(1, 3))
@@ -1654,91 +1669,38 @@ class TestPi0AgainstReference:
                 self._agree(mapping_space(r, x, y, 1, width, "pi0"),
                             reference_pi0_mapping_space(r, x, y, 1, width), (x, y))
 
-    @settings(max_examples=30, deadline=None)
-    @given(seed=st.integers(0, 2**32 - 1), width=st.integers(1, 3),
-           keep=st.sampled_from([0.0, 0.5, 1.0]))
-    def test_one_walk_on_random_sub_weak_equivalences(self, seed, width, keep):
-        """A random closed W and a closed part of it: identities only
-        (``keep`` 0), a random part, or all of W (``keep`` 1, the shared
-        case)."""
-        rng = random.Random(seed)
-        r = closed_weq(inst.random_dag_category(rng), rng)
-        sub = _closed_sub(r, rng, keep)
-        loc, sub_loc = pi0_localizations(r, sub, 1, width)
-        assert (sub_loc is loc) == (sub.weq == r.weq)
-        for (x, y), got in loc.pairs.items():
-            self._agree(got, reference_pi0_mapping_space(r, x, y, 1, width), (x, y))
-            self._agree(sub_loc.pairs[(x, y)], reference_pi0_mapping_space(sub, x, y, 1, width),
-                        ("sub", x, y))
-
     def test_a_dead_row_reached_outside_the_sub_is_walked_again_for_it(self):
-        """v1 and v2 both retract r and agree on l; only v2 is the sub's,
-        and the composites of c with p, v1 and v2 are missing.  From the
-        row (l, r, c) along f, b, f, v1 (listed first) and then v2 at the
-        sink M both give the dead row (p, idY, c).  The sub must follow it
-        through v2 although the whole walk saw it first through v1: its
-        own ``seen`` set.  And at the source Y of the row (p, idY, r) from
-        X to M, r gives v1 and v2 as right factors of idY, of which only
-        v2 is the sub's."""
+        """v1 and v2 both retract r and agree on l, and the composites of c
+        with p, v1 and v2 are missing.  From the row (l, r, c) along f, b,
+        f, v1 (listed first) and then v2 at the sink M both give the dead
+        row (p, idY, c), which the fallback follows once; with v2 alone a
+        weak equivalence (``sub``) it is reached through v2 only.  And at
+        the source Y of the row (p, idY, r) from X to M, r gives v1 and v2
+        as right factors of idY, or v2 alone."""
         c = _small_category("XMYZ", {"l": ("X", "M"), "r": ("Y", "M"), "c": ("Y", "Z"),
                                      "v1": ("M", "Y"), "v2": ("M", "Y"), "p": ("X", "Y")},
                             {("v1", "l"): "p", ("v2", "l"): "p",
                              ("v1", "r"): "idY", ("v2", "r"): "idY"})
         ids = sorted(c.identity.values())
-        r = RelativeCategory(c, ids + ["r", "v1", "v2"])
-        sub = RelativeCategory(c, ids + ["r", "v2"])
-        loc, sub_loc = pi0_localizations(r, sub, 1, 3)
-        for (x, y), got in loc.pairs.items():
-            self._agree(got, reference_pi0_mapping_space(r, x, y, 1, 3), (x, y))
-            self._agree(sub_loc.pairs[(x, y)], reference_pi0_mapping_space(sub, x, y, 1, 3),
-                        ("sub", x, y))
+        self._walk(RelativeCategory(c, ids + ["r", "v1", "v2"]), 3)
+        sub_loc = self._walk(RelativeCategory(c, ids + ["r", "v2"]), 3)
         assert (sub_loc.pairs[("X", "Z")].fallback_rows, sub_loc.pairs[("X", "M")].grids) == (1, 5)
 
     def test_a_right_factor_outside_the_sub_is_no_join_of_the_sub(self):
-        """At the source S of the row (l, r) along b, f, the sub's weak
-        equivalence v has the right factor a of l, which only the whole
-        W holds: the whole walk joins (l, r) to (a, b), the sub has no
-        such row."""
+        """At the source S of the row (l, r) along b, f, the weak
+        equivalence v has the right factor a of l.  Where a is a weak
+        equivalence the walk joins (l, r) to (a, b); where it is not
+        (``sub``), there is no such row."""
         c = _small_category("PSTQ", {"v": ("S", "T"), "a": ("T", "P"), "l": ("S", "P"),
                                      "r": ("S", "Q"), "b": ("T", "Q")},
                             {("a", "v"): "l", ("b", "v"): "r"})
         assert validate_category(c) == []
         ids = sorted(c.identity.values())
-        r = RelativeCategory(c, ids + ["v", "a", "l"])
-        sub = RelativeCategory(c, ids + ["v", "l"])
-        loc, sub_loc = pi0_localizations(r, sub, 1, 2)
-        for (x, y), got in loc.pairs.items():
-            self._agree(got, reference_pi0_mapping_space(r, x, y, 1, 2), (x, y))
-            self._agree(sub_loc.pairs[(x, y)], reference_pi0_mapping_space(sub, x, y, 1, 2),
-                        ("sub", x, y))
+        loc = self._walk(RelativeCategory(c, ids + ["v", "a", "l"]), 2)
+        sub_loc = self._walk(RelativeCategory(c, ids + ["v", "l"]), 2)
         whole, part = loc.pairs[("P", "Q")], sub_loc.pairs[("P", "Q")]
         assert (len(whole.vertices), len(whole.partition.classes), whole.grids) == (2, 1, 1)
         assert (len(part.vertices), part.grids) == (1, 0)
-
-    def test_a_sub_that_is_not_closed_is_refused_at_its_pair(self):
-        """The one walk needs the smaller weak equivalences closed under
-        composition.  With f and g but not gf, the row (f, f) from X to X
-        along f, b is the sub's, and so is the generator g at its sink Y,
-        but the row it gives, (gf, gf), is not: the walk raises at that
-        pair rather than join a vertex the sub lacks.  Closed, the sub
-        walks."""
-        c = inst.chain3()
-        r = RelativeCategory(c, c.morphisms)
-        sub = RelativeCategory(c, ["idX", "idY", "idZ", "f", "g"])
-        with pytest.raises(ConsistencyError, match=r"^pair \(X,X\): "):
-            pi0_localizations(r, sub, 1, 2)
-        closed = RelativeCategory(c, close_morphisms(c, sub.weq))
-        assert closed.weq == sub.weq | {"gf"}
-        loc, sub_loc = pi0_localizations(r, closed, 1, 2)
-        assert sub_loc is loc
-
-    def test_one_walk_needs_one_category_and_fewer_weak_equivalences(self):
-        r = inst.walking_weq()
-        identities = RelativeCategory(r.cat, r.cat.identity.values())
-        with pytest.raises(ConsistencyError):
-            pi0_localizations(identities, r, 1, 2)
-        with pytest.raises(ConsistencyError):
-            pi0_localizations(r, RelativeCategory(inst.walking_weq().cat, r.weq), 1, 2)
 
 
 def test_stable_components_match_word_oracle_on_random_relative_categories():

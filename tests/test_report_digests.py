@@ -20,9 +20,9 @@ def test_benchmark_reports_keep_their_bytes(tmp_path, monkeypatch):
 
 
 def test_extra_reports_keep_their_bytes(tmp_path, monkeypatch):
-    """Claim 3.1 on walking-weq at width 4, with ``--verbose``: over 60,000
-    rows take the pi0 walk's fallback, and its grid and fallback counts
-    reach stderr."""
+    """Claim 3.1 at width 4 on five stock inputs with a non-identity weak
+    equivalence, with ``--verbose``: the grid and fallback counts of the
+    pi0 walks of the level-0 pairs reach stderr."""
     monkeypatch.delenv("HAMLOC_CACHE_DIR", raising=False)
     recorded = RECORDED_EXTRA.read_text(encoding="utf-8").splitlines()
     assert len(recorded) == len(report_digests.EXTRA)

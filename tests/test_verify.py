@@ -1,11 +1,14 @@
+import random
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hamloc import hammock
 from hamloc import instances as inst
 from hamloc import scat, verify
 from hamloc.errors import ConsistencyError, InputError
 from hamloc.flatten import flatten, relativization_unit
-from hamloc.hammock import hammock_localization, pi0_localizations
+from hamloc.hammock import hammock_localization
 from hamloc.jsonio import canonical_dumps
 from hamloc.relcat import RelativeCategory, validate_relative
 from hamloc.scat import DkCertificate, RelativeSimplicialCategory, promote, sub_from_morphisms
@@ -16,6 +19,7 @@ from hamloc.verify import (
     check_32,
     check_roundtrip,
 )
+from oracles import closed_weq, reference_roundtrip
 
 BOUNDS = Bounds(truncation=1, width=4)
 
@@ -157,76 +161,103 @@ class TestRoundtrip:
     ])
     def test_flattening_shares_the_middle_relocalization_when_w_is_identities(
             self, monkeypatch, name, shared):
-        """The flattening stage re-localizes the flattening itself, whose
-        weak equivalences are fewer than the middle's unless W holds only
-        identities.  One walk over the middle's rows, with one enumeration
-        context, re-localizes both stages; neither is localized on its own.
-        At width 2 the per-pair vertex counts of the two stages then differ
-        on 12 of 16 pairs (walking-weq) and on 16 of 36 (span-one-leg)."""
+        """Each stage is re-localized by one "pi0" walk over the n² pairs
+        of level-0 objects ``((A, 0), (B, 0))`` and no other pair.  The
+        flattening's weak equivalences are fewer than the middle's unless
+        W holds only identities; then the middle's walk serves both, and
+        the flattening stage reports :data:`verify.SHARED_NOTE` instead."""
         r = dict(inst.oracle_suite())[name]
         assert shared == all(r.cat.is_identity(w) for w in r.weq)
-        walks, alone, contexts = [], [], []
+        walked = {}  # context -> the pairs its walk visited, in order
+        original = hammock._pi0_walk
 
-        def walked(middle, flattening, *args, **kwargs):
-            walks.append((middle, flattening))
-            return pi0_localizations(middle, flattening, *args, **kwargs)
+        def recording(ctx, x, y, *args):
+            walked.setdefault(ctx, []).append((x, y))
+            return original(ctx, x, y, *args)
 
-        def localized(rel, *args, **kwargs):
-            loc = hammock_localization(rel, *args, **kwargs)
-            if loc.detail == "pi0":
-                alone.append(rel)
-            return loc
-
-        original = hammock._Context.__init__
-
-        def recording(self, rel, sub_weq=None):
-            original(self, rel, sub_weq)
-            contexts.append(sub_weq)
-
-        monkeypatch.setattr(verify, "pi0_localizations", walked)
-        monkeypatch.setattr(verify, "hammock_localization", localized)
-        monkeypatch.setattr(hammock._Context, "__init__", recording)
+        monkeypatch.setattr(hammock, "_pi0_walk", recording)
         events = []
         check_roundtrip(r, Bounds(truncation=1, width=2),
                         lambda x, y, ms, stage: events.append((stage, x, y, ms)))
-        assert len(walks) == 1 and alone == []
-        # the input's localization, and the walk (with the smaller W unless shared)
-        assert len(contexts) == 2 and (contexts[1] is None) == shared
-        middle, walked_flattening = walks[0]
+        level0 = [f"({x},0)" for x in r.cat.objects]
+        square = [(x, y) for x in level0 for y in level0]
+        assert list(walked.values()) == [square] * (1 if shared else 2)
+        contexts = list(walked)
         flattening = flatten(hammock_localization(r, 1, 2).scat()).rel
-        assert middle.cat == flattening.cat
-        tags = [stage for stage, _, _, ms in events if not isinstance(ms, str)]
+        assert contexts[0].cat == flattening.cat
+        pairs = {stage: [(x, y) for tag, x, y, ms in events if tag == stage]
+                 for stage in ("middle", "flattening")}
         notes = [(stage, ms) for stage, _, _, ms in events if isinstance(ms, str)]
-        assert "middle" in tags and ("flattening" in tags) != shared
+        assert pairs["middle"] == square
+        assert pairs["flattening"] == ([(None, None)] if shared else square)
         assert notes == ([("flattening", verify.SHARED_NOTE)] if shared else [])
         # every middle pair is reported before any flattening pair
+        tags = [stage for stage, _, _, _ in events]
         assert tags == sorted(tags, key=["input", "middle", "flattening"].index)
         if shared:
-            assert middle.weq == flattening.weq
             return
-        assert walked_flattening == flattening and flattening.weq < middle.weq
+        assert contexts[1].cat is contexts[0].cat
+        # the two stages differ: per-pair vertex counts at width 2
         sizes = {}
         for stage, x, y, ms in events:
             if stage in ("middle", "flattening"):
                 sizes.setdefault((x, y), {})[stage] = len(ms.vertices)
-        assert all(len(per_stage) == 2 for per_stage in sizes.values())
         assert (sum(per_stage["middle"] != per_stage["flattening"]
                     for per_stage in sizes.values()), len(sizes)) == \
-            {"walking-weq": (12, 16), "span-one-leg": (16, 36)}[name]
+            {"walking-weq": (3, 4), "span-one-leg": (4, 9)}[name]
 
     @pytest.mark.parametrize("width", [2, 3])
     def test_the_one_walk_precondition_holds_on_stock_instances(self, width):
-        """The one walk of the two re-localizations needs both relative
-        categories valid (weak equivalences closed under the composites
-        the table has) on one category, the flattening's weak
-        equivalences among the middle's.  ``check_roundtrip`` validates
-        neither; the walk raises at a pair where this fails."""
+        """Both re-localizations are of valid relative categories (weak
+        equivalences closed under the composites the table has) on one
+        category, the flattening's weak equivalences among the middle's,
+        and equal to them exactly when W holds only identities: then one
+        re-localization serves both stages.  ``check_roundtrip`` validates
+        neither."""
         for label, r in inst.oracle_suite():
             loc = hammock_localization(r, 1, width)
             fl = flatten(loc.scat())
             middle = relativization_unit(r, loc, fl).target
             assert validate_relative(fl.rel) == [] and validate_relative(middle) == [], label
             assert middle.cat is fl.rel.cat and fl.rel.weq <= middle.weq, label
+            assert (fl.rel.weq == middle.weq) == all(r.cat.is_identity(w) for w in r.weq), label
+
+
+class TestLevelZeroAgainstEveryPair:
+    """Claim 3.1 re-localizes only the pairs of level-0 objects: in both
+    re-localizations each (A, n) is isomorphic to (A, 0) through a marked
+    map, so the full subcategory on the level-0 objects is equivalent to
+    the whole.  The route over every pair (:func:`oracles.reference_roundtrip`)
+    checks both halves: wherever its categories of components are
+    determined, the marked maps are isomorphisms there, and the level-0
+    searches find what its searches find.  No input reads "fail"."""
+
+    @staticmethod
+    def _decided(r, width):
+        report = check_roundtrip(r, Bounds(truncation=1, width=width))
+        assert report.verdict != "fail"
+        reference = reference_roundtrip(r, 1, width, Bounds().equiv_budget)
+        if reference.first is None:
+            return False
+        assert all(iso for isos in reference.marked.values() for iso in isos.values())
+        results = {outcome["check"]: outcome["result"] for outcome in report.outcomes}
+        assert (results["Ho(input) ~ Ho(middle)"], results["Ho(flattening) ~ Ho(middle)"]) == \
+            (reference.first, reference.second)
+        return True
+
+    @pytest.mark.parametrize("width, decided", [
+        (2, ["terminal", "walking-arrow-ids", "retract", "walking-iso-one-arrow",
+             "parallel-ids"]),
+        (3, ["terminal", "walking-arrow-ids", "z2-groupoid", "parallel-ids"]),
+    ], ids=["2", "3"])
+    def test_stock_suite(self, width, decided):
+        assert [label for label, r in inst.oracle_suite() if self._decided(r, width)] == decided
+
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), width=st.integers(1, 3))
+    def test_random_relative_categories(self, seed, width):
+        rng = random.Random(seed)
+        self._decided(closed_weq(inst.random_dag_category(rng, max_nonid=6), rng), width)
 
 
 class TestCheck32:
