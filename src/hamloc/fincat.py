@@ -192,6 +192,18 @@ class UnionFind:
         if ra != rb:
             self.parent[rb] = ra
 
+    def union_pairs(self, pairs):
+        """``union(a, b)`` for each pair, with one inline climb per end that
+        halves its path, and no :meth:`find` call."""
+        parent = self.parent
+        for a, b in pairs:
+            while parent[a] != a:
+                parent[a] = a = parent[parent[a]]
+            while parent[b] != b:
+                parent[b] = b = parent[parent[b]]
+            if a != b:
+                parent[b] = a
+
     def union_all(self, a, bs):
         """``union(a, b)`` for each ``b`` in ``bs``, finding ``a``'s root once;
         a ``b`` whose parent is that root is skipped.  Each root is found

@@ -11,6 +11,13 @@ Simplices are carried by number, and a morphism is found by number in
 :attr:`Flattening.morphism_index`.  Its name is still made from its
 simplex's name: the re-localization of the flattening orders its
 vertices by the ``repr`` of those names.
+
+Composition visits only composable pairs: the morphisms are grouped by
+codomain, and each g meets those that end at its domain.  Each carried
+simplex, composite simplex and composite operator is made once, kept
+under numbers and operator image tuples.  A carried simplex is keyed by
+the level it is carried from as well, since an operator's images do not
+fix its target level: ``(0,)`` is both [0] -> [0] and [0] -> [1].
 """
 
 from __future__ import annotations
@@ -22,7 +29,7 @@ from .errors import InputError
 from .fincat import CatFunctor, FiniteCategory, close_morphisms
 from .relcat import RelativeCategory, RelativeFunctor
 from .scat import TruncatedSimplicialCategory
-from .simplicial import SimplicialOperator, apply_operator, compose_operators, monotone_maps
+from .simplicial import SimplicialOperator, apply_operator, monotone_maps
 
 
 def flat_object_name(base, level):
@@ -56,56 +63,68 @@ def flatten(a: TruncatedSimplicialCategory) -> Flattening:
     """Objects (A, n); morphisms (A1,n1) -> (A2,n2) are pairs (a, q) with
     a in hom(A1,A2) at level n2 and q monotone [n2] -> [n1]; composition
     acts on the simplex part through the operator.  The marked morphisms
-    are those whose simplex part is a degenerate identity."""
+    are those whose simplex part is a degenerate identity.  Only the
+    composable pairs are visited, and each carried simplex, composite and
+    composite operator is made once (see the module docstring); the
+    monotone maps are listed once per pair of levels."""
     N = a.truncation
     object_names = {(base, level): flat_object_name(base, level)
                     for base in a.objects for level in range(N + 1)}
     objects = list(object_names.values())
+    operators = {(n2, n1): monotone_maps(n2, n1) for n1 in range(N + 1) for n2 in range(N + 1)}
 
     identities_at = {(base, level): a.identity_at(base, level)
                      for base in a.objects for level in range(N + 1)}
     morphisms, dom, cod, identity = [], {}, {}, {}
-    data, index = {}, {}
+    index = {}
     marked = []
+    out = []  # (g, its domain, base2, n2, simplex, operator), in name order
+    into = {key: [] for key in object_names}  # object -> (f, base1, n1, simplex, images)
     for base1, base2 in itertools.product(a.objects, repeat=2):
         hom = a.homs[(base1, base2)]
         for n1 in range(N + 1):
+            source = object_names[(base1, n1)]
             for n2 in range(N + 1):
-                for q in monotone_maps(n2, n1):
+                target, arriving = object_names[(base2, n2)], into[(base2, n2)]
+                for q in operators[(n2, n1)]:
                     for simplex, simplex_name in enumerate(hom.levels[n2]):
-                        name = (f"{object_names[(base1, n1)]}-"
-                                f"{flat_morphism_name(simplex_name, q)}->"
-                                f"{object_names[(base2, n2)]}")
+                        name = f"{source}-{flat_morphism_name(simplex_name, q)}->{target}"
                         morphisms.append(name)
-                        dom[name] = object_names[(base1, n1)]
-                        cod[name] = object_names[(base2, n2)]
-                        data[name] = ((base1, n1), (base2, n2), simplex, q)
+                        dom[name] = source
+                        cod[name] = target
                         index[(base1, n1, base2, n2, simplex, q.images)] = name
+                        out.append((name, (base1, n1), base2, n2, simplex, q))
+                        arriving.append((name, base1, n1, simplex, q.images))
                         if base1 == base2 and simplex == identities_at[(base1, n2)]:
                             marked.append(name)
                             if q.is_identity():
-                                identity[object_names[(base1, n1)]] = name
+                                identity[source] = name
 
-    # the carried simplices and the composites, each asked for once
-    carried_of, composite_of = {}, {}
+    # each g meets only the f into its domain; a carried simplex is keyed
+    # by the level gn1 it is carried from
+    carried_of, composite_of, operator_of = {}, {}, {}
     table = {}
     overflows = 0
-    for g, ((gb1, gn1), (gb2, gn2), ga, gq) in data.items():
-        for f, ((fb1, fn1), (fb2, fn2), fa, fq) in data.items():
-            if (fb2, fn2) != (gb1, gn1):
-                continue
-            key = (fb1, fb2, gq, fa)
-            if key not in carried_of:
-                carried_of[key] = apply_operator(a.homs[(fb1, fb2)], gq, fa)
-            key = (fb1, fb2, gb2, gn2, ga, carried_of[key])
-            if key not in composite_of:
-                composite_of[key] = a.composite(*key)
-            simplex = composite_of[key]
+    for g, (gb1, gn1), gb2, gn2, ga, gq in out:
+        gimages = gq.images
+        for f, fb1, fn1, fa, fimages in into[(gb1, gn1)]:
+            key = (fb1, gb1, gn1, gimages, fa)
+            carried = carried_of.get(key)
+            if carried is None:
+                carried = carried_of[key] = apply_operator(a.homs[(fb1, gb1)], gq, fa)
+            key = (fb1, gb1, gb2, gn2, ga, carried)
+            if key in composite_of:
+                simplex = composite_of[key]
+            else:
+                simplex = composite_of[key] = a.composite(*key)
             if simplex is None:
                 overflows += 1
                 continue
-            operator = compose_operators(gq, fq)
-            table[(g, f)] = index[(fb1, fn1, gb2, gn2, simplex, operator.images)]
+            key = (gimages, fimages)
+            images = operator_of.get(key)
+            if images is None:
+                images = operator_of[key] = tuple([fimages[v] for v in gimages])
+            table[(g, f)] = index[(fb1, fn1, gb2, gn2, simplex, images)]
 
     cat = FiniteCategory(objects, morphisms, dom, cod, identity, table)
     rel = RelativeCategory(cat, marked)

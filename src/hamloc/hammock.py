@@ -857,6 +857,7 @@ def _mapping_space(ctx: _Context, x, y, truncation, w_max, detail) -> MappingSpa
     # rows in leaf order, which is its order.
     trie = _RowTrie(ctx, x, y, w_max)
     rows, vertex, masks = trie.row.__getitem__, trie.vertex, trie.mask
+    identities = ctx.identities
     simplices, grown = [], []
     for pattern in trie.roots:
         for leaf, mask, below in trie.first_rows(pattern, truncation == 1):
@@ -929,14 +930,21 @@ def _mapping_space(ctx: _Context, x, y, truncation, w_max, detail) -> MappingSpa
             keys.append((leaves, text))
         order = sorted(range(len(kept)), key=keys.__getitem__)
         del keys
-        previous, simplices = simplices, [kept[n] for n in order]
+        simplices = [kept[n] for n in order]
         level_grids.append(tuple([(pattern, tuple(map(rows, leaves)), layers)
                                   for pattern, leaves, layers in simplices]))
         below = {grid: n for n, grid in enumerate(level_grids[k])}
         levels.append(Names.numbered(below, ctx.namer))
         faces.append([[images[n][i] for n in order] for i in range(k + 1)])
-        degeneracies.append([[below.get(_degeneracy(trie, grid, i)) for grid in previous]
-                             for i in range(k)])
+        # a kept grid whose rows i and i+1 are one leaf, with an identity
+        # layer between them, is s_i of its face d_i; its number is read
+        # from ``below``, so the table holds the int objects the level's
+        # ``item_number`` holds, not copies
+        degeneracies.append([[None] * len(level_grids[k - 1]) for _ in range(k)])
+        for (_, leaves, layers), n in zip(simplices, below.values()):
+            for i in range(k):
+                if leaves[i] == leaves[i + 1] and identities.issuperset(layers[i]):
+                    degeneracies[k - 1][i][faces[k][i][n]] = n
         if any(None in column for column in degeneracies[-1]):
             raise ConsistencyError("degeneracy left the kept set")
         # Only the grids of ``live`` grow: d_{k+1} of a grid grown from a
@@ -954,14 +962,13 @@ def _mapping_space(ctx: _Context, x, y, truncation, w_max, detail) -> MappingSpa
     # width w_max is the partition one width bound lower
     vertices = range(len(level_grids[0]))
     components = UnionFind(len(vertices))
-    sub = None
     narrow = [n for n in vertices if len(level_grids[0][n][0]) < w_max]
-    for grid, a, b in zip(level_grids[1], faces[1][1], faces[1][0]):
-        if sub is None and len(grid[0]) == w_max:
-            sub = Partition.of(components, narrow)
-        components.union(a, b)
-    if sub is None:
-        sub = Partition.of(components, narrow)
+    edges = zip(faces[1][1], faces[1][0])
+    narrower = next((n for n, grid in enumerate(level_grids[1]) if len(grid[0]) == w_max),
+                    len(level_grids[1]))
+    components.union_pairs(itertools.islice(edges, narrower))
+    sub = Partition.of(components, narrow)
+    components.union_pairs(edges)
     partition = Partition.of(components, vertices)
     verdict = "bound_limited" if pruned else _stability(partition, sub)
     return MappingSpace(x, y, truncation, w_max, verdict, sset.levels[0],
@@ -1124,20 +1131,6 @@ def _faces(trie: _RowTrie, grid, memo, below):
             return None
         numbers.append(number)
     return None if _ABSENT in numbers else numbers
-
-
-def _degeneracy(trie: _RowTrie, grid, i):
-    """The i-th degeneracy of a grid on leaf numbers, as a grid of
-    morphism numbers: repeat row i with an identity layer, on the objects
-    its entries end at.  Its rows are those of the grid, so it is reduced
-    when the grid is."""
-    pattern, leaves, layers = grid
-    rows = tuple(map(trie.row.__getitem__, leaves))
-    identity, dom, cod = trie.ctx.identity, trie.ctx.dom, trie.ctx.cod
-    identity_layer = tuple([identity[cod[m] if d == "f" else dom[m]]
-                            for d, m in zip(pattern[:-1], rows[i])])
-    return (pattern, rows[:i + 1] + (rows[i],) + rows[i + 1:],
-            layers[:i] + (identity_layer,) + layers[i:])
 
 
 # --- localization ------------------------------------------------------------

@@ -425,8 +425,7 @@ def pi0(x: TruncatedSimplicialSet) -> Partition:
         raise InputError("components need truncation >= 1")
     vertices = range(len(x.levels[0]))
     components = UnionFind(len(vertices))
-    for a, b in zip(x.faces[1][1], x.faces[1][0]):
-        components.union(a, b)
+    components.union_pairs(zip(x.faces[1][1], x.faces[1][0]))
     return Partition.of(components, vertices)
 
 

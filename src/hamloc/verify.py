@@ -290,7 +290,11 @@ def check_roundtrip(r: RelativeCategory, bounds: Bounds, progress=None) -> Exper
 
     fl = flatten(loc.scat())
     outcomes.append({"check": "flattening overflows", "result": str(fl.overflows)})
-    unit = relativization_unit(r, loc, fl)
+    try:
+        unit = relativization_unit(r, loc, fl)
+    except InputError as exc:
+        # the pipeline built the localization and its flattening itself
+        raise ConsistencyError(f"relativization unit invalid: {exc}") from exc
     bad = validate_relative_functor(unit)
     outcomes.append({"check": "unit functor valid", "result": "no" if bad else "yes"})
     middle = unit.target

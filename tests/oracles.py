@@ -5,7 +5,10 @@ The general Grothendieck construction of a contravariant diagram of
 finite categories over the levels 0..N is the oracle for
 :func:`hamloc.flatten.flatten`: flattening a simplicial category is the
 Grothendieck construction of its diagram of level categories
-(:func:`level_diagram`).  The word oracle's earlier saturation, two
+(:func:`level_diagram`).  It covers total categories only; the earlier
+flattening, which walked every ordered pair of morphisms and built each
+composite operator anew, is the reference on partial ones too
+(:func:`reference_flatten`).  The word oracle's earlier saturation, two
 union-finds over string words, is the reference for
 :func:`hamloc.relcat.oracle_localized_homset`
 (:func:`reference_localized_homset`, which returns its own
@@ -81,7 +84,13 @@ from hamloc.fincat import (
     validate_functor,
 )
 from hamloc import hammock
-from hamloc.flatten import flatten, relativization_unit
+from hamloc.flatten import (
+    Flattening,
+    flat_morphism_name,
+    flat_object_name,
+    flatten,
+    relativization_unit,
+)
 from hamloc.hammock import (
     Hammock,
     MappingSpace,
@@ -106,6 +115,7 @@ from hamloc.simplicial import (
     Partition,
     SimplicialOperator,
     TruncatedSimplicialSet,
+    apply_operator,
     boundary_matrix,
     compose_operators,
     monotone_maps,
@@ -312,6 +322,66 @@ def level_diagram(a: TruncatedSimplicialCategory) -> SimplicialDiagram:
                 levels[n], levels[n + 1], fun.object_map, fun.morphism_map
             )
     return SimplicialDiagram(levels, face_functors, degeneracy_functors)
+
+
+def reference_flatten(a: TruncatedSimplicialCategory) -> Flattening:
+    """The flattening over every ordered pair of morphisms, skipping those
+    that do not compose, with each composite operator built and validated
+    as a :class:`SimplicialOperator`: the earlier construction of
+    :func:`hamloc.flatten.flatten`, kept to check it."""
+    N = a.truncation
+    object_names = {(base, level): flat_object_name(base, level)
+                    for base in a.objects for level in range(N + 1)}
+    objects = list(object_names.values())
+
+    identities_at = {(base, level): a.identity_at(base, level)
+                     for base in a.objects for level in range(N + 1)}
+    morphisms, dom, cod, identity = [], {}, {}, {}
+    data, index = {}, {}
+    marked = []
+    for base1, base2 in itertools.product(a.objects, repeat=2):
+        hom = a.homs[(base1, base2)]
+        for n1 in range(N + 1):
+            for n2 in range(N + 1):
+                for q in monotone_maps(n2, n1):
+                    for simplex, simplex_name in enumerate(hom.levels[n2]):
+                        name = (f"{object_names[(base1, n1)]}-"
+                                f"{flat_morphism_name(simplex_name, q)}->"
+                                f"{object_names[(base2, n2)]}")
+                        morphisms.append(name)
+                        dom[name] = object_names[(base1, n1)]
+                        cod[name] = object_names[(base2, n2)]
+                        data[name] = ((base1, n1), (base2, n2), simplex, q)
+                        index[(base1, n1, base2, n2, simplex, q.images)] = name
+                        if base1 == base2 and simplex == identities_at[(base1, n2)]:
+                            marked.append(name)
+                            if q.is_identity():
+                                identity[object_names[(base1, n1)]] = name
+
+    # the carried simplices and the composites, each asked for once
+    carried_of, composite_of = {}, {}
+    table = {}
+    overflows = 0
+    for g, ((gb1, gn1), (gb2, gn2), ga, gq) in data.items():
+        for f, ((fb1, fn1), (fb2, fn2), fa, fq) in data.items():
+            if (fb2, fn2) != (gb1, gn1):
+                continue
+            key = (fb1, fb2, gq, fa)
+            if key not in carried_of:
+                carried_of[key] = apply_operator(a.homs[(fb1, fb2)], gq, fa)
+            key = (fb1, fb2, gb2, gn2, ga, carried_of[key])
+            if key not in composite_of:
+                composite_of[key] = a.composite(*key)
+            simplex = composite_of[key]
+            if simplex is None:
+                overflows += 1
+                continue
+            operator = compose_operators(gq, fq)
+            table[(g, f)] = index[(fb1, fn1, gb2, gn2, simplex, operator.images)]
+
+    cat = FiniteCategory(objects, morphisms, dom, cod, identity, table)
+    rel = RelativeCategory(cat, marked)
+    return Flattening(rel, N, object_names, index, overflows)
 
 
 def neglectable_instances():

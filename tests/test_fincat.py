@@ -365,7 +365,7 @@ class TestUnionFindAgainstReference:
         n = data.draw(st.integers(1, 24))
         uf, ref = UnionFind(n), ReferenceUnionFind(range(n))
         for _ in range(data.draw(st.integers(0, 40))):
-            kind = data.draw(st.sampled_from(["union", "union_all", "add"]))
+            kind = data.draw(st.sampled_from(["union", "union_all", "union_pairs", "add"]))
             if kind == "add":
                 assert uf.add() == n
                 ref.add(n)
@@ -377,7 +377,11 @@ class TestUnionFindAgainstReference:
                 b = data.draw(number)
                 uf.union(a, b)
                 ref.union(a, b)
-            else:
+            elif kind == "union_pairs":
+                pairs = data.draw(st.lists(st.tuples(number, number), max_size=8))
+                uf.union_pairs(pairs)
+                for b, c in pairs:
+                    ref.union(b, c)
                 bs = data.draw(st.lists(number, max_size=6))
                 uf.union_all(a, bs)
                 ref.union_all(a, bs)
@@ -389,16 +393,17 @@ class TestUnionFindAgainstReference:
     @settings(max_examples=200, deadline=None)
     @given(data=st.data())
     def test_inline_roots_on_chains_and_members_under_the_root(self, data):
-        """``union_all`` and ``groups`` climb to each root inline.  Random
-        ``add``, ``union`` and ``union_all`` sequences, with long parent
-        chains (``union(k + 1, k)`` along a run of numbers) and
+        """``union_all``, ``union_pairs`` and ``groups`` climb to each root
+        inline.  Random ``add``, ``union``, ``union_pairs`` and
+        ``union_all`` sequences, with long parent chains (``union(k + 1,
+        k)`` along a run of numbers, by ``union`` or ``union_pairs``) and
         ``union_all`` members already in ``a``'s class, must give the
         reference's groups in the same first-occurrence order, and leave
         ``a`` and every member ``union_all`` touched pointing at the root."""
         n = data.draw(st.integers(1, 30))
         uf, ref = UnionFind(n), ReferenceUnionFind(range(n))
         for _ in range(data.draw(st.integers(0, 30))):
-            kind = data.draw(st.sampled_from(["add", "union", "chain", "union_all"]))
+            kind = data.draw(st.sampled_from(["add", "union", "chain", "pairs", "union_all"]))
             if kind == "add":
                 assert uf.add() == n
                 ref.add(n)
@@ -415,6 +420,14 @@ class TestUnionFindAgainstReference:
                 for k in range(a, min(a + data.draw(st.integers(1, 12)), n - 1)):
                     uf.union(k + 1, k)
                     ref.union(k + 1, k)
+            elif kind == "pairs":
+                # ``union_pairs`` halves the chains it climbs
+                pairs = [(k + 1, k) for k in range(a, min(a + data.draw(st.integers(1, 12)),
+                                                          n - 1))]
+                pairs += data.draw(st.lists(st.tuples(number, number), max_size=4))
+                uf.union_pairs(pairs)
+                for b, c in pairs:
+                    ref.union(b, c)
             else:
                 # the reference finds the class, so ``uf`` keeps its chains
                 same = [b for b in range(n) if ref.find(b) == ref.find(a)]

@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from hamloc import hammock
 from hamloc import instances as inst
-from hamloc import scat, verify
+from hamloc import cli, scat, verify
 from hamloc.errors import ConsistencyError, InputError
 from hamloc.flatten import flatten, relativization_unit
 from hamloc.hammock import hammock_localization
@@ -38,6 +38,22 @@ def test_invalid_comparison_map_is_an_inconsistency(monkeypatch):
         check_24ii(rs, BOUNDS)
     with pytest.raises(ConsistencyError, match="comparison map invalid"):
         check_32(inst.walking_arrow_relative(), BOUNDS)
+
+
+def test_a_unit_missing_an_embedded_image_is_an_inconsistency(monkeypatch, tmp_path):
+    """A flattening without the embedded image of a morphism is a fault of
+    the pipeline, not of its valid input: claim 3.1 exits 3, not 2."""
+    def misses(self, m):
+        return None if m == "w" else real(self, m)
+
+    real = hammock.Localization.embedded
+    monkeypatch.setattr(hammock.Localization, "embedded", misses)
+    monkeypatch.delenv("HAMLOC_CACHE_DIR", raising=False)
+    with pytest.raises(ConsistencyError, match="relativization unit invalid"):
+        check_roundtrip(inst.walking_weq(), BOUNDS)
+    path = tmp_path / "walking-weq.json"
+    path.write_text(canonical_dumps(inst.walking_weq().to_json()))
+    assert cli.run(["verify", "3.1", str(path), "--truncation", "1", "--width", "2"]) == 3
 
 
 def ids(c):
