@@ -22,7 +22,6 @@ from .simplicial import (
     ChainComplexReport,
     SimplicialOperator,
     TruncatedSimplicialSet,
-    compose_operators,
     homology,
     nerve,
     pi0,

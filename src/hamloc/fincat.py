@@ -188,13 +188,12 @@ class UnionFind:
         return root
 
     def union(self, a, b):
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[rb] = ra
+        self.union_pairs(((a, b),))
 
     def union_pairs(self, pairs):
-        """``union(a, b)`` for each pair, with one inline climb per end that
-        halves its path, and no :meth:`find` call."""
+        """Join the classes of a and b for each pair (a, b), keeping a's
+        root; each end's root is found by one inline climb that halves its
+        path, with no :meth:`find` call."""
         parent = self.parent
         for a, b in pairs:
             while parent[a] != a:
@@ -308,9 +307,8 @@ def iso_classes(c: FiniteCategory) -> list[frozenset]:
     class's root."""
     index, objects = c.obj_index, c.objects
     uf = UnionFind(len(objects))
-    for m in c.morphisms:
-        if is_isomorphism(c, m):
-            uf.union(index[c.dom[m]], index[c.cod[m]])
+    uf.union_pairs((index[c.dom[m]], index[c.cod[m]])
+                   for m in c.morphisms if is_isomorphism(c, m))
     groups = uf.groups(range(len(objects)))
     return [frozenset(objects[i] for i in groups[r]) for r in sorted(groups)]
 

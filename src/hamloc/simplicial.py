@@ -63,16 +63,6 @@ class SimplicialOperator:
         return self.source_dim == self.target_dim and self.images == tuple(range(self.source_dim + 1))
 
 
-def compose_operators(p: SimplicialOperator, q: SimplicialOperator) -> SimplicialOperator:
-    """Diagrammatic composite: first p, then q (requires matching middles)."""
-    if p.target_dim != q.source_dim:
-        raise InputError(
-            f"operator dims mismatch: [{p.source_dim}]->[{p.target_dim}] then "
-            f"[{q.source_dim}]->[{q.target_dim}]"
-        )
-    return SimplicialOperator(p.source_dim, q.target_dim, tuple(q.images[v] for v in p.images))
-
-
 def monotone_maps(m, n):
     """All monotone maps [m] -> [n]; there are C(n+m+1, m+1) of them."""
     return [

@@ -8,7 +8,9 @@ Grothendieck construction of its diagram of level categories
 (:func:`level_diagram`).  It covers total categories only; the earlier
 flattening, which walked every ordered pair of morphisms and built each
 composite operator anew, is the reference on partial ones too
-(:func:`reference_flatten`).  The word oracle's earlier saturation, two
+(:func:`reference_flatten`); both compose simplicial operators as
+dataclasses (:func:`compose_operators`), where the flattening composes
+image tuples.  The word oracle's earlier saturation, two
 union-finds over string words, is the reference for
 :func:`hamloc.relcat.oracle_localized_homset`
 (:func:`reference_localized_homset`, which returns its own
@@ -117,7 +119,6 @@ from hamloc.simplicial import (
     TruncatedSimplicialSet,
     apply_operator,
     boundary_matrix,
-    compose_operators,
     monotone_maps,
     homology,
     operator_steps,
@@ -217,6 +218,18 @@ def validate_diagram(d: SimplicialDiagram) -> list[str]:
                     if not maps_equal(composite, ident):
                         report.append(f"functor identity d_{i} s_{j} != id at level {n}")
     return report
+
+
+def compose_operators(p: SimplicialOperator, q: SimplicialOperator) -> SimplicialOperator:
+    """Diagrammatic composite: first p, then q (requires matching middles).
+    No command composes operators: :func:`hamloc.flatten.flatten` composes
+    their image tuples."""
+    if p.target_dim != q.source_dim:
+        raise InputError(
+            f"operator dims mismatch: [{p.source_dim}]->[{p.target_dim}] then "
+            f"[{q.source_dim}]->[{q.target_dim}]"
+        )
+    return SimplicialOperator(p.source_dim, q.target_dim, tuple(q.images[v] for v in p.images))
 
 
 def operator_functor(d: SimplicialDiagram, op: SimplicialOperator) -> CatFunctor:

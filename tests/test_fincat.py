@@ -382,6 +382,7 @@ class TestUnionFindAgainstReference:
                 uf.union_pairs(pairs)
                 for b, c in pairs:
                     ref.union(b, c)
+            else:
                 bs = data.draw(st.lists(number, max_size=6))
                 uf.union_all(a, bs)
                 ref.union_all(a, bs)

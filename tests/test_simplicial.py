@@ -15,7 +15,6 @@ from hamloc.simplicial import (
     TruncatedSimplicialSet,
     apply_operator,
     boundary_matrix,
-    compose_operators,
     homology,
     monotone_maps,
     nerve,
@@ -25,7 +24,7 @@ from hamloc.simplicial import (
     validate_sset,
 )
 from helpers import all_operators, renamed
-from oracles import rational_kernel_basis
+from oracles import compose_operators, rational_kernel_basis
 
 
 class TestOperators:
